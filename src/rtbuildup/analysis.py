@@ -138,19 +138,80 @@ def delta_curve(series: BuildupSeries) -> tuple[np.ndarray, np.ndarray, int]:
     return series.tau[keep], np.log(series.delta[keep]), dropped
 
 
+_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+
+
+def _two_sum(a, b):
+    """a + b as (rounded sum, exact rounding error): Knuth's TwoSum."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _two_product(a, b):
+    """a * b as (rounded product, exact rounding error): Dekker's TwoProduct."""
+    p = a * b
+    a_hi = _SPLITTER * a
+    a_hi = a_hi - (a_hi - a)
+    b_hi = _SPLITTER * b
+    b_hi = b_hi - (b_hi - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _window_slopes(
+    tau: np.ndarray, values: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Least-squares slope of ``values`` vs tau over each index window [lo, hi).
+
+    O(n) from prefix sums of 1, t, t^2, v and t v, with t = tau centred on
+    its mean; windows with fewer than 3 points give NaN.  ``values`` must be
+    finite, since one NaN would spoil every later prefix sum.  The slope is
+    (n S_tv - S_t S_v) / (n S_tt - S_t^2), and both differences cancel by
+    about (window mean / window spread)^2, so every sum and product is
+    carried as an unevaluated (value, rounding error) pair, as in
+    Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005).
+    """
+    slopes = np.full(lo.shape, np.nan)
+    ok = hi - lo >= 3
+    if not np.any(ok):
+        return slopes
+    lo, hi = lo[ok], hi[ok]
+    t = tau - tau.mean()
+    values = np.asarray(values, dtype=float)
+
+    def window_sum(x, x_error=0.0):
+        # np.cumsum adds left to right, so TwoSum on consecutive running
+        # sums recovers the exact error of every step
+        total = np.concatenate(([0.0], np.cumsum(x)))
+        _, step_error = _two_sum(total[:-1], x)
+        error = np.concatenate(([0.0], np.cumsum(step_error + x_error)))
+        s, e = _two_sum(total[hi], -total[lo])
+        return s, e + (error[hi] - error[lo])
+
+    def cross(n, s_ab, s_a, s_b):
+        # n S_ab - S_a S_b; the two leading products are exact, so their
+        # cancellation loses nothing
+        p, p_error = _two_product(n, s_ab[0])
+        q, q_error = _two_product(s_a[0], s_b[0])
+        tail = p_error - q_error + n * s_ab[1] - s_a[0] * s_b[1] - s_a[1] * s_b[0]
+        return (p - q) + tail
+
+    n = (hi - lo).astype(float)
+    s_t, s_v = window_sum(t), window_sum(values)
+    s_tt, s_tv = window_sum(*_two_product(t, t)), window_sum(*_two_product(t, values))
+    slopes[ok] = cross(n, s_tv, s_t, s_v) / cross(n, s_tt, s_t, s_t)
+    return slopes
+
+
 def local_slopes(
     tau: np.ndarray, values: np.ndarray, *, window: float = 0.5
 ) -> np.ndarray:
     """Moving linear-fit slope of ``values`` vs tau with +-window/2 support."""
-    slopes = np.full(tau.shape, np.nan)
     half = 0.5 * window
     lo = np.searchsorted(tau, tau - half, side="left")
     hi = np.searchsorted(tau, tau + half, side="right")
-    for i in range(tau.size):
-        a, b = lo[i], hi[i]
-        if b - a >= 3:
-            slopes[i] = np.polyfit(tau[a:b], values[a:b], 1)[0]
-    return slopes
+    return _window_slopes(tau, values, lo, hi)
 
 
 def detect_onset(
@@ -175,14 +236,10 @@ def detect_onset(
         raise NoOnsetError("series too short for onset detection")
     start = max(fit_tau_min, float(tau_d[0]))
     edges = np.arange(start, float(tau_d[-1]) + window, window)
-    flagged: list[bool] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mask = (tau_d >= a) & (tau_d < b)
-        if np.count_nonzero(mask) < 4:
-            flagged.append(False)
-            continue
-        slope = np.polyfit(tau_d[mask], ln_delta[mask], 1)[0]
-        flagged.append(abs(slope + 0.5) > rel_deviation * 0.5)
+    lo = np.searchsorted(tau_d, edges[:-1], side="left")
+    hi = np.searchsorted(tau_d, edges[1:], side="left")
+    slopes = _window_slopes(tau_d, ln_delta, lo, hi)
+    flagged = (hi - lo >= 4) & (np.abs(slopes + 0.5) > rel_deviation * 0.5)
 
     tau_onset = None
     run = 0

@@ -41,7 +41,7 @@ from .resonances import (
     WindingMismatchError,
     find_poles,
 )
-from .scattering import stationary_state
+from .scattering import ZeroWavevectorError, stationary_state
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
@@ -104,9 +104,10 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str | None, header: list[str], rows, footer: str | None = None) -> None:
+    # "%.12g" formats exactly as _fmt does, ints, nan and -0 included
+    template = ",".join(["%.12g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(template % tuple(row) for row in rows)
     if footer is not None:
         lines.append(footer)
     text = "\n".join(lines) + "\n"
@@ -364,7 +365,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (PoleConvergenceError, WindingMismatchError, GamowResidualError,
-            NodePositionError, FitWindowError, NoOnsetError) as exc:
+            NodePositionError, FitWindowError, NoOnsetError, ZeroWavevectorError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 

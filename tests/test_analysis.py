@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -13,6 +15,7 @@ from rtbuildup import (
     exponential_law,
     fit_envelope_exponent,
     fit_time_constant,
+    local_slopes,
     normalize_buildup,
 )
 
@@ -139,6 +142,93 @@ def test_delta_curve_drops_exact_zeros():
     assert np.all(np.isfinite(ln_d))
 
 
+# -------------------------------------------------------------- local_slopes
+
+def polyfit_slopes(tau, values, window=0.5):
+    """Reference: one np.polyfit per point over the +-window/2 neighbourhood."""
+    slopes = np.full(tau.shape, np.nan)
+    lo = np.searchsorted(tau, tau - 0.5 * window, side="left")
+    hi = np.searchsorted(tau, tau + 0.5 * window, side="right")
+    for i in range(tau.size):
+        if hi[i] - lo[i] >= 3:
+            slopes[i] = np.polyfit(tau[lo[i]:hi[i]], values[lo[i]:hi[i]], 1)[0]
+    return slopes
+
+
+def assert_slopes_match(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-9 * np.maximum(1.0, np.abs(want[ok])))
+
+
+def crossover_like(tau):
+    """ln delta-like series: slope -1/2, then a fast tau^{-1/2} oscillation."""
+    return np.log(np.abs(np.exp(-0.5 * tau) + 0.02 * np.cos(300.0 * tau) / np.sqrt(300.0 * tau)))
+
+
+def dropped_grid():
+    rng = np.random.default_rng(7)
+    tau = np.linspace(0.25, 30.0, 12001)
+    return tau[rng.random(tau.size) > 0.3]
+
+
+@pytest.mark.parametrize("tau", [
+    np.linspace(0.25, 60.0, 24001),
+    np.geomspace(0.25, 60.0, 8001),
+    dropped_grid(),
+    1e3 + np.linspace(0.25, 60.0, 24001),
+], ids=["linear", "log", "dropped", "offset-1e3"])
+def test_local_slopes_match_polyfit(tau):
+    values = crossover_like(tau - tau[0] + 0.25)
+    assert_slopes_match(local_slopes(tau, values), polyfit_slopes(tau, values))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_local_slopes_exact_line(offset):
+    tau = offset + np.linspace(0.25, 60.0, 24001)
+    for slope in (-0.5, 3.0):
+        got = local_slopes(tau, slope * tau + 1.7)
+        assert np.max(np.abs(got - slope)) <= 1e-12
+
+
+def test_local_slopes_nan_where_window_has_fewer_than_three_points():
+    # sparse head (spacing 0.3: one point per window), dense tail
+    tau = np.concatenate([np.arange(0.0, 3.0, 0.3), np.linspace(3.2, 6.0, 400)])
+    values = crossover_like(tau + 0.25)
+    got = local_slopes(tau, values)
+    counts = (np.searchsorted(tau, tau + 0.25, side="right")
+              - np.searchsorted(tau, tau - 0.25, side="left"))
+    assert np.any(counts < 3) and np.any(counts >= 3)
+    np.testing.assert_array_equal(np.isnan(got), counts < 3)
+    assert_slopes_match(got, polyfit_slopes(tau, values))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_local_slopes_degenerate_inputs(n):
+    tau = np.linspace(1.0, 2.0, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = local_slopes(tau, tau.copy())
+    assert got.shape == tau.shape
+    assert np.all(np.isnan(got))
+
+
+def test_window_slopes_do_not_call_polyfit(monkeypatch):
+    import rtbuildup.analysis as analysis_module
+
+    def no_polyfit(*args, **kwargs):
+        raise AssertionError("np.polyfit called")
+
+    monkeypatch.setattr(analysis_module.np, "polyfit", no_polyfit)
+    tau = np.linspace(0.25, 60.0, 120001)
+    assert np.all(np.isfinite(local_slopes(tau, crossover_like(tau))[1:-1]))
+    # a pure exponential has no onset, so detect_onset stops after its
+    # window slopes, before the charging-law fit (which does use polyfit)
+    with pytest.raises(NoOnsetError):
+        detect_onset(pure_law_series())
+
+
 # -------------------------------------------------------------- detect_onset
 
 def test_no_onset_on_pure_exponential():
@@ -161,6 +251,26 @@ def test_onset_on_synthetic_crossover():
     assert report.tau_onset == pytest.approx(balance, abs=2.5)
     assert report.tau0 == pytest.approx(2.0, abs=0.05)
     assert report.envelope_exponent == pytest.approx(-0.5, abs=0.1)
+
+
+def test_onset_matches_masked_polyfit_windows():
+    """Window slopes from index bounds flag the same windows as the boolean masks."""
+    tau = np.linspace(0.3, 50.0, 60001)
+    ratio = 1.0 - np.exp(-0.5 * tau) + 0.02 * np.cos(300.0 * tau) / np.sqrt(300.0 * tau)
+    series = synthetic_series(tau, ratio)
+    tau_d, ln_delta, _ = delta_curve(series)
+    edges = np.arange(0.5, tau_d[-1] + 0.5, 0.5)
+    run, reference = 0, None
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        mask = (tau_d >= a) & (tau_d < b)
+        bad = (np.count_nonzero(mask) >= 4
+               and abs(np.polyfit(tau_d[mask], ln_delta[mask], 1)[0] + 0.5) > 0.1)
+        run = run + 1 if bad else 0
+        if run >= 3:
+            reference = float(edges[i - 2])
+            break
+    assert reference is not None
+    assert detect_onset(series).tau_onset == reference
 
 
 def test_onset_ordering_with_sharpness(symmetric_profile, symmetric_poles):

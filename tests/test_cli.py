@@ -151,6 +151,16 @@ def test_evolve_off_resonance_forces_full_mode(cfg_paths, tmp_path, capsys):
     assert len(rows) == 4
 
 
+def test_evolve_energy_on_segment_height_exits_two(cfg_paths, tmp_path, capsys):
+    # E equals the barrier height: the local wavevector there is exactly zero
+    code = main([
+        "evolve", "--profile", cfg_paths["sym"], "--energy-ev", "0.5",
+        "--x-angstrom", "80", "--points", "4", "--out", str(tmp_path / "zero_k.csv"),
+    ])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_evolve_unknown_resonance_index(cfg_paths):
     assert main([
         "evolve", "--profile", cfg_paths["sym"], "--resonance", "9", "--auto-max",
@@ -258,3 +268,17 @@ def test_csv_format_twelve_significant_digits(cfg_paths, tmp_path):
     mantissa = value.replace("-", "").replace(".", "").lstrip("0")
     assert len(mantissa) <= 12
     assert "." in value
+
+
+def test_csv_rows_format_like_fmt(tmp_path):
+    from rtbuildup.cli import _fmt, _write_csv
+
+    rows = [
+        (1, -0.0, float("nan")),
+        (np.int64(12345678901234), 2.0 / 3.0, float("-inf")),
+        (0, 1e-300, np.float64(-1.23456789012345e10)),
+    ]
+    out = tmp_path / "rows.csv"
+    _write_csv(str(out), ["a", "b", "c"], rows, footer="# end")
+    expected = ["a,b,c"] + [",".join(_fmt(v) for v in row) for row in rows] + ["# end"]
+    assert out.read_text() == "\n".join(expected) + "\n"
