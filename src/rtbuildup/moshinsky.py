@@ -7,10 +7,11 @@ obtained from the reflection
 
     M(y) = exp(y^2) - M(-y),
 
-whose exponential can exceed the double range long before the physics does
-(|y|^2 grows like R_n * tau).  All reflected values are therefore carried as
-``ScaledComplex`` pairs  m * exp(s)  and only collapsed to plain complex on
-request.
+whose exponential exceeds the double range once Re(y^2) passes ~709.  One
+vectorized kernel evaluates both branches; a reflected value is formed as
+mantissa * exp(s) with s = max(Re y^2, 0), and ``moshinsky_m(y, scaled=True)``
+returns that pair instead of multiplying it out.  The physical arguments
+keep s ~ 0, so only the plain value enters the dynamics.
 
 Momentum arguments follow
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import wofz
@@ -34,180 +34,76 @@ from .units import PhysicalConstants
 
 EXP_MINUS_IPI4 = cmath.exp(-0.25j * cmath.pi)
 
-_LOG_MAX = math.log(np.finfo(float).max)  # ~709.78
 _SQRT_PI = math.sqrt(math.pi)
 
 
 class MoshinskyOverflowError(OverflowError):
     """Unscaled output would exceed the floating-point range.
 
-    The scaled representation (mantissa, exponent) is always available.
+    The scaled pair from ``moshinsky_m(y, scaled=True)`` is always available.
     """
 
 
-class ScaledComplex(NamedTuple):
-    """Complex number m * exp(s) with the magnitude carried in the exponent.
+def _unwrap(y):
+    return y.y if isinstance(y, MoshinskyArgument) else y
 
-    The mantissa is kept at unit modulus (zero excepted) so sums and
-    products never overflow for any representable exponent.
+
+def _moshinsky_m_grid(y, scaled: bool = False):
+    """Vectorized M(y) = w(iy)/2 over the full complex plane.
+
+    Re(y) >= 0 is evaluated directly; elsewhere the reflection
+    M(y) = exp(y^2) - M(-y) is formed as mantissa * exp(s) with
+    s = max(Re y^2, 0).  ``scaled`` returns the (mantissa, log_scale) pair,
+    which cannot overflow; the plain value multiplies it out and raises
+    ``MoshinskyOverflowError`` past the double range.  Physical kernel
+    arguments keep s ~ 0: a reflected y_{k_n} has Re(y^2) < 0 and y_k has
+    |exp(y^2)| = 1.
     """
-
-    mantissa: complex
-    log_scale: float
-
-    @classmethod
-    def from_complex(cls, value: complex) -> "ScaledComplex":
-        value = complex(value)
-        if value == 0:
-            return cls(0j, 0.0)
-        mag = abs(value)
-        return cls(value / mag, math.log(mag))
-
-    @classmethod
-    def from_exponential(cls, exponent: complex) -> "ScaledComplex":
-        """exp(exponent) without overflow."""
-        exponent = complex(exponent)
-        return cls(cmath.exp(1j * exponent.imag), exponent.real)
-
-    def _rebalanced(self) -> "ScaledComplex":
-        mag = abs(self.mantissa)
-        if mag == 0.0:
-            return ScaledComplex(0j, 0.0)
-        return ScaledComplex(self.mantissa / mag, self.log_scale + math.log(mag))
-
-    def __add__(self, other: "ScaledComplex") -> "ScaledComplex":
-        a, b = self, other
-        if a.mantissa == 0:
-            return b
-        if b.mantissa == 0:
-            return a
-        if b.log_scale > a.log_scale:
-            a, b = b, a
-        shift = b.log_scale - a.log_scale
-        scale = math.exp(shift) if shift > -745.0 else 0.0
-        return ScaledComplex(a.mantissa + b.mantissa * scale, a.log_scale)._rebalanced()
-
-    def __sub__(self, other: "ScaledComplex") -> "ScaledComplex":
-        return self + ScaledComplex(-other.mantissa, other.log_scale)
-
-    def __mul__(self, other: "ScaledComplex") -> "ScaledComplex":
-        return ScaledComplex(
-            self.mantissa * other.mantissa, self.log_scale + other.log_scale
-        )._rebalanced()
-
-    def scaled_by(self, factor: complex) -> "ScaledComplex":
-        return ScaledComplex(self.mantissa * factor, self.log_scale)._rebalanced()
-
-    def conjugate(self) -> "ScaledComplex":
-        return ScaledComplex(self.mantissa.conjugate(), self.log_scale)
-
-    @property
-    def log_abs(self) -> float:
-        if self.mantissa == 0:
-            return -math.inf
-        return self.log_scale + math.log(abs(self.mantissa))
-
-    def ratio_to(self, other: "ScaledComplex") -> complex:
-        """self / other as a plain complex (other must be nonzero)."""
-        if other.mantissa == 0:
-            raise ZeroDivisionError("ratio to a zero ScaledComplex")
-        shift = self.log_scale - other.log_scale
-        if shift > _LOG_MAX:
-            raise MoshinskyOverflowError("ratio exceeds the floating-point range")
-        return self.mantissa / other.mantissa * math.exp(shift) if shift > -745.0 else 0j
-
-    def to_complex(self) -> complex:
-        """Plain complex value; raises when it cannot be represented."""
-        if self.mantissa == 0:
-            return 0j
-        if self.log_abs > _LOG_MAX:
-            raise MoshinskyOverflowError(
-                f"value ~ exp({self.log_abs:.1f}) exceeds the floating-point range; "
-                "use the scaled representation"
-            )
-        return self.mantissa * math.exp(self.log_scale)
-
-
-def faddeeva_scaled(z: complex) -> ScaledComplex:
-    """w(z) as a ScaledComplex, valid in both half planes."""
-    z = complex(z)
-    if z.imag >= 0.0:
-        return ScaledComplex.from_complex(wofz(z))
-    # w(z) = 2 exp(-z^2) - w(-z); -z lies in the accurate upper half plane
-    return ScaledComplex.from_exponential(-z * z).scaled_by(2.0) - ScaledComplex.from_complex(
-        wofz(-z)
-    )
-
-
-def faddeeva(z: complex, *, scaled: bool = False):
-    """Faddeeva function w(z) = exp(-z^2) erfc(-iz).
-
-    Relative accuracy is ~1e-14 in the upper half plane.  In the lower half
-    plane the reflection formula applies; if the result overflows a double
-    and ``scaled`` is false this raises ``MoshinskyOverflowError``.
-    """
-    value = faddeeva_scaled(z)
-    return value if scaled else value.to_complex()
-
-
-def _as_complex_argument(y) -> complex:
-    return complex(y.y) if isinstance(y, MoshinskyArgument) else complex(y)
-
-
-def moshinsky_m_scaled(y) -> ScaledComplex:
-    """M(y) = w(iy)/2 as a ScaledComplex."""
-    y = _as_complex_argument(y)
-    if y.real >= 0.0:
-        return ScaledComplex.from_complex(0.5 * wofz(1j * y))
-    return moshinsky_reflect(y)
+    y = np.asarray(y, dtype=complex)
+    mantissa = np.empty_like(y)
+    log_scale = np.zeros(y.shape)
+    direct = y.real >= 0.0
+    mantissa[direct] = 0.5 * wofz(1j * y[direct])
+    if not np.all(direct):
+        y_refl = y[~direct]
+        yy = y_refl * y_refl
+        s = np.maximum(yy.real, 0.0)
+        mantissa[~direct] = np.exp(yy - s) - 0.5 * wofz(-1j * y_refl) * np.exp(-s)
+        log_scale[~direct] = s
+    if scaled:
+        return mantissa, log_scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = mantissa * np.exp(log_scale)
+    if np.any(np.isinf(value)):
+        raise MoshinskyOverflowError(
+            "M(y) exceeds the floating-point range; use moshinsky_m(y, scaled=True)"
+        )
+    return value
 
 
 def moshinsky_m(y, *, scaled: bool = False):
-    """Moshinsky function M(0, q; t) = w(iy_q)/2.
+    """Moshinsky function M(0, q; t) = w(iy_q)/2 for a scalar or an array.
 
-    Dispatches to the direct Faddeeva evaluation for Re(y) >= 0 and to the
-    symmetry relation otherwise; propagates the overflow signal when an
-    unscaled result cannot be represented.
+    With ``scaled`` the result is the pair (mantissa, log_scale) with
+    M = mantissa * exp(log_scale); otherwise a value beyond the double
+    range raises ``MoshinskyOverflowError``.
     """
-    value = moshinsky_m_scaled(y)
-    return value if scaled else value.to_complex()
+    result = _moshinsky_m_grid(_unwrap(y), scaled)
+    if np.ndim(y) == 0:
+        if scaled:
+            return complex(result[0]), float(result[1])
+        return complex(result)
+    return result
 
 
-def moshinsky_reflect(y) -> ScaledComplex:
-    """M(y) via the symmetry relation M(y) = exp(y^2) - M(-y).
+def faddeeva(z):
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) = 2 M(-iz).
 
-    Always returns the scaled representation, so no overflow is possible.
-    For Re(y) <= 0 the subtraction is well conditioned (the result carries
-    the dominant magnitude) and happens after aligning both terms on a
-    common exponent.  For Re(y) > 0 the relation has to be applied twice,
-    exp(y^2) - [exp(y^2) - M_direct(y)], and the exponentials cancel
-    algebraically; evaluating them numerically instead would erase the
-    answer whenever exp(Re y^2) dwarfs it, so the collapsed form is used.
+    Relative accuracy is ~1e-14 in the upper half plane; the lower half
+    plane goes through the reflection and raises ``MoshinskyOverflowError``
+    where the value exceeds the double range.
     """
-    y = _as_complex_argument(y)
-    if (-y).real >= 0.0:
-        m_neg = ScaledComplex.from_complex(0.5 * wofz(-1j * y))
-        return ScaledComplex.from_exponential(y * y) - m_neg
-    return ScaledComplex.from_complex(0.5 * wofz(1j * y))
-
-
-def _moshinsky_m_grid(y: np.ndarray) -> np.ndarray:
-    """Vectorized M(y) for plain-complex-safe inputs.
-
-    Used on time grids where Re(y^2) stays well inside the double range
-    (on-resonance kernels have Re(y^2) <= 0); raises the overflow signal
-    otherwise instead of returning infinities.
-    """
-    y = np.asarray(y, dtype=complex)
-    out = np.empty_like(y)
-    direct = y.real >= 0.0
-    out[direct] = 0.5 * wofz(1j * y[direct])
-    if np.any(~direct):
-        yy = y[~direct] ** 2
-        if np.max(yy.real) > _LOG_MAX - 5.0:
-            raise MoshinskyOverflowError("exp(y^2) overflows; use the scalar scaled API")
-        out[~direct] = np.exp(yy) - 0.5 * wofz(-1j * y[~direct])
-    return out
+    return 2.0 * moshinsky_m(-1j * np.asarray(z, dtype=complex))
 
 
 _ASYMPTOTIC_COEFFS_CACHE: list[float] = []
@@ -238,7 +134,7 @@ def moshinsky_asymptotic(y, n_terms: int = 3, *, min_abs: float = 8.0) -> tuple[
     Valid for -pi/2 < arg(y) < pi/2 and |y| above ``min_abs``; the error
     estimate is the magnitude of the first omitted nonzero term.
     """
-    y = _as_complex_argument(y)
+    y = complex(_unwrap(y))
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     phase = cmath.phase(y)

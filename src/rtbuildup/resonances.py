@@ -12,7 +12,9 @@ conditions and is normalized by the contour-regularized rule
 
     integral_0^L u_n^2 dx + i [u_n^2(0) + u_n^2(L)] / (2 k_n) = 1,
 
-the convention under which the stationary wave near a sharp resonance
+whose integral is exact: inside each segment u_n is a sum of two complex
+exponentials, so its square integrates in closed form.  This is the
+convention under which the stationary wave near a sharp resonance
 collapses to the one-term expression 2ik u_n(0) u_n(x) / (k^2 - k_n^2).
 """
 
@@ -22,7 +24,6 @@ import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .profile import PotentialProfile
 from .scattering import _PiecewiseWave, _transfer_entries, transmission_scan
@@ -57,6 +58,8 @@ def refine_pole(
     The derivative is a central difference; m22 is analytic so the step is
     accurate to far more digits than Newton needs.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     k = complex(k_seed)
     for _ in range(max_iter):
         f = pole_function(profile, k)
@@ -173,15 +176,13 @@ def gamow_state(
     k_n: complex,
     *,
     bc_tol: float = 1e-8,
-    quad_rel_tol: float = 1e-10,
 ) -> ResonantState:
     """Normalized Gamow eigenfunction for a verified pole momentum.
 
     Integrates (psi, psi') from x = 0 with u(0) = 1, u'(0) = -i k_n u(0) and
     checks the outgoing condition u'(L) = +i k_n u(L); failure means k_n is
-    not actually a pole.  The normalization integral runs segment-wise with
-    adaptive Gauss-Kronrod quadrature (the integrand is analytic inside each
-    segment).
+    not actually a pole.  The normalization integral of u^2 is exact, a sum
+    of closed-form segment integrals.
     """
     k_n = complex(k_n)
     if not (k_n.real > 0.0 and k_n.imag < 0.0):
@@ -194,14 +195,7 @@ def gamow_state(
             f"outgoing-boundary residual {residual:.2e} exceeds {bc_tol:.1e}; not a pole"
         )
 
-    norm_sq = 0j
-    edges = profile.boundaries
-    for a, b in zip(edges[:-1], edges[1:]):
-        part, _err = quad(
-            lambda s: wave.value(s) ** 2, a, b,
-            complex_func=True, epsabs=1e-13, epsrel=quad_rel_tol, limit=200,
-        )
-        norm_sq += part
+    norm_sq = wave.square_integral()
     norm_sq += 1j * (1.0 + u_l * u_l) / (2.0 * k_n)  # u(0) = 1 before scaling
     scale = 1.0 / cmath.sqrt(norm_sq)
 

@@ -48,20 +48,21 @@ def _local_wavevectors(profile: PotentialProfile, k):
     return kappa
 
 
+def _segment_propagator(kappa, width):
+    """(cos kappa w, sin(kappa w)/kappa, -kappa sin kappa w): the (psi, psi') propagator.
+
+    These are the entries p11 = p22, p12 and p21; ``width`` may be an array.
+    """
+    s = np.sin(kappa * width)
+    return np.cos(kappa * width), s / kappa, -kappa * s
+
+
 def _wave_matrix(profile: PotentialProfile, k):
     """Entries (w11, w12, w21, w22) of the (psi, psi') propagator across [0, L]."""
     kappa = _local_wavevectors(profile, k)
-    shape = np.asarray(k, dtype=complex).shape
-    w11 = np.ones(shape, dtype=complex)
-    w12 = np.zeros(shape, dtype=complex)
-    w21 = np.zeros(shape, dtype=complex)
-    w22 = np.ones(shape, dtype=complex)
+    w11, w12, w21, w22 = 1.0, 0.0, 0.0, 1.0  # arrays from the first segment on
     for j, (width, _height) in enumerate(profile.segments):
-        kj = kappa[j]
-        c = np.cos(kj * width)
-        s = np.sin(kj * width)
-        p12 = s / kj
-        p21 = -kj * s
+        c, p12, p21 = _segment_propagator(kappa[j], width)
         w11, w12, w21, w22 = (
             c * w11 + p12 * w21,
             c * w12 + p12 * w22,
@@ -133,12 +134,10 @@ class _PiecewiseWave:
         values = [complex(psi0)]
         derivs = [complex(dpsi0)]
         for j, (width, _h) in enumerate(profile.segments):
-            kj = self._kappa[j]
-            c = np.cos(kj * width)
-            s = np.sin(kj * width)
+            c, p12, p21 = _segment_propagator(self._kappa[j], width)
             v, d = values[-1], derivs[-1]
-            values.append(c * v + s / kj * d)
-            derivs.append(-kj * s * v + c * d)
+            values.append(c * v + p12 * d)
+            derivs.append(p21 * v + c * d)
         # entry j: (psi, psi') at the left edge of segment j; the final pair
         # is the value at x = L.
         self._values = np.asarray(values)
@@ -155,19 +154,40 @@ class _PiecewiseWave:
             raise ValueError(f"position outside [0, {edges[-1]}] A")
         return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(self._kappa) - 1)
 
-    def value(self, x):
+    def _propagate(self, x):
+        """(psi, psi') at x from the pair stored at the left edge of its segment."""
         idx = self._segment_index(x)
         s = np.asarray(x, dtype=float) - self.profile.boundaries[idx]
-        kj = self._kappa[idx]
-        out = self._values[idx] * np.cos(kj * s) + self._derivs[idx] * np.sin(kj * s) / kj
+        c, p12, p21 = _segment_propagator(self._kappa[idx], s)
+        v, d = self._values[idx], self._derivs[idx]
+        return c * v + p12 * d, p21 * v + c * d
+
+    def value(self, x):
+        out = self._propagate(x)[0]
         return complex(out) if out.ndim == 0 else out
 
     def derivative(self, x):
-        idx = self._segment_index(x)
-        s = np.asarray(x, dtype=float) - self.profile.boundaries[idx]
-        kj = self._kappa[idx]
-        out = -kj * np.sin(kj * s) * self._values[idx] + self._derivs[idx] * np.cos(kj * s)
+        out = self._propagate(x)[1]
         return complex(out) if out.ndim == 0 else out
+
+    def square_integral(self) -> complex:
+        """Closed-form integral of psi(x)^2 over [0, L] (no complex conjugate).
+
+        Inside a segment psi = A e^{i kappa s} + B e^{-i kappa s} with
+        A, B = (psi +- psi'/(i kappa)) / 2, so its square integrates to
+        A^2 expm1(2i kappa w)/(2i kappa) - B^2 expm1(-2i kappa w)/(2i kappa)
+        + 2ABw.  The exponential form avoids the cancellation the cos/sin
+        form suffers in evanescent segments.
+        """
+        ik = 1j * self._kappa
+        width = self.profile.widths
+        ratio = self._derivs[:-1] / ik
+        a = 0.5 * (self._values[:-1] + ratio)
+        b = 0.5 * (self._values[:-1] - ratio)
+        parts = (
+            a * a * np.expm1(2.0 * ik * width) - b * b * np.expm1(-2.0 * ik * width)
+        ) / (2.0 * ik) + 2.0 * a * b * width
+        return complex(np.sum(parts))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,14 @@ def asymmetric_poles(asymmetric_profile):
 
 
 @pytest.fixture(scope="session")
+def symmetric_poles_8ev(symmetric_profile):
+    """All 18 symmetric poles up to 8 eV, most above the barrier top (recovered)."""
+    poles = find_poles(symmetric_profile, 8.0)
+    assert len(poles) == 18
+    return poles
+
+
+@pytest.fixture(scope="session")
 def reference_configs(symmetric_profile, asymmetric_profile, symmetric_poles, asymmetric_poles):
     """(label, profile, state, observation position) for the four benchmark runs."""
     return [

@@ -25,7 +25,6 @@ import pytest
 
 from rtbuildup import (
     ConvergenceWarning,
-    ScaledComplex,
     build_profile,
     buildup_decomposition,
     delta_curve,
@@ -39,7 +38,6 @@ from rtbuildup import (
     fit_time_constant,
     moshinsky_asymptotic,
     moshinsky_m,
-    moshinsky_m_scaled,
     normalize_buildup,
     one_term_phi,
     stationary_state,
@@ -200,12 +198,14 @@ def test_criterion_6_special_functions():
     for r in np.geomspace(1e-3, 30.0, 31):
         for phase in np.arange(16) / 16.0 * 2.0 * np.pi:
             y = r * cmath.exp(1j * phase)
-            m_pos, m_neg = moshinsky_m_scaled(y), moshinsky_m_scaled(-y)
-            rhs = ScaledComplex.from_exponential(y * y)
-            diff = (m_pos + m_neg) - rhs
-            largest = max(m_pos.log_abs, m_neg.log_abs, rhs.log_abs)
-            if diff.log_abs > -math.inf:
-                worst_sym = max(worst_sym, math.exp(diff.log_abs - largest))
+            # (mantissa, log_scale) pairs: exp(y^2) reaches e^900 on this grid
+            (m_pos, s_pos), (m_neg, s_neg) = moshinsky_m(y, scaled=True), moshinsky_m(-y, scaled=True)
+            yy = y * y
+            common = max(s_pos, s_neg, yy.real)
+            terms = (m_pos * math.exp(s_pos - common), m_neg * math.exp(s_neg - common))
+            rhs = cmath.exp(yy - common)
+            largest = max(abs(terms[0]), abs(terms[1]), abs(rhs))
+            worst_sym = max(worst_sym, abs(sum(terms) - rhs) / largest)
 
     asym_ok = True
     for r in (8.0, 10.0, 14.0, 20.0, 40.0, 100.0):

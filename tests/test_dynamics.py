@@ -2,9 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rtbuildup.dynamics
 from rtbuildup import (
     ConvergenceWarning,
+    PhysicalConstants,
     buildup_decomposition,
     evolve_full,
     evolve_single_resonance,
@@ -13,6 +17,7 @@ from rtbuildup import (
     find_poles,
     stationary_wave,
 )
+from rtbuildup.moshinsky import EXP_MINUS_IPI4, _moshinsky_m_grid
 
 
 def evolve_all_poles(profile, poles, state, x, tau):
@@ -231,3 +236,67 @@ def test_time_and_tau_grids_are_consistent(symmetric_profile, symmetric_poles):
     assert np.array_equal(by_tau.t_fs, by_t.t_fs)
     assert np.max(np.abs(by_tau.psi - by_t.psi)) == 0.0
     assert by_t.tau[1] == 1.0  # t = hbar/Gamma converts to tau = 1 exactly
+
+
+# ------------------------------------------------- reflected-branch bound
+#
+# M(y) = exp(y^2) - M(-y) on Re(y) < 0, and the kernel carries exp(y^2) as
+# mantissa * exp(s) with s = max(Re y^2, 0).  For a fourth-quadrant pole
+# k_n = a - ib, y_{k_n} is reflected only when a > b, and there
+# Re(y^2) = -2ab hbar t / 2m < 0; y_k has Re(y^2) = 0 (|exp(y^2)| = 1), and
+# y_{-k} and y_{-k_n*} are direct.  So s stays at rounding level on every
+# physical call and the plain kernel cannot overflow.
+
+BOUND = 1e-12
+
+
+def reflected_excess(y):
+    """Re(y^2) / |y|^2 over the reflected arguments (0 when none is reflected)."""
+    y = np.asarray(y)
+    refl = y[y.real < 0.0]
+    return float(np.max((refl * refl).real / np.abs(refl) ** 2, initial=0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    re_kn=st.floats(min_value=1e-4, max_value=2.0),
+    im_kn=st.floats(min_value=1e-6, max_value=2.0),
+    k=st.floats(min_value=1e-4, max_value=2.0),
+    t_fs=st.floats(min_value=1e-6, max_value=1e7),
+)
+def test_reflected_kernel_arguments_never_grow(re_kn, im_kn, k, t_fs):
+    constants = PhysicalConstants(electron_mass_factor=0.067)
+    k_n = complex(re_kn, -im_kn)
+    # the four arguments exactly as _evolve and _pole_pair_term build them
+    root_t = np.sqrt(constants.hbar2_over_2m * np.asarray([t_fs]) / constants.hbar)
+    args = [
+        -EXP_MINUS_IPI4 * k * root_t,
+        EXP_MINUS_IPI4 * k * root_t,
+        -EXP_MINUS_IPI4 * k_n * root_t,
+        EXP_MINUS_IPI4 * np.conj(k_n) * root_t,
+    ]
+    for y in args:
+        assert reflected_excess(y) <= BOUND
+        _mantissa, log_scale = _moshinsky_m_grid(y, scaled=True)
+        assert np.all(log_scale <= BOUND * np.abs(y) ** 2)
+
+
+def test_kernel_log_scale_stays_zero_on_symmetric_poles(
+    monkeypatch, symmetric_profile, symmetric_poles_8ev
+):
+    """Every kernel call of evolve_full over 18 poles up to 8 eV, t in [1e-3, 1e5] fs."""
+    worst = []
+
+    def recording_kernel(y):
+        mantissa, log_scale = _moshinsky_m_grid(y, scaled=True)
+        worst.append(np.max(log_scale / np.abs(y) ** 2))
+        return _moshinsky_m_grid(y)
+
+    monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", recording_kernel)
+    t_fs = np.geomspace(1e-3, 1e5, 2000)
+    for energy_ev in (0.0378, 0.2, 1.0, 5.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            evolve_full(symmetric_profile, symmetric_poles_8ev, energy_ev, 80.0, t_fs=t_fs)
+    assert len(worst) == 4 * (2 + 2 * 18)
+    assert max(worst) <= BOUND

@@ -11,13 +11,9 @@ from rtbuildup import (
     MoshinskyArgument,
     MoshinskyOverflowError,
     PhysicalConstants,
-    ScaledComplex,
     faddeeva,
-    faddeeva_scaled,
     moshinsky_asymptotic,
     moshinsky_m,
-    moshinsky_m_scaled,
-    moshinsky_reflect,
 )
 from rtbuildup.moshinsky import _moshinsky_m_grid
 
@@ -36,14 +32,15 @@ def identity_residual(y: complex) -> float:
     Normalizing by exp(y^2) alone is unattainable in fixed precision where
     Re(y^2) is strongly negative (the two M values would have to cancel to
     hundreds of digits), so the residual is measured against the dominant
-    magnitude, the forward-stable form of the identity.
+    magnitude, the forward-stable form of the identity.  Each M comes as the
+    kernel's scaled pair (mantissa, log_scale), so nothing overflows.
     """
-    m_pos = moshinsky_m_scaled(y)
-    m_neg = moshinsky_m_scaled(-y)
-    rhs = ScaledComplex.from_exponential(y * y)
-    diff = (m_pos + m_neg) - rhs
-    largest = max(m_pos.log_abs, m_neg.log_abs, rhs.log_abs)
-    return math.exp(diff.log_abs - largest) if diff.log_abs > -math.inf else 0.0
+    (m_pos, s_pos), (m_neg, s_neg) = moshinsky_m(y, scaled=True), moshinsky_m(-y, scaled=True)
+    yy = y * y
+    common = max(s_pos, s_neg, yy.real)
+    terms = (m_pos * math.exp(s_pos - common), m_neg * math.exp(s_neg - common))
+    rhs = cmath.exp(yy - common)
+    return abs(sum(terms) - rhs) / max(abs(terms[0]), abs(terms[1]), abs(rhs))
 
 
 # ---------------------------------------------------------------- faddeeva
@@ -95,10 +92,10 @@ def test_faddeeva_overflow_signal_and_scaled_escape():
     z = 1.0 - 30.0j  # exp(-z^2) ~ exp(899)
     with pytest.raises(MoshinskyOverflowError):
         faddeeva(z)
-    scaled = faddeeva(z, scaled=True)
+    mantissa, log_scale = moshinsky_m(-1j * z, scaled=True)  # w(z) = 2 M(-iz)
     zm = mp.mpc(z.real, z.imag)
     ref_log = mp.log(abs(mp.e ** (-(zm**2)) * mp.erfc(-1j * zm)))
-    assert scaled.log_abs == pytest.approx(float(ref_log), rel=1e-12)
+    assert math.log(abs(2.0 * mantissa)) + log_scale == pytest.approx(float(ref_log), rel=1e-12)
 
 
 # ---------------------------------------------------------------- moshinsky_m
@@ -108,9 +105,16 @@ def test_m_at_zero_is_half():
 
 
 def test_m_matches_direct_definition_both_half_planes():
-    for y in (1.2 + 0.3j, -0.7 + 0.2j, -2.0 - 1.0j, 3.0 - 0.5j):
-        ref = 0.5 * faddeeva_reference(1j * y)
-        assert moshinsky_m(y) == pytest.approx(ref, rel=1e-11)
+    """Scalar and array evaluations both match the mpmath oracle, on either branch."""
+    fixed = [1.2 + 0.3j, -0.7 + 0.2j, -2.0 - 1.0j, 3.0 - 0.5j,
+             0.5 + 0.1j, -0.5 + 0.1j, 2.0 - 3.0j, -2.0 - 3.0j, 10.0 + 0.0j]
+    rng = np.random.default_rng(7)
+    ys = np.concatenate([fixed, rng.uniform(-5, 5, 200) + 1j * rng.uniform(-5, 5, 200)])
+    grid = moshinsky_m(ys)
+    for y, g in zip(ys, grid):
+        ref = 0.5 * faddeeva_reference(1j * complex(y))
+        assert moshinsky_m(complex(y)) == pytest.approx(ref, rel=1e-11)
+        assert g == moshinsky_m(complex(y))
 
 
 def test_m_accepts_argument_wrapper():
@@ -136,32 +140,21 @@ def test_symmetry_identity_property(r, phase):
 
 
 def test_reflect_at_zero():
-    assert moshinsky_reflect(0.0).to_complex() == pytest.approx(0.5)
+    # the reflected branch, exp(y^2) - M(-y), meets M(0) = 1/2 at the origin
+    for y in (-1e-9, -1e-9 + 1e-9j, -1e-9 - 1e-9j):
+        mantissa, log_scale = moshinsky_m(y, scaled=True)
+        assert log_scale <= 1e-18
+        assert mantissa * math.exp(log_scale) == pytest.approx(0.5, rel=1e-8)
 
 
 def test_reflect_dominated_by_exponential_where_it_grows():
     # exp(y^2) dominates where Re(y) < 0 and Re(y^2) is large positive
     y = -20.0
-    val = moshinsky_reflect(y)
-    assert val.log_abs == pytest.approx(y * y, abs=1e-3)
-    # on the opposite ray the reflection collapses to the direct value
-    direct = moshinsky_m(20.0)
-    assert moshinsky_reflect(20.0).to_complex() == pytest.approx(direct, rel=1e-13)
-
-
-def test_reflect_consistent_with_direct_for_moderate_arguments():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        y = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        direct = moshinsky_m(y)
-        assert moshinsky_reflect(y).to_complex() == pytest.approx(direct, rel=1e-11, abs=1e-300)
-
-
-def test_grid_evaluator_matches_scalar():
-    ys = np.asarray([0.5 + 0.1j, -0.5 + 0.1j, 2.0 - 3.0j, -2.0 - 3.0j, 10.0 + 0.0j])
-    grid = _moshinsky_m_grid(ys)
-    for y, g in zip(ys, grid):
-        assert g == pytest.approx(moshinsky_m(complex(y)), rel=1e-13)
+    mantissa, log_scale = moshinsky_m(y, scaled=True)
+    assert log_scale == y * y
+    assert math.log(abs(mantissa)) + log_scale == pytest.approx(y * y, abs=1e-3)
+    # on the opposite ray the direct value carries no scale
+    assert moshinsky_m(20.0, scaled=True) == (moshinsky_m(20.0), 0.0)
 
 
 def test_grid_evaluator_overflow_guard():
@@ -279,44 +272,20 @@ def test_argument_rejects_negative_time():
         MoshinskyArgument.from_lifetime_units(10.0, -0.5, "+k")
 
 
-# ---------------------------------------------------------------- scaled type
+# ---------------------------------------------------------------- scaled pair
 
 def test_scaled_roundtrip_and_arithmetic():
-    a = ScaledComplex.from_complex(3.0 + 4.0j)
-    assert a.to_complex() == pytest.approx(3.0 + 4.0j, rel=1e-15)
-    b = ScaledComplex.from_exponential(800.0 + 1.0j)
-    product = a * b
-    assert product.log_abs == pytest.approx(math.log(5.0) + 800.0, rel=1e-12)
+    # mantissa * exp(log_scale) is the plain value while it fits a double
+    ys = np.asarray([-3.0 + 1.0j, -20.0 + 0.5j, -26.0 + 0.0j, 4.0 - 2.0j])
+    mantissa, log_scale = moshinsky_m(ys, scaled=True)
+    assert np.all(log_scale == np.maximum((ys * ys).real, 0.0) * (ys.real < 0.0))
+    np.testing.assert_allclose(mantissa * np.exp(log_scale), moshinsky_m(ys), rtol=1e-15)
+    # past the range only the pair survives; its log matches mpmath
+    y = -28.0 + 0.5j
     with pytest.raises(MoshinskyOverflowError):
-        product.to_complex()
+        moshinsky_m(y)
+    mantissa, log_scale = moshinsky_m(y, scaled=True)
+    z = 1j * mp.mpc(y.real, y.imag)  # M(y) = w(iy)/2
+    ref_log = mp.log(abs(0.5 * mp.e ** (-(z**2)) * mp.erfc(-1j * z)))
+    assert math.log(abs(mantissa)) + log_scale == pytest.approx(float(ref_log), rel=1e-13)
 
-
-def test_scaled_addition_across_scales():
-    big = ScaledComplex.from_exponential(100.0)
-    small = ScaledComplex.from_complex(1.0)
-    total = big + small
-    # adding a unit to exp(100) moves the log by exp(-100)
-    assert total.log_abs == pytest.approx(100.0 + math.exp(-100.0), abs=1e-12)
-    tiny = ScaledComplex.from_exponential(-900.0)
-    assert (big + tiny).log_abs == pytest.approx(100.0, abs=1e-12)  # swamped cleanly
-
-
-def test_scaled_subtraction_cancellation():
-    a = ScaledComplex.from_complex(1.0 + 1e-9)
-    b = ScaledComplex.from_complex(1.0)
-    assert (a - b).to_complex() == pytest.approx(1e-9, rel=1e-6)
-
-
-def test_scaled_zero_handling():
-    zero = ScaledComplex.from_complex(0.0)
-    one = ScaledComplex.from_complex(1.0)
-    assert zero.log_abs == -math.inf
-    assert (zero + one).to_complex() == 1.0
-    assert (one - one).to_complex() == 0.0
-    assert zero.to_complex() == 0.0
-
-
-def test_scaled_ratio():
-    a = ScaledComplex.from_exponential(500.0)
-    b = ScaledComplex.from_exponential(499.0)
-    assert a.ratio_to(b) == pytest.approx(math.e, rel=1e-12)

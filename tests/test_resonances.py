@@ -10,6 +10,7 @@ from rtbuildup import (
     gamow_state,
     one_term_phi,
     pole_function,
+    refine_pole,
     stationary_state,
     winding_number,
 )
@@ -22,7 +23,7 @@ KNOWN_ASYMMETRIC = [(89.1, 2.4)]
 def gamow_norm_gauss_legendre(state, order=240):
     """Normalization integral via fixed-order Gauss-Legendre per segment.
 
-    Independent of the adaptive quadrature used by the implementation.
+    Independent of the closed-form segment integrals used by the implementation.
     """
     nodes, weights = np.polynomial.legendre.leggauss(order)
     total = 0j
@@ -105,10 +106,19 @@ def test_gamow_boundary_conditions(symmetric_poles):
         assert abs(dul - 1j * s.k * s.u_end) / (abs(s.k) * abs(s.u_end)) < 1e-6
 
 
-def test_gamow_normalization_against_gauss_legendre(symmetric_poles, asymmetric_poles):
-    for s in list(symmetric_poles) + list(asymmetric_poles):
+def test_gamow_normalization_against_gauss_legendre(
+    symmetric_poles, asymmetric_poles, symmetric_poles_8ev
+):
+    for s in list(symmetric_poles) + list(asymmetric_poles) + list(symmetric_poles_8ev):
         norm = gamow_norm_gauss_legendre(s)
         assert abs(norm - 1.0) < 1e-8
+
+
+def test_max_iter_below_one_rejected(symmetric_profile, symmetric_poles):
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        refine_pole(symmetric_profile, symmetric_poles[0].k, max_iter=0)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        find_poles(symmetric_profile, 0.4, max_iter=0)
 
 
 def test_gamow_rejects_non_pole(symmetric_profile, symmetric_poles):
