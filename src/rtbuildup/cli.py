@@ -8,7 +8,8 @@ Subcommands:
 
 Profiles are plain-text files with one ``mass_factor = <float>`` line and
 repeated ``segment = <width_angstrom> <height_eV>`` lines; ``#`` starts a
-comment.  Exit codes: 0 success, 1 usage/parse error, 2 numerical
+comment.  Exit codes: 0 success, 1 usage/parse error or a profile with a
+bound state (which the resonance expansion omits), 2 numerical
 non-convergence.
 """
 
@@ -35,6 +36,7 @@ from .analysis import (
 from .dynamics import evolve_full, evolve_single_resonance
 from .profile import PotentialProfile, ProfileError, build_profile
 from .resonances import (
+    BoundStateError,
     GamowResidualError,
     PoleConvergenceError,
     ResonantState,
@@ -172,7 +174,7 @@ def _default_e_max(profile: PotentialProfile) -> float:
 
 
 def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
-    """Position of the |phi|^2 maximum inside the zero-height interior segments.
+    """Position of the |phi|^2 maximum inside the lowest interior segments (the well).
 
     Grid local maxima are sharpened by golden-section search; a symmetric
     structure at resonance has exactly degenerate lobes, so ties (within
@@ -180,10 +182,12 @@ def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
     """
     from scipy.optimize import minimize_scalar
 
+    interior = range(1, len(profile.segments) - 1)
+    floor = min((profile.segments[j][1] for j in interior), default=None)
     wells = [
         (profile.boundaries[j], profile.boundaries[j + 1])
-        for j in range(1, len(profile.segments) - 1)
-        if profile.segments[j][1] == 0.0
+        for j in interior
+        if profile.segments[j][1] == floor
     ]
     if not wells:
         wells = [(profile.boundaries[0], profile.boundaries[-1])]
@@ -361,7 +365,7 @@ def main(argv=None) -> int:
         for w in captured:
             print(f"warning: {w.message}", file=sys.stderr)
         return code
-    except (CliUsageError, ProfileError) as exc:
+    except (CliUsageError, ProfileError, BoundStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (PoleConvergenceError, WindingMismatchError, GamowResidualError,

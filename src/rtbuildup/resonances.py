@@ -5,6 +5,8 @@ of t(k).  m22 is analytic in k away from k = 0 (the segment propagators are
 even in the local wavevectors), so Newton iteration with a finite-difference
 derivative converges quadratically from transmission-peak seeds, and the
 argument principle on a rectangle gives an independent completeness count.
+The same contour samples, through their moments, seed the poles that have
+no transmission peak.
 
 The associated Gamow eigenfunction u_n solves the stationary equation at the
 complex energy E_n = hbar^2 k_n^2 / 2m with purely outgoing boundary
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profile import PotentialProfile
-from .scattering import _PiecewiseWave, _transfer_entries, transmission_scan
+from .scattering import _PiecewiseWave, _transfer_entries, bound_state_energies, transmission_scan
 
 
 class PoleConvergenceError(RuntimeError):
@@ -39,6 +41,10 @@ class WindingMismatchError(RuntimeError):
 
 class GamowResidualError(RuntimeError):
     """Outgoing-boundary residual too large: the momentum is not a pole."""
+
+
+class BoundStateError(ValueError):
+    """The profile binds a state below E = 0, which the pole expansion omits."""
 
 
 def pole_function(profile: PotentialProfile, k: complex) -> complex:
@@ -79,51 +85,59 @@ def refine_pole(
     )
 
 
+SAMPLES_PER_EDGE = 128
+MAX_REFINEMENTS = 60  # bisection budget per edge, in multiples of SAMPLES_PER_EDGE
+
+
+def _contour_steps(
+    profile: PotentialProfile, re_range: tuple[float, float], im_range: tuple[float, float], known=()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steps of log g once around a rectangle, g(k) = m22(k) / prod_j (k - k_j).
+
+    The four edges are sampled as one array; every step whose phase change
+    exceeds pi/2 is bisected, all of them in one batch per round, until the
+    continuous argument along the contour is pinned.  Returns the step
+    midpoints and the increments log(g_{i+1} / g_i).
+    """
+    (re_lo, re_hi), (im_lo, im_hi) = re_range, im_range
+    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi), complex(re_lo, im_hi)]
+    ts = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE, endpoint=False)
+    edges = [a + (b - a) * ts for a, b in zip(corners, corners[1:] + corners[:1])]
+    known = np.asarray(known, dtype=complex)
+
+    def g(k):
+        return _transfer_entries(profile, k)[3] / np.prod(k[:, np.newaxis] - known, axis=1)
+
+    k = np.concatenate(edges + [corners[:1]])
+    vals = g(k)
+    budget = 4 * MAX_REFINEMENTS * SAMPLES_PER_EDGE
+    while True:
+        ratio = vals[1:] / vals[:-1]
+        wide = np.flatnonzero(np.abs(np.angle(ratio)) > 0.5 * np.pi)
+        if wide.size == 0:
+            return 0.5 * (k[1:] + k[:-1]), np.log(ratio)
+        budget -= wide.size
+        if budget < 0:
+            raise WindingMismatchError("contour refinement exhausted (zero on the contour?)")
+        mid = 0.5 * (k[wide] + k[wide + 1])
+        k = np.insert(k, wide + 1, mid)
+        vals = np.insert(vals, wide + 1, g(mid))
+
+
+def _zero_count(dlog: np.ndarray) -> int:
+    count = float(np.sum(dlog.imag)) / (2.0 * np.pi)
+    if not abs(count - np.round(count)) <= 0.1:  # NaN too: m22 = 0 on the contour
+        raise WindingMismatchError(f"non-integer winding number {count:.3f}")
+    return int(round(count))
+
+
 def winding_number(
     profile: PotentialProfile,
     re_range: tuple[float, float],
     im_range: tuple[float, float],
-    *,
-    samples_per_edge: int = 128,
-    max_refinements: int = 60,
 ) -> int:
-    """Number of zeros of m22 inside a rectangle, by phase marching.
-
-    Edges are subdivided until the phase change between neighbouring samples
-    is below pi/2, which pins the continuous argument along the contour.
-    """
-    re_lo, re_hi = re_range
-    im_lo, im_hi = im_range
-    corners = [
-        complex(re_lo, im_lo),
-        complex(re_hi, im_lo),
-        complex(re_hi, im_hi),
-        complex(re_lo, im_hi),
-        complex(re_lo, im_lo),
-    ]
-    total = 0.0
-    for a, b in zip(corners[:-1], corners[1:]):
-        ts = np.linspace(0.0, 1.0, samples_per_edge + 1)
-        pts = [a + (b - a) * t for t in ts]
-        vals = [pole_function(profile, p) for p in pts]
-        i = 0
-        refinements = 0
-        while i < len(pts) - 1:
-            dphi = cmath.phase(vals[i + 1] / vals[i])
-            if abs(dphi) > 0.5 * np.pi:
-                mid = 0.5 * (pts[i] + pts[i + 1])
-                pts.insert(i + 1, mid)
-                vals.insert(i + 1, pole_function(profile, mid))
-                refinements += 1
-                if refinements > max_refinements * samples_per_edge:
-                    raise WindingMismatchError("contour refinement exhausted (zero on the contour?)")
-                continue
-            total += dphi
-            i += 1
-    count = total / (2.0 * np.pi)
-    if abs(count - round(count)) > 0.1:
-        raise WindingMismatchError(f"non-integer winding number {count:.3f}")
-    return int(round(count))
+    """Number of zeros of m22 inside a rectangle, by the argument principle."""
+    return _zero_count(_contour_steps(profile, re_range, im_range)[1])
 
 
 @dataclass(frozen=True)
@@ -216,24 +230,29 @@ def find_poles(
     points_per_decade: int = 2000,
     newton_tol: float = 1e-12,
     max_iter: int = 100,
-    winding_check: bool = True,
 ) -> list[ResonantState]:
     """Poles with eps_n <= e_max_ev, sorted by resonance energy.
 
     Seeds come from refined transmission maxima; each is pushed into the
     fourth quadrant by Newton iteration.  Completeness is cross-checked by
     the argument-principle count over the search rectangle
-    Re k in (0, k(e_max)], Im k in [-k(e_max), 0).
+    Re k in (0, k(e_max)], Im k in [-k(e_max), 0).  A profile that binds a
+    state below E = 0 is refused with ``BoundStateError``.
     """
     if not e_max_ev > 0.0:
         raise ValueError("e_max must be positive")
+    bound = bound_state_energies(profile)
+    if bound.size:
+        raise BoundStateError(
+            f"profile binds {bound.size} state(s) below E = 0, the lowest at {bound[0]:.6g} eV; "
+            "the resonance expansion omits bound states"
+        )
     c2 = profile.constants.hbar2_over_2m
     scan = transmission_scan(profile, e_min_ev, e_max_ev, points_per_decade=points_per_decade)
 
     found: list[complex] = []
     failures: list[str] = []
     for peak in scan.peaks:
-        pole = None
         for factor in (1.0, 0.3, 3.0, 10.0):
             seed = cmath.sqrt((peak.energy_ev - 0.5j * factor * peak.gamma_estimate_ev) / c2)
             try:
@@ -242,41 +261,32 @@ def find_poles(
                 failures.append(str(exc))
                 continue
             if candidate.real > 0.0 and candidate.imag < 0.0:
-                pole = candidate
+                if _is_new(candidate, found):
+                    found.append(candidate)
                 break
-        if pole is None:
-            continue
-        if all(abs(pole - other) > max(1e-8, 1e-9 * abs(pole)) for other in found):
-            found.append(pole)
 
     # pad the rectangle so corners cannot land exactly on a barrier-top
     # wavevector (kappa = 0 there) or on a pole
     k_hi = profile.constants.wavevector(e_max_ev) * (1.0 + 3e-9)
     k_lo = 0.5 * profile.constants.wavevector(e_min_ev)
+    rectangle = ((k_lo, k_hi), (-k_hi, 0.0))
 
     def in_rectangle(ks):
         return [k for k in ks if k_lo <= k.real <= k_hi and -k_hi <= k.imag < 0.0]
 
     in_rect = in_rectangle(found)
-    if winding_check:
-        count = winding_number(profile, (k_lo, k_hi), (-k_hi, 0.0))
-        if count > len(in_rect):
-            # a pole without a clean transmission maximum (broad, above the
-            # barrier top, or riding a monotone background); localize the
-            # deficit by bisecting the rectangle and seed Newton there
-            recovered = _recover_poles(
-                profile, (k_lo, k_hi), (-k_hi, 0.0), in_rect,
-                newton_tol=newton_tol, max_iter=max_iter,
-            )
-            for k in recovered:
-                if all(abs(k - other) > max(1e-8, 1e-9 * abs(k)) for other in found):
-                    found.append(k)
-            in_rect = in_rectangle(found)
-        if count != len(in_rect):
-            raise WindingMismatchError(
-                f"winding count {count} != {len(in_rect)} converged poles "
-                f"(missed or spurious pole; {len(failures)} seed(s) failed Newton)"
-            )
+    count = winding_number(profile, *rectangle)
+    if count > len(in_rect):
+        # a pole without a clean transmission maximum (broad, above the
+        # barrier top, or riding a monotone background)
+        recovered = _recover_poles(profile, *rectangle, in_rect, newton_tol=newton_tol, max_iter=max_iter)
+        found += [k for k in recovered if _is_new(k, found)]
+        in_rect = in_rectangle(found)
+    if count != len(in_rect):
+        raise WindingMismatchError(
+            f"winding count {count} != {len(in_rect)} converged poles "
+            f"(missed or spurious pole; {len(failures)} seed(s) failed Newton)"
+        )
 
     states = [gamow_state(profile, k) for k in in_rect]
     states = [s for s in states if s.eps_ev <= e_max_ev]
@@ -287,60 +297,47 @@ def find_poles(
 
 
 def _recover_poles(
-    profile: PotentialProfile,
-    re_range: tuple[float, float],
-    im_range: tuple[float, float],
-    known: list[complex],
-    *,
-    newton_tol: float,
-    max_iter: int,
-    max_depth: int = 24,
+    profile: PotentialProfile, re_range: tuple[float, float], im_range: tuple[float, float],
+    known: list[complex], *, newton_tol: float, max_iter: int,
 ) -> list[complex]:
-    """Localize poles the seed scan missed, by winding-count bisection in Re k.
+    """Poles the seed scan missed, from contour moments of the deflated m22.
 
-    Each sub-rectangle whose zero count exceeds the known poles inside it is
-    split until it is narrow, then Newton starts from a ladder of depths
-    below its center.
+    With the known poles divided out, g = m22 / prod_j (k - k_j) has only the
+    missing n zeros inside the rectangle, and the moments
+    s_p = (1/2 pi i) contour z^p dlog g, p = 1..n, of the centred, scaled
+    momentum z are their power sums (Delves & Lyness).  Newton's identities
+    turn them into a polynomial whose roots seed ``refine_pole``.  A seed can
+    fall into a neighbour's basin, so the pass repeats with every pole found
+    so far divided out, until none is missing or a pass adds nothing.
     """
+    (re_lo, re_hi), (im_lo, im_hi) = re_range, im_range
+    center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
+    scale = 0.5 * max(re_hi - re_lo, im_hi - im_lo)
     recovered: list[complex] = []
-
-    def zeros_known(re_lo, re_hi):
-        ks = known + recovered
-        return sum(1 for k in ks if re_lo <= k.real <= re_hi)
-
-    stack = [(re_range[0], re_range[1], 0)]
-    while stack:
-        re_lo, re_hi, depth = stack.pop()
-        count = winding_number(profile, (re_lo, re_hi), im_range)
-        deficit = count - zeros_known(re_lo, re_hi)
-        if deficit <= 0:
-            continue
-        width = re_hi - re_lo
-        if depth < max_depth and width > 1e-5 * re_range[1]:
-            # off-center split so the shared edge cannot sit on a pole of a
-            # symmetric configuration
-            mid = re_lo + 0.5013872 * width
-            stack.append((re_lo, mid, depth + 1))
-            stack.append((mid, re_hi, depth + 1))
-            continue
-        center = 0.5 * (re_lo + re_hi)
-        for im_seed in np.geomspace(1e-6 * abs(im_range[0]), 0.9 * abs(im_range[0]), 12):
+    while True:
+        mid, dlog = _contour_steps(profile, re_range, im_range, known + recovered)
+        missing = _zero_count(dlog)
+        if missing <= 0:
+            return recovered
+        z = (mid - center) / scale
+        sums = [np.sum(z**p * dlog) / (2j * np.pi) for p in range(missing + 1)]
+        coeffs = [1.0]  # monic polynomial of the missing zeros, from Newton's identities
+        for p in range(1, missing + 1):
+            coeffs.append(-sum(coeffs[i] * sums[p - i] for i in range(p)) / p)
+        before = len(recovered)
+        for seed in center + scale * np.roots(coeffs):
             try:
-                candidate = refine_pole(
-                    profile, complex(center, -im_seed), tol=newton_tol, max_iter=max_iter
-                )
+                k = refine_pole(profile, seed, tol=newton_tol, max_iter=max_iter)
             except PoleConvergenceError:
                 continue
-            fresh = all(
-                abs(candidate - other) > max(1e-8, 1e-9 * abs(candidate))
-                for other in known + recovered
-            )
-            if fresh and re_lo <= candidate.real <= re_hi and candidate.imag < 0.0:
-                recovered.append(candidate)
-                if deficit > 1:
-                    stack.append((re_lo, re_hi, depth))
-                break
-    return recovered
+            if _is_new(k, known + recovered) and re_lo <= k.real <= re_hi and im_lo <= k.imag < 0.0:
+                recovered.append(k)
+        if len(recovered) == before:
+            return recovered
+
+
+def _is_new(k: complex, others) -> bool:
+    return all(abs(k - other) > max(1e-8, 1e-9 * abs(k)) for other in others)
 
 
 def one_term_phi(state: ResonantState, energy_ev: float, x) -> complex:

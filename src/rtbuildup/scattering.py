@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .profile import PotentialProfile
 
@@ -226,6 +226,32 @@ def stationary_state(profile: PotentialProfile, energy_ev: float) -> StationaryS
 def stationary_wave(profile: PotentialProfile, energy_ev: float, x) -> complex:
     """phi(x, k) at real energy for 0 <= x <= L."""
     return stationary_state(profile, energy_ev).phi(x)
+
+
+def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
+    """Bound-state energies in eV, lowest first; empty unless some height is below 0.
+
+    A bound state is a zero of m22 at k = iq with q > 0, where m22 is real.
+    Its energy -c2 q^2 lies above the lowest segment height, so every sign
+    change of m22(iq) on a grid over 0 < q <= sqrt(-min V / c2) is one, and
+    Brent's method pins it.
+    """
+    c2 = profile.constants.hbar2_over_2m
+    q_max = float(np.sqrt(max(-np.min(profile.heights), 0.0) / c2))
+    if q_max == 0.0:
+        return np.empty(0)
+    n = max(512, int(64 * q_max * profile.total_length))
+    # a geometric head below the uniform grid catches a state bound near E = 0
+    q = q_max * np.concatenate([np.geomspace(1e-9, 1.0 / n, 40, endpoint=False), np.arange(1, n + 1) / n])
+    for h in profile.heights:  # keep off kappa = 0, as transmission_scan does
+        q[q * q == -h / c2] *= 1.0 - 1e-9
+
+    def m22(q):
+        return _transfer_entries(profile, 1j * np.asarray(q))[3].real
+
+    sign = np.signbit(m22(q))
+    flips = np.flatnonzero(sign[1:] != sign[:-1])[::-1]
+    return np.asarray([-c2 * brentq(m22, q[i], q[i + 1], xtol=1e-15 * q[i]) ** 2 for i in flips])
 
 
 @dataclass(frozen=True)

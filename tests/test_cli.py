@@ -119,6 +119,25 @@ def test_evolve_auto_max_positions(cfg_paths, tmp_path):
     assert _auto_max_position(sym, poles[1].eps_ev) == pytest.approx(48.0, abs=2.0)
 
 
+@pytest.mark.parametrize("energy", [0.06, 0.12, 0.1295])
+def test_auto_max_on_lifted_well_stays_in_the_well(energy):
+    from rtbuildup.cli import _auto_max_position
+
+    lifted = parse_profile_text("segment = 30 0.3\nsegment = 100 0.05\nsegment = 30 0.3\n")
+    assert 30.0 <= _auto_max_position(lifted, energy) <= 130.0
+
+
+def test_poles_with_bound_state_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "negative_well.cfg"
+    cfg.write_text("mass_factor = 0.067\nsegment = 30 0.3\nsegment = 100 -0.1\nsegment = 30 0.3\n")
+    out = tmp_path / "poles.csv"
+    assert main(["poles", "--profile", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bound state" in err and "-0.0637" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_evolve_csv_structure(cfg_paths, tmp_path):
     out = tmp_path / "evolve.csv"
     code = main([

@@ -3,7 +3,10 @@ import cmath
 import numpy as np
 import pytest
 
+import rtbuildup.resonances as resonances
+import rtbuildup.scattering as scattering
 from rtbuildup import (
+    BoundStateError,
     GamowResidualError,
     build_profile,
     find_poles,
@@ -198,3 +201,59 @@ def test_single_mass_reproduces_all_seven_tabulated_values():
     for state, (eps, gam) in zip(states, KNOWN_SYMMETRIC + KNOWN_ASYMMETRIC):
         assert state.eps_mev == pytest.approx(eps, abs=0.15)
         assert state.gamma_mev == pytest.approx(gam, abs=0.05)
+
+
+def search_rectangle(profile, e_max_ev, e_min_ev=1e-3):
+    """The rectangle ``find_poles`` certifies: Re k in [k(e_min)/2, k(e_max)], Im k in [-k(e_max), 0)."""
+    c = profile.constants
+    k_hi = c.wavevector(e_max_ev) * (1.0 + 3e-9)
+    return (0.5 * c.wavevector(e_min_ev), k_hi), (-k_hi, 0.0)
+
+
+@pytest.mark.parametrize("name, n_poles, n_missing", [("symmetric", 26, 2), ("asymmetric", 30, 4)])
+def test_moment_recovery_of_several_missing_poles(
+    name, n_poles, n_missing, symmetric_profile, asymmetric_profile, monkeypatch
+):
+    """Up to 16 eV the seed scan misses several broad poles at once; the moments find them all."""
+    profile = {"symmetric": symmetric_profile, "asymmetric": asymmetric_profile}[name]
+    deficits = []
+    recover = resonances._recover_poles
+
+    def recording(profile, re_range, im_range, known, **kwargs):
+        found = recover(profile, re_range, im_range, known, **kwargs)
+        deficits.append((winding_number(profile, re_range, im_range) - len(known), len(found)))
+        return found
+
+    monkeypatch.setattr(resonances, "_recover_poles", recording)
+    poles = find_poles(profile, 16.0)
+    assert deficits == [(n_missing, n_missing)]
+    assert len(poles) == n_poles
+    assert winding_number(profile, *search_rectangle(profile, 16.0)) == len(poles)
+    ks = [s.k for s in poles]
+    assert min(abs(a - b) for i, a in enumerate(ks) for b in ks[i + 1:]) > 1e-6
+    eps = [s.eps_ev for s in poles]
+    assert eps == sorted(eps) and eps[-1] <= 16.0
+
+
+def test_pole_search_transfer_matrix_budget(symmetric_profile, monkeypatch):
+    """find_poles(symmetric, 2 eV) recovers poles without a peak in <= 2000 transfer-matrix calls."""
+    calls = []
+    entries = scattering._transfer_entries
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return entries(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_transfer_entries", counting)
+    monkeypatch.setattr(resonances, "_transfer_entries", counting)
+    poles = find_poles(symmetric_profile, 2.0)
+    assert len(poles) == 9
+    assert 0 < len(calls) <= 2000
+
+
+def test_bound_state_refused():
+    profile = build_profile([(30.0, 0.3), (100.0, -0.1), (30.0, 0.3)])
+    with pytest.raises(BoundStateError, match=r"1 state\(s\) below E = 0, the lowest at -0\.0637"):
+        find_poles(profile, 0.3)
+    # a lifted well binds nothing: the search runs as usual
+    assert len(find_poles(build_profile([(30.0, 0.3), (100.0, 0.05), (30.0, 0.3)]), 0.3)) >= 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rtbuildup import (
     ZeroWavevectorError,
+    bound_state_energies,
     build_profile,
     stationary_state,
     stationary_wave,
@@ -199,3 +200,51 @@ def test_resonant_peak_transmission_batch_entries(symmetric_profile):
     for i, k in enumerate(ks):
         m = transfer_matrix(symmetric_profile, k)
         assert m.m22 == pytest.approx(complex(batch[3][i]), rel=1e-14)
+
+
+def box_eigenvalues_below_zero(segments, mass_factor=0.067, pad=1500.0, h=0.05):
+    """Eigenvalues in (min V, 0) of a finite-difference Hamiltonian in a hard-wall box.
+
+    Independent oracle for bound states: the profile sits between ``pad``
+    angstrom of zero potential on each side; grid nodes lie midway between
+    segment edges, so each node sees one segment height.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    c2 = 3.80998 / mass_factor
+    edges = np.concatenate([[0.0], np.cumsum([w for w, _ in segments])])
+    x = np.arange(-pad + 0.5 * h, edges[-1] + pad, h)
+    v = np.zeros_like(x)
+    for (lo, hi), (_, height) in zip(zip(edges[:-1], edges[1:]), segments):
+        v[(x > lo) & (x < hi)] = height
+    diag = 2.0 * c2 / h**2 + v
+    off = np.full(len(x) - 1, -c2 / h**2)
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="v", select_range=(min(v), 0.0))
+
+
+@pytest.mark.parametrize("segments", [
+    [(30.0, 0.3), (100.0, -0.1), (30.0, 0.3)],
+    [(200.0, -0.5)],
+    [(20.0, -0.2), (40.0, 0.4), (60.0, -0.05)],
+])
+def test_bound_state_energies_match_finite_difference_box(segments):
+    energies = bound_state_energies(build_profile(segments))
+    oracle = box_eigenvalues_below_zero(segments)
+    assert len(energies) == len(oracle) >= 1
+    assert np.all(np.diff(energies) > 0.0)  # lowest first
+    np.testing.assert_allclose(energies, oracle, atol=2e-5)
+
+
+def test_bound_state_energies_empty_without_negative_heights():
+    assert bound_state_energies(build_profile([(30.0, 0.5), (100.0, 0.0), (30.0, 0.5)])).size == 0
+    assert bound_state_energies(build_profile([(30.0, 0.3), (100.0, 0.05), (30.0, 0.3)])).size == 0
+
+
+def test_weakly_bound_state_near_zero_energy():
+    # a shallow narrow well binds one state at E ~ -(V w)^2 / (4 c2), far
+    # below the uniform q grid's first point
+    profile = build_profile([(1.0, -1e-4)])
+    c2 = profile.constants.hbar2_over_2m
+    energies = bound_state_energies(profile)
+    assert len(energies) == 1
+    assert energies[0] == pytest.approx(-((1e-4 * 1.0) ** 2) / (4.0 * c2), rel=1e-3)
