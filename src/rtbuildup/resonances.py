@@ -62,15 +62,16 @@ def refine_pole(
     """Newton iteration on m22(k) from a seed momentum.
 
     The derivative is a central difference; m22 is analytic so the step is
-    accurate to far more digits than Newton needs.
+    accurate to far more digits than Newton needs.  Each step evaluates m22
+    at k and k +- h in one transfer-matrix call.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     k = complex(k_seed)
     for _ in range(max_iter):
-        f = pole_function(profile, k)
         h = 1e-6 * max(abs(k), 1e-4)
-        df = (pole_function(profile, k + h) - pole_function(profile, k - h)) / (2.0 * h)
+        f, f_plus, f_minus = _transfer_entries(profile, np.asarray([k, k + h, k - h]))[3].tolist()
+        df = (f_plus - f_minus) / (2.0 * h)
         if df == 0.0:
             raise PoleConvergenceError(f"vanishing derivative at k = {k}")
         step = f / df

@@ -16,13 +16,18 @@ whose entries are even in kappa, hence analytic in k everywhere except k = 0.
 Pole searches can therefore continue t(k) into the fourth quadrant without
 branch-cut bookkeeping; the principal square root used for kappa is
 immaterial.
+
+Every evaluation goes through ``_transfer_entries``, which is vectorized
+over k.  The transmission scan uses it that way throughout: one call for
+the grid, then one call per step of a golden-section search and of a
+half-maximum bisection that refine all peaks of the scan in lockstep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .profile import PotentialProfile
 
@@ -284,13 +289,14 @@ def transmission_scan(
     n_points: int | None = None,
     *,
     points_per_decade: int = 2000,
-    refine: bool = True,
 ) -> ScanResult:
     """|t(E)|^2 on a log-spaced grid plus refined local maxima.
 
     The default density (2000 points per decade) resolves widths down to a
-    small fraction of a meV at typical resonance energies; each grid maximum
-    is sharpened by golden-section search before being reported as a seed.
+    small fraction of a meV at typical resonance energies.  Every grid
+    maximum is sharpened by golden-section search and given a half-maximum
+    width; all peaks are refined in lockstep, so each step of either search
+    is one vectorized transfer-matrix call however many peaks there are.
     """
     if not (0.0 < e_min_ev < e_max_ev):
         raise ValueError("need 0 < e_min < e_max")
@@ -306,61 +312,90 @@ def transmission_scan(
         energies[k2 == h / c2] *= 1.0 - 1e-9
     t2 = _transmission_grid(profile, energies)
 
-    def t2_at(e: float) -> float:
-        return float(_transmission_grid(profile, np.asarray([e]))[0])
-
-    peaks: list[PeakSeed] = []
     interior = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
     # prominence filter: rounding noise on flat transmission produces
     # strict maxima at the 1e-16 level; genuine peaks rise far above it
-    interior = [
-        i for i in interior
-        if t2[i] - min(t2[i - 1], t2[i + 1]) > 1e-9 * t2[i]
-    ]
-    for i in interior:
-        e_peak, t_peak = energies[i], t2[i]
-        if refine:
-            res = minimize_scalar(
-                lambda e: -t2_at(e),
-                bracket=(energies[i - 1], energies[i], energies[i + 1]),
-                method="golden",
-                options={"xtol": 1e-13},
-            )
-            e_peak, t_peak = float(res.x), float(-res.fun)
-        peaks.append(
-            PeakSeed(e_peak, t_peak, _estimate_width(profile, energies, t2, i, e_peak, t_peak))
-        )
-    return ScanResult(energies, t2, tuple(peaks))
+    interior = interior[t2[interior] - np.minimum(t2[interior - 1], t2[interior + 1]) > 1e-9 * t2[interior]]
+    if interior.size == 0:
+        return ScanResult(energies, t2, ())
+    e_peak, t_peak = _golden_maxima(profile, energies[interior - 1], energies[interior], energies[interior + 1])
+    widths = _half_max_widths(profile, energies, t2, interior, e_peak, t_peak)
+    peaks = tuple(PeakSeed(float(e), float(t), float(w)) for e, t, w in zip(e_peak, t_peak, widths))
+    return ScanResult(energies, t2, peaks)
 
 
-def _estimate_width(profile, energies, t2, i, e_peak, t_peak) -> float:
-    """FWHM estimate around grid index i; falls back to the local grid scale."""
+_GOLDEN_R = 0.61803399  # scipy's golden-section ratio, so peaks match minimize_scalar
+
+
+def _golden_maxima(profile, lo, mid, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Maxima of |t|^2 in every bracket lo < mid < hi, refined together.
+
+    Each bracket follows the trajectory of scipy's ``minimize_scalar`` on
+    -|t|^2 with ``method="golden"`` and ``xtol=1e-13``: the same first two
+    points, the same ratio and the same stop test.  A converged bracket is
+    frozen; every round evaluates the new point of each other bracket in one
+    call.  The interval shrinks by the ratio each round whatever |t|^2 does,
+    so the loop ends after about 50 rounds.
+    """
+    gc = 1.0 - _GOLDEN_R
+    upper = np.abs(hi - mid) > np.abs(mid - lo)
+    x0, x3 = lo.copy(), hi.copy()
+    x1 = np.where(upper, mid, mid - gc * (mid - lo))
+    x2 = np.where(upper, mid + gc * (hi - mid), mid)
+    f1, f2 = np.split(_transmission_grid(profile, np.concatenate([x1, x2])), 2)
+    active = np.arange(len(mid))
+    while True:
+        span = np.abs(x3[active] - x0[active])
+        active = active[~(span <= 1e-13 * (np.abs(x1[active]) + np.abs(x2[active])))]
+        if active.size == 0:
+            break
+        rises = f2[active] > f1[active]
+        a, b = active[rises], active[~rises]
+        x0[a], x1[a], f1[a] = x1[a], x2[a], f2[a]  # maximum above x1: drop [x0, x1)
+        x2[a] = _GOLDEN_R * x1[a] + gc * x3[a]
+        x3[b], x2[b], f2[b] = x2[b], x1[b], f1[b]  # maximum below x2: drop (x2, x3]
+        x1[b] = _GOLDEN_R * x2[b] + gc * x0[b]
+        t = _transmission_grid(profile, np.where(rises, x2[active], x1[active]))
+        f2[a], f1[b] = t[rises], t[~rises]
+    first = f1 > f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
+
+
+def _half_max_widths(profile, energies, t2, interior, e_peak, t_peak) -> np.ndarray:
+    """FWHM estimate of every peak; falls back to the local grid scale.
+
+    From grid index i the walk outward stops at the first point at or below
+    half maximum, at most 4000 points away; that point and its inner
+    neighbour bracket the crossing.  Every bracket of every peak is then
+    bisected in lockstep, each to its own stop test (|e_out - e_in| <
+    1e-12 e_peak, at most 80 steps).  A peak missing either crossing, or
+    whose crossings come out in the wrong order, gets E[i+1] - E[i-1].
+    """
+    n = len(energies)
     half = 0.5 * t_peak
-
-    def cross(step: int) -> float | None:
-        # walk outward until t2 drops below half, then bisect the bracket
-        j = i
-        while 0 < j + step < len(energies) - 1 and t2[j + step] > half:
-            j += step
-            if abs(j - i) > 4000:
-                return None
-        j2 = j + step
-        if not (0 <= j2 < len(energies)) or t2[j2] > half:
-            return None
-        e_in, e_out = energies[j], energies[j2]
-        for _ in range(80):
-            mid = 0.5 * (e_in + e_out)
-            tm = float(_transmission_grid(profile, np.asarray([mid]))[0])
-            if tm > half:
-                e_in = mid
-            else:
-                e_out = mid
-            if abs(e_out - e_in) < 1e-12 * e_peak:
-                break
-        return 0.5 * (e_in + e_out)
-
-    right = cross(+1)
-    left = cross(-1)
-    if left is not None and right is not None and right > left:
-        return right - left
-    return max(energies[min(i + 1, len(energies) - 1)] - energies[max(i - 1, 0)], 1e-9)
+    found, inner, outer = [], [], []
+    for p, i in enumerate(interior):
+        lo = max(i - 4001, 0)
+        below_left = lo + np.flatnonzero(~(t2[lo:i] > half[p]))
+        below_right = i + 1 + np.flatnonzero(~(t2[i + 1:min(i + 4002, n)] > half[p]))
+        if below_left.size and below_right.size:
+            found.append(p)
+            outer += [below_left[-1], below_right[0]]
+            inner += [below_left[-1] + 1, below_right[0] - 1]
+    found = np.asarray(found, dtype=int)
+    e_in, e_out = energies[inner], energies[outer]
+    level = np.repeat(half[found], 2)
+    tol = np.repeat(1e-12 * e_peak[found], 2)
+    active = np.arange(len(e_in))
+    for _ in range(80):
+        if active.size == 0:
+            break
+        mid = 0.5 * (e_in[active] + e_out[active])
+        above = _transmission_grid(profile, mid) > level[active]
+        e_in[active[above]] = mid[above]
+        e_out[active[~above]] = mid[~above]
+        active = active[~(np.abs(e_out[active] - e_in[active]) < tol[active])]
+    left, right = (0.5 * (e_in + e_out)).reshape(-1, 2).T
+    widths = np.maximum(energies[interior + 1] - energies[interior - 1], 1e-9)
+    widths[found] = np.where(right > left, right - left, widths[found])
+    return widths

@@ -251,6 +251,47 @@ def test_pole_search_transfer_matrix_budget(symmetric_profile, monkeypatch):
     assert 0 < len(calls) <= 2000
 
 
+def test_pole_search_call_budget_with_batched_scan(symmetric_profile, monkeypatch):
+    """find_poles(symmetric, 2 eV): a lockstep seed scan and one call per Newton step keep it <= 300."""
+    calls = []
+    entries = scattering._transfer_entries
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return entries(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_transfer_entries", counting)
+    monkeypatch.setattr(resonances, "_transfer_entries", counting)
+    assert len(find_poles(symmetric_profile, 2.0)) == 9
+    assert 0 < len(calls) <= 300
+
+
+def scalar_newton(profile, k, tol=1e-12, max_iter=100):
+    """Reference: Newton with three scalar m22 evaluations per step."""
+    for _ in range(max_iter):
+        h = 1e-6 * max(abs(k), 1e-4)
+        step = pole_function(profile, k) / (
+            (pole_function(profile, k + h) - pole_function(profile, k - h)) / (2.0 * h)
+        )
+        limit = 0.2 * max(abs(k), 1e-4)
+        if abs(step) > limit:
+            step *= limit / abs(step)
+        k -= step
+        if abs(step) < tol:
+            return k
+    raise AssertionError("reference Newton did not converge")
+
+
+def test_one_call_newton_matches_scalar_newton(symmetric_poles_8ev):
+    """Array and scalar m22 differ in the last ulp; the poles agree to 1e-13 relative."""
+    profile = symmetric_poles_8ev[0].profile
+    for state in symmetric_poles_8ev:
+        seed = state.k * (1.0 + 1e-3 - 1e-3j)
+        k = refine_pole(profile, seed)
+        assert abs(k - scalar_newton(profile, seed)) <= 1e-13 * abs(k)
+        assert abs(k - state.k) <= 1e-13 * abs(k)
+
+
 def test_bound_state_refused():
     profile = build_profile([(30.0, 0.3), (100.0, -0.1), (30.0, 0.3)])
     with pytest.raises(BoundStateError, match=r"1 state\(s\) below E = 0, the lowest at -0\.0637"):
