@@ -16,6 +16,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -40,6 +41,7 @@ from .resonances import (
     GamowResidualError,
     PoleConvergenceError,
     ResonantState,
+    SCAN_FLOOR_EV,
     WindingMismatchError,
     find_poles,
 )
@@ -157,8 +159,8 @@ def _add_common(parser, grid_defaults=(0.01, 50.0, 400, "log")):
 def _tau_grid(args) -> np.ndarray:
     if args.points < 1:
         raise CliUsageError("--points must be >= 1")
-    if not (0.0 < args.tau_min <= args.tau_max):
-        raise CliUsageError("need 0 < tau-min <= tau-max")
+    if not (0.0 < args.tau_min <= args.tau_max < math.inf):
+        raise CliUsageError("need 0 < tau-min <= tau-max < inf")
     if args.points == 1:
         return np.asarray([args.tau_min])
     if args.grid == "log":
@@ -166,11 +168,19 @@ def _tau_grid(args) -> np.ndarray:
     return np.linspace(args.tau_min, args.tau_max, args.points)
 
 
-def _default_e_max(profile: PotentialProfile) -> float:
-    top = float(np.max(profile.heights))
-    if top <= 0.0:
-        raise CliUsageError("profile has no barrier; no resonances to search for")
-    return top
+def _e_max(args, profile: PotentialProfile) -> float:
+    """The pole search ceiling: --e-max-ev, or else the barrier top."""
+    if args.e_max_ev is None:
+        e_max = float(np.max(profile.heights))
+        if e_max <= 0.0:
+            raise CliUsageError("profile has no barrier; no resonances to search for")
+    else:
+        e_max = args.e_max_ev
+    if not SCAN_FLOOR_EV < e_max < math.inf:
+        raise CliUsageError(
+            f"pole search ceiling {e_max} eV must be finite and above the {SCAN_FLOOR_EV} eV scan floor"
+        )
+    return e_max
 
 
 def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
@@ -215,7 +225,7 @@ def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
 
 def _select(args) -> _Selection:
     profile = load_profile(args.profile)
-    e_max = args.e_max_ev if args.e_max_ev is not None else _default_e_max(profile)
+    e_max = _e_max(args, profile)
     poles = find_poles(profile, e_max)
     if not poles:
         raise CliUsageError(f"no resonances below {e_max} eV in {args.profile}")
@@ -231,8 +241,8 @@ def _select(args) -> _Selection:
         mode = args.mode
     else:
         energy = args.energy_ev
-        if energy <= 0.0:
-            raise CliUsageError("--energy-ev must be positive")
+        if not 0.0 < energy < math.inf:
+            raise CliUsageError("--energy-ev must be positive and finite")
         state = min(poles, key=lambda s: abs(s.eps_ev - energy))
         index = poles.index(state) + 1
         mode = args.mode
@@ -266,9 +276,10 @@ def _evolve_selection(sel: _Selection, tau: np.ndarray, args):
 
 
 def cmd_poles(args) -> int:
+    if args.max_poles is not None and args.max_poles < 1:
+        raise CliUsageError("--max-poles must be >= 1")
     profile = load_profile(args.profile)
-    e_max = args.e_max_ev if args.e_max_ev is not None else _default_e_max(profile)
-    poles = find_poles(profile, e_max, max_poles=args.max_poles)
+    poles = find_poles(profile, _e_max(args, profile), max_poles=args.max_poles)
     rows = [
         (i, s.eps_mev, s.gamma_mev, s.lifetime_fs, s.r_ratio, s.k.real, s.k.imag)
         for i, s in enumerate(poles, start=1)
@@ -330,6 +341,7 @@ def cmd_crossover(args) -> int:
     return exit_code
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="rtbuildup", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

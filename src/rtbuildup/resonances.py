@@ -6,7 +6,8 @@ even in the local wavevectors), so Newton iteration with a finite-difference
 derivative converges quadratically from transmission-peak seeds, and the
 argument principle on a rectangle gives an independent completeness count.
 The same contour samples, through their moments, seed the poles that have
-no transmission peak.
+no transmission peak.  Every batch of seeds is refined in lockstep: one
+transfer-matrix call per Newton round, however many seeds there are.
 
 The associated Gamow eigenfunction u_n solves the stationary equation at the
 complex energy E_n = hbar^2 k_n^2 / 2m with purely outgoing boundary
@@ -52,6 +53,43 @@ def pole_function(profile: PotentialProfile, k: complex) -> complex:
     return complex(_transfer_entries(profile, complex(k))[3])
 
 
+def _newton(
+    profile: PotentialProfile, seeds, *, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton iteration on m22(k) from every seed at once.
+
+    The derivative is a central difference; m22 is analytic so the step is
+    accurate to far more digits than Newton needs.  Each round evaluates m22
+    at k and k +- h for every seed still iterating in one transfer-matrix
+    call.  A seed stops when its step, capped at 0.2 |k|, falls below
+    ``tol``; one whose derivative vanishes, whose step is not finite, or
+    that runs out of iterations, fails.  Returns the final momenta and the
+    mask of converged seeds.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    k = np.array(seeds, dtype=complex).ravel()
+    converged = np.zeros(k.size, dtype=bool)
+    active = np.arange(k.size)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        ka = k[active]
+        h = 1e-6 * np.maximum(np.abs(ka), 1e-4)
+        m22 = _transfer_entries(profile, np.concatenate([ka, ka + h, ka - h]))[3]
+        f, f_plus, f_minus = m22.reshape(3, -1)
+        df = (f_plus - f_minus) / (2.0 * h)
+        flat = df == 0.0
+        step = f / np.where(flat, 1.0, df)
+        limit = 0.2 * np.maximum(np.abs(ka), 1e-4)
+        step *= limit / np.maximum(np.abs(step), limit)
+        k[active] = ka - step
+        done = np.abs(step) < tol
+        converged[active[done & ~flat]] = True
+        active = active[~(done | flat | ~np.isfinite(step))]
+    return k, converged
+
+
 def refine_pole(
     profile: PotentialProfile,
     k_seed: complex,
@@ -59,33 +97,16 @@ def refine_pole(
     tol: float = 1e-12,
     max_iter: int = 100,
 ) -> complex:
-    """Newton iteration on m22(k) from a seed momentum.
-
-    The derivative is a central difference; m22 is analytic so the step is
-    accurate to far more digits than Newton needs.  Each step evaluates m22
-    at k and k +- h in one transfer-matrix call.
-    """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    k = complex(k_seed)
-    for _ in range(max_iter):
-        h = 1e-6 * max(abs(k), 1e-4)
-        f, f_plus, f_minus = _transfer_entries(profile, np.asarray([k, k + h, k - h]))[3].tolist()
-        df = (f_plus - f_minus) / (2.0 * h)
-        if df == 0.0:
-            raise PoleConvergenceError(f"vanishing derivative at k = {k}")
-        step = f / df
-        limit = 0.2 * max(abs(k), 1e-4)
-        if abs(step) > limit:
-            step *= limit / abs(step)
-        k -= step
-        if abs(step) < tol:
-            return k
-    raise PoleConvergenceError(
-        f"no convergence from seed {k_seed} after {max_iter} iterations (last step {abs(step):.2e})"
-    )
+    """Newton iteration on m22(k) from one seed momentum (see ``_newton``)."""
+    k, converged = _newton(profile, [k_seed], tol=tol, max_iter=max_iter)
+    if not converged[0]:
+        raise PoleConvergenceError(
+            f"no convergence from seed {k_seed} in {max_iter} iterations (last k {k[0]})"
+        )
+    return complex(k[0])
 
 
+SCAN_FLOOR_EV = 1e-3  # default lower end of the seed scan
 SAMPLES_PER_EDGE = 128
 MAX_REFINEMENTS = 60  # bisection budget per edge, in multiples of SAMPLES_PER_EDGE
 
@@ -227,21 +248,26 @@ def find_poles(
     e_max_ev: float,
     max_poles: int | None = None,
     *,
-    e_min_ev: float = 1e-3,
+    e_min_ev: float = SCAN_FLOOR_EV,
     points_per_decade: int = 2000,
     newton_tol: float = 1e-12,
     max_iter: int = 100,
 ) -> list[ResonantState]:
     """Poles with eps_n <= e_max_ev, sorted by resonance energy.
 
-    Seeds come from refined transmission maxima; each is pushed into the
-    fourth quadrant by Newton iteration.  Completeness is cross-checked by
-    the argument-principle count over the search rectangle
-    Re k in (0, k(e_max)], Im k in [-k(e_max), 0).  A profile that binds a
-    state below E = 0 is refused with ``BoundStateError``.
+    Every maximum of the transmission grid seeds Newton at
+    sqrt((E_peak - i w / 2) / c2), with w the grid scale at the peak, and all
+    seeds are refined in lockstep.  Completeness is cross-checked by the
+    argument-principle count over the search rectangle
+    Re k in (0, k(e_max)], Im k in [-k(e_max), 0); a seed that fails or
+    lands on a pole already found leaves a deficit that the contour moments
+    of ``_recover_poles`` fill.  A profile that binds a state below E = 0 is
+    refused with ``BoundStateError``.
     """
     if not e_max_ev > 0.0:
         raise ValueError("e_max must be positive")
+    if max_poles is not None and max_poles < 0:
+        raise ValueError("max_poles must be >= 0")
     bound = bound_state_energies(profile)
     if bound.size:
         raise BoundStateError(
@@ -251,20 +277,12 @@ def find_poles(
     c2 = profile.constants.hbar2_over_2m
     scan = transmission_scan(profile, e_min_ev, e_max_ev, points_per_decade=points_per_decade)
 
+    seeds = [cmath.sqrt((p.energy_ev - 0.5j * p.gamma_estimate_ev) / c2) for p in scan.peaks]
+    ks, converged = _newton(profile, seeds, tol=newton_tol, max_iter=max_iter)
     found: list[complex] = []
-    failures: list[str] = []
-    for peak in scan.peaks:
-        for factor in (1.0, 0.3, 3.0, 10.0):
-            seed = cmath.sqrt((peak.energy_ev - 0.5j * factor * peak.gamma_estimate_ev) / c2)
-            try:
-                candidate = refine_pole(profile, seed, tol=newton_tol, max_iter=max_iter)
-            except PoleConvergenceError as exc:
-                failures.append(str(exc))
-                continue
-            if candidate.real > 0.0 and candidate.imag < 0.0:
-                if _is_new(candidate, found):
-                    found.append(candidate)
-                break
+    for k in ks[converged].tolist():
+        if k.real > 0.0 and k.imag < 0.0 and _is_new(k, found):
+            found.append(k)
 
     # pad the rectangle so corners cannot land exactly on a barrier-top
     # wavevector (kappa = 0 there) or on a pole
@@ -286,7 +304,7 @@ def find_poles(
     if count != len(in_rect):
         raise WindingMismatchError(
             f"winding count {count} != {len(in_rect)} converged poles "
-            f"(missed or spurious pole; {len(failures)} seed(s) failed Newton)"
+            f"(missed or spurious pole; {np.count_nonzero(~converged)} seed(s) failed Newton)"
         )
 
     states = [gamow_state(profile, k) for k in in_rect]
@@ -307,7 +325,7 @@ def _recover_poles(
     missing n zeros inside the rectangle, and the moments
     s_p = (1/2 pi i) contour z^p dlog g, p = 1..n, of the centred, scaled
     momentum z are their power sums (Delves & Lyness).  Newton's identities
-    turn them into a polynomial whose roots seed ``refine_pole``.  A seed can
+    turn them into a polynomial whose roots seed lockstep Newton.  A seed can
     fall into a neighbour's basin, so the pass repeats with every pole found
     so far divided out, until none is missing or a pass adds nothing.
     """
@@ -326,11 +344,9 @@ def _recover_poles(
         for p in range(1, missing + 1):
             coeffs.append(-sum(coeffs[i] * sums[p - i] for i in range(p)) / p)
         before = len(recovered)
-        for seed in center + scale * np.roots(coeffs):
-            try:
-                k = refine_pole(profile, seed, tol=newton_tol, max_iter=max_iter)
-            except PoleConvergenceError:
-                continue
+        seeds = center + scale * np.roots(coeffs)
+        ks, converged = _newton(profile, seeds, tol=newton_tol, max_iter=max_iter)
+        for k in ks[converged].tolist():
             if _is_new(k, known + recovered) and re_lo <= k.real <= re_hi and im_lo <= k.imag < 0.0:
                 recovered.append(k)
         if len(recovered) == before:

@@ -18,9 +18,9 @@ branch-cut bookkeeping; the principal square root used for kappa is
 immaterial.
 
 Every evaluation goes through ``_transfer_entries``, which is vectorized
-over k.  The transmission scan uses it that way throughout: one call for
-the grid, then one call per step of a golden-section search and of a
-half-maximum bisection that refine all peaks of the scan in lockstep.
+over k.  The transmission scan is one such call on its whole grid; each
+peak it reports is the closed-form vertex of a parabola through three grid
+points, which is all the pole search needs from it.
 """
 
 from __future__ import annotations
@@ -261,7 +261,13 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PeakSeed:
-    """Transmission maximum used to seed the pole search."""
+    """Transmission maximum used to seed the pole search.
+
+    ``energy_ev`` and ``transmission`` are the vertex of the parabola through
+    1/|t|^2 at the grid maximum and its two neighbours.
+    ``gamma_estimate_ev`` is the grid scale E[i+1] - E[i-1] there: an offset
+    that puts the Newton seed below the real axis, not a measured width.
+    """
 
     energy_ev: float
     transmission: float
@@ -290,13 +296,14 @@ def transmission_scan(
     *,
     points_per_decade: int = 2000,
 ) -> ScanResult:
-    """|t(E)|^2 on a log-spaced grid plus refined local maxima.
+    """|t(E)|^2 on a log-spaced grid plus its local maxima, in one transfer-matrix call.
 
     The default density (2000 points per decade) resolves widths down to a
-    small fraction of a meV at typical resonance energies.  Every grid
-    maximum is sharpened by golden-section search and given a half-maximum
-    width; all peaks are refined in lockstep, so each step of either search
-    is one vectorized transfer-matrix call however many peaks there are.
+    small fraction of a meV at typical resonance energies.  Near a pole
+    1/|t|^2 = |m22|^2 is nearly quadratic in E, so each grid maximum reports
+    the vertex of the parabola through 1/|t|^2 at E[i-1], E[i] and E[i+1],
+    a closed form that lies inside (E[i-1], E[i+1]).  The peaks only seed
+    Newton, which needs no more precision than that.
     """
     if not (0.0 < e_min_ev < e_max_ev):
         raise ValueError("need 0 < e_min < e_max")
@@ -312,90 +319,20 @@ def transmission_scan(
         energies[k2 == h / c2] *= 1.0 - 1e-9
     t2 = _transmission_grid(profile, energies)
 
-    interior = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
+    i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
     # prominence filter: rounding noise on flat transmission produces
     # strict maxima at the 1e-16 level; genuine peaks rise far above it
-    interior = interior[t2[interior] - np.minimum(t2[interior - 1], t2[interior + 1]) > 1e-9 * t2[interior]]
-    if interior.size == 0:
-        return ScanResult(energies, t2, ())
-    e_peak, t_peak = _golden_maxima(profile, energies[interior - 1], energies[interior], energies[interior + 1])
-    widths = _half_max_widths(profile, energies, t2, interior, e_peak, t_peak)
+    i = i[t2[i] - np.minimum(t2[i - 1], t2[i + 1]) > 1e-9 * t2[i]]
+    # parabola y1 + b u + c u^2 through 1/|t|^2 at offsets u = d0, 0, d2;
+    # y1 is the lowest of the three, so c > 0 and the vertex -b/2c lies
+    # between the midpoints of the two grid steps
+    d0, d2 = energies[i - 1] - energies[i], energies[i + 1] - energies[i]
+    y1 = 1.0 / t2[i]
+    s0, s2 = (1.0 / t2[i - 1] - y1) / d0, (1.0 / t2[i + 1] - y1) / d2
+    c = (s0 - s2) / (d0 - d2)
+    b = s0 - c * d0
+    e_peak = energies[i] - 0.5 * b / c
+    t_peak = 1.0 / (y1 - 0.25 * b * b / c)
+    widths = energies[i + 1] - energies[i - 1]
     peaks = tuple(PeakSeed(float(e), float(t), float(w)) for e, t, w in zip(e_peak, t_peak, widths))
     return ScanResult(energies, t2, peaks)
-
-
-_GOLDEN_R = 0.61803399  # scipy's golden-section ratio, so peaks match minimize_scalar
-
-
-def _golden_maxima(profile, lo, mid, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Maxima of |t|^2 in every bracket lo < mid < hi, refined together.
-
-    Each bracket follows the trajectory of scipy's ``minimize_scalar`` on
-    -|t|^2 with ``method="golden"`` and ``xtol=1e-13``: the same first two
-    points, the same ratio and the same stop test.  A converged bracket is
-    frozen; every round evaluates the new point of each other bracket in one
-    call.  The interval shrinks by the ratio each round whatever |t|^2 does,
-    so the loop ends after about 50 rounds.
-    """
-    gc = 1.0 - _GOLDEN_R
-    upper = np.abs(hi - mid) > np.abs(mid - lo)
-    x0, x3 = lo.copy(), hi.copy()
-    x1 = np.where(upper, mid, mid - gc * (mid - lo))
-    x2 = np.where(upper, mid + gc * (hi - mid), mid)
-    f1, f2 = np.split(_transmission_grid(profile, np.concatenate([x1, x2])), 2)
-    active = np.arange(len(mid))
-    while True:
-        span = np.abs(x3[active] - x0[active])
-        active = active[~(span <= 1e-13 * (np.abs(x1[active]) + np.abs(x2[active])))]
-        if active.size == 0:
-            break
-        rises = f2[active] > f1[active]
-        a, b = active[rises], active[~rises]
-        x0[a], x1[a], f1[a] = x1[a], x2[a], f2[a]  # maximum above x1: drop [x0, x1)
-        x2[a] = _GOLDEN_R * x1[a] + gc * x3[a]
-        x3[b], x2[b], f2[b] = x2[b], x1[b], f1[b]  # maximum below x2: drop (x2, x3]
-        x1[b] = _GOLDEN_R * x2[b] + gc * x0[b]
-        t = _transmission_grid(profile, np.where(rises, x2[active], x1[active]))
-        f2[a], f1[b] = t[rises], t[~rises]
-    first = f1 > f2
-    return np.where(first, x1, x2), np.where(first, f1, f2)
-
-
-def _half_max_widths(profile, energies, t2, interior, e_peak, t_peak) -> np.ndarray:
-    """FWHM estimate of every peak; falls back to the local grid scale.
-
-    From grid index i the walk outward stops at the first point at or below
-    half maximum, at most 4000 points away; that point and its inner
-    neighbour bracket the crossing.  Every bracket of every peak is then
-    bisected in lockstep, each to its own stop test (|e_out - e_in| <
-    1e-12 e_peak, at most 80 steps).  A peak missing either crossing, or
-    whose crossings come out in the wrong order, gets E[i+1] - E[i-1].
-    """
-    n = len(energies)
-    half = 0.5 * t_peak
-    found, inner, outer = [], [], []
-    for p, i in enumerate(interior):
-        lo = max(i - 4001, 0)
-        below_left = lo + np.flatnonzero(~(t2[lo:i] > half[p]))
-        below_right = i + 1 + np.flatnonzero(~(t2[i + 1:min(i + 4002, n)] > half[p]))
-        if below_left.size and below_right.size:
-            found.append(p)
-            outer += [below_left[-1], below_right[0]]
-            inner += [below_left[-1] + 1, below_right[0] - 1]
-    found = np.asarray(found, dtype=int)
-    e_in, e_out = energies[inner], energies[outer]
-    level = np.repeat(half[found], 2)
-    tol = np.repeat(1e-12 * e_peak[found], 2)
-    active = np.arange(len(e_in))
-    for _ in range(80):
-        if active.size == 0:
-            break
-        mid = 0.5 * (e_in[active] + e_out[active])
-        above = _transmission_grid(profile, mid) > level[active]
-        e_in[active[above]] = mid[above]
-        e_out[active[~above]] = mid[~above]
-        active = active[~(np.abs(e_out[active] - e_in[active]) < tol[active])]
-    left, right = (0.5 * (e_in + e_out)).reshape(-1, 2).T
-    widths = np.maximum(energies[interior + 1] - energies[interior - 1], 1e-9)
-    widths[found] = np.where(right > left, right - left, widths[found])
-    return widths

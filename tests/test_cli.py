@@ -81,6 +81,30 @@ def test_cli_usage_error_exits_one(cfg_paths):
     assert main(["evolve", "--profile", cfg_paths["sym"], "--x-angstrom", "80"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["poles", "--e-max-ev", "nan"], "ceiling nan eV"),
+    (["poles", "--e-max-ev", "-1"], "ceiling -1.0 eV"),
+    (["poles", "--e-max-ev", "1e-4"], "above the 0.001 eV scan floor"),
+    (["poles", "--e-max-ev", "inf"], "must be finite"),
+    (["poles", "--max-poles", "-1"], "--max-poles must be >= 1"),
+    (["evolve", "--energy-ev", "nan", "--x-angstrom", "80"], "--energy-ev must be positive and finite"),
+    (["evolve", "--resonance", "1", "--x-angstrom", "80", "--tau-max", "inf"], "tau-max < inf"),
+])
+def test_non_finite_or_out_of_range_numbers_exit_one(cfg_paths, tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--profile", cfg_paths["sym"], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err and "warning" not in err
+    assert not out.exists()
+
+
+def test_parser_is_built_once():
+    from rtbuildup.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
 # --------------------------------------------------------------------- poles
 
 def test_poles_csv_matches_tables(cfg_paths, tmp_path, capsys):

@@ -15,6 +15,7 @@ from rtbuildup import (
     pole_function,
     refine_pole,
     stationary_state,
+    transmission_scan,
     winding_number,
 )
 
@@ -97,6 +98,8 @@ def test_max_poles_truncation(symmetric_profile):
     poles = find_poles(symmetric_profile, 0.4, max_poles=2)
     assert len(poles) == 2
     assert poles[0].eps_mev < poles[1].eps_mev
+    with pytest.raises(ValueError, match="max_poles must be >= 0"):
+        find_poles(symmetric_profile, 0.4, max_poles=-1)  # would slice off the last pole
 
 
 def test_gamow_boundary_conditions(symmetric_poles):
@@ -264,6 +267,75 @@ def test_pole_search_call_budget_with_batched_scan(symmetric_profile, monkeypatc
     monkeypatch.setattr(resonances, "_transfer_entries", counting)
     assert len(find_poles(symmetric_profile, 2.0)) == 9
     assert 0 < len(calls) <= 300
+
+
+def test_pole_search_call_budget_with_lockstep_newton(symmetric_profile, monkeypatch):
+    """find_poles(symmetric, 2 eV): one grid call, one call per Newton round, contours; <= 40 in all."""
+    calls = []
+    entries = scattering._transfer_entries
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return entries(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_transfer_entries", counting)
+    monkeypatch.setattr(resonances, "_transfer_entries", counting)
+    assert len(find_poles(symmetric_profile, 2.0)) == 9
+    assert 0 < len(calls) <= 40
+
+
+def test_lockstep_newton_matches_one_seed_at_a_time(symmetric_profile, symmetric_poles_8ev, monkeypatch):
+    """The 18 scan seeds to 8 eV refined together land where refine_pole takes each alone."""
+    c2 = symmetric_profile.constants.hbar2_over_2m
+    peaks = transmission_scan(symmetric_profile, 1e-3, 8.0).peaks
+    seeds = [cmath.sqrt((p.energy_ev - 0.5j * p.gamma_estimate_ev) / c2) for p in peaks]
+    assert len(seeds) == 18
+
+    calls = []
+    entries = resonances._transfer_entries
+
+    def counting(profile, k):
+        calls.append(np.size(k) // 3)
+        return entries(profile, k)
+
+    monkeypatch.setattr(resonances, "_transfer_entries", counting)
+    ks, converged = resonances._newton(symmetric_profile, seeds, tol=1e-12, max_iter=100)
+    rounds = len(calls)
+    assert converged.all() and calls[0] == 18
+    single_rounds = []
+    for seed, k in zip(seeds, ks):
+        calls.clear()
+        assert abs(refine_pole(symmetric_profile, seed) - k) <= 1e-13 * abs(k)
+        single_rounds.append(len(calls))
+    assert rounds == max(single_rounds)  # one call per round for all seeds
+    poles = [s.k for s in symmetric_poles_8ev]
+    assert all(min(abs(k - p) for p in poles) <= 1e-13 * abs(k) for k in ks)
+
+
+def test_dropped_seed_is_recovered_from_contour_moments(symmetric_profile, symmetric_poles, monkeypatch):
+    """A peak whose seed never reaches Newton leaves a winding deficit that _recover_poles fills."""
+    newton, recover = resonances._newton, resonances._recover_poles
+    seed_batches, recoveries = [], []
+
+    def dropping(profile, seeds, **kwargs):
+        seeds = list(seeds)
+        if not seed_batches:  # find_poles' peak seeds: lose the second
+            del seeds[1]
+        seed_batches.append(len(seeds))
+        return newton(profile, seeds, **kwargs)
+
+    def recording(*args, **kwargs):
+        found = recover(*args, **kwargs)
+        recoveries.append(found)
+        return found
+
+    monkeypatch.setattr(resonances, "_newton", dropping)
+    monkeypatch.setattr(resonances, "_recover_poles", recording)
+    poles = find_poles(symmetric_profile, 0.4)
+    assert seed_batches[0] == 2 and len(recoveries) == 1 and len(recoveries[0]) == 1
+    assert len(poles) == len(symmetric_poles) == 3
+    for got, want in zip(poles, symmetric_poles):
+        assert abs(got.k - want.k) <= 1e-13 * abs(want.k)
 
 
 def scalar_newton(profile, k, tol=1e-12, max_iter=100):
