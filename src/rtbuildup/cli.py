@@ -224,6 +224,8 @@ def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
 
 
 def _select(args) -> _Selection:
+    if not args.tail_tol > 0.0:  # also refuses NaN, which would switch the warning off
+        raise CliUsageError("--tail-tol must be positive")
     profile = load_profile(args.profile)
     e_max = _e_max(args, profile)
     poles = find_poles(profile, e_max)

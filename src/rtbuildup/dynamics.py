@@ -10,12 +10,18 @@ fourth-quadrant poles k_n together with their third-quadrant partners
 k_{-n} = -k_n*.  The single-resonance form keeps one pole pair; on resonance
 it decomposes into the exponential charging term |phi|^2 (1 - e^{-tau/2})^2
 plus an algebraically decaying remainder.
+
+The sum is evaluated over fixed slices of ``BLOCK`` grid points, one slice
+per task on a thread pool; each slice holds the free term and every pole
+pair, so the values do not depend on how many workers run them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -69,15 +75,33 @@ def _resolve_grid(reference: ResonantState | None, tau, t_fs):
     return tau, t_fs
 
 
-def _pole_pair_term(state: ResonantState, k: float, x: float, root_t: np.ndarray) -> np.ndarray:
+BLOCK = 4096
+"""Grid points per slice of the pole sum; slices depend on the grid length only."""
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _executor() -> ThreadPoolExecutor:
+    """This process's worker pool.
+
+    A forked child inherits the pool object but none of its threads, so
+    tasks queued on it would never run; a new pool is made per process id.
+    """
+    global _pool
+    pid = os.getpid()
+    if _pool is None or _pool[0] != pid:
+        _pool = (pid, ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="rtbuildup"))
+    return _pool[1]
+
+
+def _pole_pair_term(t_n: complex, k_n: complex, root_t: np.ndarray) -> np.ndarray:
     """-i [T_n M(y_{k_n}) + T_{-n} M(y_{-k_n*})] for one pole pair.
 
     For real incidence momentum T_{-n} = conj(T_n) because u_{-n} = u_n* and
     k_{-n}^2 = conj(k_n^2).
     """
-    t_n = 2.0 * k * state.u0 * state.u(x) / (k * k - state.k * state.k)
-    y_kn = -EXP_MINUS_IPI4 * state.k * root_t
-    y_mknc = EXP_MINUS_IPI4 * np.conj(state.k) * root_t
+    y_kn = -EXP_MINUS_IPI4 * k_n * root_t
+    y_mknc = EXP_MINUS_IPI4 * np.conj(k_n) * root_t
     return -1j * (t_n * _moshinsky_m_grid(y_kn) + np.conj(t_n) * _moshinsky_m_grid(y_mknc))
 
 
@@ -88,21 +112,29 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
     constants = profile.constants
     k = constants.wavevector(energy_ev)
     phi = stationary_state(profile, energy_ev).phi(x)
+    pairs = [(2.0 * k * s.u0 * s.u(x) / (k * k - s.k * s.k), s.k) for s in poles]
 
     root_t = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
-    y_k = -EXP_MINUS_IPI4 * k * root_t
-    y_mk = EXP_MINUS_IPI4 * k * root_t
-    psi = phi * _moshinsky_m_grid(y_k) - np.conj(phi) * _moshinsky_m_grid(y_mk)
+    psi = np.empty(t_fs.size, dtype=complex)
 
-    diag = None
-    for state in poles:
-        term = _pole_pair_term(state, k, x, root_t)
-        psi = psi + term
-        diag = abs(term[-1])
-    if diag is not None:
-        scale = abs(psi[-1])
-        diag = diag / scale if scale > 0.0 else math.inf
-    if mode == "full" and diag is not None and diag > tail_tol:
+    def block(start: int):
+        """Fill psi[start:start + BLOCK]; return the last pair's term at its last point."""
+        r = root_t[start:start + BLOCK]
+        out = psi[start:start + BLOCK]
+        y_k = -EXP_MINUS_IPI4 * k * r
+        y_mk = EXP_MINUS_IPI4 * k * r
+        out[:] = phi * _moshinsky_m_grid(y_k) - np.conj(phi) * _moshinsky_m_grid(y_mk)
+        for t_n, k_n in pairs:
+            term = _pole_pair_term(t_n, k_n, r)
+            out += term
+        return term[-1]
+
+    starts = range(0, t_fs.size, BLOCK)
+    lasts = list(_executor().map(block, starts)) if len(starts) > 1 else [block(0)]
+
+    scale = abs(psi[-1])
+    diag = abs(lasts[-1]) / scale if scale > 0.0 else math.inf
+    if mode == "full" and diag > tail_tol:
         warnings.warn(
             f"last pole pair contributes {diag:.2e} of |Psi| at the final grid point "
             f"(tolerance {tail_tol:.1e}); add poles to the expansion",
@@ -154,10 +186,12 @@ def evolve_full(
     Poles are sorted by resonance energy; the relative contribution of the
     last included pair at the final grid point is reported as the
     convergence diagnostic and triggers a ``ConvergenceWarning`` above
-    ``tail_tol``.
+    ``tail_tol``, which must be positive.
     """
     if not poles:
         raise ValueError("pole list must be non-empty")
+    if not tail_tol > 0.0:
+        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
     ordered = sorted(poles, key=lambda s: s.eps_ev)
     if reference is None and tau is not None:
         reference = min(ordered, key=lambda s: abs(s.eps_ev - energy_ev))

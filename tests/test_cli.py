@@ -89,6 +89,9 @@ def test_cli_usage_error_exits_one(cfg_paths):
     (["poles", "--max-poles", "-1"], "--max-poles must be >= 1"),
     (["evolve", "--energy-ev", "nan", "--x-angstrom", "80"], "--energy-ev must be positive and finite"),
     (["evolve", "--resonance", "1", "--x-angstrom", "80", "--tau-max", "inf"], "tau-max < inf"),
+    (["evolve", "--energy-ev", "0.09", "--x-angstrom", "80", "--tail-tol", "nan"], "--tail-tol must be positive"),
+    (["evolve", "--energy-ev", "0.09", "--x-angstrom", "80", "--tail-tol", "-1"], "--tail-tol must be positive"),
+    (["evolve", "--energy-ev", "0.09", "--x-angstrom", "80", "--tail-tol", "0"], "--tail-tol must be positive"),
 ])
 def test_non_finite_or_out_of_range_numbers_exit_one(cfg_paths, tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"

@@ -1,4 +1,7 @@
+import multiprocessing
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from rtbuildup import (
     find_poles,
     stationary_wave,
 )
+from rtbuildup.dynamics import BLOCK
 from rtbuildup.moshinsky import EXP_MINUS_IPI4, _moshinsky_m_grid
+from rtbuildup.scattering import stationary_state
 
 
 def evolve_all_poles(profile, poles, state, x, tau):
@@ -148,6 +153,14 @@ def test_full_mode_convergence_warning(symmetric_profile, symmetric_poles):
 def test_full_rejects_empty_pole_list(symmetric_profile, symmetric_poles):
     with pytest.raises(ValueError):
         evolve_full(symmetric_profile, [], symmetric_poles[0].eps_ev, 80.0, tau=[1.0])
+
+
+@pytest.mark.parametrize("tail_tol", [float("nan"), -1.0, 0.0])
+def test_full_rejects_non_positive_tail_tol(symmetric_profile, symmetric_poles, tail_tol):
+    with pytest.raises(ValueError, match="tail_tol"):
+        evolve_full(
+            symmetric_profile, symmetric_poles, 0.09, 80.0, t_fs=[1.0], tail_tol=tail_tol
+        )
 
 
 def test_asymmetric_buildup_level_differs(symmetric_profile, asymmetric_profile,
@@ -300,3 +313,77 @@ def test_kernel_log_scale_stays_zero_on_symmetric_poles(
             evolve_full(symmetric_profile, symmetric_poles_8ev, energy_ev, 80.0, t_fs=t_fs)
     assert len(worst) == 4 * (2 + 2 * 18)
     assert max(worst) <= BOUND
+
+
+# ------------------------------------------------------- blocked pole sum
+
+def whole_grid_pole_sum(profile, poles, energy_ev, x, t_fs):
+    """Psi and the last pair's term, every kernel taken over the unsplit grid."""
+    constants = profile.constants
+    k = constants.wavevector(energy_ev)
+    phi = stationary_state(profile, energy_ev).phi(x)
+    root_t = np.sqrt(constants.hbar2_over_2m * np.asarray(t_fs) / constants.hbar)
+    psi = phi * _moshinsky_m_grid(-EXP_MINUS_IPI4 * k * root_t) - np.conj(phi) * _moshinsky_m_grid(
+        EXP_MINUS_IPI4 * k * root_t
+    )
+    for state in sorted(poles, key=lambda s: s.eps_ev):
+        t_n = 2.0 * k * state.u0 * state.u(x) / (k * k - state.k * state.k)
+        term = -1j * (
+            t_n * _moshinsky_m_grid(-EXP_MINUS_IPI4 * state.k * root_t)
+            + np.conj(t_n) * _moshinsky_m_grid(EXP_MINUS_IPI4 * np.conj(state.k) * root_t)
+        )
+        psi = psi + term
+    return psi, term
+
+
+def quiet_full(profile, poles, energy_ev, x, t_fs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        return evolve_full(profile, poles, energy_ev, x, t_fs=t_fs)
+
+
+@pytest.mark.parametrize("points", [1, BLOCK, BLOCK + 1, 3 * BLOCK - 1])
+def test_blocked_pole_sum_matches_whole_grid(symmetric_profile, symmetric_poles_8ev, points):
+    t_fs = np.geomspace(1e-3, 1e5, points) if points > 1 else np.asarray([3.0])
+    sol = quiet_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
+    psi, last_term = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
+    assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi))
+    # the diagnostic as defined before the grid was split: the last pair's
+    # term at the last grid point, relative to |Psi| there
+    diag = abs(last_term[-1]) / abs(psi[-1])
+    assert sol.convergence_diag == pytest.approx(diag, rel=1e-14, abs=0.0)
+
+
+def test_pole_sum_does_not_depend_on_worker_count(
+    monkeypatch, asymmetric_profile, asymmetric_poles
+):
+    t_fs = np.geomspace(1e-2, 1e4, 3 * BLOCK - 1)
+    pooled = quiet_full(asymmetric_profile, asymmetric_poles, 0.15, 55.0, t_fs)
+    with ThreadPoolExecutor(1) as one_worker:
+        monkeypatch.setattr(rtbuildup.dynamics, "_executor", lambda: one_worker)
+        serial = quiet_full(asymmetric_profile, asymmetric_poles, 0.15, 55.0, t_fs)
+    assert np.array_equal(pooled.psi, serial.psi)
+    assert pooled.convergence_diag == serial.convergence_diag
+
+
+def _evolve_in_child(profile, poles, t_fs, expected):
+    sol = quiet_full(profile, poles, 0.2, 80.0, t_fs)
+    if not np.array_equal(sol.psi, expected):
+        raise SystemExit(3)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_runs_a_multi_block_evolve(symmetric_profile, symmetric_poles):
+    """A child forked after the pool has run gets a pool of its own instead of hanging."""
+    t_fs = np.geomspace(1e-2, 1e4, 2 * BLOCK + 1)
+    parent = quiet_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs)
+    child = multiprocessing.get_context("fork").Process(
+        target=_evolve_in_child, args=(symmetric_profile, symmetric_poles, t_fs, parent.psi)
+    )
+    child.start()
+    child.join(timeout=30.0)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("forked child did not finish a multi-block evolve within 30 s")
+    assert child.exitcode == 0
