@@ -18,6 +18,15 @@ from .resonances import ResonantState
 from .scattering import stationary_wave
 
 
+SLOPE_WINDOW = 0.5  # tau width of the moving and of the consecutive slope windows
+ONSET_DEVIATION = 0.2  # relative departure of a window slope from -1/2 that counts
+ONSET_PERSISTENCE = 3  # consecutive departing windows that make the onset
+FIT_TAU_MIN = 0.5  # start of the charging-law fit window
+ENVELOPE_MARGIN = 4.0  # tau after the onset where the envelope fit starts
+ENVELOPE_BLOCKS = 12  # log-spaced tau blocks of the envelope fit
+MIN_PER_BLOCK = 24  # samples a block needs to count
+
+
 class NodePositionError(ValueError):
     """|phi(x)| is numerically zero: normalization is meaningless at a node."""
 
@@ -64,25 +73,16 @@ class OnsetReport:
 
 
 def normalize_buildup(
-    solution: TransientSolution,
-    state: ResonantState,
-    profile=None,
-    energy_ev: float | None = None,
-    x: float | None = None,
-    *,
-    resonance_index: int | None = None,
+    solution: TransientSolution, state: ResonantState, *, resonance_index: int | None = None
 ) -> BuildupSeries:
     """|Psi/phi| series with time converted to lifetime units.
 
     phi is recomputed from the stationary solver at the solution's energy
-    and position (overridable), and tau = t Gamma_n / hbar.
+    and position, and tau = t Gamma_n / hbar.
     """
-    profile = profile if profile is not None else solution.profile
-    energy_ev = energy_ev if energy_ev is not None else solution.energy_ev
-    x = x if x is not None else solution.x
-    phi = stationary_wave(profile, energy_ev, x)
+    phi = stationary_wave(solution.profile, solution.energy_ev, solution.x)
     if abs(phi) < 1e-12:
-        raise NodePositionError(f"|phi({x})| = {abs(phi):.2e}; position sits on a node")
+        raise NodePositionError(f"|phi({solution.x})| = {abs(phi):.2e}; position sits on a node")
     tau = solution.t_fs / state.lifetime_fs
     ratio = np.abs(solution.psi / phi)
     return BuildupSeries(
@@ -204,58 +204,48 @@ def _window_slopes(
     return slopes
 
 
-def local_slopes(
-    tau: np.ndarray, values: np.ndarray, *, window: float = 0.5
-) -> np.ndarray:
-    """Moving linear-fit slope of ``values`` vs tau with +-window/2 support."""
-    half = 0.5 * window
+def local_slopes(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Moving linear-fit slope of ``values`` vs tau with +-SLOPE_WINDOW/2 support."""
+    half = 0.5 * SLOPE_WINDOW
     lo = np.searchsorted(tau, tau - half, side="left")
     hi = np.searchsorted(tau, tau + half, side="right")
     return _window_slopes(tau, values, lo, hi)
 
 
-def detect_onset(
-    series: BuildupSeries,
-    *,
-    window: float = 0.5,
-    rel_deviation: float = 0.2,
-    persistence: int = 3,
-    fit_tau_min: float = 0.5,
-    envelope_margin: float = 4.0,
-) -> OnsetReport:
+def detect_onset(series: BuildupSeries) -> OnsetReport:
     """Crossover time out of the exponential regime, plus the window fits.
 
-    The tau axis is cut into consecutive windows of the given width; the
-    onset is the left edge of the first of ``persistence`` consecutive
-    windows whose ln-delta slope deviates from -1/2 by more than
-    ``rel_deviation`` (relative).  Requiring a persistent run keeps the
+    The tau axis is cut into consecutive windows of width ``SLOPE_WINDOW``;
+    the onset is the left edge of the first of ``ONSET_PERSISTENCE``
+    consecutive windows whose ln-delta slope deviates from -1/2 by more than
+    ``ONSET_DEVIATION`` (relative).  Requiring a persistent run keeps the
     oscillatory structure right at the crossover from triggering early.
     """
     tau_d, ln_delta, _ = delta_curve(series)
     if tau_d.size < 16:
         raise NoOnsetError("series too short for onset detection")
-    start = max(fit_tau_min, float(tau_d[0]))
-    edges = np.arange(start, float(tau_d[-1]) + window, window)
+    start = max(FIT_TAU_MIN, float(tau_d[0]))
+    edges = np.arange(start, float(tau_d[-1]) + SLOPE_WINDOW, SLOPE_WINDOW)
     lo = np.searchsorted(tau_d, edges[:-1], side="left")
     hi = np.searchsorted(tau_d, edges[1:], side="left")
     slopes = _window_slopes(tau_d, ln_delta, lo, hi)
-    flagged = (hi - lo >= 4) & (np.abs(slopes + 0.5) > rel_deviation * 0.5)
+    flagged = (hi - lo >= 4) & (np.abs(slopes + 0.5) > ONSET_DEVIATION * 0.5)
 
     tau_onset = None
     run = 0
     for i, bad in enumerate(flagged):
         run = run + 1 if bad else 0
-        if run >= persistence:
-            tau_onset = float(edges[i - persistence + 1])
+        if run >= ONSET_PERSISTENCE:
+            tau_onset = float(edges[i - ONSET_PERSISTENCE + 1])
             break
     if tau_onset is None:
         raise NoOnsetError("no onset in range")
 
     fit_tau_max = min(6.0, tau_onset - 1.0)
-    base = fit_time_constant(series, tau_min=fit_tau_min, tau_max=fit_tau_max)
+    base = fit_time_constant(series, tau_min=FIT_TAU_MIN, tau_max=fit_tau_max)
 
     exponent = None
-    env_start = tau_onset + envelope_margin
+    env_start = tau_onset + ENVELOPE_MARGIN
     if series.tau[-1] >= 1.5 * env_start:
         mask = series.tau >= env_start
         # subtract the known exponential so the fit sees the power-law part
@@ -275,23 +265,22 @@ def detect_onset(
     )
 
 
-def fit_envelope_exponent(
-    tau: np.ndarray, values: np.ndarray, *, n_blocks: int = 12, min_per_block: int = 24
-) -> float:
+def fit_envelope_exponent(tau: np.ndarray, values: np.ndarray) -> float:
     """Power-law exponent of the envelope of an oscillatory series.
 
-    Block maxima over log-spaced tau blocks stand in for the envelope; the
-    fit is ln(max |values|) vs ln(tau) at the block centers.
+    Block maxima over those of the ``ENVELOPE_BLOCKS`` log-spaced tau blocks
+    that hold at least ``MIN_PER_BLOCK`` samples stand in for the envelope;
+    the fit is ln(max |values|) vs ln(tau) at the block centers.
     """
     tau = np.asarray(tau, dtype=float)
     values = np.abs(np.asarray(values, dtype=float))
-    if tau.size < n_blocks * min_per_block:
+    if tau.size < ENVELOPE_BLOCKS * MIN_PER_BLOCK:
         raise FitWindowError("too few samples for an envelope fit")
-    edges = np.geomspace(tau[0], tau[-1], n_blocks + 1)
+    edges = np.geomspace(tau[0], tau[-1], ENVELOPE_BLOCKS + 1)
     centers, maxima = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         mask = (tau >= a) & (tau <= b)
-        if np.count_nonzero(mask) < min_per_block:
+        if np.count_nonzero(mask) < MIN_PER_BLOCK:
             continue
         m = values[mask].max()
         if m > 0.0:

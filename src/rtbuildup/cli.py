@@ -143,7 +143,7 @@ def _add_common(parser, grid_defaults=(0.01, 50.0, 400, "log")):
     pos.add_argument(
         "--auto-max",
         action="store_true",
-        help="position at the |phi|^2 grid argmax inside the well",
+        help="position at the closed-form |phi|^2 maximum inside the well",
     )
     tmin, tmax, pts, spacing = grid_defaults
     parser.add_argument("--tau-min", type=float, default=tmin)
@@ -161,6 +161,8 @@ def _tau_grid(args) -> np.ndarray:
         raise CliUsageError("--points must be >= 1")
     if not (0.0 < args.tau_min <= args.tau_max < math.inf):
         raise CliUsageError("need 0 < tau-min <= tau-max < inf")
+    if args.points > 1 and args.tau_min == args.tau_max:
+        raise CliUsageError("--points > 1 needs tau-min < tau-max")
     if args.points == 1:
         return np.asarray([args.tau_min])
     if args.grid == "log":
@@ -186,41 +188,33 @@ def _e_max(args, profile: PotentialProfile) -> float:
 def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
     """Position of the |phi|^2 maximum inside the lowest interior segments (the well).
 
-    Grid local maxima are sharpened by golden-section search; a symmetric
-    structure at resonance has exactly degenerate lobes, so ties (within
-    1e-9 relative) are resolved toward the smallest x for determinism.
+    In a segment [a, b] of height V, phi(a + s) = A e^{i kappa s} + B e^{-i kappa s}
+    with kappa^2 = k^2 - V / c2 and A, B = (phi(a) +- phi'(a) / (i kappa)) / 2.
+    For real kappa, |phi|^2 = |A|^2 + |B|^2 + 2 Re(A B* e^{2i kappa s}) peaks
+    at s = (2 pi m - arg(A B*)) / (2 kappa); for imaginary kappa it is convex,
+    so only the edges can be the maximum.  Both edges are always candidates.
+    A symmetric structure at resonance has exactly degenerate lobes, so ties
+    (within 1e-9 relative) are resolved toward the smallest x.
     """
-    from scipy.optimize import minimize_scalar
-
-    interior = range(1, len(profile.segments) - 1)
-    floor = min((profile.segments[j][1] for j in interior), default=None)
-    wells = [
-        (profile.boundaries[j], profile.boundaries[j + 1])
-        for j in interior
-        if profile.segments[j][1] == floor
-    ]
-    if not wells:
-        wells = [(profile.boundaries[0], profile.boundaries[-1])]
+    heights = profile.heights
+    interior = heights[1:-1]
+    chosen = 1 + np.flatnonzero(interior == interior.min()) if interior.size else np.arange(heights.size)
     state = stationary_state(profile, energy_ev)
-    candidates: list[tuple[float, float]] = []
-    for a, b in wells:
-        xs = np.linspace(a, b, max(32, int((b - a) / 0.25) + 1))
-        vals = np.abs(state.phi(xs)) ** 2
-        peak_idx = list(np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1)
-        for edge in (0, len(xs) - 1):  # lobe maximum can sit on the well edge
-            if vals[edge] >= vals.max() * (1.0 - 1e-12):
-                peak_idx.append(edge)
-        for i in peak_idx:
-            lo, hi = max(0, i - 1), min(len(xs) - 1, i + 1)
-            res = minimize_scalar(
-                lambda x: -abs(state.phi(float(np.clip(x, a, b)))) ** 2,
-                bracket=None, bounds=(xs[lo], xs[hi]), method="bounded",
-                options={"xatol": 1e-10},
-            )
-            candidates.append((float(np.clip(res.x, a, b)), float(-res.fun)))
-    best = max(v for _, v in candidates)
-    tied = [x for x, v in candidates if v >= best * (1.0 - 1e-9)]
-    return min(tied)
+    a, b = profile.boundaries[chosen], profile.boundaries[chosen + 1]
+    kappa2 = state.k**2 - heights[chosen] / profile.constants.hbar2_over_2m
+    phi_a = state.phi(a)
+    ratio = state.phi_derivative(a) / (1j * np.sqrt(kappa2.astype(complex)))
+    phase = np.angle((phi_a + ratio) * np.conj(phi_a - ratio))
+    turn = 2.0 * math.pi
+    candidates = [a, b]
+    for lo, hi, k2, ph in zip(a, b, kappa2, phase):
+        if k2 > 0.0:  # one maximum per half wavelength
+            two_kappa = 2.0 * math.sqrt(k2)
+            m = np.arange(math.ceil(ph / turn), math.floor((two_kappa * (hi - lo) + ph) / turn) + 1)
+            candidates.append(np.clip(lo + (turn * m - ph) / two_kappa, lo, hi))
+    xs = np.concatenate(candidates)
+    vals = np.abs(state.phi(xs)) ** 2
+    return float(np.min(xs[vals >= vals.max() * (1.0 - 1e-9)]))
 
 
 def _select(args) -> _Selection:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -29,9 +30,11 @@ class PotentialProfile:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ProfileError("profile needs at least one segment")
-        for i, (width, _height) in enumerate(self.segments):
-            if not width > 0.0:
-                raise ProfileError(f"segment {i}: width must be positive, got {width}")
+        for i, (width, height) in enumerate(self.segments):
+            if not 0.0 < width < math.inf:
+                raise ProfileError(f"segment {i}: width must be positive and finite, got {width}")
+            if not math.isfinite(height):
+                raise ProfileError(f"segment {i}: height must be finite, got {height}")
         edges = np.concatenate(([0.0], np.cumsum([w for w, _ in self.segments])))
         object.__setattr__(self, "boundaries", edges)
 
@@ -57,6 +60,8 @@ def build_profile(
     mass_factor: float = 0.067,
 ) -> PotentialProfile:
     """Validated profile from (width_angstrom, height_ev) pairs."""
+    if not 0.0 < mass_factor < math.inf:
+        raise ProfileError(f"mass_factor must be positive and finite, got {mass_factor}")
     segs = tuple((float(w), float(h)) for w, h in segments)
     return PotentialProfile(segs, PhysicalConstants(electron_mass_factor=mass_factor))
 

@@ -32,6 +32,13 @@ from .profile import PotentialProfile
 from .scattering import _PiecewiseWave, _transfer_entries, bound_state_energies, transmission_scan
 
 
+SCAN_FLOOR_EV = 1e-3  # lower end of the seed scan
+NEWTON_TOL = 1e-12  # Newton stops once its step is below this, in 1/A
+BC_TOL = 1e-8  # largest relative outgoing-boundary residual of a pole
+SAMPLES_PER_EDGE = 128
+MAX_REFINEMENTS = 60  # bisection budget per edge, in multiples of SAMPLES_PER_EDGE
+
+
 class PoleConvergenceError(RuntimeError):
     """Newton refinement failed to converge to a pole."""
 
@@ -94,7 +101,7 @@ def refine_pole(
     profile: PotentialProfile,
     k_seed: complex,
     *,
-    tol: float = 1e-12,
+    tol: float = NEWTON_TOL,
     max_iter: int = 100,
 ) -> complex:
     """Newton iteration on m22(k) from one seed momentum (see ``_newton``)."""
@@ -104,11 +111,6 @@ def refine_pole(
             f"no convergence from seed {k_seed} in {max_iter} iterations (last k {k[0]})"
         )
     return complex(k[0])
-
-
-SCAN_FLOOR_EV = 1e-3  # default lower end of the seed scan
-SAMPLES_PER_EDGE = 128
-MAX_REFINEMENTS = 60  # bisection budget per edge, in multiples of SAMPLES_PER_EDGE
 
 
 def _contour_steps(
@@ -207,18 +209,13 @@ class ResonantState:
         return self._wave.derivative(x)
 
 
-def gamow_state(
-    profile: PotentialProfile,
-    k_n: complex,
-    *,
-    bc_tol: float = 1e-8,
-) -> ResonantState:
+def gamow_state(profile: PotentialProfile, k_n: complex) -> ResonantState:
     """Normalized Gamow eigenfunction for a verified pole momentum.
 
     Integrates (psi, psi') from x = 0 with u(0) = 1, u'(0) = -i k_n u(0) and
-    checks the outgoing condition u'(L) = +i k_n u(L); failure means k_n is
-    not actually a pole.  The normalization integral of u^2 is exact, a sum
-    of closed-form segment integrals.
+    checks the outgoing condition u'(L) = +i k_n u(L); a relative residual
+    above ``BC_TOL`` means k_n is not actually a pole.  The normalization
+    integral of u^2 is exact, a sum of closed-form segment integrals.
     """
     k_n = complex(k_n)
     if not (k_n.real > 0.0 and k_n.imag < 0.0):
@@ -226,9 +223,9 @@ def gamow_state(
     wave = _PiecewiseWave(profile, k_n, 1.0, -1j * k_n)
     u_l, du_l = wave.end_values
     residual = abs(du_l - 1j * k_n * u_l) / (abs(k_n) * abs(u_l))
-    if residual > bc_tol:
+    if residual > BC_TOL:
         raise GamowResidualError(
-            f"outgoing-boundary residual {residual:.2e} exceeds {bc_tol:.1e}; not a pole"
+            f"outgoing-boundary residual {residual:.2e} exceeds {BC_TOL:.1e}; not a pole"
         )
 
     norm_sq = wave.square_integral()
@@ -248,9 +245,6 @@ def find_poles(
     e_max_ev: float,
     max_poles: int | None = None,
     *,
-    e_min_ev: float = SCAN_FLOOR_EV,
-    points_per_decade: int = 2000,
-    newton_tol: float = 1e-12,
     max_iter: int = 100,
 ) -> list[ResonantState]:
     """Poles with eps_n <= e_max_ev, sorted by resonance energy.
@@ -275,10 +269,10 @@ def find_poles(
             "the resonance expansion omits bound states"
         )
     c2 = profile.constants.hbar2_over_2m
-    scan = transmission_scan(profile, e_min_ev, e_max_ev, points_per_decade=points_per_decade)
+    scan = transmission_scan(profile, SCAN_FLOOR_EV, e_max_ev)
 
     seeds = [cmath.sqrt((p.energy_ev - 0.5j * p.gamma_estimate_ev) / c2) for p in scan.peaks]
-    ks, converged = _newton(profile, seeds, tol=newton_tol, max_iter=max_iter)
+    ks, converged = _newton(profile, seeds, tol=NEWTON_TOL, max_iter=max_iter)
     found: list[complex] = []
     for k in ks[converged].tolist():
         if k.real > 0.0 and k.imag < 0.0 and _is_new(k, found):
@@ -287,7 +281,7 @@ def find_poles(
     # pad the rectangle so corners cannot land exactly on a barrier-top
     # wavevector (kappa = 0 there) or on a pole
     k_hi = profile.constants.wavevector(e_max_ev) * (1.0 + 3e-9)
-    k_lo = 0.5 * profile.constants.wavevector(e_min_ev)
+    k_lo = 0.5 * profile.constants.wavevector(SCAN_FLOOR_EV)
     rectangle = ((k_lo, k_hi), (-k_hi, 0.0))
 
     def in_rectangle(ks):
@@ -298,7 +292,7 @@ def find_poles(
     if count > len(in_rect):
         # a pole without a clean transmission maximum (broad, above the
         # barrier top, or riding a monotone background)
-        recovered = _recover_poles(profile, *rectangle, in_rect, newton_tol=newton_tol, max_iter=max_iter)
+        recovered = _recover_poles(profile, *rectangle, in_rect, max_iter=max_iter)
         found += [k for k in recovered if _is_new(k, found)]
         in_rect = in_rectangle(found)
     if count != len(in_rect):
@@ -317,7 +311,7 @@ def find_poles(
 
 def _recover_poles(
     profile: PotentialProfile, re_range: tuple[float, float], im_range: tuple[float, float],
-    known: list[complex], *, newton_tol: float, max_iter: int,
+    known: list[complex], *, max_iter: int,
 ) -> list[complex]:
     """Poles the seed scan missed, from contour moments of the deflated m22.
 
@@ -345,7 +339,7 @@ def _recover_poles(
             coeffs.append(-sum(coeffs[i] * sums[p - i] for i in range(p)) / p)
         before = len(recovered)
         seeds = center + scale * np.roots(coeffs)
-        ks, converged = _newton(profile, seeds, tol=newton_tol, max_iter=max_iter)
+        ks, converged = _newton(profile, seeds, tol=NEWTON_TOL, max_iter=max_iter)
         for k in ks[converged].tolist():
             if _is_new(k, known + recovered) and re_lo <= k.real <= re_hi and im_lo <= k.imag < 0.0:
                 recovered.append(k)

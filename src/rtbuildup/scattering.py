@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.optimize import brentq
 
 from .profile import PotentialProfile
 
@@ -238,8 +237,9 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
 
     A bound state is a zero of m22 at k = iq with q > 0, where m22 is real.
     Its energy -c2 q^2 lies above the lowest segment height, so every sign
-    change of m22(iq) on a grid over 0 < q <= sqrt(-min V / c2) is one, and
-    Brent's method pins it.
+    change of m22(iq) on a grid over 0 < q <= sqrt(-min V / c2) is one.  All
+    brackets are bisected in lockstep, one transfer-matrix call per round,
+    until each is at most 1e-15 of its lower end wide.
     """
     c2 = profile.constants.hbar2_over_2m
     q_max = float(np.sqrt(max(-np.min(profile.heights), 0.0) / c2))
@@ -251,12 +251,20 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
     for h in profile.heights:  # keep off kappa = 0, as transmission_scan does
         q[q * q == -h / c2] *= 1.0 - 1e-9
 
-    def m22(q):
-        return _transfer_entries(profile, 1j * np.asarray(q))[3].real
+    def negative(q):
+        return np.signbit(_transfer_entries(profile, 1j * q)[3].real)
 
-    sign = np.signbit(m22(q))
+    sign = negative(q)
     flips = np.flatnonzero(sign[1:] != sign[:-1])[::-1]
-    return np.asarray([-c2 * brentq(m22, q[i], q[i + 1], xtol=1e-15 * q[i]) ** 2 for i in flips])
+    lo, hi, lo_sign = q[flips], q[flips + 1], sign[flips]
+    while True:
+        active = np.flatnonzero(hi - lo > 1e-15 * lo)
+        if active.size == 0:
+            return -c2 * (0.5 * (lo + hi)) ** 2
+        mid = 0.5 * (lo[active] + hi[active])
+        same = negative(mid) == lo_sign[active]
+        lo[active[same]] = mid[same]
+        hi[active[~same]] = mid[~same]
 
 
 @dataclass(frozen=True)
@@ -281,6 +289,9 @@ class ScanResult:
     peaks: tuple[PeakSeed, ...]
 
 
+POINTS_PER_DECADE = 2000  # default density of the transmission scan
+
+
 def _transmission_grid(profile: PotentialProfile, energies_ev: np.ndarray) -> np.ndarray:
     c2 = profile.constants.hbar2_over_2m
     k = np.sqrt(energies_ev / c2)
@@ -289,16 +300,11 @@ def _transmission_grid(profile: PotentialProfile, energies_ev: np.ndarray) -> np
 
 
 def transmission_scan(
-    profile: PotentialProfile,
-    e_min_ev: float,
-    e_max_ev: float,
-    n_points: int | None = None,
-    *,
-    points_per_decade: int = 2000,
+    profile: PotentialProfile, e_min_ev: float, e_max_ev: float, n_points: int | None = None
 ) -> ScanResult:
     """|t(E)|^2 on a log-spaced grid plus its local maxima, in one transfer-matrix call.
 
-    The default density (2000 points per decade) resolves widths down to a
+    The default density (``POINTS_PER_DECADE``) resolves widths down to a
     small fraction of a meV at typical resonance energies.  Near a pole
     1/|t|^2 = |m22|^2 is nearly quadratic in E, so each grid maximum reports
     the vertex of the parabola through 1/|t|^2 at E[i-1], E[i] and E[i+1],
@@ -309,7 +315,7 @@ def transmission_scan(
         raise ValueError("need 0 < e_min < e_max")
     if n_points is None:
         decades = np.log10(e_max_ev / e_min_ev)
-        n_points = max(64, int(np.ceil(decades * points_per_decade)) + 1)
+        n_points = max(64, int(np.ceil(decades * POINTS_PER_DECADE)) + 1)
     energies = np.logspace(np.log10(e_min_ev), np.log10(e_max_ev), n_points)
     # a grid point whose rounded wavevector lands exactly on a segment height
     # makes the local wavevector vanish; nudge off the measure-zero singularity

@@ -92,6 +92,8 @@ def test_cli_usage_error_exits_one(cfg_paths):
     (["evolve", "--energy-ev", "0.09", "--x-angstrom", "80", "--tail-tol", "nan"], "--tail-tol must be positive"),
     (["evolve", "--energy-ev", "0.09", "--x-angstrom", "80", "--tail-tol", "-1"], "--tail-tol must be positive"),
     (["evolve", "--energy-ev", "0.09", "--x-angstrom", "80", "--tail-tol", "0"], "--tail-tol must be positive"),
+    (["evolve", "--resonance", "1", "--x-angstrom", "80", "--tau-min", "0.5", "--tau-max", "0.5",
+      "--points", "3"], "--points > 1 needs tau-min < tau-max"),
 ])
 def test_non_finite_or_out_of_range_numbers_exit_one(cfg_paths, tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
@@ -99,6 +101,30 @@ def test_non_finite_or_out_of_range_numbers_exit_one(cfg_paths, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err and "warning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("mass_factor = 0", "mass_factor must be positive and finite, got 0.0"),
+    ("mass_factor = -0.067", "mass_factor must be positive and finite, got -0.067"),
+    ("mass_factor = nan", "mass_factor must be positive and finite, got nan"),
+    ("mass_factor = inf", "mass_factor must be positive and finite, got inf"),
+    ("segment = 100 nan", "segment 1: height must be finite, got nan"),
+    ("segment = inf 0.0", "segment 1: width must be positive and finite, got inf"),
+    ("segment = 100 inf", "segment 1: height must be finite, got inf"),
+])
+def test_bad_profile_numbers_exit_one(tmp_path, capsys, line, message):
+    lines = ["segment = 30 0.5", "segment = 100 0.0", "segment = 30 0.5"]
+    if line.startswith("segment"):
+        lines[1] = line
+    else:
+        lines.insert(0, line)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.csv"
+    assert main(["evolve", "--profile", str(cfg), "--resonance", "1", "--auto-max", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -146,11 +172,135 @@ def test_evolve_auto_max_positions(cfg_paths, tmp_path):
     assert _auto_max_position(sym, poles[1].eps_ev) == pytest.approx(48.0, abs=2.0)
 
 
+LIFTED_CFG = "segment = 30 0.3\nsegment = 100 0.05\nsegment = 30 0.3\n"
+
+
+def golden_section_auto_max(profile, energy_ev):
+    """Reference |phi|^2 maximum in the well: grid local maxima sharpened by golden section.
+
+    Brent's bounded minimizer within one 0.25 A grid step either side of each
+    grid maximum (both edges too when they reach the grid maximum); ties
+    within 1e-9 relative go to the smallest x.
+    """
+    from scipy.optimize import minimize_scalar
+
+    from rtbuildup import stationary_state
+
+    interior = range(1, len(profile.segments) - 1)
+    floor = min((profile.segments[j][1] for j in interior), default=None)
+    wells = [
+        (profile.boundaries[j], profile.boundaries[j + 1])
+        for j in interior
+        if profile.segments[j][1] == floor
+    ] or [(profile.boundaries[0], profile.boundaries[-1])]
+    state = stationary_state(profile, energy_ev)
+    candidates = []
+    for a, b in wells:
+        xs = np.linspace(a, b, max(32, int((b - a) / 0.25) + 1))
+        vals = np.abs(state.phi(xs)) ** 2
+        peak_idx = list(np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])) + 1)
+        peak_idx += [i for i in (0, len(xs) - 1) if vals[i] >= vals.max() * (1.0 - 1e-12)]
+        for i in peak_idx:
+            res = minimize_scalar(
+                lambda x: -abs(state.phi(float(np.clip(x, a, b)))) ** 2,
+                bounds=(xs[max(0, i - 1)], xs[min(len(xs) - 1, i + 1)]), method="bounded",
+                options={"xatol": 1e-10},
+            )
+            candidates.append((float(np.clip(res.x, a, b)), float(-res.fun)))
+    best = max(v for _, v in candidates)
+    return min(x for x, v in candidates if v >= best * (1.0 - 1e-9))
+
+
+def auto_max_cases():
+    from rtbuildup import find_poles
+
+    sym, asym = parse_profile_text(SYMMETRIC_CFG), parse_profile_text(ASYMMETRIC_CFG)
+    cases = []
+    for name, profile, top in (("sym", sym, 0.5), ("asym", asym, 0.3)):
+        cases += [(f"{name}-res{n}", profile, s.eps_ev) for n, s in enumerate(find_poles(profile, top), 1)]
+        cases += [(f"{name}-{e}", profile, e) for e in (0.03, 0.2, 0.31)]
+    lifted = parse_profile_text(LIFTED_CFG)
+    cases += [(f"lifted-{e}", lifted, e) for e in (0.02, 0.06, 0.12, 0.1295)]
+    return cases
+
+
+def test_closed_form_auto_max_matches_golden_section():
+    from rtbuildup.cli import _auto_max_position
+
+    cases = auto_max_cases()
+    assert len(cases) == 14  # 3 + 1 resonances below the barrier tops, 6 energies, 4 lifted
+    for label, profile, energy in cases:
+        x = _auto_max_position(profile, energy)
+        assert x == pytest.approx(golden_section_auto_max(profile, energy), abs=1e-6), label
+
+
+@pytest.mark.parametrize("label, energy, edge", [
+    ("lifted", 0.02, 30.0),  # evanescent in the well: |phi|^2 is convex there
+    ("lifted", 0.06, 30.0),
+    ("asym", 0.03, 30.0),
+])
+def test_auto_max_on_a_well_edge_is_the_edge_exactly(label, energy, edge):
+    from rtbuildup.cli import _auto_max_position
+
+    profile = parse_profile_text(LIFTED_CFG if label == "lifted" else ASYMMETRIC_CFG)
+    assert _auto_max_position(profile, energy) == edge
+
+
+@pytest.mark.parametrize("energy, segment", [(0.05, 0), (0.3, 1)])
+def test_auto_max_without_interior_segments_searches_the_whole_profile(energy, segment):
+    from rtbuildup import stationary_state
+    from rtbuildup.cli import _auto_max_position
+
+    profile = parse_profile_text("segment = 60 0.0\nsegment = 40 0.2\n")
+    x = _auto_max_position(profile, energy)
+    assert x == pytest.approx(golden_section_auto_max(profile, energy), abs=1e-6)
+    assert profile.boundaries[segment] < x < profile.boundaries[segment + 1]
+    phi = stationary_state(profile, energy).phi
+    grid = np.abs(phi(np.linspace(0.0, profile.total_length, 20001))) ** 2
+    assert abs(phi(x)) ** 2 >= np.max(grid) * (1.0 - 1e-12)
+
+
+def test_cli_runs_leave_scipy_optimize_unimported(tmp_path):
+    """Importing the CLI and running each subcommand never loads scipy.optimize."""
+    import ast
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rtbuildup
+
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    negative = tmp_path / "negative_well.cfg"
+    negative.write_text("segment = 30 0.3\nsegment = 100 -0.1\nsegment = 30 0.3\n")
+    out = str(tmp_path / "out.csv")
+    runs = [["poles", "--profile", str(negative)]]
+    for cfg in ("symmetric.cfg", "asymmetric.cfg"):
+        profile = ["--profile", str(configs / cfg), "--resonance", "1", "--auto-max", "--out", out]
+        runs += [["poles", "--profile", str(configs / cfg), "--out", out], ["evolve"] + profile,
+                 ["buildup"] + profile, ["crossover"] + profile + ["--points", "4001"]]
+    script = (
+        "import sys\n"
+        "from rtbuildup.cli import main\n"
+        "loaded = ['scipy.optimize' in sys.modules]\n"
+        f"for argv in {runs!r}:\n"
+        "    loaded.append((main(argv), 'scipy.optimize' in sys.modules))\n"
+        "print(loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rtbuildup.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = ast.literal_eval(done.stdout)
+    assert loaded[0] is False
+    assert loaded[1] == (1, False)  # the negative well binds a state
+    assert loaded[2:] == [(0, False)] * 8
+
+
 @pytest.mark.parametrize("energy", [0.06, 0.12, 0.1295])
 def test_auto_max_on_lifted_well_stays_in_the_well(energy):
     from rtbuildup.cli import _auto_max_position
 
-    lifted = parse_profile_text("segment = 30 0.3\nsegment = 100 0.05\nsegment = 30 0.3\n")
+    lifted = parse_profile_text(LIFTED_CFG)
     assert 30.0 <= _auto_max_position(lifted, energy) <= 130.0
 
 

@@ -39,6 +39,24 @@ def test_rejects_nonpositive_mass():
         build_profile([(10, 0.1)], mass_factor=0.0)
 
 
+@pytest.mark.parametrize("mass_factor", [0.0, -0.067, float("nan"), float("inf")])
+def test_rejects_non_positive_or_non_finite_mass_as_profile_error(mass_factor):
+    with pytest.raises(ProfileError, match="mass_factor must be positive and finite"):
+        build_profile([(10, 0.1)], mass_factor=mass_factor)
+
+
+@pytest.mark.parametrize("segment, message", [
+    ((float("inf"), 0.1), "width must be positive and finite"),
+    ((float("nan"), 0.1), "width must be positive and finite"),
+    ((10.0, float("nan")), "height must be finite"),
+    ((10.0, float("inf")), "height must be finite"),
+    ((10.0, -float("inf")), "height must be finite"),
+])
+def test_rejects_non_finite_segment_numbers(segment, message):
+    with pytest.raises(ProfileError, match=message):
+        build_profile([(30.0, 0.5), segment])
+
+
 @pytest.mark.parametrize(
     "x,expected",
     [(80.0, 0.0), (-5.0, 0.0), (15.0, 0.5), (0.0, 0.5), (30.0, 0.0), (160.0, 0.0), (1e6, 0.0)],

@@ -314,6 +314,36 @@ def test_bound_state_energies_match_finite_difference_box(segments):
     np.testing.assert_allclose(energies, oracle, atol=2e-5)
 
 
+@pytest.mark.parametrize("segments", [
+    [(30.0, 0.3), (100.0, -0.1), (30.0, 0.3)],
+    [(200.0, -0.5)],
+    [(20.0, -0.2), (40.0, 0.4), (60.0, -0.05)],
+    [(1.0, -1e-4)],
+    [(50.0, 0.2), (300.0, -0.3), (10.0, 0.0), (40.0, -0.6), (50.0, 0.2)],
+])
+def test_lockstep_bisection_matches_brent(segments, monkeypatch):
+    """Every bound state agrees to 1e-13 with Brent's method started around it."""
+    from scipy.optimize import brentq
+
+    profile = build_profile(segments)
+    c2 = profile.constants.hbar2_over_2m
+
+    def m22(q):
+        return _transfer_entries(profile, 1j * np.asarray(q))[3].real
+
+    calls = []
+    monkeypatch.setattr(
+        scattering, "_transfer_entries", lambda p, k: calls.append(np.size(k)) or _transfer_entries(p, k)
+    )
+    energies = bound_state_energies(profile)
+    q = np.sqrt(-energies / c2)
+    # a bracket 1e-9 either side of each root; brentq raises if it holds no sign change
+    oracle = [-c2 * brentq(m22, r * (1 - 1e-9), r * (1 + 1e-9), xtol=1e-15 * r) ** 2 for r in q]
+    np.testing.assert_allclose(energies, oracle, rtol=1e-13, atol=0.0)
+    assert len(calls) <= 60  # one grid call, then one call per bisection round
+    assert all(n <= len(energies) for n in calls[1:])
+
+
 def test_bound_state_energies_empty_without_negative_heights():
     assert bound_state_energies(build_profile([(30.0, 0.5), (100.0, 0.0), (30.0, 0.5)])).size == 0
     assert bound_state_energies(build_profile([(30.0, 0.3), (100.0, 0.05), (30.0, 0.3)])).size == 0
