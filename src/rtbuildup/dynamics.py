@@ -11,9 +11,12 @@ k_{-n} = -k_n*.  The single-resonance form keeps one pole pair; on resonance
 it decomposes into the exponential charging term |phi|^2 (1 - e^{-tau/2})^2
 plus an algebraically decaying remainder.
 
-The sum is evaluated over fixed slices of ``BLOCK`` grid points, one slice
-per task on a thread pool; each slice holds the free term and every pole
-pair, so the values do not depend on how many workers run them.
+Since y_k = -y_{-k}, the reflection identity writes the free term as
+phi (exp(y_{-k}^2) - M(y_{-k})) - phi* M(y_{-k}), one kernel call; with one
+per ray of each pole pair, P pairs take 2P + 1 Faddeeva evaluations per grid
+point.  The sum is evaluated over fixed slices of ``BLOCK`` grid points, one
+slice per task on a thread pool; each slice holds the free term and every
+pole pair, so the values do not depend on how many workers run them.
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ def _resolve_grid(reference: ResonantState | None, tau, t_fs):
         tau = t_fs / reference.lifetime_fs if reference is not None else None
     if t_fs.ndim != 1 or t_fs.size == 0:
         raise ValueError("time grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(t_fs)):
+        raise ValueError("time grid must be finite")
     if np.any(t_fs <= 0.0) or np.any(np.diff(t_fs) <= 0.0):
         raise ValueError("time grid must be strictly increasing and positive")
     return tau, t_fs
@@ -106,6 +111,8 @@ def _pole_pair_term(t_n: complex, k_n: complex, root_t: np.ndarray) -> np.ndarra
 
 
 def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
+    if not 0.0 < energy_ev < math.inf:
+        raise ValueError(f"energy must be positive and finite, got {energy_ev}")
     if not 0.0 <= x <= profile.total_length:
         raise ValueError(f"position {x} outside [0, {profile.total_length}] A")
     tau, t_fs = _resolve_grid(reference, tau, t_fs)
@@ -121,9 +128,10 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
         """Fill psi[start:start + BLOCK]; return the last pair's term at its last point."""
         r = root_t[start:start + BLOCK]
         out = psi[start:start + BLOCK]
-        y_k = -EXP_MINUS_IPI4 * k * r
+        # y_k = -y_{-k}, so M(y_k) = exp(y_{-k}^2) - M(y_{-k}) by the reflection
         y_mk = EXP_MINUS_IPI4 * k * r
-        out[:] = phi * _moshinsky_m_grid(y_k) - np.conj(phi) * _moshinsky_m_grid(y_mk)
+        m = _moshinsky_m_grid(y_mk)
+        out[:] = phi * (np.exp(y_mk * y_mk) - m) - np.conj(phi) * m
         for t_n, k_n in pairs:
             term = _pole_pair_term(t_n, k_n, r)
             out += term

@@ -10,8 +10,10 @@ obtained from the reflection
 whose exponential exceeds the double range once Re(y^2) passes ~709.  One
 vectorized kernel evaluates both branches; a reflected value is formed as
 mantissa * exp(s) with s = max(Re y^2, 0), and ``moshinsky_m(y, scaled=True)``
-returns that pair instead of multiplying it out.  The physical arguments
-keep s ~ 0, so only the plain value enters the dynamics.
+returns that pair instead of multiplying it out.  Each ray the pole sum
+sends lies on one branch with s = 0, so only the plain value enters the
+dynamics, and the kernel takes it in one ``wofz`` call over the whole
+array, with no masks and no scale.
 
 Momentum arguments follow
 
@@ -55,21 +57,37 @@ def _moshinsky_m_grid(y, scaled: bool = False):
     M(y) = exp(y^2) - M(-y) is formed as mantissa * exp(s) with
     s = max(Re y^2, 0).  ``scaled`` returns the (mantissa, log_scale) pair,
     which cannot overflow; the plain value multiplies it out and raises
-    ``MoshinskyOverflowError`` past the double range.  Physical kernel
-    arguments keep s ~ 0: a reflected y_{k_n} has Re(y^2) < 0 and y_k has
-    |exp(y^2)| = 1.
+    ``MoshinskyOverflowError`` past the double range.
+
+    An array on one branch with s = 0 throughout (all direct, or all
+    reflected with Re(y^2) <= 0) skips the masks and the scale, which would
+    only multiply by exp(0) = 1.  Every physical ray is such an array:
+    y_{-k} and y_{-k_n*} are direct, and a reflected y_{k_n} has
+    Re(y^2) < 0.
     """
     y = np.asarray(y, dtype=complex)
+    if y.real.min(initial=0.0) >= 0.0:
+        value = 0.5 * wofz(1j * y)
+    else:
+        yy = y * y
+        if y.real.max() < 0.0 and yy.real.max() <= 0.0:
+            value = np.exp(yy) - 0.5 * wofz(-1j * y)
+        else:
+            return _moshinsky_m_masked(y, yy, scaled)
+    return (value, np.zeros(y.shape)) if scaled else value
+
+
+def _moshinsky_m_masked(y, yy, scaled: bool):
+    """The general form of ``_moshinsky_m_grid`` for arrays that mix branches or need a scale."""
     mantissa = np.empty_like(y)
     log_scale = np.zeros(y.shape)
     direct = y.real >= 0.0
     mantissa[direct] = 0.5 * wofz(1j * y[direct])
-    if not np.all(direct):
-        y_refl = y[~direct]
-        yy = y_refl * y_refl
-        s = np.maximum(yy.real, 0.0)
-        mantissa[~direct] = np.exp(yy - s) - 0.5 * wofz(-1j * y_refl) * np.exp(-s)
-        log_scale[~direct] = s
+    y_refl = y[~direct]
+    yy = yy[~direct]
+    s = np.maximum(yy.real, 0.0)
+    mantissa[~direct] = np.exp(yy - s) - 0.5 * wofz(-1j * y_refl) * np.exp(-s)
+    log_scale[~direct] = s
     if scaled:
         return mantissa, log_scale
     with np.errstate(over="ignore", invalid="ignore"):

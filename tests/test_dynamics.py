@@ -43,6 +43,25 @@ def test_grid_validation(symmetric_profile, symmetric_poles):
         evolve_single_resonance(symmetric_profile, st, st.eps_ev, 200.0, tau=[1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("grid", ["t_fs", "tau"])
+def test_grid_rejects_non_finite_times(symmetric_profile, symmetric_poles, grid, bad):
+    st = symmetric_poles[0]
+    with pytest.raises(ValueError):
+        evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, **{grid: [1.0, bad]})
+    with pytest.raises(ValueError):
+        evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, **{grid: [bad]}, reference=st)
+
+
+@pytest.mark.parametrize("energy_ev", [np.nan, np.inf, 0.0, -0.1])
+def test_evolve_rejects_energy_outside_zero_to_inf(symmetric_profile, symmetric_poles, energy_ev):
+    st = symmetric_poles[0]
+    with pytest.raises(ValueError):
+        evolve_full(symmetric_profile, symmetric_poles, energy_ev, 80.0, t_fs=[1.0, 2.0])
+    with pytest.raises(ValueError):
+        evolve_single_resonance(symmetric_profile, st, energy_ev, 80.0, t_fs=[1.0, 2.0])
+
+
 def test_rejects_far_off_resonance_energy(symmetric_profile, symmetric_poles):
     st = symmetric_poles[0]
     with pytest.raises(ValueError):
@@ -311,8 +330,14 @@ def test_kernel_log_scale_stays_zero_on_symmetric_poles(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             evolve_full(symmetric_profile, symmetric_poles_8ev, energy_ev, 80.0, t_fs=t_fs)
-    assert len(worst) == 4 * (2 + 2 * 18)
+    assert len(worst) == 4 * (1 + 2 * 18)
     assert max(worst) <= BOUND
+    # the free term's exp(y_{-k}^2) is taken outside the kernel
+    constants = symmetric_profile.constants
+    root_t = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
+    for energy_ev in (0.0378, 0.2, 1.0, 5.0):
+        y_mk = EXP_MINUS_IPI4 * constants.wavevector(energy_ev) * root_t
+        assert np.all(np.abs((y_mk * y_mk).real) <= BOUND * np.abs(y_mk) ** 2)
 
 
 # ------------------------------------------------------- blocked pole sum

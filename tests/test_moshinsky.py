@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import wofz
 
 from rtbuildup import (
     MoshinskyArgument,
@@ -15,7 +16,7 @@ from rtbuildup import (
     moshinsky_asymptotic,
     moshinsky_m,
 )
-from rtbuildup.moshinsky import _moshinsky_m_grid
+from rtbuildup.moshinsky import EXP_MINUS_IPI4, _moshinsky_m_grid
 
 mp.mp.dps = 35
 
@@ -160,6 +161,76 @@ def test_reflect_dominated_by_exponential_where_it_grows():
 def test_grid_evaluator_overflow_guard():
     with pytest.raises(MoshinskyOverflowError):
         _moshinsky_m_grid(np.asarray([-40.0 + 0.0j]))
+
+
+def masked_kernel(y, scaled=False):
+    """The general-plane kernel with masks and a scale on every input (the reference)."""
+    y = np.asarray(y, dtype=complex)
+    mantissa = np.empty_like(y)
+    log_scale = np.zeros(y.shape)
+    direct = y.real >= 0.0
+    mantissa[direct] = 0.5 * wofz(1j * y[direct])
+    if not np.all(direct):
+        y_refl = y[~direct]
+        yy = y_refl * y_refl
+        s = np.maximum(yy.real, 0.0)
+        mantissa[~direct] = np.exp(yy - s) - 0.5 * wofz(-1j * y_refl) * np.exp(-s)
+        log_scale[~direct] = s
+    if scaled:
+        return mantissa, log_scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = mantissa * np.exp(log_scale)
+    if np.any(np.isinf(value)):
+        raise MoshinskyOverflowError("M(y) exceeds the floating-point range")
+    return value
+
+
+def assert_same_kernel(y):
+    mantissa, log_scale = _moshinsky_m_grid(y, scaled=True)
+    ref_mantissa, ref_log_scale = masked_kernel(y, scaled=True)
+    assert np.array_equal(mantissa, ref_mantissa)
+    assert np.array_equal(log_scale, ref_log_scale)
+    try:
+        expected = masked_kernel(y)
+    except MoshinskyOverflowError:
+        with pytest.raises(MoshinskyOverflowError):
+            _moshinsky_m_grid(y)
+    else:
+        assert np.array_equal(_moshinsky_m_grid(y), expected)
+
+
+ray = st.tuples(
+    st.integers(min_value=0, max_value=3),  # quadrant of c
+    st.floats(min_value=0.0, max_value=0.5 * math.pi),
+    st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=40),
+)
+
+
+def ray_points(quadrant, angle, r):
+    """y = c r for the unit c at ``angle`` into ``quadrant``."""
+    return cmath.exp(1j * (0.5 * math.pi * quadrant + angle)) * np.asarray(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ray)
+def test_grid_kernel_matches_masked_reference_on_rays(ray):
+    # one-branch rays take the unmasked forms, which must agree bit for bit
+    assert_same_kernel(ray_points(*ray))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ray, ray)
+def test_grid_kernel_matches_masked_reference_on_mixed_arrays(first, second):
+    y = ray_points(*first)
+    assert_same_kernel(np.concatenate([y, -y, ray_points(*second)]))
+
+
+def test_grid_kernel_matches_masked_reference_on_pole_sum_rays():
+    # y_{+-k} for real k, and y_{k_n}, y_{-k_n*} for k_n = a - ib with a > b and a < b
+    r = np.geomspace(1e-6, 1e4, 2001)
+    for q in (0.02 + 0.0j, 0.3 - 0.01j, 0.01 - 0.3j):
+        for c in (-EXP_MINUS_IPI4 * q, EXP_MINUS_IPI4 * np.conj(q)):
+            assert_same_kernel(c * r)
 
 
 # ---------------------------------------------------------------- asymptotics
