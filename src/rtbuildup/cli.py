@@ -107,14 +107,13 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
-def _write_csv(path: str | None, header: list[str], rows, footer: str | None = None) -> None:
-    # "%.12g" formats exactly as _fmt does, ints, nan and -0 included
-    template = ",".join(["%.12g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(template % tuple(row) for row in rows)
+def _write_csv(path: str | None, header: list[str], columns, footer: str | None = None) -> None:
+    """One 1-D column per header name; "%.12g" formats exactly as _fmt does, nan and -0 included."""
+    table = np.column_stack(columns)
+    template = (",".join(["%.12g"] * len(header)) + "\n") * table.shape[0]
+    text = ",".join(header) + "\n" + template % tuple(table.ravel().tolist())
     if footer is not None:
-        lines.append(footer)
-    text = "\n".join(lines) + "\n"
+        text += footer + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -276,11 +275,16 @@ def cmd_poles(args) -> int:
         raise CliUsageError("--max-poles must be >= 1")
     profile = load_profile(args.profile)
     poles = find_poles(profile, _e_max(args, profile), max_poles=args.max_poles)
-    rows = [
-        (i, s.eps_mev, s.gamma_mev, s.lifetime_fs, s.r_ratio, s.k.real, s.k.imag)
-        for i, s in enumerate(poles, start=1)
+    columns = [
+        np.arange(1, len(poles) + 1),
+        [s.eps_mev for s in poles],
+        [s.gamma_mev for s in poles],
+        [s.lifetime_fs for s in poles],
+        [s.r_ratio for s in poles],
+        [s.k.real for s in poles],
+        [s.k.imag for s in poles],
     ]
-    _write_csv(args.out, ["n", "eps_meV", "gamma_meV", "lifetime_fs", "R_n", "re_k", "im_k"], rows)
+    _write_csv(args.out, ["n", "eps_meV", "gamma_meV", "lifetime_fs", "R_n", "re_k", "im_k"], columns)
     return 0
 
 
@@ -288,13 +292,11 @@ def cmd_evolve(args) -> int:
     sel = _select(args)
     tau_ref = _tau_grid(args)
     sol = _evolve_selection(sel, tau_ref, args)
-    phi_abs2 = abs(sol.phi) ** 2
     tau = sol.tau if sol.tau is not None else tau_ref
-    rows = [
-        (t, tv, p.real, p.imag, abs(p) ** 2, phi_abs2)
-        for t, tv, p in zip(sol.t_fs, tau, sol.psi)
-    ]
-    _write_csv(args.out, ["t_fs", "tau", "re_psi", "im_psi", "abs2_psi", "abs2_phi"], rows)
+    psi = sol.psi
+    phi_abs2 = np.full(psi.size, abs(sol.phi) ** 2)
+    columns = [sol.t_fs, tau, psi.real, psi.imag, np.abs(psi) ** 2, phi_abs2]
+    _write_csv(args.out, ["t_fs", "tau", "re_psi", "im_psi", "abs2_psi", "abs2_phi"], columns)
     return 0
 
 
@@ -306,8 +308,8 @@ def cmd_buildup(args) -> int:
     sol = _evolve_selection(sel, tau, args)
     series = normalize_buildup(sol, sel.state, resonance_index=sel.index)
     law = exponential_law(series.tau) ** 2
-    rows = zip(series.tau, series.ratio_abs, series.ratio_abs2, law)
-    _write_csv(args.out, ["tau", "ratio_abs", "ratio_abs2", "law_abs2"], rows)
+    columns = [series.tau, series.ratio_abs, series.ratio_abs2, law]
+    _write_csv(args.out, ["tau", "ratio_abs", "ratio_abs2", "law_abs2"], columns)
     return 0
 
 
@@ -332,8 +334,7 @@ def cmd_crossover(args) -> int:
         f"# summary: tau_0 = {_fmt(tau0)}, tau_onset = {_fmt(tau_onset)}, "
         f"R_n = {_fmt(sel.state.r_ratio)}"
     )
-    rows = zip(tau_d, ln_delta, slopes)
-    _write_csv(args.out, ["tau", "ln_delta", "local_slope"], rows, footer=footer)
+    _write_csv(args.out, ["tau", "ln_delta", "local_slope"], [tau_d, ln_delta, slopes], footer=footer)
     return exit_code
 
 

@@ -12,11 +12,15 @@ it decomposes into the exponential charging term |phi|^2 (1 - e^{-tau/2})^2
 plus an algebraically decaying remainder.
 
 Since y_k = -y_{-k}, the reflection identity writes the free term as
-phi (exp(y_{-k}^2) - M(y_{-k})) - phi* M(y_{-k}), one kernel call; with one
-per ray of each pole pair, P pairs take 2P + 1 Faddeeva evaluations per grid
-point.  The sum is evaluated over fixed slices of ``BLOCK`` grid points, one
-slice per task on a thread pool; each slice holds the free term and every
-pole pair, so the values do not depend on how many workers run them.
+phi (exp(y_{-k}^2) - M(y_{-k})) - phi* M(y_{-k}), one kernel per ray; with
+one per ray of each pole pair, P pairs take 2P + 1 kernel evaluations per
+grid point.  Every ray is y = c sqrt(hbar t / 2m) over an ascending grid, so
+it crosses |y| = ``Y_FAR`` = 8 once: the points below go through the
+``wofz`` kernel, those beyond through the asymptotic series (directly, or
+as exp(y^2) - series(-y) on a reflected ray with Re(c^2) <= 0), split point
+by point.  The sum is evaluated over fixed slices of ``BLOCK`` grid points,
+one slice per task on a thread pool; each slice holds the free term and
+every pole pair, so the values do not depend on how many workers run them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .moshinsky import EXP_MINUS_IPI4, _moshinsky_m_grid
+from .moshinsky import EXP_MINUS_IPI4, Y_FAR, _moshinsky_m_far, _moshinsky_m_grid
 from .profile import PotentialProfile
 from .resonances import ResonantState
 from .scattering import stationary_state
@@ -99,15 +103,41 @@ def _executor() -> ThreadPoolExecutor:
     return _pool[1]
 
 
+def _kernel_ray(c: complex, r: np.ndarray) -> np.ndarray:
+    """M(c r) over an ascending r: ``_moshinsky_m_grid`` below |y| = ``Y_FAR``, the series beyond.
+
+    A direct ray (Re c > 0) takes the series as it is; a reflected one takes
+    exp(y^2) - series(-y), which needs Re(c^2) <= 0 to stay on the kernel's
+    one-branch path.  Any other ray goes whole to the kernel.
+    """
+    y = c * r
+    direct = c.real > 0.0
+    split = r.size
+    if direct or (c.real < 0.0 and (c * c).real <= 0.0):
+        split = int(np.searchsorted(r, Y_FAR / abs(c)))
+    if split == r.size:
+        return _moshinsky_m_grid(y)
+    out = np.empty_like(y)
+    if split:
+        out[:split] = _moshinsky_m_grid(y[:split])
+    far = y[split:]
+    y_min = abs(far[0])
+    if direct:
+        out[split:] = _moshinsky_m_far(far, y_min)
+    else:
+        out[split:] = np.exp(far * far) - _moshinsky_m_far(-far, y_min)
+    return out
+
+
 def _pole_pair_term(t_n: complex, k_n: complex, root_t: np.ndarray) -> np.ndarray:
     """-i [T_n M(y_{k_n}) + T_{-n} M(y_{-k_n*})] for one pole pair.
 
     For real incidence momentum T_{-n} = conj(T_n) because u_{-n} = u_n* and
     k_{-n}^2 = conj(k_n^2).
     """
-    y_kn = -EXP_MINUS_IPI4 * k_n * root_t
-    y_mknc = EXP_MINUS_IPI4 * np.conj(k_n) * root_t
-    return -1j * (t_n * _moshinsky_m_grid(y_kn) + np.conj(t_n) * _moshinsky_m_grid(y_mknc))
+    m_kn = _kernel_ray(-EXP_MINUS_IPI4 * k_n, root_t)
+    m_mknc = _kernel_ray(EXP_MINUS_IPI4 * k_n.conjugate(), root_t)
+    return -1j * (t_n * m_kn + t_n.conjugate() * m_mknc)
 
 
 def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
@@ -130,7 +160,7 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
         out = psi[start:start + BLOCK]
         # y_k = -y_{-k}, so M(y_k) = exp(y_{-k}^2) - M(y_{-k}) by the reflection
         y_mk = EXP_MINUS_IPI4 * k * r
-        m = _moshinsky_m_grid(y_mk)
+        m = _kernel_ray(EXP_MINUS_IPI4 * k, r)
         out[:] = phi * (np.exp(y_mk * y_mk) - m) - np.conj(phi) * m
         for t_n, k_n in pairs:
             term = _pole_pair_term(t_n, k_n, r)

@@ -56,17 +56,25 @@ def _segment_propagator(kappa, width):
     """(cos kappa w, sin(kappa w)/kappa, -kappa sin kappa w): the (psi, psi') propagator.
 
     These are the entries p11 = p22, p12 and p21; ``width`` may be an array.
+    With kappa w = a + ib, cos = cos a cosh b - i sin a sinh b and
+    sin = sin a cosh b + i cos a sinh b: four real functions for both.
     """
-    s = np.sin(kappa * width)
-    return np.cos(kappa * width), s / kappa, -kappa * s
+    z = kappa * width
+    sin_a, cos_a = np.sin(z.real), np.cos(z.real)
+    sinh_b, cosh_b = np.sinh(z.imag), np.cosh(z.imag)
+    c = cos_a * cosh_b - 1j * (sin_a * sinh_b)
+    s = sin_a * cosh_b + 1j * (cos_a * sinh_b)
+    return c, s / kappa, -kappa * s
 
 
 def _wave_matrix(profile: PotentialProfile, k):
     """Entries (w11, w12, w21, w22) of the (psi, psi') propagator across [0, L]."""
     kappa = _local_wavevectors(profile, k)
-    w11, w12, w21, w22 = 1.0, 0.0, 0.0, 1.0  # arrays from the first segment on
-    for j, (width, _height) in enumerate(profile.segments):
-        c, p12, p21 = _segment_propagator(kappa[j], width)
+    widths = profile.widths
+    c, w12, w21 = _segment_propagator(kappa[0], widths[0])
+    w11 = w22 = c
+    for j in range(1, widths.size):
+        c, p12, p21 = _segment_propagator(kappa[j], widths[j])
         w11, w12, w21, w22 = (
             c * w11 + p12 * w21,
             c * w12 + p12 * w22,

@@ -469,12 +469,13 @@ def test_csv_format_twelve_significant_digits(cfg_paths, tmp_path):
 def test_csv_rows_format_like_fmt(tmp_path):
     from rtbuildup.cli import _fmt, _write_csv
 
-    rows = [
-        (1, -0.0, float("nan")),
-        (np.int64(12345678901234), 2.0 / 3.0, float("-inf")),
-        (0, 1e-300, np.float64(-1.23456789012345e10)),
+    columns = [
+        np.asarray([1, 12345678901234, 0], dtype=np.int64),
+        [-0.0, 2.0 / 3.0, 1e-300],
+        [float("nan"), float("-inf"), np.float64(-1.23456789012345e10)],
     ]
     out = tmp_path / "rows.csv"
-    _write_csv(str(out), ["a", "b", "c"], rows, footer="# end")
+    _write_csv(str(out), ["a", "b", "c"], columns, footer="# end")
+    rows = zip(*columns)
     expected = ["a,b,c"] + [",".join(_fmt(v) for v in row) for row in rows] + ["# end"]
     assert out.read_text() == "\n".join(expected) + "\n"

@@ -20,8 +20,8 @@ from rtbuildup import (
     find_poles,
     stationary_wave,
 )
-from rtbuildup.dynamics import BLOCK
-from rtbuildup.moshinsky import EXP_MINUS_IPI4, _moshinsky_m_grid
+from rtbuildup.dynamics import BLOCK, _kernel_ray
+from rtbuildup.moshinsky import EXP_MINUS_IPI4, Y_FAR, _moshinsky_m_far, _moshinsky_m_grid
 from rtbuildup.scattering import stationary_state
 
 
@@ -389,6 +389,59 @@ def test_pole_sum_does_not_depend_on_worker_count(
         serial = quiet_full(asymmetric_profile, asymmetric_poles, 0.15, 55.0, t_fs)
     assert np.array_equal(pooled.psi, serial.psi)
     assert pooled.convergence_diag == serial.convergence_diag
+
+
+def test_kernel_sees_only_points_below_y_far(monkeypatch, symmetric_profile, symmetric_poles_8ev):
+    largest = []
+
+    def recording_kernel(y, scaled=False):
+        largest.append(np.max(np.abs(y)))
+        return _moshinsky_m_grid(y, scaled)
+
+    monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", recording_kernel)
+    t_fs = np.geomspace(1e-3, 1e5, 3 * BLOCK - 1)
+    sol = quiet_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
+    assert largest and max(largest) < Y_FAR
+    psi, _last = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
+    assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi))
+
+
+def test_grid_beyond_y_far_never_calls_the_kernel(monkeypatch, asymmetric_profile, asymmetric_poles):
+    def no_kernel(y, scaled=False):
+        raise AssertionError("kernel called beyond Y_FAR")
+
+    constants = asymmetric_profile.constants
+    energy_ev = 0.15
+    slowest = min([constants.wavevector(energy_ev)] + [abs(s.k) for s in asymmetric_poles])
+    # |y| = |k| sqrt(hbar t / 2m) reaches Y_FAR on the slowest ray at t_min
+    t_min = (Y_FAR / slowest) ** 2 * constants.hbar / constants.hbar2_over_2m
+    t_fs = np.geomspace(1.001 * t_min, 1e3 * t_min, BLOCK + 1)
+    psi, _last = whole_grid_pole_sum(asymmetric_profile, asymmetric_poles, energy_ev, 55.0, t_fs)
+    monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", no_kernel)
+    sol = quiet_full(asymmetric_profile, asymmetric_poles, energy_ev, 55.0, t_fs)
+    assert np.max(np.abs(sol.psi - psi)) <= 1e-14 * np.max(np.abs(psi))
+
+
+@pytest.mark.parametrize("c", [0.3 - 0.2j, 0.2 + 0.3j, -0.2 + 0.3j, -0.2 - 0.3j])
+def test_ray_splits_at_y_far(c):
+    r = np.geomspace(1.0, 500.0, 1001)
+    value = _kernel_ray(c, r)
+    y = c * r
+    split = np.searchsorted(r, Y_FAR / abs(c))
+    assert 0 < split < r.size
+    assert np.array_equal(value[:split], _moshinsky_m_grid(y[:split]))
+    far = y[split:]
+    if c.real > 0.0:
+        series = _moshinsky_m_far(far, abs(far[0]))
+    else:
+        series = np.exp(far * far) - _moshinsky_m_far(-far, abs(far[0]))
+    assert np.array_equal(value[split:], series)
+
+
+def test_ray_off_the_one_branch_path_goes_whole_to_the_kernel():
+    c = -0.3 + 0.1j  # reflected with Re(c^2) > 0
+    r = np.geomspace(1.0, 20.0, 101)
+    assert np.array_equal(_kernel_ray(c, r), _moshinsky_m_grid(c * r))
 
 
 def _evolve_in_child(profile, poles, t_fs, expected):

@@ -16,7 +16,7 @@ from rtbuildup import (
     moshinsky_asymptotic,
     moshinsky_m,
 )
-from rtbuildup.moshinsky import EXP_MINUS_IPI4, _moshinsky_m_grid
+from rtbuildup.moshinsky import EXP_MINUS_IPI4, Y_FAR, _moshinsky_m_far, _moshinsky_m_grid
 
 mp.mp.dps = 35
 
@@ -234,6 +234,16 @@ def test_grid_kernel_matches_masked_reference_on_pole_sum_rays():
 
 
 # ---------------------------------------------------------------- asymptotics
+
+@pytest.mark.parametrize("phase", np.linspace(-1.5707, 1.5707, 15))
+def test_far_series_matches_oracle(phase):
+    y = np.geomspace(Y_FAR, 1e4, 40) * cmath.exp(1j * phase)
+    assert abs(y[0]) == Y_FAR
+    value = _moshinsky_m_far(y, Y_FAR)
+    for yi, v in zip(y, value):
+        expected = 0.5 * faddeeva_reference(1j * yi)
+        assert abs(v - expected) <= 1e-15 * abs(expected)
+
 
 def test_asymptotic_leading_term_large_real_argument():
     y = 50.0
