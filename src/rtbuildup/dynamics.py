@@ -12,15 +12,25 @@ it decomposes into the exponential charging term |phi|^2 (1 - e^{-tau/2})^2
 plus an algebraically decaying remainder.
 
 Since y_k = -y_{-k}, the reflection identity writes the free term as
-phi (exp(y_{-k}^2) - M(y_{-k})) - phi* M(y_{-k}), one kernel per ray; with
-one per ray of each pole pair, P pairs take 2P + 1 kernel evaluations per
-grid point.  Every ray is y = c sqrt(hbar t / 2m) over an ascending grid, so
-it crosses |y| = ``Y_FAR`` = 8 once: the points below go through the
-``wofz`` kernel, those beyond through the asymptotic series (directly, or
-as exp(y^2) - series(-y) on a reflected ray with Re(c^2) <= 0), split point
-by point.  The sum is evaluated over fixed slices of ``BLOCK`` grid points,
-one slice per task on a thread pool; each slice holds the free term and
-every pole pair, so the values do not depend on how many workers run them.
+phi exp(y_{-k}^2) - 2 Re(phi) M(y_{-k}), so the sum is
+
+    Psi = phi exp(y_{-k}^2) + sum_i w_i M(c_i r),    r = sqrt(hbar t / 2m),
+
+over 2P + 1 rays y_i = c_i r for P pole pairs.  Each ray crosses
+|y| = ``Y_NEAR`` = 1 and ``Y_FAR`` = 8 once on an ascending grid.  Below
+Y_NEAR every ray takes the Taylor series of M, beyond Y_FAR the asymptotic
+one (a reflected ray adds exp(y^2)), so at each r the rays in either band
+collapse into one series in r whose coefficients are their weighted
+moments: one Horner sum per point and band, whatever the number of rays
+(``_Rays``).  Only the band between goes through the ``wofz`` kernel, one
+call per ray.  On a 120,000-point log grid from 1e-3 to 1e5 fs, at
+E = 0.2 eV and x = 80 A on the symmetric structure, this took 18 / 38 /
+66 pole pairs from 0.28 / 0.59 / 0.88 s, with each ray's own series
+beyond Y_FAR and ``wofz`` below it, to 0.12 / 0.22 / 0.41 s: 12.5 to 6.1 ms
+per added pair (best of 7 on 2 cores).  The sum is evaluated over fixed
+slices of ``BLOCK`` grid points, one slice per task on a thread pool; each
+slice holds every ray, so the values do not depend on how many workers run
+them.
 """
 
 from __future__ import annotations
@@ -34,7 +44,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .moshinsky import EXP_MINUS_IPI4, Y_FAR, _moshinsky_m_far, _moshinsky_m_grid
+from .moshinsky import (
+    EXP_MINUS_IPI4,
+    SERIES_TERMS,
+    TAYLOR_TERMS,
+    Y_FAR,
+    Y_NEAR,
+    _horner,
+    _moshinsky_m_grid,
+    _series_coefficients,
+    _series_terms,
+    _taylor_coefficients,
+)
 from .profile import PotentialProfile
 from .resonances import ResonantState
 from .scattering import stationary_state
@@ -103,41 +124,68 @@ def _executor() -> ThreadPoolExecutor:
     return _pool[1]
 
 
-def _kernel_ray(c: complex, r: np.ndarray) -> np.ndarray:
-    """M(c r) over an ascending r: ``_moshinsky_m_grid`` below |y| = ``Y_FAR``, the series beyond.
+_TAYLOR = np.asarray(_taylor_coefficients(TAYLOR_TERMS))
+_SERIES = np.asarray(_series_coefficients(SERIES_TERMS))
 
-    A direct ray (Re c > 0) takes the series as it is; a reflected one takes
-    exp(y^2) - series(-y), which needs Re(c^2) <= 0 to stay on the kernel's
-    one-branch path.  Any other ray goes whole to the kernel.
+_EXP_CUT = 60.0
+"""Beyond Y_FAR a reflected ray drops its exp(y^2) once Re(y^2) < -60, below 1e-26 of its weight."""
+
+
+class _Rays:
+    """sum_i w_i M(c_i r) over an ascending r >= 0, every ray on one branch.
+
+    A ray is direct (Re c > 0) or reflected with Re(c^2) <= 0, as every ray
+    of the pole sum is.  Ray i is below ``Y_NEAR`` for r < Y_NEAR/|c_i| and
+    beyond ``Y_FAR`` for r >= Y_FAR/|c_i|.  In both bands M is a series in
+    y = c_i r, so at each r the rays there sum to one series in r whose
+    coefficients are the weighted moments of their c_i: a Taylor series
+    with moments w c^n, and an asymptotic one with moments w c^-(2j+1).
+    Rays leave the near band in order of rising |c| and join the far band
+    in order of falling |c|, so the moments of every set that occurs are
+    the running sums of a table in that order, added and never subtracted.
+    A reflected ray keeps exp(y^2) beyond Y_FAR, where
+    M(y) = exp(y^2) - M(-y) and the series is odd in y.  Only the band
+    between goes to ``_moshinsky_m_grid``, one call per ray.
     """
-    y = c * r
-    direct = c.real > 0.0
-    split = r.size
-    if direct or (c.real < 0.0 and (c * c).real <= 0.0):
-        split = int(np.searchsorted(r, Y_FAR / abs(c)))
-    if split == r.size:
-        return _moshinsky_m_grid(y)
-    out = np.empty_like(y)
-    if split:
-        out[:split] = _moshinsky_m_grid(y[:split])
-    far = y[split:]
-    y_min = abs(far[0])
-    if direct:
-        out[split:] = _moshinsky_m_far(far, y_min)
-    else:
-        out[split:] = np.exp(far * far) - _moshinsky_m_far(-far, y_min)
-    return out
 
+    def __init__(self, c: np.ndarray, w: np.ndarray):
+        order = np.argsort(np.abs(c), kind="stable")
+        self.c, self.w = c[order], w[order]
+        mag = np.abs(self.c)
+        self.near_edge, self.far_edge = Y_NEAR / mag, Y_FAR / mag
+        self.far_mag = mag[::-1].tolist()
+        moments = self.w[:, None] * self.c[:, None] ** np.arange(TAYLOR_TERMS)
+        self.near = np.cumsum(moments, axis=0) * _TAYLOR
+        moments = self.w[::-1, None] * self.c[::-1, None] ** -(2 * np.arange(SERIES_TERMS) + 1)
+        self.far = np.cumsum(moments, axis=0) * _SERIES
+        decay = np.maximum(-(self.c * self.c).real, 0.0)
+        with np.errstate(divide="ignore"):
+            self.exp_edge = np.where(self.c.real < 0.0, np.sqrt(_EXP_CUT / decay), 0.0)
 
-def _pole_pair_term(t_n: complex, k_n: complex, root_t: np.ndarray) -> np.ndarray:
-    """-i [T_n M(y_{k_n}) + T_{-n} M(y_{-k_n*})] for one pole pair.
-
-    For real incidence momentum T_{-n} = conj(T_n) because u_{-n} = u_n* and
-    k_{-n}^2 = conj(k_n^2).
-    """
-    m_kn = _kernel_ray(-EXP_MINUS_IPI4 * k_n, root_t)
-    m_mknc = _kernel_ray(EXP_MINUS_IPI4 * k_n.conjugate(), root_t)
-    return -1j * (t_n * m_kn + t_n.conjugate() * m_mknc)
+    def add_to(self, out: np.ndarray, r: np.ndarray) -> None:
+        """out += sum_i w_i M(c_i r)."""
+        # ray i is near on [0, lo[i]) and far on [hi[i], r.size); both fall with i
+        lo = np.searchsorted(r, self.near_edge).tolist()
+        hi = np.searchsorted(r, self.far_edge).tolist()
+        # points [lo[m + 1], lo[m]) are near for rays 0..m
+        for m, (a, b) in enumerate(zip(lo[1:] + [0], lo)):
+            if a < b:
+                out[a:b] += _horner(self.near[m].tolist(), r[a:b].astype(complex))
+        # a reflected ray adds its exp(y^2) on [hi[i], cut[i])
+        cut = np.searchsorted(r, self.exp_edge).tolist()
+        for c, w, a, b, e in zip(self.c.tolist(), self.w.tolist(), lo, hi, cut):
+            if a < b:
+                out[a:b] += w * _moshinsky_m_grid(c * r[a:b])
+            if b < e:
+                y = c * r[b:e]
+                out[b:e] += w * np.exp(y * y)
+        # in order of falling |c|, points [hi[m], hi[m + 1]) are far for rays 0..m
+        far = hi[::-1]
+        for m, (a, b) in enumerate(zip(far, far[1:] + [r.size])):
+            if a < b:
+                n = _series_terms(self.far_mag[m] * r[a])
+                inv = 1.0 / r[a:b]
+                out[a:b] += inv * _horner(self.far[m, :n].tolist(), (inv * inv).astype(complex))
 
 
 def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
@@ -149,29 +197,39 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
     constants = profile.constants
     k = constants.wavevector(energy_ev)
     phi = stationary_state(profile, energy_ev).phi(x)
-    pairs = [(2.0 * k * s.u0 * s.u(x) / (k * k - s.k * s.k), s.k) for s in poles]
+    # y_k = -y_{-k}, so M(y_k) = exp(y_{-k}^2) - M(y_{-k}) by the reflection:
+    # the free term is phi exp(y_{-k}^2) - 2 Re(phi) M(y_{-k})
+    c_free = EXP_MINUS_IPI4 * k
+    c, w = [c_free], [-2.0 * phi.real]
+    for s in poles:
+        # -i [T_n M(y_{k_n}) + T_{-n} M(y_{-k_n*})], with T_{-n} = conj(T_n)
+        # for real k because u_{-n} = u_n* and k_{-n}^2 = conj(k_n^2)
+        t_n = 2.0 * k * s.u0 * s.u(x) / (k * k - s.k * s.k)
+        c += [-EXP_MINUS_IPI4 * s.k, EXP_MINUS_IPI4 * s.k.conjugate()]
+        w += [-1j * t_n, -1j * t_n.conjugate()]
+    c, w = np.asarray(c, dtype=complex), np.asarray(w, dtype=complex)
+    rays = _Rays(c, w)
 
     root_t = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
     psi = np.empty(t_fs.size, dtype=complex)
 
-    def block(start: int):
-        """Fill psi[start:start + BLOCK]; return the last pair's term at its last point."""
+    def block(start: int) -> None:
         r = root_t[start:start + BLOCK]
         out = psi[start:start + BLOCK]
-        # y_k = -y_{-k}, so M(y_k) = exp(y_{-k}^2) - M(y_{-k}) by the reflection
-        y_mk = EXP_MINUS_IPI4 * k * r
-        m = _kernel_ray(EXP_MINUS_IPI4 * k, r)
-        out[:] = phi * (np.exp(y_mk * y_mk) - m) - np.conj(phi) * m
-        for t_n, k_n in pairs:
-            term = _pole_pair_term(t_n, k_n, r)
-            out += term
-        return term[-1]
+        y_free = c_free * r
+        out[:] = phi * np.exp(y_free * y_free)
+        rays.add_to(out, r)
 
     starts = range(0, t_fs.size, BLOCK)
-    lasts = list(_executor().map(block, starts)) if len(starts) > 1 else [block(0)]
+    if len(starts) > 1:
+        list(_executor().map(block, starts))
+    else:
+        block(0)
 
+    last = np.zeros(1, dtype=complex)  # the last pair's term at the last grid point
+    _Rays(c[-2:], w[-2:]).add_to(last, root_t[-1:])
     scale = abs(psi[-1])
-    diag = abs(lasts[-1]) / scale if scale > 0.0 else math.inf
+    diag = abs(last[0]) / scale if scale > 0.0 else math.inf
     if mode == "full" and diag > tail_tol:
         warnings.warn(
             f"last pole pair contributes {diag:.2e} of |Psi| at the final grid point "

@@ -296,6 +296,39 @@ def test_cli_runs_leave_scipy_optimize_unimported(tmp_path):
     assert loaded[2:] == [(0, False)] * 8
 
 
+def test_poles_leaves_scipy_unimported(tmp_path):
+    """``poles`` evaluates no kernel, so scipy stays unloaded; ``evolve`` and ``crossover`` load it and run."""
+    import ast
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rtbuildup
+
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    out = str(tmp_path / "out.csv")
+    sym, asym = str(configs / "symmetric.cfg"), str(configs / "asymmetric.cfg")
+    poles = [["poles", "--profile", sym, "--out", out], ["poles", "--profile", asym, "--e-max-ev", "16", "--out", out]]
+    kernels = [
+        ["evolve", "--profile", sym, "--energy-ev", "0.2", "--x-angstrom", "80", "--mode", "full", "--out", out],
+        ["crossover", "--profile", asym, "--resonance", "1", "--auto-max", "--points", "4001", "--out", out],
+    ]
+    script = (
+        "import sys\n"
+        "from rtbuildup.cli import main\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        f"for argv in {poles + kernels!r}:\n"
+        "    loaded.append((main(argv), 'scipy' in sys.modules))\n"
+        "print(loaded)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(rtbuildup.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = ast.literal_eval(done.stdout)
+    assert loaded == [False, (0, False), (0, False), (0, True), (0, True)]
+
+
 @pytest.mark.parametrize("energy", [0.06, 0.12, 0.1295])
 def test_auto_max_on_lifted_well_stays_in_the_well(energy):
     from rtbuildup.cli import _auto_max_position

@@ -3,6 +3,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,8 @@ from rtbuildup import (
     find_poles,
     stationary_wave,
 )
-from rtbuildup.dynamics import BLOCK, _kernel_ray
-from rtbuildup.moshinsky import EXP_MINUS_IPI4, Y_FAR, _moshinsky_m_far, _moshinsky_m_grid
+from rtbuildup.dynamics import BLOCK
+from rtbuildup.moshinsky import EXP_MINUS_IPI4, Y_FAR, Y_NEAR, _moshinsky_m_grid
 from rtbuildup.scattering import stationary_state
 
 
@@ -299,7 +300,7 @@ def reflected_excess(y):
 def test_reflected_kernel_arguments_never_grow(re_kn, im_kn, k, t_fs):
     constants = PhysicalConstants(electron_mass_factor=0.067)
     k_n = complex(re_kn, -im_kn)
-    # the four arguments exactly as _evolve and _pole_pair_term build them
+    # the four arguments exactly as _evolve builds them
     root_t = np.sqrt(constants.hbar2_over_2m * np.asarray([t_fs]) / constants.hbar)
     args = [
         -EXP_MINUS_IPI4 * k * root_t,
@@ -392,16 +393,20 @@ def test_pole_sum_does_not_depend_on_worker_count(
 
 
 def test_kernel_sees_only_points_below_y_far(monkeypatch, symmetric_profile, symmetric_poles_8ev):
-    largest = []
+    """And none below Y_NEAR: every ray of the pole sum is one-branch."""
+    largest, smallest = [], []
 
     def recording_kernel(y, scaled=False):
         largest.append(np.max(np.abs(y)))
+        smallest.append(np.min(np.abs(y)))
         return _moshinsky_m_grid(y, scaled)
 
     monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", recording_kernel)
     t_fs = np.geomspace(1e-3, 1e5, 3 * BLOCK - 1)
     sol = quiet_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
     assert largest and max(largest) < Y_FAR
+    # r >= Y_NEAR / |c| puts |c r| at Y_NEAR to within rounding
+    assert min(smallest) >= (1.0 - 1e-15) * Y_NEAR
     psi, _last = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
     assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi))
 
@@ -422,26 +427,72 @@ def test_grid_beyond_y_far_never_calls_the_kernel(monkeypatch, asymmetric_profil
     assert np.max(np.abs(sol.psi - psi)) <= 1e-14 * np.max(np.abs(psi))
 
 
-@pytest.mark.parametrize("c", [0.3 - 0.2j, 0.2 + 0.3j, -0.2 + 0.3j, -0.2 - 0.3j])
-def test_ray_splits_at_y_far(c):
-    r = np.geomspace(1.0, 500.0, 1001)
-    value = _kernel_ray(c, r)
-    y = c * r
-    split = np.searchsorted(r, Y_FAR / abs(c))
-    assert 0 < split < r.size
-    assert np.array_equal(value[:split], _moshinsky_m_grid(y[:split]))
-    far = y[split:]
-    if c.real > 0.0:
-        series = _moshinsky_m_far(far, abs(far[0]))
-    else:
-        series = np.exp(far * far) - _moshinsky_m_far(-far, abs(far[0]))
-    assert np.array_equal(value[split:], series)
+def mpmath_pole_sum(k, phi, poles, r, dps=25):
+    """Psi at each r = sqrt(hbar t / 2m) from the unreflected pole sum in mpmath.
+
+    ``poles`` holds (k_n, u_n(0), u_n(x)); every kernel is
+    M(y) = exp(y^2) erfc(y) / 2 at y_q = -exp(-i pi/4) q r, each pole with
+    its partner -k_n*, and the free term as phi M(y_k) - phi* M(y_{-k}).
+    """
+    with mp.workdps(dps):
+        rot = mp.exp(-0.25j * mp.pi)
+        k, phi = mp.mpf(k), mp.mpc(phi)
+
+        def m(q, root_t):
+            y = -rot * q * root_t
+            return mp.exp(y * y) * mp.erfc(y) / 2
+
+        terms = [(mp.mpc(k_n), 2 * k * mp.mpc(u0) * mp.mpc(ux) / (k * k - mp.mpc(k_n) ** 2))
+                 for k_n, u0, ux in poles]
+        out = []
+        for root_t in r:
+            root_t = mp.mpf(root_t)
+            psi = phi * m(k, root_t) - mp.conj(phi) * m(-k, root_t)
+            for k_n, t_n in terms:
+                psi -= 1j * (t_n * m(k_n, root_t) + mp.conj(t_n) * m(-mp.conj(k_n), root_t))
+            out.append(complex(psi))
+    return np.asarray(out)
 
 
-def test_ray_off_the_one_branch_path_goes_whole_to_the_kernel():
-    c = -0.3 + 0.1j  # reflected with Re(c^2) > 0
-    r = np.geomspace(1.0, 20.0, 101)
-    assert np.array_equal(_kernel_ray(c, r), _moshinsky_m_grid(c * r))
+@pytest.mark.parametrize("structure", ["symmetric", "asymmetric"])
+def test_pole_sum_matches_mpmath_to_32_ev(request, structure):
+    """Every band of the collapsed sum against an independent 25-digit sum.
+
+    The grid is one block from 1e-3 to 1e3 fs; beyond that the phase of
+    exp(y^2) on the double-precision r, not the method, limits agreement.
+    """
+    profile = request.getfixturevalue(f"{structure}_profile")
+    x = 80.0 if structure == "symmetric" else 55.0
+    poles = find_poles(profile, 32.0)
+    assert len(poles) >= 38
+    t_fs = np.geomspace(1e-3, 1e3, BLOCK)
+    sol = quiet_full(profile, poles, 0.2, x, t_fs)
+    constants = profile.constants
+    k = constants.wavevector(0.2)
+    r = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
+    samples = np.searchsorted(t_fs, [1e-3, 1e-2, 0.1, 1.0, 2.0, 5.0, 20.0, 200.0, 1e3])
+    speeds = np.abs([k] + [s.k for s in poles])
+    # at t = 2 fs one grid point has rays below Y_NEAR, between, and beyond Y_FAR
+    y = speeds * r[samples[4]]
+    assert y.min() < Y_NEAR and y.max() >= Y_FAR and np.any((y >= Y_NEAR) & (y < Y_FAR))
+    phi = stationary_state(profile, 0.2).phi(x)
+    reference = mpmath_pole_sum(k, phi, [(s.k, s.u0, s.u(x)) for s in poles], r[samples])
+    error = np.abs(sol.psi[samples] - reference) / np.abs(reference)
+    assert np.max(error) <= 1e-12, np.max(error)
+
+
+def test_moments_of_66_pole_pairs_stay_in_range(symmetric_profile):
+    """c^n to n = 37 and c^-(2j+1) to j = 16 over rays from 1e-3 eV to 96 eV.
+
+    The grid is one block, so it runs in the calling thread, where the error state applies.
+    """
+    poles = find_poles(symmetric_profile, 96.0)
+    assert len(poles) == 66
+    t_fs = np.geomspace(1e-3, 1e5, BLOCK)
+    with np.errstate(over="raise", under="raise", invalid="raise"):
+        sol = quiet_full(symmetric_profile, poles, 1e-3, 80.0, t_fs)
+    psi, _last = whole_grid_pole_sum(symmetric_profile, poles, 1e-3, 80.0, t_fs)
+    assert np.max(np.abs(sol.psi - psi)) <= 1e-14 * np.max(np.abs(psi))
 
 
 def _evolve_in_child(profile, poles, t_fs, expected):

@@ -16,7 +16,9 @@ from rtbuildup import (
     moshinsky_asymptotic,
     moshinsky_m,
 )
-from rtbuildup.moshinsky import EXP_MINUS_IPI4, Y_FAR, _moshinsky_m_far, _moshinsky_m_grid
+import rtbuildup.dynamics
+from rtbuildup.dynamics import _Rays
+from rtbuildup.moshinsky import EXP_MINUS_IPI4, Y_FAR, Y_NEAR, _moshinsky_m_grid
 
 mp.mp.dps = 35
 
@@ -235,12 +237,35 @@ def test_grid_kernel_matches_masked_reference_on_pole_sum_rays():
 
 # ---------------------------------------------------------------- asymptotics
 
+def collapsed_ray(monkeypatch, c, r):
+    """M(c r) from the collapsed series for one ray of unit weight; no point may reach ``wofz``."""
+
+    def no_kernel(y):
+        raise AssertionError("a point between Y_NEAR and Y_FAR went to the kernel")
+
+    monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", no_kernel)
+    out = np.zeros(r.size, dtype=complex)
+    _Rays(np.asarray([c]), np.asarray([1.0 + 0.0j])).add_to(out, r)
+    return out
+
+
 @pytest.mark.parametrize("phase", np.linspace(-1.5707, 1.5707, 15))
-def test_far_series_matches_oracle(phase):
-    y = np.geomspace(Y_FAR, 1e4, 40) * cmath.exp(1j * phase)
-    assert abs(y[0]) == Y_FAR
-    value = _moshinsky_m_far(y, Y_FAR)
-    for yi, v in zip(y, value):
+def test_far_series_matches_oracle(monkeypatch, phase):
+    c = cmath.exp(1j * phase)
+    r = np.geomspace((1.0 + 1e-14) * Y_FAR / abs(c), 1e4, 40)  # starts at |y| = Y_FAR, just inside the band
+    value = collapsed_ray(monkeypatch, c, r)
+    for yi, v in zip(c * r, value):
+        expected = 0.5 * faddeeva_reference(1j * yi)
+        assert abs(v - expected) <= 1e-15 * abs(expected)
+
+
+@pytest.mark.parametrize("phase", np.linspace(-math.pi, math.pi, 17))
+def test_taylor_series_matches_oracle(monkeypatch, phase):
+    # the Taylor series is entire, so reflected rays take it as they are
+    c = cmath.exp(1j * phase)
+    r = np.geomspace(1e-4, (1.0 - 1e-14) * Y_NEAR, 40) / abs(c)
+    value = collapsed_ray(monkeypatch, c, r)
+    for yi, v in zip(c * r, value):
         expected = 0.5 * faddeeva_reference(1j * yi)
         assert abs(v - expected) <= 1e-15 * abs(expected)
 
