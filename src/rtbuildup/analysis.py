@@ -9,7 +9,9 @@ the slope -1/2 line and turns into a tau^{-1/2}-modulated oscillation.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +60,26 @@ class BuildupSeries:
     delta: np.ndarray = field(repr=False)
     resonance_index: int | None
     r_ratio: float
+
+    @cached_property
+    def _delta_curve(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """``delta_curve``, computed once and read-only, so slopes taken over it stay valid."""
+        keep = self.delta > 0.0
+        tau, ln_delta = self.tau[keep], np.log(self.delta[keep])
+        tau.flags.writeable = ln_delta.flags.writeable = False
+        return tau, ln_delta, int(np.count_nonzero(~keep))
+
+    @cached_property
+    def _slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``local_slopes`` over the delta curve and the slopes of ``detect_onset``'s
+        windows, from one set of prefix sums."""
+        tau, ln_delta, _ = self._delta_curve
+        lo, hi = _moving_windows(tau)
+        _edges, onset_lo, onset_hi = _onset_windows(tau)
+        slopes = _window_slopes(
+            tau, ln_delta, np.concatenate([lo, onset_lo]), np.concatenate([hi, onset_hi])
+        )
+        return slopes[:tau.size], slopes[tau.size:]
 
 
 @dataclass(frozen=True)
@@ -132,10 +154,20 @@ def fit_time_constant(
 
 
 def delta_curve(series: BuildupSeries) -> tuple[np.ndarray, np.ndarray, int]:
-    """(tau, ln delta) with exact zeros dropped; returns the dropped count."""
-    keep = series.delta > 0.0
-    dropped = int(np.count_nonzero(~keep))
-    return series.tau[keep], np.log(series.delta[keep]), dropped
+    """(tau, ln delta) with exact zeros dropped; returns the dropped count.
+
+    The arrays are the series' own, computed once and read-only.
+    ``local_slopes`` over the two arrays returned last also takes the
+    slopes ``detect_onset`` needs for the same series, from the same
+    prefix sums.
+    """
+    global _latest_curve
+    _latest_curve = weakref.ref(series)
+    return series._delta_curve
+
+
+_latest_curve = None
+"""Weak reference to the series ``delta_curve`` was last called on."""
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
@@ -204,12 +236,28 @@ def _window_slopes(
     return slopes
 
 
+def _moving_windows(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    half = 0.5 * SLOPE_WINDOW
+    return np.searchsorted(tau, tau - half, side="left"), np.searchsorted(tau, tau + half, side="right")
+
+
 def local_slopes(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Moving linear-fit slope of ``values`` vs tau with +-SLOPE_WINDOW/2 support."""
-    half = 0.5 * SLOPE_WINDOW
-    lo = np.searchsorted(tau, tau - half, side="left")
-    hi = np.searchsorted(tau, tau + half, side="right")
-    return _window_slopes(tau, values, lo, hi)
+    series = _latest_curve() if _latest_curve is not None else None
+    if series is not None and series._delta_curve[0] is tau and series._delta_curve[1] is values:
+        return series._slopes[0].copy()
+    return _window_slopes(tau, values, *_moving_windows(tau))
+
+
+def _onset_windows(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges and index bounds of ``detect_onset``'s consecutive windows; none below 16 points."""
+    if tau.size < 16:
+        return np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    start = max(FIT_TAU_MIN, float(tau[0]))
+    edges = np.arange(start, float(tau[-1]) + SLOPE_WINDOW, SLOPE_WINDOW)
+    lo = np.searchsorted(tau, edges[:-1], side="left")
+    hi = np.searchsorted(tau, edges[1:], side="left")
+    return edges, lo, hi
 
 
 def detect_onset(series: BuildupSeries) -> OnsetReport:
@@ -221,14 +269,14 @@ def detect_onset(series: BuildupSeries) -> OnsetReport:
     ``ONSET_DEVIATION`` (relative).  Requiring a persistent run keeps the
     oscillatory structure right at the crossover from triggering early.
     """
-    tau_d, ln_delta, _ = delta_curve(series)
+    tau_d, ln_delta, _ = series._delta_curve
     if tau_d.size < 16:
         raise NoOnsetError("series too short for onset detection")
-    start = max(FIT_TAU_MIN, float(tau_d[0]))
-    edges = np.arange(start, float(tau_d[-1]) + SLOPE_WINDOW, SLOPE_WINDOW)
-    lo = np.searchsorted(tau_d, edges[:-1], side="left")
-    hi = np.searchsorted(tau_d, edges[1:], side="left")
-    slopes = _window_slopes(tau_d, ln_delta, lo, hi)
+    edges, lo, hi = _onset_windows(tau_d)
+    if "_slopes" in vars(series):  # local_slopes took them over this curve
+        slopes = series._slopes[1]
+    else:
+        slopes = _window_slopes(tau_d, ln_delta, lo, hi)
     flagged = (hi - lo >= 4) & (np.abs(slopes + 0.5) > ONSET_DEVIATION * 0.5)
 
     tau_onset = None

@@ -22,15 +22,19 @@ Y_NEAR every ray takes the Taylor series of M, beyond Y_FAR the asymptotic
 one (a reflected ray adds exp(y^2)), so at each r the rays in either band
 collapse into one series in r whose coefficients are their weighted
 moments: one Horner sum per point and band, whatever the number of rays
-(``_Rays``).  Only the band between goes through the ``wofz`` kernel, one
-call per ray.  On a 120,000-point log grid from 1e-3 to 1e5 fs, at
-E = 0.2 eV and x = 80 A on the symmetric structure, this took 18 / 38 /
-66 pole pairs from 0.28 / 0.59 / 0.88 s, with each ray's own series
-beyond Y_FAR and ``wofz`` below it, to 0.12 / 0.22 / 0.41 s: 12.5 to 6.1 ms
-per added pair (best of 7 on 2 cores).  The sum is evaluated over fixed
-slices of ``BLOCK`` grid points, one slice per task on a thread pool; each
-slice holds every ray, so the values do not depend on how many workers run
-them.
+(``_Rays``).  In the band between, a reflected ray adds exp(y^2) as well,
+which leaves every ray there a smooth direct-branch term; cut at the
+rays' band edges into pieces no wider than ``BAND_RATIO`` in r, the rays
+on each piece sum to one entire function of r, interpolated from its
+values at ``BAND_NODES`` Chebyshev nodes.  ``wofz`` runs only at the
+nodes, in one call per evolution.  On a 120,000-point log grid from 1e-3
+to 1e5 fs, at E = 0.2 eV and x = 80 A on the symmetric structure, 18 / 38
+/ 53 pole pairs took 0.14 / 0.29 / 0.37 s with one ``wofz`` call per ray
+in the band, and take 0.055 / 0.075 / 0.10 s with the nodes: about 1.3
+against 6.5 ms per added pair (best of 3 on 2 cores).  The sum is evaluated
+over fixed slices of ``BLOCK`` grid points, one slice per task on a thread
+pool; each slice holds every ray and reads the same node values, so the
+values do not depend on how many workers run them.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from typing import Sequence
 import numpy as np
 
 from .moshinsky import (
+    BAND_NODES,
+    BAND_RATIO,
     EXP_MINUS_IPI4,
     SERIES_TERMS,
     TAYLOR_TERMS,
@@ -130,9 +136,18 @@ _SERIES = np.asarray(_series_coefficients(SERIES_TERMS))
 _EXP_CUT = 60.0
 """Beyond Y_FAR a reflected ray drops its exp(y^2) once Re(y^2) < -60, below 1e-26 of its weight."""
 
+_NODE_ANGLE = (2 * np.arange(BAND_NODES) + 1) * np.pi / (2 * BAND_NODES)
+_NODES = np.cos(_NODE_ANGLE)
+"""First-kind Chebyshev nodes on [-1, 1]; none is an end point, so none lies on a band edge."""
+_NODE_WEIGHTS = (-1.0) ** np.arange(BAND_NODES) * np.sin(_NODE_ANGLE)
+"""Their barycentric weights (Berrut & Trefethen, SIAM Rev. 46, 501 (2004), sec. 5)."""
+
+_EDGE_RTOL = 8 * np.finfo(float).eps
+"""Band edges closer than this, relative, are one edge: both rays of a pair share |c| up to rounding."""
+
 
 class _Rays:
-    """sum_i w_i M(c_i r) over an ascending r >= 0, every ray on one branch.
+    """sum_i w_i M(c_i r) over an ascending grid of r >= 0, every ray on one branch.
 
     A ray is direct (Re c > 0) or reflected with Re(c^2) <= 0, as every ray
     of the pole sum is.  Ray i is below ``Y_NEAR`` for r < Y_NEAR/|c_i| and
@@ -143,27 +158,67 @@ class _Rays:
     Rays leave the near band in order of rising |c| and join the far band
     in order of falling |c|, so the moments of every set that occurs are
     the running sums of a table in that order, added and never subtracted.
-    A reflected ray keeps exp(y^2) beyond Y_FAR, where
-    M(y) = exp(y^2) - M(-y) and the series is odd in y.  Only the band
-    between goes to ``_moshinsky_m_grid``, one call per ray.
+
+    A reflected ray adds its w exp(y^2) from its near edge on, so that what
+    is left of it in the band between is -w M(-y), on the direct branch;
+    beyond Y_FAR, where M(y) = exp(y^2) - M(-y), the series is odd in y.
+    Cut at every ray's band edges and again until no piece spans more than
+    ``BAND_RATIO`` in r, the band holds a fixed set of rays on each piece,
+    whose direct-branch terms sum to one entire function of r.  It is
+    interpolated from its values at ``BAND_NODES`` Chebyshev nodes, all
+    taken in one ``_moshinsky_m_grid`` call over the pieces that hold a
+    point of the grid ``r`` given here; the values depend on the rays alone.
     """
 
-    def __init__(self, c: np.ndarray, w: np.ndarray):
+    def __init__(self, c: np.ndarray, w: np.ndarray, r: np.ndarray):
         order = np.argsort(np.abs(c), kind="stable")
         self.c, self.w = c[order], w[order]
         mag = np.abs(self.c)
-        self.near_edge, self.far_edge = Y_NEAR / mag, Y_FAR / mag
+        # each edge moves down to the first of the edges it differs from only by rounding
+        edges = np.sort(np.concatenate([Y_NEAR / mag, Y_FAR / mag]))
+        edges = edges[np.concatenate(([True], edges[1:] > edges[:-1] * (1.0 + _EDGE_RTOL)))]
+        self.near_edge = edges[np.searchsorted(edges, Y_NEAR / mag, "right") - 1]
+        self.far_edge = edges[np.searchsorted(edges, Y_FAR / mag, "right") - 1]
         self.far_mag = mag[::-1].tolist()
         moments = self.w[:, None] * self.c[:, None] ** np.arange(TAYLOR_TERMS)
         self.near = np.cumsum(moments, axis=0) * _TAYLOR
         moments = self.w[::-1, None] * self.c[::-1, None] ** -(2 * np.arange(SERIES_TERMS) + 1)
         self.far = np.cumsum(moments, axis=0) * _SERIES
+        reflected = self.c.real < 0.0
         decay = np.maximum(-(self.c * self.c).real, 0.0)
         with np.errstate(divide="ignore"):
-            self.exp_edge = np.where(self.c.real < 0.0, np.sqrt(_EXP_CUT / decay), 0.0)
+            exp_end = np.maximum(self.far_edge, np.sqrt(_EXP_CUT / decay))
+        self.exp_c, self.exp_w = self.c[reflected].tolist(), self.w[reflected].tolist()
+        self.exp_from, self.exp_to = self.near_edge[reflected], exp_end[reflected]
+
+        # pieces [bounds[p], bounds[p + 1]); a piece holds the rays whose band covers it
+        cuts = np.ceil(np.log(edges[1:] / edges[:-1]) / math.log(BAND_RATIO)).astype(int)
+        step = (edges[1:] / edges[:-1]) ** (1.0 / cuts)
+        self.bounds = np.concatenate(
+            [e * s ** np.arange(n) for e, s, n in zip(edges[:-1].tolist(), step.tolist(), cuts.tolist())]
+            + [edges[-1:]]
+        )
+        lo, hi = self.bounds[:-1], self.bounds[1:]
+        rays = (self.near_edge <= lo[:, None]) & (hi[:, None] <= self.far_edge)
+        held = np.searchsorted(r, lo) < np.searchsorted(r, hi)
+        pieces = np.flatnonzero(held & rays.any(axis=1))
+        # slot[j] is the piece number of the points j pieces up from bounds[0], -1 for none
+        self.slot = np.full(self.bounds.size + 1, -1)
+        self.slot[pieces + 1] = np.arange(pieces.size)
+        self.mid = 0.5 * (hi + lo)[pieces]
+        self.half = 0.5 * (hi - lo)[pieces]
+        piece, ray = np.nonzero(rays[pieces])
+        sign = np.where(reflected, -1.0, 1.0)[ray, None]
+        node_r = self.mid[piece, None] + self.half[piece, None] * _NODES
+        # values[j, p]: the sum at node j of piece p
+        self.values = np.zeros((BAND_NODES, pieces.size), dtype=complex)
+        if piece.size:
+            m = _moshinsky_m_grid(sign * self.c[ray, None] * node_r)
+            firsts = np.flatnonzero(np.diff(piece, prepend=-1))
+            self.values = np.add.reduceat(sign * self.w[ray, None] * m, firsts, axis=0).T.copy()
 
     def add_to(self, out: np.ndarray, r: np.ndarray) -> None:
-        """out += sum_i w_i M(c_i r)."""
+        """out += sum_i w_i M(c_i r) for r a run of the grid the rays were made for."""
         # ray i is near on [0, lo[i]) and far on [hi[i], r.size); both fall with i
         lo = np.searchsorted(r, self.near_edge).tolist()
         hi = np.searchsorted(r, self.far_edge).tolist()
@@ -171,14 +226,13 @@ class _Rays:
         for m, (a, b) in enumerate(zip(lo[1:] + [0], lo)):
             if a < b:
                 out[a:b] += _horner(self.near[m].tolist(), r[a:b].astype(complex))
-        # a reflected ray adds its exp(y^2) on [hi[i], cut[i])
-        cut = np.searchsorted(r, self.exp_edge).tolist()
-        for c, w, a, b, e in zip(self.c.tolist(), self.w.tolist(), lo, hi, cut):
+        # a reflected ray adds its exp(y^2) from its near edge to past Y_FAR
+        start, stop = np.searchsorted(r, self.exp_from).tolist(), np.searchsorted(r, self.exp_to).tolist()
+        for c, w, a, b in zip(self.exp_c, self.exp_w, start, stop):
             if a < b:
-                out[a:b] += w * _moshinsky_m_grid(c * r[a:b])
-            if b < e:
-                y = c * r[b:e]
-                out[b:e] += w * np.exp(y * y)
+                y = c * r[a:b]
+                y *= y
+                out[a:b] += w * np.exp(y, out=y)
         # in order of falling |c|, points [hi[m], hi[m + 1]) are far for rays 0..m
         far = hi[::-1]
         for m, (a, b) in enumerate(zip(far, far[1:] + [r.size])):
@@ -186,6 +240,22 @@ class _Rays:
                 n = _series_terms(self.far_mag[m] * r[a])
                 inv = 1.0 / r[a:b]
                 out[a:b] += inv * _horner(self.far[m, :n].tolist(), (inv * inv).astype(complex))
+        # the band, by the barycentric formula on each point's piece, one node at a time
+        slot = self.slot[np.searchsorted(self.bounds, r, "right")]
+        points = np.flatnonzero(slot >= 0)
+        if points.size:
+            slot = slot[points]
+            x = (r[points] - self.mid[slot]) / self.half[slot]
+            num, den = np.zeros(x.size, dtype=complex), np.zeros(x.size)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for node, weight, values in zip(_NODES.tolist(), _NODE_WEIGHTS.tolist(), self.values):
+                    q = weight / (x - node)
+                    den += q
+                    num += q * values[slot]
+                band = num / den
+            on = np.flatnonzero(~np.isfinite(band))  # a point on a node: inf / inf
+            band[on] = self.values[np.argmin(np.abs(x[on, None] - _NODES), axis=1), slot[on]]
+            out[points] += band
 
 
 def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
@@ -208,9 +278,8 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
         c += [-EXP_MINUS_IPI4 * s.k, EXP_MINUS_IPI4 * s.k.conjugate()]
         w += [-1j * t_n, -1j * t_n.conjugate()]
     c, w = np.asarray(c, dtype=complex), np.asarray(w, dtype=complex)
-    rays = _Rays(c, w)
-
     root_t = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
+    rays = _Rays(c, w, root_t)
     psi = np.empty(t_fs.size, dtype=complex)
 
     def block(start: int) -> None:
@@ -227,7 +296,7 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
         block(0)
 
     last = np.zeros(1, dtype=complex)  # the last pair's term at the last grid point
-    _Rays(c[-2:], w[-2:]).add_to(last, root_t[-1:])
+    _Rays(c[-2:], w[-2:], root_t[-1:]).add_to(last, root_t[-1:])
     scale = abs(psi[-1])
     diag = abs(last[0]) / scale if scale > 0.0 else math.inf
     if mode == "full" and diag > tail_tol:

@@ -10,10 +10,10 @@ obtained from the reflection
 whose exponential exceeds the double range once Re(y^2) passes ~709.  One
 vectorized kernel evaluates both branches; a reflected value is formed as
 mantissa * exp(s) with s = max(Re y^2, 0), and ``moshinsky_m(y, scaled=True)``
-returns that pair instead of multiplying it out.  Each ray the pole sum
-sends lies on one branch with s = 0, so only the plain value enters the
-dynamics, and the kernel takes it in one ``wofz`` call over the whole
-array, with no masks and no scale.
+returns that pair instead of multiplying it out.  The pole sum sends only
+direct arguments (Re y > 0), so only the plain value enters the dynamics,
+and the kernel takes it in one ``wofz`` call over the whole array, with no
+masks and no scale.
 
 The pole sum takes M(y) from two series wherever they reach the rounding
 floor: below |y| = ``Y_NEAR`` = 1 the Taylor series (Abramowitz & Stegun
@@ -31,7 +31,11 @@ relative error against a 40-digit erfc at |y| = 1, and the asymptotic sum
 stops before the first term below 1e-17 of the leading one, 17 terms at
 |y| = 8 and 4e-16.  Both are linear in their coefficients, so
 ``dynamics`` sums them over many rays at once.  ``moshinsky_asymptotic`` is
-the scalar form of the asymptotic sum.
+the scalar form of the asymptotic sum.  Between the two, ``dynamics``
+interpolates the summed direct-branch terms of its rays in r from
+``BAND_NODES`` = 17 Chebyshev nodes on pieces of at most ``BAND_RATIO`` =
+1.5 in r: one ray there is within 1.1e-14 of a 30-digit erfc, as ``wofz``
+itself is at the same points.
 
 Momentum arguments follow
 
@@ -146,10 +150,10 @@ def faddeeva(z):
 
 
 Y_NEAR = 1.0
-"""|y| below which the pole sum takes M(y) from its Taylor series instead of ``wofz``."""
+"""|y| below which the pole sum takes M(y) from its Taylor series."""
 
 Y_FAR = 8.0
-"""|y| from which the pole sum takes M(y) from its asymptotic series instead of ``wofz``."""
+"""|y| from which the pole sum takes M(y) from its asymptotic series."""
 
 TAYLOR_TERMS = 38
 """Taylor terms the pole sum takes below ``Y_NEAR``.
@@ -158,6 +162,20 @@ At |y| = 1, 38 terms reach 4.7e-16 against mpmath, 36 reach 5.9e-16 and 34
 reach 5.3e-15.  Each run of points with the same rays near ends where one
 of them reaches |y| = 1, so fewer terms at smaller |y| would save little
 (1.4% of the Taylor work on the pole-sum benchmark).
+"""
+
+BAND_NODES = 17
+"""First-kind Chebyshev nodes per piece on which the pole sum interpolates its rays between
+``Y_NEAR`` and ``Y_FAR``."""
+
+BAND_RATIO = 1.5
+"""Largest r_hi / r_lo of one interpolation piece.
+
+With 17 nodes a piece anywhere from |y| = 1 to 8 interpolates one
+direct-branch ray, in any direction the pole sum makes, as closely as
+``wofz`` evaluates it.  A reflected ray's own M(y) would need more than 32
+nodes on sharp poles, whose exp(y^2) turns by up to ~35 radians across a
+piece, so the pole sum adds that factor apart.
 """
 
 

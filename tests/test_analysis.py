@@ -214,6 +214,19 @@ def test_local_slopes_degenerate_inputs(n):
     assert np.all(np.isnan(got))
 
 
+def test_local_slopes_reuse_only_the_delta_curve_they_are_given():
+    """Over the arrays ``delta_curve`` returned, the series' prefix sums serve; over others, their own."""
+    tau = np.linspace(0.3, 30.0, 6001)
+    series = synthetic_series(tau, 1.0 - np.exp(crossover_like(tau)))
+    tau_d, ln_delta, _ = delta_curve(series)
+    assert not (tau_d.flags.writeable or ln_delta.flags.writeable)
+    own = local_slopes(tau_d, ln_delta)
+    assert_slopes_match(own, polyfit_slopes(tau_d, ln_delta))
+    # scaling by 2 is exact through every compensated sum and product
+    np.testing.assert_array_equal(local_slopes(tau_d, 2.0 * ln_delta), 2.0 * own)
+    np.testing.assert_array_equal(local_slopes(tau_d.copy(), ln_delta.copy()), own)
+
+
 def test_window_slopes_do_not_call_polyfit(monkeypatch):
     import rtbuildup.analysis as analysis_module
 

@@ -1,3 +1,4 @@
+import cmath
 import multiprocessing
 import os
 import warnings
@@ -21,7 +22,7 @@ from rtbuildup import (
     find_poles,
     stationary_wave,
 )
-from rtbuildup.dynamics import BLOCK
+from rtbuildup.dynamics import BLOCK, _NODES, _Rays
 from rtbuildup.moshinsky import EXP_MINUS_IPI4, Y_FAR, Y_NEAR, _moshinsky_m_grid
 from rtbuildup.scattering import stationary_state
 
@@ -331,7 +332,7 @@ def test_kernel_log_scale_stays_zero_on_symmetric_poles(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             evolve_full(symmetric_profile, symmetric_poles_8ev, energy_ev, 80.0, t_fs=t_fs)
-    assert len(worst) == 4 * (1 + 2 * 18)
+    assert len(worst) == 4  # one call per evolve: every node value at once
     assert max(worst) <= BOUND
     # the free term's exp(y_{-k}^2) is taken outside the kernel
     constants = symmetric_profile.constants
@@ -425,6 +426,99 @@ def test_grid_beyond_y_far_never_calls_the_kernel(monkeypatch, asymmetric_profil
     monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", no_kernel)
     sol = quiet_full(asymmetric_profile, asymmetric_poles, energy_ev, 55.0, t_fs)
     assert np.max(np.abs(sol.psi - psi)) <= 1e-14 * np.max(np.abs(psi))
+
+
+# ------------------------------------------------------- interpolated band
+
+def band_ray(c, r):
+    """M(c r) for one ray of unit weight through ``_Rays``."""
+    out = np.zeros(r.size, dtype=complex)
+    _Rays(np.asarray([c]), np.asarray([1.0 + 0.0j]), r).add_to(out, r)
+    return out
+
+
+@pytest.mark.parametrize("arg_kn", np.linspace(0.0, -0.6, 7))
+@pytest.mark.parametrize("branch", ["direct", "reflected"])
+def test_band_matches_mpmath(arg_kn, branch):
+    """Y_NEAR <= |y| < Y_FAR on the two rays of a sharp (arg k_n = 0) to broad (-0.6) pole.
+
+    The points include every piece edge and every node.  Both the band and
+    ``wofz`` itself reach 1.1e-14 of the oracle at these points.
+    """
+    k_n = cmath.exp(1j * arg_kn)
+    c = EXP_MINUS_IPI4 * k_n.conjugate() if branch == "direct" else -EXP_MINUS_IPI4 * k_n
+    assert (c.real < 0.0) == (branch == "reflected")
+    pieces = _Rays(np.asarray([c]), np.asarray([1.0 + 0.0j]), np.geomspace(Y_NEAR, Y_FAR, 50))
+    nodes = (pieces.mid[:, None] + pieces.half[:, None] * _NODES).ravel()
+    edges = pieces.bounds[pieces.bounds < Y_FAR]
+    assert edges.size >= 6 and nodes.size == edges.size * _NODES.size
+    r = np.unique(np.concatenate([np.geomspace(Y_NEAR, (1.0 - 1e-15) * Y_FAR, 25), edges, nodes]))
+    value = band_ray(c, r)
+    with mp.workdps(30):
+        for ri, v in zip(r, value):
+            y = mp.mpc(c) * mp.mpf(ri)
+            expected = complex(mp.exp(y * y) * mp.erfc(y) / 2)
+            assert abs(v - expected) <= 5e-14 * abs(expected), (ri, abs(v / expected - 1.0))
+
+
+def test_rays_a_rounding_apart_share_their_band_edges(monkeypatch):
+    """|c| that differ in the last bits, as a pair's two rays may, leave no node outside the band."""
+    seen = []
+
+    def recording_kernel(y):
+        seen.append(np.abs(y))
+        return _moshinsky_m_grid(y)
+
+    monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", recording_kernel)
+    for phase in np.linspace(-1.2, 0.7, 5):
+        for bits in (1, 2, 3, 4):
+            c = EXP_MINUS_IPI4 * cmath.exp(1j * phase) * np.asarray([1.0, 1.0 + bits * 2.2e-16])
+            edges = np.concatenate([Y_NEAR / np.abs(c), Y_FAR / np.abs(c)])
+            r = np.unique(np.concatenate([np.geomspace(0.5, 10.0, 50) / np.abs(c[0]), edges]))
+            out = np.zeros(r.size, dtype=complex)
+            _Rays(c, np.ones(2, dtype=complex), r).add_to(out, r)
+            expected = _moshinsky_m_grid(c[0] * r) + _moshinsky_m_grid(c[1] * r)
+            assert np.max(np.abs(out - expected) / np.abs(expected)) <= 5e-14
+    seen = np.concatenate(seen)
+    assert seen.max() < Y_FAR and seen.min() >= (1.0 - 1e-15) * Y_NEAR
+
+
+def t_at(constants, r):
+    """The time whose r = sqrt(hbar t / 2m), as ``_evolve`` forms it, is r exactly (or nearest)."""
+    t = r * r * constants.hbar / constants.hbar2_over_2m
+    for _ in range(8):
+        root = np.sqrt(constants.hbar2_over_2m * np.asarray([t]) / constants.hbar)[0]
+        if root == r:
+            break
+        t = np.nextafter(t, np.inf if root < r else 0.0)
+    return t
+
+
+def test_short_grids_in_the_band_match_whole_grid(symmetric_profile, symmetric_poles_8ev):
+    """One and two points inside one piece, and a grid that starts on a band edge."""
+    constants = symmetric_profile.constants
+    k = constants.wavevector(0.2)
+    c = [EXP_MINUS_IPI4 * k]
+    for s in symmetric_poles_8ev:
+        c += [-EXP_MINUS_IPI4 * s.k, EXP_MINUS_IPI4 * s.k.conjugate()]
+    rays = _Rays(np.asarray(c), np.ones(len(c), dtype=complex), np.zeros(0))
+    r_mid = np.sqrt(constants.hbar2_over_2m * 10.0 / constants.hbar)  # t = 10 fs, where |Psi| ~ |phi|
+    assert np.sum((rays.near_edge <= r_mid) & (r_mid < rays.far_edge)) >= 3
+    p = np.searchsorted(rays.bounds, r_mid, "right") - 1
+    lo, hi = rays.bounds[p], rays.bounds[p + 1]
+    edge = rays.near_edge[np.argmin(np.abs(np.log(rays.near_edge / r_mid)))]
+    t_edge = t_at(constants, edge)
+    grids = [
+        [t_at(constants, np.sqrt(lo * hi))],
+        [t_at(constants, lo * (hi / lo) ** f) for f in (0.25, 0.75)],
+        t_edge * np.asarray([1.0, 1.2, 1.5, 3.0]),
+    ]
+    assert np.sqrt(constants.hbar2_over_2m * t_edge / constants.hbar) == edge
+    for t_fs in grids:
+        t_fs = np.asarray(t_fs)
+        sol = quiet_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
+        psi, _last = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
+        assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi)), t_fs
 
 
 def mpmath_pole_sum(k, phi, poles, r, dps=25):
