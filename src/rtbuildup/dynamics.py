@@ -265,8 +265,8 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
         raise ValueError(f"position {x} outside [0, {profile.total_length}] A")
     tau, t_fs = _resolve_grid(reference, tau, t_fs)
     constants = profile.constants
-    k = constants.wavevector(energy_ev)
-    phi = stationary_state(profile, energy_ev).phi(x)
+    state = stationary_state(profile, energy_ev)
+    k, phi = state.k, state.phi(x)
     # y_k = -y_{-k}, so M(y_k) = exp(y_{-k}^2) - M(y_{-k}) by the reflection:
     # the free term is phi exp(y_{-k}^2) - 2 Re(phi) M(y_{-k})
     c_free = EXP_MINUS_IPI4 * k
@@ -285,9 +285,12 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
     def block(start: int) -> None:
         r = root_t[start:start + BLOCK]
         out = psi[start:start + BLOCK]
-        y_free = c_free * r
-        out[:] = phi * np.exp(y_free * y_free)
+        # the free term, the largest, goes in last so that the rays' partial
+        # sums round at their own scale rather than at |phi|
+        out[:] = 0.0
         rays.add_to(out, r)
+        y_free = c_free * r
+        out += phi * np.exp(y_free * y_free)
 
     starts = range(0, t_fs.size, BLOCK)
     if len(starts) > 1:

@@ -5,9 +5,11 @@ of t(k).  m22 is analytic in k away from k = 0 (the segment propagators are
 even in the local wavevectors), so Newton iteration with a finite-difference
 derivative converges quadratically from transmission-peak seeds, and the
 argument principle on a rectangle gives an independent completeness count.
-The same contour samples, through their moments, seed the poles that have
-no transmission peak.  Every batch of seeds is refined in lockstep: one
-transfer-matrix call per Newton round, however many seeds there are.
+The count runs on the search rectangle lifted a little above the real axis,
+where |m22| >= 1 is far from zero; the contour moments that seed the poles
+with no transmission peak run on the rectangle itself.  Every batch of seeds
+is refined in lockstep: one transfer-matrix call per Newton round, however
+many seeds there are.
 
 The associated Gamow eigenfunction u_n solves the stationary equation at the
 complex energy E_n = hbar^2 k_n^2 / 2m with purely outgoing boundary
@@ -253,10 +255,16 @@ def find_poles(
     sqrt((E_peak - i w / 2) / c2), with w the grid scale at the peak, and all
     seeds are refined in lockstep.  Completeness is cross-checked by the
     argument-principle count over the search rectangle
-    Re k in (0, k(e_max)], Im k in [-k(e_max), 0); a seed that fails or
-    lands on a pole already found leaves a deficit that the contour moments
-    of ``_recover_poles`` fill.  A profile that binds a state below E = 0 is
-    refused with ``BoundStateError``.
+    Re k in [k(SCAN_FLOOR_EV)/2, k(e_max)], Im k in [-k(e_max), 0); a seed
+    that fails or lands on a pole already found leaves a deficit that the
+    contour moments of ``_recover_poles`` fill.  The count takes the
+    rectangle's top edge at Im k = +(k_hi - k_lo)/SAMPLES_PER_EDGE rather
+    than on the real axis, just above the narrow poles, where the contour
+    would need rounds of bisection.  The count is the same: m22 of a real
+    potential has no zero with Im k > 0 besides bound states on the
+    imaginary axis, which are refused, and |m22| = 1/|t| >= 1 on the real
+    axis.  A profile that binds a state below E = 0 is refused with
+    ``BoundStateError``.
     """
     if not e_max_ev > 0.0:
         raise ValueError("e_max must be positive")
@@ -288,7 +296,7 @@ def find_poles(
         return [k for k in ks if k_lo <= k.real <= k_hi and -k_hi <= k.imag < 0.0]
 
     in_rect = in_rectangle(found)
-    count = winding_number(profile, *rectangle)
+    count = winding_number(profile, (k_lo, k_hi), (-k_hi, (k_hi - k_lo) / SAMPLES_PER_EDGE))
     if count > len(in_rect):
         # a pole without a clean transmission maximum (broad, above the
         # barrier top, or riding a monotone background)

@@ -17,10 +17,12 @@ Pole searches can therefore continue t(k) into the fourth quadrant without
 branch-cut bookkeeping; the principal square root used for kappa is
 immaterial.
 
-Every evaluation goes through ``_transfer_entries``, which is vectorized
-over k.  The transmission scan is one such call on its whole grid; each
-peak it reports is the closed-form vertex of a parabola through three grid
-points, which is all the pole search needs from it.
+Every evaluation at complex k goes through ``_transfer_entries``, which is
+vectorized over k.  The transmission scan needs real k only, where every
+propagator entry is real: ``_transmission_grid`` multiplies them in float64,
+taking the oscillating or the evanescent branch each segment needs at each
+point.  Each peak the scan reports is the closed-form vertex of a parabola
+through three grid points, which is all the pole search needs from it.
 """
 
 from __future__ import annotations
@@ -224,10 +226,17 @@ class StationaryState:
 
 
 def stationary_state(profile: PotentialProfile, energy_ev: float) -> StationaryState:
-    """Scattering solution at real E > 0."""
+    """Scattering solution at real E > 0.
+
+    At E exactly on a segment height a local wavevector vanishes, where the
+    propagator's sin(kappa w)/kappa is 0/0; k is then lowered by 1e-9 of
+    itself, as ``bound_state_energies`` does with q.
+    """
     if not energy_ev > 0.0:
         raise ValueError(f"energy must be positive, got {energy_ev}")
     k = profile.constants.wavevector(energy_ev)
+    if np.any(k * k == profile.heights / profile.constants.hbar2_over_2m):
+        k *= 1.0 - 1e-9
     m = transfer_matrix(profile, k)
     t = m.transmission_amplitude
     r = m.reflection_amplitude
@@ -256,7 +265,7 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
     n = max(512, int(64 * q_max * profile.total_length))
     # a geometric head below the uniform grid catches a state bound near E = 0
     q = q_max * np.concatenate([np.geomspace(1e-9, 1.0 / n, 40, endpoint=False), np.arange(1, n + 1) / n])
-    for h in profile.heights:  # keep off kappa = 0, as transmission_scan does
+    for h in profile.heights:  # keep off kappa = 0, as stationary_state does
         q[q * q == -h / c2] *= 1.0 - 1e-9
 
     def negative(q):
@@ -301,16 +310,52 @@ POINTS_PER_DECADE = 2000  # default density of the transmission scan
 
 
 def _transmission_grid(profile: PotentialProfile, energies_ev: np.ndarray) -> np.ndarray:
+    """|t(E)|^2 at ascending real energies, in real arithmetic.
+
+    For real k each segment has a real kappa^2 = k^2 - V/c2 and
+    q = sqrt(|kappa^2|); its propagator entries are (cos qw, sin(qw)/q,
+    -q sin qw) where kappa^2 > 0, (cosh qw, sinh(qw)/q, q sinh qw) where
+    kappa^2 < 0, and the limit (1, w, 0) where kappa^2 = 0.  kappa^2 rises
+    with E, so each branch is one slice of the grid.  With real entries,
+    |m22|^2 = ((w11 + w22)^2 + (k w12 - w21/k)^2) / 4.
+    """
     c2 = profile.constants.hbar2_over_2m
-    k = np.sqrt(energies_ev / c2)
-    m22 = _transfer_entries(profile, k)[3]
-    return 1.0 / np.abs(m22) ** 2
+    k = np.sqrt(np.asarray(energies_ev, dtype=float) / c2)
+    k2 = k * k
+    if np.any(k2[1:] < k2[:-1]):
+        raise ValueError("energies must be ascending")
+    w11 = w12 = w21 = w22 = None
+    for width, height in zip(profile.widths.tolist(), profile.heights.tolist()):
+        kappa2 = k2 - height / c2
+        lo, hi = np.searchsorted(kappa2, 0.0, side="left"), np.searchsorted(kappa2, 0.0, side="right")
+        c, p12, p21 = np.empty(k.size), np.empty(k.size), np.empty(k.size)
+        q = np.sqrt(-kappa2[:lo])
+        z = q * width
+        s = np.sinh(z)
+        c[:lo], p12[:lo], p21[:lo] = np.cosh(z), s / q, q * s
+        c[lo:hi], p12[lo:hi], p21[lo:hi] = 1.0, width, 0.0
+        q = np.sqrt(kappa2[hi:])
+        z = q * width
+        s = np.sin(z)
+        c[hi:], p12[hi:], p21[hi:] = np.cos(z), s / q, -q * s
+        if w11 is None:
+            w11, w12, w21, w22 = c, p12, p21, c
+        else:
+            w11, w12, w21, w22 = (
+                c * w11 + p12 * w21,
+                c * w12 + p12 * w22,
+                p21 * w11 + c * w21,
+                p21 * w12 + c * w22,
+            )
+    a = w11 + w22
+    b = k * w12 - w21 / k
+    return 4.0 / (a * a + b * b)
 
 
 def transmission_scan(
     profile: PotentialProfile, e_min_ev: float, e_max_ev: float, n_points: int | None = None
 ) -> ScanResult:
-    """|t(E)|^2 on a log-spaced grid plus its local maxima, in one transfer-matrix call.
+    """|t(E)|^2 on a log-spaced grid plus its local maxima, in one real-arithmetic pass.
 
     The default density (``POINTS_PER_DECADE``) resolves widths down to a
     small fraction of a meV at typical resonance energies.  Near a pole
@@ -325,12 +370,6 @@ def transmission_scan(
         decades = np.log10(e_max_ev / e_min_ev)
         n_points = max(64, int(np.ceil(decades * POINTS_PER_DECADE)) + 1)
     energies = np.logspace(np.log10(e_min_ev), np.log10(e_max_ev), n_points)
-    # a grid point whose rounded wavevector lands exactly on a segment height
-    # makes the local wavevector vanish; nudge off the measure-zero singularity
-    c2 = profile.constants.hbar2_over_2m
-    k2 = np.sqrt(energies / c2) ** 2
-    for h in profile.heights:
-        energies[k2 == h / c2] *= 1.0 - 1e-9
     t2 = _transmission_grid(profile, energies)
 
     i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1

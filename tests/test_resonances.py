@@ -213,6 +213,31 @@ def search_rectangle(profile, e_max_ev, e_min_ev=1e-3):
     return (0.5 * c.wavevector(e_min_ev), k_hi), (-k_hi, 0.0)
 
 
+@pytest.mark.parametrize("name", ["symmetric", "asymmetric"])
+@pytest.mark.parametrize("e_max", [2.0, 16.0, 48.0])
+def test_lifted_winding_count_matches_count_on_the_axis(name, e_max, request, monkeypatch):
+    """find_poles counts on the rectangle lifted by one edge step above Im k = 0: same count, fewer calls.
+
+    The strip between holds no zero of m22, because a real potential has none
+    with Im k > 0 and Re k > 0.
+    """
+    profile = request.getfixturevalue(f"{name}_profile")
+    (k_lo, k_hi), (im_lo, _top) = search_rectangle(profile, e_max)
+    calls = []
+    entries = resonances._transfer_entries
+
+    def counting(profile, k):
+        calls.append(1)
+        return entries(profile, k)
+
+    monkeypatch.setattr(resonances, "_transfer_entries", counting)
+    on_axis = winding_number(profile, (k_lo, k_hi), (im_lo, 0.0))
+    n_on_axis = len(calls)
+    lifted = winding_number(profile, (k_lo, k_hi), (im_lo, (k_hi - k_lo) / resonances.SAMPLES_PER_EDGE))
+    assert lifted == on_axis > 0
+    assert len(calls) - n_on_axis <= n_on_axis
+
+
 @pytest.mark.parametrize("name, n_poles, n_missing", [("symmetric", 26, 2), ("asymmetric", 30, 4)])
 def test_moment_recovery_of_several_missing_poles(
     name, n_poles, n_missing, symmetric_profile, asymmetric_profile, monkeypatch

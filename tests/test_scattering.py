@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,18 +235,108 @@ def test_scan_vertex_matches_golden_section_maximum(request, case, e_max):
 
 @pytest.mark.parametrize("e_max, n_peaks", [(0.4, 3), (8.0, 18)])
 def test_transmission_scan_call_budget_does_not_grow_with_peaks(symmetric_profile, monkeypatch, e_max, n_peaks):
-    """The grid is the only transfer-matrix call: every peak is a closed-form parabola vertex."""
+    """The grid is the only evaluation: every peak is a closed-form parabola vertex."""
     calls = []
-    entries = scattering._transfer_entries
+    grid = scattering._transmission_grid
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return entries(*args, **kwargs)
+        return grid(*args, **kwargs)
 
-    monkeypatch.setattr(scattering, "_transfer_entries", counting)
+    monkeypatch.setattr(scattering, "_transmission_grid", counting)
     scan = transmission_scan(symmetric_profile, 1e-3, e_max)
     assert len(scan.peaks) == n_peaks
     assert len(calls) == 1
+
+
+def on_segment_height(c2, height):
+    """A float energy whose grid wavevector squares exactly to height / c2, or None.
+
+    Searches 64 floats either side of ``height``; about half of all heights
+    have one.
+    """
+    lo = hi = height
+    for _ in range(64):
+        for e in (lo, hi):
+            k = math.sqrt(e / c2)
+            if k * k == height / c2:
+                return e
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+    return None
+
+
+def complex_path_transmission(profile, energies):
+    """1/|m22|^2 from the complex transfer matrix; at kappa = 0 the mean of k(1 -+ 1e-10).
+
+    |t|^2 is analytic in k there, so the mean is off by O(1e-20) times its
+    relative curvature: 1.2e-15 of mpmath's value on the symmetric barrier
+    top, where steps of 1e-8 would leave 1.1e-13.
+    """
+    c2 = profile.constants.hbar2_over_2m
+    k = np.sqrt(energies / c2)
+    on = np.isin(k * k, profile.heights / c2)
+    ks = np.concatenate([k[~on], k[on] * (1.0 - 1e-10), k[on] * (1.0 + 1e-10)])
+    t2 = 1.0 / np.abs(_transfer_entries(profile, ks)[3]) ** 2
+    n, n_on = np.count_nonzero(~on), np.count_nonzero(on)
+    out = np.empty(k.size)
+    out[~on] = t2[:n]
+    out[on] = 0.5 * (t2[n:n + n_on] + t2[n + n_on:])
+    return out
+
+
+def seeded_double_barrier(seed):
+    """A double barrier whose barrier heights each have a float energy exactly on them."""
+    draw = np.random.default_rng(seed)
+    c2 = build_profile([(1.0, 0.0)]).constants.hbar2_over_2m
+    heights = []
+    for h in draw.uniform(0.2, 0.5, 2):
+        while on_segment_height(c2, h) is None:
+            h = np.nextafter(h, np.inf)
+        heights.append(float(h))
+    w1, w2 = draw.uniform(20.0, 40.0, 2)
+    well = (draw.uniform(40.0, 120.0), draw.uniform(0.0, 0.1))
+    return build_profile([(w1, heights[0]), well, (w2, heights[1])])
+
+
+@pytest.mark.parametrize("case", ["symmetric", "asymmetric", 0, 1, 2, 3, 4])
+def test_real_grid_matches_complex_transfer_matrix(request, case):
+    """On the scan's own grid to 4x the barrier top, plus energies on every segment height.
+
+    Where a height has no float energy exactly on it (asymmetric 0.3 eV),
+    the float nearest it leaves kappa^2 a few ulps from zero.
+    """
+    if isinstance(case, str):
+        profile = request.getfixturevalue(f"{case}_profile")
+    else:
+        profile = seeded_double_barrier(case)
+    c2 = profile.constants.hbar2_over_2m
+    on_heights = [on_segment_height(c2, h) or h for h in np.unique(profile.heights) if h > 0.0]
+    grid = transmission_scan(profile, 1e-3, 4.0 * np.max(profile.heights)).energies_ev
+    energies = np.sort(np.concatenate([grid, on_heights]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a 0/0 at kappa = 0 would warn
+        t2 = _transmission_grid(profile, energies)
+    assert np.all(np.isfinite(t2))
+    n_exact = np.count_nonzero(np.isin(np.sqrt(energies / c2) ** 2, profile.heights / c2))
+    assert n_exact >= (0 if case == "asymmetric" else 1)
+    np.testing.assert_allclose(t2, complex_path_transmission(profile, energies), rtol=1e-13, atol=0.0)
+
+
+def test_real_grid_rejects_descending_energies(symmetric_profile):
+    with pytest.raises(ValueError, match="ascending"):
+        _transmission_grid(symmetric_profile, np.asarray([0.2, 0.1]))
+
+
+def test_stationary_state_on_segment_height(symmetric_profile):
+    """At E = barrier height k moves down by 1e-9 of itself; phi stays finite and continuous."""
+    e = on_segment_height(symmetric_profile.constants.hbar2_over_2m, 0.5)
+    state = stationary_state(symmetric_profile, e)
+    k = symmetric_profile.constants.wavevector(e)
+    assert state.k == k * (1.0 - 1e-9) and state.energy_ev == e
+    xs = np.linspace(0.0, 160.0, 9)
+    near = stationary_state(symmetric_profile, e * (1.0 + 1e-7)).phi(xs)
+    assert np.all(np.isfinite(state.phi(xs)))
+    np.testing.assert_allclose(state.phi(xs), near, rtol=1e-5)
 
 
 def test_transmission_scan_does_not_call_minimize_scalar(symmetric_profile, monkeypatch):
