@@ -9,7 +9,6 @@ the slope -1/2 line and turns into a tau^{-1/2}-modulated oscillation.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,6 +26,7 @@ FIT_TAU_MIN = 0.5  # start of the charging-law fit window
 ENVELOPE_MARGIN = 4.0  # tau after the onset where the envelope fit starts
 ENVELOPE_BLOCKS = 12  # log-spaced tau blocks of the envelope fit
 MIN_PER_BLOCK = 24  # samples a block needs to count
+FIT_RESIDUAL_TOL = 0.05  # largest RMS residual of the charging-law fit
 
 
 class NodePositionError(ValueError):
@@ -63,23 +63,11 @@ class BuildupSeries:
 
     @cached_property
     def _delta_curve(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """``delta_curve``, computed once and read-only, so slopes taken over it stay valid."""
+        """``delta_curve``, computed once and read-only."""
         keep = self.delta > 0.0
         tau, ln_delta = self.tau[keep], np.log(self.delta[keep])
         tau.flags.writeable = ln_delta.flags.writeable = False
         return tau, ln_delta, int(np.count_nonzero(~keep))
-
-    @cached_property
-    def _slopes(self) -> tuple[np.ndarray, np.ndarray]:
-        """``local_slopes`` over the delta curve and the slopes of ``detect_onset``'s
-        windows, from one set of prefix sums."""
-        tau, ln_delta, _ = self._delta_curve
-        lo, hi = _moving_windows(tau)
-        _edges, onset_lo, onset_hi = _onset_windows(tau)
-        slopes = _window_slopes(
-            tau, ln_delta, np.concatenate([lo, onset_lo]), np.concatenate([hi, onset_hi])
-        )
-        return slopes[:tau.size], slopes[tau.size:]
 
 
 @dataclass(frozen=True)
@@ -118,15 +106,11 @@ def normalize_buildup(
 
 
 def fit_time_constant(
-    series: BuildupSeries,
-    *,
-    tau_min: float = 0.5,
-    tau_max: float = 6.0,
-    residual_tol: float = 0.05,
+    series: BuildupSeries, *, tau_min: float = 0.5, tau_max: float = 6.0
 ) -> OnsetReport:
     """Least-squares fit of ln(1 - |Psi/phi|) over the pre-onset window.
 
-    tau0 = -1/slope; an RMS residual above ``residual_tol`` means the window
+    tau0 = -1/slope; an RMS residual above ``FIT_RESIDUAL_TOL`` means the window
     reaches into the crossover and is rejected.
     """
     tau, ratio = series.tau, series.ratio_abs
@@ -141,9 +125,9 @@ def fit_time_constant(
     y = np.log(1.0 - ratio[mask])
     slope, intercept = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - slope * x - intercept) ** 2)))
-    if residual > residual_tol:
+    if residual > FIT_RESIDUAL_TOL:
         raise FitWindowError(
-            f"fit residual {residual:.3g} exceeds {residual_tol}; window overlaps the onset"
+            f"fit residual {residual:.3g} exceeds {FIT_RESIDUAL_TOL}; window overlaps the onset"
         )
     return OnsetReport(
         tau0=-1.0 / slope,
@@ -157,17 +141,8 @@ def delta_curve(series: BuildupSeries) -> tuple[np.ndarray, np.ndarray, int]:
     """(tau, ln delta) with exact zeros dropped; returns the dropped count.
 
     The arrays are the series' own, computed once and read-only.
-    ``local_slopes`` over the two arrays returned last also takes the
-    slopes ``detect_onset`` needs for the same series, from the same
-    prefix sums.
     """
-    global _latest_curve
-    _latest_curve = weakref.ref(series)
     return series._delta_curve
-
-
-_latest_curve = None
-"""Weak reference to the series ``delta_curve`` was last called on."""
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
@@ -236,28 +211,45 @@ def _window_slopes(
     return slopes
 
 
-def _moving_windows(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    half = 0.5 * SLOPE_WINDOW
-    return np.searchsorted(tau, tau - half, side="left"), np.searchsorted(tau, tau + half, side="right")
-
-
 def local_slopes(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Moving linear-fit slope of ``values`` vs tau with +-SLOPE_WINDOW/2 support."""
-    series = _latest_curve() if _latest_curve is not None else None
-    if series is not None and series._delta_curve[0] is tau and series._delta_curve[1] is values:
-        return series._slopes[0].copy()
-    return _window_slopes(tau, values, *_moving_windows(tau))
+    half = 0.5 * SLOPE_WINDOW
+    lo = np.searchsorted(tau, tau - half, side="left")
+    hi = np.searchsorted(tau, tau + half, side="right")
+    return _window_slopes(tau, values, lo, hi)
 
 
-def _onset_windows(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges and index bounds of ``detect_onset``'s consecutive windows; none below 16 points."""
-    if tau.size < 16:
-        return np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+def _onset_windows(tau: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left edges, point counts and slopes of ``detect_onset``'s consecutive windows.
+
+    The windows are disjoint, so each slope comes from plain sums over its
+    own points, centred on the window's means of tau and ``values``, which
+    leaves no cancellation to compensate.  Windows with fewer than 3 points
+    give NaN.
+    """
     start = max(FIT_TAU_MIN, float(tau[0]))
     edges = np.arange(start, float(tau[-1]) + SLOPE_WINDOW, SLOPE_WINDOW)
-    lo = np.searchsorted(tau, edges[:-1], side="left")
-    hi = np.searchsorted(tau, edges[1:], side="left")
-    return edges, lo, hi
+    bounds = np.searchsorted(tau, edges, side="left")
+    counts = np.diff(bounds)
+    slopes = np.full(counts.shape, np.nan)
+    if np.any(counts >= 3):
+        # np.add.reduceat cannot start a window at the end of its array, so
+        # the empty windows past the last point are left out; an empty
+        # window within gets x[lo] for its sums, which no point reads
+        first, last = bounds[0], bounds[-1]
+        lo = bounds[:-1][bounds[:-1] < last] - first
+        n = counts[:lo.size]
+
+        def window_sums(x):
+            return np.add.reduceat(x, lo)
+
+        def centred(x):
+            return x - np.repeat(window_sums(x) / np.maximum(n, 1), n)
+
+        t, v = centred(tau[first:last]), centred(values[first:last])
+        fit = n >= 3
+        slopes[np.flatnonzero(fit)] = window_sums(t * v)[fit] / window_sums(t * t)[fit]
+    return edges[:-1], counts, slopes
 
 
 def detect_onset(series: BuildupSeries) -> OnsetReport:
@@ -272,12 +264,8 @@ def detect_onset(series: BuildupSeries) -> OnsetReport:
     tau_d, ln_delta, _ = series._delta_curve
     if tau_d.size < 16:
         raise NoOnsetError("series too short for onset detection")
-    edges, lo, hi = _onset_windows(tau_d)
-    if "_slopes" in vars(series):  # local_slopes took them over this curve
-        slopes = series._slopes[1]
-    else:
-        slopes = _window_slopes(tau_d, ln_delta, lo, hi)
-    flagged = (hi - lo >= 4) & (np.abs(slopes + 0.5) > ONSET_DEVIATION * 0.5)
+    edges, counts, slopes = _onset_windows(tau_d, ln_delta)
+    flagged = (counts >= 4) & (np.abs(slopes + 0.5) > ONSET_DEVIATION * 0.5)
 
     tau_onset = None
     run = 0

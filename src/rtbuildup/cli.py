@@ -98,7 +98,7 @@ def load_profile(path: str) -> PotentialProfile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliUsageError(f"cannot read profile {path}: {exc}") from None
     return parse_profile_text(text, source=path)
 
@@ -117,8 +117,11 @@ def _write_csv(path: str | None, header: list[str], columns, footer: str | None 
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliUsageError(f"cannot write {path}: {exc}") from None
 
 
 @dataclass

@@ -27,11 +27,9 @@ which leaves every ray there a smooth direct-branch term; cut at the
 rays' band edges into pieces no wider than ``BAND_RATIO`` in r, the rays
 on each piece sum to one entire function of r, interpolated from its
 values at ``BAND_NODES`` Chebyshev nodes.  ``wofz`` runs only at the
-nodes, in one call per evolution.  On a 120,000-point log grid from 1e-3
-to 1e5 fs, at E = 0.2 eV and x = 80 A on the symmetric structure, 18 / 38
-/ 53 pole pairs took 0.14 / 0.29 / 0.37 s with one ``wofz`` call per ray
-in the band, and take 0.055 / 0.075 / 0.10 s with the nodes: about 1.3
-against 6.5 ms per added pair (best of 3 on 2 cores).  The sum is evaluated
+nodes, in one call per evolution, so an added pole pair costs a few
+multiply-adds per grid point rather than a Faddeeva evaluation at each of
+its band points.  The sum is evaluated
 over fixed slices of ``BLOCK`` grid points, one slice per task on a thread
 pool; each slice holds every ray and reads the same node values, so the
 values do not depend on how many workers run them.

@@ -12,8 +12,8 @@ vectorized kernel evaluates both branches; a reflected value is formed as
 mantissa * exp(s) with s = max(Re y^2, 0), and ``moshinsky_m(y, scaled=True)``
 returns that pair instead of multiplying it out.  The pole sum sends only
 direct arguments (Re y > 0), so only the plain value enters the dynamics,
-and the kernel takes it in one ``wofz`` call over the whole array, with no
-masks and no scale.
+and the kernel takes an array with no reflected point in one ``wofz`` call,
+with no masks and no scale; any other array goes through the masks.
 
 The pole sum takes M(y) from two series wherever they reach the rounding
 floor: below |y| = ``Y_NEAR`` = 1 the Taylor series (Abramowitz & Stegun
@@ -78,38 +78,22 @@ def _moshinsky_m_grid(y, scaled: bool = False):
     M(y) = exp(y^2) - M(-y) is formed as mantissa * exp(s) with
     s = max(Re y^2, 0).  ``scaled`` returns the (mantissa, log_scale) pair,
     which cannot overflow; the plain value multiplies it out and raises
-    ``MoshinskyOverflowError`` past the double range.
-
-    An array on one branch with s = 0 throughout (all direct, or all
-    reflected with Re(y^2) <= 0) skips the masks and the scale, which would
-    only multiply by exp(0) = 1.  Every physical ray is such an array:
-    y_{-k} and y_{-k_n*} are direct, and a reflected y_{k_n} has
-    Re(y^2) < 0.
+    ``MoshinskyOverflowError`` past the double range.  An array with no
+    reflected point, such as every argument the pole sum sends, takes one
+    ``wofz`` call with no masks and no scale.
     """
     from scipy.special import wofz  # imported on the first kernel call, not by ``rtbuildup poles``
 
     y = np.asarray(y, dtype=complex)
     if y.real.min(initial=0.0) >= 0.0:
         value = 0.5 * wofz(1j * y)
-    else:
-        yy = y * y
-        if y.real.max() < 0.0 and yy.real.max() <= 0.0:
-            value = np.exp(yy) - 0.5 * wofz(-1j * y)
-        else:
-            return _moshinsky_m_masked(y, yy, scaled)
-    return (value, np.zeros(y.shape)) if scaled else value
-
-
-def _moshinsky_m_masked(y, yy, scaled: bool):
-    """The general form of ``_moshinsky_m_grid`` for arrays that mix branches or need a scale."""
-    from scipy.special import wofz
-
+        return (value, np.zeros(y.shape)) if scaled else value
     mantissa = np.empty_like(y)
     log_scale = np.zeros(y.shape)
     direct = y.real >= 0.0
     mantissa[direct] = 0.5 * wofz(1j * y[direct])
     y_refl = y[~direct]
-    yy = yy[~direct]
+    yy = y_refl * y_refl
     s = np.maximum(yy.real, 0.0)
     mantissa[~direct] = np.exp(yy - s) - 0.5 * wofz(-1j * y_refl) * np.exp(-s)
     log_scale[~direct] = s
@@ -236,11 +220,11 @@ def _series_sum(y: np.ndarray, n: int) -> np.ndarray:
     return inv * _horner(_series_coefficients(n), inv * inv)
 
 
-def moshinsky_asymptotic(y, n_terms: int = 3, *, min_abs: float = 8.0) -> tuple[complex, float]:
+def moshinsky_asymptotic(y, n_terms: int = 3) -> tuple[complex, float]:
     """Partial sum of the large-argument expansion plus a truncation bound.
 
     ``n_terms`` counts powers 1/y .. 1/y^n_terms, of which the even ones
-    vanish.  Valid for -pi/2 < arg(y) < pi/2 and |y| above ``min_abs``; the
+    vanish.  Valid for -pi/2 < arg(y) < pi/2 and |y| of at least ``Y_FAR``; the
     error estimate is the magnitude of the first omitted nonzero term.
     """
     y = complex(_unwrap(y))
@@ -249,8 +233,8 @@ def moshinsky_asymptotic(y, n_terms: int = 3, *, min_abs: float = 8.0) -> tuple[
     phase = cmath.phase(y)
     if not (-0.5 * math.pi < phase < 0.5 * math.pi):
         raise ValueError(f"arg(y) = {phase:.3f} outside the validity sector (-pi/2, pi/2)")
-    if abs(y) < min_abs:
-        raise ValueError(f"|y| = {abs(y):.3f} below the asymptotic threshold {min_abs}")
+    if abs(y) < Y_FAR:
+        raise ValueError(f"|y| = {abs(y):.3f} below the asymptotic threshold {Y_FAR}")
     n = (n_terms + 1) // 2
     value = complex(_series_sum(np.asarray([y]), n)[0])
     bound = abs(_series_coefficients(n + 1)[n]) / abs(y) ** (2 * n + 1)

@@ -36,6 +36,7 @@ from .scattering import _PiecewiseWave, _transfer_entries, bound_state_energies,
 
 SCAN_FLOOR_EV = 1e-3  # lower end of the seed scan
 NEWTON_TOL = 1e-12  # Newton stops once its step is below this, in 1/A
+NEWTON_MAX_ITER = 100  # Newton rounds before a seed counts as failed
 BC_TOL = 1e-8  # largest relative outgoing-boundary residual of a pole
 SAMPLES_PER_EDGE = 128
 MAX_REFINEMENTS = 60  # bisection budget per edge, in multiples of SAMPLES_PER_EDGE
@@ -62,25 +63,21 @@ def pole_function(profile: PotentialProfile, k: complex) -> complex:
     return complex(_transfer_entries(profile, complex(k))[3])
 
 
-def _newton(
-    profile: PotentialProfile, seeds, *, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _newton(profile: PotentialProfile, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration on m22(k) from every seed at once.
 
     The derivative is a central difference; m22 is analytic so the step is
     accurate to far more digits than Newton needs.  Each round evaluates m22
     at k and k +- h for every seed still iterating in one transfer-matrix
     call.  A seed stops when its step, capped at 0.2 |k|, falls below
-    ``tol``; one whose derivative vanishes, whose step is not finite, or
-    that runs out of iterations, fails.  Returns the final momenta and the
-    mask of converged seeds.
+    ``NEWTON_TOL``; one whose derivative vanishes, whose step is not finite,
+    or that runs out of ``NEWTON_MAX_ITER`` rounds, fails.  Returns the
+    final momenta and the mask of converged seeds.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     k = np.array(seeds, dtype=complex).ravel()
     converged = np.zeros(k.size, dtype=bool)
     active = np.arange(k.size)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if active.size == 0:
             break
         ka = k[active]
@@ -93,24 +90,18 @@ def _newton(
         limit = 0.2 * np.maximum(np.abs(ka), 1e-4)
         step *= limit / np.maximum(np.abs(step), limit)
         k[active] = ka - step
-        done = np.abs(step) < tol
+        done = np.abs(step) < NEWTON_TOL
         converged[active[done & ~flat]] = True
         active = active[~(done | flat | ~np.isfinite(step))]
     return k, converged
 
 
-def refine_pole(
-    profile: PotentialProfile,
-    k_seed: complex,
-    *,
-    tol: float = NEWTON_TOL,
-    max_iter: int = 100,
-) -> complex:
+def refine_pole(profile: PotentialProfile, k_seed: complex) -> complex:
     """Newton iteration on m22(k) from one seed momentum (see ``_newton``)."""
-    k, converged = _newton(profile, [k_seed], tol=tol, max_iter=max_iter)
+    k, converged = _newton(profile, [k_seed])
     if not converged[0]:
         raise PoleConvergenceError(
-            f"no convergence from seed {k_seed} in {max_iter} iterations (last k {k[0]})"
+            f"no convergence from seed {k_seed} in {NEWTON_MAX_ITER} iterations (last k {k[0]})"
         )
     return complex(k[0])
 
@@ -243,11 +234,7 @@ def gamow_state(profile: PotentialProfile, k_n: complex) -> ResonantState:
 
 
 def find_poles(
-    profile: PotentialProfile,
-    e_max_ev: float,
-    max_poles: int | None = None,
-    *,
-    max_iter: int = 100,
+    profile: PotentialProfile, e_max_ev: float, max_poles: int | None = None
 ) -> list[ResonantState]:
     """Poles with eps_n <= e_max_ev, sorted by resonance energy.
 
@@ -280,7 +267,7 @@ def find_poles(
     scan = transmission_scan(profile, SCAN_FLOOR_EV, e_max_ev)
 
     seeds = [cmath.sqrt((p.energy_ev - 0.5j * p.gamma_estimate_ev) / c2) for p in scan.peaks]
-    ks, converged = _newton(profile, seeds, tol=NEWTON_TOL, max_iter=max_iter)
+    ks, converged = _newton(profile, seeds)
     found: list[complex] = []
     for k in ks[converged].tolist():
         if k.real > 0.0 and k.imag < 0.0 and _is_new(k, found):
@@ -300,7 +287,7 @@ def find_poles(
     if count > len(in_rect):
         # a pole without a clean transmission maximum (broad, above the
         # barrier top, or riding a monotone background)
-        recovered = _recover_poles(profile, *rectangle, in_rect, max_iter=max_iter)
+        recovered = _recover_poles(profile, *rectangle, in_rect)
         found += [k for k in recovered if _is_new(k, found)]
         in_rect = in_rectangle(found)
     if count != len(in_rect):
@@ -319,7 +306,7 @@ def find_poles(
 
 def _recover_poles(
     profile: PotentialProfile, re_range: tuple[float, float], im_range: tuple[float, float],
-    known: list[complex], *, max_iter: int,
+    known: list[complex],
 ) -> list[complex]:
     """Poles the seed scan missed, from contour moments of the deflated m22.
 
@@ -347,7 +334,7 @@ def _recover_poles(
             coeffs.append(-sum(coeffs[i] * sums[p - i] for i in range(p)) / p)
         before = len(recovered)
         seeds = center + scale * np.roots(coeffs)
-        ks, converged = _newton(profile, seeds, tol=NEWTON_TOL, max_iter=max_iter)
+        ks, converged = _newton(profile, seeds)
         for k in ks[converged].tolist():
             if _is_new(k, known + recovered) and re_lo <= k.real <= re_hi and im_lo <= k.imag < 0.0:
                 recovered.append(k)

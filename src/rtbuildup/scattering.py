@@ -306,7 +306,7 @@ class ScanResult:
     peaks: tuple[PeakSeed, ...]
 
 
-POINTS_PER_DECADE = 2000  # default density of the transmission scan
+POINTS_PER_DECADE = 2000  # density of the transmission scan
 
 
 def _transmission_grid(profile: PotentialProfile, energies_ev: np.ndarray) -> np.ndarray:
@@ -352,12 +352,10 @@ def _transmission_grid(profile: PotentialProfile, energies_ev: np.ndarray) -> np
     return 4.0 / (a * a + b * b)
 
 
-def transmission_scan(
-    profile: PotentialProfile, e_min_ev: float, e_max_ev: float, n_points: int | None = None
-) -> ScanResult:
+def transmission_scan(profile: PotentialProfile, e_min_ev: float, e_max_ev: float) -> ScanResult:
     """|t(E)|^2 on a log-spaced grid plus its local maxima, in one real-arithmetic pass.
 
-    The default density (``POINTS_PER_DECADE``) resolves widths down to a
+    The density (``POINTS_PER_DECADE``) resolves widths down to a
     small fraction of a meV at typical resonance energies.  Near a pole
     1/|t|^2 = |m22|^2 is nearly quadratic in E, so each grid maximum reports
     the vertex of the parabola through 1/|t|^2 at E[i-1], E[i] and E[i+1],
@@ -366,10 +364,9 @@ def transmission_scan(
     """
     if not (0.0 < e_min_ev < e_max_ev):
         raise ValueError("need 0 < e_min < e_max")
-    if n_points is None:
-        decades = np.log10(e_max_ev / e_min_ev)
-        n_points = max(64, int(np.ceil(decades * POINTS_PER_DECADE)) + 1)
-    energies = np.logspace(np.log10(e_min_ev), np.log10(e_max_ev), n_points)
+    lg_min, lg_max = np.log10(e_min_ev), np.log10(e_max_ev)  # their ratio can overflow
+    n_points = max(64, int(np.ceil((lg_max - lg_min) * POINTS_PER_DECADE)) + 1)
+    energies = np.logspace(lg_min, lg_max, n_points)
     t2 = _transmission_grid(profile, energies)
 
     i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1

@@ -21,13 +21,17 @@ class PhysicalConstants:
     """Constants for a carrier of effective mass ``electron_mass_factor * m_e``."""
 
     electron_mass_factor: float = 0.067
-    hbar: float = HBAR_EV_FS
 
     def __post_init__(self) -> None:
         if not self.electron_mass_factor > 0.0:
             raise ValueError(
                 f"electron_mass_factor must be positive, got {self.electron_mass_factor}"
             )
+
+    @property
+    def hbar(self) -> float:
+        """hbar in eV fs."""
+        return HBAR_EV_FS
 
     @property
     def hbar2_over_2m(self) -> float:

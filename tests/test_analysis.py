@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from rtbuildup import analysis
 from rtbuildup import (
     BuildupSeries,
     FitWindowError,
@@ -215,7 +216,7 @@ def test_local_slopes_degenerate_inputs(n):
 
 
 def test_local_slopes_reuse_only_the_delta_curve_they_are_given():
-    """Over the arrays ``delta_curve`` returned, the series' prefix sums serve; over others, their own."""
+    """Over the read-only arrays ``delta_curve`` returns, as over any others, the slopes are the arrays' own."""
     tau = np.linspace(0.3, 30.0, 6001)
     series = synthetic_series(tau, 1.0 - np.exp(crossover_like(tau)))
     tau_d, ln_delta, _ = delta_curve(series)
@@ -266,24 +267,51 @@ def test_onset_on_synthetic_crossover():
     assert report.envelope_exponent == pytest.approx(-0.5, abs=0.1)
 
 
-def test_onset_matches_masked_polyfit_windows():
-    """Window slopes from index bounds flag the same windows as the boolean masks."""
-    tau = np.linspace(0.3, 50.0, 60001)
+def sparse_head_grid():
+    """Scattered points up to tau = 10, with empty windows and windows of 1-3 points, then dense."""
+    rng = np.random.default_rng(11)
+    head = np.sort(rng.uniform(0.3, 10.0, 40))
+    return np.concatenate([[0.3], head, np.linspace(10.0, 50.0, 40001)])
+
+
+@pytest.mark.parametrize("tau, sparse", [
+    (np.linspace(0.3, 50.0, 60001), False),
+    (dropped_grid(), False),
+    (sparse_head_grid(), True),
+], ids=["dense", "dropped", "sparse-head"])
+def test_onset_matches_masked_polyfit_windows(tau, sparse):
+    """Window slopes from per-window sums match np.polyfit over boolean masks, and flag the same windows."""
     ratio = 1.0 - np.exp(-0.5 * tau) + 0.02 * np.cos(300.0 * tau) / np.sqrt(300.0 * tau)
     series = synthetic_series(tau, ratio)
     tau_d, ln_delta, _ = delta_curve(series)
-    edges = np.arange(0.5, tau_d[-1] + 0.5, 0.5)
+    edges = np.arange(max(0.5, tau_d[0]), tau_d[-1] + 0.5, 0.5)
+    lefts, counts, slopes = analysis._onset_windows(tau_d, ln_delta)
+    np.testing.assert_array_equal(lefts, edges[:-1])
     run, reference = 0, None
     for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         mask = (tau_d >= a) & (tau_d < b)
-        bad = (np.count_nonzero(mask) >= 4
-               and abs(np.polyfit(tau_d[mask], ln_delta[mask], 1)[0] + 0.5) > 0.1)
+        assert counts[i] == np.count_nonzero(mask)
+        if counts[i] < 3:
+            assert np.isnan(slopes[i])
+            run = 0
+            continue
+        want = np.polyfit(tau_d[mask] - a, ln_delta[mask], 1)[0]
+        assert abs(slopes[i] - want) <= 1e-12 * max(1.0, abs(want))
+        bad = counts[i] >= 4 and abs(want + 0.5) > 0.1
         run = run + 1 if bad else 0
-        if run >= 3:
+        if run >= 3 and reference is None:
             reference = float(edges[i - 2])
-            break
+    assert np.any(counts == 0) == sparse and np.any((counts > 0) & (counts < 4)) == sparse
     assert reference is not None
     assert detect_onset(series).tau_onset == reference
+
+
+def test_detect_onset_does_not_depend_on_local_slopes_running_first():
+    tau = np.linspace(0.3, 50.0, 60001)
+    ratio = 1.0 - np.exp(-0.5 * tau) + 0.02 * np.cos(300.0 * tau) / np.sqrt(300.0 * tau)
+    fresh, primed = synthetic_series(tau, ratio), synthetic_series(tau, ratio)
+    local_slopes(*delta_curve(primed)[:2])
+    assert detect_onset(primed) == detect_onset(fresh)
 
 
 def test_onset_ordering_with_sharpness(symmetric_profile, symmetric_poles):

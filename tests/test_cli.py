@@ -76,6 +76,30 @@ def test_cli_missing_profile_file_exits_one(tmp_path):
     assert main(["poles", "--profile", str(tmp_path / "nope.cfg")]) == 1
 
 
+def test_cli_non_utf8_profile_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\xff" + SYMMETRIC_CFG.encode())
+    assert main(["poles", "--profile", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read profile {path}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_exits_one(cfg_paths, tmp_path, capsys, where):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+    assert main(["poles", "--profile", cfg_paths["sym"], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_ceiling_near_double_max_exits_two(cfg_paths, capsys):
+    """log10(e_max / floor) overflows at 1e308; the scan sizes its grid from the two logs."""
+    assert main(["poles", "--profile", cfg_paths["sym"], "--e-max-ev", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: non-integer winding number nan\n"
+
+
 def test_cli_usage_error_exits_one(cfg_paths):
     # missing required energy selection
     assert main(["evolve", "--profile", cfg_paths["sym"], "--x-angstrom", "80"]) == 1

@@ -120,13 +120,6 @@ def test_gamow_normalization_against_gauss_legendre(
         assert abs(norm - 1.0) < 1e-8
 
 
-def test_max_iter_below_one_rejected(symmetric_profile, symmetric_poles):
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
-        refine_pole(symmetric_profile, symmetric_poles[0].k, max_iter=0)
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
-        find_poles(symmetric_profile, 0.4, max_iter=0)
-
-
 def test_gamow_rejects_non_pole(symmetric_profile, symmetric_poles):
     k_bad = symmetric_poles[0].k * (1.0 + 1e-3)
     with pytest.raises(GamowResidualError):
@@ -324,7 +317,7 @@ def test_lockstep_newton_matches_one_seed_at_a_time(symmetric_profile, symmetric
         return entries(profile, k)
 
     monkeypatch.setattr(resonances, "_transfer_entries", counting)
-    ks, converged = resonances._newton(symmetric_profile, seeds, tol=1e-12, max_iter=100)
+    ks, converged = resonances._newton(symmetric_profile, seeds)
     rounds = len(calls)
     assert converged.all() and calls[0] == 18
     single_rounds = []
