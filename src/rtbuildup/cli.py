@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -122,6 +123,17 @@ def _write_csv(path: str | None, header: list[str], columns, footer: str | None 
                 fh.write(text)
         except OSError as exc:
             raise CliUsageError(f"cannot write {path}: {exc}") from None
+
+
+def _check_out(path: str | None) -> None:
+    """Refuse an --out that no file can be opened at, before any work is done."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise CliUsageError(f"cannot write {path}: is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise CliUsageError(f"cannot write {path}: no directory {parent}")
 
 
 @dataclass
@@ -371,6 +383,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)
         with warnings.catch_warnings(record=True) as captured:
             warnings.simplefilter("always")
             code = args.func(args)

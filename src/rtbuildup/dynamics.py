@@ -29,18 +29,14 @@ on each piece sum to one entire function of r, interpolated from its
 values at ``BAND_NODES`` Chebyshev nodes.  ``wofz`` runs only at the
 nodes, in one call per evolution, so an added pole pair costs a few
 multiply-adds per grid point rather than a Faddeeva evaluation at each of
-its band points.  The sum is evaluated
-over fixed slices of ``BLOCK`` grid points, one slice per task on a thread
-pool; each slice holds every ray and reads the same node values, so the
-values do not depend on how many workers run them.
+its band points.  The sum runs in one pass over the whole grid in the
+calling thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -107,25 +103,6 @@ def _resolve_grid(reference: ResonantState | None, tau, t_fs):
     if np.any(t_fs <= 0.0) or np.any(np.diff(t_fs) <= 0.0):
         raise ValueError("time grid must be strictly increasing and positive")
     return tau, t_fs
-
-
-BLOCK = 4096
-"""Grid points per slice of the pole sum; slices depend on the grid length only."""
-
-_pool: tuple[int, ThreadPoolExecutor] | None = None
-
-
-def _executor() -> ThreadPoolExecutor:
-    """This process's worker pool.
-
-    A forked child inherits the pool object but none of its threads, so
-    tasks queued on it would never run; a new pool is made per process id.
-    """
-    global _pool
-    pid = os.getpid()
-    if _pool is None or _pool[0] != pid:
-        _pool = (pid, ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="rtbuildup"))
-    return _pool[1]
 
 
 _TAYLOR = np.asarray(_taylor_coefficients(TAYLOR_TERMS))
@@ -216,7 +193,7 @@ class _Rays:
             self.values = np.add.reduceat(sign * self.w[ray, None] * m, firsts, axis=0).T.copy()
 
     def add_to(self, out: np.ndarray, r: np.ndarray) -> None:
-        """out += sum_i w_i M(c_i r) for r a run of the grid the rays were made for."""
+        """out += sum_i w_i M(c_i r) over the grid r the rays were made for."""
         # ray i is near on [0, lo[i]) and far on [hi[i], r.size); both fall with i
         lo = np.searchsorted(r, self.near_edge).tolist()
         hi = np.searchsorted(r, self.far_edge).tolist()
@@ -278,23 +255,12 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
     c, w = np.asarray(c, dtype=complex), np.asarray(w, dtype=complex)
     root_t = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
     rays = _Rays(c, w, root_t)
-    psi = np.empty(t_fs.size, dtype=complex)
-
-    def block(start: int) -> None:
-        r = root_t[start:start + BLOCK]
-        out = psi[start:start + BLOCK]
-        # the free term, the largest, goes in last so that the rays' partial
-        # sums round at their own scale rather than at |phi|
-        out[:] = 0.0
-        rays.add_to(out, r)
-        y_free = c_free * r
-        out += phi * np.exp(y_free * y_free)
-
-    starts = range(0, t_fs.size, BLOCK)
-    if len(starts) > 1:
-        list(_executor().map(block, starts))
-    else:
-        block(0)
+    # the free term, the largest, goes in last so that the rays' partial
+    # sums round at their own scale rather than at |phi|
+    psi = np.zeros(t_fs.size, dtype=complex)
+    rays.add_to(psi, root_t)
+    y_free = c_free * root_t
+    psi += phi * np.exp(y_free * y_free)
 
     last = np.zeros(1, dtype=complex)  # the last pair's term at the last grid point
     _Rays(c[-2:], w[-2:], root_t[-1:]).add_to(last, root_t[-1:])

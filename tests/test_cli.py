@@ -93,6 +93,22 @@ def test_unwritable_out_exits_one(cfg_paths, tmp_path, capsys, where):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["poles", "evolve"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_out_exits_before_any_work(monkeypatch, cfg_paths, tmp_path, capsys, command, where):
+    def no_search(*args, **kwargs):
+        raise AssertionError("pole search ran before --out was checked")
+
+    monkeypatch.setattr("rtbuildup.cli.find_poles", no_search)
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+    argv = [command, "--profile", cfg_paths["sym"], "--out", str(out)]
+    if command == "evolve":
+        argv += ["--energy-ev", "0.2", "--x-angstrom", "80", "--mode", "full"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+
+
 def test_ceiling_near_double_max_exits_two(cfg_paths, capsys):
     """log10(e_max / floor) overflows at 1e308; the scan sizes its grid from the two logs."""
     assert main(["poles", "--profile", cfg_paths["sym"], "--e-max-ev", "1e308"]) == 2

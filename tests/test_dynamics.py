@@ -1,8 +1,8 @@
 import cmath
 import multiprocessing
 import os
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +22,7 @@ from rtbuildup import (
     find_poles,
     stationary_wave,
 )
-from rtbuildup.dynamics import BLOCK, _NODES, _Rays
+from rtbuildup.dynamics import _NODES, _Rays
 from rtbuildup.moshinsky import EXP_MINUS_IPI4, Y_FAR, Y_NEAR, _moshinsky_m_grid
 from rtbuildup.scattering import stationary_state
 
@@ -342,10 +342,10 @@ def test_kernel_log_scale_stays_zero_on_symmetric_poles(
         assert np.all(np.abs((y_mk * y_mk).real) <= BOUND * np.abs(y_mk) ** 2)
 
 
-# ------------------------------------------------------- blocked pole sum
+# ------------------------------------------------ pole sum against kernels
 
 def whole_grid_pole_sum(profile, poles, energy_ev, x, t_fs):
-    """Psi and the last pair's term, every kernel taken over the unsplit grid."""
+    """Psi and the last pair's term, every kernel taken directly on the grid."""
     constants = profile.constants
     k = constants.wavevector(energy_ev)
     phi = stationary_state(profile, energy_ev).phi(x)
@@ -369,28 +369,29 @@ def quiet_full(profile, poles, energy_ev, x, t_fs):
         return evolve_full(profile, poles, energy_ev, x, t_fs=t_fs)
 
 
-@pytest.mark.parametrize("points", [1, BLOCK, BLOCK + 1, 3 * BLOCK - 1])
+@pytest.mark.parametrize("points", [1, 4096, 4097, 12287])
 def test_blocked_pole_sum_matches_whole_grid(symmetric_profile, symmetric_poles_8ev, points):
     t_fs = np.geomspace(1e-3, 1e5, points) if points > 1 else np.asarray([3.0])
     sol = quiet_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
     psi, last_term = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
     assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi))
-    # the diagnostic as defined before the grid was split: the last pair's
-    # term at the last grid point, relative to |Psi| there
+    # the diagnostic as defined: the last pair's term at the last grid
+    # point, relative to |Psi| there
     diag = abs(last_term[-1]) / abs(psi[-1])
     assert sol.convergence_diag == pytest.approx(diag, rel=1e-14, abs=0.0)
 
 
-def test_pole_sum_does_not_depend_on_worker_count(
-    monkeypatch, asymmetric_profile, asymmetric_poles
-):
-    t_fs = np.geomspace(1e-2, 1e4, 3 * BLOCK - 1)
-    pooled = quiet_full(asymmetric_profile, asymmetric_poles, 0.15, 55.0, t_fs)
-    with ThreadPoolExecutor(1) as one_worker:
-        monkeypatch.setattr(rtbuildup.dynamics, "_executor", lambda: one_worker)
-        serial = quiet_full(asymmetric_profile, asymmetric_poles, 0.15, 55.0, t_fs)
-    assert np.array_equal(pooled.psi, serial.psi)
-    assert pooled.convergence_diag == serial.convergence_diag
+def test_evolve_starts_no_thread(symmetric_profile, symmetric_poles):
+    before = set(threading.enumerate())
+    quiet_full(symmetric_profile, symmetric_poles, 0.2, 80.0, np.geomspace(1e-2, 1e4, 12287))
+    state = symmetric_poles[0]
+    evolve_single_resonance(
+        symmetric_profile, state, state.eps_ev, 80.0, tau=np.geomspace(0.01, 20.0, 200)
+    )
+    after = set(threading.enumerate())
+    assert after <= before, sorted(t.name for t in after - before)
+    # a pool an earlier test started would already be in `before`
+    assert not [t.name for t in after if t.name.startswith("rtbuildup")]
 
 
 def test_kernel_sees_only_points_below_y_far(monkeypatch, symmetric_profile, symmetric_poles_8ev):
@@ -403,7 +404,7 @@ def test_kernel_sees_only_points_below_y_far(monkeypatch, symmetric_profile, sym
         return _moshinsky_m_grid(y, scaled)
 
     monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", recording_kernel)
-    t_fs = np.geomspace(1e-3, 1e5, 3 * BLOCK - 1)
+    t_fs = np.geomspace(1e-3, 1e5, 12287)
     sol = quiet_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
     assert largest and max(largest) < Y_FAR
     # r >= Y_NEAR / |c| puts |c r| at Y_NEAR to within rounding
@@ -421,7 +422,7 @@ def test_grid_beyond_y_far_never_calls_the_kernel(monkeypatch, asymmetric_profil
     slowest = min([constants.wavevector(energy_ev)] + [abs(s.k) for s in asymmetric_poles])
     # |y| = |k| sqrt(hbar t / 2m) reaches Y_FAR on the slowest ray at t_min
     t_min = (Y_FAR / slowest) ** 2 * constants.hbar / constants.hbar2_over_2m
-    t_fs = np.geomspace(1.001 * t_min, 1e3 * t_min, BLOCK + 1)
+    t_fs = np.geomspace(1.001 * t_min, 1e3 * t_min, 4097)
     psi, _last = whole_grid_pole_sum(asymmetric_profile, asymmetric_poles, energy_ev, 55.0, t_fs)
     monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", no_kernel)
     sol = quiet_full(asymmetric_profile, asymmetric_poles, energy_ev, 55.0, t_fs)
@@ -552,14 +553,14 @@ def mpmath_pole_sum(k, phi, poles, r, dps=25):
 def test_pole_sum_matches_mpmath_to_32_ev(request, structure):
     """Every band of the collapsed sum against an independent 25-digit sum.
 
-    The grid is one block from 1e-3 to 1e3 fs; beyond that the phase of
+    The grid runs from 1e-3 to 1e3 fs; beyond that the phase of
     exp(y^2) on the double-precision r, not the method, limits agreement.
     """
     profile = request.getfixturevalue(f"{structure}_profile")
     x = 80.0 if structure == "symmetric" else 55.0
     poles = find_poles(profile, 32.0)
     assert len(poles) >= 38
-    t_fs = np.geomspace(1e-3, 1e3, BLOCK)
+    t_fs = np.geomspace(1e-3, 1e3, 4096)
     sol = quiet_full(profile, poles, 0.2, x, t_fs)
     constants = profile.constants
     k = constants.wavevector(0.2)
@@ -578,11 +579,11 @@ def test_pole_sum_matches_mpmath_to_32_ev(request, structure):
 def test_moments_of_66_pole_pairs_stay_in_range(symmetric_profile):
     """c^n to n = 37 and c^-(2j+1) to j = 16 over rays from 1e-3 eV to 96 eV.
 
-    The grid is one block, so it runs in the calling thread, where the error state applies.
+    The pole sum runs in the calling thread, where the error state applies.
     """
     poles = find_poles(symmetric_profile, 96.0)
     assert len(poles) == 66
-    t_fs = np.geomspace(1e-3, 1e5, BLOCK)
+    t_fs = np.geomspace(1e-3, 1e5, 4096)
     with np.errstate(over="raise", under="raise", invalid="raise"):
         sol = quiet_full(symmetric_profile, poles, 1e-3, 80.0, t_fs)
     psi, _last = whole_grid_pole_sum(symmetric_profile, poles, 1e-3, 80.0, t_fs)
@@ -597,8 +598,8 @@ def _evolve_in_child(profile, poles, t_fs, expected):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_runs_a_multi_block_evolve(symmetric_profile, symmetric_poles):
-    """A child forked after the pool has run gets a pool of its own instead of hanging."""
-    t_fs = np.geomspace(1e-2, 1e4, 2 * BLOCK + 1)
+    """A child forked after an evolve in the parent runs one of its own to the same values."""
+    t_fs = np.geomspace(1e-2, 1e4, 8193)
     parent = quiet_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs)
     child = multiprocessing.get_context("fork").Process(
         target=_evolve_in_child, args=(symmetric_profile, symmetric_poles, t_fs, parent.psi)
@@ -608,5 +609,5 @@ def test_forked_child_runs_a_multi_block_evolve(symmetric_profile, symmetric_pol
     if child.is_alive():
         child.kill()
         child.join()
-        pytest.fail("forked child did not finish a multi-block evolve within 30 s")
+        pytest.fail("forked child did not finish an 8193-point evolve within 30 s")
     assert child.exitcode == 0
