@@ -129,6 +129,8 @@ def _check_out(path: str | None) -> None:
     """Refuse an --out that no file can be opened at, before any work is done."""
     if path is None:
         return
+    if not path:
+        raise CliUsageError("cannot write '': empty path")
     if os.path.isdir(path):
         raise CliUsageError(f"cannot write {path}: is a directory")
     parent = os.path.dirname(path) or "."
@@ -286,10 +288,8 @@ def _evolve_selection(sel: _Selection, tau: np.ndarray, args):
 
 
 def cmd_poles(args) -> int:
-    if args.max_poles is not None and args.max_poles < 1:
-        raise CliUsageError("--max-poles must be >= 1")
     profile = load_profile(args.profile)
-    poles = find_poles(profile, _e_max(args, profile), max_poles=args.max_poles)
+    poles = find_poles(profile, _e_max(args, profile))
     columns = [
         np.arange(1, len(poles) + 1),
         [s.eps_mev for s in poles],
@@ -316,9 +316,9 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_buildup(args) -> int:
-    sel = _select(args)
     if args.resonance is None:
         raise CliUsageError("buildup requires --resonance (on-resonance normalization)")
+    sel = _select(args)
     tau = _tau_grid(args)
     sol = _evolve_selection(sel, tau, args)
     series = normalize_buildup(sol, sel.state, resonance_index=sel.index)
@@ -329,9 +329,9 @@ def cmd_buildup(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    sel = _select(args)
     if args.resonance is None:
         raise CliUsageError("crossover requires --resonance (on-resonance normalization)")
+    sel = _select(args)
     tau = _tau_grid(args)
     sol = _evolve_selection(sel, tau, args)
     series = normalize_buildup(sol, sel.state, resonance_index=sel.index)
@@ -361,7 +361,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("poles", help="resonance table CSV")
     p.add_argument("--profile", required=True)
     p.add_argument("--e-max-ev", type=float, default=None)
-    p.add_argument("--max-poles", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_poles)
 

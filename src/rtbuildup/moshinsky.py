@@ -41,19 +41,17 @@ Momentum arguments follow
 
     y_q = -exp(-i pi/4) sqrt(m / 2 hbar) (hbar q / m) sqrt(t)
 
-with q one of +-k, +-k_n, +-k_n*; on resonance the same arguments depend
-only on the sharpness ratio R_n and the time in lifetime units.
+with q one of +-k, +-k_n, +-k_n*; on resonance they depend only on the
+sharpness ratio R_n and the time in lifetime units tau:
+y_{+-q} = -+exp(-i pi/4) sqrt((R_n + s) tau), s = 0, -i/2, +i/2 for q = k, k_n, k_n*.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .units import PhysicalConstants
 
 EXP_MINUS_IPI4 = cmath.exp(-0.25j * cmath.pi)
 
@@ -65,10 +63,6 @@ class MoshinskyOverflowError(OverflowError):
 
     The scaled pair from ``moshinsky_m(y, scaled=True)`` is always available.
     """
-
-
-def _unwrap(y):
-    return y.y if isinstance(y, MoshinskyArgument) else y
 
 
 def _moshinsky_m_grid(y, scaled: bool = False):
@@ -115,7 +109,7 @@ def moshinsky_m(y, *, scaled: bool = False):
     M = mantissa * exp(log_scale); otherwise a value beyond the double
     range raises ``MoshinskyOverflowError``.
     """
-    result = _moshinsky_m_grid(_unwrap(y), scaled)
+    result = _moshinsky_m_grid(y, scaled)
     if np.ndim(y) == 0:
         if scaled:
             return complex(result[0]), float(result[1])
@@ -227,7 +221,7 @@ def moshinsky_asymptotic(y, n_terms: int = 3) -> tuple[complex, float]:
     vanish.  Valid for -pi/2 < arg(y) < pi/2 and |y| of at least ``Y_FAR``; the
     error estimate is the magnitude of the first omitted nonzero term.
     """
-    y = complex(_unwrap(y))
+    y = complex(y)
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     phase = cmath.phase(y)
@@ -239,34 +233,3 @@ def moshinsky_asymptotic(y, n_terms: int = 3) -> tuple[complex, float]:
     value = complex(_series_sum(np.asarray([y]), n)[0])
     bound = abs(_series_coefficients(n + 1)[n]) / abs(y) ** (2 * n + 1)
     return value, bound
-
-
-@dataclass(frozen=True)
-class MoshinskyArgument:
-    """Dimensionless argument y_q of M(0, q; t)."""
-
-    y: complex
-
-    @classmethod
-    def from_momentum(
-        cls, q: complex, t_fs: float, constants: PhysicalConstants
-    ) -> "MoshinskyArgument":
-        """Physical construction from a (complex) momentum and a time."""
-        if t_fs < 0.0:
-            raise ValueError("time must be non-negative")
-        root = math.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
-        return cls(-EXP_MINUS_IPI4 * complex(q) * root)
-
-    @classmethod
-    def from_lifetime_units(cls, r_ratio: float, tau: float, kind: str) -> "MoshinskyArgument":
-        """On-resonance construction from the sharpness ratio and tau.
-
-        ``kind`` selects q: '+k', '-k', '+k_n', '-k_n', '+k_n*', '-k_n*'.
-        """
-        if tau < 0.0:
-            raise ValueError("tau must be non-negative")
-        shifts = {"k": 0.0, "k_n": -0.5j, "k_n*": 0.5j}
-        if len(kind) < 2 or kind[0] not in "+-" or kind[1:] not in shifts:
-            raise ValueError(f"unknown argument kind {kind!r}")
-        sign = -1.0 if kind[0] == "+" else 1.0
-        return cls(sign * EXP_MINUS_IPI4 * cmath.sqrt((r_ratio + shifts[kind[1:]]) * tau))

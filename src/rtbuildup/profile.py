@@ -51,9 +51,6 @@ class PotentialProfile:
     def heights(self) -> np.ndarray:
         return np.asarray([h for _, h in self.segments])
 
-    def potential_at(self, x: float) -> float:
-        return potential_at(self, x)
-
 
 def build_profile(
     segments: Iterable[Sequence[float]],

@@ -58,11 +58,6 @@ class BoundStateError(ValueError):
     """The profile binds a state below E = 0, which the pole expansion omits."""
 
 
-def pole_function(profile: PotentialProfile, k: complex) -> complex:
-    """m22(k), whose fourth-quadrant zeros are the resonance poles."""
-    return complex(_transfer_entries(profile, complex(k))[3])
-
-
 def _newton(profile: PotentialProfile, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration on m22(k) from every seed at once.
 
@@ -233,9 +228,7 @@ def gamow_state(profile: PotentialProfile, k_n: complex) -> ResonantState:
     return ResonantState(k_n, energy, profile, u0, u_end, wave)
 
 
-def find_poles(
-    profile: PotentialProfile, e_max_ev: float, max_poles: int | None = None
-) -> list[ResonantState]:
+def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState]:
     """Poles with eps_n <= e_max_ev, sorted by resonance energy.
 
     Every maximum of the transmission grid seeds Newton at
@@ -255,8 +248,6 @@ def find_poles(
     """
     if not e_max_ev > 0.0:
         raise ValueError("e_max must be positive")
-    if max_poles is not None and max_poles < 0:
-        raise ValueError("max_poles must be >= 0")
     bound = bound_state_energies(profile)
     if bound.size:
         raise BoundStateError(
@@ -299,8 +290,6 @@ def find_poles(
     states = [gamow_state(profile, k) for k in in_rect]
     states = [s for s in states if s.eps_ev <= e_max_ev]
     states.sort(key=lambda s: s.eps_ev)
-    if max_poles is not None:
-        states = states[:max_poles]
     return states
 
 

@@ -104,35 +104,6 @@ def _transfer_entries(profile: PotentialProfile, k):
     return m11, m12, m21, m22
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Amplitude transfer matrix at fixed (possibly complex) momentum k."""
-
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-    k: complex
-
-    @property
-    def determinant(self) -> complex:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    @property
-    def transmission_amplitude(self) -> complex:
-        return 1.0 / self.m22
-
-    @property
-    def reflection_amplitude(self) -> complex:
-        return -self.m21 / self.m22
-
-
-def transfer_matrix(profile: PotentialProfile, k: complex) -> TransferMatrix:
-    """Transfer matrix composed segment by segment; k must be nonzero."""
-    m11, m12, m21, m22 = _transfer_entries(profile, complex(k))
-    return TransferMatrix(complex(m11), complex(m12), complex(m21), complex(m22), complex(k))
-
-
 class _PiecewiseWave:
     """Wave psi(x) on [0, L] from marching (psi, psi') across the segments.
 
@@ -237,9 +208,10 @@ def stationary_state(profile: PotentialProfile, energy_ev: float) -> StationaryS
     k = profile.constants.wavevector(energy_ev)
     if np.any(k * k == profile.heights / profile.constants.hbar2_over_2m):
         k *= 1.0 - 1e-9
-    m = transfer_matrix(profile, k)
-    t = m.transmission_amplitude
-    r = m.reflection_amplitude
+    _, _, m21, m22 = _transfer_entries(profile, complex(k))
+    m21, m22 = complex(m21), complex(m22)
+    t = 1.0 / m22
+    r = -m21 / m22
     wave = _PiecewiseWave(profile, k, 1.0 + r, 1j * k * (1.0 - r))
     return StationaryState(float(energy_ev), k, t, r, wave)
 

@@ -44,10 +44,6 @@ class PhysicalConstants:
             raise ValueError(f"energy must be positive, got {energy_ev}")
         return math.sqrt(energy_ev / self.hbar2_over_2m)
 
-    def complex_wavevector(self, energy_ev: complex) -> complex:
-        """Principal-branch k for complex energy."""
-        return complex(energy_ev / self.hbar2_over_2m) ** 0.5
-
     def energy_ev(self, k: complex) -> complex:
         """E = hbar^2 k^2 / 2m* for real or complex momentum."""
         return self.hbar2_over_2m * k * k

@@ -94,13 +94,13 @@ def test_unwritable_out_exits_one(cfg_paths, tmp_path, capsys, where):
 
 
 @pytest.mark.parametrize("command", ["poles", "evolve"])
-@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "empty"])
 def test_unwritable_out_exits_before_any_work(monkeypatch, cfg_paths, tmp_path, capsys, command, where):
     def no_search(*args, **kwargs):
         raise AssertionError("pole search ran before --out was checked")
 
     monkeypatch.setattr("rtbuildup.cli.find_poles", no_search)
-    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+    out = {"directory": tmp_path, "missing-parent": tmp_path / "missing" / "x.csv", "empty": ""}[where]
     argv = [command, "--profile", cfg_paths["sym"], "--out", str(out)]
     if command == "evolve":
         argv += ["--energy-ev", "0.2", "--x-angstrom", "80", "--mode", "full"]
@@ -126,7 +126,7 @@ def test_cli_usage_error_exits_one(cfg_paths):
     (["poles", "--e-max-ev", "-1"], "ceiling -1.0 eV"),
     (["poles", "--e-max-ev", "1e-4"], "above the 0.001 eV scan floor"),
     (["poles", "--e-max-ev", "inf"], "must be finite"),
-    (["poles", "--max-poles", "-1"], "--max-poles must be >= 1"),
+    (["evolve", "--resonance", "1", "--x-angstrom", "80", "--points", "0"], "--points must be >= 1"),
     (["evolve", "--energy-ev", "nan", "--x-angstrom", "80"], "--energy-ev must be positive and finite"),
     (["evolve", "--resonance", "1", "--x-angstrom", "80", "--tau-max", "inf"], "tau-max < inf"),
     (["evolve", "--energy-ev", "0.09", "--x-angstrom", "80", "--tail-tol", "nan"], "--tail-tol must be positive"),
@@ -483,11 +483,17 @@ def test_buildup_csv_collapses_to_law(cfg_paths, tmp_path):
             assert np.max(np.abs(arr[:, 2] - reference[:, 2])) < 1e-2
 
 
-def test_buildup_requires_resonance_selection(cfg_paths):
-    assert main([
-        "buildup", "--profile", cfg_paths["sym"], "--energy-ev", "0.037",
-        "--x-angstrom", "80",
-    ]) == 1
+def test_buildup_requires_resonance_selection(monkeypatch, cfg_paths, capsys):
+    """Refused before the pole search, so no off-resonance warning comes first."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("pole search ran before --resonance was checked")
+
+    monkeypatch.setattr("rtbuildup.cli.find_poles", no_search)
+    for command in ("buildup", "crossover"):
+        argv = [command, "--profile", cfg_paths["sym"], "--energy-ev", "0.09", "--x-angstrom", "80"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {command} requires --resonance (on-resonance normalization)\n"
 
 
 def test_buildup_single_point_grid(cfg_paths, tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.special import wofz
 
 from rtbuildup import (
-    MoshinskyArgument,
     MoshinskyOverflowError,
     PhysicalConstants,
     faddeeva,
@@ -118,11 +117,6 @@ def test_m_matches_direct_definition_both_half_planes():
         ref = 0.5 * faddeeva_reference(1j * complex(y))
         assert moshinsky_m(complex(y)) == pytest.approx(ref, rel=1e-11)
         assert g == moshinsky_m(complex(y))
-
-
-def test_m_accepts_argument_wrapper():
-    arg = MoshinskyArgument(0.5 + 0.25j)
-    assert moshinsky_m(arg) == moshinsky_m(0.5 + 0.25j)
 
 
 def test_symmetry_identity_on_log_grid():
@@ -306,21 +300,19 @@ def test_asymptotic_rejects_small_modulus():
 
 
 def test_on_resonance_argument_asymptotics_match_direct():
-    # left-moving argument at R tau = 100 sits in the validity sector
-    arg = MoshinskyArgument.from_lifetime_units(10.0, 10.0, "-k")
+    # left-moving y_{-k} = e^(-i pi/4) sqrt(R tau) at R tau = 100 sits in the validity sector
+    arg = EXP_MINUS_IPI4 * cmath.sqrt(10.0 * 10.0)
     approx, bound = moshinsky_asymptotic(arg, 3)
     assert abs(approx - moshinsky_m(arg)) <= 1.05 * bound
 
 
 def test_decay_of_reflected_kernels_with_time():
-    # the three kernels entering the long-time remainder all fade out
+    # the three kernels entering the long-time remainder all fade out:
+    # y_{-q} = e^(-i pi/4) sqrt((R + s) tau) with s = 0, -i/2, +i/2 for q = k, k_n, k_n*
     r_ratio = 315.0
     taus = [5.0, 20.0, 80.0, 320.0]
-    for kind in ("-k", "-k_n", "-k_n*"):
-        mags = [
-            abs(moshinsky_m(MoshinskyArgument.from_lifetime_units(r_ratio, tau, kind)))
-            for tau in taus
-        ]
+    for shift in (0.0, -0.5j, 0.5j):
+        mags = [abs(moshinsky_m(EXP_MINUS_IPI4 * cmath.sqrt((r_ratio + shift) * tau))) for tau in taus]
         assert all(a > b for a, b in zip(mags, mags[1:]))
         assert mags[-1] < 0.01
 
@@ -328,22 +320,21 @@ def test_decay_of_reflected_kernels_with_time():
 # ---------------------------------------------------------------- arguments
 
 def test_argument_routes_agree_on_resonance():
+    """y_q = -e^(-i pi/4) q sqrt(hbar t / 2m) is -e^(-i pi/4) sqrt((R_n + s) tau) on resonance.
+
+    s = 0, -i/2, +i/2 for q = k, k_n, k_n*; y_{-q} = -y_q on both sides.
+    """
     constants = PhysicalConstants(electron_mass_factor=0.067)
     r_ratio, eps_ev = 312.9, 0.0378539
     gamma_ev = eps_ev / r_ratio
     lifetime = constants.hbar / gamma_ev
     k = constants.wavevector(eps_ev)
-    k_n = constants.complex_wavevector(complex(eps_ev, -0.5 * gamma_ev))
+    k_n = cmath.sqrt(complex(eps_ev, -0.5 * gamma_ev) / constants.hbar2_over_2m)
     for tau in (0.05, 1.0, 12.0, 60.0):
-        t_fs = tau * lifetime
-        pairs = [
-            ("+k", k), ("-k", -k),
-            ("+k_n", k_n), ("-k_n", -k_n),
-            ("+k_n*", k_n.conjugate()), ("-k_n*", -k_n.conjugate()),
-        ]
-        for kind, q in pairs:
-            physical = MoshinskyArgument.from_momentum(q, t_fs, constants).y
-            rescaled = MoshinskyArgument.from_lifetime_units(r_ratio, tau, kind).y
+        root_t = math.sqrt(constants.hbar2_over_2m * tau * lifetime / constants.hbar)
+        for q, shift in ((k, 0.0), (k_n, -0.5j), (k_n.conjugate(), 0.5j)):
+            physical = -EXP_MINUS_IPI4 * q * root_t
+            rescaled = -EXP_MINUS_IPI4 * cmath.sqrt((r_ratio + shift) * tau)
             assert abs(physical - rescaled) <= 1e-12 * abs(physical)
 
 
@@ -356,26 +347,11 @@ def test_argument_routes_agree_property(r_ratio, tau):
     constants = PhysicalConstants(electron_mass_factor=0.067)
     eps_ev = 0.05
     gamma_ev = eps_ev / r_ratio
-    k_n = constants.complex_wavevector(complex(eps_ev, -0.5 * gamma_ev))
+    k_n = cmath.sqrt(complex(eps_ev, -0.5 * gamma_ev) / constants.hbar2_over_2m)
     t_fs = tau * constants.hbar / gamma_ev
-    physical = MoshinskyArgument.from_momentum(k_n, t_fs, constants).y
-    rescaled = MoshinskyArgument.from_lifetime_units(r_ratio, tau, "+k_n").y
+    physical = -EXP_MINUS_IPI4 * k_n * math.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
+    rescaled = -EXP_MINUS_IPI4 * cmath.sqrt((r_ratio - 0.5j) * tau)
     assert abs(physical - rescaled) <= 1e-12 * abs(physical)
-
-
-def test_argument_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        MoshinskyArgument.from_lifetime_units(10.0, 1.0, "k")
-    with pytest.raises(ValueError):
-        MoshinskyArgument.from_lifetime_units(10.0, 1.0, "+q")
-
-
-def test_argument_rejects_negative_time():
-    constants = PhysicalConstants()
-    with pytest.raises(ValueError):
-        MoshinskyArgument.from_momentum(0.02, -1.0, constants)
-    with pytest.raises(ValueError):
-        MoshinskyArgument.from_lifetime_units(10.0, -0.5, "+k")
 
 
 # ---------------------------------------------------------------- scaled pair

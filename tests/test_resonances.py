@@ -12,12 +12,17 @@ from rtbuildup import (
     find_poles,
     gamow_state,
     one_term_phi,
-    pole_function,
     refine_pole,
     stationary_state,
     transmission_scan,
     winding_number,
 )
+from rtbuildup.scattering import _transfer_entries
+
+def m22(profile, k):
+    """m22(k), whose fourth-quadrant zeros are the resonance poles."""
+    return complex(_transfer_entries(profile, complex(k))[3])
+
 
 # tabulated resonance parameters for the two benchmark structures, meV
 KNOWN_SYMMETRIC = [(37.8, 0.12), (149.2, 1.40), (325.7, 8.60)]
@@ -82,8 +87,8 @@ def test_free_profile_has_no_poles():
 def test_pole_symmetry_partner(symmetric_profile, symmetric_poles):
     # -k_n* satisfies the pole condition as well (third-quadrant partner)
     for s in symmetric_poles:
-        residual = abs(pole_function(symmetric_profile, -s.k.conjugate()))
-        scale = abs(pole_function(symmetric_profile, -s.k.conjugate() * (1.0 + 1e-4)))
+        residual = abs(m22(symmetric_profile, -s.k.conjugate()))
+        scale = abs(m22(symmetric_profile, -s.k.conjugate() * (1.0 + 1e-4)))
         assert residual / scale < 1e-10
 
 
@@ -92,14 +97,6 @@ def test_winding_count_matches_poles(symmetric_profile, symmetric_poles):
     k_hi = c.wavevector(0.4)
     count = winding_number(symmetric_profile, (0.5 * c.wavevector(0.001), k_hi), (-k_hi, 0.0))
     assert count == len(symmetric_poles)
-
-
-def test_max_poles_truncation(symmetric_profile):
-    poles = find_poles(symmetric_profile, 0.4, max_poles=2)
-    assert len(poles) == 2
-    assert poles[0].eps_mev < poles[1].eps_mev
-    with pytest.raises(ValueError, match="max_poles must be >= 0"):
-        find_poles(symmetric_profile, 0.4, max_poles=-1)  # would slice off the last pole
 
 
 def test_gamow_boundary_conditions(symmetric_poles):
@@ -360,9 +357,7 @@ def scalar_newton(profile, k, tol=1e-12, max_iter=100):
     """Reference: Newton with three scalar m22 evaluations per step."""
     for _ in range(max_iter):
         h = 1e-6 * max(abs(k), 1e-4)
-        step = pole_function(profile, k) / (
-            (pole_function(profile, k + h) - pole_function(profile, k - h)) / (2.0 * h)
-        )
+        step = m22(profile, k) / ((m22(profile, k + h) - m22(profile, k - h)) / (2.0 * h))
         limit = 0.2 * max(abs(k), 1e-4)
         if abs(step) > limit:
             step *= limit / abs(step)
