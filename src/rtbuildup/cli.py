@@ -238,6 +238,10 @@ def _select(args) -> _Selection:
         raise CliUsageError("--tail-tol must be positive")
     profile = load_profile(args.profile)
     e_max = _e_max(args, profile)
+    if args.energy_ev is not None and not 0.0 < args.energy_ev < math.inf:
+        raise CliUsageError("--energy-ev must be positive and finite")
+    if args.x_angstrom is not None and not 0.0 <= args.x_angstrom <= profile.total_length:
+        raise CliUsageError(f"position {args.x_angstrom} outside [0, {profile.total_length}] A")
     poles = find_poles(profile, e_max)
     if not poles:
         raise CliUsageError(f"no resonances below {e_max} eV in {args.profile}")
@@ -253,8 +257,6 @@ def _select(args) -> _Selection:
         mode = args.mode
     else:
         energy = args.energy_ev
-        if not 0.0 < energy < math.inf:
-            raise CliUsageError("--energy-ev must be positive and finite")
         state = min(poles, key=lambda s: abs(s.eps_ev - energy))
         index = poles.index(state) + 1
         mode = args.mode
@@ -268,8 +270,6 @@ def _select(args) -> _Selection:
             mode = "full"
 
     x = args.x_angstrom if args.x_angstrom is not None else _auto_max_position(profile, energy)
-    if not 0.0 <= x <= profile.total_length:
-        raise CliUsageError(f"position {x} outside [0, {profile.total_length}] A")
     return _Selection(profile, poles, state, index, energy, x, mode)
 
 
@@ -304,8 +304,8 @@ def cmd_poles(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    sel = _select(args)
     tau_ref = _tau_grid(args)
+    sel = _select(args)
     sol = _evolve_selection(sel, tau_ref, args)
     tau = sol.tau if sol.tau is not None else tau_ref
     psi = sol.psi
@@ -318,8 +318,8 @@ def cmd_evolve(args) -> int:
 def cmd_buildup(args) -> int:
     if args.resonance is None:
         raise CliUsageError("buildup requires --resonance (on-resonance normalization)")
-    sel = _select(args)
     tau = _tau_grid(args)
+    sel = _select(args)
     sol = _evolve_selection(sel, tau, args)
     series = normalize_buildup(sol, sel.state, resonance_index=sel.index)
     law = exponential_law(series.tau) ** 2
@@ -331,8 +331,8 @@ def cmd_buildup(args) -> int:
 def cmd_crossover(args) -> int:
     if args.resonance is None:
         raise CliUsageError("crossover requires --resonance (on-resonance normalization)")
-    sel = _select(args)
     tau = _tau_grid(args)
+    sel = _select(args)
     sol = _evolve_selection(sel, tau, args)
     series = normalize_buildup(sol, sel.state, resonance_index=sel.index)
     tau_d, ln_delta, _dropped = delta_curve(series)

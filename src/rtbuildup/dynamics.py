@@ -26,11 +26,11 @@ moments: one Horner sum per point and band, whatever the number of rays
 which leaves every ray there a smooth direct-branch term; cut at the
 rays' band edges into pieces no wider than ``BAND_RATIO`` in r, the rays
 on each piece sum to one entire function of r, interpolated from its
-values at ``BAND_NODES`` Chebyshev nodes.  ``wofz`` runs only at the
+values at ``BAND_NODES`` Chebyshev nodes and summed as its Chebyshev
+series, one real matrix product per piece.  ``wofz`` runs only at the
 nodes, in one call per evolution, so an added pole pair costs a few
 multiply-adds per grid point rather than a Faddeeva evaluation at each of
-its band points.  The sum runs in one pass over the whole grid in the
-calling thread.
+its band points.  The sum runs in one pass over the whole grid in the calling thread.
 """
 
 from __future__ import annotations
@@ -113,9 +113,13 @@ _EXP_CUT = 60.0
 
 _NODE_ANGLE = (2 * np.arange(BAND_NODES) + 1) * np.pi / (2 * BAND_NODES)
 _NODES = np.cos(_NODE_ANGLE)
-"""First-kind Chebyshev nodes on [-1, 1]; none is an end point, so none lies on a band edge."""
-_NODE_WEIGHTS = (-1.0) ** np.arange(BAND_NODES) * np.sin(_NODE_ANGLE)
-"""Their barycentric weights (Berrut & Trefethen, SIAM Rev. 46, 501 (2004), sec. 5)."""
+"""First-kind Chebyshev nodes x_j = cos(theta_j) on [-1, 1], at which T_k(x_j) = cos(k theta_j);
+none is an end point, so none lies on a band edge."""
+_TO_SERIES = 2.0 / BAND_NODES * np.cos(np.arange(BAND_NODES)[:, None] * _NODE_ANGLE)
+_TO_SERIES[0] /= 2.0
+"""Node values to the coefficients a_k of their interpolant sum_k a_k T_k(x) (Trefethen, ATAP, ch. 3)."""
+_BASIS_COLUMNS = 2048
+"""Band points whose Chebyshev basis (136 B each) is held at once, unless one piece holds more."""
 
 _EDGE_RTOL = 8 * np.finfo(float).eps
 """Band edges closer than this, relative, are one edge: both rays of a pair share |c| up to rounding."""
@@ -143,6 +147,8 @@ class _Rays:
     interpolated from its values at ``BAND_NODES`` Chebyshev nodes, all
     taken in one ``_moshinsky_m_grid`` call over the pieces that hold a
     point of the grid ``r`` given here; the values depend on the rays alone.
+    ``coef`` holds each piece's Chebyshev coefficients as (real, imaginary) pairs; a piece's
+    points, one run of the grid, add its real product with their T_0..T_16 of x = (r - mid)/half.
     """
 
     def __init__(self, c: np.ndarray, w: np.ndarray, r: np.ndarray):
@@ -177,20 +183,22 @@ class _Rays:
         rays = (self.near_edge <= lo[:, None]) & (hi[:, None] <= self.far_edge)
         held = np.searchsorted(r, lo) < np.searchsorted(r, hi)
         pieces = np.flatnonzero(held & rays.any(axis=1))
-        # slot[j] is the piece number of the points j pieces up from bounds[0], -1 for none
-        self.slot = np.full(self.bounds.size + 1, -1)
-        self.slot[pieces + 1] = np.arange(pieces.size)
-        self.mid = 0.5 * (hi + lo)[pieces]
-        self.half = 0.5 * (hi - lo)[pieces]
+        self.lo, self.hi = lo[pieces], hi[pieces]
+        self.mid, self.half = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
         piece, ray = np.nonzero(rays[pieces])
         sign = np.where(reflected, -1.0, 1.0)[ray, None]
         node_r = self.mid[piece, None] + self.half[piece, None] * _NODES
-        # values[j, p]: the sum at node j of piece p
-        self.values = np.zeros((BAND_NODES, pieces.size), dtype=complex)
+        values = np.zeros((pieces.size, BAND_NODES), dtype=complex)
         if piece.size:
             m = _moshinsky_m_grid(sign * self.c[ray, None] * node_r)
             firsts = np.flatnonzero(np.diff(piece, prepend=-1))
-            self.values = np.add.reduceat(sign * self.w[ray, None] * m, firsts, axis=0).T.copy()
+            values = np.add.reduceat(sign * self.w[ray, None] * m, firsts, axis=0)
+        # a_0 and a_1 first, then the rest from what they leave: a_k for k >= 2 is small, and
+        # so is its rounding once it no longer cancels the values' linear part (error 2e-15 -> 6e-16)
+        linear = values @ _TO_SERIES[:2].T
+        coef = (values - linear[:, :1] - linear[:, 1:] * _NODES) @ _TO_SERIES.T
+        coef[:, :2] += linear
+        self.coef = coef.view(float).reshape(pieces.size, BAND_NODES, 2)
 
     def add_to(self, out: np.ndarray, r: np.ndarray) -> None:
         """out += sum_i w_i M(c_i r) over the grid r the rays were made for."""
@@ -215,22 +223,23 @@ class _Rays:
                 n = _series_terms(self.far_mag[m] * r[a])
                 inv = 1.0 / r[a:b]
                 out[a:b] += inv * _horner(self.far[m, :n].tolist(), (inv * inv).astype(complex))
-        # the band, by the barycentric formula on each point's piece, one node at a time
-        slot = self.slot[np.searchsorted(self.bounds, r, "right")]
-        points = np.flatnonzero(slot >= 0)
-        if points.size:
-            slot = slot[points]
-            x = (r[points] - self.mid[slot]) / self.half[slot]
-            num, den = np.zeros(x.size, dtype=complex), np.zeros(x.size)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for node, weight, values in zip(_NODES.tolist(), _NODE_WEIGHTS.tolist(), self.values):
-                    q = weight / (x - node)
-                    den += q
-                    num += q * values[slot]
-                band = num / den
-            on = np.flatnonzero(~np.isfinite(band))  # a point on a node: inf / inf
-            band[on] = self.values[np.argmin(np.abs(x[on, None] - _NODES), axis=1), slot[on]]
-            out[points] += band
+        # the band: each piece's run of points takes one product of its Chebyshev basis and series
+        start, stop = np.searchsorted(r, self.lo), np.searchsorted(r, self.hi)
+        size = stop - start
+        col = np.concatenate(([0], np.cumsum(size)))  # the basis columns of piece p are col[p]:col[p + 1]
+        points = np.arange(col[-1]) + np.repeat(start - col[:-1], size)  # the grid index of each column
+        x = (r[points] - np.repeat(self.mid, size)) / np.repeat(self.half, size)
+        pairs, top = out.view(float).reshape(-1, 2), 0
+        for coef, f, e, a in zip(self.coef, col[:-1].tolist(), col[1:].tolist(), start.tolist()):
+            if e > top:  # T_k(x) on whole pieces from here, by T_k = 2x T_(k-1) - T_(k-2)
+                base, top = f, max(e, col[np.searchsorted(col, f + _BASIS_COLUMNS, "right") - 1])
+                basis = np.empty((BAND_NODES, top - base))
+                basis[0], basis[1] = 1.0, x[base:top]
+                twice = basis[1] + basis[1]
+                for k in range(2, BAND_NODES):
+                    np.multiply(twice, basis[k - 1], out=basis[k])
+                    basis[k] -= basis[k - 2]
+            pairs[a : a + e - f] += basis[:, f - base : e - base].T @ coef
 
 
 def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):

@@ -144,6 +144,22 @@ def test_non_finite_or_out_of_range_numbers_exit_one(cfg_paths, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--resonance", "1", "--x-angstrom", "80", "--points", "0"], "--points must be >= 1"),
+    (["--resonance", "1", "--x-angstrom", "80", "--tau-max", "inf"], "tau-max < inf"),
+    (["--energy-ev", "nan", "--x-angstrom", "80"], "--energy-ev must be positive and finite"),
+    (["--resonance", "1", "--x-angstrom", "1e9"], "position 1000000000.0 outside [0, 160.0] A"),
+])
+def test_usage_errors_that_need_no_pole_exit_before_the_search(monkeypatch, cfg_paths, capsys, argv, message):
+    def no_search(*args, **kwargs):
+        raise AssertionError("pole search ran before a check that needs no pole")
+
+    monkeypatch.setattr("rtbuildup.cli.find_poles", no_search)
+    assert main(["evolve", "--profile", cfg_paths["sym"]] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("line, message", [
     ("mass_factor = 0", "mass_factor must be positive and finite, got 0.0"),
     ("mass_factor = -0.067", "mass_factor must be positive and finite, got -0.067"),
