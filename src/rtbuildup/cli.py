@@ -108,19 +108,129 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
+# A CSV cell is laid out in 40 bytes, five 8-byte words, and a keep mask
+# picks the bytes that print; the others are zeroed and then deleted.
+#   bytes  0-7   two pads, the sign, "0.000" (the lead of 0.000ddd)
+#   bytes  8-31  digit i at 8 + 2i and a "." slot after it at 9 + 2i
+#   bytes 32-39  "e", the exponent's sign and two digits, the separator, three pads
+_CSV_BLOCK_ROWS = 4096
+_POW10 = np.array([10**j for j in range(23)], dtype=float)  # exact in float64
+# 10**(i - 22) as one exact multiply or one exact divide: _UP[i] / _DOWN[i]
+_UP = np.concatenate([np.ones(22), _POW10])
+_DOWN = np.concatenate([_POW10[:0:-1], np.ones(23)])
+_GROUP_BASE = np.array([[1e8], [1e4], [1.0]])  # a 12-digit mantissa as three groups of four
+_DIGIT = ord("0") + np.arange(10, dtype=np.uint8)
+_DIGIT_PAIRS = np.full((10, 10, 10, 10, 8), ord("."), dtype=np.uint8)  # group abcd at [a, b, c, d]
+_DIGIT_PAIRS[..., 0] = _DIGIT[:, None, None, None]
+_DIGIT_PAIRS[..., 2] = _DIGIT[:, None, None]
+_DIGIT_PAIRS[..., 4] = _DIGIT[:, None]
+_DIGIT_PAIRS[..., 6] = _DIGIT
+_DIGIT_PAIRS = _DIGIT_PAIRS.view(np.uint64).ravel()  # a group's four digits, each with its slot
+_ZERO = (_DIGIT == ord("0")).astype(np.uint8)
+_TRAILING_ZEROS = _ZERO * (1 + _ZERO[:, None] * (1 + _ZERO[:, None, None] * (1 + _ZERO[:, None, None, None])))
+_TRAILING_ZEROS = _TRAILING_ZEROS.ravel()  # 4 for the group 0000
+_LEAD = np.frombuffer(b"\0\0\0" b"0.000" b"\0\0-" b"0.000", dtype=np.uint64)  # positive, negative
+# indexed by i = 33 - e for the exponent e = 33 ... -11
+_E = np.arange(33, -12, -1)
+_EXPONENT = np.frombuffer(b"".join(b"e%+03d,\0\0\0" % e for e in _E.tolist()), dtype=np.uint64)
+_SCIENTIFIC = 16  # layouts 0-15 are fixed notation with exponent -4 ... 11
+_LAYOUT = 125 * np.where((-4 <= _E) & (_E < 12), _E + 4, _SCIENTIFIC)
+_TZ_WEIGHT = np.array([25, 5, 1])  # the three groups' trailing zeros as a base-5 number
+
+
+def _keep_masks() -> np.ndarray:
+    """Keep mask of each layout and the groups' trailing zeros (z0, z1, z2), as five words.
+
+    Row 125 layout + 25 z0 + 5 z1 + z2; the mask depends on the zeros only
+    through the last nonzero digit.
+    """
+    layout = np.arange(_SCIENTIFIC + 1)[:, None, None]
+    last = np.arange(12)[None, :, None]
+    pos = np.arange(40)[None, None, :]
+    fixed, e = layout < _SCIENTIFIC, layout - 4
+    digit, slot = (pos - 8) // 2, (pos - 9) // 2
+    is_digit = (8 <= pos) & (pos < 32) & (pos % 2 == 0)
+    is_slot = (9 <= pos) & (pos < 32) & (pos % 2 == 1)
+    whole = fixed & (e >= 0)  # the integer part prints in full, zeros included
+    keep = (
+        (pos == 2)
+        | (pos == 36)
+        | (fixed & (e < 0) & (3 <= pos) & (pos < 4 - e))  # "0." and the zeros after it
+        | (is_digit & (digit <= np.where(whole, np.maximum(e, last), last)))
+        | (is_slot & (slot == np.where(fixed, e, 0)) & (last > slot) & (whole | ~fixed))
+        | (~fixed & (32 <= pos) & (pos < 36))
+    )
+    masks = np.where(keep, 0xFF, 0).astype(np.uint8).view(np.uint64)  # by layout and last digit
+    z0, z1, z2 = np.indices((5, 5, 5)).reshape(3, -1)
+    zeros = np.minimum(z2 + (z2 == 4) * (z1 + (z1 == 4) * z0), 11)  # 12 only for a zero mantissa
+    return masks[:, 11 - zeros].reshape(-1, 5)
+
+
+_KEEP = _keep_masks()
+
+
+def _csv_rows(table: np.ndarray) -> bytes:
+    """The rows of a float table, each cell as "%.12g" % v, comma-separated."""
+    rows, cols = table.shape
+    v = table.ravel()
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero, inf and nan: rendered by "%"
+        # i = 33 - e, clipped to the tables (nan to 44); zero, inf and nan fail below
+        i = np.fmax(np.fmin(33.0 - np.floor(np.log10(a)), 44.0), 0.0).astype(np.intp)
+        s = a * _UP[i] / _DOWN[i]
+        m = np.rint(s)
+        # spacing(s) <= 2**-13 for s < 1e12, so s and the exact product round alike
+        fast = (np.abs(s - m) < 0.5 - 2.0**-13) & (1e11 <= s) & (m < 1e12)
+    # m < 2**53, and m / 10**j is an integer or at least 1e-12 of itself below the next one,
+    # so floor takes each group exactly
+    groups = np.where(fast, m, 1e11) / _GROUP_BASE
+    np.floor(groups, out=groups)
+    groups[1:] -= 1e4 * groups[:-1]
+    groups = groups.astype(np.intp)
+    cells = np.empty((v.size, 5), dtype=np.uint64)
+    cells[:, 0] = _LEAD[(v < 0).astype(np.intp)]
+    cells[:, 1:4] = _DIGIT_PAIRS[groups].T
+    cells[:, 4] = _EXPONENT[i]
+    cells &= np.take(_KEEP, _LAYOUT[i] + _TZ_WEIGHT @ _TRAILING_ZEROS[groups], axis=0)
+    text = cells.view(np.uint8).reshape(-1, 40)
+    slow = (~fast).nonzero()[0]
+    if slow.size:
+        cell_text = ["%.12g" % x for x in v[slow].tolist()]
+        text[slow, :36] = np.array(cell_text, dtype="S36").view(np.uint8).reshape(-1, 36)
+    text.reshape(rows, cols * 40)[:, -4] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")
+
+
 def _write_csv(path: str | None, header: list[str], columns, footer: str | None = None) -> None:
-    """One 1-D column per header name; "%.12g" formats exactly as _fmt does, nan and -0 included."""
-    table = np.column_stack(columns)
-    template = (",".join(["%.12g"] * len(header)) + "\n") * table.shape[0]
-    text = ",".join(header) + "\n" + template % tuple(table.ravel().tolist())
+    """One 1-D column per header name; every cell is rendered exactly as "%.12g" % v.
+
+    A finite nonzero v is rendered from e = floor(log10|v|) and
+    s = |v| * 10**(11 - e).  For |11 - e| <= 22 the power of ten is exact and
+    either multiplies or divides, so s is the exact product rounded once, at
+    most spacing(s) / 2 <= 2**-14 off it.  When s lies more than 2**-13 from
+    the nearest half-integer, the exact product rounds to the same integer
+    m = rint(s) as s does; with 1e11 <= s and m < 1e12, m is the correctly
+    rounded 12-digit mantissa that "%" prints with exponent e.  Every other
+    cell is rendered by "%.12g" % v itself, one at a time: nan, +-inf, +-0,
+    |11 - e| > 22, near-ties, a mantissa that rounds up to 1e12, and a log10
+    that rounded across a power of ten (s outside [1e11, 1e12)).  Rows
+    go in blocks of _CSV_BLOCK_ROWS, which bounds the temporaries; the bytes
+    go to the file opened in binary mode, or to sys.stdout.buffer.
+    """
+    table = np.column_stack(columns).astype(float, copy=False)
+    parts = [(",".join(header) + "\n").encode()]
+    parts += [_csv_rows(table[i : i + _CSV_BLOCK_ROWS]) for i in range(0, len(table), _CSV_BLOCK_ROWS)]
     if footer is not None:
-        text += footer + "\n"
+        parts.append((footer + "\n").encode())
+    data = b"".join(parts)  # one write: writing each block as it is rendered was slower
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
     else:
         try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(path, "wb") as fh:
+                fh.write(data)
         except OSError as exc:
             raise CliUsageError(f"cannot write {path}: {exc}") from None
 
@@ -136,6 +246,11 @@ def _check_out(path: str | None) -> None:
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         raise CliUsageError(f"cannot write {path}: no directory {parent}")
+    if os.path.exists(path):
+        if not os.access(path, os.W_OK):
+            raise CliUsageError(f"cannot write {path}: file is not writable")
+    elif not os.access(parent, os.W_OK):
+        raise CliUsageError(f"cannot write {path}: directory {parent} is not writable")
 
 
 @dataclass

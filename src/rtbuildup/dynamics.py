@@ -215,7 +215,9 @@ class _Rays:
             if a < b:
                 y = c * r[a:b]
                 y *= y
-                out[a:b] += w * np.exp(y, out=y)
+                np.exp(y, out=y)
+                np.multiply(w, y, out=y)  # w * y; `y *= w` rounds differently at some points
+                out[a:b] += y
         # in order of falling |c|, points [hi[m], hi[m + 1]) are far for rays 0..m
         far = hi[::-1]
         for m, (a, b) in enumerate(zip(far, far[1:] + [r.size])):
@@ -268,8 +270,11 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
     # sums round at their own scale rather than at |phi|
     psi = np.zeros(t_fs.size, dtype=complex)
     rays.add_to(psi, root_t)
-    y_free = c_free * root_t
-    psi += phi * np.exp(y_free * y_free)
+    y = c_free * root_t
+    y *= y
+    np.exp(y, out=y)
+    y *= phi  # exp * phi, the order numpy's temporary elision gave `phi * np.exp(...)` on large grids
+    psi += y
 
     last = np.zeros(1, dtype=complex)  # the last pair's term at the last grid point
     _Rays(c[-2:], w[-2:], root_t[-1:]).add_to(last, root_t[-1:])

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -586,3 +587,97 @@ def test_csv_rows_format_like_fmt(tmp_path):
     rows = zip(*columns)
     expected = ["a,b,c"] + [",".join(_fmt(v) for v in row) for row in rows] + ["# end"]
     assert out.read_text() == "\n".join(expected) + "\n"
+
+
+def _csv_cases():
+    """Seeded tables for the "%.12g" parity of _write_csv, by name."""
+    rng = np.random.default_rng(20261018)
+    powers = np.array([float(f"1e{p}") for p in range(-320, 309)])
+    neighbours = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    # 13 to 16 digits whose 13th is a final 5: exact ties in float64 up to 2**53
+    twelve = rng.integers(10**11, 10**12, 2000)
+    ties = ((twelve * 10 + 5) * 10 ** np.repeat(np.arange(4), 500)).astype(float)
+    # the same decimal ties scaled by 10**p: the nearest double lies just off the tie
+    near_ties = [float(f"{m}5e{p}") for m, p in zip(twelve.tolist(), rng.integers(-25, 25, 2000).tolist())]
+    switches = np.array([9.9999999999995e-5, 1e-4, 1e12, 999999999999.5, 99999999999.95, 0.1, 1.0])
+    switches = np.concatenate([switches, np.nextafter(switches, 0.0), np.nextafter(switches, np.inf)])
+    big_exponents = np.ldexp(rng.uniform(1.0, 2.0, 600), rng.integers(330, 1020, 600)) * rng.choice([-1, 1], 600)
+    big_exponents[300:] = 1.0 / big_exponents[300:]
+    block = 4096
+    return {
+        "random-64-bit-patterns": rng.integers(0, 2**64, (350_000, 3), dtype=np.uint64, endpoint=False).view(float),
+        "powers-of-ten-and-neighbours": np.concatenate([neighbours, -neighbours]).reshape(-1, 2),
+        "ties": np.concatenate([ties, near_ties, [999999999999.5, -999999999999.5]]).reshape(-1, 1),
+        "fixed-scientific-switches": np.concatenate([switches, -switches]).reshape(-1, 6),
+        "exponents-of-100-and-more": big_exponents.reshape(-1, 4),
+        "int64-above-2**53": [
+            rng.integers(2**53, 2**63, 1000, dtype=np.int64),
+            rng.integers(-(2**63), -(2**53), 1000, dtype=np.int64),
+            rng.standard_normal(1000),
+        ],
+        "zero-rows": np.empty((0, 3)),
+        "one-row": np.array([[-0.0, 1.5, float("nan"), float("-inf"), 0.0, 2.0 / 3.0, 1e-5]]),
+        "block-and-a-bit": rng.standard_normal((2 * block + 17, 2)) * 10.0 ** rng.integers(-12, 35, (2 * block + 17, 2)),
+        **{f"{n}-columns": rng.standard_normal((300, n)) * 10.0 ** rng.integers(-6, 14, (300, n)) for n in range(1, 8)},
+    }
+
+
+_CSV_CASES = _csv_cases()
+
+
+@pytest.mark.parametrize("name", list(_CSV_CASES))
+def test_csv_writer_matches_percent_format_cell_by_cell(tmp_path, name):
+    from rtbuildup.cli import _write_csv
+
+    table = _CSV_CASES[name]
+    columns = list(table) if isinstance(table, list) else [table[:, j] for j in range(table.shape[1])]
+    header = [f"c{j}" for j in range(len(columns))]
+    out = tmp_path / "cells.csv"
+    _write_csv(str(out), header, columns)
+    lines = out.read_bytes().split(b"\n")
+    assert lines[0] == ",".join(header).encode() and lines[-1] == b""
+    got = [cell for line in lines[1:-1] for cell in line.split(b",")]
+    cells = [v for row in zip(*(column.tolist() for column in columns)) for v in row]  # ints stay int
+    expected = [("%.12g" % v).encode() for v in cells]
+    assert len(got) == len(expected)
+    mismatched = [(v, g, e) for v, g, e in zip(cells, got, expected) if g != e]
+    assert not mismatched, mismatched[:5]
+
+
+def test_out_and_stdout_give_the_same_bytes(cfg_paths, tmp_path, capsysbinary):
+    out = tmp_path / "crossover.csv"
+    argv = ["crossover", "--profile", cfg_paths["sym"], "--resonance", "1", "--auto-max", "--points", "4001"]
+    code_out = main(argv + ["--out", str(out)])
+    assert capsysbinary.readouterr().out == b""
+    code_stdout = main(argv)
+    printed = capsysbinary.readouterr().out
+    assert code_out == code_stdout
+    assert printed == out.read_bytes()
+    assert printed.startswith(b"tau,ln_delta,local_slope\n") and b"# summary: " in printed
+
+
+@pytest.mark.parametrize("command", ["poles", "evolve"])
+@pytest.mark.parametrize("where", ["read-only-file", "read-only-directory"])
+def test_read_only_out_exits_before_any_work(monkeypatch, cfg_paths, tmp_path, capsys, command, where):
+    def no_search(*args, **kwargs):
+        raise AssertionError("pole search ran before --out was checked")
+
+    out = tmp_path / "locked" / "x.csv"
+    out.parent.mkdir()
+    if where == "read-only-file":
+        out.write_text("kept\n")
+    locked = str(out if where == "read-only-file" else out.parent)
+    real_access = os.access
+
+    def access(path, mode, **kwargs):  # file modes do not bind a superuser, so the refusal is simulated
+        return False if str(path) == locked and mode & os.W_OK else real_access(path, mode, **kwargs)
+
+    monkeypatch.setattr(os, "access", access)
+    monkeypatch.setattr("rtbuildup.cli.find_poles", no_search)
+    argv = [command, "--profile", cfg_paths["sym"], "--out", str(out)]
+    if command == "evolve":
+        argv += ["--energy-ev", "0.2", "--x-angstrom", "80", "--mode", "full"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and "not writable" in err and err.count("\n") == 1
+    assert not out.exists() or out.read_text() == "kept\n"
