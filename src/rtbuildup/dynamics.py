@@ -67,7 +67,12 @@ class ConvergenceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TransientSolution:
-    """Psi(x, k; t) sampled on a time grid at fixed position."""
+    """Psi(x, k; t) sampled on a time grid at fixed position.
+
+    ``convergence_diag`` is the last pole pair's share of |Psi| at the final
+    grid point in full mode, and None for a single-resonance solution,
+    whose one pair is the whole resonance term.
+    """
 
     profile: PotentialProfile = field(repr=False)
     energy_ev: float
@@ -276,17 +281,19 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
     y *= phi  # exp * phi, the order numpy's temporary elision gave `phi * np.exp(...)` on large grids
     psi += y
 
-    last = np.zeros(1, dtype=complex)  # the last pair's term at the last grid point
-    _Rays(c[-2:], w[-2:], root_t[-1:]).add_to(last, root_t[-1:])
-    scale = abs(psi[-1])
-    diag = abs(last[0]) / scale if scale > 0.0 else math.inf
-    if mode == "full" and diag > tail_tol:
-        warnings.warn(
-            f"last pole pair contributes {diag:.2e} of |Psi| at the final grid point "
-            f"(tolerance {tail_tol:.1e}); add poles to the expansion",
-            ConvergenceWarning,
-            stacklevel=3,
-        )
+    diag = None
+    if mode == "full":
+        last = np.zeros(1, dtype=complex)  # the last pair's term at the last grid point
+        _Rays(c[-2:], w[-2:], root_t[-1:]).add_to(last, root_t[-1:])
+        scale = abs(psi[-1])
+        diag = abs(last[0]) / scale if scale > 0.0 else math.inf
+        if diag > tail_tol:
+            warnings.warn(
+                f"last pole pair contributes {diag:.2e} of |Psi| at the final grid point "
+                f"(tolerance {tail_tol:.1e}); add poles to the expansion",
+                ConvergenceWarning,
+                stacklevel=3,
+            )
     return TransientSolution(
         profile, float(energy_ev), float(x), t_fs, tau, psi, phi, mode, reference, diag
     )
@@ -312,7 +319,7 @@ def evolve_single_resonance(
             "widths away from the resonance; use the full expansion"
         )
     return _evolve(
-        profile, [state], energy_ev, x, tau, t_fs, "single_resonance", state, math.inf
+        profile, [state], energy_ev, x, tau, t_fs, "single_resonance", state, None
     )
 
 

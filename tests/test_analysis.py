@@ -1,4 +1,6 @@
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -215,6 +217,70 @@ def test_local_slopes_degenerate_inputs(n):
     assert np.all(np.isnan(got))
 
 
+def exact_slope(tau, values):
+    """Reference: least-squares slope in exact rational arithmetic.
+
+    Every double is an integer over a power of two, so each array becomes
+    integers over one common denominator and the sums are exact integers.
+    """
+    def integers(x):
+        ratios = [v.as_integer_ratio() for v in x.tolist()]
+        den = max(d for _, d in ratios)
+        return [p * (den // d) for p, d in ratios], den
+
+    (t, t_den), (v, v_den) = integers(tau), integers(values)
+    n, s_t, s_v = len(t), sum(t), sum(v)
+    s_tt, s_tv = sum(x * x for x in t), sum(x * y for x, y in zip(t, v))
+    return Fraction(n * s_tv - s_t * s_v, n * s_tt - s_t * s_t) * Fraction(t_den, v_den)
+
+
+@pytest.mark.parametrize("tau", [
+    np.linspace(0.25, 60.0, 24001),
+    np.geomspace(0.25, 60.0, 8001),
+    dropped_grid(),
+    1e3 + np.linspace(0.25, 60.0, 24001),
+    np.linspace(0.25, 30.0, 5 * analysis._SLOPE_BLOCK + 77),
+], ids=["linear", "log", "dropped", "offset-1e3", "ragged"])
+def test_local_slopes_match_exact_least_squares(tau):
+    """Plain span-local sums against exact rationals, at every block's first and last window."""
+    values = crossover_like(tau - tau[0] + 0.25)
+    got = local_slopes(tau, values)
+    lo = np.searchsorted(tau, tau - 0.25, side="left")
+    hi = np.searchsorted(tau, tau + 0.25, side="right")
+    starts = np.arange(0, tau.size, analysis._SLOPE_BLOCK)
+    edges = np.concatenate([starts, np.minimum(starts + analysis._SLOPE_BLOCK, tau.size) - 1])
+    picks = np.concatenate([edges, np.random.default_rng(19).integers(0, tau.size, 30)])
+    for i in picks:
+        want = exact_slope(tau[lo[i]:hi[i]], values[lo[i]:hi[i]])
+        assert abs(Fraction(got[i]) - want) <= 1e-11 * max(1, abs(want)), i
+    # every sum and product scales exactly by 2, blocks or no blocks
+    np.testing.assert_array_equal(local_slopes(tau, 2.0 * values)[edges], 2.0 * got[edges])
+
+
+def test_local_slopes_memory_and_sparse_blocks():
+    tau = np.linspace(0.25, 60.0, 24001)
+    values = crossover_like(tau)
+    tracemalloc.start()
+    try:
+        local_slopes(tau, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output and the two index arrays take 0.58 MB of it
+    assert peak <= 1_000_000
+    # a sparse head (one or two points a window) that fills whole blocks
+    head = np.arange(3 * analysis._SLOPE_BLOCK) * 0.3
+    tau = np.concatenate([head, head[-1] + np.linspace(0.2, 6.0, 2000)])
+    values = crossover_like(tau + 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = local_slopes(tau, values)
+    counts = (np.searchsorted(tau, tau + 0.25, side="right")
+              - np.searchsorted(tau, tau - 0.25, side="left"))
+    assert np.all(counts[:2 * analysis._SLOPE_BLOCK] < 3)
+    np.testing.assert_array_equal(np.isnan(got), counts < 3)
+
+
 def test_local_slopes_reuse_only_the_delta_curve_they_are_given():
     """Over the read-only arrays ``delta_curve`` returns, as over any others, the slopes are the arrays' own."""
     tau = np.linspace(0.3, 30.0, 6001)
@@ -223,7 +289,7 @@ def test_local_slopes_reuse_only_the_delta_curve_they_are_given():
     assert not (tau_d.flags.writeable or ln_delta.flags.writeable)
     own = local_slopes(tau_d, ln_delta)
     assert_slopes_match(own, polyfit_slopes(tau_d, ln_delta))
-    # scaling by 2 is exact through every compensated sum and product
+    # scaling by 2 is exact through every sum and product
     np.testing.assert_array_equal(local_slopes(tau_d, 2.0 * ln_delta), 2.0 * own)
     np.testing.assert_array_equal(local_slopes(tau_d.copy(), ln_delta.copy()), own)
 

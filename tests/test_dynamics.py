@@ -78,6 +78,8 @@ def test_single_pole_full_equals_single_resonance(symmetric_profile, symmetric_p
     b = evolve_all_poles(symmetric_profile, [st], st, 80.0, tau)
     assert np.max(np.abs(a.psi - b.psi)) <= 1e-14 * np.max(np.abs(a.psi))
     assert a.mode == "single_resonance" and b.mode == "full"
+    # the truncation diagnostic is a full-mode figure only
+    assert a.convergence_diag is None and b.convergence_diag is not None
 
 
 def test_monotone_buildup_all_configurations(reference_configs):
