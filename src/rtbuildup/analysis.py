@@ -58,7 +58,6 @@ class BuildupSeries:
     ratio_abs: np.ndarray = field(repr=False)
     ratio_abs2: np.ndarray = field(repr=False)
     delta: np.ndarray = field(repr=False)
-    resonance_index: int | None
     r_ratio: float
 
     @cached_property
@@ -82,9 +81,7 @@ class OnsetReport:
     envelope_exponent: float | None = None
 
 
-def normalize_buildup(
-    solution: TransientSolution, state: ResonantState, *, resonance_index: int | None = None
-) -> BuildupSeries:
+def normalize_buildup(solution: TransientSolution, state: ResonantState) -> BuildupSeries:
     """|Psi/phi| series with time converted to lifetime units.
 
     phi is recomputed from the stationary solver at the solution's energy
@@ -100,7 +97,6 @@ def normalize_buildup(
         ratio_abs=ratio,
         ratio_abs2=ratio**2,
         delta=np.abs(1.0 - ratio),
-        resonance_index=resonance_index,
         r_ratio=state.r_ratio,
     )
 

@@ -258,7 +258,6 @@ class _Selection:
     profile: PotentialProfile
     poles: list[ResonantState]
     state: ResonantState
-    index: int
     energy_ev: float
     x: float
     mode: str
@@ -366,14 +365,12 @@ def _select(args) -> _Selection:
             raise CliUsageError(
                 f"resonance {args.resonance} not found ({len(poles)} pole(s) below {e_max} eV)"
             )
-        index = args.resonance
-        state = poles[index - 1]
+        state = poles[args.resonance - 1]
         energy = state.eps_ev
         mode = args.mode
     else:
         energy = args.energy_ev
         state = min(poles, key=lambda s: abs(s.eps_ev - energy))
-        index = poles.index(state) + 1
         mode = args.mode
         if abs(energy - state.eps_ev) > 3.0 * state.gamma_ev and mode == "single":
             print(
@@ -385,7 +382,7 @@ def _select(args) -> _Selection:
             mode = "full"
 
     x = args.x_angstrom if args.x_angstrom is not None else _auto_max_position(profile, energy)
-    return _Selection(profile, poles, state, index, energy, x, mode)
+    return _Selection(profile, poles, state, energy, x, mode)
 
 
 def _evolve_selection(sel: _Selection, tau: np.ndarray, args):
@@ -436,7 +433,7 @@ def cmd_buildup(args) -> int:
     tau = _tau_grid(args)
     sel = _select(args)
     sol = _evolve_selection(sel, tau, args)
-    series = normalize_buildup(sol, sel.state, resonance_index=sel.index)
+    series = normalize_buildup(sol, sel.state)
     law = exponential_law(series.tau) ** 2
     columns = [series.tau, series.ratio_abs, series.ratio_abs2, law]
     _write_csv(args.out, ["tau", "ratio_abs", "ratio_abs2", "law_abs2"], columns)
@@ -449,7 +446,7 @@ def cmd_crossover(args) -> int:
     tau = _tau_grid(args)
     sel = _select(args)
     sol = _evolve_selection(sel, tau, args)
-    series = normalize_buildup(sol, sel.state, resonance_index=sel.index)
+    series = normalize_buildup(sol, sel.state)
     tau_d, ln_delta, _dropped = delta_curve(series)
     slopes = local_slopes(tau_d, ln_delta)
     exit_code = 0

@@ -11,26 +11,30 @@ k_{-n} = -k_n*.  The single-resonance form keeps one pole pair; on resonance
 it decomposes into the exponential charging term |phi|^2 (1 - e^{-tau/2})^2
 plus an algebraically decaying remainder.
 
-Since y_k = -y_{-k}, the reflection identity writes the free term as
-phi exp(y_{-k}^2) - 2 Re(phi) M(y_{-k}), so the sum is
+Every term is a weighted kernel on a ray y_i = c_i r, so the sum is
 
-    Psi = phi exp(y_{-k}^2) + sum_i w_i M(c_i r),    r = sqrt(hbar t / 2m),
+    Psi = sum_i w_i M(c_i r),    r = sqrt(hbar t / 2m),
 
-over 2P + 1 rays y_i = c_i r for P pole pairs.  Each ray crosses
-|y| = ``Y_NEAR`` = 1 and ``Y_FAR`` = 8 once on an ascending grid.  Below
-Y_NEAR every ray takes the Taylor series of M, beyond Y_FAR the asymptotic
-one (a reflected ray adds exp(y^2)), so at each r the rays in either band
-collapse into one series in r whose coefficients are their weighted
-moments: one Horner sum per point and band, whatever the number of rays
-(``_Rays``).  In the band between, a reflected ray adds exp(y^2) as well,
-which leaves every ray there a smooth direct-branch term; cut at the
-rays' band edges into pieces no wider than ``BAND_RATIO`` in r, the rays
-on each piece sum to one entire function of r, interpolated from its
-values at ``BAND_NODES`` Chebyshev nodes and summed as its Chebyshev
-series, one real matrix product per piece.  ``wofz`` runs only at the
-nodes, in one call per evolution, so an added pole pair costs a few
-multiply-adds per grid point rather than a Faddeeva evaluation at each of
-its band points.  The sum runs in one pass over the whole grid in the calling thread.
+over 2P + 2 rays for P pole pairs: the free term's pair first, y_k
+(reflected, w = phi) and y_{-k} (direct, w = -phi*), then each pole
+pair's two.  Each ray crosses |y| = ``Y_NEAR`` = 1 and ``Y_FAR`` = 8 once
+on an ascending grid.  Below Y_NEAR every ray takes the Taylor series of
+M, beyond Y_FAR the asymptotic one (a reflected ray adds exp(y^2)), so at
+each r the rays in either band collapse into one series in r whose
+coefficients are their weighted moments: one Horner sum per point and
+band, whatever the number of rays (``_Rays``).  In the band between, a
+reflected ray adds exp(y^2) as well, which leaves every ray there a
+smooth direct-branch term; cut at the rays' band edges into pieces no
+wider than ``BAND_RATIO`` in r, the rays on each piece sum to one entire
+function of r, interpolated from its values at ``BAND_NODES`` Chebyshev
+nodes and summed as its Chebyshev series, one real matrix product per
+piece.  A reflected ray's exp(y^2) stops where it decays below
+exp(-``_EXP_CUT``), at the decay rate Im(c)^2 - Re(c)^2 formed from the
+squares of the parts: exactly 0 for y_k, whose |exp(y_k^2)| = 1 holds to
+the end of the grid.  ``wofz`` runs only at the nodes, in one call per
+evolution, so an added pole pair costs a few multiply-adds per grid point
+rather than a Faddeeva evaluation at each of its band points.  The sum
+runs in one pass over the whole grid in the calling thread.
 """
 
 from __future__ import annotations
@@ -134,17 +138,21 @@ class _Rays:
     """sum_i w_i M(c_i r) over an ascending grid of r >= 0, every ray on one branch.
 
     A ray is direct (Re c > 0) or reflected with Re(c^2) <= 0, as every ray
-    of the pole sum is.  Ray i is below ``Y_NEAR`` for r < Y_NEAR/|c_i| and
-    beyond ``Y_FAR`` for r >= Y_FAR/|c_i|.  In both bands M is a series in
-    y = c_i r, so at each r the rays there sum to one series in r whose
-    coefficients are the weighted moments of their c_i: a Taylor series
-    with moments w c^n, and an asymptotic one with moments w c^-(2j+1).
+    of the pole sum is; the free term's y_k has Re(c^2) = 0.  Ray i is below
+    ``Y_NEAR`` for r < Y_NEAR/|c_i| and beyond ``Y_FAR`` for r >= Y_FAR/|c_i|.
+    In both bands M is a series in y = c_i r, so at each r the rays there
+    sum to one series in r whose coefficients are the weighted moments of
+    their c_i: a Taylor series with moments w c^n, and an asymptotic one
+    with moments w c^-(2j+1).
     Rays leave the near band in order of rising |c| and join the far band
     in order of falling |c|, so the moments of every set that occurs are
     the running sums of a table in that order, added and never subtracted.
 
     A reflected ray adds its w exp(y^2) from its near edge on, so that what
-    is left of it in the band between is -w M(-y), on the direct branch;
+    is left of it in the band between is -w M(-y), on the direct branch; it
+    stops once Re(y^2) = -(Im(c)^2 - Re(c)^2) r^2 falls below -``_EXP_CUT``,
+    a decay rate formed from the squares of the parts so that y_k, whose
+    parts are equal, gets exactly 0 and keeps exp(y^2) to the end of the grid;
     beyond Y_FAR, where M(y) = exp(y^2) - M(-y), the series is odd in y.
     Cut at every ray's band edges and again until no piece spans more than
     ``BAND_RATIO`` in r, the band holds a fixed set of rays on each piece,
@@ -171,7 +179,7 @@ class _Rays:
         moments = self.w[::-1, None] * self.c[::-1, None] ** -(2 * np.arange(SERIES_TERMS) + 1)
         self.far = np.cumsum(moments, axis=0) * _SERIES
         reflected = self.c.real < 0.0
-        decay = np.maximum(-(self.c * self.c).real, 0.0)
+        decay = np.maximum(np.square(self.c.imag) - np.square(self.c.real), 0.0)
         with np.errstate(divide="ignore"):
             exp_end = np.maximum(self.far_edge, np.sqrt(_EXP_CUT / decay))
         self.exp_c, self.exp_w = self.c[reflected].tolist(), self.w[reflected].tolist()
@@ -258,10 +266,9 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
     constants = profile.constants
     state = stationary_state(profile, energy_ev)
     k, phi = state.k, state.phi(x)
-    # y_k = -y_{-k}, so M(y_k) = exp(y_{-k}^2) - M(y_{-k}) by the reflection:
-    # the free term is phi exp(y_{-k}^2) - 2 Re(phi) M(y_{-k})
+    # the free term phi M(y_k) - phi* M(y_{-k}): a reflected ray and a direct one
     c_free = EXP_MINUS_IPI4 * k
-    c, w = [c_free], [-2.0 * phi.real]
+    c, w = [-c_free, c_free], [phi, -phi.conjugate()]
     for s in poles:
         # -i [T_n M(y_{k_n}) + T_{-n} M(y_{-k_n*})], with T_{-n} = conj(T_n)
         # for real k because u_{-n} = u_n* and k_{-n}^2 = conj(k_n^2)
@@ -270,16 +277,8 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
         w += [-1j * t_n, -1j * t_n.conjugate()]
     c, w = np.asarray(c, dtype=complex), np.asarray(w, dtype=complex)
     root_t = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
-    rays = _Rays(c, w, root_t)
-    # the free term, the largest, goes in last so that the rays' partial
-    # sums round at their own scale rather than at |phi|
     psi = np.zeros(t_fs.size, dtype=complex)
-    rays.add_to(psi, root_t)
-    y = c_free * root_t
-    y *= y
-    np.exp(y, out=y)
-    y *= phi  # exp * phi, the order numpy's temporary elision gave `phi * np.exp(...)` on large grids
-    psi += y
+    _Rays(c, w, root_t).add_to(psi, root_t)
 
     diag = None
     if mode == "full":

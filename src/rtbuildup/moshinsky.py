@@ -53,7 +53,9 @@ import math
 
 import numpy as np
 
-EXP_MINUS_IPI4 = cmath.exp(-0.25j * cmath.pi)
+EXP_MINUS_IPI4 = complex(0.7071067811865475, -0.7071067811865475)
+"""exp(-i pi/4) with equal parts, so that Re(y_k^2) for real k is zero up to unbiased
+rounding; ``cmath.exp`` gives parts a bit apart, which biases it positive."""
 
 _SQRT_PI = math.sqrt(math.pi)
 

@@ -23,14 +23,13 @@ from rtbuildup import (
 )
 
 
-def synthetic_series(tau, ratio, r_ratio=300.0, n=None):
+def synthetic_series(tau, ratio, r_ratio=300.0):
     ratio = np.asarray(ratio, dtype=float)
     return BuildupSeries(
         tau=np.asarray(tau, dtype=float),
         ratio_abs=ratio,
         ratio_abs2=ratio**2,
         delta=np.abs(1.0 - ratio),
-        resonance_index=n,
         r_ratio=r_ratio,
     )
 

@@ -1,4 +1,5 @@
 import cmath
+import math
 import multiprocessing
 import os
 import threading
@@ -653,6 +654,41 @@ def test_pole_sum_matches_mpmath_to_32_ev(request, structure):
     reference = mpmath_pole_sum(k, phi, [(s.k, s.u0, s.u(x)) for s in poles], r[samples])
     error = np.abs(sol.psi[samples] - reference) / np.abs(reference)
     assert np.max(error) <= 1e-12, np.max(error)
+
+
+def test_single_resonance_modulus_matches_mpmath_at_late_times(symmetric_profile, symmetric_poles):
+    """|Psi| on resonance 1 at tau in [20, 60], where |exp(y_k^2)| = 1 must hold for |y_k|^2 ~ 1e3.
+
+    An exp(-i pi/4) whose parts differ in the last bit biases Re(y_k^2) and
+    puts |Psi| off by 6e-12 of |phi| at tau = 60.
+    """
+    state = symmetric_poles[0]
+    tau = np.linspace(20.0, 60.0, 41)
+    sol = evolve_single_resonance(symmetric_profile, state, state.eps_ev, 80.0, tau=tau)
+    constants = symmetric_profile.constants
+    r = np.sqrt(constants.hbar2_over_2m * sol.t_fs / constants.hbar)
+    k = constants.wavevector(state.eps_ev)
+    reference = mpmath_pole_sum(k, sol.phi, [(state.k, state.u0, state.u(80.0))], r)
+    error = np.abs(np.abs(sol.psi) - np.abs(reference)) / abs(sol.phi)
+    assert np.max(error) <= 2e-12, np.max(error)
+
+
+@pytest.mark.parametrize("structure", ["symmetric", "asymmetric"])
+def test_free_pair_keeps_its_exp_to_the_end_of_the_grid(request, structure):
+    """The free term's reflected ray has |exp(y^2)| = 1: its exp range never ends.
+
+    Re(c^2) = 0 exactly only when taken as Im(c)^2 - Re(c)^2 of equal parts;
+    from (c c).real a rounding-level negative part ends the range at a finite
+    r, beyond which Psi loses phi exp(y_k^2).
+    """
+    constants = request.getfixturevalue(f"{structure}_profile").constants
+    r = np.geomspace(1e-3, 1e9, 64)
+    for energy_ev in np.linspace(0.01, 2.0, 500):
+        c_free = EXP_MINUS_IPI4 * constants.wavevector(energy_ev)
+        rays = _Rays(np.asarray([-c_free, c_free]), np.asarray([1.0, -1.0 + 0.0j]), r)
+        assert rays.exp_to.tolist() == [math.inf], energy_ev
+        start, stop = np.searchsorted(r, rays.exp_from), np.searchsorted(r, rays.exp_to)
+        assert start[0] < stop[0] == r.size
 
 
 def test_moments_of_66_pole_pairs_stay_in_range(symmetric_profile):
