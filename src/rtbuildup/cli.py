@@ -386,6 +386,14 @@ def _select(args) -> _Selection:
 
 
 def _evolve_selection(sel: _Selection, tau: np.ndarray, args):
+    # from 2^52 rad on, neighbouring doubles of the phase E t / hbar are >= 1 rad
+    # apart, so exp(-iEt/hbar) carries no correct digit
+    phase = sel.energy_ev * (float(tau[-1]) * sel.state.lifetime_fs) / sel.profile.constants.hbar
+    if not phase < 2.0**52:
+        raise CliUsageError(
+            f"--tau-max {args.tau_max:g} gives a phase E t/hbar of {phase:.3g} rad, at least 2^52: "
+            "no digit of exp(-iEt/hbar) is correct there"
+        )
     if sel.mode == "single":
         return evolve_single_resonance(sel.profile, sel.state, sel.energy_ev, sel.x, tau=tau)
     gamma_widest = max(s.gamma_ev for s in sel.poles)

@@ -6,10 +6,12 @@ even in the local wavevectors), so Newton iteration with a finite-difference
 derivative converges quadratically from transmission-peak seeds, and the
 argument principle on a rectangle gives an independent completeness count.
 The count runs on the search rectangle lifted a little above the real axis,
-where |m22| >= 1 is far from zero; the contour moments that seed the poles
-with no transmission peak run on the rectangle itself.  Every batch of seeds
-is refined in lockstep: one transfer-matrix call per Newton round, however
-many seeds there are.
+where |m22| >= 1 is far from zero.  m22 is sampled around that contour once
+per search: the contour moments that seed the poles with no transmission
+peak come from the same samples, with the known poles divided out and new
+points only where a step needs bisection.  Every batch of seeds is refined
+in lockstep: one transfer-matrix call per Newton round, however many seeds
+there are.
 
 The associated Gamow eigenfunction u_n solves the stationary equation at the
 complex energy E_n = hbar^2 k_n^2 / 2m with purely outgoing boundary
@@ -21,6 +23,7 @@ whose integral is exact: inside each segment u_n is a sum of two complex
 exponentials, so its square integrates in closed form.  This is the
 convention under which the stationary wave near a sharp resonance
 collapses to the one-term expression 2ik u_n(0) u_n(x) / (k^2 - k_n^2).
+All poles of a search are normalized in one march over the segments.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profile import PotentialProfile
-from .scattering import _PiecewiseWave, _transfer_entries, bound_state_energies, transmission_scan
+from .scattering import _march, _PiecewiseWave, _transfer_entries, bound_state_energies, transmission_scan
 
 
 SCAN_FLOOR_EV = 1e-3  # lower end of the seed scan
@@ -58,18 +61,22 @@ class BoundStateError(ValueError):
     """The profile binds a state below E = 0, which the pole expansion omits."""
 
 
-def _newton(profile: PotentialProfile, seeds) -> tuple[np.ndarray, np.ndarray]:
+def _newton(profile: PotentialProfile, seeds, known=()) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration on m22(k) from every seed at once.
 
     The derivative is a central difference; m22 is analytic so the step is
     accurate to far more digits than Newton needs.  Each round evaluates m22
     at k and k +- h for every seed still iterating in one transfer-matrix
-    call.  A seed stops when its step, capped at 0.2 |k|, falls below
-    ``NEWTON_TOL``; one whose derivative vanishes, whose step is not finite,
-    or that runs out of ``NEWTON_MAX_ITER`` rounds, fails.  Returns the
-    final momenta and the mask of converged seeds.
+    call.  With ``known`` poles, the step is that of Newton on the deflated
+    g = m22 / prod_j (k - k_j), m22 / (m22' - m22 sum_j 1/(k - k_j)), which
+    pushes a seed away from the known zeros instead of into their basins.  A
+    seed stops when its step, capped at 0.2 |k|, falls below ``NEWTON_TOL``;
+    one whose derivative vanishes, whose step is not finite, or that runs
+    out of ``NEWTON_MAX_ITER`` rounds, fails.  Returns the final momenta and
+    the mask of converged seeds.
     """
     k = np.array(seeds, dtype=complex).ravel()
+    known = np.asarray(known, dtype=complex)
     converged = np.zeros(k.size, dtype=bool)
     active = np.arange(k.size)
     for _ in range(NEWTON_MAX_ITER):
@@ -80,6 +87,8 @@ def _newton(profile: PotentialProfile, seeds) -> tuple[np.ndarray, np.ndarray]:
         m22 = _transfer_entries(profile, np.concatenate([ka, ka + h, ka - h]))[3]
         f, f_plus, f_minus = m22.reshape(3, -1)
         df = (f_plus - f_minus) / (2.0 * h)
+        if known.size:
+            df = df - f * np.sum(1.0 / (ka[:, np.newaxis] - known), axis=1)
         flat = df == 0.0
         step = f / np.where(flat, 1.0, df)
         limit = 0.2 * np.maximum(np.abs(ka), 1e-4)
@@ -101,39 +110,50 @@ def refine_pole(profile: PotentialProfile, k_seed: complex) -> complex:
     return complex(k[0])
 
 
-def _contour_steps(
-    profile: PotentialProfile, re_range: tuple[float, float], im_range: tuple[float, float], known=()
+def _edge_samples(
+    profile: PotentialProfile, re_range: tuple[float, float], im_range: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Steps of log g once around a rectangle, g(k) = m22(k) / prod_j (k - k_j).
-
-    The four edges are sampled as one array; every step whose phase change
-    exceeds pi/2 is bisected, all of them in one batch per round, until the
-    continuous argument along the contour is pinned.  Returns the step
-    midpoints and the increments log(g_{i+1} / g_i).
-    """
+    """(k, m22(k)) once around a rectangle: ``SAMPLES_PER_EDGE`` per edge, then the first corner again."""
     (re_lo, re_hi), (im_lo, im_hi) = re_range, im_range
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi), complex(re_lo, im_hi)]
     ts = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE, endpoint=False)
     edges = [a + (b - a) * ts for a, b in zip(corners, corners[1:] + corners[:1])]
+    k = np.concatenate(edges + [corners[:1]])
+    return k, _transfer_entries(profile, k)[3]
+
+
+def _contour_steps(
+    profile: PotentialProfile, samples: tuple[np.ndarray, np.ndarray], known=()
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Steps of log g along a closed contour sampled as (k, m22), g(k) = m22(k) / prod_j (k - k_j).
+
+    Every step whose phase change of g exceeds pi/2 is bisected, all of them
+    in one batch per round, until the continuous argument along the contour
+    is pinned; m22 is evaluated only at the new points.  Returns the refined
+    samples, which a later pass with more poles divided out starts from, and
+    the increments log(g_{i+1} / g_i).
+    """
+    k, m22 = samples
     known = np.asarray(known, dtype=complex)
 
-    def g(k):
-        return _transfer_entries(profile, k)[3] / np.prod(k[:, np.newaxis] - known, axis=1)
+    def deflation(k):
+        return np.prod(k[:, np.newaxis] - known, axis=1)
 
-    k = np.concatenate(edges + [corners[:1]])
-    vals = g(k)
+    vals = m22 / deflation(k)
     budget = 4 * MAX_REFINEMENTS * SAMPLES_PER_EDGE
     while True:
         ratio = vals[1:] / vals[:-1]
         wide = np.flatnonzero(np.abs(np.angle(ratio)) > 0.5 * np.pi)
         if wide.size == 0:
-            return 0.5 * (k[1:] + k[:-1]), np.log(ratio)
+            return (k, m22), np.log(ratio)
         budget -= wide.size
         if budget < 0:
             raise WindingMismatchError("contour refinement exhausted (zero on the contour?)")
         mid = 0.5 * (k[wide] + k[wide + 1])
+        m22_mid = _transfer_entries(profile, mid)[3]
         k = np.insert(k, wide + 1, mid)
-        vals = np.insert(vals, wide + 1, g(mid))
+        m22 = np.insert(m22, wide + 1, m22_mid)
+        vals = np.insert(vals, wide + 1, m22_mid / deflation(mid))
 
 
 def _zero_count(dlog: np.ndarray) -> int:
@@ -149,7 +169,7 @@ def winding_number(
     im_range: tuple[float, float],
 ) -> int:
     """Number of zeros of m22 inside a rectangle, by the argument principle."""
-    return _zero_count(_contour_steps(profile, re_range, im_range)[1])
+    return _zero_count(_contour_steps(profile, _edge_samples(profile, re_range, im_range))[1])
 
 
 @dataclass(frozen=True)
@@ -197,35 +217,54 @@ class ResonantState:
         return self._wave.derivative(x)
 
 
-def gamow_state(profile: PotentialProfile, k_n: complex) -> ResonantState:
-    """Normalized Gamow eigenfunction for a verified pole momentum.
+def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
+    """Normalized Gamow eigenfunctions for verified pole momenta, all in one march.
 
-    Integrates (psi, psi') from x = 0 with u(0) = 1, u'(0) = -i k_n u(0) and
-    checks the outgoing condition u'(L) = +i k_n u(L); a relative residual
-    above ``BC_TOL`` means k_n is not actually a pole.  The normalization
-    integral of u^2 is exact, a sum of closed-form segment integrals.
+    Integrates (psi, psi') from x = 0 with u(0) = 1, u'(0) = -i k_n u(0) for
+    every k_n at once and checks the outgoing condition u'(L) = +i k_n u(L);
+    a relative residual above ``BC_TOL`` means k_n is not actually a pole.
+    The normalization integral of u^2 is exact: inside a segment
+    u = A e^{i kappa s} + B e^{-i kappa s} with A, B = (u +- u'/(i kappa)) / 2,
+    so u^2 integrates to A^2 expm1(2i kappa w)/(2i kappa)
+    - B^2 expm1(-2i kappa w)/(2i kappa) + 2ABw.  The exponential form avoids
+    the cancellation the cos/sin form suffers in evanescent segments.  Each
+    state keeps its own column of the marched pairs.
     """
-    k_n = complex(k_n)
-    if not (k_n.real > 0.0 and k_n.imag < 0.0):
-        raise GamowResidualError(f"pole must lie in the fourth quadrant, got {k_n}")
-    wave = _PiecewiseWave(profile, k_n, 1.0, -1j * k_n)
-    u_l, du_l = wave.end_values
-    residual = abs(du_l - 1j * k_n * u_l) / (abs(k_n) * abs(u_l))
-    if residual > BC_TOL:
+    ks = np.asarray(ks, dtype=complex).ravel()
+    outside = ~((ks.real > 0.0) & (ks.imag < 0.0))
+    if outside.any():
+        raise GamowResidualError(f"pole must lie in the fourth quadrant, got {complex(ks[outside][0])}")
+    kappa, values, derivs = _march(profile, ks, np.ones(ks.size), -1j * ks)
+    u_l, du_l = values[-1], derivs[-1]
+    residual = np.abs(du_l - 1j * ks * u_l) / (np.abs(ks) * np.abs(u_l))
+    if np.any(residual > BC_TOL):
         raise GamowResidualError(
-            f"outgoing-boundary residual {residual:.2e} exceeds {BC_TOL:.1e}; not a pole"
+            f"outgoing-boundary residual {np.max(residual):.2e} exceeds {BC_TOL:.1e}; not a pole"
         )
 
-    norm_sq = wave.square_integral()
-    norm_sq += 1j * (1.0 + u_l * u_l) / (2.0 * k_n)  # u(0) = 1 before scaling
-    scale = 1.0 / cmath.sqrt(norm_sq)
+    ik = 1j * kappa
+    width = profile.widths[:, np.newaxis]
+    ratio = derivs[:-1] / ik
+    a = 0.5 * (values[:-1] + ratio)
+    b = 0.5 * (values[:-1] - ratio)
+    parts = (a * a * np.expm1(2.0 * ik * width) - b * b * np.expm1(-2.0 * ik * width)) / (2.0 * ik)
+    norm_sq = np.sum(parts + 2.0 * a * b * width, axis=0)
+    norm_sq += 1j * (1.0 + u_l * u_l) / (2.0 * ks)  # u(0) = 1 before scaling
+    scale = 1.0 / np.sqrt(norm_sq)
+    values = values * scale
+    derivs = derivs * scale
+    return [
+        ResonantState(
+            k, profile.constants.energy_ev(k), profile, complex(values[0, i]), complex(values[-1, i]),
+            _PiecewiseWave(profile, kappa[:, i], values[:, i], derivs[:, i]),
+        )
+        for i, k in enumerate(ks.tolist())
+    ]
 
-    wave._values = wave._values * scale
-    wave._derivs = wave._derivs * scale
-    u0 = complex(wave._values[0])
-    u_end = complex(wave._values[-1])
-    energy = profile.constants.energy_ev(k_n)
-    return ResonantState(k_n, energy, profile, u0, u_end, wave)
+
+def gamow_state(profile: PotentialProfile, k_n: complex) -> ResonantState:
+    """Normalized Gamow eigenfunction for one verified pole momentum (see ``_gamow_states``)."""
+    return _gamow_states(profile, [k_n])[0]
 
 
 def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState]:
@@ -243,7 +282,10 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
     would need rounds of bisection.  The count is the same: m22 of a real
     potential has no zero with Im k > 0 besides bound states on the
     imaginary axis, which are refused, and |m22| = 1/|t| >= 1 on the real
-    axis.  A profile that binds a state below E = 0 is refused with
+    axis.  The recovery takes its moments from the count's samples on this
+    lifted rectangle, and the count certifies what it returns; no contour
+    is sampled twice.  The Gamow states of all poles are normalized in one
+    batch.  A profile that binds a state below E = 0 is refused with
     ``BoundStateError``.
     """
     if not e_max_ev > 0.0:
@@ -268,17 +310,18 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
     # wavevector (kappa = 0 there) or on a pole
     k_hi = profile.constants.wavevector(e_max_ev) * (1.0 + 3e-9)
     k_lo = 0.5 * profile.constants.wavevector(SCAN_FLOOR_EV)
-    rectangle = ((k_lo, k_hi), (-k_hi, 0.0))
 
     def in_rectangle(ks):
         return [k for k in ks if k_lo <= k.real <= k_hi and -k_hi <= k.imag < 0.0]
 
     in_rect = in_rectangle(found)
-    count = winding_number(profile, (k_lo, k_hi), (-k_hi, (k_hi - k_lo) / SAMPLES_PER_EDGE))
+    lifted = ((k_lo, k_hi), (-k_hi, (k_hi - k_lo) / SAMPLES_PER_EDGE))
+    samples, dlog = _contour_steps(profile, _edge_samples(profile, *lifted))
+    count = _zero_count(dlog)
     if count > len(in_rect):
         # a pole without a clean transmission maximum (broad, above the
         # barrier top, or riding a monotone background)
-        recovered = _recover_poles(profile, *rectangle, in_rect)
+        recovered = _recover_poles(profile, *lifted, in_rect, samples=samples)
         found += [k for k in recovered if _is_new(k, found)]
         in_rect = in_rectangle(found)
     if count != len(in_rect):
@@ -287,7 +330,7 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
             f"(missed or spurious pole; {np.count_nonzero(~converged)} seed(s) failed Newton)"
         )
 
-    states = [gamow_state(profile, k) for k in in_rect]
+    states = _gamow_states(profile, in_rect)
     states = [s for s in states if s.eps_ev <= e_max_ev]
     states.sort(key=lambda s: s.eps_ev)
     return states
@@ -295,7 +338,7 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
 
 def _recover_poles(
     profile: PotentialProfile, re_range: tuple[float, float], im_range: tuple[float, float],
-    known: list[complex],
+    known: list[complex], *, samples: tuple[np.ndarray, np.ndarray],
 ) -> list[complex]:
     """Poles the seed scan missed, from contour moments of the deflated m22.
 
@@ -303,31 +346,38 @@ def _recover_poles(
     missing n zeros inside the rectangle, and the moments
     s_p = (1/2 pi i) contour z^p dlog g, p = 1..n, of the centred, scaled
     momentum z are their power sums (Delves & Lyness).  Newton's identities
-    turn them into a polynomial whose roots seed lockstep Newton.  A seed can
-    fall into a neighbour's basin, so the pass repeats with every pole found
-    so far divided out, until none is missing or a pass adds nothing.
+    turn them into a polynomial whose roots seed lockstep Newton on the
+    deflated m22.  A seed can still fall into a missing neighbour's basin, so
+    the pass repeats with every pole found so far divided out, until a pass
+    adds nothing or adds exactly the missing number of poles, which the
+    caller's count then certifies.  ``samples`` are the (k, m22) of the
+    count's contour around the rectangle (see ``_contour_steps``); every
+    pass divides the poles out of them and evaluates m22 only where it
+    bisects a step, adding those points to the samples the next pass starts
+    from.
     """
     (re_lo, re_hi), (im_lo, im_hi) = re_range, im_range
     center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
     scale = 0.5 * max(re_hi - re_lo, im_hi - im_lo)
     recovered: list[complex] = []
     while True:
-        mid, dlog = _contour_steps(profile, re_range, im_range, known + recovered)
+        samples, dlog = _contour_steps(profile, samples, known + recovered)
         missing = _zero_count(dlog)
         if missing <= 0:
             return recovered
-        z = (mid - center) / scale
+        k_contour = samples[0]
+        z = (0.5 * (k_contour[1:] + k_contour[:-1]) - center) / scale
         sums = [np.sum(z**p * dlog) / (2j * np.pi) for p in range(missing + 1)]
         coeffs = [1.0]  # monic polynomial of the missing zeros, from Newton's identities
         for p in range(1, missing + 1):
             coeffs.append(-sum(coeffs[i] * sums[p - i] for i in range(p)) / p)
         before = len(recovered)
         seeds = center + scale * np.roots(coeffs)
-        ks, converged = _newton(profile, seeds)
+        ks, converged = _newton(profile, seeds, known=known + recovered)
         for k in ks[converged].tolist():
             if _is_new(k, known + recovered) and re_lo <= k.real <= re_hi and im_lo <= k.imag < 0.0:
                 recovered.append(k)
-        if len(recovered) == before:
+        if len(recovered) - before in (0, missing):
             return recovered
 
 

@@ -104,33 +104,36 @@ def _transfer_entries(profile: PotentialProfile, k):
     return m11, m12, m21, m22
 
 
+def _march(profile: PotentialProfile, k, psi0, dpsi0):
+    """(kappa, psi, psi') with (psi, psi') marched from x = 0 across the segments.
+
+    Vectorized over k, with ``psi0`` and ``dpsi0`` of its shape: kappa has
+    one leading row per segment, psi and psi' one per segment edge.  Row j of
+    psi and psi' is the pair at the left edge of segment j; the last row is
+    the pair at x = L.
+    """
+    kappa = _local_wavevectors(profile, k)
+    values, derivs = [np.asarray(psi0, dtype=complex)], [np.asarray(dpsi0, dtype=complex)]
+    for kappa_j, width in zip(kappa, profile.widths.tolist()):
+        c, p12, p21 = _segment_propagator(kappa_j, width)
+        v, d = values[-1], derivs[-1]
+        values.append(c * v + p12 * d)
+        derivs.append(p21 * v + c * d)
+    return kappa, np.stack(values), np.stack(derivs)
+
+
 class _PiecewiseWave:
-    """Wave psi(x) on [0, L] from marching (psi, psi') across the segments.
+    """Wave psi(x) on [0, L] from the (psi, psi') pairs ``_march`` leaves at the segment edges.
 
     Shared evaluator for scattering states (real E) and resonant states
     (complex E); cheap closed-form propagation inside each segment.
     """
 
-    def __init__(self, profile: PotentialProfile, k: complex, psi0: complex, dpsi0: complex):
+    def __init__(self, profile: PotentialProfile, kappa, values, derivs):
         self.profile = profile
-        self.k = complex(k)
-        kappa = _local_wavevectors(profile, complex(k))
-        self._kappa = kappa.ravel()
-        values = [complex(psi0)]
-        derivs = [complex(dpsi0)]
-        for j, (width, _h) in enumerate(profile.segments):
-            c, p12, p21 = _segment_propagator(self._kappa[j], width)
-            v, d = values[-1], derivs[-1]
-            values.append(c * v + p12 * d)
-            derivs.append(p21 * v + c * d)
-        # entry j: (psi, psi') at the left edge of segment j; the final pair
-        # is the value at x = L.
-        self._values = np.asarray(values)
-        self._derivs = np.asarray(derivs)
-
-    @property
-    def end_values(self) -> tuple[complex, complex]:
-        return complex(self._values[-1]), complex(self._derivs[-1])
+        self._kappa = kappa
+        self._values = values
+        self._derivs = derivs
 
     def _segment_index(self, x):
         edges = self.profile.boundaries
@@ -154,25 +157,6 @@ class _PiecewiseWave:
     def derivative(self, x):
         out = self._propagate(x)[1]
         return complex(out) if out.ndim == 0 else out
-
-    def square_integral(self) -> complex:
-        """Closed-form integral of psi(x)^2 over [0, L] (no complex conjugate).
-
-        Inside a segment psi = A e^{i kappa s} + B e^{-i kappa s} with
-        A, B = (psi +- psi'/(i kappa)) / 2, so its square integrates to
-        A^2 expm1(2i kappa w)/(2i kappa) - B^2 expm1(-2i kappa w)/(2i kappa)
-        + 2ABw.  The exponential form avoids the cancellation the cos/sin
-        form suffers in evanescent segments.
-        """
-        ik = 1j * self._kappa
-        width = self.profile.widths
-        ratio = self._derivs[:-1] / ik
-        a = 0.5 * (self._values[:-1] + ratio)
-        b = 0.5 * (self._values[:-1] - ratio)
-        parts = (
-            a * a * np.expm1(2.0 * ik * width) - b * b * np.expm1(-2.0 * ik * width)
-        ) / (2.0 * ik) + 2.0 * a * b * width
-        return complex(np.sum(parts))
 
 
 @dataclass(frozen=True)
@@ -212,7 +196,7 @@ def stationary_state(profile: PotentialProfile, energy_ev: float) -> StationaryS
     m21, m22 = complex(m21), complex(m22)
     t = 1.0 / m22
     r = -m21 / m22
-    wave = _PiecewiseWave(profile, k, 1.0 + r, 1j * k * (1.0 - r))
+    wave = _PiecewiseWave(profile, *_march(profile, complex(k), 1.0 + r, 1j * k * (1.0 - r)))
     return StationaryState(float(energy_ev), k, t, r, wave)
 
 

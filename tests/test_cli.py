@@ -145,6 +145,27 @@ def test_non_finite_or_out_of_range_numbers_exit_one(cfg_paths, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "buildup", "crossover"])
+def test_time_grid_past_the_phase_precision_exits_one(cfg_paths, tmp_path, capsys, command):
+    """From E t/hbar = 2^52 on no digit of the phase is right; such a grid is refused, not written as nan."""
+    out = tmp_path / "out.csv"
+    argv = [command, "--profile", cfg_paths["sym"], "--resonance", "1", "--auto-max", "--tau-max", "1e300"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tau-max 1e+300 gives a phase E t/hbar of ") and "2^52" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau_max", [[], ["--tau-max", "1e6"]])
+def test_time_grid_within_the_phase_precision_runs(cfg_paths, tmp_path, tau_max):
+    out = tmp_path / "out.csv"
+    argv = ["evolve", "--profile", cfg_paths["sym"], "--resonance", "1", "--auto-max"] + tau_max
+    assert main(argv + ["--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 400 and np.all(np.isfinite(rows))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--resonance", "1", "--x-angstrom", "80", "--points", "0"], "--points must be >= 1"),
     (["--resonance", "1", "--x-angstrom", "80", "--tau-max", "inf"], "tau-max < inf"),

@@ -383,3 +383,131 @@ def test_bound_state_refused():
         find_poles(profile, 0.3)
     # a lifted well binds nothing: the search runs as usual
     assert len(find_poles(build_profile([(30.0, 0.3), (100.0, 0.05), (30.0, 0.3)]), 0.3)) >= 1
+
+
+def counting_transfer_sizes(monkeypatch):
+    """Record the number of momenta of every transfer-matrix call the pole search makes."""
+    sizes = []
+    entries = resonances._transfer_entries
+
+    def counting(profile, k):
+        sizes.append(np.size(k))
+        return entries(profile, k)
+
+    monkeypatch.setattr(resonances, "_transfer_entries", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("name, n_poles", [("symmetric", 26), ("asymmetric", 30)])
+def test_one_contour_per_search(name, n_poles, request, monkeypatch):
+    """m22 is sampled around the rectangle once; recovery bisects the count's samples, never resamples them.
+
+    With a separate contour for the count, each recovery pass and a
+    confirming pass, these searches sampled the rectangle three and four times.
+    """
+    profile = request.getfixturevalue(f"{name}_profile")
+    sizes = counting_transfer_sizes(monkeypatch)
+    assert len(find_poles(profile, 16.0)) == n_poles
+    assert sum(1 for n in sizes if n >= 4 * resonances.SAMPLES_PER_EDGE) == 1
+
+
+def test_recovery_that_finds_the_whole_deficit_runs_no_confirming_pass(symmetric_profile, monkeypatch):
+    """Newton returning exactly the missing poles ends the recovery: one contour pass for it, one for the count."""
+    steps, recover = resonances._contour_steps, resonances._recover_poles
+    passes, deficits = [], []
+
+    def counting_steps(*args, **kwargs):
+        passes.append(1)
+        return steps(*args, **kwargs)
+
+    def recording(profile, re_range, im_range, known, **kwargs):
+        before = len(passes)
+        found = recover(profile, re_range, im_range, known, **kwargs)
+        inside = len(passes) - before
+        deficits.append((winding_number(profile, re_range, im_range) - len(known), len(found), inside))
+        return found
+
+    monkeypatch.setattr(resonances, "_contour_steps", counting_steps)
+    monkeypatch.setattr(resonances, "_recover_poles", recording)
+    poles = find_poles(symmetric_profile, 16.0)
+    assert len(poles) == 26
+    assert deficits == [(2, 2, 1)]  # (missing, recovered, contour passes of the recovery)
+    assert len(passes) == 3  # the count, the recovery pass, and the test's own winding_number
+
+
+def scalar_gamow(profile, k, xs):
+    """Reference: (u0, u_end, u(xs)) of the normalized Gamow function, one pole and one segment at a time."""
+    c2 = profile.constants.hbar2_over_2m
+    pairs, kappas = [(1.0 + 0j, -1j * k)], []
+    for width, height in profile.segments:
+        q = cmath.sqrt(k * k - height / c2)
+        u, du = pairs[-1]
+        pairs.append((cmath.cos(q * width) * u + cmath.sin(q * width) / q * du,
+                      -q * cmath.sin(q * width) * u + cmath.cos(q * width) * du))
+        kappas.append(q)
+    norm = 1j * (1.0 + pairs[-1][0] ** 2) / (2.0 * k)
+    for (u, du), q, (width, _) in zip(pairs, kappas, profile.segments):
+        a, b = 0.5 * (u + du / (1j * q)), 0.5 * (u - du / (1j * q))
+        norm += (a * a * (cmath.exp(2j * q * width) - 1.0) - b * b * (cmath.exp(-2j * q * width) - 1.0)) / (2j * q)
+        norm += 2.0 * a * b * width
+    scale = 1.0 / cmath.sqrt(norm)
+    values = []
+    for x in xs:
+        j = min(int(np.searchsorted(profile.boundaries, x, side="right")) - 1, len(kappas) - 1)
+        s, q, (u, du) = x - profile.boundaries[j], kappas[j], pairs[j]
+        values.append(scale * (cmath.cos(q * s) * u + cmath.sin(q * s) / q * du))
+    return scale, scale * pairs[-1][0], np.array(values)
+
+
+@pytest.mark.parametrize("name", ["symmetric", "asymmetric"])
+def test_batched_gamow_states_match_one_pole_at_a_time(name, request):
+    """All poles normalized in one march equal gamow_state on each pole alone, and a scalar march.
+
+    Against gamow_state every value agrees to 1e-13 of itself.  The scalar
+    reference rounds differently, and an evanescent end segment magnifies
+    that in the small u(L), so it is compared to 1e-13 of max |u|.
+    """
+    profile = request.getfixturevalue(f"{name}_profile")
+    batch = find_poles(profile, 32.0)
+    assert len(batch) == {"symmetric": 38, "asymmetric": 42}[name]
+    xs = np.linspace(0.0, profile.total_length, 11)
+    for state in batch:
+        alone = gamow_state(profile, state.k)
+        assert alone.k == state.k and alone.energy_ev == state.energy_ev
+        assert abs(state.u0 - alone.u0) <= 1e-13 * abs(alone.u0)
+        assert abs(state.u_end - alone.u_end) <= 1e-13 * abs(alone.u_end)
+        assert np.all(np.abs(state.u(xs) - alone.u(xs)) <= 1e-13 * np.abs(alone.u(xs)))
+        u0, u_end, u = scalar_gamow(profile, state.k, xs)
+        scale = np.max(np.abs(u))
+        assert max(abs(state.u0 - u0), abs(state.u_end - u_end), np.max(np.abs(state.u(xs) - u))) <= 1e-13 * scale
+
+
+def independent_m22(profile, k):
+    """m22(k) from scalar cmath propagators, coded apart from rtbuildup.scattering."""
+    c2 = profile.constants.hbar2_over_2m
+    a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j  # (psi, psi') matrix [[a, b], [c, d]]
+    for width, height in profile.segments:
+        q = cmath.sqrt(k * k - height / c2)
+        cs, sn = cmath.cos(q * width), cmath.sin(q * width)
+        a, b, c, d = cs * a + sn / q * c, cs * b + sn / q * d, -q * sn * a + cs * c, -q * sn * b + cs * d
+    return 0.5 * (a + d - 1j * k * b - c / (1j * k))
+
+
+@pytest.mark.parametrize("e_max, n_poles", [(30.0, 41), (96.0, 74)])
+def test_asymmetric_recovery_finds_every_counted_pole(asymmetric_profile, e_max, n_poles):
+    """The recovery on the count's lifted samples, with Newton on the deflated m22, finds every pole.
+
+    Without the deflation the seeds of the 30 eV search all fall back onto
+    known poles; the on-axis recovery stopped at 67 of the 74 poles to 96 eV.
+    Each pole is a zero of an m22 coded apart from the package (one Newton
+    step moves it by at most 1e-12 of |k|), and the count on the on-axis
+    rectangle agrees with the number found.
+    """
+    poles = find_poles(asymmetric_profile, e_max)
+    assert len(poles) == n_poles
+    for state in poles:
+        k = state.k
+        h = 1e-6 * abs(k)
+        slope = (independent_m22(asymmetric_profile, k + h) - independent_m22(asymmetric_profile, k - h)) / (2 * h)
+        assert abs(independent_m22(asymmetric_profile, k) / slope) <= 1e-12 * abs(k)
+    assert winding_number(asymmetric_profile, *search_rectangle(asymmetric_profile, e_max)) == n_poles
