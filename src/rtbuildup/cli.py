@@ -8,9 +8,9 @@ Subcommands:
 
 Profiles are plain-text files with one ``mass_factor = <float>`` line and
 repeated ``segment = <width_angstrom> <height_eV>`` lines; ``#`` starts a
-comment.  Exit codes: 0 success, 1 usage/parse error or a profile with a
-bound state (which the resonance expansion omits), 2 numerical
-non-convergence.
+comment.  Exit codes: 0 success, 1 usage/parse error, a profile with a
+bound state (which the resonance expansion omits) or a search ceiling at
+which m22 overflows, 2 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .analysis import (
 from .dynamics import evolve_full, evolve_single_resonance
 from .profile import PotentialProfile, ProfileError, build_profile
 from .resonances import (
-    BoundStateError,
     GamowResidualError,
     PoleConvergenceError,
     ResonantState,
@@ -315,6 +314,14 @@ def _e_max(args, profile: PotentialProfile) -> float:
     return e_max
 
 
+def _find_poles(profile: PotentialProfile, e_max: float) -> list[ResonantState]:
+    """find_poles, whose refusals (a bound state, an overflowing ceiling) are usage errors."""
+    try:
+        return find_poles(profile, e_max)
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from None
+
+
 def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
     """Position of the |phi|^2 maximum inside the lowest interior segments (the well).
 
@@ -356,7 +363,7 @@ def _select(args) -> _Selection:
         raise CliUsageError("--energy-ev must be positive and finite")
     if args.x_angstrom is not None and not 0.0 <= args.x_angstrom <= profile.total_length:
         raise CliUsageError(f"position {args.x_angstrom} outside [0, {profile.total_length}] A")
-    poles = find_poles(profile, e_max)
+    poles = _find_poles(profile, e_max)
     if not poles:
         raise CliUsageError(f"no resonances below {e_max} eV in {args.profile}")
 
@@ -367,6 +374,11 @@ def _select(args) -> _Selection:
             )
         state = poles[args.resonance - 1]
         energy = state.eps_ev
+        if not energy > 0.0:
+            raise CliUsageError(
+                f"resonance {args.resonance} has eps = {state.eps_mev:.6g} meV <= 0; "
+                "incidence on it needs a positive energy"
+            )
         mode = args.mode
     else:
         energy = args.energy_ev
@@ -400,7 +412,7 @@ def _evolve_selection(sel: _Selection, tau: np.ndarray, args):
     e_pole_max = max(4.0 * sel.energy_ev, sel.energy_ev + 10.0 * gamma_widest)
     poles = sel.poles
     if e_pole_max > max(s.eps_ev for s in poles):
-        poles = find_poles(sel.profile, e_pole_max)
+        poles = _find_poles(sel.profile, e_pole_max)
     return evolve_full(
         sel.profile, poles, sel.energy_ev, sel.x,
         tau=tau, reference=sel.state, tail_tol=args.tail_tol,
@@ -409,7 +421,7 @@ def _evolve_selection(sel: _Selection, tau: np.ndarray, args):
 
 def cmd_poles(args) -> int:
     profile = load_profile(args.profile)
-    poles = find_poles(profile, _e_max(args, profile))
+    poles = _find_poles(profile, _e_max(args, profile))
     columns = [
         np.arange(1, len(poles) + 1),
         [s.eps_mev for s in poles],
@@ -509,7 +521,7 @@ def main(argv=None) -> int:
         for w in captured:
             print(f"warning: {w.message}", file=sys.stderr)
         return code
-    except (CliUsageError, ProfileError, BoundStateError) as exc:
+    except (CliUsageError, ProfileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (PoleConvergenceError, WindingMismatchError, GamowResidualError,

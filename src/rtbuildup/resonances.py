@@ -3,15 +3,39 @@
 A resonance is a zero of the transfer-matrix entry m22(k), the denominator
 of t(k).  m22 is analytic in k away from k = 0 (the segment propagators are
 even in the local wavevectors), so Newton iteration with a finite-difference
-derivative converges quadratically from transmission-peak seeds, and the
-argument principle on a rectangle gives an independent completeness count.
-The count runs on the search rectangle lifted a little above the real axis,
-where |m22| >= 1 is far from zero.  m22 is sampled around that contour once
-per search: the contour moments that seed the poles with no transmission
-peak come from the same samples, with the known poles divided out and new
-points only where a step needs bisection.  Every batch of seeds is refined
-in lockstep: one transfer-matrix call per Newton round, however many seeds
-there are.
+derivative converges quadratically from a nearby seed, and the argument
+principle on a rectangle counts the zeros inside it.
+
+``find_poles`` searches Re k in [k(SCAN_FLOOR_EV)/2, k(e_max)],
+Im k in [-k(e_max), 0).  It samples m22 once around this rectangle with the
+top edge lifted to Im k = +(k_hi - k_lo)/SAMPLES_PER_EDGE, just above the
+narrow poles, where the contour would need rounds of bisection.  The count is
+the same: m22 of a real potential has no zero with Im k > 0 besides bound
+states on the imaginary axis, which are refused, and |m22| = 1/|t| >= 1 on
+the real axis.  A ceiling at which m22 overflows on that contour is refused
+before anything else runs.  One loop (``_recover_poles``) then finds the poles
+and certifies them.  Each pass
+
+1. divides the poles found so far out of the samples,
+   g = m22 / prod_j (k - k_j), and counts the missing zeros of g by the
+   argument principle, bisecting every step whose phase change exceeds
+   pi/2 (m22 is evaluated only at the new points, which later passes keep);
+   the search ends when none is missing;
+2. takes its seeds: on the first pass the maxima of the transmission scan,
+   sqrt((E_peak - i w / 2) / c2) with w the grid scale at the peak; on later
+   passes the roots of the polynomial whose power sums are the contour
+   moments s_p = (1/2 pi i) contour z^p dlog g, p = 1..missing, of the
+   centred, scaled momentum z (Delves & Lyness), by Newton's identities;
+3. refines every seed in lockstep Newton on the deflated g, one
+   transfer-matrix call per round however many seeds there are, and keeps
+   the new poles inside the rectangle.
+
+A pass that adds exactly the missing number ends the search with no
+confirming contour.  A moment pass that adds nothing, or a pass that adds
+more poles than are missing, raises ``WindingMismatchError`` with the count
+of the first pass.  Poles without a clean transmission maximum (broad, above
+the barrier top, or riding a monotone background) are the ones the moments
+find.
 
 The associated Gamow eigenfunction u_n solves the stationary equation at the
 complex energy E_n = hbar^2 k_n^2 / 2m with purely outgoing boundary
@@ -268,25 +292,12 @@ def gamow_state(profile: PotentialProfile, k_n: complex) -> ResonantState:
 
 
 def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState]:
-    """Poles with eps_n <= e_max_ev, sorted by resonance energy.
+    """Poles with eps_n <= e_max_ev, sorted by resonance energy (the search is in the module docstring).
 
-    Every maximum of the transmission grid seeds Newton at
-    sqrt((E_peak - i w / 2) / c2), with w the grid scale at the peak, and all
-    seeds are refined in lockstep.  Completeness is cross-checked by the
-    argument-principle count over the search rectangle
-    Re k in [k(SCAN_FLOOR_EV)/2, k(e_max)], Im k in [-k(e_max), 0); a seed
-    that fails or lands on a pole already found leaves a deficit that the
-    contour moments of ``_recover_poles`` fill.  The count takes the
-    rectangle's top edge at Im k = +(k_hi - k_lo)/SAMPLES_PER_EDGE rather
-    than on the real axis, just above the narrow poles, where the contour
-    would need rounds of bisection.  The count is the same: m22 of a real
-    potential has no zero with Im k > 0 besides bound states on the
-    imaginary axis, which are refused, and |m22| = 1/|t| >= 1 on the real
-    axis.  The recovery takes its moments from the count's samples on this
-    lifted rectangle, and the count certifies what it returns; no contour
-    is sampled twice.  The Gamow states of all poles are normalized in one
-    batch.  A profile that binds a state below E = 0 is refused with
-    ``BoundStateError``.
+    Raises ``BoundStateError`` for a profile that binds a state below E = 0,
+    ``ValueError`` for a ceiling at which m22 overflows on the search
+    contour, and ``WindingMismatchError`` when the count does not certify
+    the poles found.
     """
     if not e_max_ev > 0.0:
         raise ValueError("e_max must be positive")
@@ -296,41 +307,19 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
             f"profile binds {bound.size} state(s) below E = 0, the lowest at {bound[0]:.6g} eV; "
             "the resonance expansion omits bound states"
         )
-    c2 = profile.constants.hbar2_over_2m
-    scan = transmission_scan(profile, SCAN_FLOOR_EV, e_max_ev)
-
-    seeds = [cmath.sqrt((p.energy_ev - 0.5j * p.gamma_estimate_ev) / c2) for p in scan.peaks]
-    ks, converged = _newton(profile, seeds)
-    found: list[complex] = []
-    for k in ks[converged].tolist():
-        if k.real > 0.0 and k.imag < 0.0 and _is_new(k, found):
-            found.append(k)
-
     # pad the rectangle so corners cannot land exactly on a barrier-top
     # wavevector (kappa = 0 there) or on a pole
     k_hi = profile.constants.wavevector(e_max_ev) * (1.0 + 3e-9)
     k_lo = 0.5 * profile.constants.wavevector(SCAN_FLOOR_EV)
-
-    def in_rectangle(ks):
-        return [k for k in ks if k_lo <= k.real <= k_hi and -k_hi <= k.imag < 0.0]
-
-    in_rect = in_rectangle(found)
     lifted = ((k_lo, k_hi), (-k_hi, (k_hi - k_lo) / SAMPLES_PER_EDGE))
-    samples, dlog = _contour_steps(profile, _edge_samples(profile, *lifted))
-    count = _zero_count(dlog)
-    if count > len(in_rect):
-        # a pole without a clean transmission maximum (broad, above the
-        # barrier top, or riding a monotone background)
-        recovered = _recover_poles(profile, *lifted, in_rect, samples=samples)
-        found += [k for k in recovered if _is_new(k, found)]
-        in_rect = in_rectangle(found)
-    if count != len(in_rect):
-        raise WindingMismatchError(
-            f"winding count {count} != {len(in_rect)} converged poles "
-            f"(missed or spurious pole; {np.count_nonzero(~converged)} seed(s) failed Newton)"
-        )
-
-    states = _gamow_states(profile, in_rect)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        samples = _edge_samples(profile, *lifted)
+    if not np.all(np.isfinite(samples[1])):
+        raise ValueError(f"m22 overflows on the search contour at the ceiling {e_max_ev:g} eV")
+    c2 = profile.constants.hbar2_over_2m
+    peaks = transmission_scan(profile, SCAN_FLOOR_EV, e_max_ev).peaks
+    seeds = [cmath.sqrt((p.energy_ev - 0.5j * p.gamma_estimate_ev) / c2) for p in peaks]
+    states = _gamow_states(profile, _recover_poles(profile, *lifted, seeds, samples=samples))
     states = [s for s in states if s.eps_ev <= e_max_ev]
     states.sort(key=lambda s: s.eps_ev)
     return states
@@ -338,47 +327,45 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
 
 def _recover_poles(
     profile: PotentialProfile, re_range: tuple[float, float], im_range: tuple[float, float],
-    known: list[complex], *, samples: tuple[np.ndarray, np.ndarray],
+    seeds, *, samples: tuple[np.ndarray, np.ndarray],
 ) -> list[complex]:
-    """Poles the seed scan missed, from contour moments of the deflated m22.
+    """Every zero of m22 inside the rectangle, certified by the count on its contour.
 
-    With the known poles divided out, g = m22 / prod_j (k - k_j) has only the
-    missing n zeros inside the rectangle, and the moments
-    s_p = (1/2 pi i) contour z^p dlog g, p = 1..n, of the centred, scaled
-    momentum z are their power sums (Delves & Lyness).  Newton's identities
-    turn them into a polynomial whose roots seed lockstep Newton on the
-    deflated m22.  A seed can still fall into a missing neighbour's basin, so
-    the pass repeats with every pole found so far divided out, until a pass
-    adds nothing or adds exactly the missing number of poles, which the
-    caller's count then certifies.  ``samples`` are the (k, m22) of the
-    count's contour around the rectangle (see ``_contour_steps``); every
-    pass divides the poles out of them and evaluates m22 only where it
-    bisects a step, adding those points to the samples the next pass starts
-    from.
+    ``seeds`` seed the first Newton pass, ``samples`` are (k, m22) around the
+    rectangle (see ``_edge_samples``); the passes are in the module
+    docstring.
     """
     (re_lo, re_hi), (im_lo, im_hi) = re_range, im_range
     center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
     scale = 0.5 * max(re_hi - re_lo, im_hi - im_lo)
-    recovered: list[complex] = []
+    found: list[complex] = []
+    count = None
     while True:
-        samples, dlog = _contour_steps(profile, samples, known + recovered)
+        samples, dlog = _contour_steps(profile, samples, found)
         missing = _zero_count(dlog)
-        if missing <= 0:
-            return recovered
-        k_contour = samples[0]
-        z = (0.5 * (k_contour[1:] + k_contour[:-1]) - center) / scale
-        sums = [np.sum(z**p * dlog) / (2j * np.pi) for p in range(missing + 1)]
-        coeffs = [1.0]  # monic polynomial of the missing zeros, from Newton's identities
-        for p in range(1, missing + 1):
-            coeffs.append(-sum(coeffs[i] * sums[p - i] for i in range(p)) / p)
-        before = len(recovered)
-        seeds = center + scale * np.roots(coeffs)
-        ks, converged = _newton(profile, seeds, known=known + recovered)
+        count = missing if count is None else count
+        if missing == 0:
+            return found
+        moments = seeds is None
+        if moments:
+            k_contour = samples[0]
+            z = (0.5 * (k_contour[1:] + k_contour[:-1]) - center) / scale
+            sums = [np.sum(z**p * dlog) / (2j * np.pi) for p in range(missing + 1)]
+            coeffs = [1.0]  # monic polynomial of the missing zeros, from Newton's identities
+            for p in range(1, missing + 1):
+                coeffs.append(-sum(coeffs[i] * sums[p - i] for i in range(p)) / p)
+            seeds = center + scale * np.roots(coeffs)
+        ks, converged = _newton(profile, seeds, known=found)
+        new: list[complex] = []
         for k in ks[converged].tolist():
-            if _is_new(k, known + recovered) and re_lo <= k.real <= re_hi and im_lo <= k.imag < 0.0:
-                recovered.append(k)
-        if len(recovered) - before in (0, missing):
-            return recovered
+            if re_lo <= k.real <= re_hi and im_lo <= k.imag < 0.0 and _is_new(k, found + new):
+                new.append(k)
+        found += new
+        if len(new) > missing or (moments and not new):
+            raise WindingMismatchError(f"winding count {count} != {len(found)} converged poles")
+        if len(new) == missing:
+            return found
+        seeds = None
 
 
 def _is_new(k: complex, others) -> bool:

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rtbuildup import ProfileError
 from rtbuildup.cli import main, parse_profile_text
@@ -110,11 +112,29 @@ def test_unwritable_out_exits_before_any_work(monkeypatch, cfg_paths, tmp_path, 
     assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
 
 
-def test_ceiling_near_double_max_exits_two(cfg_paths, capsys):
-    """log10(e_max / floor) overflows at 1e308; the scan sizes its grid from the two logs."""
-    assert main(["poles", "--profile", cfg_paths["sym"], "--e-max-ev", "1e308"]) == 2
+def test_ceiling_near_double_max_exits_one(cfg_paths, capsys):
+    """m22 overflows on the search contour long before 1e308 eV; the ceiling is refused, not counted as nan."""
+    assert main(["poles", "--profile", cfg_paths["sym"], "--e-max-ev", "1e308"]) == 1
     err = capsys.readouterr().err
-    assert err == "numerical failure: non-integer winding number nan\n"
+    assert err == "error: m22 overflows on the search contour at the ceiling 1e+308 eV\n"
+
+
+@pytest.mark.parametrize("name, e_max", [("sym", "1e300"), ("sym", "1500"), ("asym", "1000")])
+def test_ceiling_whose_contour_overflows_is_refused_before_the_scan(monkeypatch, cfg_paths, capsys, name, e_max):
+    """Past k_hi L of about 709, m22 overflows at Im k = -k_hi; the refusal samples only that contour."""
+    def no_scan(*args, **kwargs):
+        raise AssertionError("transmission scan ran for a ceiling the contour cannot count")
+
+    monkeypatch.setattr("rtbuildup.resonances.transmission_scan", no_scan)
+    assert main(["poles", "--profile", cfg_paths[name], "--e-max-ev", e_max]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: m22 overflows on the search contour at the ceiling") and err.count("\n") == 1
+
+
+def test_ceiling_with_a_finite_contour_still_fails_its_count(cfg_paths, capsys):
+    """At 1000 eV the symmetric contour is finite but its count is wrong: a numerical failure, exit 2."""
+    assert main(["poles", "--profile", cfg_paths["sym"], "--e-max-ev", "1000"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: winding count -41 != ")
 
 
 def test_cli_usage_error_exits_one(cfg_paths):
@@ -434,6 +454,34 @@ def test_poles_with_bound_state_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+BELOW_ZERO_POLE_CFG = "mass_factor = 0.5\nsegment = 1 0.25\nsegment = 24 0.015\n"
+
+
+def test_pole_below_zero_energy_is_listed(tmp_path):
+    """A legitimate fourth-quadrant pole with eps_n < 0: the full expansion needs it, so poles lists it."""
+    cfg = tmp_path / "below_zero.cfg"
+    cfg.write_text(BELOW_ZERO_POLE_CFG)
+    out = tmp_path / "poles.csv"
+    assert main(["poles", "--profile", str(cfg), "--out", str(out)]) == 0
+    header, rows = read_rows(out)
+    assert rows[0][header.index("eps_meV")] == pytest.approx(-18.877, abs=1e-3)
+
+
+@pytest.mark.parametrize("command, position", [
+    ("evolve", ["--x-angstrom", "5"]),
+    ("buildup", ["--x-angstrom", "5"]),
+    ("crossover", ["--auto-max"]),
+])
+def test_incidence_on_a_pole_below_zero_energy_exits_one(tmp_path, capsys, command, position):
+    cfg = tmp_path / "below_zero.cfg"
+    cfg.write_text(BELOW_ZERO_POLE_CFG)
+    out = tmp_path / "out.csv"
+    assert main([command, "--profile", str(cfg), "--resonance", "1", "--out", str(out)] + position) == 1
+    err = capsys.readouterr().err
+    assert err == "error: resonance 1 has eps = -18.8773 meV <= 0; incidence on it needs a positive energy\n"
+    assert not out.exists()
+
+
 def test_evolve_csv_structure(cfg_paths, tmp_path):
     out = tmp_path / "evolve.csv"
     code = main([
@@ -702,3 +750,22 @@ def test_read_only_out_exits_before_any_work(monkeypatch, cfg_paths, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}") and "not writable" in err and err.count("\n") == 1
     assert not out.exists() or out.read_text() == "kept\n"
+
+
+# ------------------------------------------------------------ random profiles
+
+_HEIGHTS = st.one_of(st.floats(-0.2, 0.8), st.sampled_from([0.0, 0.015, 0.3, 0.5]))
+_SEGMENTS = st.lists(st.tuples(st.floats(1.0, 120.0), _HEIGHTS), min_size=1, max_size=4)
+
+
+# a fixed draw: some profiles, whose deep search contour is rounding noise, take seconds to exit 2
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(segments=_SEGMENTS, mass_factor=st.sampled_from([0.067, 0.5]))
+@example(segments=[(1.0, 0.25), (24.0, 0.015)], mass_factor=0.5)  # a pole with eps_n < 0
+def test_random_profiles_exit_with_a_documented_code(tmp_path_factory, segments, mass_factor):
+    """Lifted and negative wells, single barriers, heights on 0: every run exits 0, 1 or 2, never raises."""
+    root = tmp_path_factory.getbasetemp()
+    cfg, out = root / "random.cfg", root / "random.csv"
+    cfg.write_text(f"mass_factor = {mass_factor!r}\n" + "".join(f"segment = {w!r} {h!r}\n" for w, h in segments))
+    for argv in (["poles"], ["crossover", "--resonance", "1", "--auto-max", "--points", "2001"]):
+        assert main(argv + ["--profile", str(cfg), "--out", str(out)]) in (0, 1, 2)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -228,29 +229,51 @@ def test_lifted_winding_count_matches_count_on_the_axis(name, e_max, request, mo
     assert len(calls) - n_on_axis <= n_on_axis
 
 
+def recording_newton_batches(monkeypatch, steps=None):
+    """Record (seeds, known poles, contour passes so far) of every Newton batch of the pole search."""
+    batches = []
+    newton = resonances._newton
+
+    def recording(profile, seeds, known=()):
+        batches.append((len(seeds), len(known), None if steps is None else len(steps)))
+        return newton(profile, seeds, known=known)
+
+    monkeypatch.setattr(resonances, "_newton", recording)
+    return batches
+
+
 @pytest.mark.parametrize("name, n_poles, n_missing", [("symmetric", 26, 2), ("asymmetric", 30, 4)])
 def test_moment_recovery_of_several_missing_poles(
     name, n_poles, n_missing, symmetric_profile, asymmetric_profile, monkeypatch
 ):
-    """Up to 16 eV the seed scan misses several broad poles at once; the moments find them all."""
+    """Up to 16 eV the seed scan misses several broad poles at once; one moment pass finds them all."""
     profile = {"symmetric": symmetric_profile, "asymmetric": asymmetric_profile}[name]
-    deficits = []
-    recover = resonances._recover_poles
-
-    def recording(profile, re_range, im_range, known, **kwargs):
-        found = recover(profile, re_range, im_range, known, **kwargs)
-        deficits.append((winding_number(profile, re_range, im_range) - len(known), len(found)))
-        return found
-
-    monkeypatch.setattr(resonances, "_recover_poles", recording)
+    batches = recording_newton_batches(monkeypatch)
     poles = find_poles(profile, 16.0)
-    assert deficits == [(n_missing, n_missing)]
+    # the peak pass with nothing known, then one moment pass: one seed per missing pole
+    assert len(batches) == 2 and batches[0][1] == 0
+    assert batches[1][:2] == (n_missing, n_poles - n_missing)
     assert len(poles) == n_poles
     assert winding_number(profile, *search_rectangle(profile, 16.0)) == len(poles)
     ks = [s.k for s in poles]
     assert min(abs(a - b) for i, a in enumerate(ks) for b in ks[i + 1:]) > 1e-6
     eps = [s.eps_ev for s in poles]
     assert eps == sorted(eps) and eps[-1] <= 16.0
+
+
+@pytest.mark.parametrize("name, n_poles", [("symmetric", 9), ("asymmetric", 10)])
+def test_search_with_no_peak_seeds_finds_every_pole_from_moments(name, n_poles, request, monkeypatch):
+    """A first pass with no seeds does not end the search: the moments find the same poles."""
+    profile = request.getfixturevalue(f"{name}_profile")
+    want = find_poles(profile, 2.0)
+    scan = resonances.transmission_scan
+    monkeypatch.setattr(resonances, "transmission_scan", lambda *args: dataclasses.replace(scan(*args), peaks=()))
+    batches = recording_newton_batches(monkeypatch)
+    got = find_poles(profile, 2.0)
+    assert batches[0][0] == 0 and len(batches) > 1
+    assert len(got) == len(want) == n_poles
+    for g, w in zip(got, want):
+        assert abs(g.k - w.k) <= 1e-12 * abs(w.k)
 
 
 def test_pole_search_transfer_matrix_budget(symmetric_profile, monkeypatch):
@@ -328,26 +351,20 @@ def test_lockstep_newton_matches_one_seed_at_a_time(symmetric_profile, symmetric
 
 
 def test_dropped_seed_is_recovered_from_contour_moments(symmetric_profile, symmetric_poles, monkeypatch):
-    """A peak whose seed never reaches Newton leaves a winding deficit that _recover_poles fills."""
-    newton, recover = resonances._newton, resonances._recover_poles
-    seed_batches, recoveries = [], []
+    """A peak whose seed never reaches Newton leaves a winding deficit that one moment pass fills."""
+    newton = resonances._newton
+    seed_batches = []
 
-    def dropping(profile, seeds, **kwargs):
+    def dropping(profile, seeds, known=()):
         seeds = list(seeds)
         if not seed_batches:  # find_poles' peak seeds: lose the second
             del seeds[1]
-        seed_batches.append(len(seeds))
-        return newton(profile, seeds, **kwargs)
-
-    def recording(*args, **kwargs):
-        found = recover(*args, **kwargs)
-        recoveries.append(found)
-        return found
+        seed_batches.append((len(seeds), len(known)))
+        return newton(profile, seeds, known=known)
 
     monkeypatch.setattr(resonances, "_newton", dropping)
-    monkeypatch.setattr(resonances, "_recover_poles", recording)
     poles = find_poles(symmetric_profile, 0.4)
-    assert seed_batches[0] == 2 and len(recoveries) == 1 and len(recoveries[0]) == 1
+    assert seed_batches == [(2, 0), (1, 2)]  # the moment pass seeds the one missing pole
     assert len(poles) == len(symmetric_poles) == 3
     for got, want in zip(poles, symmetric_poles):
         assert abs(got.k - want.k) <= 1e-13 * abs(want.k)
@@ -412,27 +429,21 @@ def test_one_contour_per_search(name, n_poles, request, monkeypatch):
 
 
 def test_recovery_that_finds_the_whole_deficit_runs_no_confirming_pass(symmetric_profile, monkeypatch):
-    """Newton returning exactly the missing poles ends the recovery: one contour pass for it, one for the count."""
-    steps, recover = resonances._contour_steps, resonances._recover_poles
-    passes, deficits = [], []
+    """Newton returning exactly the missing poles ends the search: one contour pass for it, one for the count."""
+    steps = resonances._contour_steps
+    passes = []
 
     def counting_steps(*args, **kwargs):
         passes.append(1)
         return steps(*args, **kwargs)
 
-    def recording(profile, re_range, im_range, known, **kwargs):
-        before = len(passes)
-        found = recover(profile, re_range, im_range, known, **kwargs)
-        inside = len(passes) - before
-        deficits.append((winding_number(profile, re_range, im_range) - len(known), len(found), inside))
-        return found
-
     monkeypatch.setattr(resonances, "_contour_steps", counting_steps)
-    monkeypatch.setattr(resonances, "_recover_poles", recording)
+    batches = recording_newton_batches(monkeypatch, passes)
     poles = find_poles(symmetric_profile, 16.0)
     assert len(poles) == 26
-    assert deficits == [(2, 2, 1)]  # (missing, recovered, contour passes of the recovery)
-    assert len(passes) == 3  # the count, the recovery pass, and the test's own winding_number
+    # (seeds, known, contour passes before it): the moment pass recovers the last 26 - 24 = 2 poles
+    assert len(batches) == 2 and batches[0][1:] == (0, 1) and batches[1] == (2, 24, 2)
+    assert len(passes) == 2  # the count and the moment pass; no confirming pass
 
 
 def scalar_gamow(profile, k, xs):
