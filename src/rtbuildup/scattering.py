@@ -22,7 +22,7 @@ vectorized over k.  The transmission scan needs real k only, where every
 propagator entry is real: ``_transmission_grid`` multiplies them in float64,
 taking the oscillating or the evanescent branch each segment needs at each
 point.  Each peak the scan reports is the closed-form vertex of a parabola
-through three grid points, which is all the pole search needs from it.
+through three grid points.  The pole search no longer takes seeds from it.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PeakSeed:
-    """Transmission maximum used to seed the pole search.
+    """Transmission maximum of ``transmission_scan``; the pole search no longer takes seeds from it.
 
     ``energy_ev`` and ``transmission`` are the vertex of the parabola through
     1/|t|^2 at the grid maximum and its two neighbours.
@@ -315,8 +315,9 @@ def transmission_scan(profile: PotentialProfile, e_min_ev: float, e_max_ev: floa
     small fraction of a meV at typical resonance energies.  Near a pole
     1/|t|^2 = |m22|^2 is nearly quadratic in E, so each grid maximum reports
     the vertex of the parabola through 1/|t|^2 at E[i-1], E[i] and E[i+1],
-    a closed form that lies inside (E[i-1], E[i+1]).  The peaks only seed
-    Newton, which needs no more precision than that.
+    a closed form that lies inside (E[i-1], E[i+1]), precise enough to
+    seed Newton.  Public, but ``find_poles`` no longer calls it: its seeds
+    come from contour moments.
     """
     if not (0.0 < e_min_ev < e_max_ev):
         raise ValueError("need 0 < e_min < e_max")

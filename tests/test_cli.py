@@ -758,8 +758,8 @@ _HEIGHTS = st.one_of(st.floats(-0.2, 0.8), st.sampled_from([0.0, 0.015, 0.3, 0.5
 _SEGMENTS = st.lists(st.tuples(st.floats(1.0, 120.0), _HEIGHTS), min_size=1, max_size=4)
 
 
-# a fixed draw: some profiles, whose deep search contour is rounding noise, take seconds to exit 2
-@settings(max_examples=40, deadline=None, derandomize=True)
+# a fixed draw, about 4 s; a contour of rounding noise exits 2 at once (see test_resonances)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(segments=_SEGMENTS, mass_factor=st.sampled_from([0.067, 0.5]))
 @example(segments=[(1.0, 0.25), (24.0, 0.015)], mass_factor=0.5)  # a pole with eps_n < 0
 def test_random_profiles_exit_with_a_documented_code(tmp_path_factory, segments, mass_factor):

@@ -380,9 +380,11 @@ def test_blocked_pole_sum_matches_whole_grid(symmetric_profile, symmetric_poles_
     psi, last_term = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
     assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi))
     # the diagnostic as defined: the last pair's term at the last grid
-    # point, relative to |Psi| there
+    # point, relative to |Psi| there, to the accuracy the sum claims; at a
+    # node of the last state (u(80) of pole 18 is 2.5e-15) the term is
+    # rounding noise, which a relative bound on the diagnostic cannot hold
     diag = abs(last_term[-1]) / abs(psi[-1])
-    assert sol.convergence_diag == pytest.approx(diag, rel=1e-14, abs=0.0)
+    assert abs(sol.convergence_diag - diag) * abs(psi[-1]) <= 1e-15 * np.max(np.abs(psi))
 
 
 def test_evolve_starts_no_thread(symmetric_profile, symmetric_poles):

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 
 import numpy as np
 import pytest
@@ -242,38 +241,74 @@ def recording_newton_batches(monkeypatch, steps=None):
     return batches
 
 
-@pytest.mark.parametrize("name, n_poles, n_missing", [("symmetric", 26, 2), ("asymmetric", 30, 4)])
-def test_moment_recovery_of_several_missing_poles(
-    name, n_poles, n_missing, symmetric_profile, asymmetric_profile, monkeypatch
-):
-    """Up to 16 eV the seed scan misses several broad poles at once; one moment pass finds them all."""
-    profile = {"symmetric": symmetric_profile, "asymmetric": asymmetric_profile}[name]
+def lifted_count(profile, e_max_ev):
+    """The count ``find_poles`` certifies: its rectangle with the top edge lifted by one edge step."""
+    (k_lo, k_hi), (im_lo, _top) = search_rectangle(profile, e_max_ev)
+    return winding_number(profile, (k_lo, k_hi), (im_lo, (k_hi - k_lo) / resonances.SAMPLES_PER_EDGE))
+
+
+@pytest.mark.parametrize("name, n_poles, n_strips", [("symmetric", 26, 4), ("asymmetric", 30, 4)])
+def test_moment_recovery_of_several_missing_poles(name, n_poles, n_strips, request, monkeypatch):
+    """To 16 eV the count exceeds 8: each of ceil(count / 8) shallow strips gets its own moment passes.
+
+    Every Newton batch is a moment pass, one seed per missing pole, and the
+    first batch of each strip starts with nothing known.
+    """
+    profile = request.getfixturevalue(f"{name}_profile")
     batches = recording_newton_batches(monkeypatch)
     poles = find_poles(profile, 16.0)
-    # the peak pass with nothing known, then one moment pass: one seed per missing pole
-    assert len(batches) == 2 and batches[0][1] == 0
-    assert batches[1][:2] == (n_missing, n_poles - n_missing)
-    assert len(poles) == n_poles
-    assert winding_number(profile, *search_rectangle(profile, 16.0)) == len(poles)
+    assert len(poles) == lifted_count(profile, 16.0) == n_poles
+    assert sum(known == 0 for _seeds, known, _ in batches) == n_strips
+    assert sum(seeds for seeds, known, _ in batches if known == 0) == n_poles  # the strips' counts
+    assert all(0 < seeds <= 8 for seeds, _known, _ in batches)
     ks = [s.k for s in poles]
     assert min(abs(a - b) for i, a in enumerate(ks) for b in ks[i + 1:]) > 1e-6
     eps = [s.eps_ev for s in poles]
     assert eps == sorted(eps) and eps[-1] <= 16.0
 
 
+def peak_seeded_poles(profile, e_max_ev):
+    """Reference: Newton from each transmission peak of the scan, one seed at a time."""
+    c2 = profile.constants.hbar2_over_2m
+    peaks = transmission_scan(profile, resonances.SCAN_FLOOR_EV, e_max_ev).peaks
+    return [refine_pole(profile, cmath.sqrt((p.energy_ev - 0.5j * p.gamma_estimate_ev) / c2)) for p in peaks]
+
+
 @pytest.mark.parametrize("name, n_poles", [("symmetric", 9), ("asymmetric", 10)])
-def test_search_with_no_peak_seeds_finds_every_pole_from_moments(name, n_poles, request, monkeypatch):
-    """A first pass with no seeds does not end the search: the moments find the same poles."""
+def test_search_with_no_peak_seeds_finds_every_pole_from_moments(name, n_poles, request):
+    """The moments alone find every pole, among them each one Newton reaches from a transmission peak."""
     profile = request.getfixturevalue(f"{name}_profile")
-    want = find_poles(profile, 2.0)
-    scan = resonances.transmission_scan
-    monkeypatch.setattr(resonances, "transmission_scan", lambda *args: dataclasses.replace(scan(*args), peaks=()))
-    batches = recording_newton_batches(monkeypatch)
-    got = find_poles(profile, 2.0)
-    assert batches[0][0] == 0 and len(batches) > 1
-    assert len(got) == len(want) == n_poles
-    for g, w in zip(got, want):
-        assert abs(g.k - w.k) <= 1e-12 * abs(w.k)
+    got = [s.k for s in find_poles(profile, 2.0)]
+    assert len(got) == lifted_count(profile, 2.0) == n_poles
+    reference = peak_seeded_poles(profile, 2.0)
+    assert len(reference) > 0
+    for want in reference:
+        assert min(abs(k - want) for k in got) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("name", ["symmetric", "asymmetric"])
+def test_find_poles_runs_no_transmission_scan(name, request, monkeypatch):
+    """The search takes no seed from the scan, which stays importable where the benchmark's tracer binds it."""
+    def no_scan(*args, **kwargs):
+        raise AssertionError("find_poles ran the transmission scan")
+
+    assert resonances.transmission_scan is scattering.transmission_scan
+    monkeypatch.setattr(resonances, "transmission_scan", no_scan)
+    monkeypatch.setattr(scattering, "transmission_scan", no_scan)
+    profile = request.getfixturevalue(f"{name}_profile")
+    assert len(find_poles(profile, 0.4)) == 3
+    assert len(find_poles(profile, 16.0)) == {"symmetric": 26, "asymmetric": 30}[name]
+
+
+@pytest.mark.parametrize(
+    "name, e_max, n_poles", [("symmetric", 256.0, 108), ("asymmetric", 180.0, 101), ("asymmetric", 256.0, 121)]
+)
+def test_strips_reach_ceilings_the_deep_moments_could_not(name, e_max, n_poles, request):
+    """The one deep rectangle stopped 10-14 poles short of these counts; the shallow strips find them all."""
+    profile = request.getfixturevalue(f"{name}_profile")
+    poles = find_poles(profile, e_max)
+    assert len(poles) == lifted_count(profile, e_max) == n_poles
+    assert all(-resonances._STRIP_DEPTH <= s.k.imag < 0.0 for s in poles)
 
 
 def test_pole_search_transfer_matrix_budget(symmetric_profile, monkeypatch):
@@ -293,7 +328,7 @@ def test_pole_search_transfer_matrix_budget(symmetric_profile, monkeypatch):
 
 
 def test_pole_search_call_budget_with_batched_scan(symmetric_profile, monkeypatch):
-    """find_poles(symmetric, 2 eV): a lockstep seed scan and one call per Newton step keep it <= 300."""
+    """find_poles(symmetric, 2 eV): batched contours and one call per Newton step keep it <= 300."""
     calls = []
     entries = scattering._transfer_entries
 
@@ -308,7 +343,7 @@ def test_pole_search_call_budget_with_batched_scan(symmetric_profile, monkeypatc
 
 
 def test_pole_search_call_budget_with_lockstep_newton(symmetric_profile, monkeypatch):
-    """find_poles(symmetric, 2 eV): one grid call, one call per Newton round, contours; <= 40 in all."""
+    """find_poles(symmetric, 2 eV): one call per contour and bisection round, one per Newton round; <= 40 in all."""
     calls = []
     entries = scattering._transfer_entries
 
@@ -351,20 +386,20 @@ def test_lockstep_newton_matches_one_seed_at_a_time(symmetric_profile, symmetric
 
 
 def test_dropped_seed_is_recovered_from_contour_moments(symmetric_profile, symmetric_poles, monkeypatch):
-    """A peak whose seed never reaches Newton leaves a winding deficit that one moment pass fills."""
+    """A moment root that never reaches Newton leaves a deficit that the next moment pass fills."""
     newton = resonances._newton
     seed_batches = []
 
     def dropping(profile, seeds, known=()):
         seeds = list(seeds)
-        if not seed_batches:  # find_poles' peak seeds: lose the second
+        if not seed_batches:  # the first pass's three roots: lose one
             del seeds[1]
         seed_batches.append((len(seeds), len(known)))
         return newton(profile, seeds, known=known)
 
     monkeypatch.setattr(resonances, "_newton", dropping)
     poles = find_poles(symmetric_profile, 0.4)
-    assert seed_batches == [(2, 0), (1, 2)]  # the moment pass seeds the one missing pole
+    assert seed_batches == [(2, 0), (1, 2)]  # the second pass seeds the one missing pole
     assert len(poles) == len(symmetric_poles) == 3
     for got, want in zip(poles, symmetric_poles):
         assert abs(got.k - want.k) <= 1e-13 * abs(want.k)
@@ -415,21 +450,23 @@ def counting_transfer_sizes(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("name, n_poles", [("symmetric", 26), ("asymmetric", 30)])
-def test_one_contour_per_search(name, n_poles, request, monkeypatch):
-    """m22 is sampled around the rectangle once; recovery bisects the count's samples, never resamples them.
+@pytest.mark.parametrize(
+    "name, e_max, n_poles, n_strips", [("symmetric", 0.4, 3, 0), ("symmetric", 16.0, 26, 4), ("asymmetric", 16.0, 30, 4)]
+)
+def test_one_contour_per_strip(name, e_max, n_poles, n_strips, request, monkeypatch):
+    """m22 is sampled once around the deep rectangle for the count, and once around each strip.
 
-    With a separate contour for the count, each recovery pass and a
-    confirming pass, these searches sampled the rectangle three and four times.
+    With at most 8 poles the moments run on the count's own samples, so the
+    search samples one contour; bisection adds points, never resamples.
     """
     profile = request.getfixturevalue(f"{name}_profile")
     sizes = counting_transfer_sizes(monkeypatch)
-    assert len(find_poles(profile, 16.0)) == n_poles
-    assert sum(1 for n in sizes if n >= 4 * resonances.SAMPLES_PER_EDGE) == 1
+    assert len(find_poles(profile, e_max)) == n_poles
+    assert sum(1 for n in sizes if n >= 4 * resonances.SAMPLES_PER_EDGE) == 1 + n_strips
 
 
 def test_recovery_that_finds_the_whole_deficit_runs_no_confirming_pass(symmetric_profile, monkeypatch):
-    """Newton returning exactly the missing poles ends the search: one contour pass for it, one for the count."""
+    """A moment pass whose Newton returns exactly the missing poles ends its strip with no confirming contour."""
     steps = resonances._contour_steps
     passes = []
 
@@ -441,9 +478,24 @@ def test_recovery_that_finds_the_whole_deficit_runs_no_confirming_pass(symmetric
     batches = recording_newton_batches(monkeypatch, passes)
     poles = find_poles(symmetric_profile, 16.0)
     assert len(poles) == 26
-    # (seeds, known, contour passes before it): the moment pass recovers the last 26 - 24 = 2 poles
-    assert len(batches) == 2 and batches[0][1:] == (0, 1) and batches[1] == (2, 24, 2)
-    assert len(passes) == 2  # the count and the moment pass; no confirming pass
+    # (seeds, known, contour passes before it): the deep count, then one pass and one batch per strip
+    assert batches == [(6, 0, 2), (7, 0, 3), (7, 0, 4), (6, 0, 5)]
+    assert len(passes) == 5
+
+
+def test_contour_refinement_stops_at_steps_float64_cannot_bisect(monkeypatch):
+    """Long zero-height segments make |m22| ~ 1e21 rounding noise on the deep edge: refuse in a few rounds.
+
+    The bisection used to spend its whole 30,720-point budget there, over
+    about 14,500 rounds.
+    """
+    profile = build_profile([(92.76, 0.0), (69.49, 0.5), (92.76, 0.0), (53.98, 0.0)], mass_factor=0.5)
+    sizes = counting_transfer_sizes(monkeypatch)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+        resonances.WindingMismatchError, match="contour refinement exhausted"
+    ):
+        find_poles(profile, 0.5)
+    assert len(sizes) < 100
 
 
 def scalar_gamow(profile, k, xs):
