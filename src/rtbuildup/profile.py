@@ -26,6 +26,8 @@ class PotentialProfile:
     segments: tuple[tuple[float, float], ...]
     constants: PhysicalConstants
     boundaries: np.ndarray = field(init=False, repr=False, compare=False)
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
+    heights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -35,21 +37,16 @@ class PotentialProfile:
                 raise ProfileError(f"segment {i}: width must be positive and finite, got {width}")
             if not math.isfinite(height):
                 raise ProfileError(f"segment {i}: height must be finite, got {height}")
-        edges = np.concatenate(([0.0], np.cumsum([w for w, _ in self.segments])))
-        object.__setattr__(self, "boundaries", edges)
+        widths, heights = np.array(self.segments).T.copy()
+        edges = np.concatenate(([0.0], np.cumsum(widths)))
+        for name, value in (("boundaries", edges), ("widths", widths), ("heights", heights)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def total_length(self) -> float:
         """L in angstrom."""
         return float(self.boundaries[-1])
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.asarray([w for w, _ in self.segments])
-
-    @property
-    def heights(self) -> np.ndarray:
-        return np.asarray([h for _, h in self.segments])
 
 
 def build_profile(

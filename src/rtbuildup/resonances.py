@@ -4,7 +4,10 @@ A resonance is a zero of the transfer-matrix entry m22(k), the denominator
 of t(k).  m22 is analytic in k away from k = 0 (the segment propagators are
 even in the local wavevectors), so Newton iteration with a finite-difference
 derivative converges quadratically from a nearby seed, and the argument
-principle on a rectangle counts the zeros inside it.
+principle on a rectangle counts the zeros inside it.  The search evaluates
+m22 with ``scattering._m22``, which marches the left state e^{-ikx} across
+the segments: deep in the quadrant it keeps digits that a product of full
+transfer matrices loses to cancellation across the whole structure.
 
 ``find_poles`` searches Re k in [k(SCAN_FLOOR_EV)/2, k(e_max)],
 Im k in [-k(e_max), 0), and takes no seed from a transmission scan.  It
@@ -16,11 +19,13 @@ imaginary axis, which are refused, and |m22| = 1/|t| >= 1 on the real axis.
 A ceiling at which m22 overflows on that contour is refused before anything
 else runs.  The count N on the deep contour decides where one loop
 (``_recover_poles``) runs: with N <= 8 on the deep contour itself, from the
-count's samples; otherwise on each of ceil(N / 8) equal strips of Re k over
-the shallow band Im k in [-0.1, lifted top], since the moments of a deep
+count's samples; otherwise on ceil(N / 8) equal strips of Re k over the
+shallow band Im k in [-0.1, lifted top], since the moments of a deep
 contour are scaled by its depth while the poles lie close to the axis.  The
-strips must find N poles; if they fall short, the loop also runs on the
-deep rectangle below the band.  Each pass of the loop
+strips run the loop in lockstep: one m22 call samples all their edges, and
+every pass refines all their seeds together, while each strip counts and
+keeps its own poles.  The strips must find N poles; if they fall short, the
+loop also runs on the deep rectangle below the band.  Each pass of the loop
 
 1. divides the poles found so far out of the samples,
    g = m22 / prod_j (k - k_j), and counts the missing zeros of g by the
@@ -31,14 +36,15 @@ deep rectangle below the band.  Each pass of the loop
    the contour moments s_p = (1/2 pi i) contour z^p dlog g, p = 1..missing,
    of the centred, scaled momentum z (Delves & Lyness), by Newton's
    identities;
-3. refines every seed in lockstep Newton on the deflated g, one
-   transfer-matrix call per round however many seeds there are, and keeps
-   the new poles inside the rectangle.
+3. refines every seed in lockstep Newton on m22 with every pole found so
+   far divided out, one m22 call per round however many seeds there are,
+   and keeps the new poles inside the rectangle.
 
 A pass that adds exactly the missing number ends the loop with no
 confirming contour.  A pass that adds nothing or more poles than are
-missing raises ``WindingMismatchError`` with the count of the first pass,
-and so does a search whose rectangles together do not find N poles.
+missing, or counts fewer than none, raises ``WindingMismatchError`` with
+the count of the first pass, and so does a search whose rectangles together
+do not find N poles.
 
 The associated Gamow eigenfunction u_n solves the stationary equation at the
 complex energy E_n = hbar^2 k_n^2 / 2m with purely outgoing boundary
@@ -60,11 +66,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profile import PotentialProfile
-from .scattering import _march, _PiecewiseWave, _transfer_entries, bound_state_energies
+from .scattering import _m22, _march, _PiecewiseWave, bound_state_energies
 
-# not used by the search: the benchmark's tracer patches this name
-# (perfbench/spans.BINDINGS), and keeps it until that binding is retired
-from .scattering import transmission_scan  # noqa: F401
+# not used by the search, which evaluates m22 with _m22: the benchmark's
+# tracer patches these names (perfbench/spans.BINDINGS), and keeps them
+# until those bindings are retired
+from .scattering import _transfer_entries, transmission_scan  # noqa: F401
 
 
 SCAN_FLOOR_EV = 1e-3  # the search starts at Re k = k(SCAN_FLOOR_EV) / 2
@@ -93,13 +100,16 @@ class BoundStateError(ValueError):
     """The profile binds a state below E = 0, which the pole expansion omits."""
 
 
+_OFFSETS = np.array([[0.0], [1.0], [-1.0]])  # k, k + h, k - h of a central difference
+
+
 def _newton(profile: PotentialProfile, seeds, known=()) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration on m22(k) from every seed at once.
 
     The derivative is a central difference; m22 is analytic so the step is
     accurate to far more digits than Newton needs.  Each round evaluates m22
-    at k and k +- h for every seed still iterating in one transfer-matrix
-    call.  With ``known`` poles, the step is that of Newton on the deflated
+    at k and k +- h for every seed still iterating in one ``_m22`` call.
+    With ``known`` poles, the step is that of Newton on the deflated
     g = m22 / prod_j (k - k_j), m22 / (m22' - m22 sum_j 1/(k - k_j)), which
     pushes a seed away from the known zeros instead of into their basins.  A
     seed stops when its step, capped at 0.2 |k|, falls below ``NEWTON_TOL``;
@@ -115,20 +125,21 @@ def _newton(profile: PotentialProfile, seeds, known=()) -> tuple[np.ndarray, np.
         if active.size == 0:
             break
         ka = k[active]
-        h = 1e-6 * np.maximum(np.abs(ka), 1e-4)
-        m22 = _transfer_entries(profile, np.concatenate([ka, ka + h, ka - h]))[3]
-        f, f_plus, f_minus = m22.reshape(3, -1)
+        scale = np.maximum(np.abs(ka), 1e-4)
+        h = 1e-6 * scale
+        f, f_plus, f_minus = _m22(profile, ka + h * _OFFSETS)
         df = (f_plus - f_minus) / (2.0 * h)
         if known.size:
-            df = df - f * np.sum(1.0 / (ka[:, np.newaxis] - known), axis=1)
-        flat = df == 0.0
-        step = f / np.where(flat, 1.0, df)
-        limit = 0.2 * np.maximum(np.abs(ka), 1e-4)
-        step *= limit / np.maximum(np.abs(step), limit)
-        k[active] = ka - step
-        done = np.abs(step) < NEWTON_TOL
-        converged[active[done & ~flat]] = True
-        active = active[~(done | flat | ~np.isfinite(step))]
+            df -= f * np.sum(1.0 / (ka[:, np.newaxis] - known), axis=1)
+        sloped = df != 0.0
+        step = f / np.where(sloped, df, 1.0)
+        size = np.abs(step)
+        limit = 0.2 * scale
+        k[active] = ka - step * (limit / np.maximum(size, limit))
+        # a capped step is at least 2e-5 long, so the uncapped size decides
+        done = size < NEWTON_TOL
+        converged[active[done & sloped]] = True
+        active = active[sloped & ~done & np.isfinite(size)]
     return k, converged
 
 
@@ -142,16 +153,20 @@ def refine_pole(profile: PotentialProfile, k_seed: complex) -> complex:
     return complex(k[0])
 
 
-def _edge_samples(
-    profile: PotentialProfile, re_range: tuple[float, float], im_range: tuple[float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(k, m22(k)) once around a rectangle: ``SAMPLES_PER_EDGE`` per edge, then the first corner again."""
-    (re_lo, re_hi), (im_lo, im_hi) = re_range, im_range
-    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi), complex(re_lo, im_hi)]
-    ts = np.linspace(0.0, 1.0, SAMPLES_PER_EDGE, endpoint=False)
-    edges = [a + (b - a) * ts for a, b in zip(corners, corners[1:] + corners[:1])]
-    k = np.concatenate(edges + [corners[:1]])
-    return k, _transfer_entries(profile, k)[3]
+def _edge_samples(profile: PotentialProfile, rects) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(k, m22(k)) once around each rectangle ((re_lo, re_hi), (im_lo, im_hi)), all in one ``_m22`` call.
+
+    ``SAMPLES_PER_EDGE`` per edge counterclockwise from (re_lo, im_lo), then
+    that corner again.
+    """
+    ts = np.arange(SAMPLES_PER_EDGE) / SAMPLES_PER_EDGE
+    rings = []
+    for (re_lo, re_hi), (im_lo, im_hi) in rects:
+        a = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi), complex(re_lo, im_hi)])
+        b = np.roll(a, -1)
+        rings.append(np.append(a[:, np.newaxis] + (b - a)[:, np.newaxis] * ts, a[0]))
+    k = np.array(rings)
+    return list(zip(k, _m22(profile, k)))
 
 
 def _contour_steps(
@@ -175,16 +190,17 @@ def _contour_steps(
     budget = 4 * MAX_REFINEMENTS * SAMPLES_PER_EDGE
     while True:
         ratio = vals[1:] / vals[:-1]
-        wide = np.flatnonzero(np.abs(np.angle(ratio)) > 0.5 * np.pi)
+        wide = np.flatnonzero(ratio.real < 0.0)  # |arg ratio| > pi/2
         if wide.size == 0:
-            return (k, m22), np.log(ratio)
+            # log|ratio| + i arg(ratio) is np.log(ratio) in a fifth of its time
+            return (k, m22), np.log(np.abs(ratio)) + 1j * np.angle(ratio)
         budget -= wide.size
         # float64 cannot bisect a step this short: rounding noise, or a zero on the contour
         short = np.abs(k[wide + 1] - k[wide]) < 1e-13 * np.abs(k[wide])
         if budget < 0 or short.any():
             raise WindingMismatchError("contour refinement exhausted (zero on the contour?)")
         mid = 0.5 * (k[wide] + k[wide + 1])
-        m22_mid = _transfer_entries(profile, mid)[3]
+        m22_mid = _m22(profile, mid)
         k = np.insert(k, wide + 1, mid)
         m22 = np.insert(m22, wide + 1, m22_mid)
         vals = np.insert(vals, wide + 1, m22_mid / deflation(mid))
@@ -203,7 +219,7 @@ def winding_number(
     im_range: tuple[float, float],
 ) -> int:
     """Number of zeros of m22 inside a rectangle, by the argument principle."""
-    return _zero_count(_contour_steps(profile, _edge_samples(profile, re_range, im_range))[1])
+    return _zero_count(_contour_steps(profile, _edge_samples(profile, [(re_range, im_range)])[0])[1])
 
 
 @dataclass(frozen=True)
@@ -324,22 +340,21 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
     top = (k_hi - k_lo) / SAMPLES_PER_EDGE
     deep = ((k_lo, k_hi), (-k_hi, top))
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        samples = _edge_samples(profile, *deep)
+        [samples] = _edge_samples(profile, [deep])
     if not np.all(np.isfinite(samples[1])):
         raise ValueError(f"m22 overflows on the search contour at the ceiling {e_max_ev:g} eV")
     samples, dlog = _contour_steps(profile, samples)
     count = _zero_count(dlog)
     if count <= _STRIP_POLES:
-        ks = _recover_poles(profile, *deep, samples)
+        ks = _recover_poles(profile, [deep], [samples], [dlog])
     else:
         floor = max(-_STRIP_DEPTH, -k_hi)
         cuts = np.linspace(k_lo, k_hi, -(-count // _STRIP_POLES) + 1).tolist()  # ceil(count / 8) strips
-        ks = []
-        for strip in zip(cuts[:-1], cuts[1:]):
-            ks += _recover_poles(profile, strip, (floor, top), _edge_samples(profile, strip, (floor, top)))
+        strips = [(strip, (floor, top)) for strip in zip(cuts[:-1], cuts[1:])]
+        ks = _recover_poles(profile, strips, _edge_samples(profile, strips))
         if len(ks) < count and floor > -k_hi:  # the rest lies below the band
             below = ((k_lo, k_hi), (-k_hi, floor))
-            ks += _recover_poles(profile, *below, _edge_samples(profile, *below))
+            ks += _recover_poles(profile, [below], _edge_samples(profile, [below]), known=ks)
         if len(ks) != count:
             raise WindingMismatchError(f"winding count {count} != {len(ks)} converged poles")
     states = _gamow_states(profile, ks)
@@ -348,42 +363,78 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
     return states
 
 
-def _recover_poles(
-    profile: PotentialProfile, re_range: tuple[float, float], im_range: tuple[float, float],
-    samples: tuple[np.ndarray, np.ndarray],
-) -> list[complex]:
-    """Every zero of m22 inside the rectangle, certified by the count on its contour.
+def _recover_poles(profile: PotentialProfile, rects, samples, dlogs=None, known=()) -> list[complex]:
+    """Every zero of m22 inside each rectangle, each certified by the count on its own contour.
 
-    ``samples`` are (k, m22) around the rectangle (see ``_edge_samples``);
-    the passes are in the module docstring.
+    ``samples`` are (k, m22) around each rectangle (see ``_edge_samples``),
+    and ``dlogs`` their steps of log m22 where ``_contour_steps`` has taken
+    them already.  The passes are in the module docstring.  The rectangles
+    run them in lockstep: every pass refines the seeds of all rectangles
+    with poles still missing in one ``_newton`` call, which divides out
+    every pole found so far and the poles ``known`` from elsewhere.  Each
+    rectangle keeps the new poles inside it, whichever seed reached them,
+    and checks them against its own count.  Returns the poles of all
+    rectangles, one rectangle after another.
     """
-    (re_lo, re_hi), (im_lo, im_hi) = re_range, im_range
+    samples, dlogs = list(samples), list(dlogs or [None] * len(rects))
+    found: list[list[complex]] = [[] for _ in rects]
+    counts: list[int | None] = [None] * len(rects)
+    missing = [0] * len(rects)
+
+    def mismatch(i):
+        return WindingMismatchError(f"winding count {counts[i]} != {len(found[i])} converged poles")
+
+    pending = range(len(rects))
+    while True:
+        seeds = []
+        for i in pending:
+            if dlogs[i] is None:
+                samples[i], dlogs[i] = _contour_steps(profile, samples[i], found[i])
+            missing[i] = _zero_count(dlogs[i])
+            counts[i] = missing[i] if counts[i] is None else counts[i]
+            if missing[i] < 0:
+                raise mismatch(i)
+            if missing[i]:
+                seeds.append(_moment_roots(rects[i], samples[i][0], dlogs[i], missing[i]))
+            dlogs[i] = None
+        pending = [i for i in pending if missing[i]]
+        if not pending:
+            return [k for poles in found for k in poles]
+        ks, converged = _newton(profile, np.concatenate(seeds), known=[*known, *(k for f in found for k in f)])
+        ks = ks[converged].tolist()
+        for i in pending:
+            (re_lo, re_hi), (im_lo, im_hi) = rects[i]
+            new: list[complex] = []
+            for k in ks:
+                if re_lo <= k.real <= re_hi and im_lo <= k.imag < min(im_hi, 0.0) and _is_new(k, found[i] + new):
+                    new.append(k)
+            found[i] += new
+            if not new or len(new) > missing[i]:
+                raise mismatch(i)
+            missing[i] -= len(new)
+        pending = [i for i in pending if missing[i]]
+
+
+def _moment_roots(rect, k_contour: np.ndarray, dlog: np.ndarray, missing: int) -> np.ndarray:
+    """One seed per missing zero: the roots of the polynomial whose power sums are the contour moments.
+
+    The moments s_p = (1/2 pi i) contour z^p dlog g, p = 1..missing, are
+    taken in the centred, scaled momentum z of the rectangle, and the monic
+    polynomial's coefficients follow from Newton's identities.
+    """
+    (re_lo, re_hi), (im_lo, im_hi) = rect
     center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
     scale = 0.5 * max(re_hi - re_lo, im_hi - im_lo)
-    found: list[complex] = []
-    count = None
-    while True:
-        samples, dlog = _contour_steps(profile, samples, found)
-        missing = _zero_count(dlog)
-        count = missing if count is None else count
-        if missing == 0:
-            return found
-        k_contour = samples[0]
-        z = (0.5 * (k_contour[1:] + k_contour[:-1]) - center) / scale
-        sums = [np.sum(z**p * dlog) / (2j * np.pi) for p in range(missing + 1)]
-        coeffs = [1.0]  # monic polynomial of the missing zeros, from Newton's identities
-        for p in range(1, missing + 1):
-            coeffs.append(-sum(coeffs[i] * sums[p - i] for i in range(p)) / p)
-        ks, converged = _newton(profile, center + scale * np.roots(coeffs), known=found)
-        new: list[complex] = []
-        for k in ks[converged].tolist():
-            if re_lo <= k.real <= re_hi and im_lo <= k.imag < min(im_hi, 0.0) and _is_new(k, found + new):
-                new.append(k)
-        found += new
-        if not new or len(new) > missing:
-            raise WindingMismatchError(f"winding count {count} != {len(found)} converged poles")
-        if len(new) == missing:
-            return found
+    z = (0.5 * (k_contour[1:] + k_contour[:-1]) - center) / scale
+    terms = dlog / (2j * np.pi)
+    sums = [complex(terms.sum())]
+    for _ in range(missing):
+        terms = terms * z
+        sums.append(complex(terms.sum()))
+    coeffs = [1.0]
+    for p in range(1, missing + 1):
+        coeffs.append(-sum(coeffs[i] * sums[p - i] for i in range(p)) / p)
+    return center + scale * np.roots(coeffs)
 
 
 def _is_new(k: complex, others) -> bool:

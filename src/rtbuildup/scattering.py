@@ -17,12 +17,22 @@ Pole searches can therefore continue t(k) into the fourth quadrant without
 branch-cut bookkeeping; the principal square root used for kappa is
 immaterial.
 
-Every evaluation at complex k goes through ``_transfer_entries``, which is
-vectorized over k.  The transmission scan needs real k only, where every
-propagator entry is real: ``_transmission_grid`` multiplies them in float64,
-taking the oscillating or the evanescent branch each segment needs at each
-point.  Each peak the scan reports is the closed-form vertex of a parabola
-through three grid points.  The pole search no longer takes seeds from it.
+``_propagators`` computes the propagators of all segments in one batch,
+vectorized over k.  ``_march`` carries a (psi, psi') pair across them for
+wavefunctions, and ``_transfer_entries`` marches the two columns of the
+(psi, psi') matrix.  ``_m22`` marches the left state e^{-ikx},
+(psi, psi') = (1, -ik) at x = 0, and reads m22, the entry whose zeros are
+the poles.  The pole search and ``bound_state_energies`` evaluate m22 with
+``_m22``: deep in the fourth quadrant the product of full matrices cancels
+across the whole structure, where the march cancels only within each
+segment.  ``stationary_state`` takes m21 and m22 at real k from
+``_transfer_entries``.
+
+The transmission scan needs real k only, where every propagator entry is
+real: ``_transmission_grid`` multiplies them in float64, taking the
+oscillating or the evanescent branch each segment needs at each point.
+Each peak the scan reports is the closed-form vertex of a parabola through
+three grid points.  The pole search no longer takes seeds from it.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ def _local_wavevectors(profile: PotentialProfile, k):
     c2 = profile.constants.hbar2_over_2m
     k = np.asarray(k, dtype=complex)
     kappa = np.sqrt(k[np.newaxis, ...] ** 2 - (profile.heights / c2)[(...,) + (np.newaxis,) * k.ndim])
-    if np.any(kappa == 0.0):
+    if not kappa.all():
         raise ZeroWavevectorError("local wavevector is exactly zero; perturb k")
     return kappa
 
@@ -69,32 +79,67 @@ def _segment_propagator(kappa, width):
     return c, s / kappa, -kappa * s
 
 
-def _wave_matrix(profile: PotentialProfile, k):
-    """Entries (w11, w12, w21, w22) of the (psi, psi') propagator across [0, L]."""
+def _propagators(profile: PotentialProfile, k):
+    """(kappa, c, p12, p21) of every segment at once, each with one leading row per segment.
+
+    One ``_segment_propagator`` batch over the (segment, k) table, which
+    ``_march`` and ``_m22`` both start from.
+    """
     kappa = _local_wavevectors(profile, k)
-    widths = profile.widths
-    c, w12, w21 = _segment_propagator(kappa[0], widths[0])
-    w11 = w22 = c
-    for j in range(1, widths.size):
-        c, p12, p21 = _segment_propagator(kappa[j], widths[j])
-        w11, w12, w21, w22 = (
-            c * w11 + p12 * w21,
-            c * w12 + p12 * w22,
-            p21 * w11 + c * w21,
-            p21 * w12 + c * w22,
-        )
-    return w11, w12, w21, w22
+    widths = profile.widths.reshape((-1,) + (1,) * (kappa.ndim - 1))
+    return (kappa, *_segment_propagator(kappa, widths))
+
+
+def _march(profile: PotentialProfile, k, psi0, dpsi0):
+    """(kappa, psi, psi') with (psi, psi') marched from x = 0 across the segments.
+
+    Vectorized over k, with ``psi0`` and ``dpsi0`` of its shape, or with
+    leading axes of their own that every row keeps: kappa has one leading
+    row per segment, psi and psi' one per segment edge.  Row j of psi and
+    psi' is the pair at the left edge of segment j; the last row is the pair
+    at x = L.
+    """
+    kappa, c, p12, p21 = _propagators(profile, k)
+    v, d = np.asarray(psi0, dtype=complex), np.asarray(dpsi0, dtype=complex)
+    values, derivs = [v], [d]
+    for c_j, p12_j, p21_j in zip(c, p12, p21):
+        v, d = c_j * v + p12_j * d, p21_j * v + c_j * d
+        values.append(v)
+        derivs.append(d)
+    return kappa, np.array(values), np.array(derivs)
+
+
+def _m22(profile: PotentialProfile, k):
+    """m22(k), vectorized over k != 0; the pole search evaluates m22 here.
+
+    The left state e^{-ikx}, (psi, psi') = (1, -ik) at x = 0, is marched to
+    x = L, where its left-moving amplitude is m22 = (psi(L) - psi'(L)/(ik)) / 2.
+    An evanescent segment's cancellation stays inside that segment, where the
+    product of full matrices in ``_transfer_entries`` cancels across the
+    whole structure and keeps fewer digits deep in the fourth quadrant.  The
+    march is ``_march``'s, keeping only the current pair.
+    """
+    ik = 1j * np.asarray(k, dtype=complex)
+    _, c, p12, p21 = _propagators(profile, k)
+    v, d = 1.0, -ik
+    for c_j, p12_j, p21_j in zip(c, p12, p21):
+        v, d = c_j * v + p12_j * d, p21_j * v + c_j * d
+    return 0.5 * (v - d / ik)
 
 
 def _transfer_entries(profile: PotentialProfile, k):
     """Entries (m11, m12, m21, m22) of the amplitude transfer matrix.
 
-    Vectorized over k.  t(k) = 1 / m22, r(k) = -m21 / m22.
+    Vectorized over k.  t(k) = 1 / m22, r(k) = -m21 / m22.  The (psi, psi')
+    matrix across [0, L] is the march of its columns (1, 0) and (0, 1).
     """
     if np.any(np.asarray(k) == 0):
         raise ZeroWavevectorError("transfer matrix undefined at k = 0")
-    w11, w12, w21, w22 = _wave_matrix(profile, k)
     ik = 1j * np.asarray(k, dtype=complex)
+    unit = np.zeros((2,) + ik.shape, dtype=complex)
+    unit[0] = 1.0
+    _, values, derivs = _march(profile, k, unit, unit[::-1])
+    (w11, w12), (w21, w22) = values[-1], derivs[-1]
     a = w11 + w22
     b = w11 - w22
     m11 = 0.5 * (a + ik * w12 + w21 / ik)
@@ -102,24 +147,6 @@ def _transfer_entries(profile: PotentialProfile, k):
     m21 = 0.5 * (b + ik * w12 - w21 / ik)
     m22 = 0.5 * (a - ik * w12 - w21 / ik)
     return m11, m12, m21, m22
-
-
-def _march(profile: PotentialProfile, k, psi0, dpsi0):
-    """(kappa, psi, psi') with (psi, psi') marched from x = 0 across the segments.
-
-    Vectorized over k, with ``psi0`` and ``dpsi0`` of its shape: kappa has
-    one leading row per segment, psi and psi' one per segment edge.  Row j of
-    psi and psi' is the pair at the left edge of segment j; the last row is
-    the pair at x = L.
-    """
-    kappa = _local_wavevectors(profile, k)
-    values, derivs = [np.asarray(psi0, dtype=complex)], [np.asarray(dpsi0, dtype=complex)]
-    for kappa_j, width in zip(kappa, profile.widths.tolist()):
-        c, p12, p21 = _segment_propagator(kappa_j, width)
-        v, d = values[-1], derivs[-1]
-        values.append(c * v + p12 * d)
-        derivs.append(p21 * v + c * d)
-    return kappa, np.stack(values), np.stack(derivs)
 
 
 class _PiecewiseWave:
@@ -211,8 +238,8 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
     A bound state is a zero of m22 at k = iq with q > 0, where m22 is real.
     Its energy -c2 q^2 lies above the lowest segment height, so every sign
     change of m22(iq) on a grid over 0 < q <= sqrt(-min V / c2) is one.  All
-    brackets are bisected in lockstep, one transfer-matrix call per round,
-    until each is at most 1e-15 of its lower end wide.
+    brackets are bisected in lockstep, one ``_m22`` call per round, until
+    each is at most 1e-15 of its lower end wide.
     """
     c2 = profile.constants.hbar2_over_2m
     q_max = float(np.sqrt(max(-np.min(profile.heights), 0.0) / c2))
@@ -225,7 +252,7 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
         q[q * q == -h / c2] *= 1.0 - 1e-9
 
     def negative(q):
-        return np.signbit(_transfer_entries(profile, 1j * q)[3].real)
+        return np.signbit(_m22(profile, 1j * q).real)
 
     sign = negative(q)
     flips = np.flatnonzero(sign[1:] != sign[:-1])[::-1]

@@ -17,11 +17,11 @@ from rtbuildup import (
     transmission_scan,
     winding_number,
 )
-from rtbuildup.scattering import _transfer_entries
+from rtbuildup.scattering import _m22
 
 def m22(profile, k):
     """m22(k), whose fourth-quadrant zeros are the resonance poles."""
-    return complex(_transfer_entries(profile, complex(k))[3])
+    return complex(_m22(profile, complex(k)))
 
 
 # tabulated resonance parameters for the two benchmark structures, meV
@@ -213,19 +213,26 @@ def test_lifted_winding_count_matches_count_on_the_axis(name, e_max, request, mo
     """
     profile = request.getfixturevalue(f"{name}_profile")
     (k_lo, k_hi), (im_lo, _top) = search_rectangle(profile, e_max)
-    calls = []
-    entries = resonances._transfer_entries
-
-    def counting(profile, k):
-        calls.append(1)
-        return entries(profile, k)
-
-    monkeypatch.setattr(resonances, "_transfer_entries", counting)
+    calls = counting_m22_sizes(monkeypatch)
     on_axis = winding_number(profile, (k_lo, k_hi), (im_lo, 0.0))
     n_on_axis = len(calls)
     lifted = winding_number(profile, (k_lo, k_hi), (im_lo, (k_hi - k_lo) / resonances.SAMPLES_PER_EDGE))
     assert lifted == on_axis > 0
     assert len(calls) - n_on_axis <= n_on_axis
+
+
+def counting_m22_sizes(monkeypatch):
+    """Record the number of momenta of every m22 evaluation the pole search makes."""
+    sizes = []
+    m22 = scattering._m22
+
+    def counting(profile, k):
+        sizes.append(np.size(k))
+        return m22(profile, k)
+
+    monkeypatch.setattr(scattering, "_m22", counting)
+    monkeypatch.setattr(resonances, "_m22", counting)
+    return sizes
 
 
 def recording_newton_batches(monkeypatch, steps=None):
@@ -249,18 +256,22 @@ def lifted_count(profile, e_max_ev):
 
 @pytest.mark.parametrize("name, n_poles, n_strips", [("symmetric", 26, 4), ("asymmetric", 30, 4)])
 def test_moment_recovery_of_several_missing_poles(name, n_poles, n_strips, request, monkeypatch):
-    """To 16 eV the count exceeds 8: each of ceil(count / 8) shallow strips gets its own moment passes.
+    """To 16 eV the count exceeds 8: ceil(count / 8) shallow strips run their moment passes in lockstep.
 
-    Every Newton batch is a moment pass, one seed per missing pole, and the
-    first batch of each strip starts with nothing known.
+    The first Newton batch holds every strip's first moment pass, one seed
+    per pole its contour counts, with nothing known; a later batch, if any,
+    divides out every pole found so far.  Each Newton round evaluates m22
+    once for all the strips' seeds.
     """
     profile = request.getfixturevalue(f"{name}_profile")
+    count = lifted_count(profile, 16.0)
     batches = recording_newton_batches(monkeypatch)
+    sizes = counting_m22_sizes(monkeypatch)
     poles = find_poles(profile, 16.0)
-    assert len(poles) == lifted_count(profile, 16.0) == n_poles
-    assert sum(known == 0 for _seeds, known, _ in batches) == n_strips
-    assert sum(seeds for seeds, known, _ in batches if known == 0) == n_poles  # the strips' counts
-    assert all(0 < seeds <= 8 for seeds, _known, _ in batches)
+    assert len(poles) == count == n_poles
+    assert batches[0][:2] == (n_poles, 0)  # the strips' counts add up to the deep count
+    assert all(seeds <= 8 * n_strips and known >= n_poles - seeds for seeds, known, _ in batches[1:])
+    assert 3 * n_poles in sizes  # k and k +- h of every seed in one call
     ks = [s.k for s in poles]
     assert min(abs(a - b) for i, a in enumerate(ks) for b in ks[i + 1:]) > 1e-6
     eps = [s.eps_ev for s in poles]
@@ -312,16 +323,8 @@ def test_strips_reach_ceilings_the_deep_moments_could_not(name, e_max, n_poles, 
 
 
 def test_pole_search_transfer_matrix_budget(symmetric_profile, monkeypatch):
-    """find_poles(symmetric, 2 eV) recovers poles without a peak in <= 2000 transfer-matrix calls."""
-    calls = []
-    entries = scattering._transfer_entries
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return entries(*args, **kwargs)
-
-    monkeypatch.setattr(scattering, "_transfer_entries", counting)
-    monkeypatch.setattr(resonances, "_transfer_entries", counting)
+    """find_poles(symmetric, 2 eV) recovers poles without a peak in <= 2000 m22 calls."""
+    calls = counting_m22_sizes(monkeypatch)
     poles = find_poles(symmetric_profile, 2.0)
     assert len(poles) == 9
     assert 0 < len(calls) <= 2000
@@ -329,30 +332,14 @@ def test_pole_search_transfer_matrix_budget(symmetric_profile, monkeypatch):
 
 def test_pole_search_call_budget_with_batched_scan(symmetric_profile, monkeypatch):
     """find_poles(symmetric, 2 eV): batched contours and one call per Newton step keep it <= 300."""
-    calls = []
-    entries = scattering._transfer_entries
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return entries(*args, **kwargs)
-
-    monkeypatch.setattr(scattering, "_transfer_entries", counting)
-    monkeypatch.setattr(resonances, "_transfer_entries", counting)
+    calls = counting_m22_sizes(monkeypatch)
     assert len(find_poles(symmetric_profile, 2.0)) == 9
     assert 0 < len(calls) <= 300
 
 
 def test_pole_search_call_budget_with_lockstep_newton(symmetric_profile, monkeypatch):
     """find_poles(symmetric, 2 eV): one call per contour and bisection round, one per Newton round; <= 40 in all."""
-    calls = []
-    entries = scattering._transfer_entries
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return entries(*args, **kwargs)
-
-    monkeypatch.setattr(scattering, "_transfer_entries", counting)
-    monkeypatch.setattr(resonances, "_transfer_entries", counting)
+    calls = counting_m22_sizes(monkeypatch)
     assert len(find_poles(symmetric_profile, 2.0)) == 9
     assert 0 < len(calls) <= 40
 
@@ -364,17 +351,10 @@ def test_lockstep_newton_matches_one_seed_at_a_time(symmetric_profile, symmetric
     seeds = [cmath.sqrt((p.energy_ev - 0.5j * p.gamma_estimate_ev) / c2) for p in peaks]
     assert len(seeds) == 18
 
-    calls = []
-    entries = resonances._transfer_entries
-
-    def counting(profile, k):
-        calls.append(np.size(k) // 3)
-        return entries(profile, k)
-
-    monkeypatch.setattr(resonances, "_transfer_entries", counting)
+    calls = counting_m22_sizes(monkeypatch)
     ks, converged = resonances._newton(symmetric_profile, seeds)
     rounds = len(calls)
-    assert converged.all() and calls[0] == 18
+    assert converged.all() and calls[0] == 3 * 18
     single_rounds = []
     for seed, k in zip(seeds, ks):
         calls.clear()
@@ -437,36 +417,24 @@ def test_bound_state_refused():
     assert len(find_poles(build_profile([(30.0, 0.3), (100.0, 0.05), (30.0, 0.3)]), 0.3)) >= 1
 
 
-def counting_transfer_sizes(monkeypatch):
-    """Record the number of momenta of every transfer-matrix call the pole search makes."""
-    sizes = []
-    entries = resonances._transfer_entries
-
-    def counting(profile, k):
-        sizes.append(np.size(k))
-        return entries(profile, k)
-
-    monkeypatch.setattr(resonances, "_transfer_entries", counting)
-    return sizes
-
-
 @pytest.mark.parametrize(
     "name, e_max, n_poles, n_strips", [("symmetric", 0.4, 3, 0), ("symmetric", 16.0, 26, 4), ("asymmetric", 16.0, 30, 4)]
 )
 def test_one_contour_per_strip(name, e_max, n_poles, n_strips, request, monkeypatch):
-    """m22 is sampled once around the deep rectangle for the count, and once around each strip.
+    """m22 is sampled once around the deep rectangle for the count, and once around all strips together.
 
     With at most 8 poles the moments run on the count's own samples, so the
     search samples one contour; bisection adds points, never resamples.
     """
     profile = request.getfixturevalue(f"{name}_profile")
-    sizes = counting_transfer_sizes(monkeypatch)
+    sizes = counting_m22_sizes(monkeypatch)
     assert len(find_poles(profile, e_max)) == n_poles
-    assert sum(1 for n in sizes if n >= 4 * resonances.SAMPLES_PER_EDGE) == 1 + n_strips
+    ring = 4 * resonances.SAMPLES_PER_EDGE + 1
+    assert [n for n in sizes if n >= ring] == [ring] + [n_strips * ring] * (n_strips > 0)
 
 
 def test_recovery_that_finds_the_whole_deficit_runs_no_confirming_pass(symmetric_profile, monkeypatch):
-    """A moment pass whose Newton returns exactly the missing poles ends its strip with no confirming contour."""
+    """Moment passes whose Newton returns exactly the missing poles end every strip with no confirming contour."""
     steps = resonances._contour_steps
     passes = []
 
@@ -478,9 +446,57 @@ def test_recovery_that_finds_the_whole_deficit_runs_no_confirming_pass(symmetric
     batches = recording_newton_batches(monkeypatch, passes)
     poles = find_poles(symmetric_profile, 16.0)
     assert len(poles) == 26
-    # (seeds, known, contour passes before it): the deep count, then one pass and one batch per strip
-    assert batches == [(6, 0, 2), (7, 0, 3), (7, 0, 4), (6, 0, 5)]
+    # (seeds, known, contour passes before it): the deep count and one pass per strip, then one batch for all
+    assert batches == [(26, 0, 5)]
     assert len(passes) == 5
+
+
+@pytest.mark.parametrize(
+    "name, e_max, n_poles, budget",
+    [("symmetric", 16.0, 26, 8), ("asymmetric", 8.0, 21, 14), ("asymmetric", 16.0, 30, 12)],
+)
+def test_lockstep_strips_call_budget(name, e_max, n_poles, budget, request, monkeypatch):
+    """One m22 call covers every strip's edges, and one per Newton round every strip's seeds.
+
+    Run one strip after another, these searches took 21 / 23 / 30 calls.
+    """
+    profile = request.getfixturevalue(f"{name}_profile")
+    sizes = counting_m22_sizes(monkeypatch)
+    assert len(find_poles(profile, e_max)) == n_poles
+    assert 0 < len(sizes) <= budget
+
+
+WEAK_BARRIERS = [(10.0, 0.02), (20.0, 0.0), (10.0, 0.02)]
+
+
+def test_newton_converges_deep_under_weak_barriers():
+    """Newton from 400 seeds within 1e-3 of the weak-barrier pole near 0.45054 - 0.19748i converges from each.
+
+    The product of full transfer matrices kept so few digits of m22 there
+    that 145 of these seeds wandered in its rounding noise, 1.7e-11 wide,
+    until they ran out of rounds, and the search to 32 eV stopped at
+    "winding count 8 != 6".  The marched m22 pins the pole to 1e-13 and the
+    search finds all 8 poles its count certifies.
+    """
+    profile = build_profile(WEAK_BARRIERS, mass_factor=0.067)
+    draw = np.random.default_rng(7)
+    seeds = 0.45054 - 0.19748j + 1e-3 * np.sqrt(draw.uniform(size=400)) * np.exp(2j * np.pi * draw.uniform(size=400))
+    ks, converged = resonances._newton(profile, seeds)
+    assert converged.all()
+    assert np.max(np.abs(ks - ks[0])) <= 1e-13 * abs(ks[0])
+    poles = find_poles(profile, 32.0)
+    assert len(poles) == lifted_count(profile, 32.0) == 8
+    assert min(abs(s.k - ks[0]) for s in poles) <= 1e-13 * abs(ks[0])
+
+
+def test_free_profile_deep_count_needs_no_refinement_past_float64():
+    """Two zero-height segments, 172 A in all, to 1.01 eV: m22 = exp(-ikL) has no zero, and the search says so.
+
+    The full-matrix m22 was rounding noise on the deep edge, where
+    |m22| = exp(Im k L) ~ 1e-10, and the search stopped at "contour
+    refinement exhausted".
+    """
+    assert find_poles(build_profile([(73.2, 0.0), (98.8, 0.0)]), 1.01) == []
 
 
 def test_contour_refinement_stops_at_steps_float64_cannot_bisect(monkeypatch):
@@ -490,7 +506,7 @@ def test_contour_refinement_stops_at_steps_float64_cannot_bisect(monkeypatch):
     about 14,500 rounds.
     """
     profile = build_profile([(92.76, 0.0), (69.49, 0.5), (92.76, 0.0), (53.98, 0.0)], mass_factor=0.5)
-    sizes = counting_transfer_sizes(monkeypatch)
+    sizes = counting_m22_sizes(monkeypatch)
     with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
         resonances.WindingMismatchError, match="contour refinement exhausted"
     ):
