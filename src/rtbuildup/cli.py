@@ -281,7 +281,6 @@ def _add_common(parser, grid_defaults=(0.01, 50.0, 400, "log")):
     parser.add_argument("--grid", choices=("log", "linear"), default=spacing)
     parser.add_argument("--mode", choices=("single", "full"), default="single")
     parser.add_argument("--e-max-ev", type=float, default=None, help="pole search ceiling")
-    parser.add_argument("--tail-tol", type=float, default=1e-8)
     parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 
@@ -355,8 +354,6 @@ def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
 
 
 def _select(args) -> _Selection:
-    if not args.tail_tol > 0.0:  # also refuses NaN, which would switch the warning off
-        raise CliUsageError("--tail-tol must be positive")
     profile = load_profile(args.profile)
     e_max = _e_max(args, profile)
     if args.energy_ev is not None and not 0.0 < args.energy_ev < math.inf:
@@ -413,10 +410,7 @@ def _evolve_selection(sel: _Selection, tau: np.ndarray, args):
     poles = sel.poles
     if e_pole_max > max(s.eps_ev for s in poles):
         poles = _find_poles(sel.profile, e_pole_max)
-    return evolve_full(
-        sel.profile, poles, sel.energy_ev, sel.x,
-        tau=tau, reference=sel.state, tail_tol=args.tail_tol,
-    )
+    return evolve_full(sel.profile, poles, sel.energy_ev, sel.x, tau=tau, reference=sel.state)
 
 
 def cmd_poles(args) -> int:

@@ -34,13 +34,13 @@ squares of the parts: exactly 0 for y_k, whose |exp(y_k^2)| = 1 holds to
 the end of the grid.  ``wofz`` runs only at the nodes, in one call per
 evolution, so an added pole pair costs a few multiply-adds per grid point
 rather than a Faddeeva evaluation at each of its band points.  The sum
-runs in one pass over the whole grid in the calling thread.
+runs in one pass over the whole grid in the calling thread, with the rays
+in order of |c|, so Psi does not depend on the order of the poles.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -66,17 +66,15 @@ from .scattering import stationary_state
 
 
 class ConvergenceWarning(UserWarning):
-    """Pole-sum truncation diagnostic exceeded the requested tolerance."""
+    """Pole-sum truncation warning; nothing in the package raises it.
+
+    Kept exported so that code filtering it by name still runs.
+    """
 
 
 @dataclass(frozen=True)
 class TransientSolution:
-    """Psi(x, k; t) sampled on a time grid at fixed position.
-
-    ``convergence_diag`` is the last pole pair's share of |Psi| at the final
-    grid point in full mode, and None for a single-resonance solution,
-    whose one pair is the whole resonance term.
-    """
+    """Psi(x, k; t) sampled on a time grid at fixed position."""
 
     profile: PotentialProfile = field(repr=False)
     energy_ev: float
@@ -87,7 +85,6 @@ class TransientSolution:
     phi: complex
     mode: str
     reference: ResonantState | None = field(repr=False)
-    convergence_diag: float | None = None
 
     @property
     def abs2(self) -> np.ndarray:
@@ -257,7 +254,7 @@ class _Rays:
             pairs[a : a + e - f] += basis[:, f - base : e - base].T @ coef
 
 
-def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
+def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference):
     if not 0.0 < energy_ev < math.inf:
         raise ValueError(f"energy must be positive and finite, got {energy_ev}")
     if not 0.0 <= x <= profile.total_length:
@@ -279,23 +276,7 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference, tail_tol):
     root_t = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
     psi = np.zeros(t_fs.size, dtype=complex)
     _Rays(c, w, root_t).add_to(psi, root_t)
-
-    diag = None
-    if mode == "full":
-        last = np.zeros(1, dtype=complex)  # the last pair's term at the last grid point
-        _Rays(c[-2:], w[-2:], root_t[-1:]).add_to(last, root_t[-1:])
-        scale = abs(psi[-1])
-        diag = abs(last[0]) / scale if scale > 0.0 else math.inf
-        if diag > tail_tol:
-            warnings.warn(
-                f"last pole pair contributes {diag:.2e} of |Psi| at the final grid point "
-                f"(tolerance {tail_tol:.1e}); add poles to the expansion",
-                ConvergenceWarning,
-                stacklevel=3,
-            )
-    return TransientSolution(
-        profile, float(energy_ev), float(x), t_fs, tau, psi, phi, mode, reference, diag
-    )
+    return TransientSolution(profile, float(energy_ev), float(x), t_fs, tau, psi, phi, mode, reference)
 
 
 def evolve_single_resonance(
@@ -317,9 +298,7 @@ def evolve_single_resonance(
             f"E = {energy_ev} eV is {abs(energy_ev - state.eps_ev) / state.gamma_ev:.1f} "
             "widths away from the resonance; use the full expansion"
         )
-    return _evolve(
-        profile, [state], energy_ev, x, tau, t_fs, "single_resonance", state, None
-    )
+    return _evolve(profile, [state], energy_ev, x, tau, t_fs, "single_resonance", state)
 
 
 def evolve_full(
@@ -331,23 +310,19 @@ def evolve_full(
     tau=None,
     t_fs=None,
     reference: ResonantState | None = None,
-    tail_tol: float = 1e-8,
 ) -> TransientSolution:
-    """Truncated pole-sum solution.
+    """Truncated pole-sum solution over the given poles, in any order.
 
-    Poles are sorted by resonance energy; the relative contribution of the
-    last included pair at the final grid point is reported as the
-    convergence diagnostic and triggers a ``ConvergenceWarning`` above
-    ``tail_tol``, which must be positive.
+    The sum runs over the given poles alone and carries no error estimate:
+    its truncation error falls only as t^(-1/2) at late times.  A tau grid
+    is in lifetimes of ``reference``, by default the pole nearest in
+    energy to the incidence.
     """
     if not poles:
         raise ValueError("pole list must be non-empty")
-    if not tail_tol > 0.0:
-        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
-    ordered = sorted(poles, key=lambda s: s.eps_ev)
     if reference is None and tau is not None:
-        reference = min(ordered, key=lambda s: abs(s.eps_ev - energy_ev))
-    return _evolve(profile, ordered, energy_ev, x, tau, t_fs, "full", reference, tail_tol)
+        reference = min(poles, key=lambda s: abs(s.eps_ev - energy_ev))
+    return _evolve(profile, poles, energy_ev, x, tau, t_fs, "full", reference)
 
 
 @dataclass(frozen=True)

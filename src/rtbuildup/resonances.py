@@ -272,7 +272,9 @@ def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
 
     Integrates (psi, psi') from x = 0 with u(0) = 1, u'(0) = -i k_n u(0) for
     every k_n at once and checks the outgoing condition u'(L) = +i k_n u(L);
-    a relative residual above ``BC_TOL`` means k_n is not actually a pole.
+    a residual above ``BC_TOL`` relative to |k_n| max |u| over the segment
+    edges means k_n is not actually a pole (max |u|, since a pole's state
+    may decay across the structure to a tiny u(L)).
     The normalization integral of u^2 is exact: inside a segment
     u = A e^{i kappa s} + B e^{-i kappa s} with A, B = (u +- u'/(i kappa)) / 2,
     so u^2 integrates to A^2 expm1(2i kappa w)/(2i kappa)
@@ -286,7 +288,7 @@ def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
         raise GamowResidualError(f"pole must lie in the fourth quadrant, got {complex(ks[outside][0])}")
     kappa, values, derivs = _march(profile, ks, np.ones(ks.size), -1j * ks)
     u_l, du_l = values[-1], derivs[-1]
-    residual = np.abs(du_l - 1j * ks * u_l) / (np.abs(ks) * np.abs(u_l))
+    residual = np.abs(du_l - 1j * ks * u_l) / (np.abs(ks) * np.max(np.abs(values), axis=0))
     if np.any(residual > BC_TOL):
         raise GamowResidualError(
             f"outgoing-boundary residual {np.max(residual):.2e} exceeds {BC_TOL:.1e}; not a pole"

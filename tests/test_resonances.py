@@ -125,6 +125,15 @@ def test_gamow_rejects_non_pole(symmetric_profile, symmetric_poles):
         gamow_state(symmetric_profile, 0.02 + 0.001j)  # wrong quadrant
 
 
+def test_gamow_accepts_a_state_that_decays_across_the_structure():
+    """The sixth pole's |u(L)| is 3e-7 of its |u(0)|: the boundary residual is judged against max |u|."""
+    profile = build_profile([(9.83, 0.05), (45.73, 0.388), (16.53, 0.427), (43.91, 0.275), (54.20, 0.333)])
+    poles = find_poles(profile, 1.635)
+    assert len(poles) == 8
+    decaying = poles[5]
+    assert abs(decaying.u_end) < 1e-6 * abs(decaying.u0)
+
+
 def test_gamow_lobe_shapes_match_stationary_wave(symmetric_profile, symmetric_poles):
     """|u_n|^2 tracks |phi(x, eps_n)|^2 inside the structure (shape oracle)."""
     xs = np.linspace(0.0, 160.0, 1601)
