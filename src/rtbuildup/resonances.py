@@ -183,10 +183,15 @@ def _contour_steps(
     k, m22 = samples
     known = np.asarray(known, dtype=complex)
 
-    def deflation(k):
-        return np.prod(k[:, np.newaxis] - known, axis=1)
+    def deflated(k, m22):
+        with np.errstate(all="ignore"):  # refused just below
+            vals = m22 / np.prod(k[:, np.newaxis] - known, axis=1)
+        # a step next to a zero or non-finite sample is 0/0 or x/0
+        if not np.all(np.isfinite(vals) & (vals != 0.0)):
+            raise WindingMismatchError("contour refinement exhausted (zero on the contour?)")
+        return vals
 
-    vals = m22 / deflation(k)
+    vals = deflated(k, m22)
     budget = 4 * MAX_REFINEMENTS * SAMPLES_PER_EDGE
     while True:
         ratio = vals[1:] / vals[:-1]
@@ -203,7 +208,7 @@ def _contour_steps(
         m22_mid = _m22(profile, mid)
         k = np.insert(k, wide + 1, mid)
         m22 = np.insert(m22, wide + 1, m22_mid)
-        vals = np.insert(vals, wide + 1, m22_mid / deflation(mid))
+        vals = np.insert(vals, wide + 1, deflated(mid, m22_mid))
 
 
 def _zero_count(dlog: np.ndarray) -> int:

@@ -18,21 +18,17 @@ branch-cut bookkeeping; the principal square root used for kappa is
 immaterial.
 
 ``_propagators`` computes the propagators of all segments in one batch,
-vectorized over k.  ``_march`` carries a (psi, psi') pair across them for
-wavefunctions, and ``_transfer_entries`` marches the two columns of the
-(psi, psi') matrix.  ``_m22`` marches the left state e^{-ikx},
-(psi, psi') = (1, -ik) at x = 0, and reads m22, the entry whose zeros are
-the poles.  The pole search and ``bound_state_energies`` evaluate m22 with
-``_m22``: deep in the fourth quadrant the product of full matrices cancels
-across the whole structure, where the march cancels only within each
-segment.  ``stationary_state`` takes m21 and m22 at real k from
-``_transfer_entries``.
-
-The transmission scan needs real k only, where every propagator entry is
-real: ``_transmission_grid`` multiplies them in float64, taking the
-oscillating or the evanescent branch each segment needs at each point.
-Each peak the scan reports is the closed-form vertex of a parabola through
-three grid points.  The pole search no longer takes seeds from it.
+vectorized over k, and ``_march`` carries (psi, psi') pairs across them.
+``_plane_waves`` marches the two plane waves e^{+ikx} and e^{-ikx},
+(psi, psi') = (1, +ik) and (1, -ik) at x = 0, in one ``_march``: their
+amplitudes at x = L are the columns of the transfer matrix, and the
+scattering state phi is the first wave plus r times the second.  ``_m22``
+is the march of the second wave alone with no stack of edge pairs; the
+pole search, ``bound_state_energies`` and ``transmission_scan`` evaluate
+m22 with it.  An evanescent segment's cancellation stays inside that
+segment, so m22 keeps its digits deep in the fourth quadrant.  Each peak
+the transmission scan reports is the closed-form vertex of a parabola
+through three grid points.
 """
 
 from __future__ import annotations
@@ -109,15 +105,25 @@ def _march(profile: PotentialProfile, k, psi0, dpsi0):
     return kappa, np.array(values), np.array(derivs)
 
 
-def _m22(profile: PotentialProfile, k):
-    """m22(k), vectorized over k != 0; the pole search evaluates m22 here.
+def _plane_waves(profile: PotentialProfile, k):
+    """(kappa, psi, psi', (m11, m12), (m21, m22)): e^{+ikx} and e^{-ikx} marched from x = 0 together.
 
-    The left state e^{-ikx}, (psi, psi') = (1, -ik) at x = 0, is marched to
-    x = L, where its left-moving amplitude is m22 = (psi(L) - psi'(L)/(ik)) / 2.
-    An evanescent segment's cancellation stays inside that segment, where the
-    product of full matrices in ``_transfer_entries`` cancels across the
-    whole structure and keeps fewer digits deep in the fourth quadrant.  The
-    march is ``_march``'s, keeping only the current pair.
+    One ``_march`` of (psi, psi') = (1, +ik) and (1, -ik), vectorized over
+    k; psi and psi' keep the two waves on the axis after the edge row.  At
+    x = L the right- and left-moving amplitudes (psi +- psi'/(ik)) / 2 of
+    the two waves are the rows of the transfer matrix.
+    """
+    ik = 1j * np.asarray(k, dtype=complex)
+    kappa, values, derivs = _march(profile, k, np.ones((2,) + ik.shape), np.array([ik, -ik]))
+    v, d = values[-1], derivs[-1] / ik
+    return kappa, values, derivs, 0.5 * (v + d), 0.5 * (v - d)
+
+
+def _m22(profile: PotentialProfile, k):
+    """m22(k), vectorized over k != 0: the left-moving amplitude of e^{-ikx} at x = L.
+
+    The march of ``_plane_waves``' second wave, keeping only the current
+    pair; its m22 is bit-identical.
     """
     ik = 1j * np.asarray(k, dtype=complex)
     _, c, p12, p21 = _propagators(profile, k)
@@ -128,24 +134,14 @@ def _m22(profile: PotentialProfile, k):
 
 
 def _transfer_entries(profile: PotentialProfile, k):
-    """Entries (m11, m12, m21, m22) of the amplitude transfer matrix.
+    """Entries (m11, m12, m21, m22) of the amplitude transfer matrix from ``_plane_waves``.
 
-    Vectorized over k.  t(k) = 1 / m22, r(k) = -m21 / m22.  The (psi, psi')
-    matrix across [0, L] is the march of its columns (1, 0) and (0, 1).
+    Vectorized over k.  t(k) = 1 / m22, r(k) = -m21 / m22.  Only the tests
+    and the benchmark's tracer (perfbench/spans.BINDINGS) call it now.
     """
     if np.any(np.asarray(k) == 0):
         raise ZeroWavevectorError("transfer matrix undefined at k = 0")
-    ik = 1j * np.asarray(k, dtype=complex)
-    unit = np.zeros((2,) + ik.shape, dtype=complex)
-    unit[0] = 1.0
-    _, values, derivs = _march(profile, k, unit, unit[::-1])
-    (w11, w12), (w21, w22) = values[-1], derivs[-1]
-    a = w11 + w22
-    b = w11 - w22
-    m11 = 0.5 * (a + ik * w12 + w21 / ik)
-    m12 = 0.5 * (b - ik * w12 + w21 / ik)
-    m21 = 0.5 * (b + ik * w12 - w21 / ik)
-    m22 = 0.5 * (a - ik * w12 - w21 / ik)
+    (m11, m12), (m21, m22) = _plane_waves(profile, k)[3:]
     return m11, m12, m21, m22
 
 
@@ -219,11 +215,11 @@ def stationary_state(profile: PotentialProfile, energy_ev: float) -> StationaryS
     k = profile.constants.wavevector(energy_ev)
     if np.any(k * k == profile.heights / profile.constants.hbar2_over_2m):
         k *= 1.0 - 1e-9
-    _, _, m21, m22 = _transfer_entries(profile, complex(k))
+    kappa, values, derivs, _, (m21, m22) = _plane_waves(profile, complex(k))
     m21, m22 = complex(m21), complex(m22)
     t = 1.0 / m22
     r = -m21 / m22
-    wave = _PiecewiseWave(profile, *_march(profile, complex(k), 1.0 + r, 1j * k * (1.0 - r)))
+    wave = _PiecewiseWave(profile, kappa, values[:, 0] + r * values[:, 1], derivs[:, 0] + r * derivs[:, 1])
     return StationaryState(float(energy_ev), k, t, r, wave)
 
 
@@ -292,51 +288,8 @@ class ScanResult:
 POINTS_PER_DECADE = 2000  # density of the transmission scan
 
 
-def _transmission_grid(profile: PotentialProfile, energies_ev: np.ndarray) -> np.ndarray:
-    """|t(E)|^2 at ascending real energies, in real arithmetic.
-
-    For real k each segment has a real kappa^2 = k^2 - V/c2 and
-    q = sqrt(|kappa^2|); its propagator entries are (cos qw, sin(qw)/q,
-    -q sin qw) where kappa^2 > 0, (cosh qw, sinh(qw)/q, q sinh qw) where
-    kappa^2 < 0, and the limit (1, w, 0) where kappa^2 = 0.  kappa^2 rises
-    with E, so each branch is one slice of the grid.  With real entries,
-    |m22|^2 = ((w11 + w22)^2 + (k w12 - w21/k)^2) / 4.
-    """
-    c2 = profile.constants.hbar2_over_2m
-    k = np.sqrt(np.asarray(energies_ev, dtype=float) / c2)
-    k2 = k * k
-    if np.any(k2[1:] < k2[:-1]):
-        raise ValueError("energies must be ascending")
-    w11 = w12 = w21 = w22 = None
-    for width, height in zip(profile.widths.tolist(), profile.heights.tolist()):
-        kappa2 = k2 - height / c2
-        lo, hi = np.searchsorted(kappa2, 0.0, side="left"), np.searchsorted(kappa2, 0.0, side="right")
-        c, p12, p21 = np.empty(k.size), np.empty(k.size), np.empty(k.size)
-        q = np.sqrt(-kappa2[:lo])
-        z = q * width
-        s = np.sinh(z)
-        c[:lo], p12[:lo], p21[:lo] = np.cosh(z), s / q, q * s
-        c[lo:hi], p12[lo:hi], p21[lo:hi] = 1.0, width, 0.0
-        q = np.sqrt(kappa2[hi:])
-        z = q * width
-        s = np.sin(z)
-        c[hi:], p12[hi:], p21[hi:] = np.cos(z), s / q, -q * s
-        if w11 is None:
-            w11, w12, w21, w22 = c, p12, p21, c
-        else:
-            w11, w12, w21, w22 = (
-                c * w11 + p12 * w21,
-                c * w12 + p12 * w22,
-                p21 * w11 + c * w21,
-                p21 * w12 + c * w22,
-            )
-    a = w11 + w22
-    b = k * w12 - w21 / k
-    return 4.0 / (a * a + b * b)
-
-
 def transmission_scan(profile: PotentialProfile, e_min_ev: float, e_max_ev: float) -> ScanResult:
-    """|t(E)|^2 on a log-spaced grid plus its local maxima, in one real-arithmetic pass.
+    """|t(E)|^2 = 1/|m22|^2 on a log-spaced grid plus its local maxima, in one ``_m22`` call.
 
     The density (``POINTS_PER_DECADE``) resolves widths down to a
     small fraction of a meV at typical resonance energies.  Near a pole
@@ -344,14 +297,18 @@ def transmission_scan(profile: PotentialProfile, e_min_ev: float, e_max_ev: floa
     the vertex of the parabola through 1/|t|^2 at E[i-1], E[i] and E[i+1],
     a closed form that lies inside (E[i-1], E[i+1]), precise enough to
     seed Newton.  Public, but ``find_poles`` no longer calls it: its seeds
-    come from contour moments.
+    come from contour moments.  Where k^2 hits a segment height, k is
+    lowered by 1e-9 of itself, as ``stationary_state`` does.
     """
     if not (0.0 < e_min_ev < e_max_ev):
         raise ValueError("need 0 < e_min < e_max")
     lg_min, lg_max = np.log10(e_min_ev), np.log10(e_max_ev)  # their ratio can overflow
     n_points = max(64, int(np.ceil((lg_max - lg_min) * POINTS_PER_DECADE)) + 1)
     energies = np.logspace(lg_min, lg_max, n_points)
-    t2 = _transmission_grid(profile, energies)
+    c2 = profile.constants.hbar2_over_2m
+    k = np.sqrt(energies / c2)
+    k[np.isin(k * k, profile.heights / c2)] *= 1.0 - 1e-9
+    t2 = 1.0 / np.abs(_m22(profile, k)) ** 2
 
     i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
     # prominence filter: rounding noise on flat transmission produces

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from rtbuildup import analysis
+from rtbuildup import analysis, scattering
 from rtbuildup import (
     BuildupSeries,
     FitWindowError,
@@ -72,16 +73,25 @@ def test_normalize_buildup_conversion(symmetric_profile, symmetric_poles):
     assert np.all(series.delta >= 0.0)
 
 
-def test_normalize_buildup_rejects_node_position(
-    symmetric_profile, symmetric_poles, monkeypatch
-):
-    import rtbuildup.analysis as analysis_module
-
+def test_normalize_buildup_rejects_node_position(symmetric_profile, symmetric_poles):
     st = symmetric_poles[0]
     sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=[1.0])
-    monkeypatch.setattr(analysis_module, "stationary_wave", lambda *a, **k: 1e-13 + 0j)
     with pytest.raises(NodePositionError):
-        normalize_buildup(sol, st)
+        normalize_buildup(dataclasses.replace(sol, phi=1e-13 + 0j), st)
+
+
+def test_normalize_buildup_takes_phi_from_the_solution(symmetric_profile, symmetric_poles, monkeypatch):
+    """No second stationary solve: phi is the value the evolution already holds."""
+    st = symmetric_poles[0]
+    sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=[1.0, 2.0])
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("stationary problem solved again")
+
+    monkeypatch.setattr(analysis, "stationary_wave", no_solve)
+    monkeypatch.setattr(scattering, "stationary_state", no_solve)
+    series = normalize_buildup(sol, st)
+    assert np.array_equal(series.ratio_abs, np.abs(sol.psi / sol.phi))
 
 
 def test_normalize_buildup_collapses_to_law(reference_configs):

@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -521,6 +522,21 @@ def test_contour_refinement_stops_at_steps_float64_cannot_bisect(monkeypatch):
     ):
         find_poles(profile, 0.5)
     assert len(sizes) < 100
+
+
+def test_zero_sample_on_the_contour_is_refused_without_a_warning(monkeypatch):
+    """m22 is exactly 0 at 25 samples of the deep edge to 2.4 eV: refuse at once, with no numpy warning.
+
+    The steps next to a zero sample used to divide by it, and the bisection
+    spent its budget on them.
+    """
+    profile = build_profile([(94.33, 0.0), (65.09, 0.3), (94.33, 0.3), (81.60, 0.0177)])
+    sizes = counting_m22_sizes(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(resonances.WindingMismatchError, match="zero on the contour"):
+            find_poles(profile, 2.4)
+    assert len(sizes) == 1  # the deep edge samples, no refinement round
 
 
 def scalar_gamow(profile, k, xs):

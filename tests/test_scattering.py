@@ -16,7 +16,7 @@ from rtbuildup import (
     transmission_scan,
 )
 from rtbuildup import scattering
-from rtbuildup.scattering import _m22, _transfer_entries, _transmission_grid
+from rtbuildup.scattering import _m22, _transfer_entries
 
 
 def single_barrier_transmission(energy, height, width, mass_factor=0.067):
@@ -111,19 +111,16 @@ def mpmath_march_m22(profile, k, dps=40):
 def test_marched_m22_matches_mpmath(name, request):
     """The search's m22 is within 1e-11 of a 40-digit march for Re k in [0.02, 3], Im k in [-0.1, 0] (1/A).
 
-    The product of full transfer matrices cancels across the whole
-    structure and is off by up to 6e-9 deep in this range; for Im k >= -0.01
-    the two agree to 1e-13.  The largest errors of the march lie next to
-    zeros of m22, where |m22| ~ 1e-4.
+    The largest errors of the march lie next to zeros of m22, where
+    |m22| ~ 1e-4.  The transfer matrix marches the same wave in the same
+    order, so its m22 is bit-identical over the whole grid.
     """
     profile = request.getfixturevalue(f"{name}_profile")
     k = (np.linspace(0.02, 3.0, 100)[:, np.newaxis] + 1j * np.linspace(-0.1, 0.0, 11)).ravel()
     want = np.array([mpmath_march_m22(profile, kk) for kk in k.tolist()])
     got = _m22(profile, k)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
-    shallow = k.imag >= -0.01
-    product = _transfer_entries(profile, k[shallow])[3]
-    assert np.max(np.abs(product - got[shallow]) / np.abs(got[shallow])) <= 1e-13
+    assert np.array_equal(_transfer_entries(profile, k)[3], got)
 
 
 def test_composition_of_concatenated_profiles():
@@ -135,6 +132,76 @@ def test_composition_of_concatenated_profiles():
     for k in (0.03, 0.07, 0.05 - 0.002j):
         a, b, ab = (np.reshape(_transfer_entries(p, complex(k)), (2, 2)) for p in (pa, pb, pab))
         assert np.allclose(b @ a, ab, rtol=1e-11, atol=1e-13)
+
+
+def mpmath_scattering(profile, energy_ev, xs, dps=40):
+    """t, r and phi(xs) at the float k of ``energy_ev``, from a march in mpmath at ``dps`` digits.
+
+    Marches e^{+ikx} and e^{-ikx} to x = L for m21 and m22, then phi from
+    (1 + r, ik(1 - r)) at x = 0, and propagates from the left edge of each
+    position's segment.
+    """
+    with mpmath.workdps(dps):
+        c2 = mpmath.mpf(profile.constants.hbar2_over_2m)
+        k = mpmath.mpf(profile.constants.wavevector(energy_ev))
+        ik = mpmath.mpc(0, k)
+        qs = [mpmath.sqrt(mpmath.mpc(k * k - mpmath.mpf(height) / c2)) for _, height in profile.segments]
+
+        def cross(q, w, v, d):
+            cos, sin = mpmath.cos(q * w), mpmath.sin(q * w)
+            return cos * v + sin / q * d, -q * sin * v + cos * d
+
+        def march(v, d):
+            edges = [(v, d)]
+            for (width, _), q in zip(profile.segments, qs):
+                v, d = cross(q, mpmath.mpf(width), v, d)
+                edges.append((v, d))
+            return edges
+
+        (vp, dp), (vm, dm) = march(mpmath.mpc(1), ik)[-1], march(mpmath.mpc(1), -ik)[-1]
+        m21, m22 = (vp - dp / ik) / 2, (vm - dm / ik) / 2
+        t, r = 1 / m22, -m21 / m22
+        edges = march(1 + r, ik * (1 - r))
+        bounds = profile.boundaries
+        phi = []
+        for x in xs.tolist():
+            j = min(int(np.searchsorted(bounds, x, side="right")) - 1, len(qs) - 1)
+            v, d = edges[j]
+            phi.append(complex(cross(qs[j], mpmath.mpf(x) - mpmath.mpf(float(bounds[j])), v, d)[0]))
+        return complex(t), complex(r), np.array(phi)
+
+
+@pytest.mark.parametrize("name", ["symmetric", "asymmetric"])
+def test_one_march_wave_matches_mpmath(name, request):
+    """t, r and phi at 23 points over [0, L] within 1e-11 of a 40-digit march.
+
+    t and r are compared absolutely, phi relative to its largest modulus;
+    the energies run from deep in the barriers to 4x the barrier top.
+    """
+    profile = request.getfixturevalue(f"{name}_profile")
+    xs = np.linspace(0.0, profile.total_length, 23)
+    for e in (0.01, 0.0378, 0.1, 0.2, 0.3257, 0.45, 0.9, 2.0):
+        state = stationary_state(profile, e)
+        t, r, phi = mpmath_scattering(profile, e, xs)
+        assert abs(state.transmission_amplitude - t) <= 1e-11, e
+        assert abs(state.reflection_amplitude - r) <= 1e-11, e
+        assert np.max(np.abs(state.phi(xs) - phi)) <= 1e-11 * np.max(np.abs(phi)), e
+
+
+def test_stationary_state_marches_once(symmetric_profile, monkeypatch):
+    """t, r and phi come from one march of the two plane waves, with no transfer-matrix call."""
+    calls = []
+    march = scattering._march
+
+    def counting(*args):
+        calls.append("march")
+        return march(*args)
+
+    monkeypatch.setattr(scattering, "_march", counting)
+    monkeypatch.setattr(scattering, "_transfer_entries", lambda *args: calls.append("transfer"))
+    state = stationary_state(symmetric_profile, 0.2)
+    state.phi(np.linspace(0.0, 160.0, 9))
+    assert calls == ["march"]
 
 
 def test_wave_satisfies_schroedinger_equation(symmetric_profile):
@@ -219,7 +286,7 @@ def scalar_refined_peaks(profile, scan):
     energies, t2 = scan.energies_ev, scan.transmission
 
     def t2_at(e):
-        return float(_transmission_grid(profile, np.asarray([e]))[0])
+        return 1.0 / abs(complex(_m22(profile, complex(profile.constants.wavevector(e))))) ** 2
 
     interior = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
     interior = np.asarray([i for i in interior if t2[i] - min(t2[i - 1], t2[i + 1]) > 1e-9 * t2[i]])
@@ -262,15 +329,15 @@ def test_scan_vertex_matches_golden_section_maximum(request, case, e_max):
 
 @pytest.mark.parametrize("e_max, n_peaks", [(0.4, 3), (8.0, 18)])
 def test_transmission_scan_call_budget_does_not_grow_with_peaks(symmetric_profile, monkeypatch, e_max, n_peaks):
-    """The grid is the only evaluation: every peak is a closed-form parabola vertex."""
+    """One m22 call over the grid is the only evaluation: every peak is a closed-form parabola vertex."""
     calls = []
-    grid = scattering._transmission_grid
+    m22 = scattering._m22
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return grid(*args, **kwargs)
+        return m22(*args, **kwargs)
 
-    monkeypatch.setattr(scattering, "_transmission_grid", counting)
+    monkeypatch.setattr(scattering, "_m22", counting)
     scan = transmission_scan(symmetric_profile, 1e-3, e_max)
     assert len(scan.peaks) == n_peaks
     assert len(calls) == 1
@@ -292,68 +359,6 @@ def on_segment_height(c2, height):
     return None
 
 
-def complex_path_transmission(profile, energies):
-    """1/|m22|^2 from the complex transfer matrix; at kappa = 0 the mean of k(1 -+ 1e-10).
-
-    |t|^2 is analytic in k there, so the mean is off by O(1e-20) times its
-    relative curvature: 1.2e-15 of mpmath's value on the symmetric barrier
-    top, where steps of 1e-8 would leave 1.1e-13.
-    """
-    c2 = profile.constants.hbar2_over_2m
-    k = np.sqrt(energies / c2)
-    on = np.isin(k * k, profile.heights / c2)
-    ks = np.concatenate([k[~on], k[on] * (1.0 - 1e-10), k[on] * (1.0 + 1e-10)])
-    t2 = 1.0 / np.abs(_transfer_entries(profile, ks)[3]) ** 2
-    n, n_on = np.count_nonzero(~on), np.count_nonzero(on)
-    out = np.empty(k.size)
-    out[~on] = t2[:n]
-    out[on] = 0.5 * (t2[n:n + n_on] + t2[n + n_on:])
-    return out
-
-
-def seeded_double_barrier(seed):
-    """A double barrier whose barrier heights each have a float energy exactly on them."""
-    draw = np.random.default_rng(seed)
-    c2 = build_profile([(1.0, 0.0)]).constants.hbar2_over_2m
-    heights = []
-    for h in draw.uniform(0.2, 0.5, 2):
-        while on_segment_height(c2, h) is None:
-            h = np.nextafter(h, np.inf)
-        heights.append(float(h))
-    w1, w2 = draw.uniform(20.0, 40.0, 2)
-    well = (draw.uniform(40.0, 120.0), draw.uniform(0.0, 0.1))
-    return build_profile([(w1, heights[0]), well, (w2, heights[1])])
-
-
-@pytest.mark.parametrize("case", ["symmetric", "asymmetric", 0, 1, 2, 3, 4])
-def test_real_grid_matches_complex_transfer_matrix(request, case):
-    """On the scan's own grid to 4x the barrier top, plus energies on every segment height.
-
-    Where a height has no float energy exactly on it (asymmetric 0.3 eV),
-    the float nearest it leaves kappa^2 a few ulps from zero.
-    """
-    if isinstance(case, str):
-        profile = request.getfixturevalue(f"{case}_profile")
-    else:
-        profile = seeded_double_barrier(case)
-    c2 = profile.constants.hbar2_over_2m
-    on_heights = [on_segment_height(c2, h) or h for h in np.unique(profile.heights) if h > 0.0]
-    grid = transmission_scan(profile, 1e-3, 4.0 * np.max(profile.heights)).energies_ev
-    energies = np.sort(np.concatenate([grid, on_heights]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a 0/0 at kappa = 0 would warn
-        t2 = _transmission_grid(profile, energies)
-    assert np.all(np.isfinite(t2))
-    n_exact = np.count_nonzero(np.isin(np.sqrt(energies / c2) ** 2, profile.heights / c2))
-    assert n_exact >= (0 if case == "asymmetric" else 1)
-    np.testing.assert_allclose(t2, complex_path_transmission(profile, energies), rtol=1e-13, atol=0.0)
-
-
-def test_real_grid_rejects_descending_energies(symmetric_profile):
-    with pytest.raises(ValueError, match="ascending"):
-        _transmission_grid(symmetric_profile, np.asarray([0.2, 0.1]))
-
-
 def test_stationary_state_on_segment_height(symmetric_profile):
     """At E = barrier height k moves down by 1e-9 of itself; phi stays finite and continuous."""
     e = on_segment_height(symmetric_profile.constants.hbar2_over_2m, 0.5)
@@ -364,6 +369,16 @@ def test_stationary_state_on_segment_height(symmetric_profile):
     near = stationary_state(symmetric_profile, e * (1.0 + 1e-7)).phi(xs)
     assert np.all(np.isfinite(state.phi(xs)))
     np.testing.assert_allclose(state.phi(xs), near, rtol=1e-5)
+
+
+def test_transmission_scan_ending_on_a_barrier_height(symmetric_profile):
+    """The log grid to 0.5 eV ends exactly on the barrier height, where k is lowered as in stationary_state."""
+    c2 = symmetric_profile.constants.hbar2_over_2m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = transmission_scan(symmetric_profile, 1e-3, 0.5)
+    assert scan.energies_ev[-1] == 0.5 and np.sqrt(0.5 / c2) ** 2 == 0.5 / c2
+    assert np.isfinite(scan.transmission[-1]) and 0.0 < scan.transmission[-1] < 1.0
 
 
 def test_transmission_scan_does_not_call_minimize_scalar(symmetric_profile, monkeypatch):
