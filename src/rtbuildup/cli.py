@@ -324,10 +324,10 @@ def _find_poles(profile: PotentialProfile, e_max: float) -> list[ResonantState]:
 def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
     """Position of the |phi|^2 maximum inside the lowest interior segments (the well).
 
-    In a segment [a, b] of height V, phi(a + s) = A e^{i kappa s} + B e^{-i kappa s}
-    with kappa^2 = k^2 - V / c2 and A, B = (phi(a) +- phi'(a) / (i kappa)) / 2.
-    For real kappa, |phi|^2 = |A|^2 + |B|^2 + 2 Re(A B* e^{2i kappa s}) peaks
-    at s = (2 pi m - arg(A B*)) / (2 kappa); for imaginary kappa it is convex,
+    In a segment [a, b], phi(a + s) = A e^{i kappa s} + B e^{-i kappa s} with
+    the amplitudes A, B of the stationary state's march.  For real kappa,
+    |phi|^2 = |A|^2 + |B|^2 + 2 Re(A B* e^{2i kappa s}) peaks at
+    s = (2 pi m - arg(A B*)) / (2 kappa); for imaginary kappa it is convex,
     so only the edges can be the maximum.  Both edges are always candidates.
     A symmetric structure at resonance has exactly degenerate lobes, so ties
     (within 1e-9 relative) are resolved toward the smallest x.
@@ -336,11 +336,10 @@ def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
     interior = heights[1:-1]
     chosen = 1 + np.flatnonzero(interior == interior.min()) if interior.size else np.arange(heights.size)
     state = stationary_state(profile, energy_ev)
+    wave = state._wave
     a, b = profile.boundaries[chosen], profile.boundaries[chosen + 1]
     kappa2 = state.k**2 - heights[chosen] / profile.constants.hbar2_over_2m
-    phi_a = state.phi(a)
-    ratio = state.phi_derivative(a) / (1j * np.sqrt(kappa2.astype(complex)))
-    phase = np.angle((phi_a + ratio) * np.conj(phi_a - ratio))
+    phase = np.angle(wave.a[chosen] * np.conj(wave.b[chosen]))
     turn = 2.0 * math.pi
     candidates = [a, b]
     for lo, hi, k2, ph in zip(a, b, kappa2, phase):

@@ -1,13 +1,16 @@
 """Resonance poles in the fourth quadrant of the complex k plane.
 
 A resonance is a zero of the transfer-matrix entry m22(k), the denominator
-of t(k).  m22 is analytic in k away from k = 0 (the segment propagators are
-even in the local wavevectors), so Newton iteration with a finite-difference
-derivative converges quadratically from a nearby seed, and the argument
-principle on a rectangle counts the zeros inside it.  The search evaluates
-m22 with ``scattering._m22``, which marches the left state e^{-ikx} across
-the segments: deep in the quadrant it keeps digits that a product of full
-transfer matrices loses to cancellation across the whole structure.
+of t(k).  m22 is analytic in k away from k = 0 (it is unchanged under
+kappa_j -> -kappa_j of any segment, so the choice of square root is
+immaterial), so Newton iteration with a finite-difference derivative
+converges quadratically from a nearby seed, and the argument principle on
+a rectangle counts the zeros inside it.  The search evaluates m22 with
+``scattering._m22``, which marches the amplitudes of the left state
+e^{-ikx} across the segments: deep in the quadrant, across wide evanescent
+or zero-height segments, it keeps the digits that a (psi, psi') march or a
+product of full transfer matrices loses to cancellation.  Near a segment
+height it loses about eps / |kappa_j w_j| (see ``scattering``).
 
 ``find_poles`` searches Re k in [k(SCAN_FLOOR_EV)/2, k(e_max)],
 Im k in [-k(e_max), 0), and takes no seed from a transmission scan.  It
@@ -103,6 +106,7 @@ class BoundStateError(ValueError):
 _OFFSETS = np.array([[0.0], [1.0], [-1.0]])  # k, k + h, k - h of a central difference
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _newton(profile: PotentialProfile, seeds, known=()) -> tuple[np.ndarray, np.ndarray]:
     """Newton iteration on m22(k) from every seed at once.
 
@@ -113,9 +117,10 @@ def _newton(profile: PotentialProfile, seeds, known=()) -> tuple[np.ndarray, np.
     g = m22 / prod_j (k - k_j), m22 / (m22' - m22 sum_j 1/(k - k_j)), which
     pushes a seed away from the known zeros instead of into their basins.  A
     seed stops when its step, capped at 0.2 |k|, falls below ``NEWTON_TOL``;
-    one whose derivative vanishes, whose step is not finite, or that runs
-    out of ``NEWTON_MAX_ITER`` rounds, fails.  Returns the final momenta and
-    the mask of converged seeds.
+    one whose derivative vanishes, whose step is not finite (m22 overflows
+    where |Im k| L exceeds about 709), or that runs out of
+    ``NEWTON_MAX_ITER`` rounds, fails, with no numpy warning.  Returns the
+    final momenta and the mask of converged seeds.
     """
     k = np.array(seeds, dtype=complex).ravel()
     known = np.asarray(known, dtype=complex)
@@ -275,45 +280,42 @@ class ResonantState:
 def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
     """Normalized Gamow eigenfunctions for verified pole momenta, all in one march.
 
-    Integrates (psi, psi') from x = 0 with u(0) = 1, u'(0) = -i k_n u(0) for
-    every k_n at once and checks the outgoing condition u'(L) = +i k_n u(L);
-    a residual above ``BC_TOL`` relative to |k_n| max |u| over the segment
-    edges means k_n is not actually a pole (max |u|, since a pole's state
-    may decay across the structure to a tiny u(L)).
-    The normalization integral of u^2 is exact: inside a segment
-    u = A e^{i kappa s} + B e^{-i kappa s} with A, B = (u +- u'/(i kappa)) / 2,
-    so u^2 integrates to A^2 expm1(2i kappa w)/(2i kappa)
-    - B^2 expm1(-2i kappa w)/(2i kappa) + 2ABw.  The exponential form avoids
-    the cancellation the cos/sin form suffers in evanescent segments.  Each
-    state keeps its own column of the marched pairs.
+    Marches the purely outgoing e^{-ikx} left of x = 0, (a, b) = (0, 1) so
+    that u(0) = 1, for every k_n at once; right of L the state must be
+    outgoing too, u = a e^{ik(x-L)} with b = m22(k_n) = 0.  The residual
+    2|b(L)| = |u'(L) - i k_n u(L)| / |k_n| relative to max |u| over the
+    segment edges must not exceed ``BC_TOL``, or k_n is not actually a pole
+    (max |u|, since a pole's state may decay across the structure to a tiny
+    u(L)).  The normalization integral of u^2 is exact: inside a segment
+    u = A e^{i kappa s} + B e^{-i kappa s}, with A and B the marched
+    amplitudes, so u^2 integrates to A^2 expm1(2i kappa w)/(2i kappa)
+    - B^2 expm1(-2i kappa w)/(2i kappa) + 2ABw.  Each state keeps its own
+    column of the marched amplitudes.
     """
     ks = np.asarray(ks, dtype=complex).ravel()
     outside = ~((ks.real > 0.0) & (ks.imag < 0.0))
     if outside.any():
         raise GamowResidualError(f"pole must lie in the fourth quadrant, got {complex(ks[outside][0])}")
-    kappa, values, derivs = _march(profile, ks, np.ones(ks.size), -1j * ks)
-    u_l, du_l = values[-1], derivs[-1]
-    residual = np.abs(du_l - 1j * ks * u_l) / (np.abs(ks) * np.max(np.abs(values), axis=0))
+    kappa, a, b = _march(profile, ks, 0.0, 1.0)
+    u = a + b  # u at the left edge of every segment and at x = L
+    residual = 2.0 * np.abs(b[-1]) / np.max(np.abs(u), axis=0)
     if np.any(residual > BC_TOL):
         raise GamowResidualError(
             f"outgoing-boundary residual {np.max(residual):.2e} exceeds {BC_TOL:.1e}; not a pole"
         )
 
+    kappa, a, b = kappa[:-1], a[:-1], b[:-1]
     ik = 1j * kappa
     width = profile.widths[:, np.newaxis]
-    ratio = derivs[:-1] / ik
-    a = 0.5 * (values[:-1] + ratio)
-    b = 0.5 * (values[:-1] - ratio)
     parts = (a * a * np.expm1(2.0 * ik * width) - b * b * np.expm1(-2.0 * ik * width)) / (2.0 * ik)
     norm_sq = np.sum(parts + 2.0 * a * b * width, axis=0)
-    norm_sq += 1j * (1.0 + u_l * u_l) / (2.0 * ks)  # u(0) = 1 before scaling
+    norm_sq += 1j * (1.0 + u[-1] * u[-1]) / (2.0 * ks)  # u(0) = 1 before scaling
     scale = 1.0 / np.sqrt(norm_sq)
-    values = values * scale
-    derivs = derivs * scale
+    u_end, a, b = u[-1] * scale, a * scale, b * scale
     return [
         ResonantState(
-            k, profile.constants.energy_ev(k), profile, complex(values[0, i]), complex(values[-1, i]),
-            _PiecewiseWave(profile, kappa[:, i], values[:, i], derivs[:, i]),
+            k, profile.constants.energy_ev(k), profile, complex(scale[i]), complex(u_end[i]),
+            _PiecewiseWave(profile, kappa[:, i], a[:, i], b[:, i]),
         )
         for i, k in enumerate(ks.tolist())
     ]

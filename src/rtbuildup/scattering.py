@@ -7,28 +7,38 @@ at x = L).  With edge-referenced bases the transfer matrix of a concatenated
 profile is the product (matrix of right part) @ (matrix of left part), and
 the determinant is exactly 1.
 
-Internally each segment is crossed with the (psi, psi') propagator
+Every wave is carried in the same form everywhere: inside segment j it is
+a e^{i kappa_j s} + b e^{-i kappa_j s}, s = x - x_j, with kappa_j =
+sqrt(k^2 - V_j / (hbar^2/2m)), and kappa_j = k exactly where V_j = 0.
+``_march`` carries the amplitudes (a, b) from x = 0 across every interface:
+from a region of wavevector p and width w into one of wavevector q,
 
-    [[cos(kappa w),        sin(kappa w)/kappa],
-     [-kappa sin(kappa w), cos(kappa w)      ]]
+    a' = ((q + p) e^{ipw} a + (q - p) e^{-ipw} b) / 2q,
+    b' = ((q - p) e^{ipw} a + (q + p) e^{-ipw} b) / 2q,
 
-whose entries are even in kappa, hence analytic in k everywhere except k = 0.
-Pole searches can therefore continue t(k) into the fourth quadrant without
-branch-cut bookkeeping; the principal square root used for kappa is
-immaterial.
+so an interface between equal heights reflects exactly nothing (q - p is
+exactly 0), and a decaying and a growing component never meet inside a
+segment: an evanescent layer costs no digits however wide it is, and m22
+keeps them deep in the fourth quadrant, where a (psi, psi') march cancels
+by e^(2 |Im kappa| w) (Ko & Inkson, Phys. Rev. B 38, 9945 (1988)).  m22 is
+unchanged under kappa_j -> -kappa_j of any segment (the segment's two waves
+swap roles), so it is analytic in k away from k = 0 and the choice of
+square root is immaterial: pole searches continue t(k) into the fourth
+quadrant with no branch-cut bookkeeping.  The price is paid near a segment
+height: as kappa_j w_j -> 0 the two waves of that segment coincide and the
+amplitudes on either side of it cancel, so the relative error grows as
+about eps / |kappa_j w_j|: up to 5e-12 at k = (1 +- 1e-9) k(V_j) on the
+benchmark structures, 1e-10 at (1 +- 1e-12) k(V_j), and 5e-9 in phi at an
+energy one rounding off a height (the asymmetric structure at E = 0.3 eV,
+kappa ~ 1e-8 k).  Only kappa exactly 0 is refused.
 
-``_propagators`` computes the propagators of all segments in one batch,
-vectorized over k, and ``_march`` carries (psi, psi') pairs across them.
-``_plane_waves`` marches the two plane waves e^{+ikx} and e^{-ikx},
-(psi, psi') = (1, +ik) and (1, -ik) at x = 0, in one ``_march``: their
-amplitudes at x = L are the columns of the transfer matrix, and the
-scattering state phi is the first wave plus r times the second.  ``_m22``
-is the march of the second wave alone with no stack of edge pairs; the
+``_plane_waves`` marches e^{+ikx} and e^{-ikx}, (a, b) = (1, 0) and (0, 1)
+at x = 0, together: their amplitudes at x = L are the columns of the
+transfer matrix, and the scattering state phi is the first wave plus r
+times the second.  ``_m22`` is b at x = L of the second wave alone; the
 pole search, ``bound_state_energies`` and ``transmission_scan`` evaluate
-m22 with it.  An evanescent segment's cancellation stays inside that
-segment, so m22 keeps its digits deep in the fourth quadrant.  Each peak
-the transmission scan reports is the closed-form vertex of a parabola
-through three grid points.
+m22 with it.  Each peak the transmission scan reports is the closed-form
+vertex of a parabola through three grid points.
 """
 
 from __future__ import annotations
@@ -46,91 +56,58 @@ class ZeroWavevectorError(ArithmeticError):
     """
 
 
-def _local_wavevectors(profile: PotentialProfile, k):
-    """kappa_j = sqrt(k^2 - V_j / (hbar^2/2m)) for every segment.
+def _march(profile: PotentialProfile, k, a0, b0):
+    """(kappa, a, b): the amplitudes (a0, b0) of e^{+-ikx} left of x = 0 marched across the segments.
 
-    ``k`` may be a complex scalar or ndarray; the result has one leading
-    axis per segment.
+    Vectorized over k, with ``a0`` and ``b0`` of its shape, or with leading
+    axes of their own that every row keeps.  Row j of kappa, a and b is
+    segment j, with a and b at its left edge; the last row is the region
+    right of L, where kappa = k and a, b multiply e^{+-ik(x-L)}.  Each
+    interface's (q +- p) / 2q is taken for all of them at once; each
+    segment's phases multiply its amplitudes in the loop.
     """
     c2 = profile.constants.hbar2_over_2m
     k = np.asarray(k, dtype=complex)
-    kappa = np.sqrt(k[np.newaxis, ...] ** 2 - (profile.heights / c2)[(...,) + (np.newaxis,) * k.ndim])
-    if not kappa.all():
+    heights = profile.heights
+    regions = np.empty((heights.size + 2,) + k.shape, dtype=complex)  # k, kappa_0, ..., kappa_{n-1}, k
+    regions[:] = k
+    lifted = np.flatnonzero(heights)
+    regions[1 + lifted] = np.sqrt(k**2 - (heights[lifted] / c2).reshape((-1,) + (1,) * k.ndim))
+    if not regions.all():
         raise ZeroWavevectorError("local wavevector is exactly zero; perturb k")
-    return kappa
-
-
-def _segment_propagator(kappa, width):
-    """(cos kappa w, sin(kappa w)/kappa, -kappa sin kappa w): the (psi, psi') propagator.
-
-    These are the entries p11 = p22, p12 and p21; ``width`` may be an array.
-    With kappa w = a + ib, cos = cos a cosh b - i sin a sinh b and
-    sin = sin a cosh b + i cos a sinh b: four real functions for both.
-    """
-    z = kappa * width
-    sin_a, cos_a = np.sin(z.real), np.cos(z.real)
-    sinh_b, cosh_b = np.sinh(z.imag), np.cosh(z.imag)
-    c = cos_a * cosh_b - 1j * (sin_a * sinh_b)
-    s = sin_a * cosh_b + 1j * (cos_a * sinh_b)
-    return c, s / kappa, -kappa * s
-
-
-def _propagators(profile: PotentialProfile, k):
-    """(kappa, c, p12, p21) of every segment at once, each with one leading row per segment.
-
-    One ``_segment_propagator`` batch over the (segment, k) table, which
-    ``_march`` and ``_m22`` both start from.
-    """
-    kappa = _local_wavevectors(profile, k)
-    widths = profile.widths.reshape((-1,) + (1,) * (kappa.ndim - 1))
-    return (kappa, *_segment_propagator(kappa, widths))
-
-
-def _march(profile: PotentialProfile, k, psi0, dpsi0):
-    """(kappa, psi, psi') with (psi, psi') marched from x = 0 across the segments.
-
-    Vectorized over k, with ``psi0`` and ``dpsi0`` of its shape, or with
-    leading axes of their own that every row keeps: kappa has one leading
-    row per segment, psi and psi' one per segment edge.  Row j of psi and
-    psi' is the pair at the left edge of segment j; the last row is the pair
-    at x = L.
-    """
-    kappa, c, p12, p21 = _propagators(profile, k)
-    v, d = np.asarray(psi0, dtype=complex), np.asarray(dpsi0, dtype=complex)
-    values, derivs = [v], [d]
-    for c_j, p12_j, p21_j in zip(c, p12, p21):
-        v, d = c_j * v + p12_j * d, p21_j * v + c_j * d
-        values.append(v)
-        derivs.append(d)
-    return kappa, np.array(values), np.array(derivs)
+    p, q = regions[:-1], regions[1:]
+    half = 0.5 / q
+    same, cross = (q + p) * half, (q - p) * half
+    a, b = same[0] * a0 + cross[0] * b0, cross[0] * a0 + same[0] * b0  # x = 0: no phase yet
+    rows_a, rows_b = [a], [b]
+    for kappa, iw, c11, c12 in zip(regions[1:-1], 1j * profile.widths, same[1:], cross[1:]):
+        grow = np.exp(iw * kappa)  # e^{i kappa w} across the segment
+        a, b = a * grow, b / grow
+        a, b = c11 * a + c12 * b, c12 * a + c11 * b
+        rows_a.append(a)
+        rows_b.append(b)
+    return regions[1:], np.array(rows_a), np.array(rows_b)
 
 
 def _plane_waves(profile: PotentialProfile, k):
-    """(kappa, psi, psi', (m11, m12), (m21, m22)): e^{+ikx} and e^{-ikx} marched from x = 0 together.
+    """(kappa, a, b): e^{+ikx} and e^{-ikx} marched from x = 0 together.
 
-    One ``_march`` of (psi, psi') = (1, +ik) and (1, -ik), vectorized over
-    k; psi and psi' keep the two waves on the axis after the edge row.  At
-    x = L the right- and left-moving amplitudes (psi +- psi'/(ik)) / 2 of
-    the two waves are the rows of the transfer matrix.
+    One ``_march`` of (a, b) = (1, 0) and (0, 1), vectorized over k; a and
+    b keep the two waves on the axis after the region row.  At x = L the
+    first wave reads (m11, m21) and the second (m12, m22).
     """
-    ik = 1j * np.asarray(k, dtype=complex)
-    kappa, values, derivs = _march(profile, k, np.ones((2,) + ik.shape), np.array([ik, -ik]))
-    v, d = values[-1], derivs[-1] / ik
-    return kappa, values, derivs, 0.5 * (v + d), 0.5 * (v - d)
+    k = np.asarray(k, dtype=complex)
+    unit = np.eye(2).reshape((2, 2) + (1,) * k.ndim)
+    return _march(profile, k, unit[0], unit[1])
 
 
 def _m22(profile: PotentialProfile, k):
-    """m22(k), vectorized over k != 0: the left-moving amplitude of e^{-ikx} at x = L.
+    """m22(k), vectorized over k != 0: b at x = L of the wave (a, b) = (0, 1) at x = 0.
 
-    The march of ``_plane_waves``' second wave, keeping only the current
-    pair; its m22 is bit-identical.
+    The march of ``_plane_waves``' second wave alone; its m22 is
+    bit-identical.
     """
-    ik = 1j * np.asarray(k, dtype=complex)
-    _, c, p12, p21 = _propagators(profile, k)
-    v, d = 1.0, -ik
-    for c_j, p12_j, p21_j in zip(c, p12, p21):
-        v, d = c_j * v + p12_j * d, p21_j * v + c_j * d
-    return 0.5 * (v - d / ik)
+    return _march(profile, k, 0.0, 1.0)[2][-1]
 
 
 def _transfer_entries(profile: PotentialProfile, k):
@@ -139,46 +116,44 @@ def _transfer_entries(profile: PotentialProfile, k):
     Vectorized over k.  t(k) = 1 / m22, r(k) = -m21 / m22.  Only the tests
     and the benchmark's tracer (perfbench/spans.BINDINGS) call it now.
     """
-    if np.any(np.asarray(k) == 0):
-        raise ZeroWavevectorError("transfer matrix undefined at k = 0")
-    (m11, m12), (m21, m22) = _plane_waves(profile, k)[3:]
+    _, a, b = _plane_waves(profile, k)
+    (m11, m12), (m21, m22) = a[-1], b[-1]
     return m11, m12, m21, m22
 
 
 class _PiecewiseWave:
-    """Wave psi(x) on [0, L] from the (psi, psi') pairs ``_march`` leaves at the segment edges.
+    """Wave a e^{i kappa s} + b e^{-i kappa s}, s = x - x_j in segment j, on [0, L].
 
-    Shared evaluator for scattering states (real E) and resonant states
-    (complex E); cheap closed-form propagation inside each segment.
+    ``kappa``, ``a`` and ``b`` hold one entry per segment: the segment rows
+    of a ``_march``.  Shared evaluator for scattering states (real E) and
+    resonant states (complex E).
     """
 
-    def __init__(self, profile: PotentialProfile, kappa, values, derivs):
+    def __init__(self, profile: PotentialProfile, kappa, a, b):
         self.profile = profile
-        self._kappa = kappa
-        self._values = values
-        self._derivs = derivs
+        self.kappa = kappa
+        self.a = a
+        self.b = b
 
-    def _segment_index(self, x):
+    def _waves(self, x):
+        """(kappa, a e^{i kappa s}, b e^{-i kappa s}) at x, from its segment's amplitudes."""
         edges = self.profile.boundaries
         x = np.asarray(x, dtype=float)
         if np.any(x < edges[0]) or np.any(x > edges[-1]):
             raise ValueError(f"position outside [0, {edges[-1]}] A")
-        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(self._kappa) - 1)
-
-    def _propagate(self, x):
-        """(psi, psi') at x from the pair stored at the left edge of its segment."""
-        idx = self._segment_index(x)
-        s = np.asarray(x, dtype=float) - self.profile.boundaries[idx]
-        c, p12, p21 = _segment_propagator(self._kappa[idx], s)
-        v, d = self._values[idx], self._derivs[idx]
-        return c * v + p12 * d, p21 * v + c * d
+        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(self.kappa) - 1)
+        kappa = self.kappa[idx]
+        grow = np.exp(1j * kappa * (x - edges[idx]))
+        return kappa, self.a[idx] * grow, self.b[idx] / grow
 
     def value(self, x):
-        out = self._propagate(x)[0]
+        _, right, left = self._waves(x)
+        out = right + left
         return complex(out) if out.ndim == 0 else out
 
     def derivative(self, x):
-        out = self._propagate(x)[1]
+        kappa, right, left = self._waves(x)
+        out = 1j * kappa * (right - left)
         return complex(out) if out.ndim == 0 else out
 
 
@@ -207,19 +182,19 @@ def stationary_state(profile: PotentialProfile, energy_ev: float) -> StationaryS
     """Scattering solution at real E > 0.
 
     At E exactly on a segment height a local wavevector vanishes, where the
-    propagator's sin(kappa w)/kappa is 0/0; k is then lowered by 1e-9 of
-    itself, as ``bound_state_energies`` does with q.
+    interfaces divide by it; k is then lowered by 1e-9 of itself, as
+    ``bound_state_energies`` does with q.
     """
     if not energy_ev > 0.0:
         raise ValueError(f"energy must be positive, got {energy_ev}")
     k = profile.constants.wavevector(energy_ev)
     if np.any(k * k == profile.heights / profile.constants.hbar2_over_2m):
         k *= 1.0 - 1e-9
-    kappa, values, derivs, _, (m21, m22) = _plane_waves(profile, complex(k))
-    m21, m22 = complex(m21), complex(m22)
+    kappa, a, b = _plane_waves(profile, complex(k))
+    m21, m22 = complex(b[-1, 0]), complex(b[-1, 1])
     t = 1.0 / m22
     r = -m21 / m22
-    wave = _PiecewiseWave(profile, kappa, values[:, 0] + r * values[:, 1], derivs[:, 0] + r * derivs[:, 1])
+    wave = _PiecewiseWave(profile, kappa[:-1], a[:-1, 0] + r * a[:-1, 1], b[:-1, 0] + r * b[:-1, 1])
     return StationaryState(float(energy_ev), k, t, r, wave)
 
 

@@ -483,6 +483,31 @@ def test_incidence_on_a_pole_below_zero_energy_exits_one(tmp_path, capsys, comma
     assert not out.exists()
 
 
+LONG_ZERO_SEGMENT_CFG = """\
+mass_factor = 0.067
+segment = 94.33 0
+segment = 65.09 0.3
+segment = 94.33 0.3
+segment = 81.60 0.0177
+"""
+
+
+@pytest.mark.parametrize("command, mode", [("evolve", "full"), ("buildup", "single")])
+def test_full_mode_on_a_long_zero_height_segment_exits_zero(tmp_path, command, mode):
+    """Full mode searches its poles again to max(4E, E + 10 Gamma): 2.4 eV here, with 15 poles.
+
+    A (psi, psi') march of m22 was rounding noise on that search's deep
+    edge, so the full-mode evolve exited 2 where buildup exited 0.
+    """
+    cfg = tmp_path / "long_zero.cfg"
+    cfg.write_text(LONG_ZERO_SEGMENT_CFG)
+    out = tmp_path / "out.csv"
+    assert main([command, "--profile", str(cfg), "--resonance", "1", "--auto-max", "--mode", mode,
+                 "--points", "50", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 50 and np.all(np.isfinite(rows))
+
+
 def test_evolve_csv_structure(cfg_paths, tmp_path):
     out = tmp_path / "evolve.csv"
     code = main([

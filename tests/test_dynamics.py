@@ -327,22 +327,25 @@ def test_kernel_log_scale_stays_zero_on_symmetric_poles(
 # ------------------------------------------------ pole sum against kernels
 
 def whole_grid_pole_sum(profile, poles, energy_ev, x, t_fs):
-    """Psi and the last pair's term, every kernel taken directly on the grid."""
+    """Psi with every kernel taken directly on the grid, its terms summed exactly per point.
+
+    ``math.fsum`` adds the real and imaginary parts of the float terms with
+    no rounding of its own, so the reference is off the exact sum of its
+    terms by at most half an ulp, not by the rounding of 2P + 1 additions.
+    """
     constants = profile.constants
     k = constants.wavevector(energy_ev)
     phi = stationary_state(profile, energy_ev).phi(x)
     root_t = np.sqrt(constants.hbar2_over_2m * np.asarray(t_fs) / constants.hbar)
-    psi = phi * _moshinsky_m_grid(-EXP_MINUS_IPI4 * k * root_t) - np.conj(phi) * _moshinsky_m_grid(
-        EXP_MINUS_IPI4 * k * root_t
-    )
-    for state in sorted(poles, key=lambda s: s.eps_ev):
+    terms = [
+        phi * _moshinsky_m_grid(-EXP_MINUS_IPI4 * k * root_t),
+        -np.conj(phi) * _moshinsky_m_grid(EXP_MINUS_IPI4 * k * root_t),
+    ]
+    for state in poles:
         t_n = 2.0 * k * state.u0 * state.u(x) / (k * k - state.k * state.k)
-        term = -1j * (
-            t_n * _moshinsky_m_grid(-EXP_MINUS_IPI4 * state.k * root_t)
-            + np.conj(t_n) * _moshinsky_m_grid(EXP_MINUS_IPI4 * np.conj(state.k) * root_t)
-        )
-        psi = psi + term
-    return psi, term
+        terms.append(-1j * t_n * _moshinsky_m_grid(-EXP_MINUS_IPI4 * state.k * root_t))
+        terms.append(-1j * np.conj(t_n) * _moshinsky_m_grid(EXP_MINUS_IPI4 * np.conj(state.k) * root_t))
+    return np.array([complex(math.fsum(point.real), math.fsum(point.imag)) for point in np.array(terms).T])
 
 
 def quiet_full(profile, poles, energy_ev, x, t_fs):
@@ -355,7 +358,7 @@ def quiet_full(profile, poles, energy_ev, x, t_fs):
 def test_blocked_pole_sum_matches_whole_grid(symmetric_profile, symmetric_poles_8ev, points):
     t_fs = np.geomspace(1e-3, 1e5, points) if points > 1 else np.asarray([3.0])
     sol = quiet_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
-    psi, _last = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
+    psi = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
     assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi))
 
 
@@ -395,7 +398,7 @@ def test_kernel_sees_only_points_below_y_far(monkeypatch, symmetric_profile, sym
     assert largest and max(largest) < Y_FAR
     # r >= Y_NEAR / |c| puts |c r| at Y_NEAR to within rounding
     assert min(smallest) >= (1.0 - 1e-15) * Y_NEAR
-    psi, _last = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
+    psi = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
     assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi))
 
 
@@ -409,7 +412,7 @@ def test_grid_beyond_y_far_never_calls_the_kernel(monkeypatch, asymmetric_profil
     # |y| = |k| sqrt(hbar t / 2m) reaches Y_FAR on the slowest ray at t_min
     t_min = (Y_FAR / slowest) ** 2 * constants.hbar / constants.hbar2_over_2m
     t_fs = np.geomspace(1.001 * t_min, 1e3 * t_min, 4097)
-    psi, _last = whole_grid_pole_sum(asymmetric_profile, asymmetric_poles, energy_ev, 55.0, t_fs)
+    psi = whole_grid_pole_sum(asymmetric_profile, asymmetric_poles, energy_ev, 55.0, t_fs)
     monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", no_kernel)
     sol = quiet_full(asymmetric_profile, asymmetric_poles, energy_ev, 55.0, t_fs)
     assert np.max(np.abs(sol.psi - psi)) <= 1e-14 * np.max(np.abs(psi))
@@ -580,7 +583,7 @@ def test_short_grids_in_the_band_match_whole_grid(symmetric_profile, symmetric_p
     for t_fs in grids:
         t_fs = np.asarray(t_fs)
         sol = quiet_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
-        psi, _last = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
+        psi = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
         assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi)), t_fs
 
 
@@ -683,7 +686,7 @@ def test_moments_of_66_pole_pairs_stay_in_range(symmetric_profile):
     t_fs = np.geomspace(1e-3, 1e5, 4096)
     with np.errstate(over="raise", under="raise", invalid="raise"):
         sol = quiet_full(symmetric_profile, poles, 1e-3, 80.0, t_fs)
-    psi, _last = whole_grid_pole_sum(symmetric_profile, poles, 1e-3, 80.0, t_fs)
+    psi = whole_grid_pole_sum(symmetric_profile, poles, 1e-3, 80.0, t_fs)
     assert np.max(np.abs(sol.psi - psi)) <= 1e-14 * np.max(np.abs(psi))
 
 

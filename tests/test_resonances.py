@@ -1,6 +1,7 @@
 import cmath
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -509,33 +510,120 @@ def test_free_profile_deep_count_needs_no_refinement_past_float64():
     assert find_poles(build_profile([(73.2, 0.0), (98.8, 0.0)]), 1.01) == []
 
 
-def test_contour_refinement_stops_at_steps_float64_cannot_bisect(monkeypatch):
-    """Long zero-height segments make |m22| ~ 1e21 rounding noise on the deep edge: refuse in a few rounds.
+def mpmath_newton_step(profile, k, dps=100):
+    """|m22 / m22'| at k, from a (psi, psi') march with cos/sin propagators in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        c2 = mpmath.mpf(profile.constants.hbar2_over_2m)
 
-    The bisection used to spend its whole 30,720-point budget there, over
-    about 14,500 rounds.
+        def m22(k):
+            v, d = mpmath.mpc(1), -1j * k
+            for width, height in profile.segments:
+                q = mpmath.sqrt(k * k - mpmath.mpf(height) / c2)
+                cos, sin = mpmath.cos(q * width), mpmath.sin(q * width)
+                v, d = cos * v + sin / q * d, -q * sin * v + cos * d
+            return (v - d / (1j * k)) / 2
+
+        k, h = mpmath.mpc(k), mpmath.mpf(10) ** (-dps // 3)
+        return float(abs(m22(k) / ((m22(k + h) - m22(k - h)) / (2 * h))))
+
+
+LONG_ZERO_SEGMENT = [(94.33, 0.0), (65.09, 0.3), (94.33, 0.3), (81.60, 0.0177)]
+ZERO_WELL_ZERO_TAIL = [(49.10, 0.585), (8.0, 0.0), (49.10, 0.585), (92.92, 0.0)]
+
+
+@pytest.mark.parametrize("segments, mass_factor, e_max, n_poles", [
+    (LONG_ZERO_SEGMENT, 0.067, 2.4, 15),
+    (LONG_ZERO_SEGMENT, 0.067, 19.2, 44),
+    (ZERO_WELL_ZERO_TAIL, 0.067, 19.2, 19),
+    ([(73.2, 0.0), (98.8, 0.0)], 0.067, 8.0, 0),
+    ([(73.2, 0.0), (98.8, 0.0)], 0.067, 32.0, 0),
+    ([(92.76, 0.0), (69.49, 0.5), (92.76, 0.0), (53.98, 0.0)], 0.5, 0.5, 0),
+], ids=["long_zero_segment-2.4", "long_zero_segment-19.2", "zero_well_zero_tail-19.2", "free-8", "free-32",
+        "zero_around_one_barrier-0.5"])
+def test_wide_zero_height_segments_keep_the_deep_edge(segments, mass_factor, e_max, n_poles):
+    """Profiles with wide zero-height or low segments list every pole, each a zero of a 100-digit m22.
+
+    A (psi, psi') march cancels by about e^(2 |Im kappa| w) across such a
+    segment, 7e16 over 94.33 A at Im k = -k(2.4 eV): its m22 was rounding
+    noise or exactly 0 on the deep edge, and each of these searches raised
+    "contour refinement exhausted".  The amplitude march has no such
+    cancellation.  One Newton step on m22 in mpmath moves every pole by at
+    most 1e-13 of |k|.
     """
-    profile = build_profile([(92.76, 0.0), (69.49, 0.5), (92.76, 0.0), (53.98, 0.0)], mass_factor=0.5)
-    sizes = counting_m22_sizes(monkeypatch)
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
-        resonances.WindingMismatchError, match="contour refinement exhausted"
-    ):
-        find_poles(profile, 0.5)
-    assert len(sizes) < 100
+    profile = build_profile(segments, mass_factor=mass_factor)
+    poles = find_poles(profile, e_max)
+    assert len(poles) == n_poles
+    for state in poles:
+        assert mpmath_newton_step(profile, state.k) <= 1e-13 * abs(state.k)
+
+
+def test_newton_seed_that_wanders_where_m22_overflows_fails_quietly():
+    """Moment seeds above the axis wander to Im k = -2.5, where |Im k| L > 709: they fail with no numpy warning.
+
+    The other seeds find all 7 poles; the (psi, psi') march never got this
+    far on this profile (its deep edge was rounding noise).
+    """
+    profile = build_profile(
+        [(57.43, 0.5476), (40.8, 0.2472), (43.58, 0.5078), (60.89, 0.0), (83.51, 0.0), (9.83, 0.0)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(find_poles(profile, 1.818)) == 7
+
+
+def test_contour_refinement_stops_at_steps_float64_cannot_bisect(monkeypatch):
+    """An m22 of pure rounding noise is refused in a few rounds, once a wide step is 1e-13 of |k| short.
+
+    The bisection used to spend its whole 30,720-point budget on such noise,
+    over about 14,500 rounds.
+    """
+    draw = np.random.default_rng(3)
+    sizes = []
+
+    def noise(profile, k):
+        sizes.append(np.size(k))
+        return np.exp(2j * np.pi * draw.uniform(size=np.shape(k)))
+
+    monkeypatch.setattr(resonances, "_m22", noise)
+    with pytest.raises(resonances.WindingMismatchError, match="contour refinement exhausted"):
+        find_poles(build_profile(WEAK_BARRIERS), 0.5)
+    budget = 4 * resonances.MAX_REFINEMENTS * resonances.SAMPLES_PER_EDGE
+    assert len(sizes) < 100 and 2 * sum(sizes[1:]) < budget
+
+
+def test_contour_refinement_stops_when_its_budget_is_spent(monkeypatch):
+    """Noise on the cube roots of unity leaves two thirds of all steps wide: the bisection budget runs out first."""
+    draw = np.random.default_rng(3)
+    sizes = []
+
+    def noise(profile, k):
+        sizes.append(np.size(k))
+        return np.exp(2j * np.pi / 3 * draw.integers(3, size=np.shape(k)))
+
+    monkeypatch.setattr(resonances, "_m22", noise)
+    with pytest.raises(resonances.WindingMismatchError, match="contour refinement exhausted"):
+        find_poles(build_profile(WEAK_BARRIERS), 0.5)
+    bisected = sum(sizes[1:])  # every call after the first samples midpoints
+    assert bisected <= 4 * resonances.MAX_REFINEMENTS * resonances.SAMPLES_PER_EDGE < 2 * bisected
 
 
 def test_zero_sample_on_the_contour_is_refused_without_a_warning(monkeypatch):
-    """m22 is exactly 0 at 25 samples of the deep edge to 2.4 eV: refuse at once, with no numpy warning.
+    """m22 exactly 0 at samples of the deep edge: refuse at once, with no numpy warning.
 
     The steps next to a zero sample used to divide by it, and the bisection
     spent its budget on them.
     """
-    profile = build_profile([(94.33, 0.0), (65.09, 0.3), (94.33, 0.3), (81.60, 0.0177)])
-    sizes = counting_m22_sizes(monkeypatch)
+    sizes = []
+
+    def zero_on_the_deep_edge(profile, k):
+        sizes.append(np.size(k))
+        return np.where(k.imag == k.imag.min(), 0.0, 1.0 + 0j)
+
+    monkeypatch.setattr(resonances, "_m22", zero_on_the_deep_edge)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(resonances.WindingMismatchError, match="zero on the contour"):
-            find_poles(profile, 2.4)
+            find_poles(build_profile(LONG_ZERO_SEGMENT), 2.4)
     assert len(sizes) == 1  # the deep edge samples, no refinement round
 
 

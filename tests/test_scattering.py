@@ -107,17 +107,39 @@ def mpmath_march_m22(profile, k, dps=40):
         return complex((v - d / (1j * k)) / 2)
 
 
-@pytest.mark.parametrize("name", ["symmetric", "asymmetric"])
-def test_marched_m22_matches_mpmath(name, request):
-    """The search's m22 is within 1e-11 of a 40-digit march for Re k in [0.02, 3], Im k in [-0.1, 0] (1/A).
+DEEP_EDGE_PROFILES = {
+    "long_zero_segment": [(94.33, 0.0), (65.09, 0.3), (94.33, 0.3), (81.60, 0.0177)],
+    "zero_well_zero_tail": [(49.10, 0.585), (8.0, 0.0), (49.10, 0.585), (92.92, 0.0)],
+    "free": [(73.2, 0.0), (98.8, 0.0)],
+}
 
-    The largest errors of the march lie next to zeros of m22, where
-    |m22| ~ 1e-4.  The transfer matrix marches the same wave in the same
-    order, so its m22 is bit-identical over the whole grid.
+
+@pytest.mark.parametrize("name", ["symmetric", "asymmetric", *DEEP_EDGE_PROFILES])
+def test_marched_m22_matches_mpmath(name, request):
+    """The search's m22 is within 1e-11 of a march in mpmath, and equal to the transfer matrix's m22.
+
+    On the benchmark structures the grid is Re k in [0.02, 3], Im k in
+    [-0.1, 0] (1/A), against 40 digits; the largest errors lie next to
+    zeros of m22, where |m22| ~ 1e-4.  On profiles with wide zero-height
+    segments it is the deep edge of the search to 2.4 eV, Im k = -k(2.4 eV),
+    against 100 digits: a (psi, psi') march in float64 lost every digit
+    there.  Every profile adds k = (1 +- 1e-9) k(V_j) for each height
+    V_j > 0, where kappa_j w_j ~ 1e-4 and the amplitude form loses the most.
+    The transfer matrix and m22 come from one march, so they are
+    bit-identical.
     """
-    profile = request.getfixturevalue(f"{name}_profile")
-    k = (np.linspace(0.02, 3.0, 100)[:, np.newaxis] + 1j * np.linspace(-0.1, 0.0, 11)).ravel()
-    want = np.array([mpmath_march_m22(profile, kk) for kk in k.tolist()])
+    if name in DEEP_EDGE_PROFILES:
+        profile, dps = build_profile(DEEP_EDGE_PROFILES[name]), 100
+        c = profile.constants
+        k_hi = c.wavevector(2.4)
+        k = np.linspace(0.5 * c.wavevector(1e-3), k_hi, 64) - 1j * k_hi
+    else:
+        profile, dps = request.getfixturevalue(f"{name}_profile"), 40
+        k = (np.linspace(0.02, 3.0, 100)[:, np.newaxis] + 1j * np.linspace(-0.1, 0.0, 11)).ravel()
+    heights = np.unique(profile.heights[profile.heights > 0.0])
+    k_heights = np.sqrt(heights / profile.constants.hbar2_over_2m)
+    k = np.concatenate([k, (1.0 - 1e-9) * k_heights, (1.0 + 1e-9) * k_heights])
+    want = np.array([mpmath_march_m22(profile, kk, dps) for kk in k.tolist()])
     got = _m22(profile, k)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
     assert np.array_equal(_transfer_entries(profile, k)[3], got)
