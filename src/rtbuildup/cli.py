@@ -428,24 +428,26 @@ def cmd_poles(args) -> int:
     return 0
 
 
-def cmd_evolve(args) -> int:
-    tau_ref = _tau_grid(args)
+def _solve(args, on_resonance: bool = False):
+    """The selection and its evolution on the tau grid; ``on_resonance`` first refuses a run without --resonance."""
+    if on_resonance and args.resonance is None:
+        raise CliUsageError(f"{args.command} requires --resonance (on-resonance normalization)")
+    tau = _tau_grid(args)
     sel = _select(args)
-    sol = _evolve_selection(sel, tau_ref, args)
-    tau = sol.tau if sol.tau is not None else tau_ref
+    return sel, _evolve_selection(sel, tau, args)
+
+
+def cmd_evolve(args) -> int:
+    _sel, sol = _solve(args)
     psi = sol.psi
     phi_abs2 = np.full(psi.size, abs(sol.phi) ** 2)
-    columns = [sol.t_fs, tau, psi.real, psi.imag, np.abs(psi) ** 2, phi_abs2]
+    columns = [sol.t_fs, sol.tau, psi.real, psi.imag, np.abs(psi) ** 2, phi_abs2]
     _write_csv(args.out, ["t_fs", "tau", "re_psi", "im_psi", "abs2_psi", "abs2_phi"], columns)
     return 0
 
 
 def cmd_buildup(args) -> int:
-    if args.resonance is None:
-        raise CliUsageError("buildup requires --resonance (on-resonance normalization)")
-    tau = _tau_grid(args)
-    sel = _select(args)
-    sol = _evolve_selection(sel, tau, args)
+    sel, sol = _solve(args, on_resonance=True)
     series = normalize_buildup(sol, sel.state)
     law = exponential_law(series.tau) ** 2
     columns = [series.tau, series.ratio_abs, series.ratio_abs2, law]
@@ -454,11 +456,7 @@ def cmd_buildup(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    if args.resonance is None:
-        raise CliUsageError("crossover requires --resonance (on-resonance normalization)")
-    tau = _tau_grid(args)
-    sel = _select(args)
-    sol = _evolve_selection(sel, tau, args)
+    sel, sol = _solve(args, on_resonance=True)
     series = normalize_buildup(sol, sel.state)
     tau_d, ln_delta, _dropped = delta_curve(series)
     slopes = local_slopes(tau_d, ln_delta)

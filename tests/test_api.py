@@ -1,5 +1,6 @@
-"""The public export list, and the names the benchmark's tracer binds in the package."""
+"""The public export list, the names the benchmark's tracer binds in the package, and the oracles' independence."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -27,3 +28,12 @@ def test_every_benchmark_binding_resolves(monkeypatch):
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert missing == []
+
+
+def test_reference_oracles_import_nothing_from_the_package():
+    """``tests/oracles.py`` stays coded apart from rtbuildup: it imports no module of the package."""
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "mpmath" in names
+    assert [name for name in names if name.split(".")[0] == "rtbuildup"] == []

@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
-import warnings
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 
 import rtbuildup.dynamics
 from rtbuildup import (
-    ConvergenceWarning,
     PhysicalConstants,
     buildup_decomposition,
     evolve_full,
@@ -30,9 +28,7 @@ from rtbuildup.scattering import stationary_state
 
 
 def evolve_all_poles(profile, poles, state, x, tau):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        return evolve_full(profile, poles, state.eps_ev, x, tau=tau, reference=state)
+    return evolve_full(profile, poles, state.eps_ev, x, tau=tau, reference=state)
 
 
 def test_grid_validation(symmetric_profile, symmetric_poles):
@@ -311,9 +307,7 @@ def test_kernel_log_scale_stays_zero_on_symmetric_poles(
     monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", recording_kernel)
     t_fs = np.geomspace(1e-3, 1e5, 2000)
     for energy_ev in (0.0378, 0.2, 1.0, 5.0):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            evolve_full(symmetric_profile, symmetric_poles_8ev, energy_ev, 80.0, t_fs=t_fs)
+        evolve_full(symmetric_profile, symmetric_poles_8ev, energy_ev, 80.0, t_fs=t_fs)
     assert len(worst) == 4  # one call per evolve: every node value at once
     assert max(worst) <= BOUND
     # the free term's exp(y_{-k}^2) is taken outside the kernel
@@ -348,16 +342,10 @@ def whole_grid_pole_sum(profile, poles, energy_ev, x, t_fs):
     return np.array([complex(math.fsum(point.real), math.fsum(point.imag)) for point in np.array(terms).T])
 
 
-def quiet_full(profile, poles, energy_ev, x, t_fs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        return evolve_full(profile, poles, energy_ev, x, t_fs=t_fs)
-
-
 @pytest.mark.parametrize("points", [1, 4096, 4097, 12287])
 def test_blocked_pole_sum_matches_whole_grid(symmetric_profile, symmetric_poles_8ev, points):
     t_fs = np.geomspace(1e-3, 1e5, points) if points > 1 else np.asarray([3.0])
-    sol = quiet_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
+    sol = evolve_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs=t_fs)
     psi = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
     assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi))
 
@@ -365,14 +353,14 @@ def test_blocked_pole_sum_matches_whole_grid(symmetric_profile, symmetric_poles_
 def test_full_sum_does_not_depend_on_pole_order(symmetric_profile, symmetric_poles_8ev):
     """The rays are summed in order of |c|, so reversing the poles leaves Psi bit for bit."""
     t_fs = np.geomspace(1e-3, 1e5, 4097)
-    ahead = quiet_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
-    reversed_ = quiet_full(symmetric_profile, symmetric_poles_8ev[::-1], 0.2, 80.0, t_fs)
+    ahead = evolve_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs=t_fs)
+    reversed_ = evolve_full(symmetric_profile, symmetric_poles_8ev[::-1], 0.2, 80.0, t_fs=t_fs)
     assert np.array_equal(ahead.psi, reversed_.psi)
 
 
 def test_evolve_starts_no_thread(symmetric_profile, symmetric_poles):
     before = set(threading.enumerate())
-    quiet_full(symmetric_profile, symmetric_poles, 0.2, 80.0, np.geomspace(1e-2, 1e4, 12287))
+    evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=np.geomspace(1e-2, 1e4, 12287))
     state = symmetric_poles[0]
     evolve_single_resonance(
         symmetric_profile, state, state.eps_ev, 80.0, tau=np.geomspace(0.01, 20.0, 200)
@@ -394,7 +382,7 @@ def test_kernel_sees_only_points_below_y_far(monkeypatch, symmetric_profile, sym
 
     monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", recording_kernel)
     t_fs = np.geomspace(1e-3, 1e5, 12287)
-    sol = quiet_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
+    sol = evolve_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs=t_fs)
     assert largest and max(largest) < Y_FAR
     # r >= Y_NEAR / |c| puts |c r| at Y_NEAR to within rounding
     assert min(smallest) >= (1.0 - 1e-15) * Y_NEAR
@@ -414,7 +402,7 @@ def test_grid_beyond_y_far_never_calls_the_kernel(monkeypatch, asymmetric_profil
     t_fs = np.geomspace(1.001 * t_min, 1e3 * t_min, 4097)
     psi = whole_grid_pole_sum(asymmetric_profile, asymmetric_poles, energy_ev, 55.0, t_fs)
     monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", no_kernel)
-    sol = quiet_full(asymmetric_profile, asymmetric_poles, energy_ev, 55.0, t_fs)
+    sol = evolve_full(asymmetric_profile, asymmetric_poles, energy_ev, 55.0, t_fs=t_fs)
     assert np.max(np.abs(sol.psi - psi)) <= 1e-14 * np.max(np.abs(psi))
 
 
@@ -517,10 +505,10 @@ def test_pole_sum_memory_stays_within_twelve_grid_arrays(symmetric_profile):
     poles = find_poles(symmetric_profile, 1.8)
     assert len(poles) == 8
     t_fs = np.geomspace(0.1, 1e4, 20000)
-    quiet_full(symmetric_profile, poles, 0.2, 80.0, t_fs)  # the lazy wofz import and its caches
+    evolve_full(symmetric_profile, poles, 0.2, 80.0, t_fs=t_fs)  # the lazy wofz import and its caches
     tracemalloc.start()
     try:
-        quiet_full(symmetric_profile, poles, 0.2, 80.0, t_fs)
+        evolve_full(symmetric_profile, poles, 0.2, 80.0, t_fs=t_fs)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -582,7 +570,7 @@ def test_short_grids_in_the_band_match_whole_grid(symmetric_profile, symmetric_p
     assert np.sqrt(constants.hbar2_over_2m * t_edge / constants.hbar) == edge
     for t_fs in grids:
         t_fs = np.asarray(t_fs)
-        sol = quiet_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
+        sol = evolve_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs=t_fs)
         psi = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
         assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi)), t_fs
 
@@ -626,7 +614,7 @@ def test_pole_sum_matches_mpmath_to_32_ev(request, structure):
     poles = find_poles(profile, 32.0)
     assert len(poles) >= 38
     t_fs = np.geomspace(1e-3, 1e3, 4096)
-    sol = quiet_full(profile, poles, 0.2, x, t_fs)
+    sol = evolve_full(profile, poles, 0.2, x, t_fs=t_fs)
     constants = profile.constants
     k = constants.wavevector(0.2)
     r = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
@@ -685,13 +673,13 @@ def test_moments_of_66_pole_pairs_stay_in_range(symmetric_profile):
     assert len(poles) == 66
     t_fs = np.geomspace(1e-3, 1e5, 4096)
     with np.errstate(over="raise", under="raise", invalid="raise"):
-        sol = quiet_full(symmetric_profile, poles, 1e-3, 80.0, t_fs)
+        sol = evolve_full(symmetric_profile, poles, 1e-3, 80.0, t_fs=t_fs)
     psi = whole_grid_pole_sum(symmetric_profile, poles, 1e-3, 80.0, t_fs)
     assert np.max(np.abs(sol.psi - psi)) <= 1e-14 * np.max(np.abs(psi))
 
 
 def _evolve_in_child(profile, poles, t_fs, expected):
-    sol = quiet_full(profile, poles, 0.2, 80.0, t_fs)
+    sol = evolve_full(profile, poles, 0.2, 80.0, t_fs=t_fs)
     if not np.array_equal(sol.psi, expected):
         raise SystemExit(3)
 
@@ -700,7 +688,7 @@ def _evolve_in_child(profile, poles, t_fs, expected):
 def test_forked_child_runs_a_multi_block_evolve(symmetric_profile, symmetric_poles):
     """A child forked after an evolve in the parent runs one of its own to the same values."""
     t_fs = np.geomspace(1e-2, 1e4, 8193)
-    parent = quiet_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs)
+    parent = evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=t_fs)
     child = multiprocessing.get_context("fork").Process(
         target=_evolve_in_child, args=(symmetric_profile, symmetric_poles, t_fs, parent.psi)
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rtbuildup import (
     ZeroWavevectorError,
     bound_state_energies,
@@ -94,19 +95,6 @@ def test_determinant_unity_property(re, im):
     assert abs(m11 * m22 - m12 * m21 - 1.0) < 1e-9 * max(1.0, abs(m22))
 
 
-def mpmath_march_m22(profile, k, dps=40):
-    """m22(k) from (psi, psi') = (1, -ik) marched in mpmath at ``dps`` digits, one segment at a time."""
-    with mpmath.workdps(dps):
-        c2 = mpmath.mpf(profile.constants.hbar2_over_2m)
-        k = mpmath.mpc(k)
-        v, d = mpmath.mpc(1), -1j * k
-        for width, height in profile.segments:
-            q = mpmath.sqrt(k * k - mpmath.mpf(height) / c2)
-            cos, sin = mpmath.cos(q * width), mpmath.sin(q * width)
-            v, d = cos * v + sin / q * d, -q * sin * v + cos * d
-        return complex((v - d / (1j * k)) / 2)
-
-
 DEEP_EDGE_PROFILES = {
     "long_zero_segment": [(94.33, 0.0), (65.09, 0.3), (94.33, 0.3), (81.60, 0.0177)],
     "zero_well_zero_tail": [(49.10, 0.585), (8.0, 0.0), (49.10, 0.585), (92.92, 0.0)],
@@ -139,7 +127,8 @@ def test_marched_m22_matches_mpmath(name, request):
     heights = np.unique(profile.heights[profile.heights > 0.0])
     k_heights = np.sqrt(heights / profile.constants.hbar2_over_2m)
     k = np.concatenate([k, (1.0 - 1e-9) * k_heights, (1.0 + 1e-9) * k_heights])
-    want = np.array([mpmath_march_m22(profile, kk, dps) for kk in k.tolist()])
+    with mpmath.workdps(dps):
+        want = np.array([oracles.m22(profile, kk, mpmath) for kk in k.tolist()], dtype=complex)
     got = _m22(profile, k)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
     assert np.array_equal(_transfer_entries(profile, k)[3], got)
@@ -156,43 +145,6 @@ def test_composition_of_concatenated_profiles():
         assert np.allclose(b @ a, ab, rtol=1e-11, atol=1e-13)
 
 
-def mpmath_scattering(profile, energy_ev, xs, dps=40):
-    """t, r and phi(xs) at the float k of ``energy_ev``, from a march in mpmath at ``dps`` digits.
-
-    Marches e^{+ikx} and e^{-ikx} to x = L for m21 and m22, then phi from
-    (1 + r, ik(1 - r)) at x = 0, and propagates from the left edge of each
-    position's segment.
-    """
-    with mpmath.workdps(dps):
-        c2 = mpmath.mpf(profile.constants.hbar2_over_2m)
-        k = mpmath.mpf(profile.constants.wavevector(energy_ev))
-        ik = mpmath.mpc(0, k)
-        qs = [mpmath.sqrt(mpmath.mpc(k * k - mpmath.mpf(height) / c2)) for _, height in profile.segments]
-
-        def cross(q, w, v, d):
-            cos, sin = mpmath.cos(q * w), mpmath.sin(q * w)
-            return cos * v + sin / q * d, -q * sin * v + cos * d
-
-        def march(v, d):
-            edges = [(v, d)]
-            for (width, _), q in zip(profile.segments, qs):
-                v, d = cross(q, mpmath.mpf(width), v, d)
-                edges.append((v, d))
-            return edges
-
-        (vp, dp), (vm, dm) = march(mpmath.mpc(1), ik)[-1], march(mpmath.mpc(1), -ik)[-1]
-        m21, m22 = (vp - dp / ik) / 2, (vm - dm / ik) / 2
-        t, r = 1 / m22, -m21 / m22
-        edges = march(1 + r, ik * (1 - r))
-        bounds = profile.boundaries
-        phi = []
-        for x in xs.tolist():
-            j = min(int(np.searchsorted(bounds, x, side="right")) - 1, len(qs) - 1)
-            v, d = edges[j]
-            phi.append(complex(cross(qs[j], mpmath.mpf(x) - mpmath.mpf(float(bounds[j])), v, d)[0]))
-        return complex(t), complex(r), np.array(phi)
-
-
 @pytest.mark.parametrize("name", ["symmetric", "asymmetric"])
 def test_one_march_wave_matches_mpmath(name, request):
     """t, r and phi at 23 points over [0, L] within 1e-11 of a 40-digit march.
@@ -204,7 +156,9 @@ def test_one_march_wave_matches_mpmath(name, request):
     xs = np.linspace(0.0, profile.total_length, 23)
     for e in (0.01, 0.0378, 0.1, 0.2, 0.3257, 0.45, 0.9, 2.0):
         state = stationary_state(profile, e)
-        t, r, phi = mpmath_scattering(profile, e, xs)
+        with mpmath.workdps(40):
+            t, r, phi = oracles.scattering(profile, profile.constants.wavevector(e), xs, mpmath)
+        t, r, phi = complex(t), complex(r), np.array(phi, dtype=complex)
         assert abs(state.transmission_amplitude - t) <= 1e-11, e
         assert abs(state.reflection_amplitude - r) <= 1e-11, e
         assert np.max(np.abs(state.phi(xs) - phi)) <= 1e-11 * np.max(np.abs(phi)), e
