@@ -45,7 +45,7 @@ from .resonances import (
     WindingMismatchError,
     find_poles,
 )
-from .scattering import ZeroWavevectorError, stationary_state
+from .scattering import stationary_state
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
@@ -516,7 +516,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (PoleConvergenceError, WindingMismatchError, GamowResidualError,
-            NodePositionError, FitWindowError, NoOnsetError, ZeroWavevectorError) as exc:
+            NodePositionError, FitWindowError, NoOnsetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 

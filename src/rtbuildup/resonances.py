@@ -10,7 +10,7 @@ a rectangle counts the zeros inside it.  The search evaluates m22 with
 e^{-ikx} across the segments: deep in the quadrant, across wide evanescent
 or zero-height segments, it keeps the digits that a (psi, psi') march or a
 product of full transfer matrices loses to cancellation.  Near a segment
-height it loses about eps / |kappa_j w_j| (see ``scattering``).
+height it floors |kappa_j| w_j (see ``scattering``).
 
 ``find_poles`` searches Re k in [k(SCAN_FLOOR_EV)/2, k(e_max)],
 Im k in [-k(e_max), 0), and takes no seed from a transmission scan.  It
@@ -342,8 +342,7 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
             f"profile binds {bound.size} state(s) below E = 0, the lowest at {bound[0]:.6g} eV; "
             "the resonance expansion omits bound states"
         )
-    # pad the rectangle so corners cannot land exactly on a barrier-top
-    # wavevector (kappa = 0 there) or on a pole
+    # pad the rectangle so its corners cannot land exactly on a pole
     k_hi = profile.constants.wavevector(e_max_ev) * (1.0 + 3e-9)
     k_lo = 0.5 * profile.constants.wavevector(SCAN_FLOOR_EV)
     top = (k_hi - k_lo) / SAMPLES_PER_EDGE

@@ -28,9 +28,13 @@ quadrant with no branch-cut bookkeeping.  The price is paid near a segment
 height: as kappa_j w_j -> 0 the two waves of that segment coincide and the
 amplitudes on either side of it cancel, so the relative error grows as
 about eps / |kappa_j w_j|: up to 5e-12 at k = (1 +- 1e-9) k(V_j) on the
-benchmark structures, 1e-10 at (1 +- 1e-12) k(V_j), and 5e-9 in phi at an
-energy one rounding off a height (the asymmetric structure at E = 0.3 eV,
-kappa ~ 1e-8 k).  Only kappa exactly 0 is refused.
+benchmark structures.  ``_march`` therefore marches a segment whose
+|kappa_j| w_j falls below ``_KAPPA_W_FLOOR`` = 6e-6 with kappa_j =
+``_KAPPA_W_FLOOR`` / w_j: as if its height were lower by about
+c2 (6e-6 / w_j)^2, which moves the wave by about (kappa_j w_j)^2 ~ 4e-11,
+the size of the cancellation at the floor (eps^(1/3)).  Every k != 0 is
+marched as it is, on a height or one rounding off it; there phi stays
+within 2e-10 of a 50-digit march on both benchmark structures.
 
 ``_plane_waves`` marches e^{+ikx} and e^{-ikx}, (a, b) = (1, 0) and (0, 1)
 at x = 0, together: their amplitudes at x = L are the columns of the
@@ -49,11 +53,7 @@ import numpy as np
 from .profile import PotentialProfile
 
 
-class ZeroWavevectorError(ArithmeticError):
-    """A local wavevector is exactly zero (E equal to a segment height).
-
-    Measure-zero event; callers perturb k and retry.
-    """
+_KAPPA_W_FLOOR = 6e-6  # about eps^(1/3): where eps / |kappa w| meets (kappa w)^2
 
 
 def _march(profile: PotentialProfile, k, a0, b0):
@@ -72,9 +72,11 @@ def _march(profile: PotentialProfile, k, a0, b0):
     regions = np.empty((heights.size + 2,) + k.shape, dtype=complex)  # k, kappa_0, ..., kappa_{n-1}, k
     regions[:] = k
     lifted = np.flatnonzero(heights)
-    regions[1 + lifted] = np.sqrt(k**2 - (heights[lifted] / c2).reshape((-1,) + (1,) * k.ndim))
-    if not regions.all():
-        raise ZeroWavevectorError("local wavevector is exactly zero; perturb k")
+    rows = (-1,) + (1,) * k.ndim
+    kappa = np.sqrt(k**2 - (heights[lifted] / c2).reshape(rows))
+    floor = (_KAPPA_W_FLOOR / profile.widths[lifted]).reshape(rows)
+    np.copyto(kappa, floor, where=abs(kappa) < floor)
+    regions[1 + lifted] = kappa
     p, q = regions[:-1], regions[1:]
     half = 0.5 / q
     same, cross = (q + p) * half, (q - p) * half
@@ -179,17 +181,12 @@ class StationaryState:
 
 
 def stationary_state(profile: PotentialProfile, energy_ev: float) -> StationaryState:
-    """Scattering solution at real E > 0.
+    """Scattering solution at real 0 < E < inf, with k = ``wavevector(E)``.
 
-    At E exactly on a segment height a local wavevector vanishes, where the
-    interfaces divide by it; k is then lowered by 1e-9 of itself, as
-    ``bound_state_energies`` does with q.
+    On or near a segment height, where a local wavevector vanishes,
+    ``_march`` floors |kappa_j| w_j (see the module docstring).
     """
-    if not energy_ev > 0.0:
-        raise ValueError(f"energy must be positive, got {energy_ev}")
     k = profile.constants.wavevector(energy_ev)
-    if np.any(k * k == profile.heights / profile.constants.hbar2_over_2m):
-        k *= 1.0 - 1e-9
     kappa, a, b = _plane_waves(profile, complex(k))
     m21, m22 = complex(b[-1, 0]), complex(b[-1, 1])
     t = 1.0 / m22
@@ -210,7 +207,8 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
     Its energy -c2 q^2 lies above the lowest segment height, so every sign
     change of m22(iq) on a grid over 0 < q <= sqrt(-min V / c2) is one.  All
     brackets are bisected in lockstep, one ``_m22`` call per round, until
-    each is at most 1e-15 of its lower end wide.
+    each is at most 1e-15 of its lower end wide.  A grid point where some
+    kappa_j = 0 needs no care: ``_march`` floors |kappa_j| w_j.
     """
     c2 = profile.constants.hbar2_over_2m
     q_max = float(np.sqrt(max(-np.min(profile.heights), 0.0) / c2))
@@ -219,8 +217,6 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
     n = max(512, int(64 * q_max * profile.total_length))
     # a geometric head below the uniform grid catches a state bound near E = 0
     q = q_max * np.concatenate([np.geomspace(1e-9, 1.0 / n, 40, endpoint=False), np.arange(1, n + 1) / n])
-    for h in profile.heights:  # keep off kappa = 0, as stationary_state does
-        q[q * q == -h / c2] *= 1.0 - 1e-9
 
     def negative(q):
         return np.signbit(_m22(profile, 1j * q).real)
@@ -272,8 +268,8 @@ def transmission_scan(profile: PotentialProfile, e_min_ev: float, e_max_ev: floa
     the vertex of the parabola through 1/|t|^2 at E[i-1], E[i] and E[i+1],
     a closed form that lies inside (E[i-1], E[i+1]), precise enough to
     seed Newton.  Public, but ``find_poles`` no longer calls it: its seeds
-    come from contour moments.  Where k^2 hits a segment height, k is
-    lowered by 1e-9 of itself, as ``stationary_state`` does.
+    come from contour moments.  A grid point on a segment height needs no
+    care: ``_march`` floors |kappa_j| w_j.
     """
     if not (0.0 < e_min_ev < e_max_ev):
         raise ValueError("need 0 < e_min < e_max")
@@ -281,9 +277,7 @@ def transmission_scan(profile: PotentialProfile, e_min_ev: float, e_max_ev: floa
     n_points = max(64, int(np.ceil((lg_max - lg_min) * POINTS_PER_DECADE)) + 1)
     energies = np.logspace(lg_min, lg_max, n_points)
     c2 = profile.constants.hbar2_over_2m
-    k = np.sqrt(energies / c2)
-    k[np.isin(k * k, profile.heights / c2)] *= 1.0 - 1e-9
-    t2 = 1.0 / np.abs(_m22(profile, k)) ** 2
+    t2 = 1.0 / np.abs(_m22(profile, np.sqrt(energies / c2))) ** 2
 
     i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
     # prominence filter: rounding noise on flat transmission produces

@@ -39,9 +39,9 @@ class PhysicalConstants:
         return HBAR2_OVER_2ME_EV_A2 / self.electron_mass_factor
 
     def wavevector(self, energy_ev: float) -> float:
-        """k in 1/A with E = hbar^2 k^2 / 2m*, for real E > 0."""
-        if energy_ev <= 0.0:
-            raise ValueError(f"energy must be positive, got {energy_ev}")
+        """k in 1/A with E = hbar^2 k^2 / 2m*, for real 0 < E < inf."""
+        if not 0.0 < energy_ev < math.inf:
+            raise ValueError(f"energy must be positive and finite, got {energy_ev}")
         return math.sqrt(energy_ev / self.hbar2_over_2m)
 
     def energy_ev(self, k: complex) -> complex:

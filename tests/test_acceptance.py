@@ -27,7 +27,6 @@ from rtbuildup import (
     ConvergenceWarning,
     build_profile,
     buildup_decomposition,
-    delta_curve,
     detect_onset,
     evolve_full,
     evolve_single_resonance,

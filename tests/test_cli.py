@@ -254,8 +254,7 @@ def test_poles_csv_matches_tables(cfg_paths, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["sym", "asym"])
 def test_poles_at_barrier_top_writes_nothing_to_stderr(cfg_paths, tmp_path, capsys, name):
-    # the default ceiling is the barrier top, a segment height; on the
-    # symmetric structure the last scan point has kappa exactly 0 there
+    # the default ceiling is the barrier top, a segment height
     assert main(["poles", "--profile", cfg_paths[name], "--out", str(tmp_path / "p.csv")]) == 0
     assert capsys.readouterr().err == ""
 
@@ -542,7 +541,7 @@ def test_evolve_off_resonance_forces_full_mode(cfg_paths, tmp_path, capsys):
 
 def test_evolve_energy_on_segment_height_finishes(cfg_paths, tmp_path):
     # E equals the barrier height, where a local wavevector is exactly zero;
-    # stationary_state lowers k by 1e-9 of itself and the run completes
+    # the march floors |kappa w| there, k is not nudged, and the run completes
     out = tmp_path / "zero_k.csv"
     code = main([
         "evolve", "--profile", cfg_paths["sym"], "--energy-ev", "0.5",

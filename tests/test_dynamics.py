@@ -17,7 +17,6 @@ from rtbuildup import (
     buildup_decomposition,
     evolve_full,
     evolve_single_resonance,
-    exponential_law,
     fit_envelope_exponent,
     find_poles,
     stationary_wave,

@@ -188,6 +188,15 @@ def test_one_term_phi_matches_transient_factor_identity(symmetric_poles):
     assert 1j * t_n == one_term_phi(s, s.eps_ev, x)
 
 
+@pytest.mark.parametrize("energy", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_non_finite_or_non_positive_energy_is_refused(symmetric_poles, energy):
+    s = symmetric_poles[0]
+    for call in (s.profile.constants.wavevector, lambda e: one_term_phi(s, e, 80.0),
+                 lambda e: stationary_state(s.profile, e)):
+        with pytest.raises(ValueError, match="energy must be positive and finite"):
+            call(energy)
+
+
 def test_pole_recovery_above_barrier(symmetric_profile):
     """Broad poles above the barrier top are found even without scan peaks."""
     poles = find_poles(symmetric_profile, 1.0)

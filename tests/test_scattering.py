@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import oracles
 from rtbuildup import (
-    ZeroWavevectorError,
     bound_state_energies,
     build_profile,
     stationary_state,
@@ -51,19 +50,16 @@ def test_single_barrier_against_closed_form():
         )
 
 
-def test_transfer_matrix_rejects_zero_momentum():
-    p = build_profile([(30.0, 0.5)])
-    with pytest.raises(ZeroWavevectorError):
-        _transfer_entries(p, 0j)
-
-
 def test_zero_local_wavevector_signalled():
+    """At kappa exactly 0 m22 is finite and within 1e-10 of a 50-digit march next to it."""
     # binary-exact choice: hbar^2/2m = 2.0, height 0.125 eV, k = 0.25 1/A
     # make kappa^2 = k^2 - V/(hbar^2/2m) = 0.0625 - 0.0625 vanish exactly
     p = build_profile([(30.0, 0.125)], mass_factor=3.80998 / 2.0)
     assert p.constants.hbar2_over_2m == 2.0
-    with pytest.raises(ZeroWavevectorError):
-        _transfer_entries(p, 0.25 + 0j)
+    got = complex(_m22(p, 0.25 + 0j))
+    with mpmath.workdps(50):  # the oracle's sin(kappa s) / kappa needs kappa != 0
+        want = complex(oracles.m22(p, 0.25 * (1.0 + 1e-12), mpmath))
+    assert np.isfinite(got) and abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_unitarity_on_energy_grid(symmetric_profile):
@@ -336,19 +332,45 @@ def on_segment_height(c2, height):
 
 
 def test_stationary_state_on_segment_height(symmetric_profile):
-    """At E = barrier height k moves down by 1e-9 of itself; phi stays finite and continuous."""
-    e = on_segment_height(symmetric_profile.constants.hbar2_over_2m, 0.5)
-    state = stationary_state(symmetric_profile, e)
-    k = symmetric_profile.constants.wavevector(e)
-    assert state.k == k * (1.0 - 1e-9) and state.energy_ev == e
-    xs = np.linspace(0.0, 160.0, 9)
-    near = stationary_state(symmetric_profile, e * (1.0 + 1e-7)).phi(xs)
-    assert np.all(np.isfinite(state.phi(xs)))
-    np.testing.assert_allclose(state.phi(xs), near, rtol=1e-5)
+    """At E = barrier height k is not nudged; t, r and phi match a 50-digit march."""
+    p = symmetric_profile
+    e = on_segment_height(p.constants.hbar2_over_2m, 0.5)
+    state = stationary_state(p, e)
+    k = p.constants.wavevector(e)
+    assert state.k == k and state.energy_ev == e
+    xs = np.linspace(0.0, p.total_length, 23)
+    with mpmath.workdps(50):
+        t, r, phi = oracles.scattering(p, k, xs, mpmath)
+    phi = np.array(phi, dtype=complex)
+    assert abs(state.transmission_amplitude - complex(t)) <= 5e-10
+    assert abs(state.reflection_amplitude - complex(r)) <= 5e-10
+    assert np.max(np.abs(state.phi(xs) - phi)) <= 5e-10 * np.max(np.abs(phi))
+
+
+@pytest.mark.parametrize("name, height", [("symmetric", 0.5), ("asymmetric", 0.3)])
+def test_phi_on_and_near_a_segment_height_matches_mpmath(name, height, request):
+    """t and phi within 5e-10 of a 50-digit march on a barrier top and up to 1e-10 off it.
+
+    The energies are the height V itself (on the symmetric structure k^2
+    equals V / c2 exactly; on the asymmetric one it misses by one rounding)
+    and V (1 +- 1e-13), V (1 +- 1e-12) and V (1 +- 1e-10); phi is compared
+    at 23 points relative to its largest modulus, t absolutely.  Each leaves
+    kappa at or near 0, where the amplitude march cancels as eps / |kappa w|.
+    """
+    profile = request.getfixturevalue(f"{name}_profile")
+    c = profile.constants
+    xs = np.linspace(0.0, profile.total_length, 23)
+    for e in (height * (1.0 + d) for d in (0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e-10, -1e-10)):
+        state = stationary_state(profile, e)
+        with mpmath.workdps(50):
+            t, _, phi = oracles.scattering(profile, c.wavevector(e), xs, mpmath)
+        phi = np.array(phi, dtype=complex)
+        assert abs(state.transmission_amplitude - complex(t)) <= 5e-10, e
+        assert np.max(np.abs(state.phi(xs) - phi)) <= 5e-10 * np.max(np.abs(phi)), e
 
 
 def test_transmission_scan_ending_on_a_barrier_height(symmetric_profile):
-    """The log grid to 0.5 eV ends exactly on the barrier height, where k is lowered as in stationary_state."""
+    """The log grid to 0.5 eV ends exactly on the barrier height, where kappa = 0 is marched at its floor."""
     c2 = symmetric_profile.constants.hbar2_over_2m
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -449,6 +471,17 @@ def test_lockstep_bisection_matches_brent(segments, monkeypatch):
     np.testing.assert_allclose(energies, oracle, rtol=1e-13, atol=0.0)
     assert len(calls) <= 60  # one grid call, then one call per bisection round
     assert all(n <= len(energies) for n in calls[1:])
+
+
+def test_bound_states_with_a_grid_point_on_kappa_zero():
+    """The q grid ends on q_max, where the well's kappa is exactly 0; all five states are found."""
+    segments = [(40.0, 0.5), (60.0, -0.125), (40.0, 0.5)]
+    profile = build_profile(segments, mass_factor=3.80998 / 2.0)
+    assert profile.constants.hbar2_over_2m == 2.0 and 0.25**2 == 0.125 / 2.0
+    energies = bound_state_energies(profile)
+    oracle = box_eigenvalues_below_zero(segments, mass_factor=3.80998 / 2.0)
+    assert len(energies) == len(oracle) == 5
+    np.testing.assert_allclose(energies, oracle, atol=2e-5)
 
 
 def test_bound_state_energies_empty_without_negative_heights():
