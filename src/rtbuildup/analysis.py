@@ -60,7 +60,6 @@ class BuildupSeries:
     ratio_abs: np.ndarray = field(repr=False)
     ratio_abs2: np.ndarray = field(repr=False)
     delta: np.ndarray = field(repr=False)
-    r_ratio: float
 
     @cached_property
     def _delta_curve(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -99,7 +98,6 @@ def normalize_buildup(solution: TransientSolution, state: ResonantState) -> Buil
         ratio_abs=ratio,
         ratio_abs2=ratio**2,
         delta=np.abs(1.0 - ratio),
-        r_ratio=state.r_ratio,
     )
 
 

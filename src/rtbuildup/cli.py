@@ -20,7 +20,6 @@ import functools
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -506,12 +505,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_out(args.out)
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always")
-            code = args.func(args)
-        for w in captured:
-            print(f"warning: {w.message}", file=sys.stderr)
-        return code
+        return args.func(args)
     except (CliUsageError, ProfileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

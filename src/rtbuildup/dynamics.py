@@ -76,7 +76,6 @@ class ConvergenceWarning(UserWarning):
 class TransientSolution:
     """Psi(x, k; t) sampled on a time grid at fixed position."""
 
-    profile: PotentialProfile = field(repr=False)
     energy_ev: float
     x: float
     t_fs: np.ndarray = field(repr=False)
@@ -255,8 +254,6 @@ class _Rays:
 
 
 def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference):
-    if not 0.0 < energy_ev < math.inf:
-        raise ValueError(f"energy must be positive and finite, got {energy_ev}")
     if not 0.0 <= x <= profile.total_length:
         raise ValueError(f"position {x} outside [0, {profile.total_length}] A")
     tau, t_fs = _resolve_grid(reference, tau, t_fs)
@@ -276,7 +273,7 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference):
     root_t = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
     psi = np.zeros(t_fs.size, dtype=complex)
     _Rays(c, w, root_t).add_to(psi, root_t)
-    return TransientSolution(profile, float(energy_ev), float(x), t_fs, tau, psi, phi, mode, reference)
+    return TransientSolution(float(energy_ev), float(x), t_fs, tau, psi, phi, mode, reference)
 
 
 def evolve_single_resonance(

@@ -59,14 +59,3 @@ def build_profile(
     segs = tuple((float(w), float(h)) for w, h in segments)
     return PotentialProfile(segs, PhysicalConstants(electron_mass_factor=mass_factor))
 
-
-def potential_at(profile: PotentialProfile, x: float) -> float:
-    """Height of the segment containing x; 0 outside [0, L].
-
-    At an interior boundary the height of the segment to the right is
-    returned (arbitrary convention, documented for determinism).
-    """
-    idx = int(np.searchsorted(profile.boundaries, x, side="right")) - 1
-    if idx < 0 or idx >= len(profile.segments):
-        return 0.0
-    return profile.segments[idx][1]

@@ -273,9 +273,6 @@ class ResonantState:
         """Normalized Gamow eigenfunction at x in [0, L]."""
         return self._wave.value(x)
 
-    def u_derivative(self, x):
-        return self._wave.derivative(x)
-
 
 def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
     """Normalized Gamow eigenfunctions for verified pole momenta, all in one march.
@@ -347,7 +344,7 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
     k_lo = 0.5 * profile.constants.wavevector(SCAN_FLOOR_EV)
     top = (k_hi - k_lo) / SAMPLES_PER_EDGE
     deep = ((k_lo, k_hi), (-k_hi, top))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused just below
         [samples] = _edge_samples(profile, [deep])
     if not np.all(np.isfinite(samples[1])):
         raise ValueError(f"m22 overflows on the search contour at the ceiling {e_max_ev:g} eV")

@@ -137,25 +137,15 @@ class _PiecewiseWave:
         self.a = a
         self.b = b
 
-    def _waves(self, x):
-        """(kappa, a e^{i kappa s}, b e^{-i kappa s}) at x, from its segment's amplitudes."""
+    def value(self, x):
+        """a e^{i kappa s} + b e^{-i kappa s} at x, from its segment's amplitudes."""
         edges = self.profile.boundaries
         x = np.asarray(x, dtype=float)
         if np.any(x < edges[0]) or np.any(x > edges[-1]):
             raise ValueError(f"position outside [0, {edges[-1]}] A")
         idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(self.kappa) - 1)
-        kappa = self.kappa[idx]
-        grow = np.exp(1j * kappa * (x - edges[idx]))
-        return kappa, self.a[idx] * grow, self.b[idx] / grow
-
-    def value(self, x):
-        _, right, left = self._waves(x)
-        out = right + left
-        return complex(out) if out.ndim == 0 else out
-
-    def derivative(self, x):
-        kappa, right, left = self._waves(x)
-        out = 1j * kappa * (right - left)
+        grow = np.exp(1j * self.kappa[idx] * (x - edges[idx]))
+        out = self.a[idx] * grow + self.b[idx] / grow
         return complex(out) if out.ndim == 0 else out
 
 
@@ -175,9 +165,6 @@ class StationaryState:
     def phi(self, x):
         """phi(x, k) for x in [0, L]; accepts scalars or arrays."""
         return self._wave.value(x)
-
-    def phi_derivative(self, x):
-        return self._wave.derivative(x)
 
 
 def stationary_state(profile: PotentialProfile, energy_ev: float) -> StationaryState:
@@ -271,8 +258,8 @@ def transmission_scan(profile: PotentialProfile, e_min_ev: float, e_max_ev: floa
     come from contour moments.  A grid point on a segment height needs no
     care: ``_march`` floors |kappa_j| w_j.
     """
-    if not (0.0 < e_min_ev < e_max_ev):
-        raise ValueError("need 0 < e_min < e_max")
+    if not 0.0 < e_min_ev < e_max_ev < np.inf:
+        raise ValueError("need 0 < e_min < e_max < inf")
     lg_min, lg_max = np.log10(e_min_ev), np.log10(e_max_ev)  # their ratio can overflow
     n_points = max(64, int(np.ceil((lg_max - lg_min) * POINTS_PER_DECADE)) + 1)
     energies = np.logspace(lg_min, lg_max, n_points)

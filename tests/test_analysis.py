@@ -24,14 +24,13 @@ from rtbuildup import (
 )
 
 
-def synthetic_series(tau, ratio, r_ratio=300.0):
+def synthetic_series(tau, ratio):
     ratio = np.asarray(ratio, dtype=float)
     return BuildupSeries(
         tau=np.asarray(tau, dtype=float),
         ratio_abs=ratio,
         ratio_abs2=ratio**2,
         delta=np.abs(1.0 - ratio),
-        r_ratio=r_ratio,
     )
 
 
@@ -68,7 +67,6 @@ def test_normalize_buildup_conversion(symmetric_profile, symmetric_poles):
     )
     series = normalize_buildup(sol, st)
     assert series.tau[0] == 1.0  # t = hbar/Gamma_1 is exactly one lifetime
-    assert series.r_ratio == st.r_ratio
     assert np.all(series.ratio_abs2 >= 0.0)
     assert np.all(series.delta >= 0.0)
 
@@ -332,7 +330,7 @@ def test_onset_on_synthetic_crossover():
     tau = np.linspace(0.3, 50.0, 120001)
     remainder = amplitude * np.cos(r_ratio * tau) / np.sqrt(r_ratio * tau)
     ratio = 1.0 - np.exp(-0.5 * tau) + remainder
-    report = detect_onset(synthetic_series(tau, ratio, r_ratio=r_ratio))
+    report = detect_onset(synthetic_series(tau, ratio))
     # independent oracle: solve exp(-tau/2) = amplitude / sqrt(R tau)
     balance = brentq(
         lambda t: np.exp(-0.5 * t) - amplitude / np.sqrt(r_ratio * t), 1.0, 40.0

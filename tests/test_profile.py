@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtbuildup import ProfileError, build_profile, potential_at
+from rtbuildup import ProfileError, build_profile, stationary_state
 
 
 def test_total_length_symmetric():
@@ -19,7 +18,7 @@ def test_total_length_asymmetric():
 def test_single_well_segment():
     p = build_profile([(10, -0.1)])
     assert p.total_length == 10.0
-    assert potential_at(p, 5.0) == -0.1
+    assert p.heights.tolist() == [-0.1]
 
 
 def test_rejects_nonpositive_width():
@@ -57,24 +56,6 @@ def test_rejects_non_finite_segment_numbers(segment, message):
         build_profile([(30.0, 0.5), segment])
 
 
-@pytest.mark.parametrize(
-    "x,expected",
-    [(80.0, 0.0), (-5.0, 0.0), (15.0, 0.5), (0.0, 0.5), (30.0, 0.0), (160.0, 0.0), (1e6, 0.0)],
-)
-def test_potential_at_points(x, expected):
-    p = build_profile([(30, 0.5), (100, 0.0), (30, 0.5)])
-    assert potential_at(p, x) == expected
-
-
-def test_potential_at_midpoints_round_trip():
-    segs = [(12.5, 0.3), (47.0, -0.2), (8.0, 1.1), (20.0, 0.0)]
-    p = build_profile(segs)
-    x = 0.0
-    for width, height in segs:
-        assert potential_at(p, x + width / 2) == height
-        x += width
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     segs=st.lists(
@@ -89,14 +70,22 @@ def test_potential_at_midpoints_round_trip():
     index=st.integers(min_value=0, max_value=5),
 )
 def test_segment_split_invariance(segs, split_frac, index):
-    """Splitting a segment into two of equal height changes nothing observable."""
+    """Splitting a segment into two of equal height leaves t and r unchanged.
+
+    t is compared to 1e-13 of itself, and r to 1e-13 of the unit incident
+    flux, since |r| <= 1 and vanishes on a resonance (random draws read up
+    to 2.3e-14 for both).  The energies avoid the heights the strategy
+    favours (0, +-0.5, +-1): on a height the kappa w floor would differ
+    between the two halves.
+    """
     index = index % len(segs)
     width, height = segs[index]
     split = segs[:index] + [(width * split_frac, height), (width * (1 - split_frac), height)] + segs[index + 1 :]
     p0 = build_profile(segs)
     p1 = build_profile(split)
     assert p1.total_length == pytest.approx(p0.total_length, rel=1e-12)
-    for x in np.linspace(-1.0, p0.total_length + 1.0, 97):
-        if any(abs(x - b) < 1e-9 for b in np.concatenate([p0.boundaries, p1.boundaries])):
-            continue  # boundary convention is measure-zero by design
-        assert potential_at(p1, x) == potential_at(p0, x)
+    for energy in (0.01, 0.2, 0.7, 2.0):
+        s0, s1 = stationary_state(p0, energy), stationary_state(p1, energy)
+        t0, r0 = s0.transmission_amplitude, s0.reflection_amplitude
+        assert abs(s1.transmission_amplitude - t0) <= 1e-13 * abs(t0)
+        assert abs(s1.reflection_amplitude - r0) <= 1e-13

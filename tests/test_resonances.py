@@ -103,12 +103,13 @@ def test_winding_count_matches_poles(symmetric_profile, symmetric_poles):
 
 
 def test_gamow_boundary_conditions(symmetric_poles):
-    eps = 1e-7
+    """u'(0) = -ik u(0) and u'(L) = ik u(L), u' from second-order one-sided differences."""
+    h = 1e-3
     for s in symmetric_poles:
-        du0 = s.u_derivative(eps)
+        du0 = (-3.0 * s.u(0.0) + 4.0 * s.u(h) - s.u(2.0 * h)) / (2.0 * h)
         assert abs(du0 + 1j * s.k * s.u0) / (abs(s.k) * abs(s.u0)) < 1e-6
         length = s.profile.total_length
-        dul = s.u_derivative(length - eps)
+        dul = (3.0 * s.u(length) - 4.0 * s.u(length - h) + s.u(length - 2.0 * h)) / (2.0 * h)
         assert abs(dul - 1j * s.k * s.u_end) / (abs(s.k) * abs(s.u_end)) < 1e-6
 
 
@@ -341,6 +342,43 @@ def test_strips_reach_ceilings_the_deep_moments_could_not(name, e_max, n_poles, 
     poles = find_poles(profile, e_max)
     assert len(poles) == lifted_count(profile, e_max) == n_poles
     assert all(-resonances._STRIP_DEPTH <= s.k.imag < 0.0 for s in poles)
+
+
+def test_poles_below_the_strip_band_are_recovered_from_the_deep_rectangle(monkeypatch):
+    """Weak barriers to 100 eV: the strips find one pole, the rectangle below them the other 14.
+
+    The rest of the count lies below Im k = -0.1, the lowest at -0.205; that
+    rectangle's Newton divides out the strips' pole.  Each pole is a zero of
+    a 40-digit m22 to 1e-13 of |k|.
+    """
+    profile = build_profile([(10.0, 0.1), (20.0, 0.0), (10.0, 0.1)])
+    calls = []
+    recover = resonances._recover_poles
+
+    def recording(profile, rects, samples, dlogs=None, known=()):
+        calls.append((rects, len(known)))
+        return recover(profile, rects, samples, dlogs, known)
+
+    monkeypatch.setattr(resonances, "_recover_poles", recording)
+    poles = find_poles(profile, 100.0)
+    assert len(poles) == lifted_count(profile, 100.0) == 15
+    (strips, known_to_strips), ((below,), known_below) = calls
+    assert (len(strips), known_to_strips, known_below) == (2, 0, 1)
+    assert below[1][1] == -resonances._STRIP_DEPTH  # the rectangle's top is the band's floor
+    assert sum(s.k.imag < -resonances._STRIP_DEPTH for s in poles) == 14
+    assert min(s.k.imag for s in poles) == pytest.approx(-0.205, abs=1e-3)
+    with mpmath.workdps(40):
+        for state in poles:
+            assert oracles.newton_step(profile, state.k, 1e-20, mpmath) <= 1e-13 * abs(state.k)
+
+
+@pytest.mark.parametrize("e_max", [1e300, 1e308])
+def test_overflowing_ceiling_is_refused_without_a_warning(symmetric_profile, e_max):
+    """At these ceilings a phase e^(i kappa w) underflows to 0 and the march divides by it: refused, unwarned."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="m22 overflows on the search contour"):
+            find_poles(symmetric_profile, e_max)
 
 
 def test_pole_search_transfer_matrix_budget(symmetric_profile, monkeypatch):

@@ -192,12 +192,15 @@ def test_wave_satisfies_schroedinger_equation(symmetric_profile):
 
 
 def test_wave_continuity_at_boundaries(symmetric_profile):
+    """phi and phi' are continuous at every interface, phi' from second-order one-sided differences."""
     s = stationary_state(symmetric_profile, 0.15)
-    eps = 1e-9
+    eps, h = 1e-9, 1e-3
     for b in symmetric_profile.boundaries[1:-1]:
         left, right = s.phi(b - eps), s.phi(b + eps)
         assert abs(left - right) / abs(right) < 1e-8
-        dl, dr = s.phi_derivative(b - eps), s.phi_derivative(b + eps)
+        at = s.phi(b)
+        dl = (3.0 * at - 4.0 * s.phi(b - h) + s.phi(b - 2.0 * h)) / (2.0 * h)
+        dr = (-3.0 * at + 4.0 * s.phi(b + h) - s.phi(b + 2.0 * h)) / (2.0 * h)
         assert abs(dl - dr) / abs(dr) < 1e-7
 
 
@@ -246,6 +249,9 @@ def test_transmission_scan_rejects_bad_range(symmetric_profile):
         transmission_scan(symmetric_profile, 0.0, 0.4)
     with pytest.raises(ValueError):
         transmission_scan(symmetric_profile, 0.4, 0.1)
+    for e_min, e_max in ((1e-3, math.inf), (1e-3, math.nan), (math.nan, 0.4)):
+        with pytest.raises(ValueError, match="need 0 < e_min < e_max < inf"):
+            transmission_scan(symmetric_profile, e_min, e_max)  # inf used to overflow the grid size
 
 
 def scalar_refined_peaks(profile, scan):
