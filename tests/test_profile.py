@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtbuildup import ProfileError, build_profile, stationary_state
+from rtbuildup.scattering import _KAPPA_W_FLOOR
 
 
 def test_total_length_symmetric():
@@ -56,6 +58,15 @@ def test_rejects_non_finite_segment_numbers(segment, message):
         build_profile([(30.0, 0.5), segment])
 
 
+def march_growth(state):
+    """G: the product of the norms of the interface and phase matrices the march of ``state`` multiplies."""
+    kappa = state._wave.kappa  # as marched, the kappa w floor included
+    regions = np.concatenate([[state.k], kappa, [state.k]])
+    p, q = regions[:-1], regions[1:]
+    interfaces = np.prod((abs(q + p) + abs(q - p)) / (2 * abs(q)))
+    return interfaces * np.exp(np.sum(abs(kappa.imag) * state._wave.profile.widths))
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     segs=st.lists(
@@ -69,14 +80,21 @@ def test_rejects_non_finite_segment_numbers(segment, message):
     split_frac=st.floats(min_value=0.1, max_value=0.9),
     index=st.integers(min_value=0, max_value=5),
 )
+@example(segs=[(42.0, 0.7421875), (34.9375, 0.0), (32.0, 0.796875)], split_frac=0.5, index=0)  # G = 8.3e3 at 0.2 eV
+@example(segs=[(0.5, 0.2)], split_frac=0.5, index=0)  # on the height at 0.2 eV
 def test_segment_split_invariance(segs, split_frac, index):
     """Splitting a segment into two of equal height leaves t and r unchanged.
 
-    t is compared to 1e-13 of itself, and r to 1e-13 of the unit incident
-    flux, since |r| <= 1 and vanishes on a resonance (random draws read up
-    to 2.3e-14 for both).  The energies avoid the heights the strategy
-    favours (0, +-0.5, +-1): on a height the kappa w floor would differ
-    between the two halves.
+    Both marches round, and near a sharp resonance t and r are ill-conditioned:
+    m22 = 1/t is what is left of terms as large as the product G of the norms
+    of the march's interface and phase matrices, so rounding moves t by about
+    eps G |t|^2 and r by about eps G |t|.  t is compared to 1e-13 G |t|^2 and
+    r to 1e-13 G |t|; as G |t| >= 1 this is 1e-13 of |t| and of the unit
+    incident flux where nothing cancels.  Random draws read at most 13 eps
+    G |t|^2 and 5 eps G |t|, while a single unsplit march already misses a
+    40-digit t by 1.1e-13 of itself where G = 8.3e3.  An energy on the split
+    segment's height is skipped: there the kappa w floor differs between the
+    two halves (kappa = floor / w), so the two profiles march different waves.
     """
     index = index % len(segs)
     width, height = segs[index]
@@ -86,6 +104,9 @@ def test_segment_split_invariance(segs, split_frac, index):
     assert p1.total_length == pytest.approx(p0.total_length, rel=1e-12)
     for energy in (0.01, 0.2, 0.7, 2.0):
         s0, s1 = stationary_state(p0, energy), stationary_state(p1, energy)
+        if abs(s0._wave.kappa[index]) * width <= _KAPPA_W_FLOOR * (1 + 1e-12):
+            continue
         t0, r0 = s0.transmission_amplitude, s0.reflection_amplitude
-        assert abs(s1.transmission_amplitude - t0) <= 1e-13 * abs(t0)
-        assert abs(s1.reflection_amplitude - r0) <= 1e-13
+        bound = 1e-13 * march_growth(s0) * abs(t0)
+        assert abs(s1.transmission_amplitude - t0) <= bound * abs(t0)
+        assert abs(s1.reflection_amplitude - r0) <= bound
