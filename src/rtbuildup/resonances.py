@@ -293,7 +293,7 @@ def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
     outside = ~((ks.real > 0.0) & (ks.imag < 0.0))
     if outside.any():
         raise GamowResidualError(f"pole must lie in the fourth quadrant, got {complex(ks[outside][0])}")
-    kappa, a, b = _march(profile, ks, 0.0, 1.0)
+    kappa, a, b = _march(profile, ks)
     u = a + b  # u at the left edge of every segment and at x = L
     residual = 2.0 * np.abs(b[-1]) / np.max(np.abs(u), axis=0)
     if np.any(residual > BC_TOL):

@@ -31,18 +31,18 @@ about eps / |kappa_j w_j|: up to 5e-12 at k = (1 +- 1e-9) k(V_j) on the
 benchmark structures.  ``_march`` therefore marches a segment whose
 |kappa_j| w_j falls below ``_KAPPA_W_FLOOR`` = 6e-6 with kappa_j =
 ``_KAPPA_W_FLOOR`` / w_j: as if its height were lower by about
-c2 (6e-6 / w_j)^2, which moves the wave by about (kappa_j w_j)^2 ~ 4e-11,
-the size of the cancellation at the floor (eps^(1/3)).  Every k != 0 is
-marched as it is, on a height or one rounding off it; there phi stays
-within 2e-10 of a 50-digit march on both benchmark structures.
+c2 (6e-6 / w_j)^2.  That moves t by about (6e-6)^2 / (w_j k), not by
+(kappa_j w_j)^2: on a single (0.5 A, 0.2 eV) barrier at 0.2 eV, t and r are
+6.1e-10 off a 40-digit march (ROADMAP item 14 replaces the floor).  Every
+k != 0 is marched as it is, on a height or one rounding off it; there phi
+stays within 2e-10 of a 50-digit march on both benchmark structures.
 
-``_plane_waves`` marches e^{+ikx} and e^{-ikx}, (a, b) = (1, 0) and (0, 1)
-at x = 0, together: their amplitudes at x = L are the columns of the
-transfer matrix, and the scattering state phi is the first wave plus r
-times the second.  ``_m22`` is b at x = L of the second wave alone; the
-pole search, ``bound_state_energies`` and ``transmission_scan`` evaluate
-m22 with it.  Each peak the transmission scan reports is the closed-form
-vertex of a parabola through three grid points.
+Every march carries one wave, e^{-ikx} left of x = 0: (a, b) = (0, 1).
+``_m22`` is its b at x = L; the pole search, ``bound_state_energies`` and
+``transmission_scan`` evaluate m22 with it.  ``stationary_state`` marches
+it on the mirrored profile, from the transmitted side.  Each peak the
+transmission scan reports is the closed-form vertex of a parabola through
+three grid points.
 """
 
 from __future__ import annotations
@@ -56,13 +56,12 @@ from .profile import PotentialProfile
 _KAPPA_W_FLOOR = 6e-6  # about eps^(1/3): where eps / |kappa w| meets (kappa w)^2
 
 
-def _march(profile: PotentialProfile, k, a0, b0):
-    """(kappa, a, b): the amplitudes (a0, b0) of e^{+-ikx} left of x = 0 marched across the segments.
+def _march(profile: PotentialProfile, k):
+    """(kappa, a, b): the wave e^{-ikx} left of x = 0, (a, b) = (0, 1), marched across the segments.
 
-    Vectorized over k, with ``a0`` and ``b0`` of its shape, or with leading
-    axes of their own that every row keeps.  Row j of kappa, a and b is
-    segment j, with a and b at its left edge; the last row is the region
-    right of L, where kappa = k and a, b multiply e^{+-ik(x-L)}.  Each
+    Vectorized over k.  Row j of kappa, a and b is segment j, with a and b
+    at its left edge; the last row is the region right of L, where kappa = k
+    and a, b multiply e^{+-ik(x-L)}, so there a = m12 and b = m22.  Each
     interface's (q +- p) / 2q is taken for all of them at once; each
     segment's phases multiply its amplitudes in the loop.
     """
@@ -80,7 +79,7 @@ def _march(profile: PotentialProfile, k, a0, b0):
     p, q = regions[:-1], regions[1:]
     half = 0.5 / q
     same, cross = (q + p) * half, (q - p) * half
-    a, b = same[0] * a0 + cross[0] * b0, cross[0] * a0 + same[0] * b0  # x = 0: no phase yet
+    a, b = cross[0], same[0]  # x = 0: no phase yet
     rows_a, rows_b = [a], [b]
     for kappa, iw, c11, c12 in zip(regions[1:-1], 1j * profile.widths, same[1:], cross[1:]):
         grow = np.exp(iw * kappa)  # e^{i kappa w} across the segment
@@ -91,36 +90,24 @@ def _march(profile: PotentialProfile, k, a0, b0):
     return regions[1:], np.array(rows_a), np.array(rows_b)
 
 
-def _plane_waves(profile: PotentialProfile, k):
-    """(kappa, a, b): e^{+ikx} and e^{-ikx} marched from x = 0 together.
-
-    One ``_march`` of (a, b) = (1, 0) and (0, 1), vectorized over k; a and
-    b keep the two waves on the axis after the region row.  At x = L the
-    first wave reads (m11, m21) and the second (m12, m22).
-    """
-    k = np.asarray(k, dtype=complex)
-    unit = np.eye(2).reshape((2, 2) + (1,) * k.ndim)
-    return _march(profile, k, unit[0], unit[1])
-
-
 def _m22(profile: PotentialProfile, k):
-    """m22(k), vectorized over k != 0: b at x = L of the wave (a, b) = (0, 1) at x = 0.
-
-    The march of ``_plane_waves``' second wave alone; its m22 is
-    bit-identical.
-    """
-    return _march(profile, k, 0.0, 1.0)[2][-1]
+    """m22(k), vectorized over k != 0: b at x = L of ``_march``."""
+    return _march(profile, k)[2][-1]
 
 
 def _transfer_entries(profile: PotentialProfile, k):
-    """Entries (m11, m12, m21, m22) of the amplitude transfer matrix from ``_plane_waves``.
+    """Entries (m11, m12, m21, m22) of the amplitude transfer matrix, from one ``_march`` at k and k*.
 
-    Vectorized over k.  t(k) = 1 / m22, r(k) = -m21 / m22.  Only the tests
-    and the benchmark's tracer (perfbench/spans.BINDINGS) call it now.
+    Vectorized over k.  t(k) = 1 / m22, r(k) = -m21 / m22.  The march at k
+    gives the second column (m12, m22); for a real potential the conjugate
+    of the e^{+ikx} wave is the e^{-ik*x} wave, so m11(k) = conj m22(k*) and
+    m21(k) = conj m12(k*).  Only the tests and the benchmark's tracer
+    (perfbench/spans.BINDINGS) call it now.
     """
-    _, a, b = _plane_waves(profile, k)
-    (m11, m12), (m21, m22) = a[-1], b[-1]
-    return m11, m12, m21, m22
+    k = np.asarray(k, dtype=complex)
+    _, a, b = _march(profile, np.stack([k, k.conj()]))
+    (m12, m21_conj), (m22, m11_conj) = a[-1], b[-1]
+    return m11_conj.conj(), m12, m21_conj.conj(), m22
 
 
 class _PiecewiseWave:
@@ -141,7 +128,7 @@ class _PiecewiseWave:
         """a e^{i kappa s} + b e^{-i kappa s} at x, from its segment's amplitudes."""
         edges = self.profile.boundaries
         x = np.asarray(x, dtype=float)
-        if np.any(x < edges[0]) or np.any(x > edges[-1]):
+        if not np.all((x >= edges[0]) & (x <= edges[-1])):  # NaN fails both
             raise ValueError(f"position outside [0, {edges[-1]}] A")
         idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(self.kappa) - 1)
         grow = np.exp(1j * self.kappa[idx] * (x - edges[idx]))
@@ -168,18 +155,25 @@ class StationaryState:
 
 
 def stationary_state(profile: PotentialProfile, energy_ev: float) -> StationaryState:
-    """Scattering solution at real 0 < E < inf, with k = ``wavevector(E)``.
+    """Scattering solution at real 0 < E < inf, with k = ``wavevector(E)``, from one ``_march``.
 
-    On or near a segment height, where a local wavevector vanishes,
-    ``_march`` floors |kappa_j| w_j (see the module docstring).
+    In the mirrored profile, x' = L - x, the transmitted wave t e^{ik(x-L)}
+    is t e^{-ikx'}: t times the wave of ``_march``, which reads (a', b') =
+    (r/t, 1/t) at x' = L.  Segment j is the mirror's segment n-1-j, whose
+    amplitudes t (a', b') sit at x_{j+1}; at x_j they are
+    A = t b' / e^{i kappa w} and B = t a' e^{i kappa w}.  The march follows
+    the physical wave as it grows through every barrier, so nothing cancels
+    in phi.  Near a segment height ``_march`` floors |kappa_j| w_j (see the
+    module docstring).
     """
     k = profile.constants.wavevector(energy_ev)
-    kappa, a, b = _plane_waves(profile, complex(k))
-    m21, m22 = complex(b[-1, 0]), complex(b[-1, 1])
-    t = 1.0 / m22
-    r = -m21 / m22
-    wave = _PiecewiseWave(profile, kappa[:-1], a[:-1, 0] + r * a[:-1, 1], b[:-1, 0] + r * b[:-1, 1])
-    return StationaryState(float(energy_ev), k, t, r, wave)
+    mirror = PotentialProfile(profile.segments[::-1], profile.constants)
+    kappa, a, b = _march(mirror, complex(k))
+    t = 1.0 / complex(b[-1])
+    kappa = kappa[-2::-1]
+    grow = np.exp(1j * profile.widths * kappa)
+    wave = _PiecewiseWave(profile, kappa, t * b[-2::-1] / grow, t * a[-2::-1] * grow)
+    return StationaryState(float(energy_ev), k, t, t * complex(a[-1]), wave)
 
 
 def stationary_wave(profile: PotentialProfile, energy_ev: float, x) -> complex:
