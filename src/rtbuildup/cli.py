@@ -133,14 +133,16 @@ _E = np.arange(33, -12, -1)
 _EXPONENT = np.frombuffer(b"".join(b"e%+03d,\0\0\0" % e for e in _E.tolist()), dtype=np.uint64)
 _SCIENTIFIC = 16  # layouts 0-15 are fixed notation with exponent -4 ... 11
 _LAYOUT = 125 * np.where((-4 <= _E) & (_E < 12), _E + 4, _SCIENTIFIC)
-_TZ_WEIGHT = np.array([25, 5, 1])  # the three groups' trailing zeros as a base-5 number
+_NEGATIVE = 125 * (_SCIENTIFIC + 1)  # the rows of a negative value follow those of a positive one
+_ALL_BYTES = np.uint64(2**64 - 1)
 
 
 def _keep_masks() -> np.ndarray:
-    """Keep mask of each layout and the groups' trailing zeros (z0, z1, z2), as five words.
+    """Keep mask of each sign, layout and the groups' trailing zeros (z0, z1, z2), as five words.
 
-    Row 125 layout + 25 z0 + 5 z1 + z2; the mask depends on the zeros only
-    through the last nonzero digit.
+    Row 125 layout + 25 z0 + 5 z1 + z2, plus ``_NEGATIVE`` for a negative
+    value; the mask depends on the zeros only through the last nonzero
+    digit.  Word 0 is the lead word already masked: its sign and "0.000".
     """
     layout = np.arange(_SCIENTIFIC + 1)[:, None, None]
     last = np.arange(12)[None, :, None]
@@ -161,7 +163,10 @@ def _keep_masks() -> np.ndarray:
     masks = np.where(keep, 0xFF, 0).astype(np.uint8).view(np.uint64)  # by layout and last digit
     z0, z1, z2 = np.indices((5, 5, 5)).reshape(3, -1)
     zeros = np.minimum(z2 + (z2 == 4) * (z1 + (z1 == 4) * z0), 11)  # 12 only for a zero mantissa
-    return masks[:, 11 - zeros].reshape(-1, 5)
+    masks = masks[:, 11 - zeros].reshape(-1, 5)
+    masks = np.concatenate([masks, masks])
+    masks[:, 0] &= np.repeat(_LEAD, _NEGATIVE)
+    return masks
 
 
 _KEEP = _keep_masks()
@@ -185,11 +190,12 @@ def _csv_rows(table: np.ndarray) -> bytes:
     np.floor(groups, out=groups)
     groups[1:] -= 1e4 * groups[:-1]
     groups = groups.astype(np.intp)
+    zeros = _TRAILING_ZEROS[groups]
     cells = np.empty((v.size, 5), dtype=np.uint64)
-    cells[:, 0] = _LEAD[(v < 0).astype(np.intp)]
+    cells[:, 0] = _ALL_BYTES  # the keep row holds the lead word
     cells[:, 1:4] = _DIGIT_PAIRS[groups].T
     cells[:, 4] = _EXPONENT[i]
-    cells &= np.take(_KEEP, _LAYOUT[i] + _TZ_WEIGHT @ _TRAILING_ZEROS[groups], axis=0)
+    cells &= np.take(_KEEP, _LAYOUT[i] + (25 * zeros[0] + 5 * zeros[1] + zeros[2]) + _NEGATIVE * (v < 0), axis=0)
     text = cells.view(np.uint8).reshape(-1, 40)
     slow = (~fast).nonzero()[0]
     if slow.size:

@@ -38,7 +38,11 @@ loop also runs on the deep rectangle below the band.  Each pass of the loop
 2. takes its seeds from the roots of the polynomial whose power sums are
    the contour moments s_p = (1/2 pi i) contour z^p dlog g, p = 1..missing,
    of the centred, scaled momentum z (Delves & Lyness), by Newton's
-   identities;
+   identities.  The moments are taken by parts, from L = log g unwrapped
+   along the contour, by composite Simpson on each edge's uniform samples;
+   a second-order rule leaves the seeds of a deep contour about one pole
+   spacing off, this fourth-order one in their poles' basins.  The points
+   step 1 inserts only unwrap L;
 3. refines every seed in lockstep Newton on m22 with every pole found so
    far divided out, one m22 call per round however many seeds there are,
    and keeps the new poles inside the rectangle.
@@ -85,6 +89,24 @@ SAMPLES_PER_EDGE = 128
 MAX_REFINEMENTS = 60  # bisection budget per edge, in multiples of SAMPLES_PER_EDGE
 _STRIP_POLES = 8  # most poles the moments take from one contour
 _STRIP_DEPTH = 0.1  # depth of the shallow band the strips cover, in 1/A
+
+
+def _simpson_rows() -> np.ndarray:
+    """Row e: composite Simpson's 1, 4, 2, ..., 4, 1 on edge e's samples of a ring, over 3 SAMPLES_PER_EDGE.
+
+    The ring is ``_edge_samples``': 4 SAMPLES_PER_EDGE + 1 points, edge e
+    from point e SAMPLES_PER_EDGE to point (e + 1) SAMPLES_PER_EDGE.
+    """
+    n = SAMPLES_PER_EDGE
+    edge = np.where(np.arange(n + 1) % 2, 4.0, 2.0) / (3 * n)
+    edge[[0, -1]] /= 2.0
+    rows = np.zeros((4, 4 * n + 1))
+    for e in range(4):
+        rows[e, e * n : (e + 1) * n + 1] = edge
+    return rows
+
+
+_SIMPSON = _simpson_rows()
 
 
 class PoleConvergenceError(RuntimeError):
@@ -158,11 +180,12 @@ def refine_pole(profile: PotentialProfile, k_seed: complex) -> complex:
     return complex(k[0])
 
 
-def _edge_samples(profile: PotentialProfile, rects) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(k, m22(k)) once around each rectangle ((re_lo, re_hi), (im_lo, im_hi)), all in one ``_m22`` call.
+def _edge_samples(profile: PotentialProfile, rects) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(k, m22(k), grid) once around each rectangle ((re_lo, re_hi), (im_lo, im_hi)), all in one ``_m22`` call.
 
     ``SAMPLES_PER_EDGE`` per edge counterclockwise from (re_lo, im_lo), then
-    that corner again.
+    that corner again; ``grid`` holds the positions of these uniform samples
+    among the points ``_contour_steps`` inserts later.
     """
     ts = np.arange(SAMPLES_PER_EDGE) / SAMPLES_PER_EDGE
     rings = []
@@ -171,21 +194,23 @@ def _edge_samples(profile: PotentialProfile, rects) -> list[tuple[np.ndarray, np
         b = np.roll(a, -1)
         rings.append(np.append(a[:, np.newaxis] + (b - a)[:, np.newaxis] * ts, a[0]))
     k = np.array(rings)
-    return list(zip(k, _m22(profile, k)))
+    grid = np.arange(k.shape[1])
+    return [(ring, m22, grid) for ring, m22 in zip(k, _m22(profile, k))]
 
 
 def _contour_steps(
-    profile: PotentialProfile, samples: tuple[np.ndarray, np.ndarray], known=()
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Steps of log g along a closed contour sampled as (k, m22), g(k) = m22(k) / prod_j (k - k_j).
+    profile: PotentialProfile, samples: tuple[np.ndarray, np.ndarray, np.ndarray], known=()
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Steps of log g along a closed contour sampled as (k, m22, grid), g(k) = m22(k) / prod_j (k - k_j).
 
     Every step whose phase change of g exceeds pi/2 is bisected, all of them
     in one batch per round, until the continuous argument along the contour
-    is pinned; m22 is evaluated only at the new points.  Returns the refined
-    samples, which a later pass with more poles divided out starts from, and
-    the increments log(g_{i+1} / g_i).
+    is pinned; m22 is evaluated only at the new points, and ``grid`` follows
+    the uniform samples' positions.  Returns the refined samples, which a
+    later pass with more poles divided out starts from, and the increments
+    log(g_{i+1} / g_i).
     """
-    k, m22 = samples
+    k, m22, grid = samples
     known = np.asarray(known, dtype=complex)
 
     def deflated(k, m22):
@@ -203,7 +228,7 @@ def _contour_steps(
         wide = np.flatnonzero(ratio.real < 0.0)  # |arg ratio| > pi/2
         if wide.size == 0:
             # log|ratio| + i arg(ratio) is np.log(ratio) in a fifth of its time
-            return (k, m22), np.log(np.abs(ratio)) + 1j * np.angle(ratio)
+            return (k, m22, grid), np.log(np.abs(ratio)) + 1j * np.angle(ratio)
         budget -= wide.size
         # float64 cannot bisect a step this short: rounding noise, or a zero on the contour
         short = np.abs(k[wide + 1] - k[wide]) < 1e-13 * np.abs(k[wide])
@@ -214,6 +239,7 @@ def _contour_steps(
         k = np.insert(k, wide + 1, mid)
         m22 = np.insert(m22, wide + 1, m22_mid)
         vals = np.insert(vals, wide + 1, deflated(mid, m22_mid))
+        grid = grid + np.searchsorted(wide, grid)  # each sample moves past the points inserted before it
 
 
 def _zero_count(dlog: np.ndarray) -> int:
@@ -400,7 +426,7 @@ def _recover_poles(profile: PotentialProfile, rects, samples, dlogs=None, known=
             if missing[i] < 0:
                 raise mismatch(i)
             if missing[i]:
-                seeds.append(_moment_roots(rects[i], samples[i][0], dlogs[i], missing[i]))
+                seeds.append(_moment_roots(rects[i], samples[i], dlogs[i], missing[i]))
             dlogs[i] = None
         pending = [i for i in pending if missing[i]]
         if not pending:
@@ -420,22 +446,29 @@ def _recover_poles(profile: PotentialProfile, rects, samples, dlogs=None, known=
         pending = [i for i in pending if missing[i]]
 
 
-def _moment_roots(rect, k_contour: np.ndarray, dlog: np.ndarray, missing: int) -> np.ndarray:
+def _moment_roots(rect, samples, dlog: np.ndarray, missing: int) -> np.ndarray:
     """One seed per missing zero: the roots of the polynomial whose power sums are the contour moments.
 
     The moments s_p = (1/2 pi i) contour z^p dlog g, p = 1..missing, are
-    taken in the centred, scaled momentum z of the rectangle, and the monic
-    polynomial's coefficients follow from Newton's identities.
+    taken in the centred, scaled momentum z of the rectangle, by parts:
+    s_p = (z_0^p L_end - p contour L z^(p-1) dz) / 2 pi i, with L = log g
+    unwrapped along the contour from L = 0 at its start z_0 to
+    L_end = 2 pi i missing.  Each edge's integral is composite Simpson on
+    its uniform samples, fourth order; the points ``_contour_steps``
+    inserted only unwrap L.  The monic polynomial's coefficients follow
+    from Newton's identities.
     """
     (re_lo, re_hi), (im_lo, im_hi) = rect
     center = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
     scale = 0.5 * max(re_hi - re_lo, im_hi - im_lo)
-    z = (0.5 * (k_contour[1:] + k_contour[:-1]) - center) / scale
-    terms = dlog / (2j * np.pi)
-    sums = [complex(terms.sum())]
-    for _ in range(missing):
+    k, _, grid = samples
+    z = (k[grid] - center) / scale
+    log_g = np.concatenate(([0.0], np.cumsum(dlog)))[grid]
+    terms = np.diff(z[::SAMPLES_PER_EDGE]) @ _SIMPSON * log_g  # Simpson's dz of each sample, times L
+    sums = [None]  # s_p at index p
+    for p in range(1, missing + 1):
+        sums.append((z[0] ** p * log_g[-1] - p * terms.sum()) / (2j * np.pi))
         terms = terms * z
-        sums.append(complex(terms.sum()))
     coeffs = [1.0]
     for p in range(1, missing + 1):
         coeffs.append(-sum(coeffs[i] * sums[p - i] for i in range(p)) / p)

@@ -47,7 +47,9 @@ three grid points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .profile import PotentialProfile
@@ -56,33 +58,51 @@ from .profile import PotentialProfile
 _KAPPA_W_FLOOR = 6e-6  # about eps^(1/3): where eps / |kappa w| meets (kappa w)^2
 
 
+@functools.lru_cache(maxsize=64)
+def _march_constants(profile: PotentialProfile):
+    """(rows, kappa offsets, floors, i w): what ``_march`` needs of a profile, computed once per profile.
+
+    ``rows`` are the lifted segments' rows of the regions (segment j is row
+    j + 1), with their heights / c2 and ``_KAPPA_W_FLOOR`` / w; i w is
+    1j times every segment's width.
+    """
+    lifted = np.flatnonzero(profile.heights)
+    constants = (
+        1 + lifted,
+        profile.heights[lifted] / profile.constants.hbar2_over_2m,
+        _KAPPA_W_FLOOR / profile.widths[lifted],
+        1j * profile.widths,
+    )
+    for value in constants:  # shared by every later call
+        value.flags.writeable = False
+    return constants
+
+
 def _march(profile: PotentialProfile, k):
     """(kappa, a, b): the wave e^{-ikx} left of x = 0, (a, b) = (0, 1), marched across the segments.
 
     Vectorized over k.  Row j of kappa, a and b is segment j, with a and b
     at its left edge; the last row is the region right of L, where kappa = k
     and a, b multiply e^{+-ik(x-L)}, so there a = m12 and b = m22.  Each
-    interface's (q +- p) / 2q is taken for all of them at once; each
-    segment's phases multiply its amplitudes in the loop.
+    interface's (q +- p) / 2q and each segment's phase e^{i kappa w} are
+    taken for all of them at once; the loop only carries the amplitudes.
     """
-    c2 = profile.constants.hbar2_over_2m
     k = np.asarray(k, dtype=complex)
-    heights = profile.heights
-    regions = np.empty((heights.size + 2,) + k.shape, dtype=complex)  # k, kappa_0, ..., kappa_{n-1}, k
+    rows, offsets, floor, iw = _march_constants(profile)
+    shape = (-1,) + (1,) * k.ndim
+    regions = np.empty((profile.heights.size + 2,) + k.shape, dtype=complex)  # k, kappa_0, ..., kappa_{n-1}, k
     regions[:] = k
-    lifted = np.flatnonzero(heights)
-    rows = (-1,) + (1,) * k.ndim
-    kappa = np.sqrt(k**2 - (heights[lifted] / c2).reshape(rows))
-    floor = (_KAPPA_W_FLOOR / profile.widths[lifted]).reshape(rows)
+    kappa = np.sqrt(k**2 - offsets.reshape(shape))
+    floor = floor.reshape(shape)
     np.copyto(kappa, floor, where=abs(kappa) < floor)
-    regions[1 + lifted] = kappa
+    regions[rows] = kappa
     p, q = regions[:-1], regions[1:]
     half = 0.5 / q
     same, cross = (q + p) * half, (q - p) * half
+    grows = np.exp(iw.reshape(shape) * regions[1:-1])  # e^{i kappa w} across each segment
     a, b = cross[0], same[0]  # x = 0: no phase yet
     rows_a, rows_b = [a], [b]
-    for kappa, iw, c11, c12 in zip(regions[1:-1], 1j * profile.widths, same[1:], cross[1:]):
-        grow = np.exp(iw * kappa)  # e^{i kappa w} across the segment
+    for grow, c11, c12 in zip(grows, same[1:], cross[1:]):
         a, b = a * grow, b / grow
         a, b = c11 * a + c12 * b, c12 * a + c11 * b
         rows_a.append(a)

@@ -130,6 +130,57 @@ def test_marched_m22_matches_mpmath(name, request):
     assert np.array_equal(_transfer_entries(profile, k)[3], got)
 
 
+def march_segment_by_segment(profile, k):
+    """Reference ``_march`` for an array of k: every kappa, coefficient and phase taken one segment at a time."""
+    c2 = profile.constants.hbar2_over_2m
+    k = np.asarray(k, dtype=complex)
+    regions = [k]
+    for width, height in profile.segments:
+        kappa = k
+        if height != 0.0:
+            kappa = np.sqrt(k**2 - height / c2)
+            floor = scattering._KAPPA_W_FLOOR / width
+            kappa = np.where(abs(kappa) < floor, floor, kappa)
+        regions.append(kappa)
+    regions.append(k)
+    rows_a, rows_b = [], []
+    for j, (p, q) in enumerate(zip(regions[:-1], regions[1:])):
+        c11, c12 = (q + p) * (0.5 / q), (q - p) * (0.5 / q)
+        if j == 0:
+            a, b = c12, c11
+        else:
+            grow = np.exp(1j * profile.segments[j - 1][0] * p)
+            a, b = a * grow, b / grow
+            a, b = c11 * a + c12 * b, c12 * a + c11 * b
+        rows_a.append(a)
+        rows_b.append(b)
+    return np.array(regions[1:]), np.array(rows_a), np.array(rows_b)
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [
+        [(30.0, 0.5), (100.0, 0.0), (30.0, 0.5)],
+        [(30.0, 0.3), (50.0, 0.0), (100.0, 0.3)],
+        [(0.5, 0.2), (20.0, 0.0), (15.0, 0.45), (25.0, -0.1), (94.33, 0.0)],
+    ],
+)
+def test_march_is_bit_identical_to_the_segment_by_segment_loop(segments):
+    """``_march`` takes every segment's kappa and phase in one batch; each number equals the loop's.
+
+    The momenta are arrays, as in the pole search: a grid deep in the fourth
+    quadrant, and k on every height and one part in 1e-9 either side, where
+    the floor on |kappa_j| w_j applies.
+    """
+    profile = build_profile(segments)
+    heights = profile.heights[profile.heights > 0.0]
+    on_height = np.sqrt(heights / profile.constants.hbar2_over_2m) * np.array([[1.0], [1.0 - 1e-9], [1.0 + 1e-9]])
+    grid = np.linspace(0.01, 0.4, 40)[:, np.newaxis] - 1j * np.linspace(0.0, 0.3, 7)
+    for k in (on_height, grid):
+        for got, want in zip(scattering._march(profile, k), march_segment_by_segment(profile, k)):
+            assert np.array_equal(got, want)
+
+
 def test_composition_of_concatenated_profiles():
     left = [(20.0, 0.3), (40.0, 0.0)]
     right = [(15.0, 0.45), (25.0, -0.1)]
