@@ -35,7 +35,12 @@ the end of the grid.  ``wofz`` runs only at the nodes, in one call per
 evolution, so an added pole pair costs a few multiply-adds per grid point
 rather than a Faddeeva evaluation at each of its band points.  The sum
 runs in one pass over the whole grid in the calling thread, with the rays
-in order of |c|, so Psi does not depend on the order of the poles.
+in order of |c|, so Psi does not depend on the order of the poles.  A
+reflected ray's exp(y^2) depends on neither x nor E, only on its c and the
+grid: an evolve on the grid of the one before keeps its tables, up to
+``_KEPT_ARRAYS`` complex grid arrays of them, and the next evolve on that
+grid reuses every table whose ray recurs, which leaves Psi bit for bit the
+same (see ``evolve_full``).
 """
 
 from __future__ import annotations
@@ -129,6 +134,15 @@ _BASIS_COLUMNS = 2048
 _EDGE_RTOL = 8 * np.finfo(float).eps
 """Band edges closer than this, relative, are one edge: both rays of a pair share |c| up to rounding."""
 
+_KEPT_ARRAYS = 7
+"""The exp(y^2) tables kept between evolves hold at most this many complex grid arrays in all: the
+12 arrays an evolve may peak at, in ``test_pole_sum_memory_stays_within_twelve_grid_arrays``, less
+the 4.6 it peaks at on its own."""
+
+_kept_exp: tuple[np.ndarray, dict] = (np.empty(0), {})
+"""(r, {(c, a, b): exp((c r[a:b])^2)}) of the last evolve, read-only tables; read and replaced
+as one tuple, so that concurrent evolves never pair one grid with another grid's tables."""
+
 
 class _Rays:
     """sum_i w_i M(c_i r) over an ascending grid of r >= 0, every ray on one branch.
@@ -220,13 +234,29 @@ class _Rays:
                 out[a:b] += _horner(self.near[m].tolist(), r[a:b].astype(complex))
         # a reflected ray adds its exp(y^2) from its near edge to past Y_FAR
         start, stop = np.searchsorted(r, self.exp_from).tolist(), np.searchsorted(r, self.exp_to).tolist()
-        for c, w, a, b in zip(self.exp_c, self.exp_w, start, stop):
-            if a < b:
-                y = c * r[a:b]
-                y *= y
-                np.exp(y, out=y)
-                np.multiply(w, y, out=y)  # w * y; `y *= w` rounds differently at some points
-                out[a:b] += y
+        reflected = [((c, a, b), w) for c, w, a, b in zip(self.exp_c, self.exp_w, start, stop) if a < b]
+        # its exp(y^2) depends on (c, a, b) and the grid alone: keep the tables of an evolve on
+        # the grid of the one before, within the cap, and drop the rest before making any
+        global _kept_exp
+        grid, kept = _kept_exp
+        repeat = np.array_equal(grid, r)
+        kept = {key: kept[key] for key, _ in reflected if key in kept} if repeat else {}
+        store = repeat and sum(b - a for (_, a, b), _ in reflected) <= _KEPT_ARRAYS * r.size
+        _kept_exp = (grid if repeat else r.copy(), dict(kept) if store else {})
+        for key, w in reflected:
+            c, a, b = key
+            table = kept.get(key)
+            if table is None:
+                table = c * r[a:b]
+                table *= table
+                np.exp(table, out=table)
+                if store:
+                    table.flags.writeable = False
+                    kept[key] = table
+            # w * table, in place unless kept; `table * w` rounds differently at some points
+            out[a:b] += np.multiply(w, table, out=table if table.flags.writeable else None)
+        if store:
+            _kept_exp = (grid, kept)
         # in order of falling |c|, points [hi[m], hi[m + 1]) are far for rays 0..m
         far = hi[::-1]
         for m, (a, b) in enumerate(zip(far, far[1:] + [r.size])):
@@ -314,6 +344,15 @@ def evolve_full(
     its truncation error falls only as t^(-1/2) at late times.  A tau grid
     is in lifetimes of ``reference``, by default the pole nearest in
     energy to the incidence.
+
+    Every evolve keeps a copy of its grid r = sqrt(hbar t / 2m).  One whose
+    grid equals the last evolve's, point for point, also keeps its
+    reflected rays' exp(y^2) tables, read-only, unless together they would
+    exceed ``_KEPT_ARRAYS`` = 7 complex grid arrays (about 5.4 for 8 pole
+    pairs, none from 18 on); it first drops the kept tables it does not
+    reuse.  So a sweep over (E, x) on one structure and one grid computes
+    each pole's exp(y^2) once, and a one-off evolve, such as one CLI run,
+    keeps only the grid.  Kept or not, Psi is bit for bit the same.
     """
     if not poles:
         raise ValueError("pole list must be non-empty")

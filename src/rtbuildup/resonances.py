@@ -118,7 +118,7 @@ class WindingMismatchError(RuntimeError):
 
 
 class GamowResidualError(RuntimeError):
-    """Outgoing-boundary residual too large: the momentum is not a pole."""
+    """Outgoing-boundary residual too large, so the momentum is not a pole, or a normalization not finite."""
 
 
 class BoundStateError(ValueError):
@@ -312,8 +312,10 @@ def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
     u(L)).  The normalization integral of u^2 is exact: inside a segment
     u = A e^{i kappa s} + B e^{-i kappa s}, with A and B the marched
     amplitudes, so u^2 integrates to A^2 expm1(2i kappa w)/(2i kappa)
-    - B^2 expm1(-2i kappa w)/(2i kappa) + 2ABw.  Each state keeps its own
-    column of the marched amplitudes.
+    - B^2 expm1(-2i kappa w)/(2i kappa) + 2ABw; where it or its inverse
+    square root is not finite, as on a 1e-200 A segment, that is a
+    ``GamowResidualError`` too.  Each state keeps its own column of the
+    marched amplitudes.
     """
     ks = np.asarray(ks, dtype=complex).ravel()
     outside = ~((ks.real > 0.0) & (ks.imag < 0.0))
@@ -330,10 +332,16 @@ def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
     kappa, a, b = kappa[:-1], a[:-1], b[:-1]
     ik = 1j * kappa
     width = profile.widths[:, np.newaxis]
-    parts = (a * a * np.expm1(2.0 * ik * width) - b * b * np.expm1(-2.0 * ik * width)) / (2.0 * ik)
-    norm_sq = np.sum(parts + 2.0 * a * b * width, axis=0)
-    norm_sq += 1j * (1.0 + u[-1] * u[-1]) / (2.0 * ks)  # u(0) = 1 before scaling
-    scale = 1.0 / np.sqrt(norm_sq)
+    with np.errstate(all="ignore"):  # refused just below
+        parts = (a * a * np.expm1(2.0 * ik * width) - b * b * np.expm1(-2.0 * ik * width)) / (2.0 * ik)
+        norm_sq = np.sum(parts + 2.0 * a * b * width, axis=0)
+        norm_sq += 1j * (1.0 + u[-1] * u[-1]) / (2.0 * ks)  # u(0) = 1 before scaling
+        scale = 1.0 / np.sqrt(norm_sq)
+    finite = np.isfinite(norm_sq) & np.isfinite(scale)
+    if not finite.all():
+        raise GamowResidualError(
+            f"normalization of the state at k = {complex(ks[~finite][0]):.6g} is not finite"
+        )
     u_end, a, b = u[-1] * scale, a * scale, b * scale
     return [
         ResonantState(

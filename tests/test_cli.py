@@ -482,6 +482,21 @@ def test_incidence_on_a_pole_below_zero_energy_exits_one(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("poles", []),
+    ("evolve", ["--resonance", "1", "--x-angstrom", "40"]),
+])
+def test_gamow_normalization_that_is_not_finite_exits_two(tmp_path, capsys, command, argv):
+    """Not NaN rows and exit 0: numpy's warnings were the only sign of the overflow."""
+    cfg = tmp_path / "sub_ulp.cfg"
+    cfg.write_text("mass_factor = 0.067\nsegment = 1e-200 0.3\nsegment = 50 0\nsegment = 30 0.3\n")
+    out = tmp_path / "out.csv"
+    assert main([command, "--profile", str(cfg), "--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: normalization of the state at k = ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 LONG_ZERO_SEGMENT_CFG = """\
 mass_factor = 0.067
 segment = 94.33 0

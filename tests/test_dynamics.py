@@ -2,6 +2,7 @@ import cmath
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -493,25 +494,172 @@ def test_band_matches_barycentric_oracle(arg_kn, branch):
     assert np.max(np.abs(band[at] - values[p[at], j]) / scale[at]) <= 1e-15
 
 
-def test_pole_sum_memory_stays_within_twelve_grid_arrays(symmetric_profile):
-    """tracemalloc's peak over one evolve on 20,000 points with 8 pole pairs, in complex grid arrays.
+def forget_exp_tables():
+    """Make the next evolve a cold one: no grid and no exp(y^2) table of an earlier evolve is kept."""
+    rtbuildup.dynamics._kept_exp = (np.empty(0), {})
 
-    It reads 4.6: the band's Chebyshev basis (17 reals a point) is held for
-    at most 2,048 points at a time.  A prototype that summed the near and
-    far series as power-basis products over the whole grid read about 16,
-    and broke the benchmark's peak-RSS bound on the pole-sum workload.
+
+def test_pole_sum_memory_stays_within_twelve_grid_arrays(symmetric_profile, asymmetric_profile):
+    """tracemalloc's peak over evolves on 20,000 points with 8 or 9 pole pairs, in complex grid arrays.
+
+    The second evolve on a grid builds the exp(y^2) tables it keeps (about
+    5.4 arrays) and peaks at about 9.5; the third reuses them and peaks
+    about 4 above them, 9.5 in all: the band's Chebyshev basis (17 reals a
+    point) is held for at most 2,048 points at a time.  The fourth, on
+    another structure, drops those tables before it builds its own and
+    peaks at 9.7, where keeping them to the end of the call read 12.5.  A
+    prototype that summed the near and far series as power-basis products
+    over the whole grid read about 16 without any kept table, and broke the
+    benchmark's peak-RSS bound on the pole-sum workload.
     """
     poles = find_poles(symmetric_profile, 1.8)
     assert len(poles) == 8
+    other = find_poles(asymmetric_profile, 1.8)
+    assert len(other) == 9
     t_fs = np.geomspace(0.1, 1e4, 20000)
+    grid_array = 16 * t_fs.size
+    forget_exp_tables()
     evolve_full(symmetric_profile, poles, 0.2, 80.0, t_fs=t_fs)  # the lazy wofz import and its caches
+    calls = {
+        "build": (symmetric_profile, poles, 0.2, 80.0),
+        "reuse": (symmetric_profile, poles, 0.3, 50.0),
+        "switch": (asymmetric_profile, other, 0.2, 80.0),
+    }
     tracemalloc.start()
     try:
-        evolve_full(symmetric_profile, poles, 0.2, 80.0, t_fs=t_fs)
-        _current, peak = tracemalloc.get_traced_memory()
+        for name, (profile, pole_list, energy, x) in calls.items():
+            tracemalloc.reset_peak()
+            evolve_full(profile, pole_list, energy, x, t_fs=t_fs)
+            retained, peak = tracemalloc.get_traced_memory()
+            assert rtbuildup.dynamics._kept_exp[1], name
+            assert peak <= 12 * grid_array, (name, peak / grid_array)
+            assert retained <= 7.5 * grid_array, (name, retained / grid_array)
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 16 * t_fs.size, peak / (16 * t_fs.size)
+
+
+def evolve_case(profile, poles, case, t_fs):
+    mode, energy, x = case
+    if mode == "full":
+        return evolve_full(profile, poles, energy, x, t_fs=t_fs).psi
+    return evolve_single_resonance(profile, poles[0], energy, x, t_fs=t_fs).psi
+
+
+def test_evolves_that_reuse_exp_tables_equal_cold_ones(symmetric_profile, asymmetric_profile):
+    """Four (E, x) a structure on both configs, full and single-resonance, in shuffled order."""
+    t_fs = np.geomspace(0.1, 1e4, 8192)
+    cases = []
+    for profile in (symmetric_profile, asymmetric_profile):
+        poles = find_poles(profile, 1.2)
+        state = poles[0]
+        for i, (shift, where) in enumerate([(-3.0, 0.3), (-0.5, 0.45), (1.0, 0.6), (4.0, 0.8)]):
+            energy = state.eps_ev + shift * state.gamma_ev
+            x = where * profile.total_length
+            cases.append((profile, poles, ("single", energy, x)))
+            cases.append((profile, poles, ("full", [0.05, 0.15, 0.6, 1.0][i], x)))
+    cold = []
+    for profile, poles, case in cases:
+        forget_exp_tables()
+        cold.append(evolve_case(profile, poles, case, t_fs))
+    order = np.random.default_rng(7).permutation(len(cases)).tolist()
+    forget_exp_tables()
+    reused = 0
+    for i in order + order:
+        before = rtbuildup.dynamics._kept_exp[1]
+        psi = evolve_case(*cases[i], t_fs)
+        after = rtbuildup.dynamics._kept_exp[1]
+        reused += sum(after.get(key) is table for key, table in before.items())
+        assert np.array_equal(psi, cold[i]), cases[i][2]
+    assert reused >= 8
+
+
+def test_a_grid_one_ulp_or_one_point_apart_reuses_nothing(symmetric_profile, symmetric_poles):
+    constants = symmetric_profile.constants
+    t_fs = np.geomspace(0.1, 1e4, 4096)
+    r = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
+    j = 3000  # |y| ~ 5 on the lowest pole's reflected ray, inside its exp(y^2) table
+    nudged = t_fs.copy()
+    nudged[j] = t_at(constants, np.nextafter(r[j], np.inf))
+    r_nudged = np.sqrt(constants.hbar2_over_2m * nudged / constants.hbar)
+    assert np.count_nonzero(r_nudged != r) == 1 and r_nudged[j] == np.nextafter(r[j], np.inf)
+    for other in (nudged, t_fs[:-1]):
+        forget_exp_tables()
+        cold = evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=other).psi
+        for _ in range(2):
+            evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=t_fs)
+        assert rtbuildup.dynamics._kept_exp[1]
+        warm = evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=other).psi
+        assert np.array_equal(warm, cold)
+        grid, tables = rtbuildup.dynamics._kept_exp
+        assert not tables and grid.size == other.size and not np.array_equal(grid, r)
+
+
+def test_alternating_grids_give_cold_values(symmetric_profile, symmetric_poles):
+    grids = {"A": np.geomspace(0.1, 1e4, 4096), "B": np.geomspace(0.2, 2e4, 4096)}
+    cold = {}
+    for name, t_fs in grids.items():
+        forget_exp_tables()
+        cold[name] = evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=t_fs).psi
+    forget_exp_tables()
+    for name in "AABAABBA":
+        psi = evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=grids[name]).psi
+        assert np.array_equal(psi, cold[name]), name
+
+
+def test_concurrent_evolves_never_pair_a_grid_with_another_grids_tables(symmetric_profile, symmetric_poles):
+    """Four threads on two grids 1e-9 apart, switching every few microseconds: each Psi equals its cold value."""
+    grids = [np.geomspace(0.1, 1e4, 2048), np.geomspace(0.1, 1e4, 2048) * (1.0 + 1e-9)]
+    cold = []
+    for t_fs in grids:
+        forget_exp_tables()
+        cold.append(evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=t_fs).psi)
+    wrong, done = [], []
+
+    def sweep(first):
+        for n in range(60):
+            g = (first + n // 2) % 2
+            psi = evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=grids[g]).psi
+            if not np.array_equal(psi, cold[g]):
+                wrong.append((first, n))
+            done.append(n)
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(done) == 4 * 60 and not wrong
+
+
+@pytest.mark.parametrize("ceiling, kept", [(1.8, True), (8.0, False)])
+def test_exp_tables_are_kept_read_only_and_within_the_cap(symmetric_profile, ceiling, kept):
+    """8 pole pairs keep 5.4 grid arrays of tables; 18 would need more than 7 and keep none."""
+    poles = find_poles(symmetric_profile, ceiling)
+    t_fs = np.geomspace(0.1, 1e4, 8192)
+    evolve_full(symmetric_profile, poles, 0.3, 50.0, t_fs=np.geomspace(0.5, 5e3, 100))  # lazy imports
+    forget_exp_tables()
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            evolve_full(symmetric_profile, poles, 0.3, 50.0, t_fs=t_fs)
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    grid, tables = rtbuildup.dynamics._kept_exp
+    assert bool(tables) == kept
+    held = sum(table.nbytes for table in tables.values())
+    assert held <= 7 * 16 * t_fs.size
+    assert grid.nbytes + held <= retained <= grid.nbytes + held + 0.1 * 16 * t_fs.size
+    for table in tables.values():
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 def test_rays_a_rounding_apart_share_their_band_edges(monkeypatch):

@@ -129,6 +129,13 @@ def test_gamow_rejects_non_pole(symmetric_profile, symmetric_poles):
         gamow_state(symmetric_profile, 0.02 + 0.001j)  # wrong quadrant
 
 
+def test_gamow_normalization_that_is_not_finite_is_refused():
+    """A 1e-200 A barrier: the kappa w floor makes the marched amplitudes overflow in u^2's integral."""
+    profile = build_profile([(1e-200, 0.3), (50.0, 0.0), (30.0, 0.3)])
+    with pytest.raises(GamowResidualError, match="normalization .* is not finite"):
+        find_poles(profile, 0.3)
+
+
 def test_gamow_accepts_a_state_that_decays_across_the_structure():
     """The sixth pole's |u(L)| is 3e-7 of its |u(0)|: the boundary residual is judged against max |u|."""
     profile = build_profile([(9.83, 0.05), (45.73, 0.388), (16.53, 0.427), (43.91, 0.275), (54.20, 0.333)])
