@@ -9,7 +9,7 @@ the slope -1/2 line and turns into a tau^{-1/2}-modulated oscillation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -54,12 +54,20 @@ def exponential_law(tau):
 
 @dataclass(frozen=True)
 class BuildupSeries:
-    """Normalized buildup on a lifetime-unit grid."""
+    """Normalized buildup |Psi/phi| on a lifetime-unit grid."""
 
     tau: np.ndarray = field(repr=False)
     ratio_abs: np.ndarray = field(repr=False)
-    ratio_abs2: np.ndarray = field(repr=False)
-    delta: np.ndarray = field(repr=False)
+
+    @cached_property
+    def ratio_abs2(self) -> np.ndarray:
+        """|Psi/phi|^2."""
+        return self.ratio_abs**2
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """delta = |1 - |Psi/phi||."""
+        return np.abs(1.0 - self.ratio_abs)
 
     @cached_property
     def _delta_curve(self) -> tuple[np.ndarray, np.ndarray, int]:
@@ -74,12 +82,16 @@ class BuildupSeries:
 class OnsetReport:
     """Exponential-window fit and crossover location."""
 
-    tau0: float
     fit_window: tuple[float, float]
     fit_slope: float
     fit_residual: float
     tau_onset: float | None = None
     envelope_exponent: float | None = None
+
+    @property
+    def tau0(self) -> float:
+        """Time constant of the charging law in lifetimes: -1 / ``fit_slope``."""
+        return -1.0 / self.fit_slope
 
 
 def normalize_buildup(solution: TransientSolution, state: ResonantState) -> BuildupSeries:
@@ -92,13 +104,7 @@ def normalize_buildup(solution: TransientSolution, state: ResonantState) -> Buil
     if abs(phi) < 1e-12:
         raise NodePositionError(f"|phi({solution.x})| = {abs(phi):.2e}; position sits on a node")
     tau = solution.t_fs / state.lifetime_fs
-    ratio = np.abs(solution.psi / phi)
-    return BuildupSeries(
-        tau=tau,
-        ratio_abs=ratio,
-        ratio_abs2=ratio**2,
-        delta=np.abs(1.0 - ratio),
-    )
+    return BuildupSeries(tau, np.abs(solution.psi / phi))
 
 
 def fit_time_constant(
@@ -125,12 +131,7 @@ def fit_time_constant(
         raise FitWindowError(
             f"fit residual {residual:.3g} exceeds {FIT_RESIDUAL_TOL}; window overlaps the onset"
         )
-    return OnsetReport(
-        tau0=-1.0 / slope,
-        fit_window=(tau_min, tau_max),
-        fit_slope=float(slope),
-        fit_residual=residual,
-    )
+    return OnsetReport(fit_window=(tau_min, tau_max), fit_slope=float(slope), fit_residual=residual)
 
 
 def delta_curve(series: BuildupSeries) -> tuple[np.ndarray, np.ndarray, int]:
@@ -271,14 +272,7 @@ def detect_onset(series: BuildupSeries) -> OnsetReport:
             exponent = fit_envelope_exponent(series.tau[mask], residual)
         except FitWindowError:
             exponent = None
-    return OnsetReport(
-        tau0=base.tau0,
-        fit_window=base.fit_window,
-        fit_slope=base.fit_slope,
-        fit_residual=base.fit_residual,
-        tau_onset=tau_onset,
-        envelope_exponent=exponent,
-    )
+    return replace(base, tau_onset=tau_onset, envelope_exponent=exponent)
 
 
 def fit_envelope_exponent(tau: np.ndarray, values: np.ndarray) -> float:

@@ -31,8 +31,9 @@ nodes and summed as its Chebyshev series, one real matrix product per
 piece.  A reflected ray's exp(y^2) stops where it decays below
 exp(-``_EXP_CUT``), at the decay rate Im(c)^2 - Re(c)^2 formed from the
 squares of the parts: exactly 0 for y_k, whose |exp(y_k^2)| = 1 holds to
-the end of the grid.  ``wofz`` runs only at the nodes, in one call per
-evolution, so an added pole pair costs a few multiply-adds per grid point
+the end of the grid.  The Faddeeva kernel runs only at the nodes, in one
+``_moshinsky_m_grid`` call per evolution, every argument on the direct
+branch, so an added pole pair costs a few multiply-adds per grid point
 rather than a Faddeeva evaluation at each of its band points.  The sum
 runs in one pass over the whole grid in the calling thread, with the rays
 in order of |c|, so Psi does not depend on the order of the poles.  A
@@ -186,7 +187,11 @@ class _Rays:
         self.far_mag = mag[::-1].tolist()
         moments = self.w[:, None] * self.c[:, None] ** np.arange(TAYLOR_TERMS)
         self.near = np.cumsum(moments, axis=0) * _TAYLOR
-        moments = self.w[::-1, None] * self.c[::-1, None] ** -(2 * np.arange(SERIES_TERMS) + 1)
+        # a ray whose far band ends past the grid contributes no moment; its rows, the last ones,
+        # are never read, and its c^-(2j+1) could overflow: the free pair's below ~1e-18 eV
+        far = np.searchsorted(r, self.far_edge[::-1]) < r.size
+        moments = np.zeros((self.c.size, SERIES_TERMS), dtype=complex)
+        moments[far] = self.w[::-1][far, None] * self.c[::-1][far, None] ** -(2 * np.arange(SERIES_TERMS) + 1)
         self.far = np.cumsum(moments, axis=0) * _SERIES
         reflected = self.c.real < 0.0
         decay = np.maximum(np.square(self.c.imag) - np.square(self.c.real), 0.0)

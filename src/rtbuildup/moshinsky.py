@@ -11,9 +11,7 @@ whose exponential exceeds the double range once Re(y^2) passes ~709.  One
 vectorized kernel evaluates both branches; a reflected value is formed as
 mantissa * exp(s) with s = max(Re y^2, 0), and ``moshinsky_m(y, scaled=True)``
 returns that pair instead of multiplying it out.  The pole sum sends only
-direct arguments (Re y > 0), so only the plain value enters the dynamics,
-and the kernel takes an array with no reflected point in one ``wofz`` call,
-with no masks and no scale; any other array goes through the masks.
+direct arguments (Re y > 0), so only the plain value enters the dynamics.
 
 The pole sum takes M(y) from two series wherever they reach the rounding
 floor: below |y| = ``Y_NEAR`` = 1 the Taylor series (Abramowitz & Stegun
@@ -74,16 +72,11 @@ def _moshinsky_m_grid(y, scaled: bool = False):
     M(y) = exp(y^2) - M(-y) is formed as mantissa * exp(s) with
     s = max(Re y^2, 0).  ``scaled`` returns the (mantissa, log_scale) pair,
     which cannot overflow; the plain value multiplies it out and raises
-    ``MoshinskyOverflowError`` past the double range.  An array with no
-    reflected point, such as every argument the pole sum sends, takes one
-    ``wofz`` call with no masks and no scale.
+    ``MoshinskyOverflowError`` past the double range.
     """
     from scipy.special import wofz  # imported on the first kernel call, not by ``rtbuildup poles``
 
     y = np.asarray(y, dtype=complex)
-    if y.real.min(initial=0.0) >= 0.0:
-        value = 0.5 * wofz(1j * y)
-        return (value, np.zeros(y.shape)) if scaled else value
     mantissa = np.empty_like(y)
     log_scale = np.zeros(y.shape)
     direct = y.real >= 0.0

@@ -69,6 +69,7 @@ All poles of a search are normalized in one march over the segments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -263,11 +264,15 @@ class ResonantState:
     """Pole momentum, resonance parameters, and the normalized Gamow function."""
 
     k: complex
-    energy_ev: complex
     profile: PotentialProfile = field(repr=False)
-    u0: complex = field(repr=False, default=0j)
-    u_end: complex = field(repr=False, default=0j)
-    _wave: _PiecewiseWave = field(repr=False, compare=False, default=None)
+    u0: complex = field(repr=False)
+    u_end: complex = field(repr=False)
+    _wave: _PiecewiseWave = field(repr=False, compare=False)
+
+    @cached_property
+    def energy_ev(self) -> complex:
+        """Complex pole energy eps_n - i Gamma_n / 2 = hbar^2 k_n^2 / 2m*."""
+        return self.profile.constants.energy_ev(self.k)
 
     @property
     def eps_ev(self) -> float:
@@ -345,8 +350,7 @@ def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
     u_end, a, b = u[-1] * scale, a * scale, b * scale
     return [
         ResonantState(
-            k, profile.constants.energy_ev(k), profile, complex(scale[i]), complex(u_end[i]),
-            _PiecewiseWave(profile, kappa[:, i], a[:, i], b[:, i]),
+            k, profile, complex(scale[i]), complex(u_end[i]), _PiecewiseWave(profile, kappa[:, i], a[:, i], b[:, i])
         )
         for i, k in enumerate(ks.tolist())
     ]

@@ -38,16 +38,16 @@ k != 0 is marched as it is, on a height or one rounding off it; there phi
 stays within 2e-10 of a 50-digit march on both benchmark structures.
 
 Every march carries one wave, e^{-ikx} left of x = 0: (a, b) = (0, 1).
-``_m22`` is its b at x = L; the pole search, ``bound_state_energies`` and
-``transmission_scan`` evaluate m22 with it.  ``stationary_state`` marches
-it on the mirrored profile, from the transmitted side.  Each peak the
-transmission scan reports is the closed-form vertex of a parabola through
-three grid points.
+It reads all it needs of the profile on each call, and the module keeps no
+state between calls.  ``_m22`` is its b at x = L; the pole search,
+``bound_state_energies`` and ``transmission_scan`` evaluate m22 with it.
+``stationary_state`` marches it on the mirrored profile, from the
+transmitted side.  Each peak the transmission scan reports is the
+closed-form vertex of a parabola through three grid points.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,26 +58,6 @@ from .profile import PotentialProfile
 _KAPPA_W_FLOOR = 6e-6  # about eps^(1/3): where eps / |kappa w| meets (kappa w)^2
 
 
-@functools.lru_cache(maxsize=64)
-def _march_constants(profile: PotentialProfile):
-    """(rows, kappa offsets, floors, i w): what ``_march`` needs of a profile, computed once per profile.
-
-    ``rows`` are the lifted segments' rows of the regions (segment j is row
-    j + 1), with their heights / c2 and ``_KAPPA_W_FLOOR`` / w; i w is
-    1j times every segment's width.
-    """
-    lifted = np.flatnonzero(profile.heights)
-    constants = (
-        1 + lifted,
-        profile.heights[lifted] / profile.constants.hbar2_over_2m,
-        _KAPPA_W_FLOOR / profile.widths[lifted],
-        1j * profile.widths,
-    )
-    for value in constants:  # shared by every later call
-        value.flags.writeable = False
-    return constants
-
-
 def _march(profile: PotentialProfile, k):
     """(kappa, a, b): the wave e^{-ikx} left of x = 0, (a, b) = (0, 1), marched across the segments.
 
@@ -86,20 +66,24 @@ def _march(profile: PotentialProfile, k):
     and a, b multiply e^{+-ik(x-L)}, so there a = m12 and b = m22.  Each
     interface's (q +- p) / 2q and each segment's phase e^{i kappa w} are
     taken for all of them at once; the loop only carries the amplitudes.
+    The heights over c2, the floors and i w are formed from the profile on
+    every call, a few microseconds against the march itself.
     """
+    c2 = profile.constants.hbar2_over_2m
     k = np.asarray(k, dtype=complex)
-    rows, offsets, floor, iw = _march_constants(profile)
-    shape = (-1,) + (1,) * k.ndim
-    regions = np.empty((profile.heights.size + 2,) + k.shape, dtype=complex)  # k, kappa_0, ..., kappa_{n-1}, k
+    heights = profile.heights
+    regions = np.empty((heights.size + 2,) + k.shape, dtype=complex)  # k, kappa_0, ..., kappa_{n-1}, k
     regions[:] = k
-    kappa = np.sqrt(k**2 - offsets.reshape(shape))
-    floor = floor.reshape(shape)
+    lifted = np.flatnonzero(heights)
+    shape = (-1,) + (1,) * k.ndim
+    kappa = np.sqrt(k**2 - (heights[lifted] / c2).reshape(shape))
+    floor = (_KAPPA_W_FLOOR / profile.widths[lifted]).reshape(shape)
     np.copyto(kappa, floor, where=abs(kappa) < floor)
-    regions[rows] = kappa
+    regions[1 + lifted] = kappa
     p, q = regions[:-1], regions[1:]
     half = 0.5 / q
     same, cross = (q + p) * half, (q - p) * half
-    grows = np.exp(iw.reshape(shape) * regions[1:-1])  # e^{i kappa w} across each segment
+    grows = np.exp((1j * profile.widths).reshape(shape) * regions[1:-1])  # e^{i kappa w} across each segment
     a, b = cross[0], same[0]  # x = 0: no phase yet
     rows_a, rows_b = [a], [b]
     for grow, c11, c12 in zip(grows, same[1:], cross[1:]):

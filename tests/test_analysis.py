@@ -13,6 +13,7 @@ from rtbuildup import (
     FitWindowError,
     NodePositionError,
     NoOnsetError,
+    OnsetReport,
     delta_curve,
     detect_onset,
     evolve_single_resonance,
@@ -25,13 +26,7 @@ from rtbuildup import (
 
 
 def synthetic_series(tau, ratio):
-    ratio = np.asarray(ratio, dtype=float)
-    return BuildupSeries(
-        tau=np.asarray(tau, dtype=float),
-        ratio_abs=ratio,
-        ratio_abs2=ratio**2,
-        delta=np.abs(1.0 - ratio),
-    )
+    return BuildupSeries(np.asarray(tau, dtype=float), np.asarray(ratio, dtype=float))
 
 
 def pure_law_series(tau_max=40.0, n_points=8000):
@@ -71,6 +66,24 @@ def test_normalize_buildup_conversion(symmetric_profile, symmetric_poles):
     assert np.all(series.delta >= 0.0)
 
 
+def test_buildup_series_derives_its_square_and_delta(symmetric_profile, symmetric_poles):
+    """|Psi/phi|^2 and delta come from ratio_abs, bit for bit as they were once stored."""
+    st = symmetric_poles[0]
+    sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=np.linspace(0.05, 60.0, 3001))
+    ratio = np.abs(sol.psi / sol.phi)
+    series = BuildupSeries(sol.tau, ratio)
+    assert np.array_equal(series.ratio_abs2, ratio**2)
+    assert np.array_equal(series.delta, np.abs(1.0 - ratio))
+    assert np.array_equal(normalize_buildup(sol, st).delta, series.delta)
+
+
+def test_buildup_series_takes_no_derived_value():
+    tau = np.linspace(0.5, 2.0, 4)
+    ratio = exponential_law(tau)
+    with pytest.raises(TypeError):
+        BuildupSeries(tau=tau, ratio_abs=ratio, ratio_abs2=ratio**2, delta=np.abs(1.0 - ratio))
+
+
 def test_normalize_buildup_rejects_node_position(symmetric_profile, symmetric_poles):
     st = symmetric_poles[0]
     sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=[1.0])
@@ -108,6 +121,14 @@ def test_fit_on_pure_law_is_exact():
     assert report.tau0 == pytest.approx(2.0, abs=1e-10)
     assert report.fit_slope == pytest.approx(-0.5, abs=1e-10)
     assert report.fit_residual < 1e-10
+
+
+def test_tau0_is_minus_one_over_the_fit_slope():
+    slope = float(np.polyfit([0.5, 1.0, 6.0], [0.1, -0.15, -2.7], 1)[0])
+    report = OnsetReport((0.5, 6.0), slope, 0.01)
+    assert report.tau0 == -1.0 / slope
+    with pytest.raises(TypeError):
+        OnsetReport(tau0=2.0, fit_window=(0.5, 6.0), fit_slope=-0.5, fit_residual=0.0)
 
 
 def test_fit_rejects_uncovered_window():

@@ -568,6 +568,24 @@ def test_evolve_energy_on_segment_height_finishes(cfg_paths, tmp_path):
     assert psi.shape == (4, 2) and np.all(np.isfinite(psi))
 
 
+def test_evolve_at_a_tiny_energy_prints_no_warning(cfg_paths):
+    """At 1e-30 eV, with Python's default warning filters, five finite rows and an empty stderr."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rtbuildup
+
+    argv = ["evolve", "--profile", cfg_paths["sym"], "--energy-ev", "1e-30", "--x-angstrom", "80",
+            "--mode", "full", "--points", "5"]
+    env = {**os.environ, "PYTHONPATH": str(Path(rtbuildup.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "rtbuildup.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    rows = [[float(v) for v in line.split(",")] for line in done.stdout.splitlines()[1:] if not line.startswith("#")]
+    assert len(rows) == 5 and np.all(np.isfinite(rows))
+
+
 def test_evolve_unknown_resonance_index(cfg_paths):
     assert main([
         "evolve", "--profile", cfg_paths["sym"], "--resonance", "9", "--auto-max",
@@ -795,7 +813,7 @@ def test_read_only_out_exits_before_any_work(monkeypatch, cfg_paths, tmp_path, c
 # ------------------------------------------------------------ random profiles
 
 _HEIGHTS = st.one_of(st.floats(-0.2, 0.8), st.sampled_from([0.0, 0.015, 0.3, 0.5]))
-_SEGMENTS = st.lists(st.tuples(st.floats(1.0, 120.0), _HEIGHTS), min_size=1, max_size=4)
+_SEGMENTS = st.lists(st.tuples(st.floats(1.0, 120.0), _HEIGHTS), min_size=1, max_size=6)
 
 
 _RANDOM_RUNS = (

@@ -210,7 +210,7 @@ def ray_points(quadrant, angle, r):
 @settings(max_examples=300, deadline=None)
 @given(ray)
 def test_grid_kernel_matches_masked_reference_on_rays(ray):
-    # one-branch rays take the unmasked forms, which must agree bit for bit
+    # one-branch rays, as the pole sum sends them, leave one mask empty and must agree bit for bit
     assert_same_kernel(ray_points(*ray))
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import warnings
 
 import mpmath
@@ -11,6 +12,7 @@ import rtbuildup.scattering as scattering
 from rtbuildup import (
     BoundStateError,
     GamowResidualError,
+    ResonantState,
     build_profile,
     find_poles,
     gamow_state,
@@ -74,6 +76,18 @@ def test_lifetime_definition_consistency(symmetric_poles):
         hbar = s.profile.constants.hbar
         assert s.lifetime_fs == hbar / s.gamma_ev
         assert s.r_ratio == s.eps_ev / s.gamma_ev
+
+
+def test_pole_energy_is_derived_from_k(symmetric_poles):
+    """E_n = hbar^2 k_n^2 / 2m* of the state's own k, and no constructor takes it or a default."""
+    for s in symmetric_poles:
+        rebuilt = ResonantState(s.k, s.profile, s.u0, s.u_end, s._wave)
+        assert rebuilt.energy_ev == s.profile.constants.energy_ev(s.k) == s.energy_ev
+        assert rebuilt == s
+    assert all(f.default is f.default_factory is dataclasses.MISSING for f in dataclasses.fields(ResonantState))
+    s = symmetric_poles[0]
+    with pytest.raises(TypeError):
+        ResonantState(k=s.k, energy_ev=s.energy_ev, profile=s.profile, u0=s.u0, u_end=s.u_end, _wave=s._wave)
 
 
 def test_sharpness_ratios(symmetric_poles):
