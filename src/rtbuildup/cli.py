@@ -20,7 +20,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,16 +256,6 @@ def _check_out(path: str | None) -> None:
         raise CliUsageError(f"cannot write {path}: directory {parent} is not writable")
 
 
-@dataclass
-class _Selection:
-    profile: PotentialProfile
-    poles: list[ResonantState]
-    state: ResonantState
-    energy_ev: float
-    x: float
-    mode: str
-
-
 def _add_common(parser, grid_defaults=(0.01, 50.0, 400, "log")):
     parser.add_argument("--profile", required=True, help="profile config file")
     group = parser.add_mutually_exclusive_group(required=True)
@@ -357,66 +346,6 @@ def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
     return float(np.min(xs[vals >= vals.max() * (1.0 - 1e-9)]))
 
 
-def _select(args) -> _Selection:
-    profile = load_profile(args.profile)
-    e_max = _e_max(args, profile)
-    if args.energy_ev is not None and not 0.0 < args.energy_ev < math.inf:
-        raise CliUsageError("--energy-ev must be positive and finite")
-    if args.x_angstrom is not None and not 0.0 <= args.x_angstrom <= profile.total_length:
-        raise CliUsageError(f"position {args.x_angstrom} outside [0, {profile.total_length}] A")
-    poles = _find_poles(profile, e_max)
-    if not poles:
-        raise CliUsageError(f"no resonances below {e_max} eV in {args.profile}")
-
-    if args.resonance is not None:
-        if not 1 <= args.resonance <= len(poles):
-            raise CliUsageError(
-                f"resonance {args.resonance} not found ({len(poles)} pole(s) below {e_max} eV)"
-            )
-        state = poles[args.resonance - 1]
-        energy = state.eps_ev
-        if not energy > 0.0:
-            raise CliUsageError(
-                f"resonance {args.resonance} has eps = {state.eps_mev:.6g} meV <= 0; "
-                "incidence on it needs a positive energy"
-            )
-        mode = args.mode
-    else:
-        energy = args.energy_ev
-        state = min(poles, key=lambda s: abs(s.eps_ev - energy))
-        mode = args.mode
-        if abs(energy - state.eps_ev) > 3.0 * state.gamma_ev and mode == "single":
-            print(
-                f"warning: E = {energy} eV is {abs(energy - state.eps_ev) / state.gamma_ev:.1f} "
-                "widths from the nearest resonance; single-resonance mode is invalid, "
-                "running the full expansion",
-                file=sys.stderr,
-            )
-            mode = "full"
-
-    x = args.x_angstrom if args.x_angstrom is not None else _auto_max_position(profile, energy)
-    return _Selection(profile, poles, state, energy, x, mode)
-
-
-def _evolve_selection(sel: _Selection, tau: np.ndarray, args):
-    # from 2^52 rad on, neighbouring doubles of the phase E t / hbar are >= 1 rad
-    # apart, so exp(-iEt/hbar) carries no correct digit
-    phase = sel.energy_ev * (float(tau[-1]) * sel.state.lifetime_fs) / sel.profile.constants.hbar
-    if not phase < 2.0**52:
-        raise CliUsageError(
-            f"--tau-max {args.tau_max:g} gives a phase E t/hbar of {phase:.3g} rad, at least 2^52: "
-            "no digit of exp(-iEt/hbar) is correct there"
-        )
-    if sel.mode == "single":
-        return evolve_single_resonance(sel.profile, sel.state, sel.energy_ev, sel.x, tau=tau)
-    gamma_widest = max(s.gamma_ev for s in sel.poles)
-    e_pole_max = max(4.0 * sel.energy_ev, sel.energy_ev + 10.0 * gamma_widest)
-    poles = sel.poles
-    if e_pole_max > max(s.eps_ev for s in poles):
-        poles = _find_poles(sel.profile, e_pole_max)
-    return evolve_full(sel.profile, poles, sel.energy_ev, sel.x, tau=tau, reference=sel.state)
-
-
 def cmd_poles(args) -> int:
     profile = load_profile(args.profile)
     poles = _find_poles(profile, _e_max(args, profile))
@@ -434,16 +363,67 @@ def cmd_poles(args) -> int:
 
 
 def _solve(args, on_resonance: bool = False):
-    """The selection and its evolution on the tau grid; ``on_resonance`` first refuses a run without --resonance."""
+    """The resonance a run is on and Psi on its tau grid; ``on_resonance`` first refuses a run without --resonance.
+
+    Every check that needs no pole comes before the pole search.
+    """
     if on_resonance and args.resonance is None:
         raise CliUsageError(f"{args.command} requires --resonance (on-resonance normalization)")
     tau = _tau_grid(args)
-    sel = _select(args)
-    return sel, _evolve_selection(sel, tau, args)
+    profile = load_profile(args.profile)
+    e_max = _e_max(args, profile)
+    energy = args.energy_ev
+    if energy is not None and not 0.0 < energy < math.inf:
+        raise CliUsageError("--energy-ev must be positive and finite")
+    if args.x_angstrom is not None and not 0.0 <= args.x_angstrom <= profile.total_length:
+        raise CliUsageError(f"position {args.x_angstrom} outside [0, {profile.total_length}] A")
+    poles = _find_poles(profile, e_max)
+    if not poles:
+        raise CliUsageError(f"no resonances below {e_max} eV in {args.profile}")
+
+    mode = args.mode
+    if args.resonance is not None:
+        if not 1 <= args.resonance <= len(poles):
+            raise CliUsageError(
+                f"resonance {args.resonance} not found ({len(poles)} pole(s) below {e_max} eV)"
+            )
+        state = poles[args.resonance - 1]
+        energy = state.eps_ev
+        if not energy > 0.0:
+            raise CliUsageError(
+                f"resonance {args.resonance} has eps = {state.eps_mev:.6g} meV <= 0; "
+                "incidence on it needs a positive energy"
+            )
+    else:
+        state = min(poles, key=lambda s: abs(s.eps_ev - energy))
+        if abs(energy - state.eps_ev) > 3.0 * state.gamma_ev and mode == "single":
+            print(
+                f"warning: E = {energy} eV is {abs(energy - state.eps_ev) / state.gamma_ev:.1f} "
+                "widths from the nearest resonance; single-resonance mode is invalid, "
+                "running the full expansion",
+                file=sys.stderr,
+            )
+            mode = "full"
+    x = args.x_angstrom if args.x_angstrom is not None else _auto_max_position(profile, energy)
+
+    # from 2^52 rad on, neighbouring doubles of the phase E t / hbar are >= 1 rad
+    # apart, so exp(-iEt/hbar) carries no correct digit
+    phase = energy * (float(tau[-1]) * state.lifetime_fs) / profile.constants.hbar
+    if not phase < 2.0**52:
+        raise CliUsageError(
+            f"--tau-max {args.tau_max:g} gives a phase E t/hbar of {phase:.3g} rad, at least 2^52: "
+            "no digit of exp(-iEt/hbar) is correct there"
+        )
+    if mode == "single":
+        return state, evolve_single_resonance(profile, state, energy, x, tau=tau)
+    e_pole_max = max(4.0 * energy, energy + 10.0 * max(s.gamma_ev for s in poles))
+    if e_pole_max > max(s.eps_ev for s in poles):
+        poles = _find_poles(profile, e_pole_max)
+    return state, evolve_full(profile, poles, energy, x, tau=tau, reference=state)
 
 
 def cmd_evolve(args) -> int:
-    _sel, sol = _solve(args)
+    _state, sol = _solve(args)
     psi = sol.psi
     phi_abs2 = np.full(psi.size, abs(sol.phi) ** 2)
     columns = [sol.t_fs, sol.tau, psi.real, psi.imag, np.abs(psi) ** 2, phi_abs2]
@@ -452,8 +432,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_buildup(args) -> int:
-    sel, sol = _solve(args, on_resonance=True)
-    series = normalize_buildup(sol, sel.state)
+    state, sol = _solve(args, on_resonance=True)
+    series = normalize_buildup(sol, state)
     law = exponential_law(series.tau) ** 2
     columns = [series.tau, series.ratio_abs, series.ratio_abs2, law]
     _write_csv(args.out, ["tau", "ratio_abs", "ratio_abs2", "law_abs2"], columns)
@@ -461,8 +441,8 @@ def cmd_buildup(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    sel, sol = _solve(args, on_resonance=True)
-    series = normalize_buildup(sol, sel.state)
+    state, sol = _solve(args, on_resonance=True)
+    series = normalize_buildup(sol, state)
     tau_d, ln_delta, _dropped = delta_curve(series)
     slopes = local_slopes(tau_d, ln_delta)
     exit_code = 0
@@ -475,7 +455,7 @@ def cmd_crossover(args) -> int:
         exit_code = NUMERICAL_ERROR
     footer = (
         f"# summary: tau_0 = {_fmt(tau0)}, tau_onset = {_fmt(tau_onset)}, "
-        f"R_n = {_fmt(sel.state.r_ratio)}"
+        f"R_n = {_fmt(state.r_ratio)}"
     )
     _write_csv(args.out, ["tau", "ln_delta", "local_slope"], [tau_d, ln_delta, slopes], footer=footer)
     return exit_code

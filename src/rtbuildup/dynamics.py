@@ -157,7 +157,9 @@ class _Rays:
     with moments w c^-(2j+1).
     Rays leave the near band in order of rising |c| and join the far band
     in order of falling |c|, so the moments of every set that occurs are
-    the running sums of a table in that order, added and never subtracted.
+    the running sums of a table in that order, added and never subtracted;
+    a far row whose sums leave the double range is summed anew in units of
+    its smallest |c| (``far_scale``), which keeps every term within |w|.
 
     A reflected ray adds its w exp(y^2) from its near edge on, so that what
     is left of it in the band between is -w M(-y), on the direct branch; it
@@ -190,9 +192,19 @@ class _Rays:
         # a ray whose far band ends past the grid contributes no moment; its rows, the last ones,
         # are never read, and its c^-(2j+1) could overflow: the free pair's below ~1e-18 eV
         far = np.searchsorted(r, self.far_edge[::-1]) < r.size
+        c_far, w_far = self.c[::-1][far, None], self.w[::-1][far, None]
+        odd = 2 * np.arange(SERIES_TERMS) + 1
         moments = np.zeros((self.c.size, SERIES_TERMS), dtype=complex)
-        moments[far] = self.w[::-1][far, None] * self.c[::-1][far, None] ** -(2 * np.arange(SERIES_TERMS) + 1)
-        self.far = np.cumsum(moments, axis=0) * _SERIES
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            moments[far] = w_far * c_far**-odd
+            self.far = np.cumsum(moments, axis=0) * _SERIES
+        # a row past the double range (|c| below ~4e-10: ~1e-17 eV on a grid reaching its far band)
+        # is summed in 1/(s r), s its smallest |c|, which keeps each w (c/s)^-(2j+1) within |w|
+        self.far_scale = np.ones(self.c.size)
+        for m in np.flatnonzero(~np.isfinite(self.far).all(axis=1)).tolist():
+            s = self.far_scale[m] = self.far_mag[m]
+            with np.errstate(under="ignore"):
+                self.far[m] = np.sum(w_far[: m + 1] * (s / c_far[: m + 1]) ** odd, axis=0) * _SERIES
         reflected = self.c.real < 0.0
         decay = np.maximum(np.square(self.c.imag) - np.square(self.c.real), 0.0)
         with np.errstate(divide="ignore"):
@@ -267,7 +279,7 @@ class _Rays:
         for m, (a, b) in enumerate(zip(far, far[1:] + [r.size])):
             if a < b:
                 n = _series_terms(self.far_mag[m] * r[a])
-                inv = 1.0 / r[a:b]
+                inv = 1.0 / (self.far_scale[m] * r[a:b])
                 out[a:b] += inv * _horner(self.far[m, :n].tolist(), (inv * inv).astype(complex))
         # the band: each piece's run of points takes one product of its Chebyshev basis and series
         start, stop = np.searchsorted(r, self.lo), np.searchsorted(r, self.hi)
@@ -289,6 +301,8 @@ class _Rays:
 
 
 def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference):
+    if any(s.profile is not profile and s.profile != profile for s in poles):
+        raise ValueError("every pole must be a pole of the profile evolved")
     if not 0.0 <= x <= profile.total_length:
         raise ValueError(f"position {x} outside [0, {profile.total_length}] A")
     tau, t_fs = _resolve_grid(reference, tau, t_fs)
@@ -323,7 +337,8 @@ def evolve_single_resonance(
     """One-level transient solution for incidence near resonance n.
 
     The incidence energy must lie within a few widths of eps_n for the
-    single-resonance form to make sense.
+    single-resonance form to make sense, and ``state`` must be a pole of
+    ``profile``.
     """
     if abs(energy_ev - state.eps_ev) > 10.0 * state.gamma_ev:
         raise ValueError(
@@ -343,12 +358,13 @@ def evolve_full(
     t_fs=None,
     reference: ResonantState | None = None,
 ) -> TransientSolution:
-    """Truncated pole-sum solution over the given poles, in any order.
+    """Truncated pole-sum solution over the given poles of ``profile``, in any order.
 
     The sum runs over the given poles alone and carries no error estimate:
     its truncation error falls only as t^(-1/2) at late times.  A tau grid
     is in lifetimes of ``reference``, by default the pole nearest in
-    energy to the incidence.
+    energy to the incidence.  A pole of another structure, one whose
+    profile is not equal to ``profile``, raises ``ValueError``.
 
     Every evolve keeps a copy of its grid r = sqrt(hbar t / 2m).  One whose
     grid equals the last evolve's, point for point, also keeps its

@@ -23,9 +23,9 @@ class PhysicalConstants:
     electron_mass_factor: float = 0.067
 
     def __post_init__(self) -> None:
-        if not self.electron_mass_factor > 0.0:
+        if not 0.0 < self.electron_mass_factor < math.inf:  # an infinite mass gives hbar^2/2m = 0
             raise ValueError(
-                f"electron_mass_factor must be positive, got {self.electron_mass_factor}"
+                f"electron_mass_factor must be positive and finite, got {self.electron_mass_factor}"
             )
 
     @property

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import rtbuildup.dynamics
 from rtbuildup import (
     PhysicalConstants,
+    build_profile,
     buildup_decomposition,
     evolve_full,
     evolve_single_resonance,
@@ -68,6 +69,33 @@ def test_evolve_at_a_tiny_energy_forms_no_non_finite_moment(symmetric_profile, s
     tau = np.geomspace(0.01, 50.0, 5)
     sol = evolve_full(symmetric_profile, symmetric_poles, energy_ev, 80.0, tau=tau)
     assert np.all(np.isfinite(sol.psi))
+
+
+@pytest.mark.parametrize("energy_ev, t_fs", [
+    (1e-17, [1.0, 4.22e18, 4.30e18, 5.10e18]),
+    (1e-20, [1.0, 4.2e21, 4.3e21, 5.0e21]),
+])
+def test_far_moments_past_the_double_range_are_summed_in_scaled_units(symmetric_profile, symmetric_poles,
+                                                                        energy_ev, t_fs):
+    """Points just past |y_k| = 8 on the free pair, whose c^-(2j+1) overflows: no warning, no NaN."""
+    sol = evolve_full(symmetric_profile, symmetric_poles, energy_ev, 80.0, t_fs=t_fs)
+    psi = whole_grid_pole_sum(symmetric_profile, symmetric_poles, energy_ev, 80.0, t_fs)
+    assert np.all(np.isfinite(sol.psi))
+    assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi))
+
+
+def test_evolutions_refuse_poles_of_another_profile(symmetric_profile, asymmetric_profile, symmetric_poles,
+                                                    asymmetric_poles):
+    pole = asymmetric_poles[0]
+    with pytest.raises(ValueError, match="pole of the profile evolved"):
+        evolve_full(symmetric_profile, asymmetric_poles, 0.2, 80.0, t_fs=[1.0, 2.0])
+    with pytest.raises(ValueError, match="pole of the profile evolved"):
+        evolve_single_resonance(symmetric_profile, pole, pole.eps_ev, 80.0, t_fs=[1.0, 2.0])
+    # an equal profile built anew is the same structure
+    same = build_profile(symmetric_profile.segments, symmetric_profile.constants.electron_mass_factor)
+    a = evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=[1.0, 2.0])
+    b = evolve_full(same, symmetric_poles, 0.2, 80.0, t_fs=[1.0, 2.0])
+    assert np.array_equal(a.psi, b.psi)
 
 
 def test_rejects_far_off_resonance_energy(symmetric_profile, symmetric_poles):

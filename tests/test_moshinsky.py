@@ -229,6 +229,24 @@ def test_grid_kernel_matches_masked_reference_on_pole_sum_rays():
             assert_same_kernel(c * r)
 
 
+def test_grid_kernel_scaled_pair_matches_erfc_on_seeded_rays():
+    """The scaled pair against 0.5 exp(y^2 - log_scale) erfc(y) from mpmath, to criterion 6's 1e-13.
+
+    Five rays into each quadrant, the diagonal and four seeded angles, for
+    |y| from 1e-3 to 20; past that the rounding of y^2 alone moves
+    exp(y^2) by more than 1e-13 (about 8e-13 at |y| = 100).
+    """
+    rng = np.random.default_rng(20261019)
+    for quadrant in range(4):
+        for angle in [0.25 * math.pi, *rng.uniform(0.0, 0.5 * math.pi, 4)]:
+            y = ray_points(quadrant, angle, np.geomspace(1e-3, 20.0, 20))
+            mantissa, log_scale = _moshinsky_m_grid(y, scaled=True)
+            for yi, m, s in zip(y.tolist(), mantissa.tolist(), log_scale.tolist()):
+                ym = mp.mpc(yi.real, yi.imag)
+                expected = complex(0.5 * mp.exp(ym * ym - s) * mp.erfc(ym))
+                assert abs(m - expected) <= 1e-13 * abs(expected), (yi, m, expected)
+
+
 # ---------------------------------------------------------------- asymptotics
 
 def collapsed_ray(monkeypatch, c, r):
