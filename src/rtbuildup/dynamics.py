@@ -189,16 +189,11 @@ class _Rays:
         self.far_mag = mag[::-1].tolist()
         moments = self.w[:, None] * self.c[:, None] ** np.arange(TAYLOR_TERMS)
         self.near = np.cumsum(moments, axis=0) * _TAYLOR
-        # a ray whose far band ends past the grid contributes no moment; its rows, the last ones,
-        # are never read, and its c^-(2j+1) could overflow: the free pair's below ~1e-18 eV
-        far = np.searchsorted(r, self.far_edge[::-1]) < r.size
-        c_far, w_far = self.c[::-1][far, None], self.w[::-1][far, None]
+        c_far, w_far = self.c[::-1, None], self.w[::-1, None]
         odd = 2 * np.arange(SERIES_TERMS) + 1
-        moments = np.zeros((self.c.size, SERIES_TERMS), dtype=complex)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            moments[far] = w_far * c_far**-odd
-            self.far = np.cumsum(moments, axis=0) * _SERIES
-        # a row past the double range (|c| below ~4e-10: ~1e-17 eV on a grid reaching its far band)
+            self.far = np.cumsum(w_far * c_far**-odd, axis=0) * _SERIES
+        # a row past the double range (|c| below ~4e-10: ~1e-17 eV; read only if the grid reaches it)
         # is summed in 1/(s r), s its smallest |c|, which keeps each w (c/s)^-(2j+1) within |w|
         self.far_scale = np.ones(self.c.size)
         for m in np.flatnonzero(~np.isfinite(self.far).all(axis=1)).tolist():

@@ -65,7 +65,7 @@ def test_evolve_rejects_energy_outside_zero_to_inf(symmetric_profile, symmetric_
 
 @pytest.mark.parametrize("energy_ev", [1e-18, 1e-30])
 def test_evolve_at_a_tiny_energy_forms_no_non_finite_moment(symmetric_profile, symmetric_poles, energy_ev):
-    """The free pair's c^-(2j+1) overflows here, but its far band lies past the grid: no moment, no warning."""
+    """The free pair's c^-(2j+1) overflows here; its far band lies past the grid, so Psi is finite, with no warning."""
     tau = np.geomspace(0.01, 50.0, 5)
     sol = evolve_full(symmetric_profile, symmetric_poles, energy_ev, 80.0, tau=tau)
     assert np.all(np.isfinite(sol.psi))
