@@ -3,7 +3,10 @@
 On resonance the normalized modulus follows |Psi(tau)/phi| = 1 - e^{-tau/2}
 (time constant: two lifetimes) until the exponential term dips below the
 algebraic remainder; ln delta(tau) with delta = |1 - |Psi/phi|| then leaves
-the slope -1/2 line and turns into a tau^{-1/2}-modulated oscillation.
+the slope -1/2 line and turns into a tau^{-1/2}-modulated oscillation.  The
+single-resonance |Psi|^2 decomposes likewise into the exponential charging
+term |phi|^2 (1 - e^{-tau/2})^2 plus an algebraically decaying remainder
+(``buildup_decomposition``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ SLOPE_WINDOW = 0.5  # tau width of the moving and of the consecutive slope windo
 ONSET_DEVIATION = 0.2  # relative departure of a window slope from -1/2 that counts
 ONSET_PERSISTENCE = 3  # consecutive departing windows that make the onset
 FIT_TAU_MIN = 0.5  # start of the charging-law fit window
-ENVELOPE_MARGIN = 4.0  # tau after the onset where the envelope fit starts
+FIT_TAU_MAX = 6.0  # end of the charging-law fit window, unless the onset comes first
 ENVELOPE_BLOCKS = 12  # log-spaced tau blocks of the envelope fit
 MIN_PER_BLOCK = 24  # samples a block needs to count
 FIT_RESIDUAL_TOL = 0.05  # largest RMS residual of the charging-law fit
@@ -86,7 +89,6 @@ class OnsetReport:
     fit_slope: float
     fit_residual: float
     tau_onset: float | None = None
-    envelope_exponent: float | None = None
 
     @property
     def tau0(self) -> float:
@@ -107,20 +109,57 @@ def normalize_buildup(solution: TransientSolution, state: ResonantState) -> Buil
     return BuildupSeries(tau, np.abs(solution.psi / phi))
 
 
-def fit_time_constant(
-    series: BuildupSeries, *, tau_min: float = 0.5, tau_max: float = 6.0
-) -> OnsetReport:
-    """Least-squares fit of ln(1 - |Psi/phi|) over the pre-onset window.
+@dataclass(frozen=True)
+class BuildupDecomposition:
+    """|Psi|^2 split into the exponential charging term and the remainder."""
+
+    tau: np.ndarray
+    exponential_part: np.ndarray
+    remainder: np.ndarray
+    phi_abs2: float
+
+    @property
+    def abs2(self) -> np.ndarray:
+        return self.exponential_part + self.remainder
+
+
+def buildup_decomposition(
+    solution: TransientSolution, state: ResonantState
+) -> BuildupDecomposition:
+    """Remainder Delta(tau) = |Psi|^2 - |phi|^2 (1 - e^{-tau/2})^2.
+
+    Requires an on-resonance single-resonance solution; the identity
+    exponential_part + remainder == |Psi|^2 holds by construction.
+    """
+    if solution.mode != "single_resonance":
+        raise ValueError("decomposition is defined for single-resonance solutions")
+    if solution.reference is None or abs(solution.reference.k - state.k) > 1e-12 * abs(state.k):
+        raise ValueError("solution was not produced with this resonance")
+    if abs(solution.energy_ev - state.eps_ev) > 1e-9 * state.eps_ev:
+        raise ValueError(
+            f"solution energy {solution.energy_ev} is not on resonance ({state.eps_ev})"
+        )
+    tau = solution.tau
+    phi_abs2 = abs(solution.phi) ** 2
+    exponential = phi_abs2 * exponential_law(tau) ** 2
+    # small difference of O(|phi|^2) quantities; the accuracy floor is set by
+    # the ~1e-14 relative error of the kernel evaluations, not this subtraction
+    remainder = solution.abs2 - exponential
+    return BuildupDecomposition(tau, exponential, remainder, phi_abs2)
+
+
+def fit_time_constant(series: BuildupSeries, *, tau_max: float = FIT_TAU_MAX) -> OnsetReport:
+    """Least-squares fit of ln(1 - |Psi/phi|) over [FIT_TAU_MIN, tau_max].
 
     tau0 = -1/slope; an RMS residual above ``FIT_RESIDUAL_TOL`` means the window
     reaches into the crossover and is rejected.
     """
     tau, ratio = series.tau, series.ratio_abs
-    if tau[0] > tau_min + 1e-12 or tau[-1] < tau_max - 1e-12:
+    if tau[0] > FIT_TAU_MIN + 1e-12 or tau[-1] < tau_max - 1e-12:
         raise FitWindowError(
-            f"series [{tau[0]:.3g}, {tau[-1]:.3g}] does not cover [{tau_min}, {tau_max}]"
+            f"series [{tau[0]:.3g}, {tau[-1]:.3g}] does not cover [{FIT_TAU_MIN}, {tau_max}]"
         )
-    mask = (tau >= tau_min) & (tau <= tau_max) & (ratio < 1.0)
+    mask = (tau >= FIT_TAU_MIN) & (tau <= tau_max) & (ratio < 1.0)
     if np.count_nonzero(mask) < 8:
         raise FitWindowError("too few usable points in the fit window")
     x = tau[mask]
@@ -131,7 +170,7 @@ def fit_time_constant(
         raise FitWindowError(
             f"fit residual {residual:.3g} exceeds {FIT_RESIDUAL_TOL}; window overlaps the onset"
         )
-    return OnsetReport(fit_window=(tau_min, tau_max), fit_slope=float(slope), fit_residual=residual)
+    return OnsetReport(fit_window=(FIT_TAU_MIN, tau_max), fit_slope=float(slope), fit_residual=residual)
 
 
 def delta_curve(series: BuildupSeries) -> tuple[np.ndarray, np.ndarray, int]:
@@ -234,7 +273,7 @@ def _onset_windows(tau: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def detect_onset(series: BuildupSeries) -> OnsetReport:
-    """Crossover time out of the exponential regime, plus the window fits.
+    """Crossover time out of the exponential regime, plus the charging-law fit before it.
 
     The tau axis is cut into consecutive windows of width ``SLOPE_WINDOW``;
     the onset is the left edge of the first of ``ONSET_PERSISTENCE``
@@ -258,21 +297,8 @@ def detect_onset(series: BuildupSeries) -> OnsetReport:
     if tau_onset is None:
         raise NoOnsetError("no onset in range")
 
-    fit_tau_max = min(6.0, tau_onset - 1.0)
-    base = fit_time_constant(series, tau_min=FIT_TAU_MIN, tau_max=fit_tau_max)
-
-    exponent = None
-    env_start = tau_onset + ENVELOPE_MARGIN
-    if series.tau[-1] >= 1.5 * env_start:
-        mask = series.tau >= env_start
-        # subtract the known exponential so the fit sees the power-law part
-        # alone even where e^{-tau/2} has not fully died out yet
-        residual = np.abs(1.0 - series.ratio_abs[mask] - np.exp(-0.5 * series.tau[mask]))
-        try:
-            exponent = fit_envelope_exponent(series.tau[mask], residual)
-        except FitWindowError:
-            exponent = None
-    return replace(base, tau_onset=tau_onset, envelope_exponent=exponent)
+    base = fit_time_constant(series, tau_max=min(FIT_TAU_MAX, tau_onset - 1.0))
+    return replace(base, tau_onset=tau_onset)
 
 
 def fit_envelope_exponent(tau: np.ndarray, values: np.ndarray) -> float:

@@ -37,7 +37,6 @@ from .dynamics import evolve_full, evolve_single_resonance
 from .profile import PotentialProfile, ProfileError, build_profile
 from .resonances import (
     GamowResidualError,
-    PoleConvergenceError,
     ResonantState,
     SCAN_FLOOR_EV,
     WindingMismatchError,
@@ -322,9 +321,10 @@ def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
     the amplitudes A, B of the stationary state's march.  For real kappa,
     |phi|^2 = |A|^2 + |B|^2 + 2 Re(A B* e^{2i kappa s}) peaks at
     s = (2 pi m - arg(A B*)) / (2 kappa); for imaginary kappa it is convex,
-    so only the edges can be the maximum.  Both edges are always candidates.
-    A symmetric structure at resonance has exactly degenerate lobes, so ties
-    (within 1e-9 relative) are resolved toward the smallest x.
+    so only the edges can be the maximum.  Both edges are always candidates,
+    and of the interior maxima, all equally high, the first.  A symmetric
+    structure at resonance has exactly degenerate lobes, so ties (within 1e-9
+    relative) are resolved toward the smallest x.
     """
     heights = profile.heights
     interior = heights[1:-1]
@@ -339,8 +339,9 @@ def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
     for lo, hi, k2, ph in zip(a, b, kappa2, phase):
         if k2 > 0.0:  # one maximum per half wavelength
             two_kappa = 2.0 * math.sqrt(k2)
-            m = np.arange(math.ceil(ph / turn), math.floor((two_kappa * (hi - lo) + ph) / turn) + 1)
-            candidates.append(np.clip(lo + (turn * m - ph) / two_kappa, lo, hi))
+            m = math.ceil(ph / turn)
+            if m <= (two_kappa * (hi - lo) + ph) / turn:
+                candidates.append(np.clip([lo + (turn * m - ph) / two_kappa], lo, hi))
     xs = np.concatenate(candidates)
     vals = np.abs(state.phi(xs)) ** 2
     return float(np.min(xs[vals >= vals.max() * (1.0 - 1e-9)]))
@@ -426,7 +427,7 @@ def cmd_evolve(args) -> int:
     _state, sol = _solve(args)
     psi = sol.psi
     phi_abs2 = np.full(psi.size, abs(sol.phi) ** 2)
-    columns = [sol.t_fs, sol.tau, psi.real, psi.imag, np.abs(psi) ** 2, phi_abs2]
+    columns = [sol.t_fs, sol.tau, psi.real, psi.imag, sol.abs2, phi_abs2]
     _write_csv(args.out, ["t_fs", "tau", "re_psi", "im_psi", "abs2_psi", "abs2_phi"], columns)
     return 0
 
@@ -495,8 +496,8 @@ def main(argv=None) -> int:
     except (CliUsageError, ProfileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (PoleConvergenceError, WindingMismatchError, GamowResidualError,
-            NodePositionError, FitWindowError, NoOnsetError) as exc:
+    except (WindingMismatchError, GamowResidualError, NodePositionError, FitWindowError,
+            NoOnsetError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
 

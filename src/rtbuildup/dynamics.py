@@ -7,9 +7,8 @@ plus resonance transients,
 
 with T_n = 2k u_n(0) u_n(x) / (k^2 - k_n^2) and the sum running over the
 fourth-quadrant poles k_n together with their third-quadrant partners
-k_{-n} = -k_n*.  The single-resonance form keeps one pole pair; on resonance
-it decomposes into the exponential charging term |phi|^2 (1 - e^{-tau/2})^2
-plus an algebraically decaying remainder.
+k_{-n} = -k_n*; i T_n is ``one_term_phi``.  The single-resonance form keeps
+one pole pair.
 
 Every term is a weighted kernel on a ray y_i = c_i r, so the sum is
 
@@ -67,7 +66,7 @@ from .moshinsky import (
     _taylor_coefficients,
 )
 from .profile import PotentialProfile
-from .resonances import ResonantState
+from .resonances import ResonantState, one_term_phi
 from .scattering import stationary_state
 
 
@@ -172,12 +171,14 @@ class _Rays:
     whose direct-branch terms sum to one entire function of r.  It is
     interpolated from its values at ``BAND_NODES`` Chebyshev nodes, all
     taken in one ``_moshinsky_m_grid`` call over the pieces that hold a
-    point of the grid ``r`` given here; the values depend on the rays alone.
+    point of the grid ``r`` given here, the grid ``add_to`` sums over; the
+    values depend on the rays alone.
     ``coef`` holds each piece's Chebyshev coefficients as (real, imaginary) pairs; a piece's
     points, one run of the grid, add its real product with their T_0..T_16 of x = (r - mid)/half.
     """
 
     def __init__(self, c: np.ndarray, w: np.ndarray, r: np.ndarray):
+        self.r = r
         order = np.argsort(np.abs(c), kind="stable")
         self.c, self.w = c[order], w[order]
         mag = np.abs(self.c)
@@ -235,8 +236,9 @@ class _Rays:
         coef[:, :2] += linear
         self.coef = coef.view(float).reshape(pieces.size, BAND_NODES, 2)
 
-    def add_to(self, out: np.ndarray, r: np.ndarray) -> None:
+    def add_to(self, out: np.ndarray) -> None:
         """out += sum_i w_i M(c_i r) over the grid r the rays were made for."""
+        r = self.r
         # ray i is near on [0, lo[i]) and far on [hi[i], r.size); both fall with i
         lo = np.searchsorted(r, self.near_edge).tolist()
         hi = np.searchsorted(r, self.far_edge).tolist()
@@ -310,13 +312,13 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference):
     for s in poles:
         # -i [T_n M(y_{k_n}) + T_{-n} M(y_{-k_n*})], with T_{-n} = conj(T_n)
         # for real k because u_{-n} = u_n* and k_{-n}^2 = conj(k_n^2)
-        t_n = 2.0 * k * s.u0 * s.u(x) / (k * k - s.k * s.k)
+        t_n = -1j * one_term_phi(s, energy_ev, x)
         c += [-EXP_MINUS_IPI4 * s.k, EXP_MINUS_IPI4 * s.k.conjugate()]
         w += [-1j * t_n, -1j * t_n.conjugate()]
     c, w = np.asarray(c, dtype=complex), np.asarray(w, dtype=complex)
     root_t = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
     psi = np.zeros(t_fs.size, dtype=complex)
-    _Rays(c, w, root_t).add_to(psi, root_t)
+    _Rays(c, w, root_t).add_to(psi)
     return TransientSolution(float(energy_ev), float(x), t_fs, tau, psi, phi, mode, reference)
 
 
@@ -375,42 +377,3 @@ def evolve_full(
     if reference is None and tau is not None:
         reference = min(poles, key=lambda s: abs(s.eps_ev - energy_ev))
     return _evolve(profile, poles, energy_ev, x, tau, t_fs, "full", reference)
-
-
-@dataclass(frozen=True)
-class BuildupDecomposition:
-    """|Psi|^2 split into the exponential charging term and the remainder."""
-
-    tau: np.ndarray
-    exponential_part: np.ndarray
-    remainder: np.ndarray
-    phi_abs2: float
-
-    @property
-    def abs2(self) -> np.ndarray:
-        return self.exponential_part + self.remainder
-
-
-def buildup_decomposition(
-    solution: TransientSolution, state: ResonantState
-) -> BuildupDecomposition:
-    """Remainder Delta(tau) = |Psi|^2 - |phi|^2 (1 - e^{-tau/2})^2.
-
-    Requires an on-resonance single-resonance solution; the identity
-    exponential_part + remainder == |Psi|^2 holds by construction.
-    """
-    if solution.mode != "single_resonance":
-        raise ValueError("decomposition is defined for single-resonance solutions")
-    if solution.reference is None or abs(solution.reference.k - state.k) > 1e-12 * abs(state.k):
-        raise ValueError("solution was not produced with this resonance")
-    if abs(solution.energy_ev - state.eps_ev) > 1e-9 * state.eps_ev:
-        raise ValueError(
-            f"solution energy {solution.energy_ev} is not on resonance ({state.eps_ev})"
-        )
-    tau = solution.tau
-    phi_abs2 = abs(solution.phi) ** 2
-    exponential = phi_abs2 * (1.0 - np.exp(-0.5 * tau)) ** 2
-    # small difference of O(|phi|^2) quantities; the accuracy floor is set by
-    # the ~1e-14 relative error of the kernel evaluations, not this subtraction
-    remainder = solution.abs2 - exponential
-    return BuildupDecomposition(tau, exponential, remainder, phi_abs2)

@@ -203,12 +203,6 @@ def _horner(coeffs, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _series_sum(y: np.ndarray, n: int) -> np.ndarray:
-    """The first n terms of the asymptotic series at every y, by Horner's rule in 1/y^2."""
-    inv = 1.0 / y
-    return inv * _horner(_series_coefficients(n), inv * inv)
-
-
 def moshinsky_asymptotic(y, n_terms: int = 3) -> tuple[complex, float]:
     """Partial sum of the large-argument expansion plus a truncation bound.
 
@@ -225,6 +219,7 @@ def moshinsky_asymptotic(y, n_terms: int = 3) -> tuple[complex, float]:
     if abs(y) < Y_FAR:
         raise ValueError(f"|y| = {abs(y):.3f} below the asymptotic threshold {Y_FAR}")
     n = (n_terms + 1) // 2
-    value = complex(_series_sum(np.asarray([y]), n)[0])
+    inv = 1.0 / np.asarray([y])  # the first n terms by Horner's rule in 1/y^2
+    value = complex((inv * _horner(_series_coefficients(n), inv * inv))[0])
     bound = abs(_series_coefficients(n + 1)[n]) / abs(y) ** (2 * n + 1)
     return value, bound

@@ -266,7 +266,6 @@ class ResonantState:
     k: complex
     profile: PotentialProfile = field(repr=False)
     u0: complex = field(repr=False)
-    u_end: complex = field(repr=False)
     _wave: _PiecewiseWave = field(repr=False, compare=False)
 
     @cached_property
@@ -303,6 +302,11 @@ class ResonantState:
     def u(self, x):
         """Normalized Gamow eigenfunction at x in [0, L]."""
         return self._wave.value(x)
+
+    @property
+    def u_end(self) -> complex:
+        """u_n(L)."""
+        return self.u(self.profile.total_length)
 
 
 def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
@@ -347,11 +351,9 @@ def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
         raise GamowResidualError(
             f"normalization of the state at k = {complex(ks[~finite][0]):.6g} is not finite"
         )
-    u_end, a, b = u[-1] * scale, a * scale, b * scale
+    a, b = a * scale, b * scale
     return [
-        ResonantState(
-            k, profile, complex(scale[i]), complex(u_end[i]), _PiecewiseWave(profile, kappa[:, i], a[:, i], b[:, i])
-        )
+        ResonantState(k, profile, complex(scale[i]), _PiecewiseWave(profile, kappa[:, i], a[:, i], b[:, i]))
         for i, k in enumerate(ks.tolist())
     ]
 

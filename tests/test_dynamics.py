@@ -447,7 +447,7 @@ def test_grid_beyond_y_far_never_calls_the_kernel(monkeypatch, asymmetric_profil
 def band_ray(c, r):
     """M(c r) for one ray of unit weight through ``_Rays``."""
     out = np.zeros(r.size, dtype=complex)
-    _Rays(np.asarray([c]), np.asarray([1.0 + 0.0j]), r).add_to(out, r)
+    _Rays(np.asarray([c]), np.asarray([1.0 + 0.0j]), r).add_to(out)
     return out
 
 
@@ -516,7 +516,7 @@ def test_band_matches_barycentric_oracle(arg_kn, branch):
     assert np.array_equal(rays.mid, pieces.mid) and np.array_equal(rays.half, pieces.half)
     rays.exp_c, rays.exp_w = [], []
     band = np.zeros(r.size, dtype=complex)
-    rays.add_to(band, r)
+    rays.add_to(band)
     values = sign * _moshinsky_m_grid(sign * c * nodes)
     p = np.searchsorted(rays.bounds, r, "right") - 1
     x = (r - rays.mid[p]) / rays.half[p]
@@ -713,7 +713,7 @@ def test_rays_a_rounding_apart_share_their_band_edges(monkeypatch):
             edges = np.concatenate([Y_NEAR / np.abs(c), Y_FAR / np.abs(c)])
             r = np.unique(np.concatenate([np.geomspace(0.5, 10.0, 50) / np.abs(c[0]), edges]))
             out = np.zeros(r.size, dtype=complex)
-            _Rays(c, np.ones(2, dtype=complex), r).add_to(out, r)
+            _Rays(c, np.ones(2, dtype=complex), r).add_to(out)
             expected = _moshinsky_m_grid(c[0] * r) + _moshinsky_m_grid(c[1] * r)
             assert np.max(np.abs(out - expected) / np.abs(expected)) <= 5e-14
     seen = np.concatenate(seen)

@@ -257,7 +257,7 @@ def collapsed_ray(monkeypatch, c, r):
 
     monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", no_kernel)
     out = np.zeros(r.size, dtype=complex)
-    _Rays(np.asarray([c]), np.asarray([1.0 + 0.0j]), r).add_to(out, r)
+    _Rays(np.asarray([c]), np.asarray([1.0 + 0.0j]), r).add_to(out)
     return out
 
 

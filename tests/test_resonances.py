@@ -81,13 +81,13 @@ def test_lifetime_definition_consistency(symmetric_poles):
 def test_pole_energy_is_derived_from_k(symmetric_poles):
     """E_n = hbar^2 k_n^2 / 2m* of the state's own k, and no constructor takes it or a default."""
     for s in symmetric_poles:
-        rebuilt = ResonantState(s.k, s.profile, s.u0, s.u_end, s._wave)
+        rebuilt = ResonantState(s.k, s.profile, s.u0, s._wave)
         assert rebuilt.energy_ev == s.profile.constants.energy_ev(s.k) == s.energy_ev
         assert rebuilt == s
     assert all(f.default is f.default_factory is dataclasses.MISSING for f in dataclasses.fields(ResonantState))
     s = symmetric_poles[0]
     with pytest.raises(TypeError):
-        ResonantState(k=s.k, energy_ev=s.energy_ev, profile=s.profile, u0=s.u0, u_end=s.u_end, _wave=s._wave)
+        ResonantState(k=s.k, energy_ev=s.energy_ev, profile=s.profile, u0=s.u0, _wave=s._wave)
 
 
 def test_sharpness_ratios(symmetric_poles):
@@ -463,21 +463,6 @@ def test_overflowing_ceiling_is_refused_without_a_warning(symmetric_profile, e_m
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="m22 overflows on the search contour"):
             find_poles(symmetric_profile, e_max)
-
-
-def test_pole_search_transfer_matrix_budget(symmetric_profile, monkeypatch):
-    """find_poles(symmetric, 2 eV) recovers poles without a peak in <= 2000 m22 calls."""
-    calls = counting_m22_sizes(monkeypatch)
-    poles = find_poles(symmetric_profile, 2.0)
-    assert len(poles) == 9
-    assert 0 < len(calls) <= 2000
-
-
-def test_pole_search_call_budget_with_batched_scan(symmetric_profile, monkeypatch):
-    """find_poles(symmetric, 2 eV): batched contours and one call per Newton step keep it <= 300."""
-    calls = counting_m22_sizes(monkeypatch)
-    assert len(find_poles(symmetric_profile, 2.0)) == 9
-    assert 0 < len(calls) <= 300
 
 
 def test_pole_search_call_budget_with_lockstep_newton(symmetric_profile, monkeypatch):
