@@ -4,9 +4,10 @@ On resonance the normalized modulus follows |Psi(tau)/phi| = 1 - e^{-tau/2}
 (time constant: two lifetimes) until the exponential term dips below the
 algebraic remainder; ln delta(tau) with delta = |1 - |Psi/phi|| then leaves
 the slope -1/2 line and turns into a tau^{-1/2}-modulated oscillation.  The
-single-resonance |Psi|^2 decomposes likewise into the exponential charging
+on-resonance |Psi|^2 decomposes likewise into the exponential charging
 term |phi|^2 (1 - e^{-tau/2})^2 plus an algebraically decaying remainder
-(``buildup_decomposition``).
+(``buildup_decomposition``).  The evolutions work in fs; tau = t Gamma_n / hbar
+is formed here, from the solution's t_fs and the resonance's lifetime.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ class OnsetReport:
         return -1.0 / self.fit_slope
 
 
+def _lifetimes(solution: TransientSolution, state: ResonantState) -> np.ndarray:
+    """The solution's time grid in lifetimes of ``state``: tau = t Gamma_n / hbar."""
+    return solution.t_fs / state.lifetime_fs
+
+
 def normalize_buildup(solution: TransientSolution, state: ResonantState) -> BuildupSeries:
     """|Psi/phi| series with time converted to lifetime units.
 
@@ -105,8 +111,7 @@ def normalize_buildup(solution: TransientSolution, state: ResonantState) -> Buil
     phi = solution.phi
     if abs(phi) < 1e-12:
         raise NodePositionError(f"|phi({solution.x})| = {abs(phi):.2e}; position sits on a node")
-    tau = solution.t_fs / state.lifetime_fs
-    return BuildupSeries(tau, np.abs(solution.psi / phi))
+    return BuildupSeries(_lifetimes(solution, state), np.abs(solution.psi / phi))
 
 
 @dataclass(frozen=True)
@@ -128,18 +133,15 @@ def buildup_decomposition(
 ) -> BuildupDecomposition:
     """Remainder Delta(tau) = |Psi|^2 - |phi|^2 (1 - e^{-tau/2})^2.
 
-    Requires an on-resonance single-resonance solution; the identity
-    exponential_part + remainder == |Psi|^2 holds by construction.
+    Requires a solution on resonance n, single-resonance or full, with tau
+    in lifetimes of ``state``; the identity exponential_part + remainder ==
+    |Psi|^2 holds by construction.
     """
-    if solution.mode != "single_resonance":
-        raise ValueError("decomposition is defined for single-resonance solutions")
-    if solution.reference is None or abs(solution.reference.k - state.k) > 1e-12 * abs(state.k):
-        raise ValueError("solution was not produced with this resonance")
     if abs(solution.energy_ev - state.eps_ev) > 1e-9 * state.eps_ev:
         raise ValueError(
             f"solution energy {solution.energy_ev} is not on resonance ({state.eps_ev})"
         )
-    tau = solution.tau
+    tau = _lifetimes(solution, state)
     phi_abs2 = abs(solution.phi) ** 2
     exponential = phi_abs2 * exponential_law(tau) ** 2
     # small difference of O(|phi|^2) quantities; the accuracy floor is set by

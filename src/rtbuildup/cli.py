@@ -364,7 +364,7 @@ def cmd_poles(args) -> int:
 
 
 def _solve(args, on_resonance: bool = False):
-    """The resonance a run is on and Psi on its tau grid; ``on_resonance`` first refuses a run without --resonance.
+    """The resonance a run is on, its tau grid and Psi on it; ``on_resonance`` first refuses a run without --resonance.
 
     Every check that needs no pole comes before the pole search.
     """
@@ -407,33 +407,41 @@ def _solve(args, on_resonance: bool = False):
             mode = "full"
     x = args.x_angstrom if args.x_angstrom is not None else _auto_max_position(profile, energy)
 
+    # tau is in lifetimes of the resonance the run is on; points that round
+    # together in fs, or a subnormal that rounds to 0, leave no time grid
+    t_fs = tau * state.lifetime_fs
+    if not np.all(np.diff(t_fs, prepend=0.0) > 0.0):
+        raise CliUsageError(
+            f"the {args.points}-point tau grid from {args.tau_min!r} to {args.tau_max!r} is not "
+            f"strictly increasing and positive in t = tau * {state.lifetime_fs:.6g} fs"
+        )
     # from 2^52 rad on, neighbouring doubles of the phase E t / hbar are >= 1 rad
     # apart, so exp(-iEt/hbar) carries no correct digit
-    phase = energy * (float(tau[-1]) * state.lifetime_fs) / profile.constants.hbar
+    phase = energy * float(t_fs[-1]) / profile.constants.hbar
     if not phase < 2.0**52:
         raise CliUsageError(
             f"--tau-max {args.tau_max:g} gives a phase E t/hbar of {phase:.3g} rad, at least 2^52: "
             "no digit of exp(-iEt/hbar) is correct there"
         )
     if mode == "single":
-        return state, evolve_single_resonance(profile, state, energy, x, tau=tau)
+        return state, tau, evolve_single_resonance(profile, state, energy, x, t_fs=t_fs)
     e_pole_max = max(4.0 * energy, energy + 10.0 * max(s.gamma_ev for s in poles))
     if e_pole_max > max(s.eps_ev for s in poles):
         poles = _find_poles(profile, e_pole_max)
-    return state, evolve_full(profile, poles, energy, x, tau=tau, reference=state)
+    return state, tau, evolve_full(profile, poles, energy, x, t_fs=t_fs)
 
 
 def cmd_evolve(args) -> int:
-    _state, sol = _solve(args)
+    _state, tau, sol = _solve(args)
     psi = sol.psi
     phi_abs2 = np.full(psi.size, abs(sol.phi) ** 2)
-    columns = [sol.t_fs, sol.tau, psi.real, psi.imag, sol.abs2, phi_abs2]
+    columns = [sol.t_fs, tau, psi.real, psi.imag, sol.abs2, phi_abs2]
     _write_csv(args.out, ["t_fs", "tau", "re_psi", "im_psi", "abs2_psi", "abs2_phi"], columns)
     return 0
 
 
 def cmd_buildup(args) -> int:
-    state, sol = _solve(args, on_resonance=True)
+    state, _tau, sol = _solve(args, on_resonance=True)
     series = normalize_buildup(sol, state)
     law = exponential_law(series.tau) ** 2
     columns = [series.tau, series.ratio_abs, series.ratio_abs2, law]
@@ -442,7 +450,7 @@ def cmd_buildup(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    state, sol = _solve(args, on_resonance=True)
+    state, _tau, sol = _solve(args, on_resonance=True)
     series = normalize_buildup(sol, state)
     tau_d, ln_delta, _dropped = delta_curve(series)
     slopes = local_slopes(tau_d, ln_delta)

@@ -79,40 +79,28 @@ class ConvergenceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TransientSolution:
-    """Psi(x, k; t) sampled on a time grid at fixed position."""
+    """Psi(x, k; t) sampled on a time grid ``t_fs`` in fs at fixed position."""
 
     energy_ev: float
     x: float
     t_fs: np.ndarray = field(repr=False)
-    tau: np.ndarray | None = field(repr=False)
     psi: np.ndarray = field(repr=False)
     phi: complex
-    mode: str
-    reference: ResonantState | None = field(repr=False)
 
     @property
     def abs2(self) -> np.ndarray:
         return np.abs(self.psi) ** 2
 
 
-def _resolve_grid(reference: ResonantState | None, tau, t_fs):
-    if (tau is None) == (t_fs is None):
-        raise ValueError("provide exactly one of tau or t_fs")
-    if tau is not None:
-        if reference is None:
-            raise ValueError("a reference resonance is required for a tau grid")
-        tau = np.asarray(tau, dtype=float)
-        t_fs = tau * reference.lifetime_fs
-    else:
-        t_fs = np.asarray(t_fs, dtype=float)
-        tau = t_fs / reference.lifetime_fs if reference is not None else None
+def _resolve_grid(t_fs) -> np.ndarray:
+    t_fs = np.asarray(t_fs, dtype=float)
     if t_fs.ndim != 1 or t_fs.size == 0:
         raise ValueError("time grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(t_fs)):
         raise ValueError("time grid must be finite")
     if np.any(t_fs <= 0.0) or np.any(np.diff(t_fs) <= 0.0):
         raise ValueError("time grid must be strictly increasing and positive")
-    return tau, t_fs
+    return t_fs
 
 
 _TAYLOR = np.asarray(_taylor_coefficients(TAYLOR_TERMS))
@@ -297,12 +285,12 @@ class _Rays:
             pairs[a : a + e - f] += basis[:, f - base : e - base].T @ coef
 
 
-def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference):
+def _evolve(profile, poles, energy_ev, x, t_fs):
     if any(s.profile is not profile and s.profile != profile for s in poles):
         raise ValueError("every pole must be a pole of the profile evolved")
     if not 0.0 <= x <= profile.total_length:
         raise ValueError(f"position {x} outside [0, {profile.total_length}] A")
-    tau, t_fs = _resolve_grid(reference, tau, t_fs)
+    t_fs = _resolve_grid(t_fs)
     constants = profile.constants
     state = stationary_state(profile, energy_ev)
     k, phi = state.k, state.phi(x)
@@ -319,7 +307,7 @@ def _evolve(profile, poles, energy_ev, x, tau, t_fs, mode, reference):
     root_t = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
     psi = np.zeros(t_fs.size, dtype=complex)
     _Rays(c, w, root_t).add_to(psi)
-    return TransientSolution(float(energy_ev), float(x), t_fs, tau, psi, phi, mode, reference)
+    return TransientSolution(float(energy_ev), float(x), t_fs, psi, phi)
 
 
 def evolve_single_resonance(
@@ -328,8 +316,7 @@ def evolve_single_resonance(
     energy_ev: float,
     x: float,
     *,
-    tau=None,
-    t_fs=None,
+    t_fs,
 ) -> TransientSolution:
     """One-level transient solution for incidence near resonance n.
 
@@ -342,7 +329,7 @@ def evolve_single_resonance(
             f"E = {energy_ev} eV is {abs(energy_ev - state.eps_ev) / state.gamma_ev:.1f} "
             "widths away from the resonance; use the full expansion"
         )
-    return _evolve(profile, [state], energy_ev, x, tau, t_fs, "single_resonance", state)
+    return _evolve(profile, [state], energy_ev, x, t_fs)
 
 
 def evolve_full(
@@ -351,17 +338,14 @@ def evolve_full(
     energy_ev: float,
     x: float,
     *,
-    tau=None,
-    t_fs=None,
-    reference: ResonantState | None = None,
+    t_fs,
 ) -> TransientSolution:
     """Truncated pole-sum solution over the given poles of ``profile``, in any order.
 
     The sum runs over the given poles alone and carries no error estimate:
-    its truncation error falls only as t^(-1/2) at late times.  A tau grid
-    is in lifetimes of ``reference``, by default the pole nearest in
-    energy to the incidence.  A pole of another structure, one whose
-    profile is not equal to ``profile``, raises ``ValueError``.
+    its truncation error falls only as t^(-1/2) at late times.  A pole of
+    another structure, one whose profile is not equal to ``profile``,
+    raises ``ValueError``.
 
     Every evolve keeps a copy of its grid r = sqrt(hbar t / 2m).  One whose
     grid equals the last evolve's, point for point, also keeps its
@@ -374,6 +358,4 @@ def evolve_full(
     """
     if not poles:
         raise ValueError("pole list must be non-empty")
-    if reference is None and tau is not None:
-        reference = min(poles, key=lambda s: abs(s.eps_ev - energy_ev))
-    return _evolve(profile, poles, energy_ev, x, tau, t_fs, "full", reference)
+    return _evolve(profile, poles, energy_ev, x, t_fs)

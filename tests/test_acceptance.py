@@ -79,7 +79,7 @@ def series_bundle(reference_configs):
     bundle = {}
     for label, profile, state, x in reference_configs:
         tau = np.linspace(0.25, 60.0, 120001)
-        sol = evolve_single_resonance(profile, state, state.eps_ev, x, tau=tau)
+        sol = evolve_single_resonance(profile, state, state.eps_ev, x, t_fs=tau * state.lifetime_fs)
         bundle[label] = (profile, state, x, sol, normalize_buildup(sol, state))
     return bundle
 
@@ -228,12 +228,10 @@ def test_criterion_6_special_functions():
 def test_criterion_7_oracle_equivalences(symmetric_profile, symmetric_poles):
     st1 = symmetric_poles[0]
     tau = np.geomspace(0.05, 40.0, 2000)
-    single = evolve_single_resonance(symmetric_profile, st1, st1.eps_ev, 80.0, tau=tau)
+    single = evolve_single_resonance(symmetric_profile, st1, st1.eps_ev, 80.0, t_fs=tau * st1.lifetime_fs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        one_pole = evolve_full(
-            symmetric_profile, [st1], st1.eps_ev, 80.0, tau=tau, reference=st1
-        )
+        one_pole = evolve_full(symmetric_profile, [st1], st1.eps_ev, 80.0, t_fs=tau * st1.lifetime_fs)
     equiv = float(np.max(np.abs(single.psi - one_pole.psi)) / np.max(np.abs(single.psi)))
 
     errors = []

@@ -69,9 +69,10 @@ def test_normalize_buildup_conversion(symmetric_profile, symmetric_poles):
 def test_buildup_series_derives_its_square_and_delta(symmetric_profile, symmetric_poles):
     """|Psi/phi|^2 and delta come from ratio_abs, bit for bit as they were once stored."""
     st = symmetric_poles[0]
-    sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=np.linspace(0.05, 60.0, 3001))
+    tau = np.linspace(0.05, 60.0, 3001)
+    sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, t_fs=tau * st.lifetime_fs)
     ratio = np.abs(sol.psi / sol.phi)
-    series = BuildupSeries(sol.tau, ratio)
+    series = BuildupSeries(tau, ratio)
     assert np.array_equal(series.ratio_abs2, ratio**2)
     assert np.array_equal(series.delta, np.abs(1.0 - ratio))
     assert np.array_equal(normalize_buildup(sol, st).delta, series.delta)
@@ -86,7 +87,7 @@ def test_buildup_series_takes_no_derived_value():
 
 def test_normalize_buildup_rejects_node_position(symmetric_profile, symmetric_poles):
     st = symmetric_poles[0]
-    sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=[1.0])
+    sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, t_fs=np.array([1.0]) * st.lifetime_fs)
     with pytest.raises(NodePositionError):
         normalize_buildup(dataclasses.replace(sol, phi=1e-13 + 0j), st)
 
@@ -94,7 +95,7 @@ def test_normalize_buildup_rejects_node_position(symmetric_profile, symmetric_po
 def test_normalize_buildup_takes_phi_from_the_solution(symmetric_profile, symmetric_poles, monkeypatch):
     """No second stationary solve: phi is the value the evolution already holds."""
     st = symmetric_poles[0]
-    sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=[1.0, 2.0])
+    sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, t_fs=np.array([1.0, 2.0]) * st.lifetime_fs)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("stationary problem solved again")
@@ -109,7 +110,7 @@ def test_normalize_buildup_collapses_to_law(reference_configs):
     tau = np.linspace(0.5, 8.0, 1500)
     law = exponential_law(tau)
     for label, profile, state, x in reference_configs:
-        sol = evolve_single_resonance(profile, state, state.eps_ev, x, tau=tau)
+        sol = evolve_single_resonance(profile, state, state.eps_ev, x, t_fs=tau * state.lifetime_fs)
         series = normalize_buildup(sol, state)
         assert np.max(np.abs(series.ratio_abs - law)) < 1e-2, label
 
@@ -147,7 +148,7 @@ def test_fit_rejects_nonlinear_window():
 def test_fit_time_constant_on_real_configs(reference_configs):
     tau = np.linspace(0.05, 8.0, 4000)
     for label, profile, state, x in reference_configs:
-        sol = evolve_single_resonance(profile, state, state.eps_ev, x, tau=tau)
+        sol = evolve_single_resonance(profile, state, state.eps_ev, x, t_fs=tau * state.lifetime_fs)
         report = fit_time_constant(normalize_buildup(sol, state))
         assert report.tau0 == pytest.approx(2.0, abs=0.05), label
         assert report.fit_window == (0.5, 6.0)
@@ -416,7 +417,7 @@ def test_onset_ordering_with_sharpness(symmetric_profile, symmetric_poles):
     for n in (1, 3):
         state = symmetric_poles[n - 1]
         tau = np.linspace(0.25, 60.0, 120001)
-        sol = evolve_single_resonance(symmetric_profile, state, state.eps_ev, 80.0, tau=tau)
+        sol = evolve_single_resonance(symmetric_profile, state, state.eps_ev, 80.0, t_fs=tau * state.lifetime_fs)
         report = detect_onset(normalize_buildup(sol, state))
         onsets[n] = report.tau_onset
         assert report.fit_slope == pytest.approx(-0.5, abs=0.02)
@@ -427,7 +428,7 @@ def test_onset_balance_oracle_on_real_data(symmetric_profile, symmetric_poles):
     """detect_onset lands near the exp/remainder balance point."""
     state = symmetric_poles[0]
     tau = np.linspace(0.25, 60.0, 120001)
-    sol = evolve_single_resonance(symmetric_profile, state, state.eps_ev, 80.0, tau=tau)
+    sol = evolve_single_resonance(symmetric_profile, state, state.eps_ev, 80.0, t_fs=tau * state.lifetime_fs)
     series = normalize_buildup(sol, state)
     report = detect_onset(series)
     # calibrate the remainder amplitude on the far tail, where the

@@ -37,3 +37,33 @@ def test_reference_oracles_import_nothing_from_the_package():
     names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert "mpmath" in names
     assert [name for name in names if name.split(".")[0] == "rtbuildup"] == []
+
+
+# re-imports that no code of their module reads, kept because the benchmark's tracer
+# patches them there (perfbench/spans.BINDINGS)
+TRACED_REIMPORTS = {
+    ("analysis.py", "stationary_wave"),
+    ("resonances.py", "_transfer_entries"),
+    ("resonances.py", "transmission_scan"),
+}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Every name a package module (but ``__init__.py``) or a test module imports is read in it."""
+    here = Path(__file__).resolve().parent
+    package = Path(rtbuildup.__file__).resolve().parent
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"] + sorted(here.glob("*.py"))
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [(path.name, name) for name in imported if name not in read]
+    assert sorted(set(unread) - TRACED_REIMPORTS) == []
+    assert set(unread) >= TRACED_REIMPORTS

@@ -21,6 +21,7 @@ from rtbuildup import (
     evolve_single_resonance,
     fit_envelope_exponent,
     find_poles,
+    normalize_buildup,
     stationary_wave,
 )
 from rtbuildup.dynamics import _NODES, _Rays
@@ -29,29 +30,26 @@ from rtbuildup.scattering import stationary_state
 
 
 def evolve_all_poles(profile, poles, state, x, tau):
-    return evolve_full(profile, poles, state.eps_ev, x, tau=tau, reference=state)
+    return evolve_full(profile, poles, state.eps_ev, x, t_fs=tau * state.lifetime_fs)
 
 
 def test_grid_validation(symmetric_profile, symmetric_poles):
     st = symmetric_poles[0]
     with pytest.raises(ValueError):
-        evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=[1.0], t_fs=[1.0])
+        evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, t_fs=np.array([0.0, 1.0]) * st.lifetime_fs)
     with pytest.raises(ValueError):
-        evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=[0.0, 1.0])
+        evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, t_fs=np.array([2.0, 1.0]) * st.lifetime_fs)
     with pytest.raises(ValueError):
-        evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=[2.0, 1.0])
-    with pytest.raises(ValueError):
-        evolve_single_resonance(symmetric_profile, st, st.eps_ev, 200.0, tau=[1.0])
+        evolve_single_resonance(symmetric_profile, st, st.eps_ev, 200.0, t_fs=np.array([1.0]) * st.lifetime_fs)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("grid", ["t_fs", "tau"])
-def test_grid_rejects_non_finite_times(symmetric_profile, symmetric_poles, grid, bad):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["t_fs-nan", "t_fs-inf", "t_fs--inf"])
+def test_grid_rejects_non_finite_times(symmetric_profile, symmetric_poles, bad):
     st = symmetric_poles[0]
     with pytest.raises(ValueError):
-        evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, **{grid: [1.0, bad]})
+        evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, t_fs=[1.0, bad])
     with pytest.raises(ValueError):
-        evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, **{grid: [bad]}, reference=st)
+        evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=[bad])
 
 
 @pytest.mark.parametrize("energy_ev", [np.nan, np.inf, 0.0, -0.1])
@@ -67,7 +65,8 @@ def test_evolve_rejects_energy_outside_zero_to_inf(symmetric_profile, symmetric_
 def test_evolve_at_a_tiny_energy_forms_no_non_finite_moment(symmetric_profile, symmetric_poles, energy_ev):
     """The free pair's c^-(2j+1) overflows here; its far band lies past the grid, so Psi is finite, with no warning."""
     tau = np.geomspace(0.01, 50.0, 5)
-    sol = evolve_full(symmetric_profile, symmetric_poles, energy_ev, 80.0, tau=tau)
+    nearest = min(symmetric_poles, key=lambda s: abs(s.eps_ev - energy_ev))
+    sol = evolve_full(symmetric_profile, symmetric_poles, energy_ev, 80.0, t_fs=tau * nearest.lifetime_fs)
     assert np.all(np.isfinite(sol.psi))
 
 
@@ -101,16 +100,15 @@ def test_evolutions_refuse_poles_of_another_profile(symmetric_profile, asymmetri
 def test_rejects_far_off_resonance_energy(symmetric_profile, symmetric_poles):
     st = symmetric_poles[0]
     with pytest.raises(ValueError):
-        evolve_single_resonance(symmetric_profile, st, 2.0 * st.eps_ev, 80.0, tau=[1.0])
+        evolve_single_resonance(symmetric_profile, st, 2.0 * st.eps_ev, 80.0, t_fs=np.array([1.0]) * st.lifetime_fs)
 
 
 def test_single_pole_full_equals_single_resonance(symmetric_profile, symmetric_poles):
     st = symmetric_poles[0]
     tau = np.geomspace(0.05, 30.0, 300)
-    a = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=tau)
+    a = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, t_fs=tau * st.lifetime_fs)
     b = evolve_all_poles(symmetric_profile, [st], st, 80.0, tau)
     assert np.max(np.abs(a.psi - b.psi)) <= 1e-14 * np.max(np.abs(a.psi))
-    assert a.mode == "single_resonance" and b.mode == "full"
 
 
 def test_monotone_buildup_all_configurations(reference_configs):
@@ -122,7 +120,7 @@ def test_monotone_buildup_all_configurations(reference_configs):
     """
     tau = np.geomspace(0.01, 50.0, 400)
     for label, profile, state, x in reference_configs:
-        sol = evolve_single_resonance(profile, state, state.eps_ev, x, tau=tau)
+        sol = evolve_single_resonance(profile, state, state.eps_ev, x, t_fs=tau * state.lifetime_fs)
         window = (tau >= 0.1) & (tau <= 12.0)
         increments = np.diff(sol.abs2[window])
         assert np.min(increments) > -1e-9 * np.max(sol.abs2), label
@@ -131,7 +129,7 @@ def test_monotone_buildup_all_configurations(reference_configs):
 def test_monotone_buildup_extends_for_sharp_states(reference_configs):
     tau = np.geomspace(0.01, 50.0, 400)
     for label, profile, state, x in reference_configs[:2]:  # R > 100
-        sol = evolve_single_resonance(profile, state, state.eps_ev, x, tau=tau)
+        sol = evolve_single_resonance(profile, state, state.eps_ev, x, t_fs=tau * state.lifetime_fs)
         window = (tau >= 0.1) & (tau <= 20.0)
         increments = np.diff(sol.abs2[window])
         assert np.min(increments) > -1e-9 * np.max(sol.abs2), label
@@ -141,7 +139,7 @@ def test_stationary_limit(reference_configs):
     # the broadest state still carries a ~2e-4 oscillatory remainder at tau = 40
     tau = np.linspace(40.0, 44.0, 50)
     for label, profile, state, x in reference_configs:
-        sol = evolve_single_resonance(profile, state, state.eps_ev, x, tau=tau)
+        sol = evolve_single_resonance(profile, state, state.eps_ev, x, t_fs=tau * state.lifetime_fs)
         phi = stationary_wave(profile, state.eps_ev, x)
         ratio2 = sol.abs2 / abs(phi) ** 2
         assert np.max(np.abs(ratio2 - 1.0)) < 1e-3, label
@@ -149,7 +147,7 @@ def test_stationary_limit(reference_configs):
 
 def test_ratio_at_two_lifetimes(reference_configs):
     for label, profile, state, x in reference_configs:
-        sol = evolve_single_resonance(profile, state, state.eps_ev, x, tau=[2.0])
+        sol = evolve_single_resonance(profile, state, state.eps_ev, x, t_fs=np.array([2.0]) * state.lifetime_fs)
         phi = stationary_wave(profile, state.eps_ev, x)
         ratio = abs(sol.psi[0] / phi)
         assert ratio == pytest.approx(1.0 - np.exp(-1.0), abs=1e-2), label
@@ -185,7 +183,7 @@ def test_single_resonance_validity_window(reference_configs, symmetric_profile, 
             poles = symmetric_poles
         else:
             poles = find_poles(profile, 0.3)
-        single = evolve_single_resonance(profile, state, state.eps_ev, x, tau=tau)
+        single = evolve_single_resonance(profile, state, state.eps_ev, x, t_fs=tau * state.lifetime_fs)
         full = evolve_all_poles(profile, poles, state, x, tau)
         rel = np.max(np.abs(single.psi - full.psi) / np.abs(full.psi))
         assert rel < 2e-2, label
@@ -194,20 +192,18 @@ def test_single_resonance_validity_window(reference_configs, symmetric_profile, 
 
 
 def test_full_rejects_empty_pole_list(symmetric_profile, symmetric_poles):
+    st = symmetric_poles[0]
     with pytest.raises(ValueError):
-        evolve_full(symmetric_profile, [], symmetric_poles[0].eps_ev, 80.0, tau=[1.0])
+        evolve_full(symmetric_profile, [], st.eps_ev, 80.0, t_fs=np.array([1.0]) * st.lifetime_fs)
 
 
 def test_asymmetric_buildup_level_differs(symmetric_profile, asymmetric_profile,
                                           symmetric_poles, asymmetric_poles):
     """Raw |Psi|^2 levels are structure-specific even though tau-curves collapse."""
     tau = np.geomspace(0.1, 20.0, 200)
-    sym_sol = evolve_single_resonance(
-        symmetric_profile, symmetric_poles[0], symmetric_poles[0].eps_ev, 80.0, tau=tau
-    )
-    asym_sol = evolve_single_resonance(
-        asymmetric_profile, asymmetric_poles[0], asymmetric_poles[0].eps_ev, 55.0, tau=tau
-    )
+    sym, asym = symmetric_poles[0], asymmetric_poles[0]
+    sym_sol = evolve_single_resonance(symmetric_profile, sym, sym.eps_ev, 80.0, t_fs=tau * sym.lifetime_fs)
+    asym_sol = evolve_single_resonance(asymmetric_profile, asym, asym.eps_ev, 55.0, t_fs=tau * asym.lifetime_fs)
     assert not np.allclose(sym_sol.abs2[-1], asym_sol.abs2[-1], rtol=0.2)
     assert np.all(np.diff(asym_sol.abs2[(tau >= 0.1) & (tau <= 10.0)]) > 0)
 
@@ -215,24 +211,29 @@ def test_asymmetric_buildup_level_differs(symmetric_profile, asymmetric_profile,
 def test_decomposition_identity(reference_configs):
     tau = np.geomspace(0.05, 50.0, 600)
     for label, profile, state, x in reference_configs:
-        sol = evolve_single_resonance(profile, state, state.eps_ev, x, tau=tau)
+        sol = evolve_single_resonance(profile, state, state.eps_ev, x, t_fs=tau * state.lifetime_fs)
         dec = buildup_decomposition(sol, state)
         recomposed = dec.exponential_part + dec.remainder
         assert np.max(np.abs(recomposed - sol.abs2)) <= 1e-10 * np.max(sol.abs2), label
 
 
-def test_decomposition_requires_single_resonance_mode(symmetric_profile, symmetric_poles):
-    st = symmetric_poles[0]
-    tau = np.asarray([1.0, 2.0])
-    full = evolve_all_poles(symmetric_profile, symmetric_poles, st, 80.0, tau)
-    with pytest.raises(ValueError):
-        buildup_decomposition(full, st)
+@pytest.mark.parametrize("config", ["symmetric", "asymmetric"])
+def test_full_mode_decomposition(request, config):
+    """The full pole sum on resonance 1 decomposes too, its tau derived as normalize_buildup derives it."""
+    profile = request.getfixturevalue(f"{config}_profile")
+    poles = request.getfixturevalue(f"{config}_poles")
+    state, x = poles[0], {"symmetric": 80.0, "asymmetric": 55.0}[config]
+    sol = evolve_all_poles(profile, poles, state, x, np.geomspace(0.05, 50.0, 600))
+    dec = buildup_decomposition(sol, state)
+    recomposed = dec.exponential_part + dec.remainder
+    assert np.max(np.abs(recomposed - sol.abs2)) <= 1e-10 * np.max(sol.abs2)
+    assert np.array_equal(dec.tau, normalize_buildup(sol, state).tau)
 
 
 def test_decomposition_requires_on_resonance(symmetric_profile, symmetric_poles):
     st = symmetric_poles[0]
     sol = evolve_single_resonance(
-        symmetric_profile, st, st.eps_ev * (1.0 + 1e-5), 80.0, tau=[1.0, 2.0]
+        symmetric_profile, st, st.eps_ev * (1.0 + 1e-5), 80.0, t_fs=np.array([1.0, 2.0]) * st.lifetime_fs
     )
     with pytest.raises(ValueError):
         buildup_decomposition(sol, st)
@@ -243,7 +244,7 @@ def test_remainder_small_and_power_law_at_long_times(symmetric_profile, symmetri
     decaying with an envelope exponent of -1/2."""
     st = symmetric_poles[0]
     tau = np.linspace(25.0, 60.0, 30000)
-    sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=tau)
+    sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, t_fs=tau * st.lifetime_fs)
     dec = buildup_decomposition(sol, st)
     rel = np.abs(dec.remainder) / dec.phi_abs2
     assert np.max(rel[dec.tau >= 30.0]) < 5e-6
@@ -254,7 +255,7 @@ def test_remainder_small_and_power_law_at_long_times(symmetric_profile, symmetri
 def test_remainder_vanishes_at_late_times_broad_state(symmetric_profile, symmetric_poles):
     st = symmetric_poles[2]
     tau = np.linspace(25.0, 60.0, 30000)
-    sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=tau)
+    sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, t_fs=tau * st.lifetime_fs)
     dec = buildup_decomposition(sol, st)
     rel = np.abs(dec.remainder) / dec.phi_abs2
     assert np.max(rel[dec.tau >= 30.0]) < 5e-4
@@ -266,24 +267,13 @@ def test_universality_of_normalized_curves(reference_configs):
     tau = np.linspace(0.01, 10.0, 2500)
     curves = []
     for label, profile, state, x in reference_configs:
-        sol = evolve_single_resonance(profile, state, state.eps_ev, x, tau=tau)
+        sol = evolve_single_resonance(profile, state, state.eps_ev, x, t_fs=tau * state.lifetime_fs)
         phi = stationary_wave(profile, state.eps_ev, x)
         curves.append(sol.abs2 / abs(phi) ** 2)
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
             assert np.max(np.abs(curves[i] - curves[j])) < 1e-2
 
-
-def test_time_and_tau_grids_are_consistent(symmetric_profile, symmetric_poles):
-    st = symmetric_poles[0]
-    tau = np.asarray([0.5, 1.0, 2.0])
-    by_tau = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, tau=tau)
-    by_t = evolve_single_resonance(
-        symmetric_profile, st, st.eps_ev, 80.0, t_fs=tau * st.lifetime_fs
-    )
-    assert np.array_equal(by_tau.t_fs, by_t.t_fs)
-    assert np.max(np.abs(by_tau.psi - by_t.psi)) == 0.0
-    assert by_t.tau[1] == 1.0  # t = hbar/Gamma converts to tau = 1 exactly
 
 
 # ------------------------------------------------- reflected-branch bound
@@ -399,7 +389,7 @@ def test_evolve_starts_no_thread(symmetric_profile, symmetric_poles):
     evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=np.geomspace(1e-2, 1e4, 12287))
     state = symmetric_poles[0]
     evolve_single_resonance(
-        symmetric_profile, state, state.eps_ev, 80.0, tau=np.geomspace(0.01, 20.0, 200)
+        symmetric_profile, state, state.eps_ev, 80.0, t_fs=np.geomspace(0.01, 20.0, 200) * state.lifetime_fs
     )
     after = set(threading.enumerate())
     assert after <= before, sorted(t.name for t in after - before)
@@ -820,7 +810,7 @@ def test_single_resonance_modulus_matches_mpmath_at_late_times(symmetric_profile
     """
     state = symmetric_poles[0]
     tau = np.linspace(20.0, 60.0, 41)
-    sol = evolve_single_resonance(symmetric_profile, state, state.eps_ev, 80.0, tau=tau)
+    sol = evolve_single_resonance(symmetric_profile, state, state.eps_ev, 80.0, t_fs=tau * state.lifetime_fs)
     constants = symmetric_profile.constants
     r = np.sqrt(constants.hbar2_over_2m * sol.t_fs / constants.hbar)
     k = constants.wavevector(state.eps_ev)

@@ -155,10 +155,19 @@ def test_span_local_window_slopes_on_a_log_grid(tmp_path, config):
      "--e-max-ev", "64", "--points", "120000", "--out", "{tmp}/missing/x.csv"],
     ["buildup", "--profile", SYMMETRIC, "--energy-ev", "0.09", "--x-angstrom", "80"],
     ["poles", "--profile", SYMMETRIC, "--out", ""],
-], ids=["pole-below-zero", "out-directory", "out-missing-parent", "buildup-without-resonance", "out-empty"])
+    # tau grids whose neighbours round together in double precision: 1 and the next double,
+    # and subnormals that np.geomspace repeats
+    ["evolve", "--profile", SYMMETRIC, "--resonance", "1", "--x-angstrom", "80", "--tau-min", "1",
+     "--tau-max", "1.0000000000000002", "--points", "3", "--out", "{tmp}/collapsed.csv"],
+    ["evolve", "--profile", SYMMETRIC, "--resonance", "1", "--x-angstrom", "80", "--tau-min", "5e-324",
+     "--tau-max", "1e-300", "--out", "{tmp}/collapsed.csv"],
+], ids=["pole-below-zero", "out-directory", "out-missing-parent", "buildup-without-resonance", "out-empty",
+        "tau-grid-next-double", "tau-grid-subnormal"])
 def test_error_paths_exit_one_with_no_traceback(tmp_path, argv):
-    """The process exits 1 with an error line: no traceback, no warning."""
+    """The process exits 1 with one error line and writes no file: no traceback, no warning."""
     below_zero = profile_file(tmp_path, "segment = 1 0.25\nsegment = 24 0.015\n", mass_factor=0.5)
     done = cli([a.format(below_zero=below_zero, tmp=tmp_path) for a in argv])
     assert done.returncode == 1 and done.stderr.startswith("error: "), done.stderr
     assert "Traceback" not in done.stderr and "warning" not in done.stderr
+    assert done.stderr.count("\n") == 1
+    assert not list(tmp_path.rglob("*.csv"))
