@@ -104,11 +104,11 @@ def _fmt(value) -> str:
     return f"{value:.12g}"
 
 
-# A CSV cell is laid out in 40 bytes, five 8-byte words, and a keep mask
-# picks the bytes that print; the others are zeroed and then deleted.
-#   bytes  0-7   two pads, the sign, "0.000" (the lead of 0.000ddd)
-#   bytes  8-31  digit i at 8 + 2i and a "." slot after it at 9 + 2i
-#   bytes 32-39  "e", the exponent's sign and two digits, the separator, three pads
+# A CSV cell is laid out in 40 bytes, five 8-byte words, with every byte "%" may print:
+#   word 0     two pads, "-" and "0.000" (the lead of -0.000ddd)
+#   words 1-3  digit j at 8 + 2j and a "." slot after it at 9 + 2j
+#   word 4     "e", the exponent's sign and two digits, the separator, three pads
+# A keep row zeroes the bytes that "%.12g," does not print, and they are then deleted.
 _CSV_BLOCK_ROWS = 4096
 _POW10 = np.array([10**j for j in range(23)], dtype=float)  # exact in float64
 # 10**(i - 22) as one exact multiply or one exact divide: _UP[i] / _DOWN[i]
@@ -125,49 +125,34 @@ _DIGIT_PAIRS = _DIGIT_PAIRS.view(np.uint64).ravel()  # a group's four digits, ea
 _ZERO = (_DIGIT == ord("0")).astype(np.uint8)
 _TRAILING_ZEROS = _ZERO * (1 + _ZERO[:, None] * (1 + _ZERO[:, None, None] * (1 + _ZERO[:, None, None, None])))
 _TRAILING_ZEROS = _TRAILING_ZEROS.ravel()  # 4 for the group 0000
-_LEAD = np.frombuffer(b"\0\0\0" b"0.000" b"\0\0-" b"0.000", dtype=np.uint64)  # positive, negative
-# indexed by i = 33 - e for the exponent e = 33 ... -11
-_E = np.arange(33, -12, -1)
-_EXPONENT = np.frombuffer(b"".join(b"e%+03d,\0\0\0" % e for e in _E.tolist()), dtype=np.uint64)
-_SCIENTIFIC = 16  # layouts 0-15 are fixed notation with exponent -4 ... 11
-_LAYOUT = 125 * np.where((-4 <= _E) & (_E < 12), _E + 4, _SCIENTIFIC)
-_NEGATIVE = 125 * (_SCIENTIFIC + 1)  # the rows of a negative value follow those of a positive one
 _ALL_BYTES = np.uint64(2**64 - 1)
 
 
-def _keep_masks() -> np.ndarray:
-    """Keep mask of each sign, layout and the groups' trailing zeros (z0, z1, z2), as five words.
+def _keep_rows() -> np.ndarray:
+    """Keep row of each sign, exponent index i = 33 - e and the groups' trailing zeros (z0, z1, z2), as five words.
 
-    Row 125 layout + 25 z0 + 5 z1 + z2, plus ``_NEGATIVE`` for a negative
-    value; the mask depends on the zeros only through the last nonzero
-    digit.  Word 0 is the lead word already masked: its sign and "0.000".
+    Row 125 (i + 45 negative) + 25 z0 + 5 z1 + z2.  A row depends on the
+    zeros only through the last nonzero digit, and it is read off "%": a
+    probe with nonzero digits up to that last one, laid out in a full cell,
+    keeps each byte that "%.12g," prints at its first match past the one
+    before.  Words 0 and 4 hold no digit, so the row holds their kept bytes;
+    words 1-3 hold the mask.
     """
-    layout = np.arange(_SCIENTIFIC + 1)[:, None, None]
-    last = np.arange(12)[None, :, None]
-    pos = np.arange(40)[None, None, :]
-    fixed, e = layout < _SCIENTIFIC, layout - 4
-    digit, slot = (pos - 8) // 2, (pos - 9) // 2
-    is_digit = (8 <= pos) & (pos < 32) & (pos % 2 == 0)
-    is_slot = (9 <= pos) & (pos < 32) & (pos % 2 == 1)
-    whole = fixed & (e >= 0)  # the integer part prints in full, zeros included
-    keep = (
-        (pos == 2)
-        | (pos == 36)
-        | (fixed & (e < 0) & (3 <= pos) & (pos < 4 - e))  # "0." and the zeros after it
-        | (is_digit & (digit <= np.where(whole, np.maximum(e, last), last)))
-        | (is_slot & (slot == np.where(fixed, e, 0)) & (last > slot) & (whole | ~fixed))
-        | (~fixed & (32 <= pos) & (pos < 36))
-    )
-    masks = np.where(keep, 0xFF, 0).astype(np.uint8).view(np.uint64)  # by layout and last digit
+    rows = bytearray(2 * 45 * 12 * 40)
+    for row, (negative, i, last) in enumerate(np.ndindex(2, 45, 12)):
+        m = int("123456789123"[: last + 1].ljust(12, "0"))
+        groups = [m // 10**8, m // 10**4 % 10**4, m % 10**4]
+        cell = b"\0\0-0.000" + _DIGIT_PAIRS[groups].tobytes() + b"e%+03d,\0\0\0" % (33 - i)
+        pos = -1
+        for byte in b"%.12g," % ((-1) ** negative * m * 10.0 ** (22 - i)):
+            pos = cell.index(byte, pos + 1)
+            rows[40 * row + pos] = 0xFF if 8 <= pos < 32 else byte
     z0, z1, z2 = np.indices((5, 5, 5)).reshape(3, -1)
     zeros = np.minimum(z2 + (z2 == 4) * (z1 + (z1 == 4) * z0), 11)  # 12 only for a zero mantissa
-    masks = masks[:, 11 - zeros].reshape(-1, 5)
-    masks = np.concatenate([masks, masks])
-    masks[:, 0] &= np.repeat(_LEAD, _NEGATIVE)
-    return masks
+    return np.frombuffer(rows, dtype=np.uint64).reshape(2, 45, 12, 5)[:, :, 11 - zeros].reshape(-1, 5)
 
 
-_KEEP = _keep_masks()
+_KEEP = _keep_rows()
 
 
 def _csv_rows(table: np.ndarray) -> bytes:
@@ -190,10 +175,9 @@ def _csv_rows(table: np.ndarray) -> bytes:
     groups = groups.astype(np.intp)
     zeros = _TRAILING_ZEROS[groups]
     cells = np.empty((v.size, 5), dtype=np.uint64)
-    cells[:, 0] = _ALL_BYTES  # the keep row holds the lead word
+    cells[:, ::4] = _ALL_BYTES  # the keep row holds the lead and exponent words
     cells[:, 1:4] = _DIGIT_PAIRS[groups].T
-    cells[:, 4] = _EXPONENT[i]
-    cells &= np.take(_KEEP, _LAYOUT[i] + (25 * zeros[0] + 5 * zeros[1] + zeros[2]) + _NEGATIVE * (v < 0), axis=0)
+    cells &= np.take(_KEEP, 125 * (i + 45 * (v < 0)) + (25 * zeros[0] + 5 * zeros[1] + zeros[2]), axis=0)
     text = cells.view(np.uint8).reshape(-1, 40)
     slow = (~fast).nonzero()[0]
     if slow.size:
@@ -284,8 +268,6 @@ def _tau_grid(args) -> np.ndarray:
         raise CliUsageError("need 0 < tau-min <= tau-max < inf")
     if args.points > 1 and args.tau_min == args.tau_max:
         raise CliUsageError("--points > 1 needs tau-min < tau-max")
-    if args.points == 1:
-        return np.asarray([args.tau_min])
     if args.grid == "log":
         return np.geomspace(args.tau_min, args.tau_max, args.points)
     return np.linspace(args.tau_min, args.tau_max, args.points)
@@ -426,7 +408,7 @@ def _solve(args, on_resonance: bool = False):
     if mode == "single":
         return state, tau, evolve_single_resonance(profile, state, energy, x, t_fs=t_fs)
     e_pole_max = max(4.0 * energy, energy + 10.0 * max(s.gamma_ev for s in poles))
-    if e_pole_max > max(s.eps_ev for s in poles):
+    if e_pole_max > e_max:
         poles = _find_poles(profile, e_pole_max)
     return state, tau, evolve_full(profile, poles, energy, x, t_fs=t_fs)
 

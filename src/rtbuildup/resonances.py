@@ -391,7 +391,7 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
     samples, dlog = _contour_steps(profile, samples)
     count = _zero_count(dlog)
     if count <= _STRIP_POLES:
-        ks = _recover_poles(profile, [deep], [samples], [dlog])
+        ks = _recover_poles(profile, [deep], [samples])
     else:
         floor = max(-_STRIP_DEPTH, -k_hi)
         cuts = np.linspace(k_lo, k_hi, -(-count // _STRIP_POLES) + 1).tolist()  # ceil(count / 8) strips
@@ -408,20 +408,21 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
     return states
 
 
-def _recover_poles(profile: PotentialProfile, rects, samples, dlogs=None, known=()) -> list[complex]:
+def _recover_poles(profile: PotentialProfile, rects, samples, known=()) -> list[complex]:
     """Every zero of m22 inside each rectangle, each certified by the count on its own contour.
 
     ``samples`` are (k, m22) around each rectangle (see ``_edge_samples``),
-    and ``dlogs`` their steps of log m22 where ``_contour_steps`` has taken
-    them already.  The passes are in the module docstring.  The rectangles
-    run them in lockstep: every pass refines the seeds of all rectangles
-    with poles still missing in one ``_newton`` call, which divides out
-    every pole found so far and the poles ``known`` from elsewhere.  Each
-    rectangle keeps the new poles inside it, whichever seed reached them,
-    and checks them against its own count.  Returns the poles of all
-    rectangles, one rectangle after another.
+    or the count's samples, which ``_contour_steps`` has refined already,
+    so that the first pass takes their steps with no new m22 call.  The
+    passes are in the module docstring.  The rectangles run them in
+    lockstep: every pass refines the seeds of all rectangles with poles
+    still missing in one ``_newton`` call, which divides out every pole
+    found so far and the poles ``known`` from elsewhere.  Each rectangle
+    keeps the new poles inside it, whichever seed reached them, and checks
+    them against its own count.  Returns the poles of all rectangles, one
+    rectangle after another.
     """
-    samples, dlogs = list(samples), list(dlogs or [None] * len(rects))
+    samples = list(samples)
     found: list[list[complex]] = [[] for _ in rects]
     counts: list[int | None] = [None] * len(rects)
     missing = [0] * len(rects)
@@ -433,15 +434,13 @@ def _recover_poles(profile: PotentialProfile, rects, samples, dlogs=None, known=
     while True:
         seeds = []
         for i in pending:
-            if dlogs[i] is None:
-                samples[i], dlogs[i] = _contour_steps(profile, samples[i], found[i])
-            missing[i] = _zero_count(dlogs[i])
+            samples[i], dlog = _contour_steps(profile, samples[i], found[i])
+            missing[i] = _zero_count(dlog)
             counts[i] = missing[i] if counts[i] is None else counts[i]
             if missing[i] < 0:
                 raise mismatch(i)
             if missing[i]:
-                seeds.append(_moment_roots(rects[i], samples[i], dlogs[i], missing[i]))
-            dlogs[i] = None
+                seeds.append(_moment_roots(rects[i], samples[i], dlog, missing[i]))
         pending = [i for i in pending if missing[i]]
         if not pending:
             return [k for poles in found for k in poles]

@@ -522,6 +522,33 @@ def test_full_mode_on_a_long_zero_height_segment_exits_zero(tmp_path, command, m
     assert len(rows) == 50 and np.all(np.isfinite(rows))
 
 
+@pytest.mark.parametrize(
+    "cfg, energy, ceilings",
+    [("sym", "0.1", [0.5]), ("asym", "0.05", [0.3]), ("sym", "0.2", [0.5, 0.8])],
+    ids=["symmetric-0.1", "asymmetric-0.05", "symmetric-0.2"],
+)
+def test_full_mode_searches_again_only_above_the_ceiling_searched(monkeypatch, cfg_paths, tmp_path, cfg, energy, ceilings):
+    """The pole set covers the higher of the barrier top and max(4E, E + 10 Gamma_widest).
+
+    Below the barrier top, at 0.4 and 0.2 eV here, the first search's poles
+    already cover the rule's ceiling; 4 x 0.2 eV lies above it.
+    """
+    import rtbuildup.cli as cli
+
+    searched = []
+    search = cli.find_poles
+
+    def recording(profile, e_max):
+        searched.append(e_max)
+        return search(profile, e_max)
+
+    monkeypatch.setattr(cli, "find_poles", recording)
+    argv = ["evolve", "--profile", cfg_paths[cfg], "--energy-ev", energy, "--x-angstrom", "80", "--mode", "full",
+            "--points", "5", "--out", str(tmp_path / "evolve.csv")]
+    assert main(argv) == 0
+    assert searched == ceilings
+
+
 def test_evolve_csv_structure(cfg_paths, tmp_path):
     out = tmp_path / "evolve.csv"
     code = main([
@@ -716,6 +743,23 @@ def test_csv_rows_format_like_fmt(tmp_path):
     assert out.read_text() == "\n".join(expected) + "\n"
 
 
+def _every_keep_row(rng):
+    """One value per keep row of the writer: each sign, exponent -11 ... 33 and last nonzero digit 0 ... 11.
+
+    Every other value has internal zeros.
+    """
+    pos = np.arange(12)
+    last = np.tile(pos, 90)[:, None]
+    digits = rng.integers(1, 10, (1080, 12))
+    digits[:, 0] += digits[:, 0] == 1  # no leading 1: alone it is a power of ten, which log10 can round across
+    internal = (0 < pos) & (pos < last) & (rng.random((1080, 12)) < 0.5) & (np.arange(1080) % 2 == 1)[:, None]
+    digits[(pos > last) | internal] = 0
+    exponents = np.tile(np.repeat(np.arange(-11, 34), 12), 2)
+    signs = np.repeat(["", "-"], 540)
+    values = [float(f"{s}{m}e{e - 11}") for s, m, e in zip(signs, digits @ 10 ** (11 - pos), exponents)]
+    return np.array(values).reshape(-1, 4)
+
+
 def _csv_cases():
     """Seeded tables for the "%.12g" parity of _write_csv, by name."""
     rng = np.random.default_rng(20261018)
@@ -746,6 +790,7 @@ def _csv_cases():
         "one-row": np.array([[-0.0, 1.5, float("nan"), float("-inf"), 0.0, 2.0 / 3.0, 1e-5]]),
         "block-and-a-bit": rng.standard_normal((2 * block + 17, 2)) * 10.0 ** rng.integers(-12, 35, (2 * block + 17, 2)),
         **{f"{n}-columns": rng.standard_normal((300, n)) * 10.0 ** rng.integers(-6, 14, (300, n)) for n in range(1, 8)},
+        "every-keep-row": _every_keep_row(rng),
     }
 
 

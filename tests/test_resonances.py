@@ -439,9 +439,9 @@ def test_poles_below_the_strip_band_are_recovered_from_the_deep_rectangle(monkey
     calls = []
     recover = resonances._recover_poles
 
-    def recording(profile, rects, samples, dlogs=None, known=()):
+    def recording(profile, rects, samples, known=()):
         calls.append((rects, len(known)))
-        return recover(profile, rects, samples, dlogs, known)
+        return recover(profile, rects, samples, known)
 
     monkeypatch.setattr(resonances, "_recover_poles", recording)
     poles = find_poles(profile, 100.0)
