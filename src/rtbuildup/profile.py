@@ -28,6 +28,11 @@ class PotentialProfile:
     boundaries: np.ndarray = field(init=False, repr=False, compare=False)
     widths: np.ndarray = field(init=False, repr=False, compare=False)
     heights: np.ndarray = field(init=False, repr=False, compare=False)
+    # what ``scattering._march`` reads of the profile: the rows of the segments with a height,
+    # their heights over hbar^2/2m (the k^2 each takes off) and i w of every segment
+    _lifted: np.ndarray = field(init=False, repr=False, compare=False)
+    _lifted_k2: np.ndarray = field(init=False, repr=False, compare=False)
+    _iw: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -39,7 +44,12 @@ class PotentialProfile:
                 raise ProfileError(f"segment {i}: height must be finite, got {height}")
         widths, heights = np.array(self.segments).T.copy()
         edges = np.concatenate(([0.0], np.cumsum(widths)))
-        for name, value in (("boundaries", edges), ("widths", widths), ("heights", heights)):
+        lifted = np.flatnonzero(heights)
+        lifted_k2 = heights[lifted] / self.constants.hbar2_over_2m
+        for name, value in (
+            ("boundaries", edges), ("widths", widths), ("heights", heights),
+            ("_lifted", lifted), ("_lifted_k2", lifted_k2), ("_iw", 1j * widths),
+        ):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 

@@ -21,14 +21,15 @@ real potential has no zero with Im k > 0 besides bound states on the
 imaginary axis, which are refused, and |m22| = 1/|t| >= 1 on the real axis.
 A ceiling at which m22 overflows on that contour is refused before anything
 else runs.  The count N on the deep contour decides where one loop
-(``_recover_poles``) runs: with N <= 8 on the deep contour itself, from the
-count's samples; otherwise on ceil(N / 8) equal strips of Re k over the
-shallow band Im k in [-0.1, lifted top], since the moments of a deep
-contour are scaled by its depth while the poles lie close to the axis.  The
-strips run the loop in lockstep: one m22 call samples all their edges, and
-every pass refines all their seeds together, while each strip counts and
-keeps its own poles.  The strips must find N poles; if they fall short, the
-loop also runs on the deep rectangle below the band.  Each pass of the loop
+(``_recover_poles``) runs: with N <= 8 on the deep contour itself, whose
+first pass is the count; otherwise on ceil(N / 8) equal strips of Re k
+over the shallow band Im k in [-0.1, lifted top], since the moments of a
+deep contour are scaled by its depth while the poles lie close to the
+axis.  The strips run the loop in lockstep: one m22 call samples all their
+edges, and every pass refines all their seeds together, while each strip
+counts and keeps its own poles.  The strips must find N poles; if they fall
+short, the loop also runs on the deep rectangle below the band.  Each pass
+of the loop
 
 1. divides the poles found so far out of the samples,
    g = m22 / prod_j (k - k_j), and counts the missing zeros of g by the
@@ -388,18 +389,20 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
         [samples] = _edge_samples(profile, [deep])
     if not np.all(np.isfinite(samples[1])):
         raise ValueError(f"m22 overflows on the search contour at the ceiling {e_max_ev:g} eV")
-    samples, dlog = _contour_steps(profile, samples)
-    count = _zero_count(dlog)
+    steps = _contour_steps(profile, samples)
+    count = _zero_count(steps[1])
     if count <= _STRIP_POLES:
-        ks = _recover_poles(profile, [deep], [samples])
+        ks = _recover_poles(profile, [deep], [steps])
     else:
         floor = max(-_STRIP_DEPTH, -k_hi)
         cuts = np.linspace(k_lo, k_hi, -(-count // _STRIP_POLES) + 1).tolist()  # ceil(count / 8) strips
         strips = [(strip, (floor, top)) for strip in zip(cuts[:-1], cuts[1:])]
-        ks = _recover_poles(profile, strips, _edge_samples(profile, strips))
+        first = [_contour_steps(profile, ring) for ring in _edge_samples(profile, strips)]
+        ks = _recover_poles(profile, strips, first)
         if len(ks) < count and floor > -k_hi:  # the rest lies below the band
             below = ((k_lo, k_hi), (-k_hi, floor))
-            ks += _recover_poles(profile, [below], _edge_samples(profile, [below]), known=ks)
+            [ring] = _edge_samples(profile, [below])
+            ks += _recover_poles(profile, [below], [_contour_steps(profile, ring)], known=ks)
         if len(ks) != count:
             raise WindingMismatchError(f"winding count {count} != {len(ks)} converged poles")
     states = _gamow_states(profile, ks)
@@ -408,21 +411,21 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
     return states
 
 
-def _recover_poles(profile: PotentialProfile, rects, samples, known=()) -> list[complex]:
+def _recover_poles(profile: PotentialProfile, rects, steps, known=()) -> list[complex]:
     """Every zero of m22 inside each rectangle, each certified by the count on its own contour.
 
-    ``samples`` are (k, m22) around each rectangle (see ``_edge_samples``),
-    or the count's samples, which ``_contour_steps`` has refined already,
-    so that the first pass takes their steps with no new m22 call.  The
-    passes are in the module docstring.  The rectangles run them in
-    lockstep: every pass refines the seeds of all rectangles with poles
-    still missing in one ``_newton`` call, which divides out every pole
-    found so far and the poles ``known`` from elsewhere.  Each rectangle
-    keeps the new poles inside it, whichever seed reached them, and checks
-    them against its own count.  Returns the poles of all rectangles, one
-    rectangle after another.
+    ``steps`` are ``_contour_steps`` around each rectangle with no pole
+    divided out, from which the first pass counts, so that the deep
+    contour's count is its first pass as well.  The passes are in the
+    module docstring.  The rectangles run them in lockstep: every pass
+    refines the seeds of all rectangles with poles still missing in one
+    ``_newton`` call, which divides out every pole found so far and the
+    poles ``known`` from elsewhere.  Each rectangle keeps the new poles
+    inside it, whichever seed reached them, and checks them against its
+    own count.  Returns the poles of all rectangles, one rectangle after
+    another.
     """
-    samples = list(samples)
+    steps = list(steps)
     found: list[list[complex]] = [[] for _ in rects]
     counts: list[int | None] = [None] * len(rects)
     missing = [0] * len(rects)
@@ -434,13 +437,13 @@ def _recover_poles(profile: PotentialProfile, rects, samples, known=()) -> list[
     while True:
         seeds = []
         for i in pending:
-            samples[i], dlog = _contour_steps(profile, samples[i], found[i])
+            samples, dlog = steps[i]
             missing[i] = _zero_count(dlog)
             counts[i] = missing[i] if counts[i] is None else counts[i]
             if missing[i] < 0:
                 raise mismatch(i)
             if missing[i]:
-                seeds.append(_moment_roots(rects[i], samples[i], dlog, missing[i]))
+                seeds.append(_moment_roots(rects[i], samples, dlog, missing[i]))
         pending = [i for i in pending if missing[i]]
         if not pending:
             return [k for poles in found for k in poles]
@@ -457,6 +460,8 @@ def _recover_poles(profile: PotentialProfile, rects, samples, known=()) -> list[
                 raise mismatch(i)
             missing[i] -= len(new)
         pending = [i for i in pending if missing[i]]
+        for i in pending:
+            steps[i] = _contour_steps(profile, steps[i][0], found[i])
 
 
 def _moment_roots(rect, samples, dlog: np.ndarray, missing: int) -> np.ndarray:

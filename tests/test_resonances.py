@@ -579,6 +579,28 @@ def test_recovery_that_finds_the_whole_deficit_runs_no_confirming_pass(symmetric
     assert len(passes) == 5
 
 
+@pytest.mark.parametrize("name, e_max, n_poles", [("symmetric", 1.5, 7), ("asymmetric", 1.2, 7)])
+def test_deep_search_takes_the_count_as_its_first_pass(name, e_max, n_poles, request, monkeypatch):
+    """With at most 8 poles the count's steps of log m22 seed the first moment pass; none is taken twice.
+
+    Every later pass divides out the poles found before it, so exactly one
+    call sees no pole: the count's.
+    """
+    profile = request.getfixturevalue(f"{name}_profile")
+    steps = resonances._contour_steps
+    undeflated = []
+
+    def recording_steps(profile, samples, known=()):
+        undeflated.append(len(known) == 0)
+        return steps(profile, samples, known)
+
+    monkeypatch.setattr(resonances, "_contour_steps", recording_steps)
+    batches = recording_newton_batches(monkeypatch, undeflated)
+    assert len(find_poles(profile, e_max)) == n_poles <= resonances._STRIP_POLES
+    assert undeflated[0] and sum(undeflated) == 1
+    assert batches[0][2] == 1  # the first Newton batch follows the count alone
+
+
 @pytest.mark.parametrize(
     "name, e_max, n_poles, budget",
     [("symmetric", 16.0, 26, 8), ("asymmetric", 8.0, 21, 14), ("asymmetric", 16.0, 30, 12)],
