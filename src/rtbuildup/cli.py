@@ -109,7 +109,15 @@ def _fmt(value) -> str:
 #   words 1-3  digit j at 8 + 2j and a "." slot after it at 9 + 2j
 #   word 4     "e", the exponent's sign and two digits, the separator, three pads
 # A keep row zeroes the bytes that "%.12g," does not print, and they are then deleted.
-_CSV_BLOCK_ROWS = 4096
+# A block of 3,072 cells (1,024 rows of 3 columns, 123 KB of cells) is small enough for
+# malloc to reuse its temporaries from block to block and call to call: a crossover CSV
+# takes no minor page fault, against ~740 with 4,096-row blocks (491 KB of cells).
+_CSV_BLOCK_CELLS = 3072
+# Up to this many cells "%" is faster than the ~40 numpy calls of a block when caches
+# are cold, as in one CLI run: right after perfbench's calibration loop a 10 x 7 table
+# takes ~120 us by "%" and ~360 us by numpy, and the two meet near 450 cells (warm,
+# near 150).
+_PERCENT_CELLS = 256
 _POW10 = np.array([10**j for j in range(23)], dtype=float)  # exact in float64
 # 10**(i - 22) as one exact multiply or one exact divide: _UP[i] / _DOWN[i]
 _UP = np.concatenate([np.ones(22), _POW10])
@@ -158,6 +166,9 @@ _KEEP = _keep_rows()
 def _csv_rows(table: np.ndarray) -> bytes:
     """The rows of a float table, each cell as "%.12g" % v, comma-separated."""
     rows, cols = table.shape
+    if table.size <= _PERCENT_CELLS:
+        row = ",".join(["%.12g"] * cols) + "\n"
+        return "".join([row % tuple(cells) for cells in table.tolist()]).encode()
     v = table.ravel()
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero, inf and nan: rendered by "%"
@@ -187,6 +198,17 @@ def _csv_rows(table: np.ndarray) -> bytes:
     return cells.tobytes().translate(None, b"\0")
 
 
+def _csv_parts(header: list[str], columns, footer: str | None):
+    """The header line, the rows in blocks of about _CSV_BLOCK_CELLS cells, and the footer line, as bytes."""
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    step = _CSV_BLOCK_CELLS // len(columns)
+    yield (",".join(header) + "\n").encode()
+    for i in range(0, columns[0].size, step):
+        yield _csv_rows(np.column_stack([column[i : i + step] for column in columns]))
+    if footer is not None:
+        yield (footer + "\n").encode()
+
+
 def _write_csv(path: str | None, header: list[str], columns, footer: str | None = None) -> None:
     """One 1-D column per header name; every cell is rendered exactly as "%.12g" % v.
 
@@ -199,24 +221,21 @@ def _write_csv(path: str | None, header: list[str], columns, footer: str | None 
     rounded 12-digit mantissa that "%" prints with exponent e.  Every other
     cell is rendered by "%.12g" % v itself, one at a time: nan, +-inf, +-0,
     |11 - e| > 22, near-ties, a mantissa that rounds up to 1e12, and a log10
-    that rounded across a power of ten (s outside [1e11, 1e12)).  Rows
-    go in blocks of _CSV_BLOCK_ROWS, which bounds the temporaries; the bytes
-    go to the file opened in binary mode, or to sys.stdout.buffer.
+    that rounded across a power of ten (s outside [1e11, 1e12)).  A block of
+    at most _PERCENT_CELLS cells is rendered by "%" alone.  Each block is
+    stacked from slices of the columns and written as it is rendered, to the
+    file opened in binary mode or to sys.stdout.buffer, so neither the whole
+    table nor the whole output is held at once.
     """
-    table = np.column_stack(columns).astype(float, copy=False)
-    parts = [(",".join(header) + "\n").encode()]
-    parts += [_csv_rows(table[i : i + _CSV_BLOCK_ROWS]) for i in range(0, len(table), _CSV_BLOCK_ROWS)]
-    if footer is not None:
-        parts.append((footer + "\n").encode())
-    data = b"".join(parts)  # one write: writing each block as it is rendered was slower
+    parts = _csv_parts(header, columns, footer)
     if path is None:
         sys.stdout.flush()
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(parts)
         sys.stdout.buffer.flush()
     else:
         try:
             with open(path, "wb") as fh:
-                fh.write(data)
+                fh.writelines(parts)
         except OSError as exc:
             raise CliUsageError(f"cannot write {path}: {exc}") from None
 

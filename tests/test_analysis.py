@@ -266,18 +266,27 @@ def exact_slope(tau, values):
 @pytest.mark.parametrize("tau", [
     np.linspace(0.25, 60.0, 24001),
     np.geomspace(0.25, 60.0, 8001),
+    np.geomspace(0.25, 60.0, 24001),
     dropped_grid(),
     1e3 + np.linspace(0.25, 60.0, 24001),
     np.linspace(0.25, 30.0, 5 * analysis._SLOPE_BLOCK + 77),
-], ids=["linear", "log", "dropped", "offset-1e3", "ragged"])
+], ids=["linear", "log", "log-24001", "dropped", "offset-1e3", "ragged"])
 def test_local_slopes_match_exact_least_squares(tau):
-    """Plain span-local sums against exact rationals, at every block's first and last window."""
+    """Plain span-local sums against exact rationals, at every block's first and last window.
+
+    A block starting at output a takes max(_SLOPE_BLOCK, 2 w) outputs, w the
+    point count of window a; the log grids' head windows hold thousands of points.
+    """
     values = crossover_like(tau - tau[0] + 0.25)
     got = local_slopes(tau, values)
     lo = np.searchsorted(tau, tau - 0.25, side="left")
     hi = np.searchsorted(tau, tau + 0.25, side="right")
-    starts = np.arange(0, tau.size, analysis._SLOPE_BLOCK)
-    edges = np.concatenate([starts, np.minimum(starts + analysis._SLOPE_BLOCK, tau.size) - 1])
+    starts = [0]
+    while starts[-1] < tau.size:
+        a = starts[-1]
+        starts.append(a + max(analysis._SLOPE_BLOCK, 2 * int(hi[a] - lo[a])))
+    starts = np.array(starts)
+    edges = np.concatenate([starts[:-1], np.minimum(starts[1:], tau.size) - 1])
     picks = np.concatenate([edges, np.random.default_rng(19).integers(0, tau.size, 30)])
     for i in picks:
         want = exact_slope(tau[lo[i]:hi[i]], values[lo[i]:hi[i]])

@@ -2,13 +2,14 @@ import contextlib
 import io
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtbuildup import ProfileError
+from rtbuildup import ProfileError, cli
 from rtbuildup.cli import main, parse_profile_text
 
 SYMMETRIC_CFG = """\
@@ -533,8 +534,6 @@ def test_full_mode_searches_again_only_above_the_ceiling_searched(monkeypatch, c
     Below the barrier top, at 0.4 and 0.2 eV here, the first search's poles
     already cover the rule's ceiling; 4 x 0.2 eV lies above it.
     """
-    import rtbuildup.cli as cli
-
     searched = []
     search = cli.find_poles
 
@@ -775,6 +774,13 @@ def _csv_cases():
     big_exponents = np.ldexp(rng.uniform(1.0, 2.0, 600), rng.integers(330, 1020, 600)) * rng.choice([-1, 1], 600)
     big_exponents[300:] = 1.0 / big_exponents[300:]
     block = 4096
+
+    def spread(rows, cols):
+        return rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-12, 35, (rows, cols))
+
+    def several_blocks(cols, tail_rows):
+        return spread(3 * (cli._CSV_BLOCK_CELLS // cols) + tail_rows, cols)
+
     return {
         "random-64-bit-patterns": rng.integers(0, 2**64, (350_000, 3), dtype=np.uint64, endpoint=False).view(float),
         "powers-of-ten-and-neighbours": np.concatenate([neighbours, -neighbours]).reshape(-1, 2),
@@ -791,6 +797,11 @@ def _csv_cases():
         "block-and-a-bit": rng.standard_normal((2 * block + 17, 2)) * 10.0 ** rng.integers(-12, 35, (2 * block + 17, 2)),
         **{f"{n}-columns": rng.standard_normal((300, n)) * 10.0 ** rng.integers(-6, 14, (300, n)) for n in range(1, 8)},
         "every-keep-row": _every_keep_row(rng),
+        # three full blocks and a partial one, short enough for "%" or not
+        "blocks-1-column": several_blocks(1, 17),
+        "blocks-3-columns": several_blocks(3, 333),
+        "blocks-7-columns": several_blocks(7, 5),
+        "percent-only": rng.integers(0, 2**64, (cli._PERCENT_CELLS // 7, 7), dtype=np.uint64, endpoint=False).view(float),
     }
 
 
@@ -798,14 +809,14 @@ _CSV_CASES = _csv_cases()
 
 
 @pytest.mark.parametrize("name", list(_CSV_CASES))
-def test_csv_writer_matches_percent_format_cell_by_cell(tmp_path, name):
-    from rtbuildup.cli import _write_csv
-
+def test_csv_writer_matches_percent_format_cell_by_cell(tmp_path, capsysbinary, name):
     table = _CSV_CASES[name]
     columns = list(table) if isinstance(table, list) else [table[:, j] for j in range(table.shape[1])]
     header = [f"c{j}" for j in range(len(columns))]
     out = tmp_path / "cells.csv"
-    _write_csv(str(out), header, columns)
+    cli._write_csv(str(out), header, columns)
+    cli._write_csv(None, header, columns)
+    assert capsysbinary.readouterr().out == out.read_bytes()
     lines = out.read_bytes().split(b"\n")
     assert lines[0] == ",".join(header).encode() and lines[-1] == b""
     got = [cell for line in lines[1:-1] for cell in line.split(b",")]
@@ -869,18 +880,24 @@ _RANDOM_RUNS = (
 )
 
 
-# a fixed draw, about 8 s; a contour of rounding noise exits 2 at once (see test_resonances)
+# a fixed draw, about 10 s; a contour of rounding noise exits 2 at once (see test_resonances)
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(segments=_SEGMENTS, mass_factor=st.sampled_from([0.067, 0.5]))
 @example(segments=[(1.0, 0.25), (24.0, 0.015)], mass_factor=0.5)  # a pole with eps_n < 0
 def test_random_profiles_exit_with_a_documented_code(tmp_path_factory, segments, mass_factor):
-    """Lifted and negative wells, single barriers, heights on 0: every run exits 0, 1 or 2, never raises."""
-    root = tmp_path_factory.getbasetemp()
-    cfg, out = root / "random.cfg", root / "random.csv"
-    cfg.write_text(f"mass_factor = {mass_factor!r}\n" + "".join(f"segment = {w!r} {h!r}\n" for w, h in segments))
+    """Lifted and negative wells, single barriers, heights on 0: every run exits 0, 1 or 2, never raises.
+
+    Each example's config goes to a file of its own and each CSV to stdout,
+    held in memory.  Rewriting one config and one CSV file in place cost most
+    of a minute on a slow disk: ext4 flushes a file truncated and written
+    again when it is closed.
+    """
+    fd, cfg = tempfile.mkstemp(suffix=".cfg", dir=tmp_path_factory.getbasetemp())
+    with os.fdopen(fd, "w") as fh:
+        fh.write(f"mass_factor = {mass_factor!r}\n" + "".join(f"segment = {w!r} {h!r}\n" for w, h in segments))
     for argv in _RANDOM_RUNS:
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(argv + ["--profile", str(cfg), "--out", str(out)])
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+            code = main(argv + ["--profile", cfg])
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue() and "last pole pair" not in err.getvalue(), argv
