@@ -28,11 +28,12 @@ wider than ``BAND_RATIO`` in r, the rays on each piece sum to one entire
 function of r, interpolated from its values at ``BAND_NODES`` Chebyshev
 nodes and summed as its Chebyshev series, one real matrix product per
 piece.  A reflected ray's exp(y^2) stops where it decays below
-exp(-``_EXP_CUT``), at the decay rate Im(c)^2 - Re(c)^2 formed from the
-squares of the parts: exactly 0 for y_k, whose |exp(y_k^2)| = 1 holds to
-the end of the grid.  That exp(y^2) is taken in place by
-``_exp_in_place``, in real passes over a 1024-entry cis table (about 7 ns
-a point, where numpy's complex exp takes 13-19).  The Faddeeva kernel
+exp(-``_EXP_CUT``), at the decay rate -Re(c^2) = (Im c - Re c)(Im c + Re c):
+exactly 0 for y_k, whose parts are equal.  That exp(y^2) is taken in place
+by ``_exp_square_in_place``, the kernel's own, which forms Re(y^2) the same
+way, so |exp(y_k^2)| = 1 to rounding holds to the end of the grid; it runs
+real passes over a 1024-entry cis table (about 7 ns a point, where numpy's
+complex exp takes 13-19).  The Faddeeva kernel
 runs only at the nodes, in one ``_moshinsky_m_grid`` call per evolution,
 every argument on the direct branch, so an added pole pair costs a few
 multiply-adds per grid point rather than a Faddeeva evaluation at each of
@@ -61,7 +62,7 @@ from .moshinsky import (
     TAYLOR_TERMS,
     Y_FAR,
     Y_NEAR,
-    _exp_in_place,
+    _exp_square_in_place,
     _horner,
     _moshinsky_m_grid,
     _series_coefficients,
@@ -153,9 +154,10 @@ class _Rays:
 
     A reflected ray adds its w exp(y^2) from its near edge on, so that what
     is left of it in the band between is -w M(-y), on the direct branch; it
-    stops once Re(y^2) = -(Im(c)^2 - Re(c)^2) r^2 falls below -``_EXP_CUT``,
-    a decay rate formed from the squares of the parts so that y_k, whose
-    parts are equal, gets exactly 0 and keeps exp(y^2) to the end of the grid;
+    stops once Re(y^2) = -(Im c - Re c)(Im c + Re c) r^2 falls below
+    -``_EXP_CUT``, a decay rate in the form ``_exp_square_in_place`` takes
+    Re(y^2) in, so that y_k, whose parts are equal, gets exactly 0 and keeps
+    |exp(y^2)| = 1 to the end of the grid;
     beyond Y_FAR, where M(y) = exp(y^2) - M(-y), the series is odd in y.
     Cut at every ray's band edges and again until no piece spans more than
     ``BAND_RATIO`` in r, the band holds a fixed set of rays on each piece,
@@ -193,7 +195,7 @@ class _Rays:
             with np.errstate(under="ignore"):
                 self.far[m] = np.sum(w_far[: m + 1] * (s / c_far[: m + 1]) ** odd, axis=0) * _SERIES
         reflected = self.c.real < 0.0
-        decay = np.maximum(np.square(self.c.imag) - np.square(self.c.real), 0.0)
+        decay = np.maximum((self.c.imag - self.c.real) * (self.c.imag + self.c.real), 0.0)
         with np.errstate(divide="ignore"):
             exp_end = np.maximum(self.far_edge, np.sqrt(_EXP_CUT / decay))
         self.exp_c, self.exp_w = self.c[reflected].tolist(), self.w[reflected].tolist()
@@ -253,8 +255,7 @@ class _Rays:
             table = kept.get(key)
             if table is None:
                 table = c * r[a:b]
-                table *= table
-                _exp_in_place(table)
+                _exp_square_in_place(table)
                 if store:
                     table.flags.writeable = False
                     kept[key] = table

@@ -33,11 +33,11 @@ the scalar form of the asymptotic sum.  Between the two, ``dynamics``
 interpolates the summed direct-branch terms of its rays in r from
 ``BAND_NODES`` = 17 Chebyshev nodes on pieces of at most ``BAND_RATIO`` =
 1.5 in r: one ray there is within 1.1e-14 of a 30-digit erfc, as ``wofz``
-itself is at the same points.  A reflected ray adds its exp(y^2) apart,
-which ``_exp_in_place`` takes from a 1024-entry table of exp(2 pi i j /
-1024), a short series and a real ``np.exp`` (Tang 1989), as accurately as
-``np.exp`` and in about half its time; ``_moshinsky_m_grid``, the
-scalar API's kernel, keeps ``np.exp``.
+itself is at the same points.  A reflected ray adds its exp(y^2) apart.
+That exp(y^2), the kernel's and the pole sum's alike, comes from
+``_exp_square_in_place``: y^2 formed from the parts of y, then a 1024-entry
+table of exp(2 pi i j / 1024), a short series and a real ``np.exp`` (Tang
+1989), as accurately as ``np.exp`` and in about half its time.
 
 Momentum arguments follow
 
@@ -56,8 +56,8 @@ import math
 import numpy as np
 
 EXP_MINUS_IPI4 = complex(0.7071067811865475, -0.7071067811865475)
-"""exp(-i pi/4) with equal parts, so that Re(y_k^2) for real k is zero up to unbiased
-rounding; ``cmath.exp`` gives parts a bit apart, which biases it positive."""
+"""exp(-i pi/4) with equal parts, so that y_k for real k has parts of equal magnitude and Re(y_k^2),
+formed as (Re y - Im y)(Re y + Im y), is exactly 0; ``cmath.exp`` gives parts a bit apart."""
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -86,9 +86,10 @@ def _moshinsky_m_grid(y, scaled: bool = False):
     direct = y.real >= 0.0
     mantissa[direct] = 0.5 * wofz(1j * y[direct])
     y_refl = y[~direct]
-    yy = y_refl * y_refl
-    s = np.maximum(yy.real, 0.0)
-    mantissa[~direct] = np.exp(yy - s) - 0.5 * wofz(-1j * y_refl) * np.exp(-s)
+    s = np.maximum((y_refl.real - y_refl.imag) * (y_refl.real + y_refl.imag), 0.0)  # Re y^2 as the exp forms it
+    m_minus = 0.5 * wofz(-1j * y_refl) * np.exp(-s)
+    _exp_square_in_place(y_refl)  # y_refl now holds exp(y^2 - s)
+    mantissa[~direct] = y_refl - m_minus
     log_scale[~direct] = s
     if scaled:
         return mantissa, log_scale
@@ -214,7 +215,7 @@ def _leading_bits(v: float, bits: int) -> float:
 
 
 _EXP_STEPS = 1024
-"""Entries of the cis table of ``_exp_in_place``, one per 2 pi / 1024 of Im z."""
+"""Entries of the cis table of ``_exp_square_in_place``, one per 2 pi / 1024 of Im y^2."""
 
 _TAU_LO = -math.sin(math.tau)
 """2 pi - fl(2 pi): sin(fl(2 pi)) is minus that difference, up to its cube / 6 (1e-48)."""
@@ -245,46 +246,52 @@ _STEP_1 = _leading_bits(_STEP, 25)
 _STEP_2 = _leading_bits(_STEP - _STEP_1, 25)
 _STEP_3 = (_STEP - _STEP_1 - _STEP_2) + _TAU_LO / _EXP_STEPS
 _EXP_CHUNK = 8192
-"""Points ``_exp_in_place`` takes per pass: its work rows stay in cache and hold 48 bytes a point."""
+"""Points ``_exp_square_in_place`` takes per pass: its work rows stay in cache and hold 48 bytes a point."""
 
 
-def _exp_in_place(z: np.ndarray) -> None:
-    """z <- exp(z) for a contiguous complex array with Re z <= 0, as accurate as ``np.exp``.
+def _exp_square_in_place(y: np.ndarray) -> None:
+    """y <- exp(y^2 - s), s = max(Re y^2, 0), for a contiguous complex array; s = 0 on the pole sum's rays.
+
+    Im y^2 = 2 Re y Im y, and Re y^2 = (Re y - Im y)(Re y + Im y), within 1.5 eps of itself, not
+    of |y|^2, and exactly 0 where the parts have equal magnitude: on y_k, |exp(y^2)| = 1 to rounding.
 
     numpy's complex exp takes a scalar libm sincos per point; this takes
-    real passes (Tang, ACM TOMS 15, 144 (1989)).  Im z = n 2 pi / 1024 + rho
-    with n = rint(Im z 1024 / 2 pi): rho is reduced by the three parts of
+    real passes (Tang, ACM TOMS 15, 144 (1989)).  Im y^2 = n 2 pi / 1024 + rho
+    with n = rint(Im y^2 1024 / 2 pi): rho is reduced by the three parts of
     2 pi / 1024 (Cody & Waite), n mod 1024 picks exp(2 pi i n / 1024) from
     ``_CIS``, and exp(i rho) - 1, |rho| <= pi / 1024, comes from its Taylor
     series to rho^5, so that
 
-        exp(z) = exp(Re z) (T + T (exp(i rho) - 1)),    T = _CIS[n mod 1024].
+        exp(y^2 - s) = exp(Re y^2 - s) (T + T (exp(i rho) - 1)),    T = _CIS[n mod 1024].
 
-    Against mpmath the result is within 4e-16 relative, where ``np.exp``
-    reads 2.5e-16.  The reduction is exact for |n| < 2^28, |Im z| < 1.6e6;
-    past it n times the first part rounds, which adds an error of about
-    |Im z| eps to the phase: the rounding Im z itself already carries.  So
-    that a phase off by more than a step still gives |exp(z)| = exp(Re z),
-    rho is clipped to one step, and n mod 1024 is taken in floating point
-    before the integer cast; every |Im z| below 1e306 gives a finite result
-    and no floating-point warning.  The passes run ``_EXP_CHUNK`` points at
-    a time through three float rows, an index row that serves as a fourth
-    float row once the table is read, and a row of table entries.
+    Against mpmath the result is within 4e-16 relative of exp(y^2 - s) where
+    y^2 is exact in double, where ``np.exp`` reads 2.5e-16.  The reduction is
+    exact for |n| < 2^28, |Im y^2| < 1.6e6; past it n times the first part
+    rounds, which adds an error of about |Im y^2| eps to the phase: the
+    rounding Im y^2 itself already carries.  So that a phase off by more than
+    a step still gives |exp(y^2)| = exp(Re y^2 - s), rho is clipped to one
+    step, and n mod 1024 is taken in floating point before the integer cast;
+    every |Im y^2| below 1e306 gives a finite result and no floating-point
+    warning.  The passes run ``_EXP_CHUNK`` points at a time through three
+    float rows, an index row that serves as a fourth float row once the
+    table is read, and a row of table entries.
     """
-    rows = min(z.size, _EXP_CHUNK)
+    rows = min(y.size, _EXP_CHUNK)
     n, rho, tmp = np.empty((3, rows))
     index = np.empty(rows, dtype=np.intp)
     spare = index.view(np.float64)  # free once the table is read
     cis = np.empty(rows, dtype=complex)
-    for start in range(0, z.size, _EXP_CHUNK):
-        part = z[start : start + _EXP_CHUNK]
+    for start in range(0, y.size, _EXP_CHUNK):
+        part = y[start : start + _EXP_CHUNK]
         m = part.size
         n, rho, tmp, index, spare, cis = n[:m], rho[:m], tmp[:m], index[:m], spare[:m], cis[:m]
-        x, y = part.real, part.imag
-        np.multiply(y, 1.0 / _STEP, out=n)
+        re, im = part.real, part.imag
+        np.multiply(re, im, out=rho)
+        rho += rho  # Im y^2
+        np.multiply(rho, 1.0 / _STEP, out=n)
         np.rint(n, out=n)
-        np.multiply(n, _STEP_1, out=rho)
-        np.subtract(y, rho, out=rho)  # exact: n _STEP_1 is within a step of y
+        np.multiply(n, _STEP_1, out=tmp)
+        rho -= tmp  # exact: n _STEP_1 is within a step of Im y^2
         np.multiply(n, _STEP_2, out=tmp)
         rho -= tmp
         np.multiply(n, _STEP_3, out=tmp)
@@ -296,18 +303,18 @@ def _exp_in_place(z: np.ndarray) -> None:
         n -= tmp
         np.copyto(index, n, casting="unsafe")
         np.take(_CIS, index, out=cis)
-        np.copyto(n, x)  # numpy's vector exp takes contiguous input only
-        np.exp(n, out=n)
-        # exp(i rho) - 1 = (cos rho - 1) + i sin rho into z, from rho^2
+        np.multiply(np.subtract(re, im, out=n), np.add(re, im, out=tmp), out=n)  # Re y^2, contiguous
+        np.exp(np.minimum(n, 0.0, out=n), out=n)  # numpy's vector exp takes contiguous input only
+        # exp(i rho) - 1 = (cos rho - 1) + i sin rho into y, from rho^2
         np.multiply(rho, rho, out=tmp)
         np.multiply(tmp, 1.0 / 120.0, out=spare)
         spare -= 1.0 / 6.0
         spare *= tmp
         spare *= rho
-        np.add(rho, spare, out=y)
+        np.add(rho, spare, out=im)
         np.multiply(tmp, 1.0 / 24.0, out=spare)
         spare -= 0.5
-        np.multiply(spare, tmp, out=x)
+        np.multiply(spare, tmp, out=re)
         part *= cis
         part += cis
         part *= n

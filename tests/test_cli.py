@@ -188,6 +188,21 @@ def test_time_grid_within_the_phase_precision_runs(cfg_paths, tmp_path, tau_max)
     assert len(rows) == 400 and np.all(np.isfinite(rows))
 
 
+@pytest.mark.parametrize("mode", [[], ["--mode", "full"]])
+def test_buildup_reaches_one_at_the_latest_time_within_the_phase_precision(cfg_paths, tmp_path, mode):
+    """At tau = 1e12, E t/hbar still below 2^52, |Psi/phi| = 1 - exp(-tau) is 1 within 1e-11.
+
+    It read 0.98777 while Re(y_k^2), which must be exactly 0, was squared as y * y.
+    """
+    out = tmp_path / "out.csv"
+    argv = ["buildup", "--profile", cfg_paths["sym"], "--resonance", "1", "--auto-max",
+            "--tau-max", "1e12", "--points", "5"] + mode
+    assert main(argv + ["--out", str(out)]) == 0
+    header, rows = read_rows(out)
+    tau, ratio_abs = rows[-1][header.index("tau")], rows[-1][header.index("ratio_abs")]
+    assert tau == 1e12 and abs(ratio_abs - 1.0) <= 1e-11, ratio_abs
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--resonance", "1", "--x-angstrom", "80", "--points", "0"], "--points must be >= 1"),
     (["--resonance", "1", "--x-angstrom", "80", "--tau-max", "inf"], "tau-max < inf"),
@@ -816,15 +831,21 @@ def test_csv_writer_matches_percent_format_cell_by_cell(tmp_path, capsysbinary, 
     out = tmp_path / "cells.csv"
     cli._write_csv(str(out), header, columns)
     cli._write_csv(None, header, columns)
-    assert capsysbinary.readouterr().out == out.read_bytes()
-    lines = out.read_bytes().split(b"\n")
+    written = out.read_bytes()
+    assert capsysbinary.readouterr().out == written
+    cells = [v for row in zip(*(column.tolist() for column in columns)) for v in row]  # ints stay int
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    if written == (",".join(header) + "\n" + row * (len(cells) // len(columns)) % tuple(cells)).encode():
+        return
+    # the text differs: name the first cells that do
+    lines = written.split(b"\n")
     assert lines[0] == ",".join(header).encode() and lines[-1] == b""
     got = [cell for line in lines[1:-1] for cell in line.split(b",")]
-    cells = [v for row in zip(*(column.tolist() for column in columns)) for v in row]  # ints stay int
     expected = [("%.12g" % v).encode() for v in cells]
     assert len(got) == len(expected)
     mismatched = [(v, g, e) for v, g, e in zip(cells, got, expected) if g != e]
     assert not mismatched, mismatched[:5]
+    pytest.fail("the cells match but the text does not")
 
 
 def test_out_and_stdout_give_the_same_bytes(cfg_paths, tmp_path, capsysbinary):

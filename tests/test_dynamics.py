@@ -282,8 +282,9 @@ def test_universality_of_normalized_curves(reference_configs):
 # mantissa * exp(s) with s = max(Re y^2, 0).  For a fourth-quadrant pole
 # k_n = a - ib, y_{k_n} is reflected only when a > b, and there
 # Re(y^2) = -2ab hbar t / 2m < 0; y_k has Re(y^2) = 0 (|exp(y^2)| = 1), and
-# y_{-k} and y_{-k_n*} are direct.  So s stays at rounding level on every
-# physical call and the plain kernel cannot overflow.
+# y_{-k} and y_{-k_n*} are direct.  The kernel forms Re(y^2) as
+# (Re y - Im y)(Re y + Im y), exactly 0 for y_k's equal parts, so s = 0 on
+# every physical call and the plain kernel cannot overflow.
 
 BOUND = 1e-12
 
@@ -316,7 +317,7 @@ def test_reflected_kernel_arguments_never_grow(re_kn, im_kn, k, t_fs):
     for y in args:
         assert reflected_excess(y) <= BOUND
         _mantissa, log_scale = _moshinsky_m_grid(y, scaled=True)
-        assert np.all(log_scale <= BOUND * np.abs(y) ** 2)
+        assert np.all(log_scale == 0.0)
 
 
 def test_kernel_log_scale_stays_zero_on_symmetric_poles(
@@ -819,13 +820,52 @@ def test_single_resonance_modulus_matches_mpmath_at_late_times(symmetric_profile
     assert np.max(error) <= 2e-12, np.max(error)
 
 
+def mpmath_ray_sum(c, w, r, dps=40):
+    """sum_i w_i M(c_i r) at each r in mpmath, M(y) = exp(y^2) erfc(y) / 2, from the double c, w and r."""
+    with mp.workdps(dps):
+        rays = [(mp.mpc(ci), mp.mpc(wi)) for ci, wi in zip(c.tolist(), w.tolist())]
+        sums = []
+        for root_t in r.tolist():
+            ys = [(ci * mp.mpf(root_t), wi) for ci, wi in rays]
+            sums.append(mp.fsum(wi * mp.exp(y * y) * mp.erfc(y) / 2 for y, wi in ys))
+        return sums
+
+
+@pytest.mark.parametrize("structure", ["symmetric", "asymmetric"])
+def test_late_time_ratio_matches_a_40_digit_sum_of_the_same_rays(monkeypatch, request, structure):
+    """|Psi/phi| on resonance 1, poles to 48 eV, tau = 1e3 to 1e12: within 1e-15 of the same rays in mpmath.
+
+    Late, |Psi/phi| - 1 follows Re(y_k^2), which must be exactly 0; squared
+    as y * y it was off by 1.4e-2 (symmetric) and 1.3e-3 (asymmetric) at
+    tau = 1e12.
+    """
+    profile = request.getfixturevalue(f"{structure}_profile")
+    x = 80.0 if structure == "symmetric" else 55.0
+    poles = find_poles(profile, 48.0)
+    rays = []
+
+    class RecordedRays(_Rays):
+        def __init__(self, c, w, r):
+            rays.append((c, w, r))
+            super().__init__(c, w, r)
+
+    monkeypatch.setattr(rtbuildup.dynamics, "_Rays", RecordedRays)
+    tau = np.asarray([1e3, 1e4, 1e6, 1e8, 1e10, 1e12])
+    sol = evolve_full(profile, poles, poles[0].eps_ev, x, t_fs=tau * poles[0].lifetime_fs)
+    (c, w, r), = rays
+    reference = mpmath_ray_sum(c, w, r)
+    error = [float(abs(abs(mp.mpc(v)) - abs(ref))) / abs(sol.phi) for v, ref in zip(sol.psi.tolist(), reference)]
+    assert max(error) <= 1e-15, error
+
+
 @pytest.mark.parametrize("structure", ["symmetric", "asymmetric"])
 def test_free_pair_keeps_its_exp_to_the_end_of_the_grid(request, structure):
     """The free term's reflected ray has |exp(y^2)| = 1: its exp range never ends.
 
-    Re(c^2) = 0 exactly only when taken as Im(c)^2 - Re(c)^2 of equal parts;
-    from (c c).real a rounding-level negative part ends the range at a finite
-    r, beyond which Psi loses phi exp(y_k^2).
+    The decay rate -Re(c^2) = (Im c - Re c)(Im c + Re c) is exactly 0 for
+    c's equal parts, as Re(y^2) is in the exp itself; from (c c).real a
+    rounding-level negative part would end the range at a finite r, beyond
+    which Psi would lose phi exp(y_k^2).
     """
     constants = request.getfixturevalue(f"{structure}_profile").constants
     r = np.geomspace(1e-3, 1e9, 64)

@@ -25,7 +25,7 @@ from rtbuildup.moshinsky import (
     EXP_MINUS_IPI4,
     Y_FAR,
     Y_NEAR,
-    _exp_in_place,
+    _exp_square_in_place,
     _moshinsky_m_grid,
 )
 
@@ -178,9 +178,8 @@ def masked_kernel(y, scaled=False):
     mantissa[direct] = 0.5 * wofz(1j * y[direct])
     if not np.all(direct):
         y_refl = y[~direct]
-        yy = y_refl * y_refl
-        s = np.maximum(yy.real, 0.0)
-        mantissa[~direct] = np.exp(yy - s) - 0.5 * wofz(-1j * y_refl) * np.exp(-s)
+        s = np.maximum((y_refl.real - y_refl.imag) * (y_refl.real + y_refl.imag), 0.0)
+        mantissa[~direct] = exp_square(y_refl) - 0.5 * wofz(-1j * y_refl) * np.exp(-s)
         log_scale[~direct] = s
     if scaled:
         return mantissa, log_scale
@@ -257,12 +256,29 @@ def test_grid_kernel_scaled_pair_matches_erfc_on_seeded_rays():
                 assert abs(m - expected) <= 1e-13 * abs(expected), (yi, m, expected)
 
 
-# ---------------------------------------------------------------- exp(z), Re z <= 0
+# ---------------------------------------------------------------- exp(y^2)
 
-def exp_in_place(z):
-    out = np.array(z, dtype=complex)
-    _exp_in_place(out)
+def exp_square(y):
+    out = np.array(y, dtype=complex)
+    _exp_square_in_place(out)
     return out
+
+
+def exactly_squared(z):
+    """A y near sqrt(z) whose y^2 the kernel forms exactly, so that a test of it measures the exp alone.
+
+    Both parts are integers below 2^25 times one power of two, so Re y -+ Im y
+    and their product, and 2 Re y Im y, are exact in double.
+    """
+    y = np.sqrt(np.asarray(z, dtype=complex))
+    quantum = 2.0 ** (np.floor(np.log2(np.maximum(np.abs(y.real), np.abs(y.imag)))) - 24)
+    return (np.rint(y.real / quantum) + 1j * np.rint(y.imag / quantum)) * quantum
+
+
+def mp_exp_square(y):
+    """exp(y^2 - max(Re y^2, 0)) of the double y, in mpmath."""
+    yy = mp.mpc(y.real, y.imag) ** 2
+    return mp.exp(yy - max(yy.real, 0))
 
 
 def test_exp_table_entries_match_mpmath():
@@ -273,39 +289,63 @@ def test_exp_table_entries_match_mpmath():
 
 
 def test_exp_matches_mpmath_to_the_last_digit_of_np_exp():
-    """2,000 seeded z, Re z in [-64, 0], |Im z| <= 1e6: within 4e-16 relative (np.exp reads about 2.5e-16)."""
+    """2,000 seeded y, Re y^2 in about [-64, 0], |Im y^2| <= 1e6: within 4e-16 relative (np.exp reads about 2.5e-16).
+
+    Re y^2 may come out a little above 0, where it is clipped, as the reference is.
+    """
     rng = np.random.default_rng(20260)
     z = rng.uniform(-64.0, 0.0, 2000) + 1j * rng.uniform(-1e6, 1e6, 2000)
     z[:500] = z[:500].real + 1j * rng.uniform(-10.0, 10.0, 500)  # within a few turns as well
-    for zi, value in zip(z, exp_in_place(z)):
-        exact = mp.exp(mp.mpc(zi.real, zi.imag))
-        assert abs(mp.mpc(value.real, value.imag) - exact) <= 4e-16 * abs(exact), zi
+    y = exactly_squared(z)
+    for yi, value in zip(y, exp_square(y)):
+        exact = mp_exp_square(yi)
+        assert abs(mp.mpc(value.real, value.imag) - exact) <= 4e-16 * abs(exact), yi
 
 
 def test_exp_of_an_imaginary_argument_has_modulus_one():
+    """y = exp(-i pi/4) u, the free ray's direction: parts of equal magnitude, so y^2 is imaginary."""
     rng = np.random.default_rng(20261)
-    z = 1j * rng.uniform(-1e6, 1e6, 3 * _EXP_CHUNK + 5)
-    assert np.max(np.abs(np.abs(exp_in_place(z)) - 1.0)) <= 2 * np.finfo(float).eps
+    y = EXP_MINUS_IPI4 * rng.uniform(-1e3, 1e3, 3 * _EXP_CHUNK + 5)
+    assert np.max(np.abs(np.abs(exp_square(y)) - 1.0)) <= 2 * np.finfo(float).eps
 
 
 def test_exp_is_the_same_taken_whole_or_in_pieces():
     """Points are independent: the chunks a long array is taken in change no bit."""
     rng = np.random.default_rng(20262)
     z = rng.uniform(-60.0, 0.0, 2 * _EXP_CHUNK + 7) + 1j * rng.uniform(-1e5, 1e5, 2 * _EXP_CHUNK + 7)
-    pieces = np.concatenate([exp_in_place(z[i : i + 999]) for i in range(0, z.size, 999)])
-    assert np.array_equal(exp_in_place(z), pieces)
-    assert exp_in_place(np.empty(0)).size == 0
+    y = np.sqrt(z)
+    pieces = np.concatenate([exp_square(y[i : i + 999]) for i in range(0, y.size, 999)])
+    assert np.array_equal(exp_square(y), pieces)
+    assert exp_square(np.empty(0)).size == 0
 
 
 @pytest.mark.parametrize("im", [2.0**40, -(2.0**40), 1e20, -1e20, 1e300])
 def test_exp_of_a_large_phase_is_finite_and_keeps_its_modulus(im):
-    """Past |n| = 2^28 the phase carries |Im z| eps of rounding, as Im z does; no warning, |exp z| = exp(Re z)."""
-    z = np.asarray([0.0, -1.0, -30.0]) + 1j * im
+    """Past |n| = 2^28 the phase carries |Im y^2| eps of rounding, as Im y^2 does; no warning, |exp y^2| = exp(Re y^2).
+
+    y = a + i (a + d) with Im y^2 near ``im``: d = 0 gives Re y^2 = 0, and d
+    a power of two from 2 ulp(a) up gives Re y^2 = -d (2a + d), exact in
+    double, which at |Im y^2| = 1e20 and beyond underflows exp to 0.
+    """
+    a = math.sqrt(abs(im) / 2.0)
+    d = np.asarray([0.0, 2.0, 2.0**8, 2.0**16]) * math.ulp(a)
+    y = a + 1j * math.copysign(1.0, im) * (a + d)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        value = exp_in_place(z)
+        value = exp_square(y)
     assert np.all(np.isfinite(value))
-    np.testing.assert_allclose(np.abs(value), np.exp(z.real), rtol=4e-16)
+    np.testing.assert_allclose(np.abs(value), [float(abs(mp_exp_square(yi))) for yi in y], rtol=4e-16)
+
+
+def test_reflection_identity_has_modulus_one_on_the_free_ray():
+    """|M(y) + M(-y)| = |exp(y^2)| = 1 within 4 eps on y = a (-1 + i), a from 1e-3 to 1e7.
+
+    Re(y^2) is exactly 0 there, so the kernel's reflected exp(y^2) keeps
+    modulus 1 wherever the phase is held; a y^2 squared as y * y leaves a
+    residual of about |y|^2 eps in Re(y^2), 3.5e13 eps at a = 1e7.
+    """
+    y = np.geomspace(1e-3, 1e7, 20001) * complex(-1.0, 1.0)
+    assert np.max(np.abs(np.abs(moshinsky_m(y) + moshinsky_m(-y)) - 1.0)) <= 4 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------- asymptotics
