@@ -249,63 +249,61 @@ def local_slopes(tau: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _window_slopes(tau, values, lo, hi)
 
 
-def _onset_windows(tau: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Left edges, point counts and slopes of ``detect_onset``'s consecutive windows.
+def _onset_windows(tau: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Indices, left edges, point counts and slopes of ``detect_onset``'s windows.
 
-    The windows are disjoint, so each slope comes from plain sums over its
-    own points, centred on the window's means of tau and ``values``, which
-    leaves no cancellation to compensate.  Windows with fewer than 3 points
-    give NaN.
+    Window j spans [start + j d, start + (j + 1) d), start = max(FIT_TAU_MIN, tau[0])
+    and d = fl(start + SLOPE_WINDOW) - start as np.arange spaces edges; only those
+    that hold a point are listed.  Each slope comes from plain sums over the window's
+    own points, centred on its means of tau and ``values``, which leaves no
+    cancellation to compensate; windows with fewer than 3 points give NaN.
     """
     start = max(FIT_TAU_MIN, float(tau[0]))
-    edges = np.arange(start, float(tau[-1]) + SLOPE_WINDOW, SLOPE_WINDOW)
-    bounds = np.searchsorted(tau, edges, side="left")
-    counts = np.diff(bounds)
+    step = (start + SLOPE_WINDOW) - start
+    first = np.searchsorted(tau, start, side="left")
+    tau, values = tau[first:], values[first:]
+    index = np.subtract(tau, start)
+    np.floor(np.multiply(index, 1.0 / step, out=index), out=index)
+    edge = np.multiply(index, step)  # the guess may round a point across an edge
+    index[tau < np.add(edge, start, out=edge)] -= 1.0
+    np.multiply(np.add(index, 1.0, out=edge), step, out=edge)
+    index[tau >= np.add(edge, start, out=edge)] += 1.0
+    new = np.ones(tau.size, dtype=bool)
+    np.not_equal(index[1:], index[:-1], out=new[1:])
+    lo = np.flatnonzero(new)
+    counts = np.diff(lo, append=tau.size)
+    j = index[lo]
+    # the centred tau and values, then their products, reuse the two point-sized arrays
+    t = np.subtract(tau, np.repeat(np.add.reduceat(tau, lo) / counts, counts), out=index)
+    v = np.subtract(values, np.repeat(np.add.reduceat(values, lo) / counts, counts), out=edge)
+    s_tv = np.add.reduceat(np.multiply(t, v, out=v), lo)
+    s_tt = np.add.reduceat(np.multiply(t, t, out=t), lo)
     slopes = np.full(counts.shape, np.nan)
-    if np.any(counts >= 3):
-        # np.add.reduceat cannot start a window at the end of its array, so
-        # the empty windows past the last point are left out; an empty
-        # window within gets x[lo] for its sums, which no point reads
-        first, last = bounds[0], bounds[-1]
-        lo = bounds[:-1][bounds[:-1] < last] - first
-        n = counts[:lo.size]
-
-        def window_sums(x):
-            return np.add.reduceat(x, lo)
-
-        def centred(x):
-            return x - np.repeat(window_sums(x) / np.maximum(n, 1), n)
-
-        t, v = centred(tau[first:last]), centred(values[first:last])
-        fit = n >= 3
-        slopes[np.flatnonzero(fit)] = window_sums(t * v)[fit] / window_sums(t * t)[fit]
-    return edges[:-1], counts, slopes
+    fit = counts >= 3
+    slopes[fit] = s_tv[fit] / s_tt[fit]
+    return j, start + j * step, counts, slopes
 
 
 def detect_onset(series: BuildupSeries) -> OnsetReport:
     """Crossover time out of the exponential regime, plus the charging-law fit before it.
 
-    The tau axis is cut into consecutive windows of width ``SLOPE_WINDOW``;
-    the onset is the left edge of the first of ``ONSET_PERSISTENCE``
-    consecutive windows whose ln-delta slope deviates from -1/2 by more than
-    ``ONSET_DEVIATION`` (relative).  Requiring a persistent run keeps the
+    The tau axis is cut into consecutive windows of width ``SLOPE_WINDOW``; the
+    onset is the left edge of the first ``ONSET_PERSISTENCE`` consecutive windows
+    (an empty one breaks the run) whose ln-delta slopes deviate from -1/2 by more
+    than ``ONSET_DEVIATION`` (relative).  Requiring a persistent run keeps the
     oscillatory structure right at the crossover from triggering early.
     """
     tau_d, ln_delta, _ = series._delta_curve
     if tau_d.size < 16:
         raise NoOnsetError("series too short for onset detection")
-    edges, counts, slopes = _onset_windows(tau_d, ln_delta)
+    index, lefts, counts, slopes = _onset_windows(tau_d, ln_delta)
     flagged = (counts >= 4) & (np.abs(slopes + 0.5) > ONSET_DEVIATION * 0.5)
-
-    tau_onset = None
-    run = 0
-    for i, bad in enumerate(flagged):
-        run = run + 1 if bad else 0
-        if run >= ONSET_PERSISTENCE:
-            tau_onset = float(edges[i - ONSET_PERSISTENCE + 1])
-            break
-    if tau_onset is None:
+    index, lefts = index[flagged], lefts[flagged]
+    span = ONSET_PERSISTENCE - 1
+    runs = np.flatnonzero(index[span:] - index[:index.size - span] == span)
+    if runs.size == 0:
         raise NoOnsetError("no onset in range")
+    tau_onset = float(lefts[runs[0]])
 
     base = fit_time_constant(series, tau_max=min(FIT_TAU_MAX, tau_onset - 1.0))
     return replace(base, tau_onset=tau_onset)

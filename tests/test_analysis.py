@@ -380,23 +380,50 @@ def sparse_head_grid():
     return np.concatenate([[0.3], head, np.linspace(10.0, 50.0, 40001)])
 
 
-@pytest.mark.parametrize("tau, sparse", [
-    (np.linspace(0.3, 50.0, 60001), False),
-    (dropped_grid(), False),
-    (sparse_head_grid(), True),
-], ids=["dense", "dropped", "sparse-head"])
-def test_onset_matches_masked_polyfit_windows(tau, sparse):
-    """Window slopes from per-window sums match np.polyfit over boolean masks, and flag the same windows."""
-    ratio = 1.0 - np.exp(-0.5 * tau) + 0.02 * np.cos(300.0 * tau) / np.sqrt(300.0 * tau)
-    series = synthetic_series(tau, ratio)
-    tau_d, ln_delta, _ = delta_curve(series)
-    edges = np.arange(max(0.5, tau_d[0]), tau_d[-1] + 0.5, 0.5)
-    lefts, counts, slopes = analysis._onset_windows(tau_d, ln_delta)
-    np.testing.assert_array_equal(lefts, edges[:-1])
-    run, reference = 0, None
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+def holed_grid():
+    """Dense, less two windows after the crossover: the flagged windows around them are not one run."""
+    tau = np.linspace(0.3, 50.0, 60001)
+    return tau[~(((tau >= 15.5) & (tau < 16.0)) | ((tau >= 17.0) & (tau < 17.5)))]
+
+
+def edge_grid():
+    """A dense grid from 0.7 with every window edge on it, and the double below each.
+
+    From start 0.7 the edges are 0.7 + j d, d = fl(1.2) - 0.7, each rounded,
+    and a window guessed from (tau - 0.7) / d is one off, in either
+    direction, for some of these points.
+    """
+    edges = np.arange(0.7, 50.0, 0.5)
+    return np.unique(np.concatenate([np.linspace(0.7, 50.0, 20001), edges, np.nextafter(edges[1:], 0.0)]))
+
+
+def crossover_ratio(tau):
+    return 1.0 - np.exp(-0.5 * tau) + 0.02 * np.cos(300.0 * tau) / np.sqrt(300.0 * tau)
+
+
+def masked_polyfit_windows(tau_d, ln_delta):
+    """Check ``_onset_windows`` against np.polyfit over boolean masks between np.arange edges.
+
+    Every listed window must hold a point, and every window that holds one
+    must be listed.  Returns the empty windows before the last point, the
+    listed counts, and the left edge of the first run of three flagged
+    windows, which an empty window breaks (None if there is none).
+    """
+    # np.arange spaces its edges the same whatever its stop, which here lies past the last point
+    edges = np.arange(max(0.5, tau_d[0]), tau_d[-1] + 1.0, 0.5)
+    index, lefts, counts, slopes = analysis._onset_windows(tau_d, ln_delta)
+    listed = {int(j): i for i, j in enumerate(index)}
+    assert len(listed) == index.size and np.all(np.diff(index) > 0)
+    run, reference, empty = 0, None, 0
+    for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         mask = (tau_d >= a) & (tau_d < b)
-        assert counts[i] == np.count_nonzero(mask)
+        if not mask.any():
+            assert j not in listed
+            empty += a < tau_d[-1]
+            run = 0
+            continue
+        i = listed.pop(j)
+        assert lefts[i] == a and counts[i] == np.count_nonzero(mask)
         if counts[i] < 3:
             assert np.isnan(slopes[i])
             run = 0
@@ -406,10 +433,43 @@ def test_onset_matches_masked_polyfit_windows(tau, sparse):
         bad = counts[i] >= 4 and abs(want + 0.5) > 0.1
         run = run + 1 if bad else 0
         if run >= 3 and reference is None:
-            reference = float(edges[i - 2])
-    assert np.any(counts == 0) == sparse and np.any((counts > 0) & (counts < 4)) == sparse
+            reference = float(edges[j - 2])
+    assert not listed
+    return empty, counts, reference
+
+
+@pytest.mark.parametrize("tau, empty, few", [
+    (np.linspace(0.3, 50.0, 60001), False, False),
+    (dropped_grid(), False, False),
+    (sparse_head_grid(), True, True),
+    (holed_grid(), True, False),
+], ids=["dense", "dropped", "sparse-head", "holed"])
+def test_onset_matches_masked_polyfit_windows(tau, empty, few):
+    """Occupied windows match np.polyfit over boolean masks and flag the same onset; empty ones are not listed."""
+    series = synthetic_series(tau, crossover_ratio(tau))
+    n_empty, counts, reference = masked_polyfit_windows(*delta_curve(series)[:2])
+    # the last point may sit alone on the last edge, so few-point windows are looked for before it
+    assert (n_empty > 0) == empty and np.any(counts[:-1] < 4) == few
     assert reference is not None
     assert detect_onset(series).tau_onset == reference
+
+
+def test_onset_windows_hold_the_points_on_their_edges():
+    """A point on an edge opens its window, and the double below it closes the one before."""
+    tau = edge_grid()
+    series = synthetic_series(tau, crossover_ratio(tau))
+    n_empty, _counts, reference = masked_polyfit_windows(*delta_curve(series)[:2])
+    assert n_empty == 0 and reference is not None
+
+
+def test_onset_ignores_sparse_points_far_past_the_crossover():
+    """Points out to tau = 1e12 add one-point windows, not a window grid up to 1e12."""
+    dense = np.linspace(0.3, 50.0, 60001)
+    tau = np.concatenate([dense, np.geomspace(60.0, 1e12, 6)])
+    far = synthetic_series(tau, crossover_ratio(tau))
+    assert detect_onset(far) == detect_onset(synthetic_series(dense, crossover_ratio(dense)))
+    index, _lefts, counts, _slopes = analysis._onset_windows(*delta_curve(far)[:2])
+    assert index.size < tau.size and np.all(counts[-6:] == 1)
 
 
 def test_detect_onset_does_not_depend_on_local_slopes_running_first():

@@ -323,26 +323,27 @@ def test_reflected_kernel_arguments_never_grow(re_kn, im_kn, k, t_fs):
 def test_kernel_log_scale_stays_zero_on_symmetric_poles(
     monkeypatch, symmetric_profile, symmetric_poles_8ev
 ):
-    """Every kernel call of evolve_full over 18 poles up to 8 eV, t in [1e-3, 1e5] fs."""
-    worst = []
+    """Every kernel call of evolve_full over 18 poles up to 8 eV, t in [1e-3, 1e5] fs.
+
+    The kernel sees only node values, all on its direct branch; the free
+    pair's reflected ray takes its exp(y^2) outside the kernel, and
+    ``test_free_pair_keeps_its_exp_to_the_end_of_the_grid`` and
+    ``test_late_time_ratio_matches_a_40_digit_sum_of_the_same_rays`` check it.
+    """
+    calls = []
 
     def recording_kernel(y):
-        mantissa, log_scale = _moshinsky_m_grid(y, scaled=True)
-        worst.append(np.max(log_scale / np.abs(y) ** 2))
+        calls.append((np.array(y, dtype=complex), _moshinsky_m_grid(y, scaled=True)[1]))
         return _moshinsky_m_grid(y)
 
     monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", recording_kernel)
     t_fs = np.geomspace(1e-3, 1e5, 2000)
     for energy_ev in (0.0378, 0.2, 1.0, 5.0):
         evolve_full(symmetric_profile, symmetric_poles_8ev, energy_ev, 80.0, t_fs=t_fs)
-    assert len(worst) == 4  # one call per evolve: every node value at once
-    assert max(worst) <= BOUND
-    # the free term's exp(y_{-k}^2) is taken outside the kernel
-    constants = symmetric_profile.constants
-    root_t = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
-    for energy_ev in (0.0378, 0.2, 1.0, 5.0):
-        y_mk = EXP_MINUS_IPI4 * constants.wavevector(energy_ev) * root_t
-        assert np.all(np.abs((y_mk * y_mk).real) <= BOUND * np.abs(y_mk) ** 2)
+    assert len(calls) == 4  # one call per evolve: every node value at once
+    for y, log_scale in calls:
+        assert y.size > 0 and np.all(y.real >= 0.0)
+        assert np.all(log_scale == 0.0)
 
 
 # ------------------------------------------------ pole sum against kernels

@@ -7,6 +7,7 @@ its own, or an exit code and a stderr with no traceback.
 """
 
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -22,11 +23,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SYMMETRIC, ASYMMETRIC = str(CONFIGS / "symmetric.cfg"), str(CONFIGS / "asymmetric.cfg")
 
 
-def cli(argv, *options):
+def cli(argv, *options, **run_options):
     """``python [options] -m rtbuildup.cli argv`` in a new process, with this package on its path."""
     env = {**os.environ, "PYTHONPATH": str(Path(rtbuildup.__file__).parents[1])}
     return subprocess.run([sys.executable, *options, "-m", "rtbuildup.cli", *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=env, timeout=120, **run_options)
 
 
 def read_table(path):
@@ -146,6 +147,24 @@ def test_span_local_window_slopes_on_a_log_grid(tmp_path, config):
     header, rows = read_table(out)
     slopes = rows[:, header.index("local_slope")]
     assert len(rows) == 8001 and not np.isnan(slopes).any()
+
+
+def cap_address_space_at_2_gib():
+    """Run in the child before exec: RLIMIT_AS limits that process alone."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("tau_max", ["1e8", "1e12"])
+def test_crossover_to_a_far_tau_max_ends_with_no_onset_not_a_traceback(tmp_path, tau_max):
+    """The onset windows are formed from the grid's points, so a far --tau-max needs no window grid up to it."""
+    out = tmp_path / "far.csv"
+    argv = ["crossover", "--profile", SYMMETRIC, "--resonance", "1", "--auto-max", "--tau-max", tau_max,
+            "--out", str(out)]
+    done = cli(argv, preexec_fn=cap_address_space_at_2_gib)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "crossover analysis incomplete: no onset in range\n"
+    assert "Traceback" not in done.stderr
+    assert out.read_text().splitlines()[-1].startswith("# summary: tau_0 = nan, tau_onset = nan, R_n = ")
 
 
 @pytest.mark.parametrize("argv", [
