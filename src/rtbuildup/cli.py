@@ -134,6 +134,7 @@ _ZERO = (_DIGIT == ord("0")).astype(np.uint8)
 _TRAILING_ZEROS = _ZERO * (1 + _ZERO[:, None] * (1 + _ZERO[:, None, None] * (1 + _ZERO[:, None, None, None])))
 _TRAILING_ZEROS = _TRAILING_ZEROS.ravel()  # 4 for the group 0000
 _ALL_BYTES = np.uint64(2**64 - 1)
+_NAN = np.frombuffer(b"nan".ljust(36, b"\0"), dtype=np.uint8)  # "%.12g" of a nan of either sign
 
 
 def _keep_rows() -> np.ndarray:
@@ -190,7 +191,9 @@ def _csv_rows(table: np.ndarray) -> bytes:
     cells[:, 1:4] = _DIGIT_PAIRS[groups].T
     cells &= np.take(_KEEP, 125 * (i + 45 * (v < 0)) + (25 * zeros[0] + 5 * zeros[1] + zeros[2]), axis=0)
     text = cells.view(np.uint8).reshape(-1, 40)
-    slow = (~fast).nonzero()[0]
+    nan = np.isnan(v)
+    text[nan, :36] = _NAN
+    slow = (~(fast | nan)).nonzero()[0]
     if slow.size:
         cell_text = ["%.12g" % x for x in v[slow].tolist()]
         text[slow, :36] = np.array(cell_text, dtype="S36").view(np.uint8).reshape(-1, 36)
@@ -218,8 +221,9 @@ def _write_csv(path: str | None, header: list[str], columns, footer: str | None 
     most spacing(s) / 2 <= 2**-14 off it.  When s lies more than 2**-13 from
     the nearest half-integer, the exact product rounds to the same integer
     m = rint(s) as s does; with 1e11 <= s and m < 1e12, m is the correctly
-    rounded 12-digit mantissa that "%" prints with exponent e.  Every other
-    cell is rendered by "%.12g" % v itself, one at a time: nan, +-inf, +-0,
+    rounded 12-digit mantissa that "%" prints with exponent e.  A nan of
+    either sign is written as the "nan" that "%" prints.  Every other cell is
+    rendered by "%.12g" % v itself, one at a time: +-inf, +-0,
     |11 - e| > 22, near-ties, a mantissa that rounds up to 1e12, and a log10
     that rounded across a power of ten (s outside [1e11, 1e12)).  A block of
     at most _PERCENT_CELLS cells is rendered by "%" alone.  Each block is

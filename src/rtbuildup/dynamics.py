@@ -31,14 +31,13 @@ piece.  A reflected ray's exp(y^2) stops where it decays below
 exp(-``_EXP_CUT``), at the decay rate -Re(c^2) = (Im c - Re c)(Im c + Re c):
 exactly 0 for y_k, whose parts are equal.  That exp(y^2) is taken in place
 by ``_exp_square_in_place``, the kernel's own, which forms Re(y^2) the same
-way, so |exp(y_k^2)| = 1 to rounding holds to the end of the grid; it runs
-real passes over a 1024-entry cis table (about 7 ns a point, where numpy's
-complex exp takes 13-19).  The Faddeeva kernel
-runs only at the nodes, in one ``_moshinsky_m_grid`` call per evolution,
-every argument on the direct branch, so an added pole pair costs a few
-multiply-adds per grid point rather than a Faddeeva evaluation at each of
-its band points.  The sum runs in one pass over the whole grid in the
-calling thread, with the rays in order of |c|, so Psi does not depend on
+way, so |exp(y_k^2)| = 1 to rounding holds to the end of the grid; it takes
+numpy's real exp, cos and sin, which hold the phase at any |y|^2.  The
+Faddeeva kernel runs only at the nodes, in one ``_moshinsky_m_grid`` call
+per evolution, every argument on the direct branch, so an added pole pair
+costs a few multiply-adds per grid point rather than a Faddeeva evaluation
+at each of its band points.  The sum runs in one pass over the whole grid
+in the calling thread, with the rays in order of |c|, so Psi does not depend on
 the order of the poles.  A reflected ray's exp(y^2) depends on neither x
 nor E, only on its c and the grid: an evolve on the grid of the one before
 keeps its tables, up to ``_KEPT_ARRAYS`` complex grid arrays of them, and

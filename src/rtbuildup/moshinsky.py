@@ -35,9 +35,9 @@ interpolates the summed direct-branch terms of its rays in r from
 1.5 in r: one ray there is within 1.1e-14 of a 30-digit erfc, as ``wofz``
 itself is at the same points.  A reflected ray adds its exp(y^2) apart.
 That exp(y^2), the kernel's and the pole sum's alike, comes from
-``_exp_square_in_place``: y^2 formed from the parts of y, then a 1024-entry
-table of exp(2 pi i j / 1024), a short series and a real ``np.exp`` (Tang
-1989), as accurately as ``np.exp`` and in about half its time.
+``_exp_square_in_place``: y^2 formed from the parts of y, then numpy's
+real ``exp`` of Re y^2 times its ``cos`` and ``sin`` of Im y^2, as
+accurately as ``np.exp`` at any phase.
 
 Momentum arguments follow
 
@@ -208,116 +208,25 @@ def _horner(coeffs, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _leading_bits(v: float, bits: int) -> float:
-    """v cut toward zero to its leading ``bits`` significant bits."""
-    mantissa, exponent = math.frexp(v)
-    return math.ldexp(math.trunc(math.ldexp(mantissa, bits)), exponent - bits)
-
-
-_EXP_STEPS = 1024
-"""Entries of the cis table of ``_exp_square_in_place``, one per 2 pi / 1024 of Im y^2."""
-
-_TAU_LO = -math.sin(math.tau)
-"""2 pi - fl(2 pi): sin(fl(2 pi)) is minus that difference, up to its cube / 6 (1e-48)."""
-
-
-def _cis_table() -> np.ndarray:
-    """exp(2 pi i j / ``_EXP_STEPS``), j = 0..1023, each part within 1.1e-16.
-
-    2 pi = hi + lo with hi cut to 43 bits, so that j hi / 1024 is exact; libm's
-    cos and sin at that angle, turned by the remaining j lo / 1024 (< 3e-13).
-    """
-    hi = _leading_bits(math.tau, 43)
-    lo = (math.tau - hi) + _TAU_LO
-    angle = np.arange(_EXP_STEPS) * (hi / _EXP_STEPS)
-    rest = np.arange(_EXP_STEPS) * (lo / _EXP_STEPS)
-    cos = np.array([math.cos(a) for a in angle.tolist()])
-    sin = np.array([math.sin(a) for a in angle.tolist()])
-    table = np.empty(_EXP_STEPS, dtype=complex)
-    table.real, table.imag = cos - sin * rest, sin + cos * rest
-    table.flags.writeable = False
-    return table
-
-
-_CIS = _cis_table()
-_STEP = math.tau / _EXP_STEPS
-# 2 pi / 1024 in three parts (Cody & Waite); n times either of the first two is exact for |n| < 2^28
-_STEP_1 = _leading_bits(_STEP, 25)
-_STEP_2 = _leading_bits(_STEP - _STEP_1, 25)
-_STEP_3 = (_STEP - _STEP_1 - _STEP_2) + _TAU_LO / _EXP_STEPS
-_EXP_CHUNK = 8192
-"""Points ``_exp_square_in_place`` takes per pass: its work rows stay in cache and hold 48 bytes a point."""
-
-
 def _exp_square_in_place(y: np.ndarray) -> None:
-    """y <- exp(y^2 - s), s = max(Re y^2, 0), for a contiguous complex array; s = 0 on the pole sum's rays.
+    """y <- exp(y^2 - s), s = max(Re y^2, 0), for a complex array; s = 0 on the pole sum's rays.
 
     Im y^2 = 2 Re y Im y, and Re y^2 = (Re y - Im y)(Re y + Im y), within 1.5 eps of itself, not
     of |y|^2, and exactly 0 where the parts have equal magnitude: on y_k, |exp(y^2)| = 1 to rounding.
-
-    numpy's complex exp takes a scalar libm sincos per point; this takes
-    real passes (Tang, ACM TOMS 15, 144 (1989)).  Im y^2 = n 2 pi / 1024 + rho
-    with n = rint(Im y^2 1024 / 2 pi): rho is reduced by the three parts of
-    2 pi / 1024 (Cody & Waite), n mod 1024 picks exp(2 pi i n / 1024) from
-    ``_CIS``, and exp(i rho) - 1, |rho| <= pi / 1024, comes from its Taylor
-    series to rho^5, so that
-
-        exp(y^2 - s) = exp(Re y^2 - s) (T + T (exp(i rho) - 1)),    T = _CIS[n mod 1024].
-
-    Against mpmath the result is within 4e-16 relative of exp(y^2 - s) where
-    y^2 is exact in double, where ``np.exp`` reads 2.5e-16.  The reduction is
-    exact for |n| < 2^28, |Im y^2| < 1.6e6; past it n times the first part
-    rounds, which adds an error of about |Im y^2| eps to the phase: the
-    rounding Im y^2 itself already carries.  So that a phase off by more than
-    a step still gives |exp(y^2)| = exp(Re y^2 - s), rho is clipped to one
-    step, and n mod 1024 is taken in floating point before the integer cast;
-    every |Im y^2| below 1e306 gives a finite result and no floating-point
-    warning.  The passes run ``_EXP_CHUNK`` points at a time through three
-    float rows, an index row that serves as a fourth float row once the
-    table is read, and a row of table entries.
+    The modulus comes from numpy's real exp and the phase from its real cos and sin, whose
+    argument reduction holds at any finite Im y^2: against mpmath the result is within 4e-16
+    relative of exp(y^2 - s) where y^2 is exact in double, at |Im y^2| up to 2^52 as below 1.
     """
-    rows = min(y.size, _EXP_CHUNK)
-    n, rho, tmp = np.empty((3, rows))
-    index = np.empty(rows, dtype=np.intp)
-    spare = index.view(np.float64)  # free once the table is read
-    cis = np.empty(rows, dtype=complex)
-    for start in range(0, y.size, _EXP_CHUNK):
-        part = y[start : start + _EXP_CHUNK]
-        m = part.size
-        n, rho, tmp, index, spare, cis = n[:m], rho[:m], tmp[:m], index[:m], spare[:m], cis[:m]
-        re, im = part.real, part.imag
-        np.multiply(re, im, out=rho)
-        rho += rho  # Im y^2
-        np.multiply(rho, 1.0 / _STEP, out=n)
-        np.rint(n, out=n)
-        np.multiply(n, _STEP_1, out=tmp)
-        rho -= tmp  # exact: n _STEP_1 is within a step of Im y^2
-        np.multiply(n, _STEP_2, out=tmp)
-        rho -= tmp
-        np.multiply(n, _STEP_3, out=tmp)
-        rho -= tmp
-        np.clip(rho, -_STEP, _STEP, out=rho)
-        np.multiply(n, 1.0 / _EXP_STEPS, out=tmp)  # n - 1024 floor(n / 1024), each step exact
-        np.floor(tmp, out=tmp)
-        tmp *= _EXP_STEPS
-        n -= tmp
-        np.copyto(index, n, casting="unsafe")
-        np.take(_CIS, index, out=cis)
-        np.multiply(np.subtract(re, im, out=n), np.add(re, im, out=tmp), out=n)  # Re y^2, contiguous
-        np.exp(np.minimum(n, 0.0, out=n), out=n)  # numpy's vector exp takes contiguous input only
-        # exp(i rho) - 1 = (cos rho - 1) + i sin rho into y, from rho^2
-        np.multiply(rho, rho, out=tmp)
-        np.multiply(tmp, 1.0 / 120.0, out=spare)
-        spare -= 1.0 / 6.0
-        spare *= tmp
-        spare *= rho
-        np.add(rho, spare, out=im)
-        np.multiply(tmp, 1.0 / 24.0, out=spare)
-        spare -= 0.5
-        np.multiply(spare, tmp, out=re)
-        part *= cis
-        part += cis
-        part *= n
+    re, im = y.real, y.imag
+    phase = np.multiply(re, im)
+    phase += phase  # Im y^2
+    modulus = np.subtract(re, im)
+    modulus *= np.add(re, im)  # Re y^2
+    np.exp(np.minimum(modulus, 0.0, out=modulus), out=modulus)
+    np.cos(phase, out=re)
+    np.sin(phase, out=im)
+    re *= modulus
+    im *= modulus
 
 
 def moshinsky_asymptotic(y, n_terms: int = 3) -> tuple[complex, float]:

@@ -796,6 +796,13 @@ def _csv_cases():
     def several_blocks(cols, tail_rows):
         return spread(3 * (cli._CSV_BLOCK_CELLS // cols) + tail_rows, cols)
 
+    def nan_column():
+        """A slope column as a crossover with one-point windows writes it: mostly nan, of either sign bit."""
+        table = several_blocks(3, 101)
+        rows = rng.random(table.shape[0]) < 0.9
+        table[rows, 2] = np.copysign(np.nan, rng.choice([-1.0, 1.0], rows.sum()))
+        return table
+
     return {
         "random-64-bit-patterns": rng.integers(0, 2**64, (350_000, 3), dtype=np.uint64, endpoint=False).view(float),
         "powers-of-ten-and-neighbours": np.concatenate([neighbours, -neighbours]).reshape(-1, 2),
@@ -817,6 +824,7 @@ def _csv_cases():
         "blocks-3-columns": several_blocks(3, 333),
         "blocks-7-columns": several_blocks(7, 5),
         "percent-only": rng.integers(0, 2**64, (cli._PERCENT_CELLS // 7, 7), dtype=np.uint64, endpoint=False).view(float),
+        "nan-column": nan_column(),
     }
 
 
