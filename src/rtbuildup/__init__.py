@@ -32,22 +32,16 @@ from .profile import PotentialProfile, ProfileError, build_profile
 from .resonances import (
     BoundStateError,
     GamowResidualError,
-    PoleConvergenceError,
     ResonantState,
     WindingMismatchError,
     find_poles,
-    gamow_state,
     one_term_phi,
-    refine_pole,
-    winding_number,
 )
 from .scattering import (
-    ScanResult,
     StationaryState,
     bound_state_energies,
     stationary_state,
     stationary_wave,
-    transmission_scan,
 )
 from .units import HBAR_EV_FS, HBAR2_OVER_2ME_EV_A2, PhysicalConstants
 
@@ -61,21 +55,15 @@ __all__ = [
     "ProfileError",
     "build_profile",
     "StationaryState",
-    "ScanResult",
     "stationary_state",
     "stationary_wave",
-    "transmission_scan",
     "bound_state_energies",
     "ResonantState",
-    "PoleConvergenceError",
     "WindingMismatchError",
     "GamowResidualError",
     "BoundStateError",
     "find_poles",
-    "gamow_state",
     "one_term_phi",
-    "refine_pole",
-    "winding_number",
     "MoshinskyOverflowError",
     "faddeeva",
     "moshinsky_m",

@@ -123,10 +123,6 @@ class BuildupDecomposition:
     remainder: np.ndarray
     phi_abs2: float
 
-    @property
-    def abs2(self) -> np.ndarray:
-        return self.exponential_part + self.remainder
-
 
 def buildup_decomposition(
     solution: TransientSolution, state: ResonantState

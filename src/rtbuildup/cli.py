@@ -482,7 +482,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("poles", help="resonance table CSV")
     p.add_argument("--profile", required=True)
-    p.add_argument("--e-max-ev", type=float, default=None)
+    p.add_argument(
+        "--e-max-ev",
+        type=float,
+        help="pole search ceiling in eV (default: the barrier top); lists the poles with hbar^2 (Re k_n)^2/2m* <= it",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_poles)
 

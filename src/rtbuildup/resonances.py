@@ -14,6 +14,8 @@ height it floors |kappa_j| w_j (see ``scattering``).
 
 ``find_poles`` searches Re k in [k(SCAN_FLOOR_EV)/2, k(e_max)],
 Im k in [-k(e_max), 0), and takes no seed from a transmission scan.  It
+returns the poles with Re k_n <= k(e_max), hbar^2 (Re k_n)^2 / 2m* <= e_max,
+not eps_n <= e_max, which would take Re k up to sqrt(2) k(e_max).  It
 samples m22 once around this deep rectangle with the top edge lifted to
 Im k = +(k_hi - k_lo)/SAMPLES_PER_EDGE, just above the narrow poles, where
 the contour would need rounds of bisection.  The count is the same: m22 of a
@@ -112,7 +114,7 @@ _SIMPSON = _simpson_rows()
 
 
 class PoleConvergenceError(RuntimeError):
-    """Newton refinement failed to converge to a pole."""
+    """Newton refinement failed to converge to a pole (raised only by ``refine_pole``)."""
 
 
 class WindingMismatchError(RuntimeError):
@@ -173,7 +175,7 @@ def _newton(profile: PotentialProfile, seeds, known=()) -> tuple[np.ndarray, np.
 
 
 def refine_pole(profile: PotentialProfile, k_seed: complex) -> complex:
-    """Newton iteration on m22(k) from one seed momentum (see ``_newton``)."""
+    """Newton on m22 from one seed (``_newton``); unexported, kept for the tracer and tests until ROADMAP item 11."""
     k, converged = _newton(profile, [k_seed])
     if not converged[0]:
         raise PoleConvergenceError(
@@ -256,7 +258,7 @@ def winding_number(
     re_range: tuple[float, float],
     im_range: tuple[float, float],
 ) -> int:
-    """Number of zeros of m22 inside a rectangle, by the argument principle."""
+    """Count of m22's zeros in a rectangle; unexported, kept for the tracer and tests until ROADMAP item 11."""
     return _zero_count(_contour_steps(profile, _edge_samples(profile, [(re_range, im_range)])[0])[1])
 
 
@@ -303,11 +305,6 @@ class ResonantState:
     def u(self, x):
         """Normalized Gamow eigenfunction at x in [0, L]."""
         return self._wave.value(x)
-
-    @property
-    def u_end(self) -> complex:
-        """u_n(L)."""
-        return self.u(self.profile.total_length)
 
 
 def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
@@ -360,12 +357,15 @@ def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
 
 
 def gamow_state(profile: PotentialProfile, k_n: complex) -> ResonantState:
-    """Normalized Gamow eigenfunction for one verified pole momentum (see ``_gamow_states``)."""
+    """One pole's Gamow state (``_gamow_states``); unexported, kept for the tracer and tests until ROADMAP item 11."""
     return _gamow_states(profile, [k_n])[0]
 
 
 def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState]:
-    """Poles with eps_n <= e_max_ev, sorted by resonance energy (the search is in the module docstring).
+    """Poles with Re k_n <= k(e_max_ev), sorted by eps_n (the search is in the module docstring).
+
+    That is the search rectangle's rule, not eps_n <= e_max_ev: on ``configs/symmetric.cfg`` at 1.0 eV
+    the broad pole eps = 0.99468 eV, Re k = 0.132723 > k(1.0 eV) = 0.132610, is left out.
 
     Raises ``BoundStateError`` for a profile that binds a state below E = 0,
     ``ValueError`` for a ceiling at which m22 overflows on the search
@@ -380,8 +380,9 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
             f"profile binds {bound.size} state(s) below E = 0, the lowest at {bound[0]:.6g} eV; "
             "the resonance expansion omits bound states"
         )
+    k_max = profile.constants.wavevector(e_max_ev)
     # pad the rectangle so its corners cannot land exactly on a pole
-    k_hi = profile.constants.wavevector(e_max_ev) * (1.0 + 3e-9)
+    k_hi = k_max * (1.0 + 3e-9)
     k_lo = 0.5 * profile.constants.wavevector(SCAN_FLOOR_EV)
     top = (k_hi - k_lo) / SAMPLES_PER_EDGE
     deep = ((k_lo, k_hi), (-k_hi, top))
@@ -405,8 +406,7 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
             ks += _recover_poles(profile, [below], [_contour_steps(profile, ring)], known=ks)
         if len(ks) != count:
             raise WindingMismatchError(f"winding count {count} != {len(ks)} converged poles")
-    states = _gamow_states(profile, ks)
-    states = [s for s in states if s.eps_ev <= e_max_ev]
+    states = _gamow_states(profile, [k for k in ks if k.real <= k_max])
     states.sort(key=lambda s: s.eps_ev)
     return states
 

@@ -219,7 +219,7 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PeakSeed:
-    """Transmission maximum of ``transmission_scan``; the pole search no longer takes seeds from it.
+    """Transmission maximum of ``transmission_scan``; unexported, kept for the tracer and tests until ROADMAP item 11.
 
     ``energy_ev`` and ``transmission`` are the vertex of the parabola through
     1/|t|^2 at the grid maximum and its two neighbours.
@@ -250,9 +250,9 @@ def transmission_scan(profile: PotentialProfile, e_min_ev: float, e_max_ev: floa
     1/|t|^2 = |m22|^2 is nearly quadratic in E, so each grid maximum reports
     the vertex of the parabola through 1/|t|^2 at E[i-1], E[i] and E[i+1],
     a closed form that lies inside (E[i-1], E[i+1]), precise enough to
-    seed Newton.  Public, but ``find_poles`` no longer calls it: its seeds
-    come from contour moments.  A grid point on a segment height needs no
-    care: ``_march`` floors |kappa_j| w_j.
+    seed Newton.  Unexported, and ``find_poles`` no longer calls it; kept
+    for the tracer and tests until ROADMAP item 11.  A grid point on a
+    segment height needs no care: ``_march`` floors |kappa_j| w_j.
     """
     if not 0.0 < e_min_ev < e_max_ev < np.inf:
         raise ValueError("need 0 < e_min < e_max < inf")

@@ -16,6 +16,23 @@ def test_every_export_resolves_once():
     assert [name for name in names if not hasattr(rtbuildup, name)] == []
 
 
+# kept in their modules only for the benchmark's tracer and as the tests' references
+TRACER_ONLY = {
+    ("scattering", "transmission_scan"),
+    ("scattering", "ScanResult"),
+    ("resonances", "refine_pole"),
+    ("resonances", "winding_number"),
+    ("resonances", "gamow_state"),
+    ("resonances", "PoleConvergenceError"),
+}
+
+
+def test_tracer_only_names_stay_in_their_modules_and_out_of_the_exports():
+    assert {name for _module, name in TRACER_ONLY}.isdisjoint(rtbuildup.__all__)
+    modules = {module: importlib.import_module(f"rtbuildup.{module}") for module, _name in TRACER_ONLY}
+    assert [(module, name) for module, name in TRACER_ONLY if not hasattr(modules[module], name)] == []
+
+
 def test_every_benchmark_binding_resolves(monkeypatch):
     """Each (module, attribute) of ``perfbench/spans.BINDINGS`` exists; spans.py is only read."""
     monkeypatch.syspath_prepend(str(PERFBENCH))

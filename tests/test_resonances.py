@@ -15,14 +15,11 @@ from rtbuildup import (
     ResonantState,
     build_profile,
     find_poles,
-    gamow_state,
     one_term_phi,
-    refine_pole,
     stationary_state,
-    transmission_scan,
-    winding_number,
 )
-from rtbuildup.scattering import _m22
+from rtbuildup.resonances import gamow_state, refine_pole, winding_number
+from rtbuildup.scattering import _m22, transmission_scan
 
 def m22(profile, k):
     """m22(k), whose fourth-quadrant zeros are the resonance poles."""
@@ -45,7 +42,7 @@ def gamow_norm_gauss_legendre(state, order=240):
     for a, b in zip(edges[:-1], edges[1:]):
         xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         total += 0.5 * (b - a) * np.sum(weights * state.u(xs) ** 2)
-    surface = 1j * (state.u0**2 + state.u_end**2) / (2.0 * state.k)
+    surface = 1j * (state.u0**2 + state.u(state.profile.total_length) ** 2) / (2.0 * state.k)
     return total + surface
 
 
@@ -124,7 +121,8 @@ def test_gamow_boundary_conditions(symmetric_poles):
         assert abs(du0 + 1j * s.k * s.u0) / (abs(s.k) * abs(s.u0)) < 1e-6
         length = s.profile.total_length
         dul = (3.0 * s.u(length) - 4.0 * s.u(length - h) + s.u(length - 2.0 * h)) / (2.0 * h)
-        assert abs(dul - 1j * s.k * s.u_end) / (abs(s.k) * abs(s.u_end)) < 1e-6
+        u_end = s.u(length)
+        assert abs(dul - 1j * s.k * u_end) / (abs(s.k) * abs(u_end)) < 1e-6
 
 
 def test_gamow_normalization_against_gauss_legendre(
@@ -156,7 +154,7 @@ def test_gamow_accepts_a_state_that_decays_across_the_structure():
     poles = find_poles(profile, 1.635)
     assert len(poles) == 8
     decaying = poles[5]
-    assert abs(decaying.u_end) < 1e-6 * abs(decaying.u0)
+    assert abs(decaying.u(profile.total_length)) < 1e-6 * abs(decaying.u0)
 
 
 def test_gamow_lobe_shapes_match_stationary_wave(symmetric_profile, symmetric_poles):
@@ -415,6 +413,26 @@ def test_find_poles_runs_no_transmission_scan(name, request, monkeypatch):
     profile = request.getfixturevalue(f"{name}_profile")
     assert len(find_poles(profile, 0.4)) == 3
     assert len(find_poles(profile, 16.0)) == {"symmetric": 26, "asymmetric": 30}[name]
+
+
+@pytest.mark.parametrize(
+    "name, e_max, n_poles, past",
+    [("symmetric", 1.0, 5, 0.132723 - 0.011112j), ("asymmetric", 1.6, 8, 0.167824 - 0.014440j)],
+)
+def test_find_poles_keeps_the_poles_up_to_the_ceiling_wavevector(name, e_max, n_poles, past, request):
+    """The ceiling bounds Re k_n by k(e_max), as the search rectangle does, not eps_n by e_max.
+
+    The broad pole ``past`` has eps_n below e_max but Re k_n just beyond
+    k(e_max): it is left out, and a search to 1.5 e_max finds it.
+    """
+    profile = request.getfixturevalue(f"{name}_profile")
+    k_max = profile.constants.wavevector(e_max)
+    poles = find_poles(profile, e_max)
+    assert len(poles) == n_poles
+    assert all(s.k.real <= k_max for s in poles)
+    [beyond] = [s for s in find_poles(profile, 1.5 * e_max) if s.k.real > k_max and s.eps_ev <= e_max]
+    assert abs(beyond.k - past) < 1e-6
+    assert beyond.k.real < 1.001 * k_max
 
 
 @pytest.mark.parametrize(
@@ -761,16 +779,17 @@ def test_batched_gamow_states_match_one_pole_at_a_time(name, request):
     profile = request.getfixturevalue(f"{name}_profile")
     batch = find_poles(profile, 32.0)
     assert len(batch) == {"symmetric": 38, "asymmetric": 42}[name]
-    xs = np.linspace(0.0, profile.total_length, 11)
+    length = profile.total_length
+    xs = np.linspace(0.0, length, 11)
     for state in batch:
         alone = gamow_state(profile, state.k)
         assert alone.k == state.k and alone.energy_ev == state.energy_ev
         assert abs(state.u0 - alone.u0) <= 1e-13 * abs(alone.u0)
-        assert abs(state.u_end - alone.u_end) <= 1e-13 * abs(alone.u_end)
+        assert abs(state.u(length) - alone.u(length)) <= 1e-13 * abs(alone.u(length))
         assert np.all(np.abs(state.u(xs) - alone.u(xs)) <= 1e-13 * np.abs(alone.u(xs)))
         u0, u_end, u = oracles.gamow(profile, state.k, xs, np)
         scale = np.max(np.abs(u))
-        assert max(abs(state.u0 - u0), abs(state.u_end - u_end), np.max(np.abs(state.u(xs) - u))) <= 1e-13 * scale
+        assert max(abs(state.u0 - u0), abs(state.u(length) - u_end), np.max(np.abs(state.u(xs) - u))) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("name", ["symmetric", "asymmetric"])

@@ -13,10 +13,9 @@ from rtbuildup import (
     build_profile,
     stationary_state,
     stationary_wave,
-    transmission_scan,
 )
 from rtbuildup import scattering
-from rtbuildup.scattering import _m22, _transfer_entries
+from rtbuildup.scattering import _m22, _transfer_entries, transmission_scan
 
 
 def single_barrier_transmission(energy, height, width, mass_factor=0.067):
