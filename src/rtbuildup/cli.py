@@ -262,6 +262,10 @@ def _check_out(path: str | None) -> None:
         raise CliUsageError(f"cannot write {path}: directory {parent} is not writable")
 
 
+_E_MAX_RULE = "hbar^2 (Re k_n)^2/2m* <="  # the poles find_poles keeps at a ceiling
+_E_MAX_HELP = f"pole search ceiling in eV (default: the barrier top); lists the poles with {_E_MAX_RULE} it"
+
+
 def _add_common(parser, grid_defaults=(0.01, 50.0, 400, "log")):
     parser.add_argument("--profile", required=True, help="profile config file")
     group = parser.add_mutually_exclusive_group(required=True)
@@ -280,7 +284,7 @@ def _add_common(parser, grid_defaults=(0.01, 50.0, 400, "log")):
     parser.add_argument("--points", type=int, default=pts)
     parser.add_argument("--grid", choices=("log", "linear"), default=spacing)
     parser.add_argument("--mode", choices=("single", "full"), default="single")
-    parser.add_argument("--e-max-ev", type=float, default=None, help="pole search ceiling")
+    parser.add_argument("--e-max-ev", type=float, default=None, help=_E_MAX_HELP)
     parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 
@@ -385,13 +389,13 @@ def _solve(args, on_resonance: bool = False):
         raise CliUsageError(f"position {args.x_angstrom} outside [0, {profile.total_length}] A")
     poles = _find_poles(profile, e_max)
     if not poles:
-        raise CliUsageError(f"no resonances below {e_max} eV in {args.profile}")
+        raise CliUsageError(f"no poles with {_E_MAX_RULE} {e_max} eV in {args.profile}")
 
     mode = args.mode
     if args.resonance is not None:
         if not 1 <= args.resonance <= len(poles):
             raise CliUsageError(
-                f"resonance {args.resonance} not found ({len(poles)} pole(s) below {e_max} eV)"
+                f"resonance {args.resonance} not found ({len(poles)} pole(s) with {_E_MAX_RULE} {e_max} eV)"
             )
         state = poles[args.resonance - 1]
         energy = state.eps_ev
@@ -482,11 +486,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("poles", help="resonance table CSV")
     p.add_argument("--profile", required=True)
-    p.add_argument(
-        "--e-max-ev",
-        type=float,
-        help="pole search ceiling in eV (default: the barrier top); lists the poles with hbar^2 (Re k_n)^2/2m* <= it",
-    )
+    p.add_argument("--e-max-ev", type=float, help=_E_MAX_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_poles)
 

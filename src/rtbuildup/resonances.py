@@ -27,11 +27,11 @@ else runs.  The count N on the deep contour decides where one loop
 first pass is the count; otherwise on ceil(N / 8) equal strips of Re k
 over the shallow band Im k in [-0.1, lifted top], since the moments of a
 deep contour are scaled by its depth while the poles lie close to the
-axis.  The strips run the loop in lockstep: one m22 call samples all their
-edges, and every pass refines all their seeds together, while each strip
-counts and keeps its own poles.  The strips must find N poles; if they fall
-short, the loop also runs on the deep rectangle below the band.  Each pass
-of the loop
+axis.  If the strips' counts add up to less than N, the rectangle below
+the band, Im k in [-k(e_max), -0.1], joins them.  All rectangles run the
+loop in lockstep: every pass refines all their seeds together, while each
+rectangle counts and keeps its own poles (one m22 call samples all the
+strips' edges).  Each pass of the loop
 
 1. divides the poles found so far out of the samples,
    g = m22 / prod_j (k - k_j), and counts the missing zeros of g by the
@@ -392,62 +392,45 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
         raise ValueError(f"m22 overflows on the search contour at the ceiling {e_max_ev:g} eV")
     steps = _contour_steps(profile, samples)
     count = _zero_count(steps[1])
-    if count <= _STRIP_POLES:
-        ks = _recover_poles(profile, [deep], [steps])
-    else:
+    rects, first = [deep], [steps]
+    if count > _STRIP_POLES:
         floor = max(-_STRIP_DEPTH, -k_hi)
         cuts = np.linspace(k_lo, k_hi, -(-count // _STRIP_POLES) + 1).tolist()  # ceil(count / 8) strips
-        strips = [(strip, (floor, top)) for strip in zip(cuts[:-1], cuts[1:])]
-        first = [_contour_steps(profile, ring) for ring in _edge_samples(profile, strips)]
-        ks = _recover_poles(profile, strips, first)
-        if len(ks) < count and floor > -k_hi:  # the rest lies below the band
-            below = ((k_lo, k_hi), (-k_hi, floor))
-            [ring] = _edge_samples(profile, [below])
-            ks += _recover_poles(profile, [below], [_contour_steps(profile, ring)], known=ks)
-        if len(ks) != count:
-            raise WindingMismatchError(f"winding count {count} != {len(ks)} converged poles")
+        rects = [(strip, (floor, top)) for strip in zip(cuts[:-1], cuts[1:])]
+        first = [_contour_steps(profile, ring) for ring in _edge_samples(profile, rects)]
+        if sum(_zero_count(dlog) for _, dlog in first) < count and floor > -k_hi:  # the rest lies below the band
+            rects.append(((k_lo, k_hi), (-k_hi, floor)))
+            [ring] = _edge_samples(profile, rects[-1:])
+            first.append(_contour_steps(profile, ring))
+    ks = _recover_poles(profile, rects, first)
+    if len(ks) != count:
+        raise WindingMismatchError(f"winding count {count} != {len(ks)} converged poles")
     states = _gamow_states(profile, [k for k in ks if k.real <= k_max])
     states.sort(key=lambda s: s.eps_ev)
     return states
 
 
-def _recover_poles(profile: PotentialProfile, rects, steps, known=()) -> list[complex]:
+def _recover_poles(profile: PotentialProfile, rects, steps) -> list[complex]:
     """Every zero of m22 inside each rectangle, each certified by the count on its own contour.
 
     ``steps`` are ``_contour_steps`` around each rectangle with no pole
-    divided out, from which the first pass counts, so that the deep
-    contour's count is its first pass as well.  The passes are in the
-    module docstring.  The rectangles run them in lockstep: every pass
+    divided out, from which each rectangle's count is taken once, so that
+    the deep contour's count is its first pass as well.  The passes are in
+    the module docstring.  The rectangles run them in lockstep: every pass
     refines the seeds of all rectangles with poles still missing in one
-    ``_newton`` call, which divides out every pole found so far and the
-    poles ``known`` from elsewhere.  Each rectangle keeps the new poles
-    inside it, whichever seed reached them, and checks them against its
-    own count.  Returns the poles of all rectangles, one rectangle after
-    another.
+    ``_newton`` call, which divides out every pole found so far.  Each
+    rectangle keeps the new poles inside it, whichever seed reached them,
+    and checks them against its own count; a count below zero takes no
+    seed, so its pass adds nothing.  Returns the poles of all rectangles,
+    one rectangle after another.
     """
     steps = list(steps)
+    counts = [_zero_count(dlog) for _, dlog in steps]
+    missing = list(counts)
     found: list[list[complex]] = [[] for _ in rects]
-    counts: list[int | None] = [None] * len(rects)
-    missing = [0] * len(rects)
-
-    def mismatch(i):
-        return WindingMismatchError(f"winding count {counts[i]} != {len(found[i])} converged poles")
-
-    pending = range(len(rects))
-    while True:
-        seeds = []
-        for i in pending:
-            samples, dlog = steps[i]
-            missing[i] = _zero_count(dlog)
-            counts[i] = missing[i] if counts[i] is None else counts[i]
-            if missing[i] < 0:
-                raise mismatch(i)
-            if missing[i]:
-                seeds.append(_moment_roots(rects[i], samples, dlog, missing[i]))
-        pending = [i for i in pending if missing[i]]
-        if not pending:
-            return [k for poles in found for k in poles]
-        ks, converged = _newton(profile, np.concatenate(seeds), known=[*known, *(k for f in found for k in f)])
+    while pending := [i for i, m in enumerate(missing) if m]:
+        seeds = [_moment_roots(rects[i], *steps[i], missing[i]) for i in pending]
+        ks, converged = _newton(profile, np.concatenate(seeds), known=[k for f in found for k in f])
         ks = ks[converged].tolist()
         for i in pending:
             (re_lo, re_hi), (im_lo, im_hi) = rects[i]
@@ -456,12 +439,14 @@ def _recover_poles(profile: PotentialProfile, rects, steps, known=()) -> list[co
                 if re_lo <= k.real <= re_hi and im_lo <= k.imag < min(im_hi, 0.0) and _is_new(k, found[i] + new):
                     new.append(k)
             found[i] += new
-            if not new or len(new) > missing[i]:
-                raise mismatch(i)
             missing[i] -= len(new)
-        pending = [i for i in pending if missing[i]]
+            if not new or missing[i] < 0:
+                raise WindingMismatchError(f"winding count {counts[i]} != {len(found[i])} converged poles")
         for i in pending:
-            steps[i] = _contour_steps(profile, steps[i][0], found[i])
+            if missing[i]:
+                steps[i] = _contour_steps(profile, steps[i][0], found[i])
+                missing[i] = _zero_count(steps[i][1])
+    return [k for poles in found for k in poles]
 
 
 def _moment_roots(rect, samples, dlog: np.ndarray, missing: int) -> np.ndarray:

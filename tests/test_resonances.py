@@ -446,27 +446,36 @@ def test_strips_reach_ceilings_the_deep_moments_could_not(name, e_max, n_poles, 
     assert all(-resonances._STRIP_DEPTH <= s.k.imag < 0.0 for s in poles)
 
 
-def test_poles_below_the_strip_band_are_recovered_from_the_deep_rectangle(monkeypatch):
-    """Weak barriers to 100 eV: the strips find one pole, the rectangle below them the other 14.
+@pytest.fixture(scope="module")
+def below_band_profile():
+    """Weak barriers whose search to 100 eV counts 14 of its 15 poles below the strips' band."""
+    return build_profile([(10.0, 0.1), (20.0, 0.0), (10.0, 0.1)])
 
-    The rest of the count lies below Im k = -0.1, the lowest at -0.205; that
-    rectangle's Newton divides out the strips' pole.  Each pole is a zero of
-    a 40-digit m22 to 1e-13 of |k|.
+
+def test_poles_below_the_strip_band_are_recovered_from_the_deep_rectangle(below_band_profile, monkeypatch):
+    """Weak barriers to 100 eV: the strips count one pole, the rectangle below them the other 14.
+
+    The rest of the count lies below Im k = -0.1, the lowest at -0.205.  The
+    strips and that rectangle run in one loop, so the first Newton batch
+    holds all 15 seeds, and the second the 3 missing with the 12 found poles
+    divided out.  Each pole is a zero of a 40-digit m22 to 1e-13 of |k|.
     """
-    profile = build_profile([(10.0, 0.1), (20.0, 0.0), (10.0, 0.1)])
+    profile = below_band_profile
     calls = []
     recover = resonances._recover_poles
 
-    def recording(profile, rects, samples, known=()):
-        calls.append((rects, len(known)))
-        return recover(profile, rects, samples, known)
+    def recording(profile, rects, samples):
+        calls.append(rects)
+        return recover(profile, rects, samples)
 
     monkeypatch.setattr(resonances, "_recover_poles", recording)
+    batches = recording_newton_batches(monkeypatch)
     poles = find_poles(profile, 100.0)
     assert len(poles) == lifted_count(profile, 100.0) == 15
-    (strips, known_to_strips), ((below,), known_below) = calls
-    assert (len(strips), known_to_strips, known_below) == (2, 0, 1)
+    [(*strips, below)] = calls
+    assert len(strips) == 2 and all(im_lo == -resonances._STRIP_DEPTH for _, (im_lo, _) in strips)
     assert below[1][1] == -resonances._STRIP_DEPTH  # the rectangle's top is the band's floor
+    assert [(seeds, known) for seeds, known, _ in batches] == [(15, 0), (3, 12)]
     assert sum(s.k.imag < -resonances._STRIP_DEPTH for s in poles) == 14
     assert min(s.k.imag for s in poles) == pytest.approx(-0.205, abs=1e-3)
     with mpmath.workdps(40):
@@ -621,12 +630,19 @@ def test_deep_search_takes_the_count_as_its_first_pass(name, e_max, n_poles, req
 
 @pytest.mark.parametrize(
     "name, e_max, n_poles, budget",
-    [("symmetric", 16.0, 26, 8), ("asymmetric", 8.0, 21, 14), ("asymmetric", 16.0, 30, 12)],
+    [
+        ("symmetric", 16.0, 26, 8),
+        ("asymmetric", 8.0, 21, 14),
+        ("asymmetric", 16.0, 30, 12),
+        ("below_band", 100.0, 15, 34),
+    ],
 )
 def test_lockstep_strips_call_budget(name, e_max, n_poles, budget, request, monkeypatch):
-    """One m22 call covers every strip's edges, and one per Newton round every strip's seeds.
+    """One m22 call covers every strip's edges, and one per Newton round every rectangle's seeds.
 
-    Run one strip after another, these searches took 21 / 23 / 30 calls.
+    Run one strip after another, the first three searches took 21 / 23 / 30
+    calls.  The last one's rectangle below the band took its own Newton
+    rounds after the strips' ones, 35 calls in all.
     """
     profile = request.getfixturevalue(f"{name}_profile")
     sizes = counting_m22_sizes(monkeypatch)
