@@ -263,7 +263,7 @@ def _check_out(path: str | None) -> None:
 
 
 _E_MAX_RULE = "hbar^2 (Re k_n)^2/2m* <="  # the poles find_poles keeps at a ceiling
-_E_MAX_HELP = f"pole search ceiling in eV (default: the barrier top); lists the poles with {_E_MAX_RULE} it"
+_E_MAX_HELP = f"pole search ceiling in eV (default: the barrier top); the search keeps the poles with {_E_MAX_RULE} it"
 
 
 def _add_common(parser, grid_defaults=(0.01, 50.0, 400, "log")):

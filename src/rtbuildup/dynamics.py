@@ -14,9 +14,10 @@ Every term is a weighted kernel on a ray y_i = c_i r, so the sum is
 
     Psi = sum_i w_i M(c_i r),    r = sqrt(hbar t / 2m),
 
-over 2P + 2 rays for P pole pairs: the free term's pair first, y_k
-(reflected, w = phi) and y_{-k} (direct, w = -phi*), then each pole
-pair's two.  Each ray crosses |y| = ``Y_NEAR`` = 1 and ``Y_FAR`` = 8 once
+over P + 1 pairs (q, a), each the term a M(y_q) - a* M(y_{-q*}): the free
+pair (k, phi) first, then pole n's (k_n, -i T_n).  A pair's rays are y_q,
+reflected (c = -e^{-i pi/4} q, w = a), and y_{-q*}, direct (c = e^{-i pi/4}
+q*, w = -a*).  Each ray crosses |y| = ``Y_NEAR`` = 1 and ``Y_FAR`` = 8 once
 on an ascending grid.  Below Y_NEAR every ray takes the Taylor series of
 M, beyond Y_FAR the asymptotic one (a reflected ray adds exp(y^2)), so at
 each r the rays in either band collapse into one series in r whose
@@ -294,20 +295,15 @@ def _evolve(profile, poles, energy_ev, x, t_fs):
     if not 0.0 <= x <= profile.total_length:
         raise ValueError(f"position {x} outside [0, {profile.total_length}] A")
     t_fs = _resolve_grid(t_fs)
-    constants = profile.constants
     state = stationary_state(profile, energy_ev)
-    k, phi = state.k, state.phi(x)
-    # the free term phi M(y_k) - phi* M(y_{-k}): a reflected ray and a direct one
-    c_free = EXP_MINUS_IPI4 * k
-    c, w = [-c_free, c_free], [phi, -phi.conjugate()]
-    for s in poles:
-        # -i [T_n M(y_{k_n}) + T_{-n} M(y_{-k_n*})], with T_{-n} = conj(T_n)
-        # for real k because u_{-n} = u_n* and k_{-n}^2 = conj(k_n^2)
-        t_n = -1j * one_term_phi(s, energy_ev, x)
-        c += [-EXP_MINUS_IPI4 * s.k, EXP_MINUS_IPI4 * s.k.conjugate()]
-        w += [-1j * t_n, -1j * t_n.conjugate()]
+    phi = state.phi(x)
+    # pair (q, a) is a M(y_q) - a* M(y_{-q*}): the free term's is (k, phi), pole n's (k_n, -i T_n), whose partner
+    # has -i T_{-n} = -(-i T_n)* as T_{-n} = conj(T_n) for real k because u_{-n} = u_n* and k_{-n}^2 = conj(k_n^2)
+    pairs = [(state.k, phi)] + [(s.k, -one_term_phi(s, energy_ev, x)) for s in poles]
+    c = [ray for q, _ in pairs for ray in (-EXP_MINUS_IPI4 * q, EXP_MINUS_IPI4 * q.conjugate())]
+    w = [weight for _, a in pairs for weight in (a, -a.conjugate())]
     c, w = np.asarray(c, dtype=complex), np.asarray(w, dtype=complex)
-    root_t = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
+    root_t = np.sqrt(profile.constants.hbar2_over_2m * t_fs / profile.constants.hbar)
     psi = np.zeros(t_fs.size, dtype=complex)
     _Rays(c, w, root_t).add_to(psi)
     return TransientSolution(float(energy_ev), float(x), t_fs, psi, phi)

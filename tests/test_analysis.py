@@ -530,3 +530,7 @@ def test_envelope_exponent_needs_enough_samples():
     tau = np.linspace(5.0, 10.0, 50)
     with pytest.raises(FitWindowError):
         fit_envelope_exponent(tau, tau**-0.5)
+    # 288 samples, enough in all, but 285 of them in the first of the 12 log blocks over [1, 1000]
+    tau = np.concatenate([np.linspace(1.0, 1.5, 285), [10.0, 100.0, 1000.0]])
+    with pytest.raises(FitWindowError, match="too few populated blocks"):
+        fit_envelope_exponent(tau, tau**-0.5)

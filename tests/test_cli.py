@@ -64,6 +64,10 @@ def test_parse_profile_error_carries_line_number():
         parse_profile_text("widht = 3\n")
     with pytest.raises(ProfileError, match="line 3"):
         parse_profile_text("segment = 30 0.5\n\nnot a key value line\n")
+    with pytest.raises(ProfileError, match="^<string>, line 1: bad mass_factor 'abc'$"):
+        parse_profile_text("mass_factor = abc\nsegment = 30 0.5\n")
+    with pytest.raises(ProfileError, match="^<string>, line 2: bad segment numbers '30 x'$"):
+        parse_profile_text("segment = 30 0.5\nsegment = 30 x\n")
 
 
 def test_parse_profile_rejects_empty():
@@ -97,6 +101,13 @@ def test_unwritable_out_exits_one(cfg_paths, tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_on_a_full_device_exits_one(cfg_paths, capsys):
+    """--out opens, but the write fails: one error line, no traceback."""
+    assert main(["poles", "--profile", cfg_paths["sym"], "--out", "/dev/full"]) == 1
+    assert capsys.readouterr().err == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize("command", ["poles", "evolve"])
@@ -656,7 +667,7 @@ def test_every_subcommand_gives_the_ceiling_the_same_help():
     }
     assert sorted(helps) == ["buildup", "crossover", "evolve", "poles"]
     assert set(helps.values()) == {
-        "pole search ceiling in eV (default: the barrier top); lists the poles with hbar^2 (Re k_n)^2/2m* <= it"
+        "pole search ceiling in eV (default: the barrier top); the search keeps the poles with hbar^2 (Re k_n)^2/2m* <= it"
     }
 
 

@@ -41,6 +41,9 @@ def test_grid_validation(symmetric_profile, symmetric_poles):
         evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, t_fs=np.array([2.0, 1.0]) * st.lifetime_fs)
     with pytest.raises(ValueError):
         evolve_single_resonance(symmetric_profile, st, st.eps_ev, 200.0, t_fs=np.array([1.0]) * st.lifetime_fs)
+    for t_fs in (np.array([]), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="time grid must be a non-empty 1-D array"):
+            evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, t_fs=t_fs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["t_fs-nan", "t_fs-inf", "t_fs--inf"])

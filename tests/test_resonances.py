@@ -483,6 +483,12 @@ def test_poles_below_the_strip_band_are_recovered_from_the_deep_rectangle(below_
             assert oracles.newton_step(profile, state.k, 1e-20, mpmath) <= 1e-13 * abs(state.k)
 
 
+@pytest.mark.parametrize("e_max", [0.0, -1.0, np.nan])
+def test_ceiling_that_is_not_positive_is_refused(symmetric_profile, e_max):
+    with pytest.raises(ValueError, match="^e_max must be positive$"):
+        find_poles(symmetric_profile, e_max)
+
+
 @pytest.mark.parametrize("e_max", [1e300, 1e308])
 def test_overflowing_ceiling_is_refused_without_a_warning(symmetric_profile, e_max):
     """At these ceilings a phase e^(i kappa w) underflows to 0 and the march divides by it: refused, unwarned."""
