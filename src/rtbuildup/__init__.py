@@ -28,7 +28,7 @@ from .moshinsky import (
     moshinsky_asymptotic,
     moshinsky_m,
 )
-from .profile import PotentialProfile, ProfileError, build_profile
+from .profile import HBAR_EV_FS, HBAR2_OVER_2ME_EV_A2, PotentialProfile, ProfileError, build_profile
 from .resonances import (
     BoundStateError,
     GamowResidualError,
@@ -43,14 +43,12 @@ from .scattering import (
     stationary_state,
     stationary_wave,
 )
-from .units import HBAR_EV_FS, HBAR2_OVER_2ME_EV_A2, PhysicalConstants
 
 __version__ = "0.1.0"
 
 __all__ = [
     "HBAR_EV_FS",
     "HBAR2_OVER_2ME_EV_A2",
-    "PhysicalConstants",
     "PotentialProfile",
     "ProfileError",
     "build_profile",

@@ -34,7 +34,7 @@ from .analysis import (
     normalize_buildup,
 )
 from .dynamics import evolve_full, evolve_single_resonance
-from .profile import PotentialProfile, ProfileError, build_profile
+from .profile import HBAR_EV_FS, PotentialProfile, ProfileError, build_profile
 from .resonances import (
     GamowResidualError,
     ResonantState,
@@ -295,9 +295,12 @@ def _tau_grid(args) -> np.ndarray:
         raise CliUsageError("need 0 < tau-min <= tau-max < inf")
     if args.points > 1 and args.tau_min == args.tau_max:
         raise CliUsageError("--points > 1 needs tau-min < tau-max")
-    if args.grid == "log":
-        return np.geomspace(args.tau_min, args.tau_max, args.points)
-    return np.linspace(args.tau_min, args.tau_max, args.points)
+    tau = (np.geomspace if args.grid == "log" else np.linspace)(args.tau_min, args.tau_max, args.points)
+    if not np.all(np.diff(tau) > 0.0):
+        raise CliUsageError(
+            f"the {args.points}-point tau grid from {args.tau_min!r} to {args.tau_max!r} repeats a point in tau"
+        )
+    return tau
 
 
 def _e_max(args, profile: PotentialProfile) -> float:
@@ -341,7 +344,7 @@ def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
     state = stationary_state(profile, energy_ev)
     wave = state._wave
     a, b = profile.boundaries[chosen], profile.boundaries[chosen + 1]
-    kappa2 = state.k**2 - heights[chosen] / profile.constants.hbar2_over_2m
+    kappa2 = state.k**2 - heights[chosen] / profile.hbar2_over_2m
     phase = np.angle(wave.a[chosen] * np.conj(wave.b[chosen]))
     turn = 2.0 * math.pi
     candidates = [a, b]
@@ -426,7 +429,7 @@ def _solve(args, on_resonance: bool = False):
         )
     # from 2^52 rad on, neighbouring doubles of the phase E t / hbar are >= 1 rad
     # apart, so exp(-iEt/hbar) carries no correct digit
-    phase = energy * float(t_fs[-1]) / profile.constants.hbar
+    phase = energy * float(t_fs[-1]) / HBAR_EV_FS
     if not phase < 2.0**52:
         raise CliUsageError(
             f"--tau-max {args.tau_max:g} gives a phase E t/hbar of {phase:.3g} rad, at least 2^52: "

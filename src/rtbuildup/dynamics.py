@@ -69,7 +69,7 @@ from .moshinsky import (
     _series_terms,
     _taylor_coefficients,
 )
-from .profile import PotentialProfile
+from .profile import HBAR_EV_FS, PotentialProfile
 from .resonances import ResonantState, one_term_phi
 from .scattering import stationary_state
 
@@ -303,7 +303,7 @@ def _evolve(profile, poles, energy_ev, x, t_fs):
     c = [ray for q, _ in pairs for ray in (-EXP_MINUS_IPI4 * q, EXP_MINUS_IPI4 * q.conjugate())]
     w = [weight for _, a in pairs for weight in (a, -a.conjugate())]
     c, w = np.asarray(c, dtype=complex), np.asarray(w, dtype=complex)
-    root_t = np.sqrt(profile.constants.hbar2_over_2m * t_fs / profile.constants.hbar)
+    root_t = np.sqrt(profile.hbar2_over_2m * t_fs / HBAR_EV_FS)
     psi = np.zeros(t_fs.size, dtype=complex)
     _Rays(c, w, root_t).add_to(psi)
     return TransientSolution(float(energy_ev), float(x), t_fs, psi, phi)

@@ -76,7 +76,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .profile import PotentialProfile
+from .profile import HBAR_EV_FS, PotentialProfile
 from .scattering import _m22, _march, _PiecewiseWave, bound_state_energies
 
 # not used by the search, which evaluates m22 with _m22: the benchmark's
@@ -274,7 +274,7 @@ class ResonantState:
     @cached_property
     def energy_ev(self) -> complex:
         """Complex pole energy eps_n - i Gamma_n / 2 = hbar^2 k_n^2 / 2m*."""
-        return self.profile.constants.energy_ev(self.k)
+        return self.profile.energy_ev(self.k)
 
     @property
     def eps_ev(self) -> float:
@@ -295,7 +295,7 @@ class ResonantState:
     @property
     def lifetime_fs(self) -> float:
         """tau_n = hbar / Gamma_n."""
-        return self.profile.constants.hbar / self.gamma_ev
+        return HBAR_EV_FS / self.gamma_ev
 
     @property
     def r_ratio(self) -> float:
@@ -380,10 +380,10 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
             f"profile binds {bound.size} state(s) below E = 0, the lowest at {bound[0]:.6g} eV; "
             "the resonance expansion omits bound states"
         )
-    k_max = profile.constants.wavevector(e_max_ev)
+    k_max = profile.wavevector(e_max_ev)
     # pad the rectangle so its corners cannot land exactly on a pole
     k_hi = k_max * (1.0 + 3e-9)
-    k_lo = 0.5 * profile.constants.wavevector(SCAN_FLOOR_EV)
+    k_lo = 0.5 * profile.wavevector(SCAN_FLOOR_EV)
     top = (k_hi - k_lo) / SAMPLES_PER_EDGE
     deep = ((k_lo, k_hi), (-k_hi, top))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused just below
@@ -487,5 +487,5 @@ def one_term_phi(state: ResonantState, energy_ev: float, x) -> complex:
 
     Intended for R_n >> 1 and E near eps_n; accuracy improves with R_n.
     """
-    k = state.profile.constants.wavevector(energy_ev)
+    k = state.profile.wavevector(energy_ev)
     return 2j * k * state.u0 * state.u(x) / (k * k - state.k * state.k)

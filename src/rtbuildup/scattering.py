@@ -75,7 +75,7 @@ def _march(profile: PotentialProfile, k):
     regions = np.empty((profile.heights.size + 2,) + k.shape, dtype=complex)  # k, kappa_0, ..., kappa_{n-1}, k
     regions[:] = k
     shape = (-1,) + (1,) * k.ndim
-    kappa = np.sqrt(k**2 - (profile.heights[lifted] / profile.constants.hbar2_over_2m).reshape(shape))
+    kappa = np.sqrt(k**2 - (profile.heights[lifted] / profile.hbar2_over_2m).reshape(shape))
     floor = (_KAPPA_W_FLOOR / profile.widths[lifted]).reshape(shape)
     np.copyto(kappa, floor, where=abs(kappa) < floor)
     regions[1 + lifted] = kappa
@@ -169,8 +169,8 @@ def stationary_state(profile: PotentialProfile, energy_ev: float) -> StationaryS
     in phi.  Near a segment height ``_march`` floors |kappa_j| w_j (see the
     module docstring).
     """
-    k = profile.constants.wavevector(energy_ev)
-    mirror = PotentialProfile(profile.segments[::-1], profile.constants)
+    k = profile.wavevector(energy_ev)
+    mirror = PotentialProfile(profile.segments[::-1], profile.mass_factor)
     kappa, a, b = _march(mirror, complex(k))
     t = 1.0 / complex(b[-1])
     kappa = kappa[-2::-1]
@@ -194,7 +194,7 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
     each is at most 1e-15 of its lower end wide.  A grid point where some
     kappa_j = 0 needs no care: ``_march`` floors |kappa_j| w_j.
     """
-    c2 = profile.constants.hbar2_over_2m
+    c2 = profile.hbar2_over_2m
     q_max = float(np.sqrt(max(-np.min(profile.heights), 0.0) / c2))
     if q_max == 0.0:
         return np.empty(0)
@@ -260,7 +260,7 @@ def transmission_scan(profile: PotentialProfile, e_min_ev: float, e_max_ev: floa
     lg_min, lg_max = np.log10(e_min_ev), np.log10(e_max_ev)  # their ratio can overflow
     n_points = max(64, int(np.ceil((lg_max - lg_min) * POINTS_PER_DECADE)) + 1)
     energies = np.logspace(lg_min, lg_max, n_points)
-    c2 = profile.constants.hbar2_over_2m
+    c2 = profile.hbar2_over_2m
     t2 = 1.0 / np.abs(_m22(profile, np.sqrt(energies / c2))) ** 2
 
     i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1

@@ -3,7 +3,7 @@
 Every function takes the math library ``lib``: mpmath, at the caller's
 ``mpmath.workdps``, or numpy in double precision, where k is complex and may
 be an array.  A profile is read as data only: its ``segments``,
-``boundaries`` and ``constants.hbar2_over_2m``.
+``boundaries`` and ``hbar2_over_2m``.
 """
 
 import mpmath
@@ -15,7 +15,7 @@ def _num(lib, value):
 
 
 def _kappas(profile, k, lib):
-    c2 = _num(lib, profile.constants.hbar2_over_2m)
+    c2 = _num(lib, profile.hbar2_over_2m)
     return [lib.sqrt(k * k - _num(lib, height) / c2) for _, height in profile.segments]
 
 

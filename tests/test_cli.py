@@ -54,7 +54,7 @@ def read_rows(path):
 def test_parse_profile_round_trip():
     p = parse_profile_text(SYMMETRIC_CFG)
     assert p.total_length == 160.0
-    assert p.constants.electron_mass_factor == 0.067
+    assert p.mass_factor == 0.067
 
 
 def test_parse_profile_error_carries_line_number():
@@ -178,6 +178,18 @@ def test_non_finite_or_out_of_range_numbers_exit_one(cfg_paths, tmp_path, capsys
     assert not out.exists()
 
 
+def test_tau_grid_whose_times_round_together_exits_one(cfg_paths, tmp_path, capsys):
+    """Two subnormal tau points round to one t at the 0.586 fs lifetime of resonance 12: refused after the search."""
+    out = tmp_path / "out.csv"
+    argv = ["evolve", "--profile", cfg_paths["sym"], "--resonance", "12", "--e-max-ev", "16", "--x-angstrom", "80",
+            "--tau-min", "5e-324", "--tau-max", "1e-323", "--points", "2", "--grid", "linear", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the 2-point tau grid from 5e-324 to 1e-323 is not strictly increasing "
+                          "and positive in t = tau * 0.586") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evolve", "buildup", "crossover"])
 def test_time_grid_past_the_phase_precision_exits_one(cfg_paths, tmp_path, capsys, command):
     """From E t/hbar = 2^52 on no digit of the phase is right; such a grid is refused, not written as nan."""
@@ -219,6 +231,10 @@ def test_buildup_reaches_one_at_the_latest_time_within_the_phase_precision(cfg_p
     (["--resonance", "1", "--x-angstrom", "80", "--tau-max", "inf"], "tau-max < inf"),
     (["--energy-ev", "nan", "--x-angstrom", "80"], "--energy-ev must be positive and finite"),
     (["--resonance", "1", "--x-angstrom", "1e9"], "position 1000000000.0 outside [0, 160.0] A"),
+    (["--resonance", "1", "--x-angstrom", "80", "--tau-min", "1", "--tau-max", "1.0000000000000002", "--points", "3"],
+     "the 3-point tau grid from 1.0 to 1.0000000000000002 repeats a point in tau"),
+    (["--resonance", "1", "--x-angstrom", "80", "--tau-min", "1", "--tau-max", "1.0000000000000002", "--points", "3",
+      "--grid", "linear"], "the 3-point tau grid from 1.0 to 1.0000000000000002 repeats a point in tau"),
 ])
 def test_usage_errors_that_need_no_pole_exit_before_the_search(monkeypatch, cfg_paths, capsys, argv, message):
     def no_search(*args, **kwargs):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import rtbuildup.dynamics
 from rtbuildup import (
-    PhysicalConstants,
+    HBAR_EV_FS,
     build_profile,
     buildup_decomposition,
     evolve_full,
@@ -93,8 +93,12 @@ def test_evolutions_refuse_poles_of_another_profile(symmetric_profile, asymmetri
         evolve_full(symmetric_profile, asymmetric_poles, 0.2, 80.0, t_fs=[1.0, 2.0])
     with pytest.raises(ValueError, match="pole of the profile evolved"):
         evolve_single_resonance(symmetric_profile, pole, pole.eps_ev, 80.0, t_fs=[1.0, 2.0])
+    # the carrier mass is part of the structure
+    heavier = build_profile(symmetric_profile.segments, 0.0670001)
+    with pytest.raises(ValueError, match="pole of the profile evolved"):
+        evolve_full(heavier, symmetric_poles, 0.2, 80.0, t_fs=[1.0, 2.0])
     # an equal profile built anew is the same structure
-    same = build_profile(symmetric_profile.segments, symmetric_profile.constants.electron_mass_factor)
+    same = build_profile(symmetric_profile.segments, symmetric_profile.mass_factor)
     a = evolve_full(symmetric_profile, symmetric_poles, 0.2, 80.0, t_fs=[1.0, 2.0])
     b = evolve_full(same, symmetric_poles, 0.2, 80.0, t_fs=[1.0, 2.0])
     assert np.array_equal(a.psi, b.psi)
@@ -307,10 +311,10 @@ def reflected_excess(y):
     t_fs=st.floats(min_value=1e-6, max_value=1e7),
 )
 def test_reflected_kernel_arguments_never_grow(re_kn, im_kn, k, t_fs):
-    constants = PhysicalConstants(electron_mass_factor=0.067)
+    profile = build_profile([(1.0, 0.0)])
     k_n = complex(re_kn, -im_kn)
     # the four arguments exactly as _evolve builds them
-    root_t = np.sqrt(constants.hbar2_over_2m * np.asarray([t_fs]) / constants.hbar)
+    root_t = np.sqrt(profile.hbar2_over_2m * np.asarray([t_fs]) / HBAR_EV_FS)
     args = [
         -EXP_MINUS_IPI4 * k * root_t,
         EXP_MINUS_IPI4 * k * root_t,
@@ -358,10 +362,9 @@ def whole_grid_pole_sum(profile, poles, energy_ev, x, t_fs):
     no rounding of its own, so the reference is off the exact sum of its
     terms by at most half an ulp, not by the rounding of 2P + 1 additions.
     """
-    constants = profile.constants
-    k = constants.wavevector(energy_ev)
+    k = profile.wavevector(energy_ev)
     phi = stationary_state(profile, energy_ev).phi(x)
-    root_t = np.sqrt(constants.hbar2_over_2m * np.asarray(t_fs) / constants.hbar)
+    root_t = np.sqrt(profile.hbar2_over_2m * np.asarray(t_fs) / HBAR_EV_FS)
     terms = [
         phi * _moshinsky_m_grid(-EXP_MINUS_IPI4 * k * root_t),
         -np.conj(phi) * _moshinsky_m_grid(EXP_MINUS_IPI4 * k * root_t),
@@ -425,11 +428,11 @@ def test_grid_beyond_y_far_never_calls_the_kernel(monkeypatch, asymmetric_profil
     def no_kernel(y, scaled=False):
         raise AssertionError("kernel called beyond Y_FAR")
 
-    constants = asymmetric_profile.constants
+    profile = asymmetric_profile
     energy_ev = 0.15
-    slowest = min([constants.wavevector(energy_ev)] + [abs(s.k) for s in asymmetric_poles])
+    slowest = min([profile.wavevector(energy_ev)] + [abs(s.k) for s in asymmetric_poles])
     # |y| = |k| sqrt(hbar t / 2m) reaches Y_FAR on the slowest ray at t_min
-    t_min = (Y_FAR / slowest) ** 2 * constants.hbar / constants.hbar2_over_2m
+    t_min = (Y_FAR / slowest) ** 2 * HBAR_EV_FS / profile.hbar2_over_2m
     t_fs = np.geomspace(1.001 * t_min, 1e3 * t_min, 4097)
     psi = whole_grid_pole_sum(asymmetric_profile, asymmetric_poles, energy_ev, 55.0, t_fs)
     monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", no_kernel)
@@ -605,13 +608,13 @@ def test_evolves_that_reuse_exp_tables_equal_cold_ones(symmetric_profile, asymme
 
 
 def test_a_grid_one_ulp_or_one_point_apart_reuses_nothing(symmetric_profile, symmetric_poles):
-    constants = symmetric_profile.constants
+    profile = symmetric_profile
     t_fs = np.geomspace(0.1, 1e4, 4096)
-    r = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
+    r = np.sqrt(profile.hbar2_over_2m * t_fs / HBAR_EV_FS)
     j = 3000  # |y| ~ 5 on the lowest pole's reflected ray, inside its exp(y^2) table
     nudged = t_fs.copy()
-    nudged[j] = t_at(constants, np.nextafter(r[j], np.inf))
-    r_nudged = np.sqrt(constants.hbar2_over_2m * nudged / constants.hbar)
+    nudged[j] = t_at(profile, np.nextafter(r[j], np.inf))
+    r_nudged = np.sqrt(profile.hbar2_over_2m * nudged / HBAR_EV_FS)
     assert np.count_nonzero(r_nudged != r) == 1 and r_nudged[j] == np.nextafter(r[j], np.inf)
     for other in (nudged, t_fs[:-1]):
         forget_exp_tables()
@@ -715,11 +718,11 @@ def test_rays_a_rounding_apart_share_their_band_edges(monkeypatch):
     assert seen.max() < Y_FAR and seen.min() >= (1.0 - 1e-15) * Y_NEAR
 
 
-def t_at(constants, r):
+def t_at(profile, r):
     """The time whose r = sqrt(hbar t / 2m), as ``_evolve`` forms it, is r exactly (or nearest)."""
-    t = r * r * constants.hbar / constants.hbar2_over_2m
+    t = r * r * HBAR_EV_FS / profile.hbar2_over_2m
     for _ in range(8):
-        root = np.sqrt(constants.hbar2_over_2m * np.asarray([t]) / constants.hbar)[0]
+        root = np.sqrt(profile.hbar2_over_2m * np.asarray([t]) / HBAR_EV_FS)[0]
         if root == r:
             break
         t = np.nextafter(t, np.inf if root < r else 0.0)
@@ -728,24 +731,24 @@ def t_at(constants, r):
 
 def test_short_grids_in_the_band_match_whole_grid(symmetric_profile, symmetric_poles_8ev):
     """One and two points inside one piece, and a grid that starts on a band edge."""
-    constants = symmetric_profile.constants
-    k = constants.wavevector(0.2)
+    profile = symmetric_profile
+    k = profile.wavevector(0.2)
     c = [EXP_MINUS_IPI4 * k]
     for s in symmetric_poles_8ev:
         c += [-EXP_MINUS_IPI4 * s.k, EXP_MINUS_IPI4 * s.k.conjugate()]
     rays = _Rays(np.asarray(c), np.ones(len(c), dtype=complex), np.zeros(0))
-    r_mid = np.sqrt(constants.hbar2_over_2m * 10.0 / constants.hbar)  # t = 10 fs, where |Psi| ~ |phi|
+    r_mid = np.sqrt(profile.hbar2_over_2m * 10.0 / HBAR_EV_FS)  # t = 10 fs, where |Psi| ~ |phi|
     assert np.sum((rays.near_edge <= r_mid) & (r_mid < rays.far_edge)) >= 3
     p = np.searchsorted(rays.bounds, r_mid, "right") - 1
     lo, hi = rays.bounds[p], rays.bounds[p + 1]
     edge = rays.near_edge[np.argmin(np.abs(np.log(rays.near_edge / r_mid)))]
-    t_edge = t_at(constants, edge)
+    t_edge = t_at(profile, edge)
     grids = [
-        [t_at(constants, np.sqrt(lo * hi))],
-        [t_at(constants, lo * (hi / lo) ** f) for f in (0.25, 0.75)],
+        [t_at(profile, np.sqrt(lo * hi))],
+        [t_at(profile, lo * (hi / lo) ** f) for f in (0.25, 0.75)],
         t_edge * np.asarray([1.0, 1.2, 1.5, 3.0]),
     ]
-    assert np.sqrt(constants.hbar2_over_2m * t_edge / constants.hbar) == edge
+    assert np.sqrt(profile.hbar2_over_2m * t_edge / HBAR_EV_FS) == edge
     for t_fs in grids:
         t_fs = np.asarray(t_fs)
         sol = evolve_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs=t_fs)
@@ -793,9 +796,8 @@ def test_pole_sum_matches_mpmath_to_32_ev(request, structure):
     assert len(poles) >= 38
     t_fs = np.geomspace(1e-3, 1e3, 4096)
     sol = evolve_full(profile, poles, 0.2, x, t_fs=t_fs)
-    constants = profile.constants
-    k = constants.wavevector(0.2)
-    r = np.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
+    k = profile.wavevector(0.2)
+    r = np.sqrt(profile.hbar2_over_2m * t_fs / HBAR_EV_FS)
     samples = np.searchsorted(t_fs, [1e-3, 1e-2, 0.1, 1.0, 2.0, 5.0, 20.0, 200.0, 1e3])
     speeds = np.abs([k] + [s.k for s in poles])
     # at t = 2 fs one grid point has rays below Y_NEAR, between, and beyond Y_FAR
@@ -816,9 +818,9 @@ def test_single_resonance_modulus_matches_mpmath_at_late_times(symmetric_profile
     state = symmetric_poles[0]
     tau = np.linspace(20.0, 60.0, 41)
     sol = evolve_single_resonance(symmetric_profile, state, state.eps_ev, 80.0, t_fs=tau * state.lifetime_fs)
-    constants = symmetric_profile.constants
-    r = np.sqrt(constants.hbar2_over_2m * sol.t_fs / constants.hbar)
-    k = constants.wavevector(state.eps_ev)
+    profile = symmetric_profile
+    r = np.sqrt(profile.hbar2_over_2m * sol.t_fs / HBAR_EV_FS)
+    k = profile.wavevector(state.eps_ev)
     reference = mpmath_pole_sum(k, sol.phi, [(state.k, state.u0, state.u(80.0))], r)
     error = np.abs(np.abs(sol.psi) - np.abs(reference)) / abs(sol.phi)
     assert np.max(error) <= 2e-12, np.max(error)
@@ -871,10 +873,10 @@ def test_free_pair_keeps_its_exp_to_the_end_of_the_grid(request, structure):
     rounding-level negative part would end the range at a finite r, beyond
     which Psi would lose phi exp(y_k^2).
     """
-    constants = request.getfixturevalue(f"{structure}_profile").constants
+    profile = request.getfixturevalue(f"{structure}_profile")
     r = np.geomspace(1e-3, 1e9, 64)
     for energy_ev in np.linspace(0.01, 2.0, 500):
-        c_free = EXP_MINUS_IPI4 * constants.wavevector(energy_ev)
+        c_free = EXP_MINUS_IPI4 * profile.wavevector(energy_ev)
         rays = _Rays(np.asarray([-c_free, c_free]), np.asarray([1.0, -1.0 + 0.0j]), r)
         assert rays.exp_to.tolist() == [math.inf], energy_ev
         start, stop = np.searchsorted(r, rays.exp_from), np.searchsorted(r, rays.exp_to)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import wofz
 
 from rtbuildup import (
+    HBAR_EV_FS,
     MoshinskyOverflowError,
-    PhysicalConstants,
+    build_profile,
     faddeeva,
     moshinsky_asymptotic,
     moshinsky_m,
@@ -411,6 +412,8 @@ def test_asymptotic_rejects_outside_sector():
 def test_asymptotic_rejects_small_modulus():
     with pytest.raises(ValueError):
         moshinsky_asymptotic(2.0, 3)
+    with pytest.raises(ValueError, match="n_terms must be >= 1"):
+        moshinsky_asymptotic(10.0, n_terms=0)
 
 
 def test_on_resonance_argument_asymptotics_match_direct():
@@ -438,14 +441,14 @@ def test_argument_routes_agree_on_resonance():
 
     s = 0, -i/2, +i/2 for q = k, k_n, k_n*; y_{-q} = -y_q on both sides.
     """
-    constants = PhysicalConstants(electron_mass_factor=0.067)
+    profile = build_profile([(1.0, 0.0)])
     r_ratio, eps_ev = 312.9, 0.0378539
     gamma_ev = eps_ev / r_ratio
-    lifetime = constants.hbar / gamma_ev
-    k = constants.wavevector(eps_ev)
-    k_n = cmath.sqrt(complex(eps_ev, -0.5 * gamma_ev) / constants.hbar2_over_2m)
+    lifetime = HBAR_EV_FS / gamma_ev
+    k = profile.wavevector(eps_ev)
+    k_n = cmath.sqrt(complex(eps_ev, -0.5 * gamma_ev) / profile.hbar2_over_2m)
     for tau in (0.05, 1.0, 12.0, 60.0):
-        root_t = math.sqrt(constants.hbar2_over_2m * tau * lifetime / constants.hbar)
+        root_t = math.sqrt(profile.hbar2_over_2m * tau * lifetime / HBAR_EV_FS)
         for q, shift in ((k, 0.0), (k_n, -0.5j), (k_n.conjugate(), 0.5j)):
             physical = -EXP_MINUS_IPI4 * q * root_t
             rescaled = -EXP_MINUS_IPI4 * cmath.sqrt((r_ratio + shift) * tau)
@@ -458,12 +461,12 @@ def test_argument_routes_agree_on_resonance():
     tau=st.floats(min_value=1e-3, max_value=80.0),
 )
 def test_argument_routes_agree_property(r_ratio, tau):
-    constants = PhysicalConstants(electron_mass_factor=0.067)
+    profile = build_profile([(1.0, 0.0)])
     eps_ev = 0.05
     gamma_ev = eps_ev / r_ratio
-    k_n = cmath.sqrt(complex(eps_ev, -0.5 * gamma_ev) / constants.hbar2_over_2m)
-    t_fs = tau * constants.hbar / gamma_ev
-    physical = -EXP_MINUS_IPI4 * k_n * math.sqrt(constants.hbar2_over_2m * t_fs / constants.hbar)
+    k_n = cmath.sqrt(complex(eps_ev, -0.5 * gamma_ev) / profile.hbar2_over_2m)
+    t_fs = tau * HBAR_EV_FS / gamma_ev
+    physical = -EXP_MINUS_IPI4 * k_n * math.sqrt(profile.hbar2_over_2m * t_fs / HBAR_EV_FS)
     rescaled = -EXP_MINUS_IPI4 * cmath.sqrt((r_ratio - 0.5j) * tau)
     assert abs(physical - rescaled) <= 1e-12 * abs(physical)
 

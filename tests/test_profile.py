@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtbuildup import PhysicalConstants, ProfileError, build_profile, stationary_state
+from rtbuildup import ProfileError, build_profile, stationary_state
 from rtbuildup.scattering import _KAPPA_W_FLOOR
 
 
@@ -35,22 +35,11 @@ def test_rejects_empty_segments():
         build_profile([])
 
 
-def test_rejects_nonpositive_mass():
-    with pytest.raises(ValueError):
-        build_profile([(10, 0.1)], mass_factor=0.0)
-
-
 @pytest.mark.parametrize("mass_factor", [0.0, -0.067, float("nan"), float("inf")])
 def test_rejects_non_positive_or_non_finite_mass_as_profile_error(mass_factor):
+    """An infinite mass would give hbar^2/2m = 0, and with it k = E/0 and a NaN pole search."""
     with pytest.raises(ProfileError, match="mass_factor must be positive and finite"):
         build_profile([(10, 0.1)], mass_factor=mass_factor)
-
-
-@pytest.mark.parametrize("mass_factor", [0.0, -0.067, float("nan"), float("inf")])
-def test_constants_refuse_a_mass_outside_zero_to_inf(mass_factor):
-    """An infinite mass would give hbar^2/2m = 0, and with it k = E/0 and a NaN pole search."""
-    with pytest.raises(ValueError, match="electron_mass_factor must be positive and finite"):
-        PhysicalConstants(mass_factor)
 
 
 @pytest.mark.parametrize("segment, message", [

@@ -10,6 +10,7 @@ import oracles
 import rtbuildup.resonances as resonances
 import rtbuildup.scattering as scattering
 from rtbuildup import (
+    HBAR_EV_FS,
     BoundStateError,
     GamowResidualError,
     ResonantState,
@@ -70,8 +71,7 @@ def test_poles_in_fourth_quadrant_sorted(symmetric_poles):
 
 def test_lifetime_definition_consistency(symmetric_poles):
     for s in symmetric_poles:
-        hbar = s.profile.constants.hbar
-        assert s.lifetime_fs == hbar / s.gamma_ev
+        assert s.lifetime_fs == HBAR_EV_FS / s.gamma_ev
         assert s.r_ratio == s.eps_ev / s.gamma_ev
 
 
@@ -79,7 +79,7 @@ def test_pole_energy_is_derived_from_k(symmetric_poles):
     """E_n = hbar^2 k_n^2 / 2m* of the state's own k, and no constructor takes it or a default."""
     for s in symmetric_poles:
         rebuilt = ResonantState(s.k, s.profile, s.u0, s._wave)
-        assert rebuilt.energy_ev == s.profile.constants.energy_ev(s.k) == s.energy_ev
+        assert rebuilt.energy_ev == s.profile.energy_ev(s.k) == s.energy_ev
         assert rebuilt == s
     assert all(f.default is f.default_factory is dataclasses.MISSING for f in dataclasses.fields(ResonantState))
     s = symmetric_poles[0]
@@ -107,9 +107,8 @@ def test_pole_symmetry_partner(symmetric_profile, symmetric_poles):
 
 
 def test_winding_count_matches_poles(symmetric_profile, symmetric_poles):
-    c = symmetric_profile.constants
-    k_hi = c.wavevector(0.4)
-    count = winding_number(symmetric_profile, (0.5 * c.wavevector(0.001), k_hi), (-k_hi, 0.0))
+    k_hi = symmetric_profile.wavevector(0.4)
+    count = winding_number(symmetric_profile, (0.5 * symmetric_profile.wavevector(0.001), k_hi), (-k_hi, 0.0))
     assert count == len(symmetric_poles)
 
 
@@ -202,7 +201,7 @@ def test_one_term_phi_proportional_to_gamow_function(symmetric_poles):
 def test_one_term_phi_matches_transient_factor_identity(symmetric_poles):
     # i T_n with T_n = 2k u(0) u(x) / (k^2 - k_n^2) is the same expression
     s = symmetric_poles[0]
-    k = s.profile.constants.wavevector(s.eps_ev)
+    k = s.profile.wavevector(s.eps_ev)
     x = 80.0
     t_n = 2.0 * k * s.u0 * s.u(x) / (k * k - s.k * s.k)
     assert 1j * t_n == one_term_phi(s, s.eps_ev, x)
@@ -211,7 +210,7 @@ def test_one_term_phi_matches_transient_factor_identity(symmetric_poles):
 @pytest.mark.parametrize("energy", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
 def test_non_finite_or_non_positive_energy_is_refused(symmetric_poles, energy):
     s = symmetric_poles[0]
-    for call in (s.profile.constants.wavevector, lambda e: one_term_phi(s, e, 80.0),
+    for call in (s.profile.wavevector, lambda e: one_term_phi(s, e, 80.0),
                  lambda e: stationary_state(s.profile, e)):
         with pytest.raises(ValueError, match="energy must be positive and finite"):
             call(energy)
@@ -237,11 +236,17 @@ def test_single_mass_reproduces_all_seven_tabulated_values():
         assert state.gamma_mev == pytest.approx(gam, abs=0.05)
 
 
+@pytest.mark.parametrize("dlog", [np.full(4, 0.25j * np.pi), np.array([0.5j, complex(0.0, np.nan), 1.0j])],
+                         ids=["half-turn", "nan-step"])
+def test_zero_count_refuses_a_non_integer_winding(dlog):
+    with pytest.raises(resonances.WindingMismatchError, match="non-integer winding number"):
+        resonances._zero_count(dlog)
+
+
 def search_rectangle(profile, e_max_ev, e_min_ev=1e-3):
     """The rectangle ``find_poles`` certifies: Re k in [k(e_min)/2, k(e_max)], Im k in [-k(e_max), 0)."""
-    c = profile.constants
-    k_hi = c.wavevector(e_max_ev) * (1.0 + 3e-9)
-    return (0.5 * c.wavevector(e_min_ev), k_hi), (-k_hi, 0.0)
+    k_hi = profile.wavevector(e_max_ev) * (1.0 + 3e-9)
+    return (0.5 * profile.wavevector(e_min_ev), k_hi), (-k_hi, 0.0)
 
 
 @pytest.mark.parametrize("name", ["symmetric", "asymmetric"])
@@ -326,7 +331,7 @@ def test_moment_recovery_of_several_missing_poles(name, n_poles, n_strips, reque
 
 def peak_seeded_poles(profile, e_max_ev):
     """Reference: Newton from each transmission peak of the scan, one seed at a time."""
-    c2 = profile.constants.hbar2_over_2m
+    c2 = profile.hbar2_over_2m
     peaks = transmission_scan(profile, resonances.SCAN_FLOOR_EV, e_max_ev).peaks
     return [refine_pole(profile, cmath.sqrt((p.energy_ev - 0.5j * p.gamma_estimate_ev) / c2)) for p in peaks]
 
@@ -426,7 +431,7 @@ def test_find_poles_keeps_the_poles_up_to_the_ceiling_wavevector(name, e_max, n_
     k(e_max): it is left out, and a search to 1.5 e_max finds it.
     """
     profile = request.getfixturevalue(f"{name}_profile")
-    k_max = profile.constants.wavevector(e_max)
+    k_max = profile.wavevector(e_max)
     poles = find_poles(profile, e_max)
     assert len(poles) == n_poles
     assert all(s.k.real <= k_max for s in poles)
@@ -507,7 +512,7 @@ def test_pole_search_call_budget_with_lockstep_newton(symmetric_profile, monkeyp
 
 def test_lockstep_newton_matches_one_seed_at_a_time(symmetric_profile, symmetric_poles_8ev, monkeypatch):
     """The 18 scan seeds to 8 eV refined together land where refine_pole takes each alone."""
-    c2 = symmetric_profile.constants.hbar2_over_2m
+    c2 = symmetric_profile.hbar2_over_2m
     peaks = transmission_scan(symmetric_profile, 1e-3, 8.0).peaks
     seeds = [cmath.sqrt((p.energy_ev - 0.5j * p.gamma_estimate_ev) / c2) for p in peaks]
     assert len(seeds) == 18
@@ -831,7 +836,7 @@ def test_gamow_weights_are_residues_of_the_stationary_resolvent(name, request):
     profile = request.getfixturevalue(f"{name}_profile")
     poles = request.getfixturevalue(f"{name}_poles")
     assert len(poles) == {"symmetric": 3, "asymmetric": 1}[name]
-    k, x = profile.constants.wavevector(0.2), 60.0
+    k, x = profile.wavevector(0.2), 60.0
     turns = np.exp(2j * np.pi * np.arange(64) / 64)
     for state in poles:
         t_n = 2.0 * k * state.u0 * state.u(x) / (k * k - state.k**2)

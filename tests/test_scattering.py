@@ -33,7 +33,7 @@ def single_barrier_transmission(energy, height, width, mass_factor=0.067):
 def test_free_profile_is_transparent():
     free = build_profile([(160.0, 0.0)])
     for e in (0.01, 0.1, 0.37):
-        _, _, m21, m22 = _transfer_entries(free, complex(free.constants.wavevector(e)))
+        _, _, m21, m22 = _transfer_entries(free, complex(free.wavevector(e)))
         assert abs(abs(1.0 / m22) - 1.0) < 1e-12
         assert abs(m21 / m22) < 1e-12
 
@@ -54,7 +54,7 @@ def test_zero_local_wavevector_signalled():
     # binary-exact choice: hbar^2/2m = 2.0, height 0.125 eV, k = 0.25 1/A
     # make kappa^2 = k^2 - V/(hbar^2/2m) = 0.0625 - 0.0625 vanish exactly
     p = build_profile([(30.0, 0.125)], mass_factor=3.80998 / 2.0)
-    assert p.constants.hbar2_over_2m == 2.0
+    assert p.hbar2_over_2m == 2.0
     got = complex(_m22(p, 0.25 + 0j))
     with mpmath.workdps(50):  # the oracle's sin(kappa s) / kappa needs kappa != 0
         want = complex(oracles.m22(p, 0.25 * (1.0 + 1e-12), mpmath))
@@ -113,14 +113,13 @@ def test_marched_m22_matches_mpmath(name, request):
     """
     if name in DEEP_EDGE_PROFILES:
         profile, dps = build_profile(DEEP_EDGE_PROFILES[name]), 100
-        c = profile.constants
-        k_hi = c.wavevector(2.4)
-        k = np.linspace(0.5 * c.wavevector(1e-3), k_hi, 64) - 1j * k_hi
+        k_hi = profile.wavevector(2.4)
+        k = np.linspace(0.5 * profile.wavevector(1e-3), k_hi, 64) - 1j * k_hi
     else:
         profile, dps = request.getfixturevalue(f"{name}_profile"), 40
         k = (np.linspace(0.02, 3.0, 100)[:, np.newaxis] + 1j * np.linspace(-0.1, 0.0, 11)).ravel()
     heights = np.unique(profile.heights[profile.heights > 0.0])
-    k_heights = np.sqrt(heights / profile.constants.hbar2_over_2m)
+    k_heights = np.sqrt(heights / profile.hbar2_over_2m)
     k = np.concatenate([k, (1.0 - 1e-9) * k_heights, (1.0 + 1e-9) * k_heights])
     with mpmath.workdps(dps):
         want = np.array([oracles.m22(profile, kk, mpmath) for kk in k.tolist()], dtype=complex)
@@ -131,7 +130,7 @@ def test_marched_m22_matches_mpmath(name, request):
 
 def march_segment_by_segment(profile, k):
     """Reference ``_march`` for an array of k: every kappa, coefficient and phase taken one segment at a time."""
-    c2 = profile.constants.hbar2_over_2m
+    c2 = profile.hbar2_over_2m
     k = np.asarray(k, dtype=complex)
     regions = [k]
     for width, height in profile.segments:
@@ -173,7 +172,7 @@ def test_march_is_bit_identical_to_the_segment_by_segment_loop(segments):
     """
     profile = build_profile(segments)
     heights = profile.heights[profile.heights > 0.0]
-    on_height = np.sqrt(heights / profile.constants.hbar2_over_2m) * np.array([[1.0], [1.0 - 1e-9], [1.0 + 1e-9]])
+    on_height = np.sqrt(heights / profile.hbar2_over_2m) * np.array([[1.0], [1.0 - 1e-9], [1.0 + 1e-9]])
     grid = np.linspace(0.01, 0.4, 40)[:, np.newaxis] - 1j * np.linspace(0.0, 0.3, 7)
     for k in (on_height, grid):
         for got, want in zip(scattering._march(profile, k), march_segment_by_segment(profile, k)):
@@ -215,7 +214,7 @@ def test_one_march_wave_matches_mpmath(name, request):
     for e in energies:
         state = stationary_state(profile, e)
         with mpmath.workdps(dps):
-            t, r, phi = oracles.scattering(profile, profile.constants.wavevector(e), xs, mpmath)
+            t, r, phi = oracles.scattering(profile, profile.wavevector(e), xs, mpmath)
         t, r, phi = complex(t), complex(r), np.array(phi, dtype=complex)
         assert abs(state.transmission_amplitude - t) <= 1e-11, e
         assert abs(state.reflection_amplitude - r) <= 1e-11, e
@@ -243,7 +242,7 @@ def test_stationary_state_marches_once(symmetric_profile, monkeypatch):
 def test_wave_satisfies_schroedinger_equation(symmetric_profile):
     """Finite-difference psi'' must match (2m/hbar^2)(V - E) psi segment-wise."""
     p = symmetric_profile
-    c2 = p.constants.hbar2_over_2m
+    c2 = p.hbar2_over_2m
     e = 0.2
     s = stationary_state(p, e)
     h = 0.01
@@ -330,7 +329,7 @@ def scalar_refined_peaks(profile, scan):
     energies, t2 = scan.energies_ev, scan.transmission
 
     def t2_at(e):
-        return 1.0 / abs(complex(_m22(profile, complex(profile.constants.wavevector(e))))) ** 2
+        return 1.0 / abs(complex(_m22(profile, complex(profile.wavevector(e))))) ** 2
 
     interior = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
     interior = np.asarray([i for i in interior if t2[i] - min(t2[i - 1], t2[i + 1]) > 1e-9 * t2[i]])
@@ -406,9 +405,9 @@ def on_segment_height(c2, height):
 def test_stationary_state_on_segment_height(symmetric_profile):
     """At E = barrier height k is not nudged; t, r and phi match a 50-digit march."""
     p = symmetric_profile
-    e = on_segment_height(p.constants.hbar2_over_2m, 0.5)
+    e = on_segment_height(p.hbar2_over_2m, 0.5)
     state = stationary_state(p, e)
-    k = p.constants.wavevector(e)
+    k = p.wavevector(e)
     assert state.k == k and state.energy_ev == e
     xs = np.linspace(0.0, p.total_length, 23)
     with mpmath.workdps(50):
@@ -430,12 +429,11 @@ def test_phi_on_and_near_a_segment_height_matches_mpmath(name, height, request):
     kappa at or near 0, where the amplitude march cancels as eps / |kappa w|.
     """
     profile = request.getfixturevalue(f"{name}_profile")
-    c = profile.constants
     xs = np.linspace(0.0, profile.total_length, 23)
     for e in (height * (1.0 + d) for d in (0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e-10, -1e-10)):
         state = stationary_state(profile, e)
         with mpmath.workdps(50):
-            t, _, phi = oracles.scattering(profile, c.wavevector(e), xs, mpmath)
+            t, _, phi = oracles.scattering(profile, profile.wavevector(e), xs, mpmath)
         phi = np.array(phi, dtype=complex)
         assert abs(state.transmission_amplitude - complex(t)) <= 5e-10, e
         assert np.max(np.abs(state.phi(xs) - phi)) <= 5e-10 * np.max(np.abs(phi)), e
@@ -443,7 +441,7 @@ def test_phi_on_and_near_a_segment_height_matches_mpmath(name, height, request):
 
 def test_transmission_scan_ending_on_a_barrier_height(symmetric_profile):
     """The log grid to 0.5 eV ends exactly on the barrier height, where kappa = 0 is marched at its floor."""
-    c2 = symmetric_profile.constants.hbar2_over_2m
+    c2 = symmetric_profile.hbar2_over_2m
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scan = transmission_scan(symmetric_profile, 1e-3, 0.5)
@@ -529,7 +527,7 @@ def test_lockstep_bisection_matches_brent(segments, monkeypatch):
     from scipy.optimize import brentq
 
     profile = build_profile(segments)
-    c2 = profile.constants.hbar2_over_2m
+    c2 = profile.hbar2_over_2m
 
     def m22(q):
         return _transfer_entries(profile, 1j * np.asarray(q))[3].real
@@ -549,7 +547,7 @@ def test_bound_states_with_a_grid_point_on_kappa_zero():
     """The q grid ends on q_max, where the well's kappa is exactly 0; all five states are found."""
     segments = [(40.0, 0.5), (60.0, -0.125), (40.0, 0.5)]
     profile = build_profile(segments, mass_factor=3.80998 / 2.0)
-    assert profile.constants.hbar2_over_2m == 2.0 and 0.25**2 == 0.125 / 2.0
+    assert profile.hbar2_over_2m == 2.0 and 0.25**2 == 0.125 / 2.0
     energies = bound_state_energies(profile)
     oracle = box_eigenvalues_below_zero(segments, mass_factor=3.80998 / 2.0)
     assert len(energies) == len(oracle) == 5
@@ -565,7 +563,7 @@ def test_weakly_bound_state_near_zero_energy():
     # a shallow narrow well binds one state at E ~ -(V w)^2 / (4 c2), far
     # below the uniform q grid's first point
     profile = build_profile([(1.0, -1e-4)])
-    c2 = profile.constants.hbar2_over_2m
+    c2 = profile.hbar2_over_2m
     energies = bound_state_energies(profile)
     assert len(energies) == 1
     assert energies[0] == pytest.approx(-((1e-4 * 1.0) ** 2) / (4.0 * c2), rel=1e-3)
