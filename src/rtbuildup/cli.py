@@ -8,9 +8,11 @@ Subcommands:
 
 Profiles are plain-text files with one ``mass_factor = <float>`` line and
 repeated ``segment = <width_angstrom> <height_eV>`` lines; ``#`` starts a
-comment.  Exit codes: 0 success, 1 usage/parse error, a profile with a
-bound state (which the resonance expansion omits) or a search ceiling at
-which m22 overflows, 2 numerical non-convergence.
+comment.  A CSV goes to --out, or else as text to stdout.  Exit codes:
+0 success; 1 usage/parse error, a profile with a bound state (which the
+resonance expansion omits), a search ceiling at which m22 overflows, a CSV
+that cannot be written (a full device, a closed stdout) or a run that
+memory cannot hold; 2 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -130,19 +132,17 @@ _DIGIT_PAIRS[..., 2] = _DIGIT[:, None, None]
 _DIGIT_PAIRS[..., 4] = _DIGIT[:, None]
 _DIGIT_PAIRS[..., 6] = _DIGIT
 _DIGIT_PAIRS = _DIGIT_PAIRS.view(np.uint64).ravel()  # a group's four digits, each with its slot
-_ZERO = (_DIGIT == ord("0")).astype(np.uint8)
-_TRAILING_ZEROS = _ZERO * (1 + _ZERO[:, None] * (1 + _ZERO[:, None, None] * (1 + _ZERO[:, None, None, None])))
-_TRAILING_ZEROS = _TRAILING_ZEROS.ravel()  # 4 for the group 0000
+# where the last nonzero digit of each group 0000-9999 is, -9 for 0000
+_LAST = np.where(np.indices((10, 10, 10, 10)).reshape(4, -1), np.arange(4)[:, None], -9).max(axis=0).astype(np.int8)
 _ALL_BYTES = np.uint64(2**64 - 1)
 _NAN = np.frombuffer(b"nan".ljust(36, b"\0"), dtype=np.uint8)  # "%.12g" of a nan of either sign
 
 
 def _keep_rows() -> np.ndarray:
-    """Keep row of each sign, exponent index i = 33 - e and the groups' trailing zeros (z0, z1, z2), as five words.
+    """Keep row of each sign, exponent index i = 33 - e and position 0-11 of the mantissa's last nonzero digit.
 
-    Row 125 (i + 45 negative) + 25 z0 + 5 z1 + z2.  A row depends on the
-    zeros only through the last nonzero digit, and it is read off "%": a
-    probe with nonzero digits up to that last one, laid out in a full cell,
+    Row 12 (i + 45 negative) + last, five words.  A row is read off "%": a
+    probe with nonzero digits up to the last one, laid out in a full cell,
     keeps each byte that "%.12g," prints at its first match past the one
     before.  Words 0 and 4 hold no digit, so the row holds their kept bytes;
     words 1-3 hold the mask.
@@ -156,9 +156,7 @@ def _keep_rows() -> np.ndarray:
         for byte in b"%.12g," % ((-1) ** negative * m * 10.0 ** (22 - i)):
             pos = cell.index(byte, pos + 1)
             rows[40 * row + pos] = 0xFF if 8 <= pos < 32 else byte
-    z0, z1, z2 = np.indices((5, 5, 5)).reshape(3, -1)
-    zeros = np.minimum(z2 + (z2 == 4) * (z1 + (z1 == 4) * z0), 11)  # 12 only for a zero mantissa
-    return np.frombuffer(rows, dtype=np.uint64).reshape(2, 45, 12, 5)[:, :, 11 - zeros].reshape(-1, 5)
+    return np.frombuffer(rows, dtype=np.uint64).reshape(-1, 5)
 
 
 _KEEP = _keep_rows()
@@ -185,11 +183,12 @@ def _csv_rows(table: np.ndarray) -> bytes:
     np.floor(groups, out=groups)
     groups[1:] -= 1e4 * groups[:-1]
     groups = groups.astype(np.intp)
-    zeros = _TRAILING_ZEROS[groups]
+    last = _LAST[groups]  # a fast cell's first group is never 0000
+    last = np.maximum(np.maximum(last[0], last[1] + 4), last[2] + 8)
     cells = np.empty((v.size, 5), dtype=np.uint64)
     cells[:, ::4] = _ALL_BYTES  # the keep row holds the lead and exponent words
     cells[:, 1:4] = _DIGIT_PAIRS[groups].T
-    cells &= np.take(_KEEP, 125 * (i + 45 * (v < 0)) + (25 * zeros[0] + 5 * zeros[1] + zeros[2]), axis=0)
+    cells &= np.take(_KEEP, 12 * (i + 45 * (v < 0)) + last, axis=0)
     text = cells.view(np.uint8).reshape(-1, 40)
     nan = np.isnan(v)
     text[nan, :36] = _NAN
@@ -228,20 +227,22 @@ def _write_csv(path: str | None, header: list[str], columns, footer: str | None 
     that rounded across a power of ten (s outside [1e11, 1e12)).  A block of
     at most _PERCENT_CELLS cells is rendered by "%" alone.  Each block is
     stacked from slices of the columns and written as it is rendered, to the
-    file opened in binary mode or to sys.stdout.buffer, so neither the whole
-    table nor the whole output is held at once.
+    file opened in binary mode or as text to sys.stdout, so neither the whole
+    table nor the whole output is held at once.  A failed write (a full
+    device, a closed pipe) is a usage error.
     """
     parts = _csv_parts(header, columns, footer)
-    if path is None:
-        sys.stdout.flush()
-        sys.stdout.buffer.writelines(parts)
-        sys.stdout.buffer.flush()
-    else:
-        try:
+    try:
+        if path is None:
+            sys.stdout.writelines(part.decode() for part in parts)
+            sys.stdout.flush()
+        else:
             with open(path, "wb") as fh:
                 fh.writelines(parts)
-        except OSError as exc:
-            raise CliUsageError(f"cannot write {path}: {exc}") from None
+    except OSError as exc:
+        if path is None:  # what stdout still holds goes to devnull, so the flush at exit raises nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliUsageError(f"cannot write {path or 'stdout'}: {exc}") from None
 
 
 def _check_out(path: str | None) -> None:
@@ -330,8 +331,8 @@ def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
     """Position of the |phi|^2 maximum inside the lowest interior segments (the well).
 
     In a segment [a, b], phi(a + s) = A e^{i kappa s} + B e^{-i kappa s} with
-    the amplitudes A, B of the stationary state's march.  For real kappa,
-    |phi|^2 = |A|^2 + |B|^2 + 2 Re(A B* e^{2i kappa s}) peaks at
+    the kappa and amplitudes A, B of the stationary state's march.  For real
+    kappa > 0, |phi|^2 = |A|^2 + |B|^2 + 2 Re(A B* e^{2i kappa s}) peaks at
     s = (2 pi m - arg(A B*)) / (2 kappa); for imaginary kappa it is convex,
     so only the edges can be the maximum.  Both edges are always candidates,
     and of the interior maxima, all equally high, the first.  A symmetric
@@ -344,13 +345,12 @@ def _auto_max_position(profile: PotentialProfile, energy_ev: float) -> float:
     state = stationary_state(profile, energy_ev)
     wave = state._wave
     a, b = profile.boundaries[chosen], profile.boundaries[chosen + 1]
-    kappa2 = state.k**2 - heights[chosen] / profile.hbar2_over_2m
     phase = np.angle(wave.a[chosen] * np.conj(wave.b[chosen]))
     turn = 2.0 * math.pi
     candidates = [a, b]
-    for lo, hi, k2, ph in zip(a, b, kappa2, phase):
-        if k2 > 0.0:  # one maximum per half wavelength
-            two_kappa = 2.0 * math.sqrt(k2)
+    for lo, hi, kappa, ph in zip(a, b, wave.kappa[chosen], phase):
+        if kappa.imag == 0.0 < kappa.real:  # one maximum per half wavelength
+            two_kappa = 2.0 * kappa.real
             m = math.ceil(ph / turn)
             if m <= (two_kappa * (hi - lo) + ph) / turn:
                 candidates.append(np.clip([lo + (turn * m - ph) / two_kappa], lo, hi))
@@ -513,7 +513,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_out(args.out)
         return args.func(args)
-    except (CliUsageError, ProfileError) as exc:
+    except (CliUsageError, ProfileError, MemoryError) as exc:  # numpy names the allocation that failed
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (WindingMismatchError, GamowResidualError, NodePositionError, FitWindowError,

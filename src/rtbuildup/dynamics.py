@@ -292,8 +292,6 @@ class _Rays:
 def _evolve(profile, poles, energy_ev, x, t_fs):
     if any(s.profile is not profile and s.profile != profile for s in poles):
         raise ValueError("every pole must be a pole of the profile evolved")
-    if not 0.0 <= x <= profile.total_length:
-        raise ValueError(f"position {x} outside [0, {profile.total_length}] A")
     t_fs = _resolve_grid(t_fs)
     state = stationary_state(profile, energy_ev)
     phi = state.phi(x)

@@ -131,8 +131,9 @@ class _PiecewiseWave:
         """a e^{i kappa s} + b e^{-i kappa s} at x, from its segment's amplitudes."""
         edges = self.profile.boundaries
         x = np.asarray(x, dtype=float)
-        if not np.all((x >= edges[0]) & (x <= edges[-1])):  # NaN fails both
-            raise ValueError(f"position outside [0, {edges[-1]}] A")
+        outside = ~((x >= edges[0]) & (x <= edges[-1]))  # NaN fails both
+        if outside.any():
+            raise ValueError(f"position {x[outside].flat[0]} outside [0, {edges[-1]}] A")
         idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(self.kappa) - 1)
         grow = np.exp(1j * self.kappa[idx] * (x - edges[idx]))
         out = self.a[idx] * grow + self.b[idx] / grow

