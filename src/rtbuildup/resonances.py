@@ -175,7 +175,7 @@ def _newton(profile: PotentialProfile, seeds, known=()) -> tuple[np.ndarray, np.
 
 
 def refine_pole(profile: PotentialProfile, k_seed: complex) -> complex:
-    """Newton on m22 from one seed (``_newton``); unexported, kept for the tracer and tests until ROADMAP item 11."""
+    """Newton on m22 from one seed (``_newton``); unexported, kept for the tracer until ROADMAP item 11."""
     k, converged = _newton(profile, [k_seed])
     if not converged[0]:
         raise PoleConvergenceError(
@@ -258,7 +258,7 @@ def winding_number(
     re_range: tuple[float, float],
     im_range: tuple[float, float],
 ) -> int:
-    """Count of m22's zeros in a rectangle; unexported, kept for the tracer and tests until ROADMAP item 11."""
+    """Count of m22's zeros in a rectangle; unexported, kept for the tracer until ROADMAP item 11."""
     return _zero_count(_contour_steps(profile, _edge_samples(profile, [(re_range, im_range)])[0])[1])
 
 
@@ -357,7 +357,7 @@ def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
 
 
 def gamow_state(profile: PotentialProfile, k_n: complex) -> ResonantState:
-    """One pole's Gamow state (``_gamow_states``); unexported, kept for the tracer and tests until ROADMAP item 11."""
+    """One pole's Gamow state (``_gamow_states``); unexported, kept for the tracer until ROADMAP item 11."""
     return _gamow_states(profile, [k_n])[0]
 
 

@@ -104,8 +104,8 @@ def _transfer_entries(profile: PotentialProfile, k):
     Vectorized over k.  t(k) = 1 / m22, r(k) = -m21 / m22.  The march at k
     gives the second column (m12, m22); for a real potential the conjugate
     of the e^{+ikx} wave is the e^{-ik*x} wave, so m11(k) = conj m22(k*) and
-    m21(k) = conj m12(k*).  Only the tests and the benchmark's tracer
-    (perfbench/spans.BINDINGS) call it now.
+    m21(k) = conj m12(k*).  Only the benchmark's tracer
+    (perfbench/spans.BINDINGS) and tests/test_tracer_only.py call it now.
     """
     k = np.asarray(k, dtype=complex)
     _, a, b = _march(profile, np.stack([k, k.conj()]))
@@ -221,7 +221,7 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PeakSeed:
-    """Transmission maximum of ``transmission_scan``; unexported, kept for the tracer and tests until ROADMAP item 11.
+    """Transmission maximum of ``transmission_scan``; unexported, kept for the tracer until ROADMAP item 11.
 
     ``energy_ev`` and ``transmission`` are the vertex of the parabola through
     1/|t|^2 at the grid maximum and its two neighbours.
@@ -253,7 +253,8 @@ def transmission_scan(profile: PotentialProfile, e_min_ev: float, e_max_ev: floa
     the vertex of the parabola through 1/|t|^2 at E[i-1], E[i] and E[i+1],
     a closed form that lies inside (E[i-1], E[i+1]), precise enough to
     seed Newton.  Unexported, and ``find_poles`` no longer calls it; kept
-    for the tracer and tests until ROADMAP item 11.  A grid point on a
+    for the tracer until ROADMAP item 11, and tested only in
+    tests/test_tracer_only.py.  A grid point on a
     segment height needs no care: ``_march`` floors |kappa_j| w_j.
     """
     if not 0.0 < e_min_ev < e_max_ev < np.inf:

@@ -93,15 +93,15 @@ def test_normalize_buildup_rejects_node_position(symmetric_profile, symmetric_po
 
 
 def test_normalize_buildup_takes_phi_from_the_solution(symmetric_profile, symmetric_poles, monkeypatch):
-    """No second stationary solve: phi is the value the evolution already holds."""
+    """No second stationary solve, nor any march: phi is the value the evolution already holds."""
     st = symmetric_poles[0]
     sol = evolve_single_resonance(symmetric_profile, st, st.eps_ev, 80.0, t_fs=np.array([1.0, 2.0]) * st.lifetime_fs)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("stationary problem solved again")
 
-    monkeypatch.setattr(analysis, "stationary_wave", no_solve)
     monkeypatch.setattr(scattering, "stationary_state", no_solve)
+    monkeypatch.setattr(scattering, "_march", no_solve)
     series = normalize_buildup(sol, st)
     assert np.array_equal(series.ratio_abs, np.abs(sol.psi / sol.phi))
 

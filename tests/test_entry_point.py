@@ -43,14 +43,6 @@ def profile_file(tmp_path, segments, mass_factor=0.067):
     return str(path)
 
 
-def test_asymmetric_search_to_2_ev_runs_no_seed_scan(tmp_path, monkeypatch):
-    def no_scan(*args, **kwargs):
-        raise AssertionError("find_poles ran the transmission scan")
-
-    monkeypatch.setattr("rtbuildup.resonances.transmission_scan", no_scan)
-    assert main(["poles", "--profile", ASYMMETRIC, "--e-max-ev", "2.0", "--out", str(tmp_path / "p.csv")]) == 0
-
-
 def test_marched_m22_finds_8_poles_under_weak_barriers_to_32_ev(tmp_path):
     weak = profile_file(tmp_path, "segment = 10 0.02\nsegment = 20 0\nsegment = 10 0.02\n")
     out = tmp_path / "marched.csv"

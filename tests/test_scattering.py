@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -15,7 +14,7 @@ from rtbuildup import (
     stationary_wave,
 )
 from rtbuildup import scattering
-from rtbuildup.scattering import _m22, _transfer_entries, transmission_scan
+from rtbuildup.scattering import _m22
 
 
 def single_barrier_transmission(energy, height, width, mass_factor=0.067):
@@ -33,9 +32,9 @@ def single_barrier_transmission(energy, height, width, mass_factor=0.067):
 def test_free_profile_is_transparent():
     free = build_profile([(160.0, 0.0)])
     for e in (0.01, 0.1, 0.37):
-        _, _, m21, m22 = _transfer_entries(free, complex(free.wavevector(e)))
-        assert abs(abs(1.0 / m22) - 1.0) < 1e-12
-        assert abs(m21 / m22) < 1e-12
+        s = stationary_state(free, e)
+        assert abs(abs(s.transmission_amplitude) - 1.0) < 1e-12
+        assert abs(s.reflection_amplitude) < 1e-12
 
 
 def test_single_barrier_against_closed_form():
@@ -73,9 +72,21 @@ def test_unitarity_on_energy_grid(symmetric_profile):
     assert worst < 1e-10
 
 
+def matrix_entries(profile, k):
+    """(m11, m12, m21, m22) of the amplitude transfer matrix at k, from one ``_march`` at k and k*.
+
+    The march at k gives the second column (m12, m22); for a real potential
+    the conjugate of the e^{+ikx} wave is the e^{-ik*x} wave, so
+    m11(k) = conj m22(k*) and m21(k) = conj m12(k*).
+    """
+    _, a, b = scattering._march(profile, np.array([k, k.conjugate()]))
+    (m12, m21_conj), (m22, m11_conj) = a[-1], b[-1]
+    return m11_conj.conjugate(), m12, m21_conj.conjugate(), m22
+
+
 def test_determinant_unity_real_and_complex(symmetric_profile):
     for k in (0.02, 0.051, 0.02 - 0.001j, 0.08 - 0.01j, 0.12 + 0.005j):
-        m11, m12, m21, m22 = _transfer_entries(symmetric_profile, complex(k))
+        m11, m12, m21, m22 = matrix_entries(symmetric_profile, complex(k))
         assert abs(m11 * m22 - m12 * m21 - 1.0) < 1e-10
 
 
@@ -86,7 +97,7 @@ def test_determinant_unity_real_and_complex(symmetric_profile):
 )
 def test_determinant_unity_property(re, im):
     p = build_profile([(25.0, 0.4), (60.0, -0.05), (25.0, 0.4)])
-    m11, m12, m21, m22 = _transfer_entries(p, complex(re, im))
+    m11, m12, m21, m22 = matrix_entries(p, complex(re, im))
     assert abs(m11 * m22 - m12 * m21 - 1.0) < 1e-9 * max(1.0, abs(m22))
 
 
@@ -97,20 +108,8 @@ DEEP_EDGE_PROFILES = {
 }
 
 
-@pytest.mark.parametrize("name", ["symmetric", "asymmetric", *DEEP_EDGE_PROFILES])
-def test_marched_m22_matches_mpmath(name, request):
-    """The search's m22 is within 1e-11 of a march in mpmath, and equal to the transfer matrix's m22.
-
-    On the benchmark structures the grid is Re k in [0.02, 3], Im k in
-    [-0.1, 0] (1/A), against 40 digits; the largest errors lie next to
-    zeros of m22, where |m22| ~ 1e-4.  On profiles with wide zero-height
-    segments it is the deep edge of the search to 2.4 eV, Im k = -k(2.4 eV),
-    against 100 digits: a (psi, psi') march in float64 lost every digit
-    there.  Every profile adds k = (1 +- 1e-9) k(V_j) for each height
-    V_j > 0, where kappa_j w_j ~ 1e-4 and the amplitude form loses the most.
-    The transfer matrix and m22 come from one march, so they are
-    bit-identical.
-    """
+def marched_m22_points(name, request):
+    """(profile, digits of its reference march, momenta) of ``test_marched_m22_matches_mpmath``."""
     if name in DEEP_EDGE_PROFILES:
         profile, dps = build_profile(DEEP_EDGE_PROFILES[name]), 100
         k_hi = profile.wavevector(2.4)
@@ -120,12 +119,26 @@ def test_marched_m22_matches_mpmath(name, request):
         k = (np.linspace(0.02, 3.0, 100)[:, np.newaxis] + 1j * np.linspace(-0.1, 0.0, 11)).ravel()
     heights = np.unique(profile.heights[profile.heights > 0.0])
     k_heights = np.sqrt(heights / profile.hbar2_over_2m)
-    k = np.concatenate([k, (1.0 - 1e-9) * k_heights, (1.0 + 1e-9) * k_heights])
+    return profile, dps, np.concatenate([k, (1.0 - 1e-9) * k_heights, (1.0 + 1e-9) * k_heights])
+
+
+@pytest.mark.parametrize("name", ["symmetric", "asymmetric", *DEEP_EDGE_PROFILES])
+def test_marched_m22_matches_mpmath(name, request):
+    """The search's m22 is within 1e-11 of a march in mpmath.
+
+    On the benchmark structures the grid is Re k in [0.02, 3], Im k in
+    [-0.1, 0] (1/A), against 40 digits; the largest errors lie next to
+    zeros of m22, where |m22| ~ 1e-4.  On profiles with wide zero-height
+    segments it is the deep edge of the search to 2.4 eV, Im k = -k(2.4 eV),
+    against 100 digits: a (psi, psi') march in float64 lost every digit
+    there.  Every profile adds k = (1 +- 1e-9) k(V_j) for each height
+    V_j > 0, where kappa_j w_j ~ 1e-4 and the amplitude form loses the most.
+    """
+    profile, dps, k = marched_m22_points(name, request)
     with mpmath.workdps(dps):
         want = np.array([oracles.m22(profile, kk, mpmath) for kk in k.tolist()], dtype=complex)
     got = _m22(profile, k)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
-    assert np.array_equal(_transfer_entries(profile, k)[3], got)
 
 
 def march_segment_by_segment(profile, k):
@@ -186,7 +199,7 @@ def test_composition_of_concatenated_profiles():
     pb = build_profile(right)
     pab = build_profile(left + right)
     for k in (0.03, 0.07, 0.05 - 0.002j):
-        a, b, ab = (np.reshape(_transfer_entries(p, complex(k)), (2, 2)) for p in (pa, pb, pab))
+        a, b, ab = (np.reshape(matrix_entries(p, complex(k)), (2, 2)) for p in (pa, pb, pab))
         assert np.allclose(b @ a, ab, rtol=1e-11, atol=1e-13)
 
 
@@ -233,7 +246,6 @@ def test_stationary_state_marches_once(symmetric_profile, monkeypatch):
         return march(profile, k)
 
     monkeypatch.setattr(scattering, "_march", counting)
-    monkeypatch.setattr(scattering, "_transfer_entries", lambda *args: calls.append("transfer"))
     state = stationary_state(symmetric_profile, 0.2)
     state.phi(np.linspace(0.0, 160.0, 9))
     assert calls == [(symmetric_profile.segments[::-1], ())]
@@ -280,110 +292,6 @@ def test_wave_rejects_out_of_range_position(symmetric_profile, symmetric_poles):
             stationary_wave(symmetric_profile, 0.1, x)
         with pytest.raises(ValueError, match=rf"^position {text} outside \[0, 160\.0\] A$"):
             symmetric_poles[0].u(np.array([80.0, x]))
-
-
-def test_transmission_scan_finds_three_resonances(symmetric_profile):
-    scan = transmission_scan(symmetric_profile, 0.001, 0.4)
-    peak_energies = sorted(1e3 * p.energy_ev for p in scan.peaks)
-    # peaks sit near the resonance energies (a broad resonance skews its
-    # transmission maximum by O(Gamma^2/eps) from the pole position)
-    expected = [37.8, 149.2, 325.7]
-    assert len(peak_energies) == 3
-    for found, target in zip(peak_energies, expected):
-        assert found == pytest.approx(target, abs=0.5)
-    # symmetric structures transmit fully on resonance
-    assert all(p.transmission > 0.999 for p in scan.peaks)
-
-
-def test_transmission_scan_flat_for_free_profile():
-    free = build_profile([(160.0, 0.0)])
-    scan = transmission_scan(free, 0.001, 0.4)
-    assert np.allclose(scan.transmission, 1.0, atol=1e-12)
-    assert scan.peaks == ()
-
-
-def test_transmission_scan_asymmetric_first_peak(asymmetric_profile):
-    scan = transmission_scan(asymmetric_profile, 0.001, 0.3)
-    assert scan.peaks
-    first = min(p.energy_ev for p in scan.peaks)
-    assert 1e3 * first == pytest.approx(89.09, abs=0.1)
-
-
-def test_transmission_scan_rejects_bad_range(symmetric_profile):
-    with pytest.raises(ValueError):
-        transmission_scan(symmetric_profile, 0.0, 0.4)
-    with pytest.raises(ValueError):
-        transmission_scan(symmetric_profile, 0.4, 0.1)
-    for e_min, e_max in ((1e-3, math.inf), (1e-3, math.nan), (math.nan, 0.4)):
-        with pytest.raises(ValueError, match="need 0 < e_min < e_max < inf"):
-            transmission_scan(symmetric_profile, e_min, e_max)  # inf used to overflow the grid size
-
-
-def scalar_refined_peaks(profile, scan):
-    """Reference: scipy's golden-section maximum of |t|^2 in each grid peak's bracket.
-
-    Returns (energy, transmission) per peak and the grid index of each.
-    """
-    from scipy.optimize import minimize_scalar
-
-    energies, t2 = scan.energies_ev, scan.transmission
-
-    def t2_at(e):
-        return 1.0 / abs(complex(_m22(profile, complex(profile.wavevector(e))))) ** 2
-
-    interior = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
-    interior = np.asarray([i for i in interior if t2[i] - min(t2[i - 1], t2[i + 1]) > 1e-9 * t2[i]])
-    peaks = []
-    for i in interior:
-        res = minimize_scalar(
-            lambda e: -t2_at(e),
-            bracket=(energies[i - 1], energies[i], energies[i + 1]),
-            method="golden",
-            options={"xtol": 1e-13},
-        )
-        peaks.append((float(res.x), float(-res.fun)))
-    return np.asarray(peaks), interior
-
-
-TRIPLE_BARRIER = [(20.0, 0.4), (60.0, 0.0), (20.0, 0.4), (60.0, 0.0), (20.0, 0.4)]
-
-
-@pytest.mark.parametrize("case, e_max", [
-    ("symmetric", 2.0),
-    ("asymmetric", 2.0),
-    ("triple", 1.0),
-    ("symmetric", 0.33),  # the third peak sits 13 grid points below e_max
-])
-def test_scan_vertex_matches_golden_section_maximum(request, case, e_max):
-    """Each peak is the parabola vertex inside its grid bracket, close to the golden-section maximum."""
-    profile = build_profile(TRIPLE_BARRIER) if case == "triple" else request.getfixturevalue(f"{case}_profile")
-    scan = transmission_scan(profile, 1e-3, e_max)
-    reference, interior = scalar_refined_peaks(profile, scan)
-    vertex = np.asarray([(p.energy_ev, p.transmission) for p in scan.peaks])
-    assert vertex.shape == reference.shape and len(vertex) >= 3
-    energies = scan.energies_ev
-    assert np.all((energies[interior - 1] < vertex[:, 0]) & (vertex[:, 0] < energies[interior + 1]))
-    np.testing.assert_allclose(vertex[:, 0], reference[:, 0], rtol=3e-4, atol=0.0)
-    np.testing.assert_allclose(vertex[:, 1], reference[:, 1], rtol=1e-3, atol=0.0)
-    # the width estimate is the grid scale at the peak, a seed offset only
-    widths = np.asarray([p.gamma_estimate_ev for p in scan.peaks])
-    assert np.array_equal(widths, energies[interior + 1] - energies[interior - 1])
-
-
-@pytest.mark.parametrize("e_max, n_peaks", [(0.4, 3), (8.0, 18)])
-def test_transmission_scan_call_budget_does_not_grow_with_peaks(symmetric_profile, monkeypatch, e_max, n_peaks):
-    """One m22 call over the grid is the only evaluation: every peak is a closed-form parabola vertex."""
-    calls = []
-    m22 = scattering._m22
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return m22(*args, **kwargs)
-
-    monkeypatch.setattr(scattering, "_m22", counting)
-    scan = transmission_scan(symmetric_profile, 1e-3, e_max)
-    assert len(scan.peaks) == n_peaks
-    assert len(calls) == 1
 
 
 def on_segment_height(c2, height):
@@ -439,27 +347,6 @@ def test_phi_on_and_near_a_segment_height_matches_mpmath(name, height, request):
         assert np.max(np.abs(state.phi(xs) - phi)) <= 5e-10 * np.max(np.abs(phi)), e
 
 
-def test_transmission_scan_ending_on_a_barrier_height(symmetric_profile):
-    """The log grid to 0.5 eV ends exactly on the barrier height, where kappa = 0 is marched at its floor."""
-    c2 = symmetric_profile.hbar2_over_2m
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        scan = transmission_scan(symmetric_profile, 1e-3, 0.5)
-    assert scan.energies_ev[-1] == 0.5 and np.sqrt(0.5 / c2) ** 2 == 0.5 / c2
-    assert np.isfinite(scan.transmission[-1]) and 0.0 < scan.transmission[-1] < 1.0
-
-
-def test_transmission_scan_does_not_call_minimize_scalar(symmetric_profile, monkeypatch):
-    import scipy.optimize
-
-    def no_minimize_scalar(*args, **kwargs):
-        raise AssertionError("minimize_scalar called")
-
-    monkeypatch.setattr(scipy.optimize, "minimize_scalar", no_minimize_scalar)
-    monkeypatch.setattr(scattering, "minimize_scalar", no_minimize_scalar, raising=False)
-    assert len(transmission_scan(symmetric_profile, 1e-3, 2.0).peaks) >= 3
-
-
 def test_wave_lobes_at_resonances(symmetric_profile, symmetric_poles):
     xs = np.linspace(30.0, 130.0, 2001)
     # ground resonance: single lobe peaking mid-well
@@ -476,10 +363,10 @@ def test_wave_lobes_at_resonances(symmetric_profile, symmetric_poles):
 def test_resonant_peak_transmission_batch_entries(symmetric_profile):
     # an array of k and each k alone agree
     ks = np.asarray([0.02, 0.0512, 0.0757])
-    batch = _transfer_entries(symmetric_profile, ks)
+    batch = _m22(symmetric_profile, ks)
     for i, k in enumerate(ks):
-        m22 = _transfer_entries(symmetric_profile, complex(k))[3]
-        assert complex(m22) == pytest.approx(complex(batch[3][i]), rel=1e-14)
+        m22 = _m22(symmetric_profile, complex(k))
+        assert complex(m22) == pytest.approx(complex(batch[i]), rel=1e-14)
 
 
 def box_eigenvalues_below_zero(segments, mass_factor=0.067, pad=1500.0, h=0.05):
@@ -530,7 +417,7 @@ def test_lockstep_bisection_matches_brent(segments, monkeypatch):
     c2 = profile.hbar2_over_2m
 
     def m22(q):
-        return _transfer_entries(profile, 1j * np.asarray(q))[3].real
+        return _m22(profile, 1j * np.asarray(q)).real
 
     calls = []
     monkeypatch.setattr(scattering, "_m22", lambda p, k: calls.append(np.size(k)) or _m22(p, k))
