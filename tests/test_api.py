@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -34,6 +35,20 @@ def test_tracer_only_names_stay_in_their_modules_and_out_of_the_exports():
     assert {name for _module, name in TRACER_ONLY}.isdisjoint(rtbuildup.__all__)
     modules = {module: importlib.import_module(f"rtbuildup.{module}") for module, _name in TRACER_ONLY}
     assert [(module, name) for module, name in TRACER_ONLY if not hasattr(modules[module], name)] == []
+
+
+def refuse_tracer_only_functions(monkeypatch):
+    """Make each ``TRACER_ONLY`` function raise, in every loaded rtbuildup module that holds it; return their names."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tracer-only function ran")
+
+    patched = set()
+    for module in [m for n, m in sys.modules.items() if n == "rtbuildup" or n.startswith("rtbuildup.")]:
+        for _home, name in TRACER_ONLY:
+            if inspect.isfunction(getattr(module, name, None)):
+                monkeypatch.setattr(module, name, refuse)
+                patched.add(name)
+    return patched
 
 
 def test_only_test_tracer_only_names_a_tracer_only_name():

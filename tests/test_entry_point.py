@@ -18,6 +18,7 @@ import pytest
 import rtbuildup
 from rtbuildup import dynamics
 from rtbuildup.cli import main
+from test_api import refuse_tracer_only_functions
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SYMMETRIC, ASYMMETRIC = str(CONFIGS / "symmetric.cfg"), str(CONFIGS / "asymmetric.cfg")
@@ -41,6 +42,13 @@ def profile_file(tmp_path, segments, mass_factor=0.067):
     path = tmp_path / "profile.cfg"
     path.write_text(f"mass_factor = {mass_factor}\n" + segments)
     return str(path)
+
+
+def test_asymmetric_search_to_2_ev_runs_no_seed_scan(tmp_path, monkeypatch):
+    refuse_tracer_only_functions(monkeypatch)
+    out = tmp_path / "p.csv"
+    assert main(["poles", "--profile", ASYMMETRIC, "--e-max-ev", "2.0", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 10
 
 
 def test_marched_m22_finds_8_poles_under_weak_barriers_to_32_ev(tmp_path):

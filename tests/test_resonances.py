@@ -19,6 +19,7 @@ from rtbuildup import (
     stationary_state,
 )
 from rtbuildup.scattering import _m22
+from test_api import refuse_tracer_only_functions
 
 def m22(profile, k):
     """m22(k), whose fourth-quadrant zeros are the resonance poles."""
@@ -389,6 +390,15 @@ def test_asymmetric_search_to_1_2_ev_call_budget(asymmetric_profile, monkeypatch
     calls = counting_m22_sizes(monkeypatch)
     assert len(find_poles(asymmetric_profile, 1.2)) == 7
     assert 0 < len(calls) <= 8
+
+
+@pytest.mark.parametrize("name", ["symmetric", "asymmetric"])
+def test_find_poles_runs_no_transmission_scan(name, request, monkeypatch):
+    """The search takes no seed from the transmission scan, nor calls any other tracer-only function."""
+    refuse_tracer_only_functions(monkeypatch)
+    profile = request.getfixturevalue(f"{name}_profile")
+    for e_max, n_poles in {"symmetric": {0.4: 3, 2.0: 9, 16.0: 26}, "asymmetric": {0.4: 3, 2.0: 10, 16.0: 30}}[name].items():
+        assert len(find_poles(profile, e_max)) == n_poles
 
 
 @pytest.mark.parametrize(

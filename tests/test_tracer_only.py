@@ -9,7 +9,6 @@ when ROADMAP item 11 deletes them.
 
 import cmath
 import math
-import sys
 import warnings
 from pathlib import Path
 
@@ -21,35 +20,24 @@ from rtbuildup import resonances, scattering
 from rtbuildup.cli import main
 from rtbuildup.resonances import refine_pole, winding_number
 from rtbuildup.scattering import _m22, _transfer_entries, transmission_scan
+from test_api import refuse_tracer_only_functions
 from test_scattering import DEEP_EDGE_PROFILES, marched_m22_points
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TRACER_ONLY_FUNCTIONS = ("refine_pole", "winding_number", "gamow_state", "transmission_scan", "_transfer_entries")
-POLE_COUNTS = {"symmetric": {"0.4": 3, "2": 9, "16": 26}, "asymmetric": {"0.4": 3, "2": 10, "16": 30}}
 
 
 @pytest.mark.parametrize("config", ["symmetric", "asymmetric"])
 def test_cli_runs_call_no_tracer_only_function(config, tmp_path, monkeypatch):
     """With the five tracer-only functions raising in every module that holds them, every command exits 0.
 
-    ``poles`` to 0.4, 2 and 16 eV lists the poles its search counts;
     ``evolve --mode full``, ``buildup`` and ``crossover`` run on resonance 1
-    at its auto-max position.
+    at its auto-max position; ``test_find_poles_runs_no_transmission_scan``
+    and ``test_asymmetric_search_to_2_ev_runs_no_seed_scan`` run the search
+    and ``poles`` the same way.
     """
-    def refuse(*args, **kwargs):
-        raise AssertionError("a tracer-only function ran")
-
-    patched = set()
-    for module in [m for n, m in sys.modules.items() if n == "rtbuildup" or n.startswith("rtbuildup.")]:
-        for name in TRACER_ONLY_FUNCTIONS:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
-                patched.add(name)
-    assert patched == set(TRACER_ONLY_FUNCTIONS)
+    assert refuse_tracer_only_functions(monkeypatch) == set(TRACER_ONLY_FUNCTIONS)
     profile, out = str(CONFIGS / f"{config}.cfg"), tmp_path / "out.csv"
-    for e_max, n_poles in POLE_COUNTS[config].items():
-        assert main(["poles", "--profile", profile, "--e-max-ev", e_max, "--out", str(out)]) == 0
-        assert len(out.read_text().splitlines()) == 1 + n_poles
     for command in (["evolve", "--mode", "full"], ["buildup"], ["crossover"]):
         assert main(command + ["--profile", profile, "--resonance", "1", "--auto-max", "--out", str(out)]) == 0
 
