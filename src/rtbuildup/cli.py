@@ -411,7 +411,7 @@ def _solve(args, on_resonance: bool = False):
         state = min(poles, key=lambda s: abs(s.eps_ev - energy))
         if abs(energy - state.eps_ev) > 3.0 * state.gamma_ev and mode == "single":
             print(
-                f"warning: E = {energy} eV is {abs(energy - state.eps_ev) / state.gamma_ev:.1f} "
+                f"warning: E = {energy} eV is {abs(energy - state.eps_ev) / state.gamma_ev:.3g} "
                 "widths from the nearest resonance; single-resonance mode is invalid, "
                 "running the full expansion",
                 file=sys.stderr,

@@ -323,7 +323,7 @@ def evolve_single_resonance(
     """
     if abs(energy_ev - state.eps_ev) > 10.0 * state.gamma_ev:
         raise ValueError(
-            f"E = {energy_ev} eV is {abs(energy_ev - state.eps_ev) / state.gamma_ev:.1f} "
+            f"E = {energy_ev} eV is {abs(energy_ev - state.eps_ev) / state.gamma_ev:.3g} "
             "widths away from the resonance; use the full expansion"
         )
     return _evolve(profile, [state], energy_ev, x, t_fs)

@@ -442,7 +442,8 @@ def test_cli_runs_leave_scipy_optimize_unimported(tmp_path):
 
 
 def test_poles_leaves_scipy_unimported(tmp_path):
-    """``poles`` evaluates no kernel, so scipy stays unloaded; ``evolve`` and ``crossover`` load it and run."""
+    """No subcommand imports scipy: ``poles`` evaluates no kernel, and ``evolve``, ``buildup`` and
+    ``crossover`` take w from the package's own evaluator.  scipy is blocked, so an import raises."""
     import ast
     import os
     import subprocess
@@ -457,21 +458,23 @@ def test_poles_leaves_scipy_unimported(tmp_path):
     poles = [["poles", "--profile", sym, "--out", out], ["poles", "--profile", asym, "--e-max-ev", "16", "--out", out]]
     kernels = [
         ["evolve", "--profile", sym, "--energy-ev", "0.2", "--x-angstrom", "80", "--mode", "full", "--out", out],
+        ["buildup", "--profile", sym, "--resonance", "1", "--auto-max", "--out", out],
         ["crossover", "--profile", asym, "--resonance", "1", "--auto-max", "--points", "4001", "--out", out],
     ]
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from rtbuildup.cli import main\n"
-        "loaded = ['scipy' in sys.modules]\n"
+        "loaded = [sys.modules['scipy'] is not None]\n"
         f"for argv in {poles + kernels!r}:\n"
-        "    loaded.append((main(argv), 'scipy' in sys.modules))\n"
+        "    loaded.append((main(argv), sys.modules['scipy'] is not None))\n"
         "print(loaded)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(rtbuildup.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     loaded = ast.literal_eval(done.stdout)
-    assert loaded == [False, (0, False), (0, False), (0, True), (0, True)]
+    assert loaded == [False] + [(0, False)] * 5
 
 
 @pytest.mark.parametrize("energy", [0.06, 0.12, 0.1295])
@@ -616,6 +619,15 @@ def test_evolve_off_resonance_forces_full_mode(cfg_paths, tmp_path, capsys):
     assert err.count("\n") == 1  # the full pole sum adds no line of its own
     _, rows = read_rows(out)
     assert len(rows) == 4
+
+
+def test_single_mode_warning_far_off_resonance_is_one_short_line(cfg_paths, capsys):
+    """|E - eps_n| / Gamma_n near 1e304 prints in three digits, on one line, before the phase refusal."""
+    code = main(["evolve", "--profile", cfg_paths["sym"], "--energy-ev", "1e300", "--x-angstrom", "80"])
+    assert code == 1
+    warning = capsys.readouterr().err.splitlines()[0]
+    assert "single-resonance mode is invalid" in warning
+    assert len(warning) < 200, warning
 
 
 def test_evolve_energy_on_segment_height_finishes(cfg_paths, tmp_path):

@@ -110,6 +110,13 @@ def test_rejects_far_off_resonance_energy(symmetric_profile, symmetric_poles):
         evolve_single_resonance(symmetric_profile, st, 2.0 * st.eps_ev, 80.0, t_fs=np.array([1.0]) * st.lifetime_fs)
 
 
+def test_far_off_resonance_refusal_gives_the_width_ratio_in_three_digits(symmetric_profile, symmetric_poles):
+    st = symmetric_poles[0]
+    with pytest.raises(ValueError, match=r"is \d\.\d\de\+\d+ widths away") as refusal:
+        evolve_single_resonance(symmetric_profile, st, 1e300, 80.0, t_fs=np.array([1.0]) * st.lifetime_fs)
+    assert len(str(refusal.value)) < 200
+
+
 def test_single_pole_full_equals_single_resonance(symmetric_profile, symmetric_poles):
     st = symmetric_poles[0]
     tau = np.geomspace(0.05, 30.0, 300)
@@ -553,7 +560,7 @@ def test_pole_sum_memory_stays_within_twelve_grid_arrays(symmetric_profile, asym
     t_fs = np.geomspace(0.1, 1e4, 20000)
     grid_array = 16 * t_fs.size
     forget_exp_tables()
-    evolve_full(symmetric_profile, poles, 0.2, 80.0, t_fs=t_fs)  # the lazy wofz import and its caches
+    evolve_full(symmetric_profile, poles, 0.2, 80.0, t_fs=t_fs)  # the first call's one-time allocations and caches
     calls = {
         "build": (symmetric_profile, poles, 0.2, 80.0),
         "reuse": (symmetric_profile, poles, 0.3, 50.0),
