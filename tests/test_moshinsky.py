@@ -81,7 +81,7 @@ def test_faddeeva_frozen_values(z, expected):
 def test_faddeeva_real_axis_identity():
     # Re w(x) = exp(-x^2) exactly on the real axis
     for x in (0.3, 1.0, 2.5, 5.0):
-        assert faddeeva(x).real == pytest.approx(math.exp(-x * x), rel=1e-12)
+        assert faddeeva(x).real == pytest.approx(math.exp(-x * x), rel=1e-12, abs=0)
 
 
 def test_faddeeva_upper_half_plane_accuracy_batch():
@@ -129,6 +129,29 @@ def test_faddeeva_upper_matches_mpmath_and_scipy(monkeypatch, symmetric_profile,
     # a bound relative to |w| cannot see Re w = exp(-25) at x = 5 (1.4e-11 against |w| = 0.115)
     x = np.asarray([0.3, 1.0, 2.5, 5.0, 27.0])
     assert np.array_equal(_faddeeva_upper(x + 0j).real, np.exp(-x * x))
+
+
+def test_value_does_not_depend_on_the_array_it_is_in():
+    """w and M(y) = w(iy)/2 read the same bits one point at a time, in every slice of 2 to 17, and as one grid.
+
+    ``_faddeeva_upper`` sums p(Z) with numpy's complex multiply, whose
+    one-element in-place loop rounds apart from its vector loops; the
+    whole-row rule keeps a point's value independent of its array.
+    """
+    rng = np.random.default_rng(53)
+    radius = 10.0 ** rng.uniform(-3, 2, 60)
+    angle = rng.uniform(0.0, np.pi, 60)
+    z = np.concatenate([radius * np.exp(1j * angle), [0.3, -2.5, 5.0, 5.0 + 1e-8j]])
+    y = -1j * z  # iy = z: the kernel's direct branch
+    assert np.all(z.imag >= 0.0) and np.all(y.real >= 0.0)
+    w_grid, m_grid = _faddeeva_upper(z), moshinsky_m(y)
+    assert np.array_equal([_faddeeva_upper(z[i : i + 1])[0] for i in range(z.size)], w_grid)
+    assert np.array_equal([moshinsky_m(complex(v)) for v in y], m_grid)
+    for length in range(2, 18):
+        for start in range(z.size - length + 1):
+            piece = slice(start, start + length)
+            assert np.array_equal(_faddeeva_upper(z[piece]), w_grid[piece]), (length, start)
+            assert np.array_equal(moshinsky_m(y[piece]), m_grid[piece]), (length, start)
 
 
 def test_faddeeva_lower_half_plane_against_oracle():
