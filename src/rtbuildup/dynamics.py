@@ -353,6 +353,7 @@ def evolve_full(
     each pole's exp(y^2) once, and a one-off evolve, such as one CLI run,
     keeps only the grid.  Kept or not, Psi is bit for bit the same.
     """
+    poles = list(poles)
     if not poles:
         raise ValueError("pole list must be non-empty")
     return _evolve(profile, poles, energy_ev, x, t_fs)

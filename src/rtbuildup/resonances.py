@@ -79,11 +79,6 @@ import numpy as np
 from .profile import HBAR_EV_FS, PotentialProfile
 from .scattering import _m22, _march, _PiecewiseWave, bound_state_energies
 
-# not used by the search, which evaluates m22 with _m22: the benchmark's
-# tracer patches these names (perfbench/spans.BINDINGS), and keeps them
-# until those bindings are retired
-from .scattering import _transfer_entries, transmission_scan  # noqa: F401
-
 
 SCAN_FLOOR_EV = 1e-3  # the search starts at Re k = k(SCAN_FLOOR_EV) / 2
 NEWTON_TOL = 1e-12  # Newton stops once its step is below this, in 1/A
@@ -112,9 +107,9 @@ def _simpson_rows() -> np.ndarray:
 
 _SIMPSON = _simpson_rows()
 
-
-class PoleConvergenceError(RuntimeError):
-    """Newton refinement failed to converge to a pole (raised only by ``refine_pole``)."""
+# placeholders: only the benchmark's tracer binds these names (perfbench/spans.BINDINGS),
+# and ROADMAP item 17 deletes them with those bindings
+_transfer_entries = transmission_scan = refine_pole = winding_number = gamow_state = None
 
 
 class WindingMismatchError(RuntimeError):
@@ -172,16 +167,6 @@ def _newton(profile: PotentialProfile, seeds, known=()) -> tuple[np.ndarray, np.
         converged[active[done & sloped]] = True
         active = active[sloped & ~done & np.isfinite(size)]
     return k, converged
-
-
-def refine_pole(profile: PotentialProfile, k_seed: complex) -> complex:
-    """Newton on m22 from one seed (``_newton``); unexported, kept for the tracer until ROADMAP item 11."""
-    k, converged = _newton(profile, [k_seed])
-    if not converged[0]:
-        raise PoleConvergenceError(
-            f"no convergence from seed {k_seed} in {NEWTON_MAX_ITER} iterations (last k {k[0]})"
-        )
-    return complex(k[0])
 
 
 def _edge_samples(profile: PotentialProfile, rects) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -251,15 +236,6 @@ def _zero_count(dlog: np.ndarray) -> int:
     if not abs(count - np.round(count)) <= 0.1:  # NaN too: m22 = 0 on the contour
         raise WindingMismatchError(f"non-integer winding number {count:.3f}")
     return int(round(count))
-
-
-def winding_number(
-    profile: PotentialProfile,
-    re_range: tuple[float, float],
-    im_range: tuple[float, float],
-) -> int:
-    """Count of m22's zeros in a rectangle; unexported, kept for the tracer until ROADMAP item 11."""
-    return _zero_count(_contour_steps(profile, _edge_samples(profile, [(re_range, im_range)])[0])[1])
 
 
 @dataclass(frozen=True)
@@ -354,11 +330,6 @@ def _gamow_states(profile: PotentialProfile, ks) -> list[ResonantState]:
         ResonantState(k, profile, complex(scale[i]), _PiecewiseWave(profile, kappa[:, i], a[:, i], b[:, i]))
         for i, k in enumerate(ks.tolist())
     ]
-
-
-def gamow_state(profile: PotentialProfile, k_n: complex) -> ResonantState:
-    """One pole's Gamow state (``_gamow_states``); unexported, kept for the tracer until ROADMAP item 11."""
-    return _gamow_states(profile, [k_n])[0]
 
 
 def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState]:

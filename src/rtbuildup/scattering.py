@@ -39,11 +39,9 @@ stays within 2e-10 of a 50-digit march on both benchmark structures.
 
 Every march carries one wave, e^{-ikx} left of x = 0: (a, b) = (0, 1).
 It reads all it needs of the profile on each call, and the module keeps no
-state between calls.  ``_m22`` is its b at x = L; the pole search,
-``bound_state_energies`` and ``transmission_scan`` evaluate m22 with it.
-``stationary_state`` marches it on the mirrored profile, from the
-transmitted side.  Each peak the transmission scan reports is the
-closed-form vertex of a parabola through three grid points.
+state between calls.  ``_m22`` is its b at x = L; the pole search and
+``bound_state_energies`` evaluate m22 with it.  ``stationary_state``
+marches it on the mirrored profile, from the transmitted side.
 """
 
 from __future__ import annotations
@@ -98,19 +96,9 @@ def _m22(profile: PotentialProfile, k):
     return _march(profile, k)[2][-1]
 
 
-def _transfer_entries(profile: PotentialProfile, k):
-    """Entries (m11, m12, m21, m22) of the amplitude transfer matrix, from one ``_march`` at k and k*.
-
-    Vectorized over k.  t(k) = 1 / m22, r(k) = -m21 / m22.  The march at k
-    gives the second column (m12, m22); for a real potential the conjugate
-    of the e^{+ikx} wave is the e^{-ik*x} wave, so m11(k) = conj m22(k*) and
-    m21(k) = conj m12(k*).  Only the benchmark's tracer
-    (perfbench/spans.BINDINGS) and tests/test_tracer_only.py call it now.
-    """
-    k = np.asarray(k, dtype=complex)
-    _, a, b = _march(profile, np.stack([k, k.conj()]))
-    (m12, m21_conj), (m22, m11_conj) = a[-1], b[-1]
-    return m11_conj.conj(), m12, m21_conj.conj(), m22
+# a placeholder: only the benchmark's tracer binds this name (perfbench/spans.BINDINGS),
+# and ROADMAP item 17 deletes it with those bindings
+_transfer_entries = None
 
 
 class _PiecewiseWave:
@@ -217,68 +205,3 @@ def bound_state_energies(profile: PotentialProfile) -> np.ndarray:
         same = negative(mid) == lo_sign[active]
         lo[active[same]] = mid[same]
         hi[active[~same]] = mid[~same]
-
-
-@dataclass(frozen=True)
-class PeakSeed:
-    """Transmission maximum of ``transmission_scan``; unexported, kept for the tracer until ROADMAP item 11.
-
-    ``energy_ev`` and ``transmission`` are the vertex of the parabola through
-    1/|t|^2 at the grid maximum and its two neighbours.
-    ``gamma_estimate_ev`` is the grid scale E[i+1] - E[i-1] there: an offset
-    that puts the Newton seed below the real axis, not a measured width.
-    """
-
-    energy_ev: float
-    transmission: float
-    gamma_estimate_ev: float
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    energies_ev: np.ndarray
-    transmission: np.ndarray
-    peaks: tuple[PeakSeed, ...]
-
-
-POINTS_PER_DECADE = 2000  # density of the transmission scan
-
-
-def transmission_scan(profile: PotentialProfile, e_min_ev: float, e_max_ev: float) -> ScanResult:
-    """|t(E)|^2 = 1/|m22|^2 on a log-spaced grid plus its local maxima, in one ``_m22`` call.
-
-    The density (``POINTS_PER_DECADE``) resolves widths down to a
-    small fraction of a meV at typical resonance energies.  Near a pole
-    1/|t|^2 = |m22|^2 is nearly quadratic in E, so each grid maximum reports
-    the vertex of the parabola through 1/|t|^2 at E[i-1], E[i] and E[i+1],
-    a closed form that lies inside (E[i-1], E[i+1]), precise enough to
-    seed Newton.  Unexported, and ``find_poles`` no longer calls it; kept
-    for the tracer until ROADMAP item 11, and tested only in
-    tests/test_tracer_only.py.  A grid point on a
-    segment height needs no care: ``_march`` floors |kappa_j| w_j.
-    """
-    if not 0.0 < e_min_ev < e_max_ev < np.inf:
-        raise ValueError("need 0 < e_min < e_max < inf")
-    lg_min, lg_max = np.log10(e_min_ev), np.log10(e_max_ev)  # their ratio can overflow
-    n_points = max(64, int(np.ceil((lg_max - lg_min) * POINTS_PER_DECADE)) + 1)
-    energies = np.logspace(lg_min, lg_max, n_points)
-    c2 = profile.hbar2_over_2m
-    t2 = 1.0 / np.abs(_m22(profile, np.sqrt(energies / c2))) ** 2
-
-    i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
-    # prominence filter: rounding noise on flat transmission produces
-    # strict maxima at the 1e-16 level; genuine peaks rise far above it
-    i = i[t2[i] - np.minimum(t2[i - 1], t2[i + 1]) > 1e-9 * t2[i]]
-    # parabola y1 + b u + c u^2 through 1/|t|^2 at offsets u = d0, 0, d2;
-    # y1 is the lowest of the three, so c > 0 and the vertex -b/2c lies
-    # between the midpoints of the two grid steps
-    d0, d2 = energies[i - 1] - energies[i], energies[i + 1] - energies[i]
-    y1 = 1.0 / t2[i]
-    s0, s2 = (1.0 / t2[i - 1] - y1) / d0, (1.0 / t2[i + 1] - y1) / d2
-    c = (s0 - s2) / (d0 - d2)
-    b = s0 - c * d0
-    e_peak = energies[i] - 0.5 * b / c
-    t_peak = 1.0 / (y1 - 0.25 * b * b / c)
-    widths = energies[i + 1] - energies[i - 1]
-    peaks = tuple(PeakSeed(float(e), float(t), float(w)) for e, t, w in zip(e_peak, t_peak, widths))
-    return ScanResult(energies, t2, peaks)

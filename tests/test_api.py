@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import inspect
 import sys
 from pathlib import Path
 
@@ -15,66 +14,6 @@ def test_every_export_resolves_once():
     names = rtbuildup.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(rtbuildup, name)] == []
-
-
-# kept in their modules only for the benchmark's tracer; tests/test_tracer_only.py tests them
-TRACER_ONLY = {
-    ("scattering", "transmission_scan"),
-    ("scattering", "ScanResult"),
-    ("scattering", "PeakSeed"),
-    ("scattering", "POINTS_PER_DECADE"),
-    ("scattering", "_transfer_entries"),
-    ("resonances", "refine_pole"),
-    ("resonances", "winding_number"),
-    ("resonances", "gamow_state"),
-    ("resonances", "PoleConvergenceError"),
-}
-
-
-def test_tracer_only_names_stay_in_their_modules_and_out_of_the_exports():
-    assert {name for _module, name in TRACER_ONLY}.isdisjoint(rtbuildup.__all__)
-    modules = {module: importlib.import_module(f"rtbuildup.{module}") for module, _name in TRACER_ONLY}
-    assert [(module, name) for module, name in TRACER_ONLY if not hasattr(modules[module], name)] == []
-
-
-def refuse_tracer_only_functions(monkeypatch):
-    """Make each ``TRACER_ONLY`` function raise, in every loaded rtbuildup module that holds it; return their names."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a tracer-only function ran")
-
-    patched = set()
-    for module in [m for n, m in sys.modules.items() if n == "rtbuildup" or n.startswith("rtbuildup.")]:
-        for _home, name in TRACER_ONLY:
-            if inspect.isfunction(getattr(module, name, None)):
-                monkeypatch.setattr(module, name, refuse)
-                patched.add(name)
-    return patched
-
-
-def test_only_test_tracer_only_names_a_tracer_only_name():
-    """No other test module reaches a ``TRACER_ONLY`` name: by import, attribute or ``monkeypatch`` target string.
-
-    So deleting those names and ``test_tracer_only.py`` leaves every other test as it is.
-    """
-    names = {name for _module, name in TRACER_ONLY}
-    used = []
-    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
-        if path.name in ("test_api.py", "test_tracer_only.py"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.alias):
-                name = node.name
-            elif isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                name = node.value.rsplit(".", 1)[-1]  # "rtbuildup.resonances.name" or "name"
-            else:
-                continue
-            if name in names:
-                used.append((path.name, name))
-    assert used == []
 
 
 def test_every_benchmark_binding_resolves(monkeypatch):
@@ -100,13 +39,9 @@ def test_reference_oracles_import_nothing_from_the_package():
     assert [name for name in names if name.split(".")[0] == "rtbuildup"] == []
 
 
-# re-imports that no code of their module reads, kept because the benchmark's tracer
-# patches them there (perfbench/spans.BINDINGS)
-TRACED_REIMPORTS = {
-    ("analysis.py", "stationary_wave"),
-    ("resonances.py", "_transfer_entries"),
-    ("resonances.py", "transmission_scan"),
-}
+# a re-import that no code of its module reads, kept because the benchmark's tracer
+# patches it there (perfbench/spans.BINDINGS)
+TRACED_REIMPORTS = {("analysis.py", "stationary_wave")}
 
 
 def test_no_module_imports_a_name_it_never_reads():

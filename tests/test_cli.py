@@ -134,7 +134,7 @@ def test_ceiling_near_double_max_exits_one(cfg_paths, capsys):
 
 
 @pytest.mark.parametrize("name, e_max", [("sym", "1e300"), ("sym", "1500"), ("asym", "1000")])
-def test_ceiling_whose_contour_overflows_is_refused_before_the_scan(cfg_paths, capsys, name, e_max):
+def test_ceiling_whose_contour_overflows_is_refused_before_the_count(cfg_paths, capsys, name, e_max):
     """Past k_hi L of about 709, m22 overflows at Im k = -k_hi; the refusal samples only that contour."""
     assert main(["poles", "--profile", cfg_paths[name], "--e-max-ev", e_max]) == 1
     err = capsys.readouterr().err

@@ -211,6 +211,20 @@ def test_full_rejects_empty_pole_list(symmetric_profile, symmetric_poles):
         evolve_full(symmetric_profile, [], st.eps_ev, 80.0, t_fs=np.array([1.0]) * st.lifetime_fs)
 
 
+def test_full_sums_poles_given_as_a_generator_or_an_iterator(asymmetric_profile, asymmetric_poles):
+    """A generator or an iterator of poles gives the list's Psi bit for bit; an empty generator is refused.
+
+    The poles are read twice, by the same-profile check and by the sum, so
+    a one-shot iterable that reached both would sum the free term alone.
+    """
+    t_fs = np.geomspace(0.1, 1000.0, 200)
+    want = evolve_full(asymmetric_profile, asymmetric_poles, 0.2, 55.0, t_fs=t_fs).psi
+    for poles in ((s for s in asymmetric_poles), iter(asymmetric_poles)):
+        assert np.array_equal(evolve_full(asymmetric_profile, poles, 0.2, 55.0, t_fs=t_fs).psi, want)
+    with pytest.raises(ValueError, match="pole list must be non-empty"):
+        evolve_full(asymmetric_profile, (s for s in ()), 0.2, 55.0, t_fs=t_fs)
+
+
 def test_asymmetric_buildup_level_differs(symmetric_profile, asymmetric_profile,
                                           symmetric_poles, asymmetric_poles):
     """Raw |Psi|^2 levels are structure-specific even though tau-curves collapse."""

