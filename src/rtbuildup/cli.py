@@ -40,7 +40,7 @@ from .profile import HBAR_EV_FS, PotentialProfile, ProfileError, build_profile
 from .resonances import (
     GamowResidualError,
     ResonantState,
-    SCAN_FLOOR_EV,
+    SEARCH_FLOOR_EV,
     WindingMismatchError,
     find_poles,
 )
@@ -312,9 +312,9 @@ def _e_max(args, profile: PotentialProfile) -> float:
             raise CliUsageError("profile has no barrier; no resonances to search for")
     else:
         e_max = args.e_max_ev
-    if not SCAN_FLOOR_EV < e_max < math.inf:
+    if not SEARCH_FLOOR_EV < e_max < math.inf:
         raise CliUsageError(
-            f"pole search ceiling {e_max} eV must be finite and above the {SCAN_FLOOR_EV} eV scan floor"
+            f"pole search ceiling {e_max} eV must be finite and above the {SEARCH_FLOOR_EV} eV search floor"
         )
     return e_max
 

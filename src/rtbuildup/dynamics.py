@@ -8,7 +8,13 @@ plus resonance transients,
 with T_n = 2k u_n(0) u_n(x) / (k^2 - k_n^2) and the sum running over the
 fourth-quadrant poles k_n together with their third-quadrant partners
 k_{-n} = -k_n*; i T_n is ``one_term_phi``.  The single-resonance form keeps
-one pole pair.
+one pole pair.  Momentum arguments follow
+
+    y_q = -exp(-i pi/4) sqrt(m / 2 hbar) (hbar q / m) sqrt(t)
+
+with q one of +-k, +-k_n, +-k_n*; on resonance they depend only on the
+sharpness ratio R_n and the time in lifetime units tau:
+y_{+-q} = -+exp(-i pi/4) sqrt((R_n + s) tau), s = 0, -i/2, +i/2 for q = k, k_n, k_n*.
 
 Every term is a weighted kernel on a ray y_i = c_i r, so the sum is
 
@@ -18,32 +24,51 @@ over P + 1 pairs (q, a), each the term a M(y_q) - a* M(y_{-q*}): the free
 pair (k, phi) first, then pole n's (k_n, -i T_n).  A pair's rays are y_q,
 reflected (c = -e^{-i pi/4} q, w = a), and y_{-q*}, direct (c = e^{-i pi/4}
 q*, w = -a*).  Each ray crosses |y| = ``Y_NEAR`` = 1 and ``Y_FAR`` = 8 once
-on an ascending grid.  Below Y_NEAR every ray takes the Taylor series of
-M, beyond Y_FAR the asymptotic one (a reflected ray adds exp(y^2)), so at
-each r the rays in either band collapse into one series in r whose
-coefficients are their weighted moments: one Horner sum per point and
-band, whatever the number of rays (``_Rays``).  In the band between, a
-reflected ray adds exp(y^2) as well, which leaves every ray there a
-smooth direct-branch term; cut at the rays' band edges into pieces no
-wider than ``BAND_RATIO`` in r, the rays on each piece sum to one entire
-function of r, interpolated from its values at ``BAND_NODES`` Chebyshev
-nodes and summed as its Chebyshev series, one real matrix product per
-piece.  A reflected ray's exp(y^2) stops where it decays below
-exp(-``_EXP_CUT``), at the decay rate -Re(c^2) = (Im c - Re c)(Im c + Re c):
-exactly 0 for y_k, whose parts are equal.  That exp(y^2) is taken in place
-by ``_exp_square_in_place``, the kernel's own, which forms Re(y^2) the same
+on an ascending grid.  Below Y_NEAR every ray takes the Taylor series
+(Abramowitz & Stegun 7.1.8)
+
+    M(y) = (1/2) sum_n (-y)^n / Gamma(n/2 + 1),
+
+which is entire, to ``TAYLOR_TERMS`` = 38 terms: 4.7e-16 worst relative
+error against a 40-digit erfc at |y| = 1.  Beyond Y_FAR every ray takes
+the large-argument series (A&S 7.1.23)
+
+    M(y) ~ (2 sqrt(pi) y)^-1 sum_j (-1)^j (2j-1)!! / (2y^2)^j,   Re(y) > 0,
+
+stopped before the first term below 1e-17 of the leading one: 17 terms at
+|y| = 8 and 4e-16.  It is odd in y, so a reflected ray, M(y) = exp(y^2) -
+M(-y), takes it at y and adds exp(y^2).  Both series are linear in their
+coefficients, so at each r the rays in either band collapse into one series
+in r whose coefficients are their weighted moments: one Horner sum per point
+and band, whatever the number of rays.  Rays leave the near band in order of
+rising |c| and join the far band in order of falling |c|, so every moment
+that occurs is a running sum, added and never subtracted.
+
+In the band between, a reflected ray adds exp(y^2) as well, which leaves
+every ray there a smooth direct-branch term; cut at the rays' band edges
+into pieces no wider than ``BAND_RATIO`` = 1.5 in r, the rays on each piece
+sum to one entire function of r, interpolated from its values at
+``BAND_NODES`` = 17 Chebyshev nodes and summed as its Chebyshev series, one
+real matrix product per piece.  One ray there is within 8.5e-15 of a
+30-digit erfc, and the kernel at the nodes within 9.0e-16.  The Faddeeva
+kernel runs only at the nodes of the pieces that hold a grid point, in one
+``_moshinsky_m_grid`` call per evolution, every argument on the direct
+branch, so an added pole pair costs a few multiply-adds per grid point
+rather than a Faddeeva evaluation at each of its band points.
+
+A reflected ray's exp(y^2) stops where it decays below exp(-``_EXP_CUT``),
+at the decay rate -Re(c^2) = (Im c - Re c)(Im c + Re c): exactly 0 for y_k,
+whose parts are equal.  That exp(y^2) is taken in place by
+``_exp_square_in_place``, the kernel's own, which forms Re(y^2) the same
 way, so |exp(y_k^2)| = 1 to rounding holds to the end of the grid; it takes
-numpy's real exp, cos and sin, which hold the phase at any |y|^2.  The
-Faddeeva kernel runs only at the nodes, in one ``_moshinsky_m_grid`` call
-per evolution, every argument on the direct branch, so an added pole pair
-costs a few multiply-adds per grid point rather than a Faddeeva evaluation
-at each of its band points.  The sum runs in one pass over the whole grid
-in the calling thread, with the rays in order of |c|, so Psi does not depend on
-the order of the poles.  A reflected ray's exp(y^2) depends on neither x
-nor E, only on its c and the grid: an evolve on the grid of the one before
-keeps its tables, up to ``_KEPT_ARRAYS`` complex grid arrays of them, and
-the next evolve on that grid reuses every table whose ray recurs, which
-leaves Psi bit for bit the same (see ``evolve_full``).
+numpy's real exp, cos and sin, as accurate as ``np.exp`` at any phase.  The
+sum runs in one pass over the whole grid in the calling thread, with the
+rays in order of |c|, so Psi does not depend on the order of the poles.  A
+reflected ray's exp(y^2) depends on neither x nor E, only on its c and the
+grid: an evolve on the grid of the one before keeps its tables, up to
+``_KEPT_ARRAYS`` complex grid arrays of them, and the next evolve on that
+grid reuses every table whose ray recurs, which leaves Psi bit for bit the
+same (see ``evolve_full``).
 """
 
 from __future__ import annotations
@@ -55,19 +80,11 @@ from typing import Sequence
 import numpy as np
 
 from .moshinsky import (
-    BAND_NODES,
-    BAND_RATIO,
-    EXP_MINUS_IPI4,
-    SERIES_TERMS,
-    TAYLOR_TERMS,
     Y_FAR,
-    Y_NEAR,
     _exp_square_in_place,
     _horner,
     _moshinsky_m_grid,
     _series_coefficients,
-    _series_terms,
-    _taylor_coefficients,
 )
 from .profile import HBAR_EV_FS, PotentialProfile
 from .resonances import ResonantState, one_term_phi
@@ -107,7 +124,61 @@ def _resolve_grid(t_fs) -> np.ndarray:
     return t_fs
 
 
-_TAYLOR = np.asarray(_taylor_coefficients(TAYLOR_TERMS))
+EXP_MINUS_IPI4 = complex(0.7071067811865475, -0.7071067811865475)
+"""exp(-i pi/4) with equal parts, so that y_k for real k has parts of equal magnitude and Re(y_k^2),
+formed as (Re y - Im y)(Re y + Im y), is exactly 0; ``cmath.exp`` gives parts a bit apart."""
+
+Y_NEAR = 1.0
+"""|y| below which the pole sum takes M(y) from its Taylor series."""
+
+TAYLOR_TERMS = 38
+"""Taylor terms the pole sum takes below ``Y_NEAR``.
+
+At |y| = 1, 38 terms reach 4.7e-16 against mpmath, 36 reach 5.9e-16 and 34
+reach 5.3e-15.  Each run of points with the same rays near ends where one
+of them reaches |y| = 1, so fewer terms at smaller |y| would save little
+(1.4% of the Taylor work on the pole-sum benchmark).
+"""
+
+BAND_NODES = 17
+"""First-kind Chebyshev nodes per piece on which the pole sum interpolates its rays between
+``Y_NEAR`` and ``Y_FAR``."""
+
+BAND_RATIO = 1.5
+"""Largest r_hi / r_lo of one interpolation piece.
+
+With 17 nodes a piece anywhere from |y| = 1 to 8 interpolates one
+direct-branch ray, in any direction the pole sum makes, to within 1e-14.
+A reflected ray's own M(y) would need more than 32 nodes on sharp poles,
+whose exp(y^2) turns by up to ~35 radians across a piece, so the pole sum
+adds that factor apart.
+"""
+
+
+def _series_terms(y_min: float) -> int:
+    """Asymptotic terms for Re(y) > 0 and |y| >= y_min >= ``Y_FAR``.
+
+    The sum stops before the first term below 1e-17 of the leading one at
+    |y| = y_min, or before the terms start to grow, which only happens for
+    y_min below about 6.3.  Within |arg y| <= pi/4 the error is at most
+    that term; between pi/4 and pi/2 the bound of DLMF 7.12(i) grows by
+    csc(2|arg y|), yet against mpmath the error stays below 5e-16 up to
+    |arg y| = 1.5707.
+    """
+    ratio = 1.0 / (y_min * y_min)
+    n, term = 1, 0.5 * ratio  # |a_n / a_0| / y_min^(2n), the first omitted term
+    while term >= 1e-17 and (n + 0.5) * ratio < 1.0:  # past the smallest term they grow
+        term *= (n + 0.5) * ratio
+        n += 1
+    return n
+
+
+SERIES_TERMS = _series_terms(Y_FAR)
+"""Asymptotic terms M needs at |y| = ``Y_FAR``, the most any point takes."""
+
+_TAYLOR = np.asarray([0.5 * (-1.0) ** j / math.gamma(0.5 * j + 1.0) for j in range(TAYLOR_TERMS)])
+"""b_0..b_37 of M(y) = sum_n b_n y^n (A&S 7.1.8): from w(z) = sum_n (iz)^n / Gamma(n/2 + 1),
+b_n = (-1)^n / (2 Gamma(n/2 + 1))."""
 _SERIES = np.asarray(_series_coefficients(SERIES_TERMS))
 
 _EXP_CUT = 60.0
@@ -140,34 +211,13 @@ class _Rays:
     """sum_i w_i M(c_i r) over an ascending grid of r >= 0, every ray on one branch.
 
     A ray is direct (Re c > 0) or reflected with Re(c^2) <= 0, as every ray
-    of the pole sum is; the free term's y_k has Re(c^2) = 0.  Ray i is below
-    ``Y_NEAR`` for r < Y_NEAR/|c_i| and beyond ``Y_FAR`` for r >= Y_FAR/|c_i|.
-    In both bands M is a series in y = c_i r, so at each r the rays there
-    sum to one series in r whose coefficients are the weighted moments of
-    their c_i: a Taylor series with moments w c^n, and an asymptotic one
-    with moments w c^-(2j+1).
-    Rays leave the near band in order of rising |c| and join the far band
-    in order of falling |c|, so the moments of every set that occurs are
-    the running sums of a table in that order, added and never subtracted;
-    a far row whose sums leave the double range is summed anew in units of
-    its smallest |c| (``far_scale``), which keeps every term within |w|.
-
-    A reflected ray adds its w exp(y^2) from its near edge on, so that what
-    is left of it in the band between is -w M(-y), on the direct branch; it
-    stops once Re(y^2) = -(Im c - Re c)(Im c + Re c) r^2 falls below
-    -``_EXP_CUT``, a decay rate in the form ``_exp_square_in_place`` takes
-    Re(y^2) in, so that y_k, whose parts are equal, gets exactly 0 and keeps
-    |exp(y^2)| = 1 to the end of the grid;
-    beyond Y_FAR, where M(y) = exp(y^2) - M(-y), the series is odd in y.
-    Cut at every ray's band edges and again until no piece spans more than
-    ``BAND_RATIO`` in r, the band holds a fixed set of rays on each piece,
-    whose direct-branch terms sum to one entire function of r.  It is
-    interpolated from its values at ``BAND_NODES`` Chebyshev nodes, all
-    taken in one ``_moshinsky_m_grid`` call over the pieces that hold a
-    point of the grid ``r`` given here, the grid ``add_to`` sums over; the
-    values depend on the rays alone.
-    ``coef`` holds each piece's Chebyshev coefficients as (real, imaginary) pairs; a piece's
-    points, one run of the grid, add its real product with their T_0..T_16 of x = (r - mid)/half.
+    of the pole sum is; the free term's y_k has Re(c^2) = 0.  Ray i is near
+    for r < Y_NEAR/|c_i|, far for r >= Y_FAR/|c_i| and in the band between
+    otherwise; edges that differ only by rounding are one.  The band's
+    pieces are those that hold a point of the grid ``r`` given here, the
+    grid ``add_to`` sums over.  ``coef`` holds each piece's Chebyshev
+    coefficients as (real, imaginary) pairs; a piece's points, one run of the
+    grid, add its real product with their T_0..T_16 of x = (r - mid)/half.
     """
 
     def __init__(self, c: np.ndarray, w: np.ndarray, r: np.ndarray):

@@ -12,42 +12,8 @@ exp(-x^2) exact on the real axis.  The direct evaluation serves Re(y) >= 0
 whose exponential exceeds the double range once Re(y^2) passes ~709.  One
 vectorized kernel evaluates both branches; a reflected value is formed as
 mantissa * exp(s) with s = max(Re y^2, 0), and ``moshinsky_m(y, scaled=True)``
-returns that pair instead of multiplying it out.  The pole sum sends only
-direct arguments (Re y > 0), so only the plain value enters the dynamics.
-
-The pole sum takes M(y) from two series wherever they reach the rounding
-floor: below |y| = ``Y_NEAR`` = 1 the Taylor series (Abramowitz & Stegun
-7.1.8)
-
-    M(y) = (1/2) sum_n (-y)^n / Gamma(n/2 + 1),
-
-which is entire, and beyond |y| = ``Y_FAR`` = 8, for Re(y) > 0, the
-large-argument series (A&S 7.1.23)
-
-    M(y) ~ (2 sqrt(pi) y)^-1 sum_j (-1)^j (2j-1)!! / (2y^2)^j.
-
-The pole sum takes ``TAYLOR_TERMS`` = 38 Taylor terms, 4.7e-16 worst
-relative error against a 40-digit erfc at |y| = 1, and the asymptotic sum
-stops before the first term below 1e-17 of the leading one, 17 terms at
-|y| = 8 and 4e-16.  Both are linear in their coefficients, so
-``dynamics`` sums them over many rays at once.  ``moshinsky_asymptotic`` is
-the scalar form of the asymptotic sum.  Between the two, ``dynamics``
-interpolates the summed direct-branch terms of its rays in r from
-``BAND_NODES`` = 17 Chebyshev nodes on pieces of at most ``BAND_RATIO`` =
-1.5 in r: one ray there is within 8.5e-15 of a 30-digit erfc, and the
-kernel at the nodes within 9.0e-16.  A reflected ray adds its exp(y^2) apart.
-That exp(y^2), the kernel's and the pole sum's alike, comes from
-``_exp_square_in_place``: y^2 formed from the parts of y, then numpy's
-real ``exp`` of Re y^2 times its ``cos`` and ``sin`` of Im y^2, as
-accurately as ``np.exp`` at any phase.
-
-Momentum arguments follow
-
-    y_q = -exp(-i pi/4) sqrt(m / 2 hbar) (hbar q / m) sqrt(t)
-
-with q one of +-k, +-k_n, +-k_n*; on resonance they depend only on the
-sharpness ratio R_n and the time in lifetime units tau:
-y_{+-q} = -+exp(-i pi/4) sqrt((R_n + s) tau), s = 0, -i/2, +i/2 for q = k, k_n, k_n*.
+returns that pair instead of multiplying it out.  ``dynamics`` sums M over
+the rays of the pole sum and sends the kernel only direct arguments (Re y > 0).
 """
 
 from __future__ import annotations
@@ -56,10 +22,6 @@ import cmath
 import math
 
 import numpy as np
-
-EXP_MINUS_IPI4 = complex(0.7071067811865475, -0.7071067811865475)
-"""exp(-i pi/4) with equal parts, so that y_k for real k has parts of equal magnitude and Re(y_k^2),
-formed as (Re y - Im y)(Re y + Im y), is exactly 0; ``cmath.exp`` gives parts a bit apart."""
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -182,42 +144,9 @@ def faddeeva(z):
     return 2.0 * moshinsky_m(-1j * np.asarray(z, dtype=complex))
 
 
-Y_NEAR = 1.0
-"""|y| below which the pole sum takes M(y) from its Taylor series."""
-
 Y_FAR = 8.0
-"""|y| from which the pole sum takes M(y) from its asymptotic series."""
-
-TAYLOR_TERMS = 38
-"""Taylor terms the pole sum takes below ``Y_NEAR``.
-
-At |y| = 1, 38 terms reach 4.7e-16 against mpmath, 36 reach 5.9e-16 and 34
-reach 5.3e-15.  Each run of points with the same rays near ends where one
-of them reaches |y| = 1, so fewer terms at smaller |y| would save little
-(1.4% of the Taylor work on the pole-sum benchmark).
-"""
-
-BAND_NODES = 17
-"""First-kind Chebyshev nodes per piece on which the pole sum interpolates its rays between
-``Y_NEAR`` and ``Y_FAR``."""
-
-BAND_RATIO = 1.5
-"""Largest r_hi / r_lo of one interpolation piece.
-
-With 17 nodes a piece anywhere from |y| = 1 to 8 interpolates one
-direct-branch ray, in any direction the pole sum makes, to within 1e-14.
-A reflected ray's own M(y) would need more than 32 nodes on sharp poles,
-whose exp(y^2) turns by up to ~35 radians across a piece, so the pole sum
-adds that factor apart.
-"""
-
-
-def _taylor_coefficients(n: int) -> list[float]:
-    """Coefficients b_0..b_{n-1} of M(y) = sum_n b_n y^n (A&S 7.1.8).
-
-    From w(z) = sum_n (iz)^n / Gamma(n/2 + 1): b_n = (-1)^n / (2 Gamma(n/2 + 1)).
-    """
-    return [0.5 * (-1.0) ** j / math.gamma(0.5 * j + 1.0) for j in range(n)]
+"""|y| from which the pole sum takes M(y) from its asymptotic series, and below which
+``moshinsky_asymptotic`` refuses."""
 
 
 def _series_coefficients(n: int) -> list[float]:
@@ -230,28 +159,6 @@ def _series_coefficients(n: int) -> list[float]:
     for j in range(1, n):
         coeffs.append(coeffs[-1] * -(2 * j - 1) / 2.0)
     return coeffs
-
-
-def _series_terms(y_min: float) -> int:
-    """Asymptotic terms for Re(y) > 0 and |y| >= y_min >= ``Y_FAR``.
-
-    The sum stops before the first term below 1e-17 of the leading one at
-    |y| = y_min, or before the terms start to grow, which only happens for
-    y_min below about 6.3.  Within |arg y| <= pi/4 the error is at most
-    that term; between pi/4 and pi/2 the bound of DLMF 7.12(i) grows by
-    csc(2|arg y|), yet against mpmath the error stays below 5e-16 up to
-    |arg y| = 1.5707.
-    """
-    ratio = 1.0 / (y_min * y_min)
-    n, term = 1, 0.5 * ratio  # |a_n / a_0| / y_min^(2n), the first omitted term
-    while term >= 1e-17 and (n + 0.5) * ratio < 1.0:  # past the smallest term they grow
-        term *= (n + 0.5) * ratio
-        n += 1
-    return n
-
-
-SERIES_TERMS = _series_terms(Y_FAR)
-"""Asymptotic terms M needs at |y| = ``Y_FAR``, the most any point takes."""
 
 
 def _horner(coeffs, x: np.ndarray) -> np.ndarray:
@@ -289,7 +196,9 @@ def moshinsky_asymptotic(y, n_terms: int = 3) -> tuple[complex, float]:
 
     ``n_terms`` counts powers 1/y .. 1/y^n_terms, of which the even ones
     vanish.  Valid for -pi/2 < arg(y) < pi/2 and |y| of at least ``Y_FAR``; the
-    error estimate is the magnitude of the first omitted nonzero term.
+    error estimate is the magnitude of the first omitted nonzero term.  From
+    ``n_terms`` = 343 on, that term's coefficient exceeds the double range and
+    the call raises ``ValueError``.
     """
     y = complex(y)
     if n_terms < 1:
@@ -300,7 +209,10 @@ def moshinsky_asymptotic(y, n_terms: int = 3) -> tuple[complex, float]:
     if abs(y) < Y_FAR:
         raise ValueError(f"|y| = {abs(y):.3f} below the asymptotic threshold {Y_FAR}")
     n = (n_terms + 1) // 2
+    coeffs = _series_coefficients(n + 1)
+    if not math.isfinite(coeffs[n]):
+        raise ValueError(f"n_terms = {n_terms} takes a series coefficient beyond the double range")
     inv = 1.0 / np.asarray([y])  # the first n terms by Horner's rule in 1/y^2
-    value = complex((inv * _horner(_series_coefficients(n), inv * inv))[0])
-    bound = abs(_series_coefficients(n + 1)[n]) / abs(y) ** (2 * n + 1)
+    value = complex((inv * _horner(coeffs[:n], inv * inv))[0])
+    bound = abs(coeffs[n]) * (1.0 / abs(y)) ** (2 * n + 1)  # underflows where |y|^(2n+1) would overflow
     return value, bound

@@ -12,8 +12,9 @@ or zero-height segments, it keeps the digits that a (psi, psi') march or a
 product of full transfer matrices loses to cancellation.  Near a segment
 height it floors |kappa_j| w_j (see ``scattering``).
 
-``find_poles`` searches Re k in [k(SCAN_FLOOR_EV)/2, k(e_max)],
-Im k in [-k(e_max), 0), and takes no seed from a transmission scan.  It
+``find_poles`` searches Re k in [k(SEARCH_FLOOR_EV)/2, k(e_max)], from half
+the wavevector of its 1 meV search floor, and Im k in [-k(e_max), 0); it
+takes no seed from a transmission scan.  It
 returns the poles with Re k_n <= k(e_max), hbar^2 (Re k_n)^2 / 2m* <= e_max,
 not eps_n <= e_max, which would take Re k up to sqrt(2) k(e_max).  It
 samples m22 once around this deep rectangle with the top edge lifted to
@@ -80,7 +81,7 @@ from .profile import HBAR_EV_FS, PotentialProfile
 from .scattering import _m22, _march, _PiecewiseWave, bound_state_energies
 
 
-SCAN_FLOOR_EV = 1e-3  # the search starts at Re k = k(SCAN_FLOOR_EV) / 2
+SEARCH_FLOOR_EV = 1e-3  # the search starts at Re k = k(SEARCH_FLOOR_EV) / 2
 NEWTON_TOL = 1e-12  # Newton stops once its step is below this, in 1/A
 NEWTON_MAX_ITER = 100  # Newton rounds before a seed counts as failed
 BC_TOL = 1e-8  # largest relative outgoing-boundary residual of a pole
@@ -354,7 +355,7 @@ def find_poles(profile: PotentialProfile, e_max_ev: float) -> list[ResonantState
     k_max = profile.wavevector(e_max_ev)
     # pad the rectangle so its corners cannot land exactly on a pole
     k_hi = k_max * (1.0 + 3e-9)
-    k_lo = 0.5 * profile.wavevector(SCAN_FLOOR_EV)
+    k_lo = 0.5 * profile.wavevector(SEARCH_FLOOR_EV)
     top = (k_hi - k_lo) / SAMPLES_PER_EDGE
     deep = ((k_lo, k_hi), (-k_hi, top))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused just below

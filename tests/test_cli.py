@@ -155,7 +155,7 @@ def test_cli_usage_error_exits_one(cfg_paths):
 @pytest.mark.parametrize("argv, message", [
     (["poles", "--e-max-ev", "nan"], "ceiling nan eV"),
     (["poles", "--e-max-ev", "-1"], "ceiling -1.0 eV"),
-    (["poles", "--e-max-ev", "1e-4"], "above the 0.001 eV scan floor"),
+    (["poles", "--e-max-ev", "1e-4"], "above the 0.001 eV search floor"),
     (["poles", "--e-max-ev", "inf"], "must be finite"),
     (["evolve", "--resonance", "1", "--x-angstrom", "80", "--points", "0"], "--points must be >= 1"),
     (["evolve", "--energy-ev", "nan", "--x-angstrom", "80"], "--energy-ev must be positive and finite"),

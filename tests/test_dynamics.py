@@ -24,8 +24,8 @@ from rtbuildup import (
     normalize_buildup,
     stationary_wave,
 )
-from rtbuildup.dynamics import _NODES, _Rays
-from rtbuildup.moshinsky import EXP_MINUS_IPI4, Y_FAR, Y_NEAR, _moshinsky_m_grid
+from rtbuildup.dynamics import _NODES, EXP_MINUS_IPI4, Y_NEAR, _Rays
+from rtbuildup.moshinsky import Y_FAR, _moshinsky_m_grid
 from rtbuildup.scattering import stationary_state
 
 

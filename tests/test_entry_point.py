@@ -43,7 +43,7 @@ def profile_file(tmp_path, segments, mass_factor=0.067):
     return str(path)
 
 
-def test_asymmetric_search_to_2_ev_runs_no_seed_scan(tmp_path):
+def test_asymmetric_poles_to_2_ev_writes_10_rows(tmp_path):
     out = tmp_path / "p.csv"
     assert main(["poles", "--profile", ASYMMETRIC, "--e-max-ev", "2.0", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 10

@@ -19,11 +19,9 @@ from rtbuildup import (
     moshinsky_m,
 )
 import rtbuildup.dynamics
-from rtbuildup.dynamics import _Rays
+from rtbuildup.dynamics import EXP_MINUS_IPI4, Y_NEAR, _Rays
 from rtbuildup.moshinsky import (
-    EXP_MINUS_IPI4,
     Y_FAR,
-    Y_NEAR,
     _exp_square_in_place,
     _faddeeva_upper,
     _moshinsky_m_grid,
@@ -460,6 +458,17 @@ def test_asymptotic_within_truncation_bound():
         approx, bound = moshinsky_asymptotic(y, n)
         err = abs(approx - moshinsky_m(y))
         assert err <= 1.05 * bound + 1e-15 * abs(moshinsky_m(y))
+
+
+def test_asymptotic_bound_holds_past_the_double_range_of_y_to_the_term_count():
+    """|y|^(n + 2) overflows, yet the pair is finite and passes criterion 6's check; from n = 343
+    a coefficient itself overflows, and the call is refused."""
+    for y, n in [(1000.0, 101), (100.0, 153), (20.0, 235), (8.0, 341)]:
+        approx, bound = moshinsky_asymptotic(y, n)
+        assert cmath.isfinite(approx) and math.isfinite(bound)
+        assert abs(approx - moshinsky_m(y)) <= 1.05 * bound + 1e-15 * abs(moshinsky_m(y))
+    with pytest.raises(ValueError, match="n_terms = 343"):
+        moshinsky_asymptotic(8.0, 343)
 
 
 def test_asymptotic_bound_shrinks_with_more_terms():

@@ -392,8 +392,8 @@ def test_asymmetric_search_to_1_2_ev_call_budget(asymmetric_profile, monkeypatch
 
 
 @pytest.mark.parametrize("name", ["symmetric", "asymmetric"])
-def test_find_poles_runs_no_transmission_scan(name, request):
-    """The search's pole counts, which it reaches from the contour moments alone."""
+def test_pole_counts_at_0_4_2_and_16_ev(name, request):
+    """3, 9 and 26 poles on the symmetric structure; 3, 10 and 30 on the asymmetric one."""
     profile = request.getfixturevalue(f"{name}_profile")
     for e_max, n_poles in {"symmetric": {0.4: 3, 2.0: 9, 16.0: 26}, "asymmetric": {0.4: 3, 2.0: 10, 16.0: 30}}[name].items():
         assert len(find_poles(profile, e_max)) == n_poles
@@ -401,7 +401,7 @@ def test_find_poles_runs_no_transmission_scan(name, request):
 
 def peak_seeded_poles(profile, e_max_ev):
     """Reference: ``_newton`` from each local maximum of |t|^2 = 1/|m22|^2 on a log grid, 2000 points a decade."""
-    lg_min, lg_max = np.log10(resonances.SCAN_FLOOR_EV), np.log10(e_max_ev)
+    lg_min, lg_max = np.log10(resonances.SEARCH_FLOOR_EV), np.log10(e_max_ev)
     energies = np.logspace(lg_min, lg_max, int(np.ceil((lg_max - lg_min) * 2000)) + 1)
     c2 = profile.hbar2_over_2m
     t2 = 1.0 / np.abs(_m22(profile, np.sqrt(energies / c2))) ** 2
