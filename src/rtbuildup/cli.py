@@ -439,7 +439,11 @@ def _solve(args, on_resonance: bool = False):
         return state, tau, evolve_single_resonance(profile, state, energy, x, t_fs=t_fs)
     e_pole_max = max(4.0 * energy, energy + 10.0 * max(s.gamma_ev for s in poles))
     if e_pole_max > e_max:
-        poles = _find_poles(profile, e_pole_max)
+        try:
+            poles = _find_poles(profile, e_pole_max)
+        except (CliUsageError, WindingMismatchError, GamowResidualError) as exc:  # name the ceiling's source
+            rule = f"full mode searches poles to max(4E, E + 10 Gamma_widest) = {e_pole_max:g} eV"
+            raise type(exc)(f"{rule}: {exc}") from None
     return state, tau, evolve_full(profile, poles, energy, x, t_fs=t_fs)
 
 

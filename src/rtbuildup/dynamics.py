@@ -23,38 +23,43 @@ Every term is a weighted kernel on a ray y_i = c_i r, so the sum is
 over P + 1 pairs (q, a), each the term a M(y_q) - a* M(y_{-q*}): the free
 pair (k, phi) first, then pole n's (k_n, -i T_n).  A pair's rays are y_q,
 reflected (c = -e^{-i pi/4} q, w = a), and y_{-q*}, direct (c = e^{-i pi/4}
-q*, w = -a*).  Each ray crosses |y| = ``Y_NEAR`` = 1 and ``Y_FAR`` = 8 once
-on an ascending grid.  Below Y_NEAR every ray takes the Taylor series
-(Abramowitz & Stegun 7.1.8)
+q*, w = -a*).  With |c_min| and |c_max| the smallest and largest |c|,
+every ray is below |y| = ``Y_NEAR`` = 1 for r < Y_NEAR/|c_max| and takes
+the Taylor series (Abramowitz & Stegun 7.1.8)
 
     M(y) = (1/2) sum_n (-y)^n / Gamma(n/2 + 1),
 
 which is entire, to ``TAYLOR_TERMS`` = 38 terms: 4.7e-16 worst relative
-error against a 40-digit erfc at |y| = 1.  Beyond Y_FAR every ray takes
-the large-argument series (A&S 7.1.23)
+error against a 40-digit erfc at |y| = 1.  Every ray is at |y| >=
+``Y_FAR`` = 8 from r = Y_FAR/|c_min| on and takes the large-argument
+series (A&S 7.1.23)
 
     M(y) ~ (2 sqrt(pi) y)^-1 sum_j (-1)^j (2j-1)!! / (2y^2)^j,   Re(y) > 0,
 
 stopped before the first term below 1e-17 of the leading one: 17 terms at
 |y| = 8 and 4e-16.  It is odd in y, so a reflected ray, M(y) = exp(y^2) -
 M(-y), takes it at y and adds exp(y^2).  Both series are linear in their
-coefficients, so at each r the rays in either band collapse into one series
-in r whose coefficients are their weighted moments: one Horner sum per point
-and band, whatever the number of rays.  Rays leave the near band in order of
-rising |c| and join the far band in order of falling |c|, so every moment
-that occurs is a running sum, added and never subtracted.
+coefficients, so in either tail the rays collapse into one row: the Taylor
+row in |c_max| r, whose moments are sum_i w_i (c_i/|c_max|)^n, and the
+asymptotic row in 1/(|c_min| r), whose moments are
+sum_i w_i (|c_min|/c_i)^(2j+1).  No ratio exceeds 1 in modulus, so no
+moment overflows, and each point takes one Horner sum whatever the number
+of rays.
 
-In the band between, a reflected ray adds exp(y^2) as well, which leaves
-every ray there a smooth direct-branch term; cut at the rays' band edges
-into pieces no wider than ``BAND_RATIO`` = 1.5 in r, the rays on each piece
-sum to one entire function of r, interpolated from its values at
-``BAND_NODES`` = 17 Chebyshev nodes and summed as its Chebyshev series, one
-real matrix product per piece.  One ray there is within 8.5e-15 of a
-30-digit erfc, and the kernel at the nodes within 9.0e-16.  The Faddeeva
-kernel runs only at the nodes of the pieces that hold a grid point, in one
-``_moshinsky_m_grid`` call per evolution, every argument on the direct
-branch, so an added pole pair costs a few multiply-adds per grid point
-rather than a Faddeeva evaluation at each of its band points.
+The band between is cut into pieces of equal ratio no wider than
+``BAND_RATIO`` = 1.5 in r, each holding every ray.  A reflected ray adds
+exp(y^2) on the grid from the piece bound at or below its own Y_NEAR/|c|,
+which leaves it a smooth direct-branch term -M(-y) there; on the pieces
+below that bound its |y| < 1, and the nodes take its exp(y^2) too.  The
+rays on each piece thus sum to one smooth function of r, interpolated from
+its values at ``BAND_NODES`` = 17 Chebyshev nodes and summed as its
+Chebyshev series, one real matrix product per piece.  One ray there is
+within 8.5e-15 of a 30-digit erfc, and the kernel at the nodes within
+1.2e-15.  The Faddeeva kernel runs only at the nodes of the pieces that
+hold a grid point, in one ``_moshinsky_m_grid`` call per evolution, every
+argument on the direct branch, so an added pole pair costs a few
+multiply-adds per grid point rather than a Faddeeva evaluation at each of
+its band points.
 
 A reflected ray's exp(y^2) stops where it decays below exp(-``_EXP_CUT``),
 at the decay rate -Re(c^2) = (Im c - Re c)(Im c + Re c): exactly 0 for y_k,
@@ -135,9 +140,8 @@ TAYLOR_TERMS = 38
 """Taylor terms the pole sum takes below ``Y_NEAR``.
 
 At |y| = 1, 38 terms reach 4.7e-16 against mpmath, 36 reach 5.9e-16 and 34
-reach 5.3e-15.  Each run of points with the same rays near ends where one
-of them reaches |y| = 1, so fewer terms at smaller |y| would save little
-(1.4% of the Taylor work on the pole-sum benchmark).
+reach 5.3e-15.  The near tail's one row is summed in |c_max| r, which
+reaches 1 at the tail's end, so every point takes all 38.
 """
 
 BAND_NODES = 17
@@ -194,9 +198,6 @@ _TO_SERIES[0] /= 2.0
 _BASIS_COLUMNS = 2048
 """Band points whose Chebyshev basis (136 B each) is held at once, unless one piece holds more."""
 
-_EDGE_RTOL = 8 * np.finfo(float).eps
-"""Band edges closer than this, relative, are one edge: both rays of a pair share |c| up to rounding."""
-
 _KEPT_ARRAYS = 7
 """The exp(y^2) tables kept between evolves hold at most this many complex grid arrays in all: the
 12 arrays an evolve may peak at, in ``test_pole_sum_memory_stays_within_twelve_grid_arrays``, less
@@ -211,13 +212,18 @@ class _Rays:
     """sum_i w_i M(c_i r) over an ascending grid of r >= 0, every ray on one branch.
 
     A ray is direct (Re c > 0) or reflected with Re(c^2) <= 0, as every ray
-    of the pole sum is; the free term's y_k has Re(c^2) = 0.  Ray i is near
-    for r < Y_NEAR/|c_i|, far for r >= Y_FAR/|c_i| and in the band between
-    otherwise; edges that differ only by rounding are one.  The band's
-    pieces are those that hold a point of the grid ``r`` given here, the
-    grid ``add_to`` sums over.  ``coef`` holds each piece's Chebyshev
-    coefficients as (real, imaginary) pairs; a piece's points, one run of the
-    grid, add its real product with their T_0..T_16 of x = (r - mid)/half.
+    of the pole sum is; the free term's y_k has Re(c^2) = 0.  With ``slow``
+    and ``fast`` the smallest and largest |c|, every ray is near for r <
+    Y_NEAR/fast and far for r >= Y_FAR/slow, where ``near`` and ``far`` are
+    the two tails' series rows.  ``bounds`` cut the band between into pieces
+    [bounds[p], bounds[p + 1]), and each piece that holds a point of the
+    grid ``r`` given here, the grid ``add_to`` sums over, holds every ray.
+    A reflected ray adds its exp(y^2) on the grid from ``exp_from``, the
+    bound at or below its own Y_NEAR/|c|, to ``exp_to``, and at the nodes
+    of the pieces below ``exp_from``.  ``coef`` holds each piece's
+    Chebyshev coefficients as (real, imaginary) pairs; a piece's points,
+    one run of the grid, add its real product with their T_0..T_16 of
+    x = (r - mid)/half.
     """
 
     def __init__(self, c: np.ndarray, w: np.ndarray, r: np.ndarray):
@@ -225,53 +231,39 @@ class _Rays:
         order = np.argsort(np.abs(c), kind="stable")
         self.c, self.w = c[order], w[order]
         mag = np.abs(self.c)
-        # each edge moves down to the first of the edges it differs from only by rounding
-        edges = np.sort(np.concatenate([Y_NEAR / mag, Y_FAR / mag]))
-        edges = edges[np.concatenate(([True], edges[1:] > edges[:-1] * (1.0 + _EDGE_RTOL)))]
-        self.near_edge = edges[np.searchsorted(edges, Y_NEAR / mag, "right") - 1]
-        self.far_edge = edges[np.searchsorted(edges, Y_FAR / mag, "right") - 1]
-        self.far_mag = mag[::-1].tolist()
-        moments = self.w[:, None] * self.c[:, None] ** np.arange(TAYLOR_TERMS)
-        self.near = np.cumsum(moments, axis=0) * _TAYLOR
-        c_far, w_far = self.c[::-1, None], self.w[::-1, None]
-        odd = 2 * np.arange(SERIES_TERMS) + 1
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            self.far = np.cumsum(w_far * c_far**-odd, axis=0) * _SERIES
-        # a row past the double range (|c| below ~4e-10: ~1e-17 eV; read only if the grid reaches it)
-        # is summed in 1/(s r), s its smallest |c|, which keeps each w (c/s)^-(2j+1) within |w|
-        self.far_scale = np.ones(self.c.size)
-        for m in np.flatnonzero(~np.isfinite(self.far).all(axis=1)).tolist():
-            s = self.far_scale[m] = self.far_mag[m]
-            with np.errstate(under="ignore"):
-                self.far[m] = np.sum(w_far[: m + 1] * (s / c_far[: m + 1]) ** odd, axis=0) * _SERIES
+        self.slow, self.fast = float(mag[0]), float(mag[-1])
+        # no ratio exceeds 1 in modulus, so no term of either row overflows; those of far-apart rays may underflow
+        with np.errstate(under="ignore"):
+            ratio = self.c[:, None] / self.fast
+            self.near = np.sum(self.w[:, None] * ratio ** np.arange(TAYLOR_TERMS), axis=0) * _TAYLOR
+            ratio = self.slow / self.c[:, None]
+            self.far = np.sum(self.w[:, None] * ratio ** (2 * np.arange(SERIES_TERMS) + 1), axis=0) * _SERIES
+        start, end = Y_NEAR / self.fast, Y_FAR / self.slow
+        cuts = math.ceil(math.log(end / start) / math.log(BAND_RATIO))
+        self.bounds = np.append(start * ((end / start) ** (1.0 / cuts)) ** np.arange(cuts), end)
         reflected = self.c.real < 0.0
         decay = np.maximum((self.c.imag - self.c.real) * (self.c.imag + self.c.real), 0.0)
         with np.errstate(divide="ignore"):
-            exp_end = np.maximum(self.far_edge, np.sqrt(_EXP_CUT / decay))
+            exp_end = np.maximum(Y_FAR / mag, np.sqrt(_EXP_CUT / decay))
+        below = np.searchsorted(self.bounds, Y_NEAR / mag, "right") - 1
         self.exp_c, self.exp_w = self.c[reflected].tolist(), self.w[reflected].tolist()
-        self.exp_from, self.exp_to = self.near_edge[reflected], exp_end[reflected]
+        self.exp_from, self.exp_to = self.bounds[below[reflected]], exp_end[reflected]
 
-        # pieces [bounds[p], bounds[p + 1]); a piece holds the rays whose band covers it
-        cuts = np.ceil(np.log(edges[1:] / edges[:-1]) / math.log(BAND_RATIO)).astype(int)
-        step = (edges[1:] / edges[:-1]) ** (1.0 / cuts)
-        self.bounds = np.concatenate(
-            [e * s ** np.arange(n) for e, s, n in zip(edges[:-1].tolist(), step.tolist(), cuts.tolist())]
-            + [edges[-1:]]
-        )
         lo, hi = self.bounds[:-1], self.bounds[1:]
-        rays = (self.near_edge <= lo[:, None]) & (hi[:, None] <= self.far_edge)
-        held = np.searchsorted(r, lo) < np.searchsorted(r, hi)
-        pieces = np.flatnonzero(held & rays.any(axis=1))
+        pieces = np.flatnonzero(np.searchsorted(r, lo) < np.searchsorted(r, hi))
         self.lo, self.hi = lo[pieces], hi[pieces]
         self.mid, self.half = 0.5 * (self.hi + self.lo), 0.5 * (self.hi - self.lo)
-        piece, ray = np.nonzero(rays[pieces])
-        sign = np.where(reflected, -1.0, 1.0)[ray, None]
-        node_r = self.mid[piece, None] + self.half[piece, None] * _NODES
         values = np.zeros((pieces.size, BAND_NODES), dtype=complex)
-        if piece.size:
-            m = _moshinsky_m_grid(sign * self.c[ray, None] * node_r)
-            firsts = np.flatnonzero(np.diff(piece, prepend=-1))
-            values = np.add.reduceat(sign * self.w[ray, None] * m, firsts, axis=0)
+        if pieces.size:
+            y = self.c[:, None, None] * (self.mid[:, None] + self.half[:, None] * _NODES)  # ray, piece, node
+            sign = np.where(reflected, -1.0, 1.0)[:, None, None]
+            terms = sign * self.w[:, None, None] * _moshinsky_m_grid(sign * y)
+            # on a piece below its bound a reflected ray has |y| < 1, and its nodes take exp(y^2) too
+            inside = reflected[:, None] & (pieces < below[:, None])
+            exp_y2 = y[inside]
+            _exp_square_in_place(exp_y2)
+            terms[inside] += self.w[np.nonzero(inside)[0], None] * exp_y2
+            values = terms.sum(axis=0)
         # a_0 and a_1 first, then the rest from what they leave: a_k for k >= 2 is small, and
         # so is its rounding once it no longer cancels the values' linear part (error 2e-15 -> 6e-16)
         linear = values @ _TO_SERIES[:2].T
@@ -282,14 +274,9 @@ class _Rays:
     def add_to(self, out: np.ndarray) -> None:
         """out += sum_i w_i M(c_i r) over the grid r the rays were made for."""
         r = self.r
-        # ray i is near on [0, lo[i]) and far on [hi[i], r.size); both fall with i
-        lo = np.searchsorted(r, self.near_edge).tolist()
-        hi = np.searchsorted(r, self.far_edge).tolist()
-        # points [lo[m + 1], lo[m]) are near for rays 0..m
-        for m, (a, b) in enumerate(zip(lo[1:] + [0], lo)):
-            if a < b:
-                out[a:b] += _horner(self.near[m].tolist(), r[a:b].astype(complex))
-        # a reflected ray adds its exp(y^2) from its near edge to past Y_FAR
+        near, far = np.searchsorted(r, self.bounds[[0, -1]]).tolist()
+        out[:near] += _horner(self.near.tolist(), (self.fast * r[:near]).astype(complex))
+        # a reflected ray adds its exp(y^2) from its bound to past Y_FAR
         start, stop = np.searchsorted(r, self.exp_from).tolist(), np.searchsorted(r, self.exp_to).tolist()
         reflected = [((c, a, b), w) for c, w, a, b in zip(self.exp_c, self.exp_w, start, stop) if a < b]
         # its exp(y^2) depends on (c, a, b) and the grid alone: keep the tables of an evolve on
@@ -313,13 +300,10 @@ class _Rays:
             out[a:b] += np.multiply(w, table, out=table if table.flags.writeable else None)
         if store:
             _kept_exp = (grid, kept)
-        # in order of falling |c|, points [hi[m], hi[m + 1]) are far for rays 0..m
-        far = hi[::-1]
-        for m, (a, b) in enumerate(zip(far, far[1:] + [r.size])):
-            if a < b:
-                n = _series_terms(self.far_mag[m] * r[a])
-                inv = 1.0 / (self.far_scale[m] * r[a:b])
-                out[a:b] += inv * _horner(self.far[m, :n].tolist(), (inv * inv).astype(complex))
+        if far < r.size:
+            inv = 1.0 / (self.slow * r[far:])
+            terms = _series_terms(self.slow * r[far])
+            out[far:] += inv * _horner(self.far[:terms].tolist(), (inv * inv).astype(complex))
         # the band: each piece's run of points takes one product of its Chebyshev basis and series
         start, stop = np.searchsorted(r, self.lo), np.searchsorted(r, self.hi)
         size = stop - start

@@ -589,6 +589,21 @@ def test_full_mode_searches_again_only_above_the_ceiling_searched(monkeypatch, c
     assert searched == ceilings
 
 
+@pytest.mark.parametrize("energy, code, message", [
+    ("1e3", 1, "error: full mode searches poles to max(4E, E + 10 Gamma_widest) = 4000 eV: "
+               "m22 overflows on the search contour at the ceiling 4000 eV\n"),
+    ("200", 2, "numerical failure: full mode searches poles to max(4E, E + 10 Gamma_widest) = 800 eV: "
+               "winding count "),
+])
+def test_full_mode_search_that_fails_names_its_rule_and_ceiling(cfg_paths, capsys, energy, code, message):
+    """The refused or miscounted search is full mode's own, above the barrier-top ceiling the run was given."""
+    argv = ["evolve", "--profile", cfg_paths["sym"], "--energy-ev", energy, "--x-angstrom", "80", "--mode", "full",
+            "--points", "5"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_evolve_csv_structure(cfg_paths, tmp_path):
     out = tmp_path / "evolve.csv"
     code = main([

@@ -426,23 +426,66 @@ def test_evolve_starts_no_thread(symmetric_profile, symmetric_poles):
     assert not [t.name for t in after if t.name.startswith("rtbuildup")]
 
 
-def test_kernel_sees_only_points_below_y_far(monkeypatch, symmetric_profile, symmetric_poles_8ev):
-    """And none below Y_NEAR: every ray of the pole sum is one-branch."""
-    largest, smallest = [], []
+def recorded_rays(monkeypatch):
+    """Patch ``_Rays`` so that each instance an evolve builds is appended to the returned list."""
+    made = []
+
+    class RecordedRays(_Rays):
+        def __init__(self, c, w, r):
+            super().__init__(c, w, r)
+            made.append(self)
+
+    monkeypatch.setattr(rtbuildup.dynamics, "_Rays", RecordedRays)
+    return made
+
+
+def test_kernel_sees_only_band_nodes_on_the_direct_branch(monkeypatch, symmetric_profile, symmetric_poles_8ev):
+    """Each ray's node radii |y| / |c| lie inside the band, Y_NEAR/max|c| to Y_FAR/min|c|, and every Re y >= 0."""
+    calls = []
 
     def recording_kernel(y, scaled=False):
-        largest.append(np.max(np.abs(y)))
-        smallest.append(np.min(np.abs(y)))
+        calls.append(np.array(y, dtype=complex))
         return _moshinsky_m_grid(y, scaled)
 
     monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", recording_kernel)
+    made = recorded_rays(monkeypatch)
     t_fs = np.geomspace(1e-3, 1e5, 12287)
     sol = evolve_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs=t_fs)
-    assert largest and max(largest) < Y_FAR
-    # r >= Y_NEAR / |c| puts |c r| at Y_NEAR to within rounding
-    assert min(smallest) >= (1.0 - 1e-15) * Y_NEAR
+    (y,), (rays,) = calls, made
+    assert y.size > 0 and np.all(y.real >= 0.0)
+    mag = np.abs(rays.c)
+    radii = np.abs(y.reshape(mag.size, -1)) / mag[:, None]
+    # |c r| / |c| gives r back to within rounding
+    assert radii.min() >= (1.0 - 1e-15) * Y_NEAR / mag.max()
+    assert radii.max() <= (1.0 + 1e-15) * Y_FAR / mag.min()
     psi = whole_grid_pole_sum(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs)
     assert np.max(np.abs(sol.psi - psi)) <= 1e-15 * np.max(np.abs(psi))
+
+
+def test_band_holds_every_ray_in_every_held_piece(monkeypatch, symmetric_profile, symmetric_poles_8ev):
+    """17 nodes a ray and a piece, at most ceil(ln(8 max|c| / min|c|) / ln 1.5) pieces, and each
+    reflected ray's exp(y^2) on the grid from the piece bound at or below its own Y_NEAR/|c|."""
+    sizes = []
+
+    def recording_kernel(y, scaled=False):
+        sizes.append(np.size(y))
+        return _moshinsky_m_grid(y, scaled)
+
+    monkeypatch.setattr(rtbuildup.dynamics, "_moshinsky_m_grid", recording_kernel)
+    made = recorded_rays(monkeypatch)
+    evolve_full(symmetric_profile, symmetric_poles_8ev, 0.2, 80.0, t_fs=np.geomspace(1e-3, 1e5, 4096))
+    (rays,) = made
+    assert rays.c.size == 2 * len(symmetric_poles_8ev) + 2
+    held = np.count_nonzero([np.any((lo <= rays.r) & (rays.r < hi)) for lo, hi in zip(rays.bounds, rays.bounds[1:])])
+    assert held > 0 and sizes == [17 * rays.c.size * held]
+    mag = np.abs(rays.c)
+    assert rays.bounds.size - 1 <= math.ceil(math.log(8.0 * mag.max() / mag.min()) / math.log(1.5))
+    reflected = rays.c.real < 0.0
+    assert np.count_nonzero(reflected) == len(symmetric_poles_8ev) + 1
+    own = Y_NEAR / mag[reflected]
+    above = rays.bounds[np.searchsorted(rays.bounds, rays.exp_from) + 1]  # the next bound up
+    assert np.all(np.isin(rays.exp_from, rays.bounds[:-1]))
+    assert np.all((rays.exp_from <= own) & (own < above))
 
 
 def test_grid_beyond_y_far_never_calls_the_kernel(monkeypatch, asymmetric_profile, asymmetric_poles):
@@ -528,8 +571,8 @@ def test_band_matches_barycentric_oracle(arg_kn, branch):
     sign = -1.0 if branch == "reflected" else 1.0
     pieces = _Rays(np.asarray([c]), np.asarray([1.0 + 0.0j]), np.geomspace(Y_NEAR, Y_FAR, 50))
     nodes = pieces.mid[:, None] + pieces.half[:, None] * _NODES
-    edges = pieces.bounds[pieces.bounds < pieces.far_edge[0]]
-    interior = np.random.default_rng(17).uniform(edges[0], pieces.far_edge[0], 200)
+    edges = pieces.bounds[:-1]
+    interior = np.random.default_rng(17).uniform(edges[0], pieces.bounds[-1], 200)
     r = np.unique(np.concatenate([edges, nodes.ravel(), interior]))
     rays = _Rays(np.asarray([c]), np.asarray([1.0 + 0.0j]), r)
     assert np.array_equal(rays.mid, pieces.mid) and np.array_equal(rays.half, pieces.half)
@@ -718,7 +761,11 @@ def test_exp_tables_are_kept_read_only_and_within_the_cap(symmetric_profile, cei
 
 
 def test_rays_a_rounding_apart_share_their_band_edges(monkeypatch):
-    """|c| that differ in the last bits, as a pair's two rays may, leave no node outside the band."""
+    """|c| that differ in the last bits, as a pair's two rays may: each ray's nodes keep Y_NEAR <= |y| < Y_FAR.
+
+    The band runs from Y_NEAR / max|c| to Y_FAR / min|c|, so the rays' two
+    edges a rounding apart bound one band and put no node past either end.
+    """
     seen = []
 
     def recording_kernel(y):
@@ -751,7 +798,8 @@ def t_at(profile, r):
 
 
 def test_short_grids_in_the_band_match_whole_grid(symmetric_profile, symmetric_poles_8ev):
-    """One and two points inside one piece, and a grid that starts on a band edge."""
+    """One and two points inside one piece, and a grid that starts on the bound where a reflected ray's
+    exp(y^2) table starts."""
     profile = symmetric_profile
     k = profile.wavevector(0.2)
     c = [EXP_MINUS_IPI4 * k]
@@ -759,10 +807,11 @@ def test_short_grids_in_the_band_match_whole_grid(symmetric_profile, symmetric_p
         c += [-EXP_MINUS_IPI4 * s.k, EXP_MINUS_IPI4 * s.k.conjugate()]
     rays = _Rays(np.asarray(c), np.ones(len(c), dtype=complex), np.zeros(0))
     r_mid = np.sqrt(profile.hbar2_over_2m * 10.0 / HBAR_EV_FS)  # t = 10 fs, where |Psi| ~ |phi|
-    assert np.sum((rays.near_edge <= r_mid) & (r_mid < rays.far_edge)) >= 3
+    y = np.abs(rays.c) * r_mid
+    assert np.sum((Y_NEAR <= y) & (y < Y_FAR)) >= 3
     p = np.searchsorted(rays.bounds, r_mid, "right") - 1
     lo, hi = rays.bounds[p], rays.bounds[p + 1]
-    edge = rays.near_edge[np.argmin(np.abs(np.log(rays.near_edge / r_mid)))]
+    edge = rays.exp_from[np.argmin(np.abs(np.log(rays.exp_from / r_mid)))]
     t_edge = t_at(profile, edge)
     grids = [
         [t_at(profile, np.sqrt(lo * hi))],
@@ -869,18 +918,11 @@ def test_late_time_ratio_matches_a_40_digit_sum_of_the_same_rays(monkeypatch, re
     profile = request.getfixturevalue(f"{structure}_profile")
     x = 80.0 if structure == "symmetric" else 55.0
     poles = find_poles(profile, 48.0)
-    rays = []
-
-    class RecordedRays(_Rays):
-        def __init__(self, c, w, r):
-            rays.append((c, w, r))
-            super().__init__(c, w, r)
-
-    monkeypatch.setattr(rtbuildup.dynamics, "_Rays", RecordedRays)
+    made = recorded_rays(monkeypatch)
     tau = np.asarray([1e3, 1e4, 1e6, 1e8, 1e10, 1e12])
     sol = evolve_full(profile, poles, poles[0].eps_ev, x, t_fs=tau * poles[0].lifetime_fs)
-    (c, w, r), = rays
-    reference = mpmath_ray_sum(c, w, r)
+    (rays,) = made
+    reference = mpmath_ray_sum(rays.c, rays.w, rays.r)
     error = [float(abs(abs(mp.mpc(v)) - abs(ref))) / abs(sol.phi) for v, ref in zip(sol.psi.tolist(), reference)]
     assert max(error) <= 1e-15, error
 
